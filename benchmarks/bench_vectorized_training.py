@@ -5,27 +5,35 @@ per-retailer models retrained every day (paper section III-C).  The
 scalar reference loop pays Python-level overhead per triple — one
 ``sgd_step`` call, per-item effective-vector reconstruction, a Python
 loop over context rows.  The batched path compiles the example list into
-flat CSR arrays once and updates whole mini-batches with ``np.add.at``.
+flat CSR arrays once and updates whole mini-batches with one scatter-add
+per parameter table.  Since PR 13 that path is the default
+(``DEFAULT_BATCH_SIZE``) and ``batch_size=1`` — pinned explicitly below,
+the scalar loop is what this bench measures against — is the reference.
 
 Measured here:
 
 1. throughput — triples/sec of the scalar loop vs mini-batches of
-   increasing size (the acceptance bar is >= 5x at batch_size >= 64),
-2. quality parity — same-seed scalar and batched runs converge to the
-   same holdout MAP@10 (mini-batch semantics, not a different model).
+   increasing size (the acceptance bars are >= 3x at the default size and
+   >= 5x at batch_size >= 64),
+2. quality parity — same-seed scalar and default-batch runs converge to
+   the same holdout MAP@10 within 5 % (mini-batch semantics, not a
+   different model).
+
+``E20_FAST=1`` is the CI smoke: the scalar loop against the default batch
+size only, same two assertions, nothing written to ``results/``.
 """
 
 from __future__ import annotations
 
+import os
 import time
-
 
 from benchmarks.bench_util import emit, fmt_row
 from repro.evaluation.evaluator import HoldoutEvaluator
 from repro.models.bpr import BPRHyperParams, BPRModel
-from repro.models.trainer import BPRTrainer
+from repro.models.trainer import DEFAULT_BATCH_SIZE, BPRTrainer
 
-BATCH_SIZES = (16, 64, 256)
+BATCH_SIZES = (16, DEFAULT_BATCH_SIZE, 64, 256)
 EPOCHS = 2
 
 
@@ -57,11 +65,13 @@ def trained_quality(dataset, batch_size):
 
 
 def test_vectorized_training_speedup(medium_dataset, benchmark, capsys):
+    fast = bool(os.environ.get("E20_FAST"))
+    sizes = (DEFAULT_BATCH_SIZE,) if fast else BATCH_SIZES
     scalar_rate = triples_per_second(medium_dataset, batch_size=1)
-    rates = {size: triples_per_second(medium_dataset, size) for size in BATCH_SIZES}
+    rates = {size: triples_per_second(medium_dataset, size) for size in sizes}
 
     scalar_map = trained_quality(medium_dataset, batch_size=1)
-    batched_map = trained_quality(medium_dataset, batch_size=64)
+    default_map = trained_quality(medium_dataset, DEFAULT_BATCH_SIZE)
 
     lines = [
         f"retailer: {medium_dataset.retailer_id} "
@@ -71,7 +81,7 @@ def test_vectorized_training_speedup(medium_dataset, benchmark, capsys):
         fmt_row("batch", "triples/s", "speedup", widths=[8, 12, 9]),
         fmt_row(1, f"{scalar_rate:,.0f}", "1.0x", widths=[8, 12, 9]),
     ]
-    for size in BATCH_SIZES:
+    for size in sizes:
         lines.append(
             fmt_row(
                 size,
@@ -83,17 +93,27 @@ def test_vectorized_training_speedup(medium_dataset, benchmark, capsys):
     lines.append("")
     lines.append(
         f"quality parity: MAP@10 scalar {scalar_map:.4f} vs "
-        f"batch-64 {batched_map:.4f}"
+        f"batch-{DEFAULT_BATCH_SIZE} (default) {default_map:.4f}"
     )
-    emit("E20", "vectorized mini-batch training", lines, capsys)
+    if fast:
+        with capsys.disabled():
+            print("\n== E20 (fast smoke) ==\n" + "\n".join(lines))
+    else:
+        emit("E20", "vectorized mini-batch training", lines, capsys)
 
-    for size in (s for s in BATCH_SIZES if s >= 64):
+    default_rate = rates[DEFAULT_BATCH_SIZE]
+    assert default_rate >= 3.0 * scalar_rate, (
+        f"the default batch size must be >= 3x the scalar loop "
+        f"({default_rate:,.0f} vs {scalar_rate:,.0f} triples/s)"
+    )
+    assert abs(default_map - scalar_map) <= 0.05 * scalar_map, (
+        f"default-batch MAP@10 {default_map:.4f} must stay within 5 % of the "
+        f"scalar loop's {scalar_map:.4f}"
+    )
+    for size in (s for s in sizes if s >= 64):
         assert rates[size] >= 5.0 * scalar_rate, (
             f"batch_size={size} must be >= 5x the scalar loop "
             f"({rates[size]:,.0f} vs {scalar_rate:,.0f} triples/s)"
         )
-    assert batched_map > 0.5 * scalar_map, (
-        "mini-batch training must not degrade model quality"
-    )
 
-    benchmark(lambda: triples_per_second(medium_dataset, 256))
+    benchmark(lambda: triples_per_second(medium_dataset, sizes[-1]))

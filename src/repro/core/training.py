@@ -62,7 +62,7 @@ from repro.models.negatives import (
     NegativeSampler,
     UniformNegativeSampler,
 )
-from repro.models.trainer import BPRTrainer, TrainingReport
+from repro.models.trainer import DEFAULT_BATCH_SIZE, BPRTrainer, TrainingReport
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracing import NULL_TRACER
 from repro.rng import derive_seed, derive_worker_seed
@@ -88,10 +88,10 @@ class TrainerSettings:
     n_threads: int = 4
     #: Per-extra-thread efficiency of Hogwild scaling (1.0 = perfectly linear).
     thread_efficiency: float = 0.85
-    #: SGD mini-batch size: 1 runs the scalar reference loop, larger values
-    #: run the vectorized batch path (same regularization/weighting
-    #: semantics; see BPRModel.sgd_step_batch).
-    batch_size: int = 1
+    #: SGD mini-batch size of the vectorized path every daily run trains
+    #: on (see BPRModel.sgd_step_batch); 1 selects the scalar reference
+    #: loop instead (same regularization/weighting semantics).
+    batch_size: int = DEFAULT_BATCH_SIZE
 
     def __post_init__(self) -> None:
         if self.n_threads < 1:

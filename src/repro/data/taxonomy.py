@@ -144,13 +144,20 @@ class Taxonomy:
 
     def lca(self, category_a: str, category_b: str) -> str:
         """Least common ancestor of two categories."""
-        ancestors_a = set(self.ancestors(category_a))
-        node = self._node(category_b)
-        while node.category_id not in ancestors_a:
-            if node.parent_id is None:  # pragma: no cover - root always shared
-                break
-            node = self._nodes[node.parent_id]
-        return node.category_id
+        return self._lca_node(
+            self._node(category_a), self._node(category_b)
+        ).category_id
+
+    def _lca_node(self, node_a: CategoryNode, node_b: CategoryNode) -> CategoryNode:
+        # Level the deeper side, then climb in step; the root is shared.
+        while node_a.depth > node_b.depth:
+            node_a = self._nodes[node_a.parent_id]
+        while node_b.depth > node_a.depth:
+            node_b = self._nodes[node_b.parent_id]
+        while node_a is not node_b:
+            node_a = self._nodes[node_a.parent_id]
+            node_b = self._nodes[node_b.parent_id]
+        return node_a
 
     def lca_distance(self, item_a: int, item_b: int) -> int:
         """Paper's item distance (Fig. 3): items are leaf nodes of the tree.
@@ -165,13 +172,10 @@ class Taxonomy:
         """
         if item_a == item_b:
             return 0
-        cat_a = self.category_of(item_a)
-        cat_b = self.category_of(item_b)
-        lca = self.lca(cat_a, cat_b)
-        lca_depth = self._nodes[lca].depth
-        climb_a = self._nodes[cat_a].depth + 1 - lca_depth
-        climb_b = self._nodes[cat_b].depth + 1 - lca_depth
-        return max(climb_a, climb_b)
+        node_a = self._nodes[self.category_of(item_a)]
+        node_b = self._nodes[self.category_of(item_b)]
+        lca = self._lca_node(node_a, node_b)
+        return max(node_a.depth, node_b.depth) + 1 - lca.depth
 
     def ancestor_at_distance(self, category_id: str, k: int) -> str:
         """The ancestor ``k`` levels above ``category_id`` (clamped at root)."""

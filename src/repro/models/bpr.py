@@ -37,7 +37,7 @@ from repro.data.sessions import UserContext
 from repro.data.taxonomy import ROOT_CATEGORY, Taxonomy
 from repro.exceptions import ConfigError
 from repro.models.base import Recommender, _as_item_array
-from repro.models.optim import Optimizer, make_optimizer
+from repro.models.optim import Optimizer, make_optimizer, scatter_add_rows
 from repro.rng import make_rng
 
 #: Context weights scale with event strength when event weighting is on —
@@ -133,21 +133,32 @@ class BPRModel(Recommender):
     def _build_feature_maps(self, catalog: Catalog, taxonomy: Taxonomy) -> None:
         """Precompute per-item feature rows (ancestors, brand, price bucket)."""
         params = self.params
-        # Taxonomy: flatten per-item ancestor lists into CSR-style arrays.
+        # Taxonomy: per-item ancestor rows, nearest first, as one table
+        # padded with -1 on the right so a batch of items is one gather.
         # The root is excluded — it is shared by everything and would only
         # add a global constant vector.
         self._categories: List[str] = sorted(taxonomy.categories())
         cat_row = {category: row for row, category in enumerate(self._categories)}
-        indptr = [0]
-        ancestor_rows: List[int] = []
+        ancestor_rows: List[List[int]] = []
         for index in range(self.n_items):
+            rows: List[int] = []
             if params.use_taxonomy and taxonomy.has_item(index):
-                for category in taxonomy.item_ancestors(index):
-                    if category != ROOT_CATEGORY:
-                        ancestor_rows.append(cat_row[category])
-            indptr.append(len(ancestor_rows))
-        self._anc_indptr = np.asarray(indptr, dtype=np.int64)
-        self._anc_rows = np.asarray(ancestor_rows, dtype=np.int64)
+                rows = [
+                    cat_row[category]
+                    for category in taxonomy.item_ancestors(index)
+                    if category != ROOT_CATEGORY
+                ]
+            ancestor_rows.append(rows)
+        # Kept beside the table so the scalar path slices its rows
+        # instead of filtering out the padding on every step.
+        self._anc_counts = np.array(
+            [len(rows) for rows in ancestor_rows], dtype=np.int64
+        )
+        self._item_ancestors = np.full(
+            (self.n_items, int(self._anc_counts.max(initial=0))), -1, dtype=np.int64
+        )
+        for index, rows in enumerate(ancestor_rows):
+            self._item_ancestors[index, : len(rows)] = rows
 
         # Brand: vocabulary row per item, -1 where missing or disabled.
         brands = catalog.brand_vocabulary() if params.use_brand else []
@@ -208,8 +219,7 @@ class BPRModel(Recommender):
     # ------------------------------------------------------------------
     def item_ancestor_rows(self, item_index: int) -> np.ndarray:
         """Taxonomy embedding rows contributing to one item (may be empty)."""
-        start, stop = self._anc_indptr[item_index], self._anc_indptr[item_index + 1]
-        return self._anc_rows[start:stop]
+        return self._item_ancestors[item_index, : self._anc_counts[item_index]]
 
     def effective_item_vector(self, item_index: int) -> np.ndarray:
         """Item embedding plus all active feature embeddings (copy)."""
@@ -237,21 +247,34 @@ class BPRModel(Recommender):
         """
         if self._phi_cache is not None:
             return self._phi_cache
-        matrix = self.item_embeddings.copy()
-        if self._anc_rows.size:
-            lengths = np.diff(self._anc_indptr)
-            owners = np.repeat(np.arange(self.n_items), lengths)
-            np.add.at(matrix, owners, self.taxonomy_embeddings[self._anc_rows])
-        has_brand = self._item_brand >= 0
-        if has_brand.any():
-            matrix[has_brand] += self.brand_embeddings[self._item_brand[has_brand]]
-        has_price = self._item_price_bucket >= 0
-        if has_price.any():
-            matrix[has_price] += self.price_embeddings[
-                self._item_price_bucket[has_price]
-            ]
-        self._phi_cache = matrix
-        return matrix
+        self._phi_cache = self.effective_item_vectors(np.arange(self.n_items))
+        return self._phi_cache
+
+    def _item_feature_rows(
+        self, items: np.ndarray
+    ) -> List[Tuple[str, np.ndarray, np.ndarray]]:
+        """``(table, positions, rows)`` per feature table ``items`` touch.
+
+        ``table`` is a :meth:`_parameters` key, ``positions`` index into
+        ``items`` in ascending order (an item repeats once per taxonomy
+        ancestor, nearest first) and ``rows`` are the matching rows of
+        that table.  Tables are listed in the order their vectors are
+        added: taxonomy, brand, price.
+        """
+        found = []
+        ancestors = self._item_ancestors[items]
+        is_row = ancestors >= 0
+        if is_row.any():
+            found.append(("taxonomy", np.nonzero(is_row)[0], ancestors[is_row]))
+        for table, item_rows in (
+            ("brand", self._item_brand),
+            ("price", self._item_price_bucket),
+        ):
+            rows = item_rows[items]
+            positions = np.flatnonzero(rows >= 0)
+            if positions.size:
+                found.append((table, positions, rows[positions]))
+        return found
 
     def effective_item_vectors(self, items: np.ndarray) -> np.ndarray:
         """Effective vectors for a batch of item indices (``len(items) x F``).
@@ -260,21 +283,18 @@ class BPRModel(Recommender):
         calls: one gather per feature table instead of Python-level loops.
         """
         items = np.asarray(items, dtype=np.int64)
-        vectors = self.item_embeddings[items].copy()
-        starts = self._anc_indptr[items]
-        counts = self._anc_indptr[items + 1] - starts
-        if counts.sum() > 0:
-            owners = np.repeat(np.arange(items.size), counts)
-            ancestors = self._anc_rows[concat_ranges(starts, counts)]
-            np.add.at(vectors, owners, self.taxonomy_embeddings[ancestors])
-        brands = self._item_brand[items]
-        has_brand = brands >= 0
-        if has_brand.any():
-            vectors[has_brand] += self.brand_embeddings[brands[has_brand]]
-        buckets = self._item_price_bucket[items]
-        has_price = buckets >= 0
-        if has_price.any():
-            vectors[has_price] += self.price_embeddings[buckets[has_price]]
+        return self._assemble_item_vectors(items, self._item_feature_rows(items))
+
+    def _assemble_item_vectors(
+        self,
+        items: np.ndarray,
+        feature_rows: List[Tuple[str, np.ndarray, np.ndarray]],
+    ) -> np.ndarray:
+        """Item embeddings plus the vectors of their ``feature_rows``."""
+        tables = self._parameters()
+        vectors = self.item_embeddings[items]
+        for table, positions, rows in feature_rows:
+            scatter_add_rows(vectors, positions, tables[table][rows])
         return vectors
 
     def context_weights(self, context: UserContext) -> np.ndarray:
@@ -328,7 +348,9 @@ class BPRModel(Recommender):
         rows = np.concatenate(row_chunks)
         weights = np.concatenate(weight_chunks)
         owners = np.repeat(np.arange(batch), counts)
-        np.add.at(users, owners, weights[:, None] * self.context_embeddings[rows])
+        scatter_add_rows(
+            users, owners, weights[:, None] * self.context_embeddings[rows]
+        )
         return users
 
     # ------------------------------------------------------------------
@@ -429,7 +451,7 @@ class BPRModel(Recommender):
         :meth:`context_weights` produces per example.
 
         All gradients are evaluated at the pre-batch parameters and
-        scattered with ``np.add.at`` (duplicate rows sum), so a batch of
+        scattered so that duplicate rows sum, so a batch of
         one non-colliding triple reproduces :meth:`sgd_step` bit-for-bit
         while larger batches follow standard mini-batch semantics.
         """
@@ -450,14 +472,18 @@ class BPRModel(Recommender):
         users = np.zeros((batch, self.params.n_factors))
         if ctx_rows.size:
             owners = np.repeat(np.arange(batch), counts)
-            np.add.at(
+            scatter_add_rows(
                 users,
                 owners,
                 ctx_weights[:, None] * self.context_embeddings[ctx_rows],
             )
 
-        phi_pos = self.effective_item_vectors(positives)
-        phi_neg = self.effective_item_vectors(negatives)
+        # Both item sides in one assembly: rows are independent, and the
+        # feature-row lookup is reused by the feature-table updates below.
+        items = np.concatenate([positives, negatives])
+        feature_rows = self._item_feature_rows(items)
+        phi = self._assemble_item_vectors(items, feature_rows)
+        phi_pos, phi_neg = phi[:batch], phi[batch:]
         z = np.einsum("bf,bf->b", users, phi_pos - phi_neg) + (
             self.item_bias[positives] - self.item_bias[negatives]
         )
@@ -469,28 +495,32 @@ class BPRModel(Recommender):
         scaled_user = e[:, None] * users  # (B, F)
 
         # Item embeddings: positive rows ascend, negative rows descend.
-        item_rows = np.concatenate([positives, negatives])
         item_grads = np.concatenate(
             [
                 scaled_user - params.reg_item * self.item_embeddings[positives],
                 -scaled_user - params.reg_item * self.item_embeddings[negatives],
             ]
         )
-        opt.step_rows("item", self.item_embeddings, item_rows, item_grads)
+        opt.step_rows("item", self.item_embeddings, items, item_grads)
 
         # Feature tables: each item side distributes the same gradient over
-        # its taxonomy/brand/price rows.
-        self._step_feature_rows(positives, scaled_user, +1.0)
-        self._step_feature_rows(negatives, scaled_user, -1.0)
+        # its taxonomy/brand/price rows.  One step per side, positives
+        # first: the negatives' regularizer reads what the positives wrote.
+        positive_side, negative_side = [], []
+        for table, positions, rows in feature_rows:
+            cut = int(positions.searchsorted(batch))
+            positive_side.append((table, positions[:cut], rows[:cut]))
+            negative_side.append((table, positions[cut:] - batch, rows[cut:]))
+        self._step_feature_rows(positive_side, scaled_user, +1.0)
+        self._step_feature_rows(negative_side, scaled_user, -1.0)
 
-        bias_rows = np.concatenate([positives, negatives])
         bias_grads = np.concatenate(
             [
                 e - params.reg_bias * self.item_bias[positives],
                 -e - params.reg_bias * self.item_bias[negatives],
             ]
         )
-        opt.step_rows("bias", self.item_bias, bias_rows, bias_grads)
+        opt.step_rows("bias", self.item_bias, items, bias_grads)
 
         # Context side: the gradient of u distributes over context rows.
         if ctx_rows.size:
@@ -505,39 +535,24 @@ class BPRModel(Recommender):
         return np.log1p(np.exp(-z_clipped))
 
     def _step_feature_rows(
-        self, items: np.ndarray, scaled_user: np.ndarray, sign: float
+        self,
+        feature_rows: List[Tuple[str, np.ndarray, np.ndarray]],
+        scaled_user: np.ndarray,
+        sign: float,
     ) -> None:
-        """Batched feature-table updates for one item side of the triples."""
-        params = self.params
-        opt = self.optimizer
-        starts = self._anc_indptr[items]
-        counts = self._anc_indptr[items + 1] - starts
-        if counts.sum() > 0:
-            owners = np.repeat(np.arange(items.size), counts)
-            rows = self._anc_rows[concat_ranges(starts, counts)]
-            grads = (
-                sign * scaled_user[owners]
-                - params.reg_features * self.taxonomy_embeddings[rows]
-            )
-            opt.step_rows("taxonomy", self.taxonomy_embeddings, rows, grads)
-        brands = self._item_brand[items]
-        has_brand = brands >= 0
-        if has_brand.any():
-            rows = brands[has_brand]
-            grads = (
-                sign * scaled_user[has_brand]
-                - params.reg_features * self.brand_embeddings[rows]
-            )
-            opt.step_rows("brand", self.brand_embeddings, rows, grads)
-        buckets = self._item_price_bucket[items]
-        has_price = buckets >= 0
-        if has_price.any():
-            rows = buckets[has_price]
-            grads = (
-                sign * scaled_user[has_price]
-                - params.reg_features * self.price_embeddings[rows]
-            )
-            opt.step_rows("price", self.price_embeddings, rows, grads)
+        """Feature-table updates for one item side of the triples.
+
+        ``feature_rows`` is :meth:`_item_feature_rows` of that side's
+        items, so positions index the examples of ``scaled_user``.
+        """
+        reg = self.params.reg_features
+        tables = self._parameters()
+        for table, owners, rows in feature_rows:
+            if rows.size == 0:
+                continue
+            embeddings = tables[table]
+            grads = sign * scaled_user[owners] - reg * embeddings[rows]
+            self.optimizer.step_rows(table, embeddings, rows, grads)
 
     def _update_item_side(self, item_index: int, scaled_user: np.ndarray, sign: float) -> None:
         """Distribute the item-side gradient over embedding + feature rows."""
@@ -670,19 +685,16 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenate ``arange(s, s + c)`` for each ``(s, c)`` pair, vectorized.
 
     The standard CSR multi-range gather: for starts ``[2, 7]`` and counts
-    ``[3, 2]`` the result is ``[2, 3, 4, 7, 8]``.  Used to pull many items'
-    ancestor slices (or many examples' context slices) in one shot.
+    ``[3, 2]`` the result is ``[2, 3, 4, 7, 8]``.  Used to pull many
+    examples' context slices in one shot.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
-    if total == 0:
+    ends = np.cumsum(counts)
+    if ends.size == 0 or ends[-1] == 0:
         return np.zeros(0, dtype=np.int64)
-    offsets = np.cumsum(counts) - counts  # start offset of each range
-    return (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(offsets, counts)
-        + np.repeat(np.asarray(starts, dtype=np.int64), counts)
-    )
+    # Range r covers output slots [ends[r] - counts[r], ends[r]).
+    shifts = np.asarray(starts, dtype=np.int64) - (ends - counts)
+    return np.arange(ends[-1], dtype=np.int64) + np.repeat(shifts, counts)
 
 
 def _price_bucket_edges(prices: np.ndarray, n_buckets: int) -> np.ndarray:

@@ -33,6 +33,10 @@ MAX_REJECTION_ATTEMPTS = 20
 class NegativeSampler(abc.ABC):
     """Draws a negative item for a (context, positive) training pair."""
 
+    #: The model whose scores rank a draw's candidates, for samplers that
+    #: consult one (the trainer pre-assembles item vectors for those).
+    model: Optional[Recommender] = None
+
     def __init__(self, n_items: int):
         if n_items < 2:
             raise DataError("need at least 2 items to sample negatives")

@@ -15,9 +15,39 @@ rows.
 from __future__ import annotations
 
 import abc
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
+
+
+def flat_row_index(rows: np.ndarray, width: int) -> np.ndarray:
+    """Element indices of ``rows`` in a C-contiguous ``(n, width)`` table."""
+    return (rows[:, None] * width + np.arange(width)).reshape(-1)
+
+
+def scatter_add_rows(
+    target: np.ndarray,
+    rows: np.ndarray,
+    values: np.ndarray,
+    flat: Optional[np.ndarray] = None,
+) -> None:
+    """``np.add.at(target, rows, values)``: the same sums in the same order.
+
+    numpy scatters into a 2-D target through its generic path; going
+    through the target's 1-D view with element indices takes the fast
+    one (~3x at mini-batch sizes).  Elements are still visited row by
+    row, so every element of ``target`` receives the same additions in
+    the same sequence and the result is bit-identical.  ``flat`` is
+    ``flat_row_index(rows, width)`` when the caller scatters over the
+    same rows more than once.
+    """
+    if target.ndim == 1 or not target.flags.c_contiguous:
+        # reshape(-1) of a non-contiguous table would be a copy.
+        np.add.at(target, rows, values)
+        return
+    if flat is None:
+        flat = flat_row_index(rows, target.shape[1])
+    np.add.at(target.reshape(-1), flat, values.reshape(-1))
 
 
 class Optimizer(abc.ABC):
@@ -49,8 +79,8 @@ class Optimizer(abc.ABC):
 
         ``rows`` may contain duplicates (two triples in a mini-batch can
         touch the same embedding row); duplicate contributions are summed
-        with ``np.add.at``, so the result is deterministic regardless of
-        ordering.  All gradients are taken as evaluated at the pre-batch
+        in ``rows`` order (:func:`scatter_add_rows`), so the result is
+        deterministic.  All gradients are taken as evaluated at the pre-batch
         parameters — standard mini-batch semantics.  With a single row
         this is exactly :meth:`step`.
         """
@@ -107,7 +137,7 @@ class Sgd(Optimizer):
     def step_rows(
         self, name: str, param: np.ndarray, rows: np.ndarray, grads: np.ndarray
     ) -> None:
-        np.add.at(param, rows, self.learning_rate * grads)
+        scatter_add_rows(param, rows, self.learning_rate * grads)
 
 
 class Adagrad(Optimizer):
@@ -141,12 +171,13 @@ class Adagrad(Optimizer):
         self, name: str, param: np.ndarray, rows: np.ndarray, grads: np.ndarray
     ) -> None:
         acc = self._accumulators[name]
-        np.add.at(acc, rows, np.square(grads))
+        flat = flat_row_index(rows, param.shape[1]) if param.ndim == 2 else None
+        scatter_add_rows(acc, rows, np.square(grads), flat)
         # The adaptive rate reads the accumulator *after* the whole batch's
         # squared mass lands, so a row hit twice in one batch is damped for
         # both contributions — per-row adaptivity survives vectorization.
         scaled = grads / (np.sqrt(acc[rows]) + self.epsilon)
-        np.add.at(param, rows, self.learning_rate * scaled)
+        scatter_add_rows(param, rows, self.learning_rate * scaled, flat)
 
     def reset_norms(self) -> None:
         """Zero all accumulated squared-gradient norms.

@@ -35,6 +35,18 @@ from repro.rng import SeedLike, make_rng
 #: Epoch mean-loss distribution buckets (BPR log-loss starts near ln 2).
 EPOCH_LOSS_BUCKETS = (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0, 2.0)
 
+#: Mini-batch size of every trainer and ``TrainerSettings`` that does not
+#: ask for another.  Measured, not guessed: the fastest size that keeps
+#: perfbench's ``day_map_at_10`` inside its 3 % bound on all three
+#: workloads (64 loses 4.1 % on ``wide_incr_uniform_cold``; README
+#: "Vectorized training" has the sweep).
+DEFAULT_BATCH_SIZE = 32
+
+#: What assembling the effective vectors of one sampler-sized pool costs,
+#: in items of a whole-catalog assembly (26 us against 0.3-0.6 us per item
+#: on 400- to 12 000-item catalogs).
+POOL_ASSEMBLY_ITEMS = 48
+
 
 @dataclass(frozen=True)
 class TrainingExample:
@@ -101,7 +113,7 @@ class BPRTrainer:
         convergence_tol: float = 1e-3,
         patience: int = 2,
         strength_constraints: bool = True,
-        batch_size: int = 1,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         seed: SeedLike = None,
         metrics=NULL_METRICS,
     ):
@@ -119,9 +131,9 @@ class BPRTrainer:
         self.convergence_tol = convergence_tol
         self.patience = patience
         self.strength_constraints = strength_constraints
-        #: ``1`` keeps the scalar reference loop; larger values run the
-        #: vectorized mini-batch path (same regularization and weighting
-        #: semantics, gradients evaluated at pre-batch parameters).
+        #: Mini-batch size of the vectorized path (gradients evaluated at
+        #: pre-batch parameters); ``1`` selects the scalar reference loop
+        #: instead, with the same regularization and weighting semantics.
         self.batch_size = batch_size
         #: Per-epoch observability; instruments are fetched per epoch (not
         #: per SGD step) so a live registry costs nothing measurable and
@@ -258,9 +270,18 @@ class BPRTrainer:
         total = 0.0
         for start in range(0, n, self.batch_size):
             batch = order[start : start + self.batch_size]
-            negatives = compiled.negatives[batch].copy()
-            for offset in np.flatnonzero(negatives < 0):
-                example = self.examples[batch[offset]]
+            negatives = compiled.negatives[batch]
+            sampled = np.flatnonzero(negatives < 0)
+            if (
+                self.sampler.model is self.model
+                and sampled.size * POOL_ASSEMBLY_ITEMS >= self.model.n_items
+            ):
+                # Every draw scores a small pool, and parameters stay frozen
+                # until the step: assemble all items once (the same rows,
+                # bit for bit) instead of one pool per draw.
+                self.model.effective_item_matrix()
+            for offset, position in zip(sampled.tolist(), batch[sampled].tolist()):
+                example = self.examples[position]
                 negatives[offset] = self.sampler.sample(
                     example.context, example.positive, self._rng
                 )
