@@ -8,10 +8,33 @@ measured values.
 
 from __future__ import annotations
 
+import os
 import pathlib
-from typing import Iterable
+import platform
+from typing import Dict, Iterable
+
+import numpy as np
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+
+def machine() -> Dict[str, object]:
+    """The box a wall-clock number was measured on (ROADMAP aim 1)."""
+    return {
+        "cores": os.cpu_count() or 1,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": f"{platform.system()}-{platform.machine()}",
+    }
+
+
+def machine_line() -> str:
+    """:func:`machine` as the one line a results block carries."""
+    box = machine()
+    return (
+        f"machine: {box['cores']} cores, python {box['python']}, "
+        f"numpy {box['numpy']}, {box['platform']}"
+    )
 
 
 def emit(experiment_id: str, title: str, lines: Iterable[str], capsys=None) -> None:

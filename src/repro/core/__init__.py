@@ -39,7 +39,7 @@ from repro.core.recovery import KILL_STAGES, CrashPlan
 from repro.core.registry import ModelRegistry, TrainedModel
 from repro.core.service import DailyRunReport, SigmundService
 from repro.core.sweep import SweepPlan, SweepPlanner
-from repro.core.training import HogwildTrainer, TrainingPipeline, train_config
+from repro.core.training import TrainingPipeline, train_config
 
 __all__ = [
     "ConfigRecord",
@@ -52,7 +52,6 @@ __all__ = [
     "SweepPlanner",
     "train_config",
     "TrainingPipeline",
-    "HogwildTrainer",
     "CheckpointManager",
     "CheckpointStorage",
     "CheckpointStats",

@@ -1,4 +1,4 @@
-"""The training pipeline: Train(), Hogwild threading, cluster execution.
+"""The training pipeline: Train(), the Hogwild cost model, cluster execution.
 
 Paper section IV-B: training is a MapReduce whose map phase calls a
 ``Train()`` function per config record.  The design points reproduced:
@@ -10,14 +10,15 @@ Paper section IV-B: training is a MapReduce whose map phase calls a
 * **One retailer per machine, many threads** — instead of packing
   multiple map tasks (and models) per machine, each task trains a single
   model with Hogwild-style lock-free threads, so memory is bounded by one
-  model and the already-allocated memory is kept busy.
+  model and the already-allocated memory is kept busy.  Here that is a
+  *cost model* (``TrainerSettings.thread_speedup``) the simulator bills
+  by; real lock-free lanes are :class:`repro.fleet.hogwild.SharedMemoryHogwild`.
 * **Time-interval checkpointing** against the simulated clock.
 * **Per-cell job splitting** sized by free capacity.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -65,7 +66,7 @@ from repro.models.negatives import (
 from repro.models.trainer import DEFAULT_BATCH_SIZE, BPRTrainer, TrainingReport
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracing import NULL_TRACER
-from repro.rng import derive_seed, derive_worker_seed
+from repro.rng import derive_seed
 
 #: Buckets for per-config simulated training seconds (FAST test configs
 #: land in the first cells, paper-scale retailers in the hour-range ones).
@@ -88,9 +89,8 @@ class TrainerSettings:
     n_threads: int = 4
     #: Per-extra-thread efficiency of Hogwild scaling (1.0 = perfectly linear).
     thread_efficiency: float = 0.85
-    #: SGD mini-batch size of the vectorized path every daily run trains
-    #: on (see BPRModel.sgd_step_batch); 1 selects the scalar reference
-    #: loop instead (same regularization/weighting semantics).
+    #: Triples per BPRModel.sgd_step_batch in every daily run's training
+    #: (a size: 1 is batches of one through the same loop).
     batch_size: int = DEFAULT_BATCH_SIZE
 
     def __post_init__(self) -> None:
@@ -347,84 +347,6 @@ def _train_wals_config(
     )
     _record_train_metrics(metrics, output)
     return model, output
-
-
-class HogwildTrainer:
-    """Lock-free multi-threaded training on shared parameter arrays.
-
-    Each thread trains on its own shard of the examples, updating the one
-    shared model without locks (Niu et al. [26]).  Updates race benignly:
-    embedding collisions are rare because each example touches only a few
-    rows.  (CPython's GIL limits the *real* wall-clock speedup here; the
-    cluster simulator models the speedup for cost experiments — the point
-    of this class is the correctness property, exercised by tests.)
-    """
-
-    def __init__(
-        self,
-        model: BPRModel,
-        dataset: RetailerDataset,
-        n_threads: int = 4,
-        max_epochs: int = 5,
-        seed: int = 0,
-    ):
-        if n_threads < 1:
-            raise ConfigError("n_threads must be >= 1")
-        self.model = model
-        self.n_threads = n_threads
-        self.max_epochs = max_epochs
-        # One single-threaded trainer builds the shared example list.
-        self._base = BPRTrainer(
-            model, dataset, max_epochs=max_epochs, seed=seed
-        )
-        self._seed = seed
-
-    @property
-    def n_examples(self) -> int:
-        return self._base.n_examples
-
-    def train(self) -> TrainingReport:
-        """Run ``max_epochs`` Hogwild epochs; returns per-epoch mean losses."""
-        examples = self._base.examples
-        report = TrainingReport()
-        if not examples:
-            return report
-        sampler = self._base.sampler
-        model = self.model
-        for epoch in range(self.max_epochs):
-            shard_losses = [0.0] * self.n_threads
-            shard_counts = [0] * self.n_threads
-            threads = []
-
-            def work(thread_id: int) -> None:
-                # Lane seed from logical (process, thread) indices — the
-                # namespaced stream keeps thread lanes disjoint from the
-                # fleet's process lanes and from the trainer/eval streams.
-                rng = np.random.default_rng(
-                    derive_worker_seed(self._seed, 0, thread_id, "hogwild", epoch)
-                )
-                shard = examples[thread_id :: self.n_threads]
-                order = rng.permutation(len(shard))
-                total = 0.0
-                for position in order:
-                    example = shard[position]
-                    negative = example.negative
-                    if negative is None:
-                        negative = sampler.sample(example.context, example.positive, rng)
-                    total += model.sgd_step(example.context, example.positive, negative)
-                shard_losses[thread_id] = total
-                shard_counts[thread_id] = len(shard)
-
-            for thread_id in range(self.n_threads):
-                thread = threading.Thread(target=work, args=(thread_id,))
-                threads.append(thread)
-                thread.start()
-            for thread in threads:
-                thread.join()
-            report.epochs_run = epoch + 1
-            report.sgd_steps += sum(shard_counts)
-            report.epoch_losses.append(sum(shard_losses) / max(1, sum(shard_counts)))
-        return report
 
 
 @dataclass(frozen=True)

@@ -56,17 +56,12 @@ class HoldoutEvaluator:
         sample_fraction: float = 0.1,
         sampled_threshold: int = DEFAULT_SAMPLED_THRESHOLD,
         seed: SeedLike = 1234,
-        batched: bool = True,
     ):
         self.dataset = dataset
         self.k = k
         self.sample_fraction = sample_fraction
         self.sampled_threshold = sampled_threshold
         self.seed = seed
-        #: Stack every holdout context into one score matrix instead of
-        #: looping one scoring call per example.  Same ranks either way;
-        #: the loop path survives as the parity/debugging reference.
-        self.batched = batched
 
     def evaluate(
         self, model: Recommender, force_exact: bool = False, force_sampled: bool = False
@@ -100,8 +95,6 @@ class HoldoutEvaluator:
         single ``(examples, items)`` :meth:`Recommender.score_contexts`
         matrix — the hot loop of every grid-search trial.
         """
-        if not self.batched:
-            return self._exact_ranks_loop(model)
         holdout = self.dataset.holdout
         if not holdout:
             return []
@@ -127,38 +120,18 @@ class HoldoutEvaluator:
             )
         return [float(rank) for rank in ranks]
 
-    def _exact_ranks_loop(self, model: Recommender) -> List[float]:
-        """The per-example reference path (one ``score_all`` per example)."""
-        ranks: List[float] = []
-        for example in self.dataset.holdout:
-            scores = np.asarray(model.score_all(example.context), dtype=np.float64)
-            target_score = scores[example.held_out_item]
-            if not np.isfinite(target_score):
-                ranks.append(float(scores.size))
-            else:
-                ranks.append(float(np.sum(scores >= target_score)))
-        return ranks
-
     def _sampled_ranks(self, model: Recommender) -> List[float]:
         estimator = SampledRankEstimator(
             self.dataset.n_items,
             sample_fraction=self.sample_fraction,
             seed=self.seed,
         )
-        sample = estimator.draw_sample()
-        if self.batched:
-            return estimator.estimate_ranks(
-                model,
-                [example.context for example in self.dataset.holdout],
-                [example.held_out_item for example in self.dataset.holdout],
-                sample=sample,
-            )
-        return [
-            estimator.estimate_rank(
-                model, example.context, example.held_out_item, sample=sample
-            )
-            for example in self.dataset.holdout
-        ]
+        return estimator.estimate_ranks(
+            model,
+            [example.context for example in self.dataset.holdout],
+            [example.held_out_item for example in self.dataset.holdout],
+            sample=estimator.draw_sample(),
+        )
 
     def _aggregate(self, ranks: List[float]) -> Dict[str, float]:
         # Estimated ranks are fractional; metrics take the ceiling, which

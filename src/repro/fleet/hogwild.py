@@ -1,14 +1,14 @@
 """Shared-memory Hogwild: lock-free SGD across worker *processes*.
 
-:class:`~repro.core.training.HogwildTrainer` reproduces the paper's
-lock-free threading semantics, but CPython threads share one GIL, so its
-real wall-clock speedup is nil.  This module is the fleet's real-memory
-version: every model parameter and Adagrad accumulator lives in one
+The paper trains one model with lock-free threads (section IV-B2);
+CPython threads share one GIL, so the lanes here are processes.  Every
+model parameter and Adagrad accumulator lives in one
 ``multiprocessing.shared_memory`` segment
 (:class:`~repro.fleet.sharedmem.SharedArrayBlock`), and ``n_processes``
-spawned workers run :meth:`BPRModel.sgd_step` against the *same physical
-arrays* with no locks — exactly the benign-race recipe of Niu et
-al. [24], with processes standing in for threads.
+spawned workers run :meth:`BPRTrainer.run_pass` — the serial trainer's
+own mini-batch loop — against the *same physical arrays* with no locks:
+the benign-race recipe of Niu et al. [24], with processes standing in
+for threads.
 
 Determinism: every lane seeds from
 :func:`repro.rng.derive_worker_seed(seed, process_index, 0, ...)` —
@@ -30,6 +30,8 @@ import multiprocessing
 import queue as queue_module
 from typing import Dict, List
 
+import numpy as np
+
 from repro.data.datasets import RetailerDataset
 from repro.exceptions import ConfigError, SigmundError
 from repro.fleet.sharedmem import SharedArrayBlock, attach_shared_arrays
@@ -45,18 +47,9 @@ OPT_PREFIX = "opt//"
 #: considered lost and the run aborts instead of hanging forever.
 _SYNC_TIMEOUT_SECONDS = 300.0
 
-
-def _epoch_pass(model: BPRModel, sampler, shard, rng) -> float:
-    """One lock-free pass of one lane over its shard; returns loss total."""
-    total = 0.0
-    order = rng.permutation(len(shard))
-    for position in order:
-        example = shard[position]
-        negative = example.negative
-        if negative is None:
-            negative = sampler.sample(example.context, example.positive, rng)
-        total += model.sgd_step(example.context, example.positive, negative)
-    return total
+#: How long the coordinator waits on the result queue before it checks
+#: whether a lane has died: the bound on noticing a lost lane.
+_POLL_SECONDS = 5.0
 
 
 def _hogwild_worker_main(
@@ -97,12 +90,12 @@ def _hogwild_worker_main(
         # Same construction seed in every lane -> identical example list;
         # the lane trains only its examples[p::n] shard of it.
         base = BPRTrainer(model, dataset, max_epochs=max_epochs, seed=seed)
-        shard = base.examples[worker_index::n_processes]
+        shard = np.arange(worker_index, base.n_examples, n_processes)
         for epoch in range(max_epochs):
             rng = make_rng(
                 derive_worker_seed(seed, worker_index, 0, "hogwild", epoch)
             )
-            total = _epoch_pass(model, base.sampler, shard, rng)
+            total = base.run_pass(shard, rng)
             results.put((worker_index, epoch, total, len(shard)))
             barrier.wait(timeout=_SYNC_TIMEOUT_SECONDS)
     finally:
@@ -151,12 +144,12 @@ class SharedMemoryHogwild:
             self.model, self.dataset, max_epochs=self.max_epochs, seed=self.seed
         )
         report = TrainingReport()
-        shard = base.examples
-        if not shard:
+        if not base.examples:
             return report
+        shard = np.arange(base.n_examples)
         for epoch in range(self.max_epochs):
             rng = make_rng(derive_worker_seed(self.seed, 0, 0, "hogwild", epoch))
-            total = _epoch_pass(self.model, base.sampler, shard, rng)
+            total = base.run_pass(shard, rng)
             report.epochs_run = epoch + 1
             report.sgd_steps += len(shard)
             report.epoch_losses.append(total / len(shard))
@@ -228,10 +221,10 @@ class SharedMemoryHogwild:
             stalled = 0.0
             while True:
                 try:
-                    _, epoch, total, count = results.get(timeout=5.0)
+                    _, epoch, total, count = results.get(timeout=_POLL_SECONDS)
                     break
                 except queue_module.Empty:
-                    stalled += 5.0
+                    stalled += _POLL_SECONDS
                     # A lane that exited cleanly has already flushed all
                     # its messages; only an abnormal exit (or a full sync
                     # timeout with nothing arriving) is a lost lane.

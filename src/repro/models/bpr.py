@@ -149,8 +149,8 @@ class BPRModel(Recommender):
                     if category != ROOT_CATEGORY
                 ]
             ancestor_rows.append(rows)
-        # Kept beside the table so the scalar path slices its rows
-        # instead of filtering out the padding on every step.
+        # Kept beside the table so one item's rows are a slice, not a
+        # filter over the padding.
         self._anc_counts = np.array(
             [len(rows) for rows in ancestor_rows], dtype=np.int64
         )
@@ -221,20 +221,6 @@ class BPRModel(Recommender):
         """Taxonomy embedding rows contributing to one item (may be empty)."""
         return self._item_ancestors[item_index, : self._anc_counts[item_index]]
 
-    def effective_item_vector(self, item_index: int) -> np.ndarray:
-        """Item embedding plus all active feature embeddings (copy)."""
-        vector = self.item_embeddings[item_index].copy()
-        rows = self.item_ancestor_rows(item_index)
-        if rows.size:
-            vector += self.taxonomy_embeddings[rows].sum(axis=0)
-        brand_row = self._item_brand[item_index]
-        if brand_row >= 0:
-            vector += self.brand_embeddings[brand_row]
-        bucket = self._item_price_bucket[item_index]
-        if bucket >= 0:
-            vector += self.price_embeddings[bucket]
-        return vector
-
     def invalidate_cache(self) -> None:
         """Drop the cached effective-item matrix (call after any update)."""
         self._phi_cache = None
@@ -279,8 +265,8 @@ class BPRModel(Recommender):
     def effective_item_vectors(self, items: np.ndarray) -> np.ndarray:
         """Effective vectors for a batch of item indices (``len(items) x F``).
 
-        Vectorized equivalent of stacking :meth:`effective_item_vector`
-        calls: one gather per feature table instead of Python-level loops.
+        Item embedding plus every active feature embedding (taxonomy
+        ancestors, brand, price bucket): one gather per feature table.
         """
         items = np.asarray(items, dtype=np.int64)
         return self._assemble_item_vectors(items, self._item_feature_rows(items))
@@ -399,44 +385,6 @@ class BPRModel(Recommender):
     # ------------------------------------------------------------------
     # Learning
     # ------------------------------------------------------------------
-    def sgd_step(self, context: UserContext, positive: int, negative: int) -> float:
-        """One BPR update on the triple; returns the example's log loss."""
-        user = self.user_embedding(context)
-        phi_pos = self.effective_item_vector(positive)
-        phi_neg = self.effective_item_vector(negative)
-        z = float(user @ (phi_pos - phi_neg)) + float(
-            self.item_bias[positive] - self.item_bias[negative]
-        )
-        z_clipped = np.clip(z, -35.0, 35.0)
-        e = 1.0 / (1.0 + np.exp(z_clipped))  # sigma(-z)
-
-        params = self.params
-        opt = self.optimizer
-        # Item-side updates for the positive and negative items.
-        self._update_item_side(positive, e * user, sign=+1.0)
-        self._update_item_side(negative, e * user, sign=-1.0)
-        opt.step(
-            "bias",
-            self.item_bias,
-            positive,
-            e - params.reg_bias * self.item_bias[positive],
-        )
-        opt.step(
-            "bias",
-            self.item_bias,
-            negative,
-            -e - params.reg_bias * self.item_bias[negative],
-        )
-        # Context-side updates (gradient of u distributes over context rows).
-        if len(context) > 0:
-            delta = e * (phi_pos - phi_neg)
-            weights = self.context_weights(context)
-            for weight, row in zip(weights, context.item_indices):
-                grad = weight * delta - params.reg_context * self.context_embeddings[row]
-                opt.step("context", self.context_embeddings, row, grad)
-        self.invalidate_cache()
-        return float(np.log1p(np.exp(-z_clipped)))
-
     def sgd_step_batch(
         self,
         contexts_csr: Tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -450,10 +398,12 @@ class BPRModel(Recommender):
         (decayed, event-weighted, normalized) ``weights`` — exactly what
         :meth:`context_weights` produces per example.
 
-        All gradients are evaluated at the pre-batch parameters and
-        scattered so that duplicate rows sum, so a batch of
-        one non-colliding triple reproduces :meth:`sgd_step` bit-for-bit
-        while larger batches follow standard mini-batch semantics.
+        This is the model's only update.  All gradients are evaluated at
+        the pre-batch parameters and scattered so that duplicate rows sum
+        (standard mini-batch semantics); a batch of one non-colliding
+        triple is the module docstring's per-triple rule, which
+        ``tests/reference_scalar_sgd.py`` writes out row by row as the
+        oracle.
         """
         indptr, ctx_rows, ctx_weights = contexts_csr
         positives = np.asarray(positives, dtype=np.int64)
@@ -553,31 +503,6 @@ class BPRModel(Recommender):
             embeddings = tables[table]
             grads = sign * scaled_user[owners] - reg * embeddings[rows]
             self.optimizer.step_rows(table, embeddings, rows, grads)
-
-    def _update_item_side(self, item_index: int, scaled_user: np.ndarray, sign: float) -> None:
-        """Distribute the item-side gradient over embedding + feature rows."""
-        params = self.params
-        opt = self.optimizer
-        grad = sign * scaled_user - params.reg_item * self.item_embeddings[item_index]
-        opt.step("item", self.item_embeddings, item_index, grad)
-        for row in self.item_ancestor_rows(item_index):
-            grad = (
-                sign * scaled_user
-                - params.reg_features * self.taxonomy_embeddings[row]
-            )
-            opt.step("taxonomy", self.taxonomy_embeddings, row, grad)
-        brand_row = self._item_brand[item_index]
-        if brand_row >= 0:
-            grad = (
-                sign * scaled_user - params.reg_features * self.brand_embeddings[brand_row]
-            )
-            opt.step("brand", self.brand_embeddings, brand_row, grad)
-        bucket = self._item_price_bucket[item_index]
-        if bucket >= 0:
-            grad = (
-                sign * scaled_user - params.reg_features * self.price_embeddings[bucket]
-            )
-            opt.step("price", self.price_embeddings, bucket, grad)
 
     # ------------------------------------------------------------------
     # State management (checkpointing & incremental training)

@@ -54,8 +54,7 @@ class Optimizer(abc.ABC):
     """Row-wise parameter updater.
 
     A parameter matrix is registered once under a name; afterwards
-    :meth:`step` applies a gradient to one row (or, with ``row=None``, to
-    a whole matrix of equal shape).
+    :meth:`step_rows` applies one gradient per listed row.
     """
 
     def __init__(self, learning_rate: float):
@@ -68,21 +67,16 @@ class Optimizer(abc.ABC):
         """Declare a parameter array before any step touches it."""
 
     @abc.abstractmethod
-    def step(self, name: str, param: np.ndarray, row: int, grad: np.ndarray) -> None:
-        """Apply ``grad`` (ascent direction) to ``param[row]`` in place."""
-
-    @abc.abstractmethod
     def step_rows(
         self, name: str, param: np.ndarray, rows: np.ndarray, grads: np.ndarray
     ) -> None:
-        """Apply one gradient per entry of ``rows`` to ``param`` in place.
+        """Apply one gradient (ascent direction) per entry of ``rows`` in place.
 
         ``rows`` may contain duplicates (two triples in a mini-batch can
         touch the same embedding row); duplicate contributions are summed
         in ``rows`` order (:func:`scatter_add_rows`), so the result is
         deterministic.  All gradients are taken as evaluated at the pre-batch
-        parameters — standard mini-batch semantics.  With a single row
-        this is exactly :meth:`step`.
+        parameters — standard mini-batch semantics.
         """
 
     def reset_norms(self) -> None:
@@ -131,9 +125,6 @@ class Sgd(Optimizer):
         # SGD is stateless; registration is accepted for interface parity.
         del name, param
 
-    def step(self, name: str, param: np.ndarray, row: int, grad: np.ndarray) -> None:
-        param[row] += self.learning_rate * grad
-
     def step_rows(
         self, name: str, param: np.ndarray, rows: np.ndarray, grads: np.ndarray
     ) -> None:
@@ -161,11 +152,6 @@ class Adagrad(Optimizer):
                 f"parameter {name!r} re-registered with shape {param.shape}, "
                 f"accumulator has {self._accumulators[name].shape}"
             )
-
-    def step(self, name: str, param: np.ndarray, row: int, grad: np.ndarray) -> None:
-        acc = self._accumulators[name]
-        acc[row] += np.square(grad)
-        param[row] += self.learning_rate * grad / (np.sqrt(acc[row]) + self.epsilon)
 
     def step_rows(
         self, name: str, param: np.ndarray, rows: np.ndarray, grads: np.ndarray

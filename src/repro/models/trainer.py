@@ -131,9 +131,9 @@ class BPRTrainer:
         self.convergence_tol = convergence_tol
         self.patience = patience
         self.strength_constraints = strength_constraints
-        #: Mini-batch size of the vectorized path (gradients evaluated at
-        #: pre-batch parameters); ``1`` selects the scalar reference loop
-        #: instead, with the same regularization and weighting semantics.
+        #: Triples per ``sgd_step_batch`` (gradients evaluated at pre-batch
+        #: parameters).  A size, not a path: ``1`` is batches of one
+        #: through the same loop.
         self.batch_size = batch_size
         #: Per-epoch observability; instruments are fetched per epoch (not
         #: per SGD step) so a live registry costs nothing measurable and
@@ -206,7 +206,7 @@ class BPRTrainer:
         return pool[int(self._rng.integers(len(pool)))]
 
     def _compile_examples(self) -> CompiledExamples:
-        """Flatten the example list into the arrays the batch path consumes."""
+        """Flatten the example list into the arrays :meth:`run_pass` consumes."""
         indptr = np.zeros(len(self.examples) + 1, dtype=np.int64)
         ctx_rows: List[np.ndarray] = []
         ctx_weights: List[np.ndarray] = []
@@ -242,33 +242,29 @@ class BPRTrainer:
     # ------------------------------------------------------------------
     def run_epoch(self) -> float:
         """One pass over all examples in random order; returns mean loss."""
-        if not self.examples:
-            return 0.0
-        if self.batch_size <= 1:
-            return self._run_epoch_scalar()
-        return self._run_epoch_batched()
-
-    def _run_epoch_scalar(self) -> float:
-        """The reference loop: one Python-level ``sgd_step`` per triple."""
-        order = self._rng.permutation(len(self.examples))
-        total = 0.0
-        for position in order:
-            example = self.examples[position]
-            negative = example.negative
-            if negative is None:
-                negative = self.sampler.sample(
-                    example.context, example.positive, self._rng
-                )
-            total += self.model.sgd_step(example.context, example.positive, negative)
-        return total / len(self.examples)
-
-    def _run_epoch_batched(self) -> float:
-        """The vectorized loop: one ``sgd_step_batch`` per mini-batch."""
-        compiled = self.compiled
         n = len(self.examples)
-        order = self._rng.permutation(n)
+        if n == 0:
+            return 0.0
+        return self.run_pass(np.arange(n), self._rng) / n
+
+    #: The name ``tests/test_batched_sgd_bit_identity.py`` (frozen with the
+    #: reference it compares against) drives the epoch under.
+    _run_epoch_batched = run_epoch
+
+    def run_pass(self, positions: np.ndarray, rng: np.random.Generator) -> float:
+        """One shuffled pass over ``examples[positions]``; returns the loss total.
+
+        The only loop over training examples: one ``sgd_step_batch`` per
+        ``batch_size`` of them.  ``rng`` supplies the shuffle and every
+        sampled negative, in that order, so a pass is a function of the
+        parameters, ``positions`` and the stream alone — :meth:`run_epoch`
+        passes every position and the trainer's own stream, a Hogwild
+        lane its shard and its lane stream.
+        """
+        compiled = self.compiled
+        order = positions[rng.permutation(len(positions))]
         total = 0.0
-        for start in range(0, n, self.batch_size):
+        for start in range(0, len(order), self.batch_size):
             batch = order[start : start + self.batch_size]
             negatives = compiled.negatives[batch]
             sampled = np.flatnonzero(negatives < 0)
@@ -283,13 +279,13 @@ class BPRTrainer:
             for offset, position in zip(sampled.tolist(), batch[sampled].tolist()):
                 example = self.examples[position]
                 negatives[offset] = self.sampler.sample(
-                    example.context, example.positive, self._rng
+                    example.context, example.positive, rng
                 )
             losses = self.model.sgd_step_batch(
                 compiled.gather(batch), compiled.positives[batch], negatives
             )
             total += float(losses.sum())
-        return total / n
+        return total
 
     def iter_epochs(self) -> Iterator[Tuple[int, float]]:
         """Yield ``(epoch_index, mean_loss)`` after each epoch until done.

@@ -7,7 +7,7 @@ measured catalog-size threshold:
 
 * :class:`~repro.retrieval.ivf.IVFIndex` — IVF-style coarse quantization
   (seeded k-means centroids, per-cluster inverted lists, an ``nprobe``
-  knob) with an optional LSH signature prefilter,
+  knob),
 * :class:`~repro.retrieval.backend.ExactRetrieval` — the exact GEMM
   baseline behind the same :class:`~repro.retrieval.backend.RetrievalBackend`
   protocol, used below the threshold and as the recall reference,
@@ -41,7 +41,6 @@ from repro.retrieval.harness import (
     synthetic_queries,
 )
 from repro.retrieval.ivf import IVFConfig, IVFIndex
-from repro.retrieval.lsh import LSHPrefilter
 from repro.retrieval.store import RetrievalIndexStore
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "ExactRetrieval",
     "IVFConfig",
     "IVFIndex",
-    "LSHPrefilter",
     "ModelRetrieval",
     "RetrievalBackend",
     "RetrievalIndexStore",

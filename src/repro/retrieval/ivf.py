@@ -33,7 +33,6 @@ import numpy as np
 from repro.exceptions import RetrievalError
 from repro.models.base import top_k_select
 from repro.obs.metrics import NULL_METRICS
-from repro.retrieval.lsh import LSHPrefilter
 from repro.rng import make_rng
 
 #: Upper bound on coarse-quantizer size; beyond this, centroid scoring
@@ -62,11 +61,6 @@ class IVFConfig:
     #: is assigned in one chunked pass afterwards.
     train_sample: int = 20_000
     seed: int = 0
-    #: LSH signature width for the optional prefilter; 0 disables it.
-    lsh_bits: int = 0
-    #: Candidates farther than this hamming distance from the query
-    #: signature are dropped before scoring; ``None`` -> ``lsh_bits // 2``.
-    lsh_max_hamming: Optional[int] = None
 
 
 def default_n_clusters(n_items: int) -> int:
@@ -164,8 +158,6 @@ class IVFIndex:
         list_offsets: np.ndarray,
         list_items: np.ndarray,
         config: IVFConfig,
-        prefilter: Optional[LSHPrefilter] = None,
-        item_signatures: Optional[np.ndarray] = None,
         metrics=NULL_METRICS,
     ):
         self._item_aug = item_aug
@@ -174,8 +166,6 @@ class IVFIndex:
         self._list_items = list_items
         self._list_sizes = np.diff(list_offsets)
         self.config = config
-        self.prefilter = prefilter
-        self._item_signatures = item_signatures
         #: Re-bound by the inference pipeline to the current run's
         #: registry (indexes, like selectors, outlive a single run).
         self.metrics = metrics
@@ -213,13 +203,6 @@ class IVFIndex:
         list_offsets = np.searchsorted(
             assign[order], np.arange(centroids.shape[0] + 1)
         ).astype(np.int64)
-        prefilter = None
-        item_signatures = None
-        if config.lsh_bits > 0:
-            prefilter = LSHPrefilter.build(
-                item_aug, config.lsh_bits, seed=config.seed
-            )
-            item_signatures = prefilter.signatures
         metrics.counter("retrieval_index_builds_total").inc()
         metrics.gauge("retrieval_index_clusters").set(centroids.shape[0])
         return cls(
@@ -228,8 +211,6 @@ class IVFIndex:
             list_offsets,
             list_items,
             config,
-            prefilter=prefilter,
-            item_signatures=item_signatures,
             metrics=metrics,
         )
 
@@ -250,15 +231,12 @@ class IVFIndex:
 
     def state(self) -> Dict[str, np.ndarray]:
         """Every array that defines the index, for parity comparisons."""
-        state = {
+        return {
             "item_aug": self._item_aug,
             "centroids": self.centroids,
             "list_offsets": self._list_offsets,
             "list_items": self._list_items,
         }
-        if self._item_signatures is not None:
-            state["signatures"] = self._item_signatures
-        return state
 
     def state_digest(self) -> str:
         """SHA-256 over the index arrays — byte-identical rebuild check."""
@@ -310,23 +288,6 @@ class IVFIndex:
         self.metrics.counter("retrieval_probes_total").inc(
             int(batch * probe_width)
         )
-        if self.prefilter is not None and candidates.size:
-            query_signatures = self.prefilter.signature_of(q_aug)
-            limit = (
-                self.config.lsh_bits // 2
-                if self.config.lsh_max_hamming is None
-                else self.config.lsh_max_hamming
-            )
-            keep = (
-                self.prefilter.hamming(
-                    query_signatures[owners],
-                    self._item_signatures[candidates],
-                )
-                <= limit
-            )
-            candidates = candidates[keep]
-            owners = owners[keep]
-            per_query = np.bincount(owners, minlength=batch)
         self.metrics.counter("retrieval_candidates_total").inc(
             int(candidates.size)
         )

@@ -7,12 +7,27 @@ read-only and re-derive anything they intend to mutate.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.data.datasets import RetailerDataset, dataset_from_synthetic
 from repro.data.generator import RetailerSpec, SyntheticRetailer, generate_retailer
+from repro.data.sessions import UserContext
 from repro.models.bpr import BPRHyperParams, BPRModel
 from repro.models.trainer import BPRTrainer
+
+
+def step_one(
+    model: BPRModel, context: UserContext, positive: int, negative: int
+) -> float:
+    """One BPR update on one triple — a batch of one; returns its log loss."""
+    csr = (
+        np.array([0, len(context)], dtype=np.int64),
+        np.asarray(context.item_indices, dtype=np.int64),
+        model.context_weights(context),
+    )
+    losses = model.sgd_step_batch(csr, np.array([positive]), np.array([negative]))
+    return float(losses[0])
 
 
 SMALL_SPEC = RetailerSpec(

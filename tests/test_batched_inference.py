@@ -214,60 +214,69 @@ def test_batch_candidates_exclude_self_and_respect_cap():
 
 
 # ----------------------------------------------------------------------
-# batched evaluator vs the per-example loop
+# the evaluator vs a per-example loop over the public single-example calls
 # ----------------------------------------------------------------------
-def test_exact_evaluator_batched_matches_loop():
-    dataset, model, _ = _env()
-    batched = HoldoutEvaluator(dataset, batched=True).evaluate(
-        model, force_exact=True
-    )
-    loop = HoldoutEvaluator(dataset, batched=False).evaluate(
-        model, force_exact=True
-    )
-    assert batched.ranks == loop.ranks
-    assert batched.metrics == loop.metrics
+def _loop_exact_ranks(dataset, model):
+    """One ``rank_of`` over the whole catalog per holdout example."""
+    return [
+        float(model.rank_of(example.context, example.held_out_item))
+        for example in dataset.holdout
+    ]
 
 
-def test_sampled_evaluator_batched_matches_loop():
+def _loop_sampled_ranks(dataset, model, seed):
+    """One ``estimate_rank`` per holdout example against one shared sample."""
+    estimator = SampledRankEstimator(dataset.n_items, sample_fraction=0.1, seed=seed)
+    sample = estimator.draw_sample()
+    return [
+        estimator.estimate_rank(
+            model, example.context, example.held_out_item, sample=sample
+        )
+        for example in dataset.holdout
+    ]
+
+
+def test_exact_evaluator_matches_rank_of_loop():
     dataset, model, _ = _env()
-    batched = HoldoutEvaluator(dataset, batched=True, seed=77).evaluate(
-        model, force_sampled=True
-    )
-    loop = HoldoutEvaluator(dataset, batched=False, seed=77).evaluate(
-        model, force_sampled=True
-    )
-    assert batched.sampled and loop.sampled
-    assert batched.ranks == loop.ranks
+    result = HoldoutEvaluator(dataset).evaluate(model, force_exact=True)
+    assert not result.sampled
+    assert result.ranks == _loop_exact_ranks(dataset, model)
+
+
+def test_sampled_evaluator_matches_estimate_rank_loop():
+    dataset, model, _ = _env()
+    result = HoldoutEvaluator(dataset, seed=77).evaluate(model, force_sampled=True)
+    assert result.sampled
+    assert result.ranks == _loop_sampled_ranks(dataset, model, seed=77)
 
 
 def test_sampled_evaluator_chunking_is_invisible(monkeypatch):
     """Chunk-boundary placement must not change a single rank."""
     dataset, model, _ = _env()
-    baseline = HoldoutEvaluator(dataset, batched=True, seed=5).evaluate(
+    baseline = HoldoutEvaluator(dataset, seed=5).evaluate(
         model, force_sampled=True
     )
     monkeypatch.setattr("repro.evaluation.sampled._CHUNK_EXAMPLES", 3)
-    chunked = HoldoutEvaluator(dataset, batched=True, seed=5).evaluate(
+    chunked = HoldoutEvaluator(dataset, seed=5).evaluate(
         model, force_sampled=True
     )
     assert chunked.ranks == baseline.ranks
 
 
-def test_evaluator_diverged_model_ranks_worst_in_both_paths():
+def test_evaluator_diverged_model_ranks_worst_exact_and_sampled():
     dataset, model, _ = _env()
     diverged = copy.deepcopy(model)
     diverged.item_embeddings[:] = np.nan
     diverged.invalidate_cache()
-    for force in ("exact", "sampled"):
-        kwargs = {f"force_{force}": True}
-        batched = HoldoutEvaluator(dataset, batched=True).evaluate(
-            diverged, **kwargs
-        )
-        loop = HoldoutEvaluator(dataset, batched=False).evaluate(
-            diverged, **kwargs
-        )
-        assert batched.ranks == loop.ranks
-        assert all(rank == dataset.n_items for rank in batched.ranks)
+    evaluator = HoldoutEvaluator(dataset)
+    exact = evaluator.evaluate(diverged, force_exact=True)
+    assert exact.ranks == _loop_exact_ranks(dataset, diverged)
+    sampled = evaluator.evaluate(diverged, force_sampled=True)
+    assert sampled.ranks == _loop_sampled_ranks(
+        dataset, diverged, seed=evaluator.seed
+    )
+    for result in (exact, sampled):
+        assert all(rank == dataset.n_items for rank in result.ranks)
 
 
 def test_estimate_ranks_matches_estimate_rank_with_shared_sample():

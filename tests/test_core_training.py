@@ -1,8 +1,7 @@
-"""Tests for Train(), the Hogwild trainer, and the training pipeline."""
+"""Tests for Train(), the Hogwild cost model, and the training pipeline."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro import build_cluster
@@ -12,13 +11,12 @@ from repro.core.grid import GridSpec
 from repro.core.registry import ModelRegistry
 from repro.core.sweep import SweepPlanner
 from repro.core.training import (
-    HogwildTrainer,
     TrainerSettings,
     TrainingPipeline,
     train_config,
 )
 from repro.exceptions import ConfigError, DataError
-from repro.models.bpr import BPRHyperParams, BPRModel
+from repro.models.bpr import BPRHyperParams
 
 FAST = TrainerSettings(
     max_epochs_full=3, max_epochs_incremental=2, sampler="uniform"
@@ -89,42 +87,6 @@ class TestTrainerSettings:
             TrainerSettings(n_threads=0)
         with pytest.raises(ConfigError):
             TrainerSettings(sampler="magic")
-
-
-class TestHogwild:
-    def test_multithreaded_training_converges(self, small_dataset):
-        model = BPRModel(
-            small_dataset.catalog, small_dataset.taxonomy,
-            BPRHyperParams(n_factors=8, seed=4),
-        )
-        trainer = HogwildTrainer(model, small_dataset, n_threads=4, max_epochs=3)
-        report = trainer.train()
-        assert report.epochs_run == 3
-        assert report.sgd_steps == 3 * trainer.n_examples
-        assert report.epoch_losses[-1] < report.epoch_losses[0]
-        assert np.all(np.isfinite(model.item_embeddings))
-
-    def test_single_thread_equivalent_quality(self, small_dataset):
-        """Lock-free racing must not destroy model quality."""
-        from repro.evaluation import HoldoutEvaluator
-
-        def map_with(threads: int) -> float:
-            model = BPRModel(
-                small_dataset.catalog, small_dataset.taxonomy,
-                BPRHyperParams(n_factors=8, seed=6),
-            )
-            HogwildTrainer(
-                model, small_dataset, n_threads=threads, max_epochs=3, seed=6
-            ).train()
-            return HoldoutEvaluator(small_dataset).evaluate(model).map_at_10
-
-        single = map_with(1)
-        multi = map_with(4)
-        assert multi > single * 0.6
-
-    def test_invalid_threads(self, small_dataset, fresh_model):
-        with pytest.raises(ConfigError):
-            HogwildTrainer(fresh_model, small_dataset, n_threads=0)
 
 
 class TestTrainingPipeline:

@@ -10,9 +10,13 @@ placement must never move a random draw or a published parameter.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import signal
+import threading
+import time
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -53,7 +57,7 @@ from repro.mapreduce.splits import uniform_splits
 from repro.models.bpr import BPRHyperParams, BPRModel
 from repro.models.optim import Adagrad, Sgd
 from repro.models.trainer import BPRTrainer
-from repro.rng import derive_seed, derive_worker_seed
+from repro.rng import derive_seed, derive_worker_seed, make_rng
 
 FAST = TrainerSettings(
     max_epochs_full=2, max_epochs_incremental=1, sampler="uniform"
@@ -419,7 +423,7 @@ class TestOptimizerState:
         opt = Adagrad(0.1)
         opt.register("w", np.zeros((3, 2)))
         param = np.zeros((3, 2))
-        opt.step("w", param, 1, np.ones(2))
+        opt.step_rows("w", param, np.array([1]), np.ones((1, 2)))
         state = opt.get_state()
         clone = Adagrad(0.1)
         clone.register("w", np.zeros((3, 2)))
@@ -447,7 +451,7 @@ class TestOptimizerState:
         external = np.zeros((2, 2))
         opt.bind_state({"w": external})
         param = np.zeros((2, 2))
-        opt.step("w", param, 0, np.full(2, 2.0))
+        opt.step_rows("w", param, np.array([0]), np.full((1, 2), 2.0))
         assert external[0, 0] == pytest.approx(4.0)  # grad^2 accumulated
 
     def test_model_state_set_matches_get(self, tiny_dataset, default_params):
@@ -603,6 +607,140 @@ class TestSharedMemoryHogwild:
             float(values.sum()) > 0
             for values in model.optimizer.get_state().values()
         )
+
+    def test_single_lane_is_the_trainers_pass(self, tiny_dataset, default_params):
+        """Differential: a lane runs ``BPRTrainer.run_pass`` and nothing else.
+
+        One lane over every example with the lane's per-epoch streams must
+        leave parameters and accumulators byte-equal to driving the pass
+        primitive by hand with the same seeds.
+        """
+        seed, epochs = 11, 3
+        lane_model = BPRModel(
+            tiny_dataset.catalog, tiny_dataset.taxonomy, default_params
+        )
+        report = SharedMemoryHogwild(
+            lane_model, tiny_dataset, n_processes=1, max_epochs=epochs, seed=seed
+        ).train()
+
+        model = BPRModel(tiny_dataset.catalog, tiny_dataset.taxonomy, default_params)
+        trainer = BPRTrainer(model, tiny_dataset, seed=seed)
+        everything = np.arange(trainer.n_examples)
+        losses = [
+            trainer.run_pass(
+                everything,
+                make_rng(derive_worker_seed(seed, 0, 0, "hogwild", epoch)),
+            )
+            / trainer.n_examples
+            for epoch in range(epochs)
+        ]
+        assert report.epoch_losses == losses
+        for ours, theirs in (
+            (lane_model.get_state(), model.get_state()),
+            (lane_model.optimizer.get_state(), model.optimizer.get_state()),
+        ):
+            assert sorted(ours) == sorted(theirs)
+            for name in ours:
+                assert ours[name].tobytes() == theirs[name].tobytes(), name
+
+    def test_four_lanes_converge_and_keep_quality(self, small_dataset):
+        """Lock-free racing across more lanes than cores must still train:
+        the loss falls and holdout quality stays near the one-lane run."""
+        from repro.evaluation import HoldoutEvaluator
+
+        def run(lanes: int):
+            model = BPRModel(
+                small_dataset.catalog, small_dataset.taxonomy,
+                BPRHyperParams(n_factors=8, seed=6),
+            )
+            report = SharedMemoryHogwild(
+                model, small_dataset, n_processes=lanes, max_epochs=3, seed=6
+            ).train()
+            return model, report
+
+        single_model, _ = run(1)
+        model, report = run(4)
+        n_examples = BPRTrainer(single_model, small_dataset, seed=6).n_examples
+        assert report.epochs_run == 3
+        assert report.sgd_steps == 3 * n_examples
+        assert report.epoch_losses[-1] < report.epoch_losses[0]
+        assert np.all(np.isfinite(model.item_embeddings))
+        evaluator = HoldoutEvaluator(small_dataset)
+        single = evaluator.evaluate(single_model).map_at_10
+        assert evaluator.evaluate(model).map_at_10 > single * 0.6
+
+    def test_killed_lane_aborts_reaps_and_unlinks(
+        self, tiny_dataset, default_params, monkeypatch
+    ):
+        """A lane SIGKILLed mid-training: ``train()`` raises within the poll
+        window, no lane survives it and the shared segment is gone."""
+        import repro.fleet.hogwild as hogwild
+
+        poll = 0.25
+        monkeypatch.setattr(hogwild, "_POLL_SECONDS", poll)
+        blocks = []
+
+        class RecordingBlock(SharedArrayBlock):
+            def __init__(self, arrays):
+                super().__init__(arrays)
+                blocks.append(self)
+
+        monkeypatch.setattr(hogwild, "SharedArrayBlock", RecordingBlock)
+        model = BPRModel(tiny_dataset.catalog, tiny_dataset.taxonomy, default_params)
+        start = model.get_state()
+        # Far more epochs than can finish before the kill lands.
+        trainer = SharedMemoryHogwild(
+            model, tiny_dataset, n_processes=2, max_epochs=100_000, seed=11
+        )
+        outcome = {}
+
+        def run():
+            try:
+                trainer.train()
+            except BaseException as error:  # noqa: BLE001 - handed to the test
+                outcome["error"] = error
+            outcome["finished"] = time.monotonic()
+
+        def lanes():
+            return [
+                child
+                for child in multiprocessing.active_children()
+                if child.name.startswith("hogwild-lane-")
+            ]
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        try:
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline:
+                # The coordinator's view of the segment moves once a lane
+                # has taken SGD steps: from here on the kill is mid-epoch.
+                if blocks and not np.array_equal(
+                    blocks[0].arrays["item"], start["item"]
+                ):
+                    break
+                time.sleep(0.01)
+            else:
+                pytest.fail("no lane started training within 60 s")
+            segment = blocks[0].handle.shm_name
+            victim = next(lane for lane in lanes() if lane.name == "hogwild-lane-1")
+            killed = time.monotonic()
+            os.kill(victim.pid, signal.SIGKILL)
+            thread.join(timeout=60.0)
+        finally:
+            # Whatever failed above, leave no lane training for ever.
+            if thread.is_alive():
+                for lane in lanes():
+                    lane.kill()
+                thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert isinstance(outcome.get("error"), SigmundError)
+        assert "lane died" in str(outcome["error"])
+        # One poll to time out on the empty queue, teardown on top of it.
+        assert outcome["finished"] - killed < poll + 10.0
+        assert not lanes()
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=segment)
 
     def test_invalid_sizing_rejected(self, tiny_dataset, default_params):
         model = BPRModel(

@@ -10,6 +10,9 @@ from repro.data.sessions import UserContext
 from repro.exceptions import ConfigError
 from repro.models.bpr import BPRHyperParams, BPRModel
 
+from tests.conftest import step_one
+from tests.reference_scalar_sgd import effective_item_vector
+
 
 def ctx(*items, event=EventType.VIEW) -> UserContext:
     return UserContext(tuple(items), tuple(event for _ in items))
@@ -57,7 +60,7 @@ class TestConstruction:
         assert model.price_embeddings.shape[0] == 0
         # Effective vector reduces to the raw item embedding.
         assert np.allclose(
-            model.effective_item_vector(0), model.item_embeddings[0]
+            model.effective_item_vectors(np.array([0]))[0], model.item_embeddings[0]
         )
 
     def test_deterministic_init(self, small_dataset, default_params):
@@ -86,12 +89,12 @@ class TestEffectiveVectors:
             expected = expected + model.brand_embeddings[model._item_brand[0]]
         if item.price is not None and model._item_price_bucket[0] >= 0:
             expected = expected + model.price_embeddings[model._item_price_bucket[0]]
-        assert np.allclose(model.effective_item_vector(0), expected)
+        assert np.allclose(model.effective_item_vectors(np.array([0]))[0], expected)
 
     def test_effective_matrix_matches_per_item(self, trained_model):
         matrix = trained_model.effective_item_matrix()
         for item in (0, 3, 57, trained_model.n_items - 1):
-            assert np.allclose(matrix[item], trained_model.effective_item_vector(item))
+            assert np.allclose(matrix[item], effective_item_vector(trained_model, item))
 
     def test_score_all_matches_score_items(self, trained_model):
         context = ctx(1, 5, 9)
@@ -138,24 +141,26 @@ class TestContextEmbedding:
 
 
 class TestSgdStep:
+    """The update rule, driven one triple (a batch of one) at a time."""
+
     def test_update_reduces_pairwise_loss(self, fresh_model):
         context, pos, neg = ctx(3, 8), 15, 40
-        losses = [fresh_model.sgd_step(context, pos, neg) for _ in range(25)]
+        losses = [step_one(fresh_model, context, pos, neg) for _ in range(25)]
         assert losses[-1] < losses[0]
 
     def test_update_orders_positive_above_negative(self, fresh_model):
         context, pos, neg = ctx(2, 6), 20, 55
         for _ in range(40):
-            fresh_model.sgd_step(context, pos, neg)
+            step_one(fresh_model, context, pos, neg)
         scores = fresh_model.score_items(context, [pos, neg])
         assert scores[0] > scores[1]
 
     def test_loss_is_positive(self, fresh_model):
-        assert fresh_model.sgd_step(ctx(1), 2, 3) > 0.0
+        assert step_one(fresh_model, ctx(1), 2, 3) > 0.0
 
     def test_untouched_rows_unchanged(self, fresh_model):
         before = fresh_model.item_embeddings.copy()
-        fresh_model.sgd_step(ctx(0), 1, 2)
+        step_one(fresh_model, ctx(0), 1, 2)
         touched = {1, 2}
         for item in range(10):
             if item in touched:
@@ -166,7 +171,7 @@ class TestSgdStep:
 
     def test_empty_context_still_updates_items(self, fresh_model):
         before = fresh_model.item_bias.copy()
-        fresh_model.sgd_step(UserContext.empty(), 1, 2)
+        step_one(fresh_model, UserContext.empty(), 1, 2)
         assert fresh_model.item_bias[1] != before[1]
 
 
@@ -174,7 +179,7 @@ class TestStateAndWarmStart:
     def test_state_roundtrip(self, small_dataset, default_params):
         a = BPRModel(small_dataset.catalog, small_dataset.taxonomy, default_params)
         for _ in range(5):
-            a.sgd_step(ctx(1, 2), 3, 4)
+            step_one(a, ctx(1, 2), 3, 4)
         state = a.get_state()
         b = BPRModel(small_dataset.catalog, small_dataset.taxonomy, default_params)
         b.set_state(state)
@@ -201,7 +206,7 @@ class TestStateAndWarmStart:
     def test_warm_start_copies_rows(self, small_dataset, default_params):
         old = BPRModel(small_dataset.catalog, small_dataset.taxonomy, default_params)
         for _ in range(10):
-            old.sgd_step(ctx(1, 2), 3, 4)
+            step_one(old, ctx(1, 2), 3, 4)
         fresh = BPRModel(small_dataset.catalog, small_dataset.taxonomy, default_params)
         copied = fresh.warm_start_from(old)
         assert copied == small_dataset.n_items

@@ -7,13 +7,20 @@ import pytest
 
 from repro.models.optim import Adagrad, Sgd, make_optimizer
 
+from tests import reference_scalar_sgd as scalar
+
+
+def step_row(opt, name, param, row, grad):
+    """One gradient onto one row: ``step_rows`` with a single entry."""
+    opt.step_rows(name, param, np.array([row]), np.asarray(grad)[None, :])
+
 
 class TestSgd:
     def test_step_applies_learning_rate(self):
         param = np.zeros((3, 2))
         opt = Sgd(0.5)
         opt.register("p", param)
-        opt.step("p", param, 1, np.array([2.0, -2.0]))
+        step_row(opt, "p", param, 1, np.array([2.0, -2.0]))
         assert np.allclose(param[1], [1.0, -1.0])
         assert np.allclose(param[0], 0.0)
 
@@ -31,7 +38,7 @@ class TestAdagrad:
         param = np.zeros((1, 2))
         opt = Adagrad(0.1)
         opt.register("p", param)
-        opt.step("p", param, 0, np.array([4.0, -9.0]))
+        step_row(opt, "p", param, 0, np.array([4.0, -9.0]))
         assert np.allclose(param[0], [0.1, -0.1], atol=1e-6)
 
     def test_repeated_updates_damp(self):
@@ -39,10 +46,10 @@ class TestAdagrad:
         param = np.zeros((1, 1))
         opt = Adagrad(0.1)
         opt.register("p", param)
-        opt.step("p", param, 0, np.array([1.0]))
+        step_row(opt, "p", param, 0, np.array([1.0]))
         first_move = float(param[0, 0])
         before = float(param[0, 0])
-        opt.step("p", param, 0, np.array([1.0]))
+        step_row(opt, "p", param, 0, np.array([1.0]))
         second_move = float(param[0, 0]) - before
         assert second_move < first_move
 
@@ -53,10 +60,10 @@ class TestAdagrad:
         opt = Adagrad(0.1)
         opt.register("p", param)
         for _ in range(50):
-            opt.step("p", param, 0, np.array([1.0]))
+            step_row(opt, "p", param, 0, np.array([1.0]))
         before = param.copy()
-        opt.step("p", param, 0, np.array([1.0]))
-        opt.step("p", param, 1, np.array([1.0]))
+        step_row(opt, "p", param, 0, np.array([1.0]))
+        step_row(opt, "p", param, 1, np.array([1.0]))
         hot_move = param[0, 0] - before[0, 0]
         cold_move = param[1, 0] - before[1, 0]
         assert cold_move > 5 * hot_move
@@ -67,19 +74,19 @@ class TestAdagrad:
         opt = Adagrad(0.1)
         opt.register("p", param)
         for _ in range(20):
-            opt.step("p", param, 0, np.array([1.0]))
+            step_row(opt, "p", param, 0, np.array([1.0]))
         assert opt.accumulated_norm("p") > 0
         opt.reset_norms()
         assert opt.accumulated_norm("p") == 0.0
         before = float(param[0, 0])
-        opt.step("p", param, 0, np.array([1.0]))
+        step_row(opt, "p", param, 0, np.array([1.0]))
         assert param[0, 0] - before == pytest.approx(0.1, abs=1e-6)
 
     def test_reregister_same_shape_keeps_state(self):
         param = np.zeros((2, 2))
         opt = Adagrad(0.1)
         opt.register("p", param)
-        opt.step("p", param, 0, np.ones(2))
+        step_row(opt, "p", param, 0, np.ones(2))
         opt.register("p", param)
         assert opt.accumulated_norm("p") > 0
 
@@ -96,25 +103,25 @@ class TestAdagrad:
 
 
 class TestStepRows:
-    """The batched row updater backing the vectorized training path."""
+    """The row updater: one gradient per listed row, duplicates summed."""
 
-    def test_sgd_single_row_matches_step(self):
+    def test_sgd_single_row_matches_scalar_oracle(self):
         a, b = np.zeros((4, 3)), np.zeros((4, 3))
         opt_a, opt_b = Sgd(0.3), Sgd(0.3)
         opt_a.register("p", a)
         opt_b.register("p", b)
         grad = np.array([1.0, -2.0, 0.5])
-        opt_a.step("p", a, 2, grad)
+        scalar.step(opt_a, "p", a, 2, grad)
         opt_b.step_rows("p", b, np.array([2]), grad[None, :])
         assert np.array_equal(a, b)
 
-    def test_adagrad_single_row_matches_step(self):
+    def test_adagrad_single_row_matches_scalar_oracle(self):
         a, b = np.zeros((4, 3)), np.zeros((4, 3))
         opt_a, opt_b = Adagrad(0.3), Adagrad(0.3)
         opt_a.register("p", a)
         opt_b.register("p", b)
         for grad in (np.array([1.0, -2.0, 0.5]), np.array([0.2, 0.1, -3.0])):
-            opt_a.step("p", a, 2, grad)
+            scalar.step(opt_a, "p", a, 2, grad)
             opt_b.step_rows("p", b, np.array([2]), grad[None, :])
         assert np.allclose(a, b, atol=1e-15)
         assert opt_a.accumulated_norm("p") == pytest.approx(

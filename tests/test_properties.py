@@ -17,6 +17,8 @@ from repro.data.sessions import UserContext
 from repro.models.base import ScoredItem
 from repro.serving.store import RecommendationStore
 
+from tests.conftest import step_one
+
 
 # ----------------------------------------------------------------------
 # BPR model invariants
@@ -84,12 +86,12 @@ def test_property_bpr_state_roundtrip_after_updates(updates, tiny_dataset):
     )
     context = UserContext((0,), (EventType.VIEW,))
     for positive, negative in updates:
-        model.sgd_step(context, positive, negative)
+        step_one(model, context, positive, negative)
     state = model.get_state()
     scores_before = model.score_all(context).copy()
     # More training mutates; restore must bring scores back exactly.
     for positive, negative in updates[:5]:
-        model.sgd_step(context, positive, negative)
+        step_one(model, context, positive, negative)
     model.set_state(state)
     assert np.allclose(model.score_all(context), scores_before)
 

@@ -1,10 +1,12 @@
-"""Tests for the vectorized mini-batch training/scoring path.
+"""Tests for the mini-batch training step and the trainer's one loop.
 
 The contract under test: ``sgd_step_batch`` with a batch of one
-non-colliding triple reproduces the scalar ``sgd_step`` bit-for-bit (for
-both optimizers), larger batches follow standard mini-batch semantics and
-reach the same quality, and the cached effective-item matrix agrees with
-per-item assembly while staying coherent across updates.
+non-colliding triple is the paper's per-triple rule as the oracle in
+``tests/reference_scalar_sgd.py`` writes it out (for both optimizers), a
+``batch_size=1`` epoch is that oracle's loop, larger batches follow
+standard mini-batch semantics and reach the same quality, and the cached
+effective-item matrix agrees with per-item assembly while staying
+coherent across updates.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from repro.exceptions import ConfigError
 from repro.models.bpr import BPRHyperParams, BPRModel, concat_ranges
 from repro.models.trainer import DEFAULT_BATCH_SIZE, BPRTrainer
 
+from tests import reference_scalar_sgd as scalar
+from tests.conftest import step_one
+
 #: A small synthetic retailer shared by the property tests (hypothesis
 #: cannot take pytest fixtures).
 _RETAILER = generate_retailer(
@@ -42,9 +47,9 @@ _RETAILER = generate_retailer(
 )
 _DATASET = dataset_from_synthetic(_RETAILER)
 
-#: Feature tables off: the scalar loop updates shared feature rows
-#: sequentially (positive side first), which no batched formulation can
-#: reproduce bit-for-bit; the exact-equivalence contract is defined on
+#: Feature tables off: the per-triple oracle updates shared feature rows
+#: one at a time, so a positive and a negative under one category see each
+#: other's writes mid-side; the exact-equivalence contract is defined on
 #: non-colliding triples.
 _NO_FEATURE_PARAMS = dict(
     n_factors=8,
@@ -97,14 +102,14 @@ class TestEffectiveVectorsBatch:
         batch = trained_model.effective_item_vectors(items)
         for row, item in enumerate(items):
             assert np.allclose(
-                batch[row], trained_model.effective_item_vector(int(item))
+                batch[row], scalar.effective_item_vector(trained_model, int(item))
             )
 
     def test_matrix_cache_reused_until_update(self, small_dataset, default_params):
         model = BPRModel(small_dataset.catalog, small_dataset.taxonomy, default_params)
         first = model.effective_item_matrix()
         assert model.effective_item_matrix() is first  # cached
-        model.sgd_step(UserContext((1,), (EventType.VIEW,)), 2, 3)
+        step_one(model, UserContext((1,), (EventType.VIEW,)), 2, 3)
         second = model.effective_item_matrix()
         assert second is not first
         assert not np.allclose(second[2], first[2])
@@ -115,7 +120,7 @@ class TestEffectiveVectorsBatch:
         context = UserContext((4, 9), (EventType.VIEW, EventType.CART))
         before = model.score_all(context)
         for _ in range(5):
-            model.sgd_step(context, 7, 21)
+            step_one(model, context, 7, 21)
         after = model.score_all(context)
         assert after[7] > before[7]
 
@@ -134,7 +139,7 @@ class TestEffectiveVectorsBatch:
     optimizer=st.sampled_from(["sgd", "adagrad"]),
 )
 def test_scalar_and_batch_step_produce_same_parameters(seed, optimizer):
-    """Property: per-triple, the batch path equals the scalar reference
+    """Property: per-triple, a batch of one equals the scalar oracle
     within 1e-9 for both optimizers (same gradients, same adaptive rates).
     """
     params = BPRHyperParams(optimizer=optimizer, seed=3, **_NO_FEATURE_PARAMS)
@@ -143,7 +148,7 @@ def test_scalar_and_batch_step_produce_same_parameters(seed, optimizer):
     rng = np.random.default_rng(seed)
     losses = []
     for context, positive, negative in _non_colliding_triples(rng, 40):
-        scalar_loss = scalar_model.sgd_step(context, positive, negative)
+        scalar_loss = scalar.sgd_step(scalar_model, context, positive, negative)
         batch_loss = batch_model.sgd_step_batch(
             _csr_of(batch_model, context),
             np.array([positive]),
@@ -218,8 +223,8 @@ class TestBatchStep:
         user = reference.user_embedding(context)
         expected = reference.item_embeddings[4].copy()
         for negative in (10, 11):
-            phi_pos = reference.effective_item_vector(4)
-            phi_neg = reference.effective_item_vector(negative)
+            phi_pos = scalar.effective_item_vector(reference, 4)
+            phi_neg = scalar.effective_item_vector(reference, negative)
             z = float(user @ (phi_pos - phi_neg)) + float(
                 reference.item_bias[4] - reference.item_bias[negative]
             )
@@ -265,8 +270,10 @@ class TestBatchedTrainer:
             )
 
     @pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
-    def test_batched_training_converges_like_scalar(self, small_dataset, optimizer):
-        """Same seed, scalar vs batch-64: different trajectories (mini-batch
+    def test_batched_training_converges_like_batches_of_one(
+        self, small_dataset, optimizer
+    ):
+        """Same seed, batches of one vs 64: different trajectories (mini-batch
         semantics) but equivalent optimization behaviour."""
 
         def run(batch_size):
@@ -282,10 +289,10 @@ class TestBatchedTrainer:
             )
             return trainer.train()
 
-        scalar = run(1)
+        single = run(1)
         batched = run(64)
         assert batched.epoch_losses[-1] < batched.epoch_losses[0]
-        assert batched.final_loss == pytest.approx(scalar.final_loss, rel=0.25)
+        assert batched.final_loss == pytest.approx(single.final_loss, rel=0.25)
 
     def test_batched_training_deterministic(self, small_dataset, default_params):
         def run():
@@ -310,8 +317,8 @@ class TestBatchedTrainer:
         assert sorted(fixed.tolist()) == sorted(explicit)
 
 
-class TestDefaultIsTheBatchedPath:
-    """The daily run trains on mini-batches; the scalar loop is the oracle."""
+class TestBatchSizeIsASize:
+    """``batch_size`` sizes the one loop; it selects nothing."""
 
     def test_one_default_everywhere(self):
         signature = inspect.signature(BPRTrainer)
@@ -322,19 +329,52 @@ class TestDefaultIsTheBatchedPath:
         )
         assert DEFAULT_BATCH_SIZE > 1
 
-    def test_default_trainer_runs_the_batched_epoch(
-        self, small_dataset, fresh_model, monkeypatch
-    ):
-        trainer = BPRTrainer(fresh_model, small_dataset, seed=3)
-        monkeypatch.setattr(
-            trainer, "_run_epoch_scalar", lambda: pytest.fail("scalar loop ran")
-        )
-        trainer.run_epoch()
+    @pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
+    def test_batches_of_one_are_the_scalar_loop(self, optimizer):
+        """A ``batch_size=1`` epoch against the oracle's per-triple loop.
 
-    def test_fleet_map_parity_with_scalar_loop(self):
-        """Train() with default settings vs ``batch_size=1`` on a seeded
-        fleet: mini-batch semantics move single retailers by whole percents
-        either way, the fleet mean must hold (measured 0.2329 vs 0.2328)."""
+        Same stream in the same order (asserted on the next draw), every
+        feature table on, fixed and sampled negatives.  Contexts that
+        repeat an item are left out: the oracle re-reads the repeated
+        row's regularizer after the first write, a batch evaluates both
+        at the pre-batch value.
+        """
+        params = BPRHyperParams(n_factors=8, optimizer=optimizer, seed=5)
+
+        def trainer_for():
+            model = BPRModel(_DATASET.catalog, _DATASET.taxonomy, params)
+            trainer = BPRTrainer(model, _DATASET, batch_size=1, seed=9)
+            trainer.examples = [
+                example
+                for example in trainer.examples
+                if len(set(example.context.item_indices)) == len(example.context)
+            ]
+            trainer.compiled = trainer._compile_examples()
+            return trainer
+
+        ours, oracle = trainer_for(), trainer_for()
+        assert ours.n_examples > 100
+        assert (ours.compiled.negatives >= 0).any()
+        assert (ours.compiled.negatives < 0).any()
+        for _ in range(2):
+            assert ours.run_epoch() == pytest.approx(
+                scalar.run_epoch_scalar(oracle), abs=1e-9
+            )
+        for name, param in oracle.model.get_state().items():
+            np.testing.assert_allclose(
+                ours.model.get_state()[name], param, atol=1e-9, err_msg=name
+            )
+        for name, acc in oracle.model.optimizer.get_state().items():
+            np.testing.assert_allclose(
+                ours.model.optimizer.get_state()[name], acc, atol=1e-9, err_msg=name
+            )
+        assert ours._rng.integers(1 << 62) == oracle._rng.integers(1 << 62)
+
+    def test_fleet_map_parity_with_batches_of_one(self):
+        """Train() with default settings vs ``batch_size=1`` (one triple per
+        update, the paper's schedule) on a seeded fleet: mini-batch semantics
+        move single retailers by whole percents either way, the fleet mean
+        must hold (measured 0.2329 vs 0.2394)."""
         fleet = [
             dataset_from_synthetic(
                 generate_retailer(
@@ -366,9 +406,9 @@ class TestDefaultIsTheBatchedPath:
             return float(np.mean(maps))
 
         default = fleet_map(TrainerSettings())
-        scalar = fleet_map(TrainerSettings(batch_size=1))
-        assert scalar > 0.1  # the fleet learns something to be on par with
-        assert default >= 0.95 * scalar, (
+        single = fleet_map(TrainerSettings(batch_size=1))
+        assert single > 0.1  # the fleet learns something to be on par with
+        assert default >= 0.95 * single, (
             f"fleet-mean MAP@10 {default:.4f} at the default batch size vs "
-            f"{scalar:.4f} on the scalar loop"
+            f"{single:.4f} on batches of one"
         )
