@@ -38,7 +38,7 @@ def _as_item_array(items: Sequence[int]) -> np.ndarray:
     ``np.asarray([2.7], dtype=np.int64)`` would quietly score item 2.
     """
     if isinstance(items, np.ndarray):
-        if not np.issubdtype(items.dtype, np.integer):
+        if items.dtype.kind not in "iu":
             raise TypeError(
                 f"item indices must be an integer array, got dtype "
                 f"{items.dtype}"
@@ -80,23 +80,19 @@ def top_k_select(
     if k <= 0:
         return np.empty(0, dtype=np.int64)
     tb = np.arange(n, dtype=np.int64) if tiebreak is None else tiebreak
-    if k == n:
-        sel = np.arange(n, dtype=np.int64)
-    else:
+    if k < n:
         # k-th largest score: partition sorts NaN last, so the pivot is
-        # NaN only when fewer than k scores are finite numbers at all.
+        # NaN only when fewer than k scores are numbers at all.
         kth = -np.partition(-scores, k - 1)[k - 1]
-        if np.isnan(kth):
-            better = np.flatnonzero(~np.isnan(scores))
-            ties = np.flatnonzero(np.isnan(scores))
-        else:
-            better = np.flatnonzero(scores > kth)
-            ties = np.flatnonzero(scores == kth)
-        ties = ties[np.argsort(tb[ties], kind="stable")]
-        sel = np.concatenate([better, ties[: k - better.size]])
+        if not np.isnan(kth):
+            # Everything at or above the pivot (never a NaN) holds the
+            # whole top-k plus the pivot's surplus ties, which the stable
+            # sort leaves past position k in tiebreak order.
+            sel = np.flatnonzero(scores >= kth)
+            return sel[np.lexsort((tb[sel], -scores[sel]))[:k]]
     # Stable lexsort: primary score descending, secondary tiebreak
     # ascending; NaN keys sink to the end preserving tiebreak order.
-    return sel[np.lexsort((tb[sel], -scores[sel]))]
+    return np.lexsort((tb, -scores))[:k]
 
 
 def _top_k(pool: np.ndarray, scores: np.ndarray, k: int) -> List[ScoredItem]:
@@ -167,6 +163,11 @@ class Recommender(abc.ABC):
         """Score matrix for a batch of contexts: ``(B, n_items)`` (or
         ``(B, len(item_indices))`` when a column subset is given).
 
+        The dense kernel: every context against the *same* columns, which
+        is the evaluators' question (a holdout block against the catalog
+        or one shared negative sample).  Contexts that each bring their
+        own pool go through :meth:`score_pools` instead.
+
         The default stacks one :meth:`score_all` / :meth:`score_items`
         call per context — correct for any model; embedding models
         override this with a single matrix multiply.
@@ -182,6 +183,27 @@ class Recommender(abc.ABC):
             return np.zeros((0, width), dtype=np.float64)
         return np.stack([np.asarray(row, dtype=np.float64) for row in rows])
 
+    def score_pools(
+        self, contexts: Sequence[UserContext], pools: Sequence[np.ndarray]
+    ) -> List[np.ndarray]:
+        """Scores of each context's own pool: ``result[r]`` aligns with
+        ``pools[r]`` (int64 index arrays, one per context).
+
+        The ragged kernel: only the ``(context, item)`` pairs asked for
+        are scored, which is offline inference's question (every item
+        brings its own candidate list).  The default is one
+        :meth:`score_items` call per non-empty row (like :meth:`recommend`,
+        which never hands a model an empty pool) — correct for any model;
+        embedding models override it with one gather-and-dot per batch.
+        """
+        empty = np.zeros(0, dtype=np.float64)
+        return [
+            np.asarray(self.score_items(context, pool), dtype=np.float64)
+            if pool.size
+            else empty
+            for context, pool in zip(contexts, pools)
+        ]
+
     def recommend_batch(
         self,
         contexts: Sequence[UserContext],
@@ -192,11 +214,13 @@ class Recommender(abc.ABC):
         """Batched :meth:`recommend`: one list of recommendations per context.
 
         ``candidate_lists`` aligns with ``contexts`` (``None`` entries — or
-        ``None`` for the whole argument — mean the full catalog).  Scoring
-        happens through one :meth:`score_contexts` matrix for the whole
-        batch (a single ``U @ V_eff.T`` BLAS call for embedding models),
-        then per-row top-k runs the exact same selection as the per-item
-        path, so results match :meth:`recommend` call-for-call — including
+        ``None`` for the whole argument — mean the full catalog).  The rows
+        that bring a list are scored through one :meth:`score_pools` call,
+        so their work is the number of pairs asked for, never
+        ``B x |union of pools|``; the whole-catalog rows ask the dense
+        question and share one :meth:`score_contexts` matrix.  Per-row
+        top-k then runs the exact same selection as the per-item path, so
+        results match :meth:`recommend` call-for-call — including
         exclude-context-items and NaN/diverged-model semantics.
         """
         contexts = list(contexts)
@@ -211,43 +235,37 @@ class Recommender(abc.ABC):
             )
         if not contexts:
             return []
+        full_pool = np.arange(self.n_items)
         pools = [
-            None if candidates is None else _as_item_array(candidates)
+            full_pool if candidates is None else _as_item_array(candidates)
             for candidates in candidate_lists
         ]
-        # When every context has a candidate list, score only the union of
-        # candidate columns: the GEMM shrinks from (B, n_items) to
-        # (B, |union|) — the difference between a full-catalog multiply
-        # and a capped-candidate one on million-item catalogs.  Scores are
-        # identical columns of the full matrix, so results don't change.
-        cols: Optional[np.ndarray] = None
-        if all(pool is not None for pool in pools):
-            chunks = [pool for pool in pools if pool.size]
-            union = (
-                np.unique(np.concatenate(chunks))
-                if chunks
-                else np.empty(0, dtype=np.int64)
-            )
-            if union.size < self.n_items:
-                cols = union
-        matrix = (
-            self.score_contexts(contexts)
-            if cols is None
-            else self.score_contexts(contexts, cols)
+        if exclude_context_items:
+            pools = [
+                _exclude_items(pool, context)
+                for pool, context in zip(pools, contexts)
+            ]
+        listed = [
+            row for row, candidates in enumerate(candidate_lists)
+            if candidates is not None
+        ]
+        whole = [
+            row for row, candidates in enumerate(candidate_lists)
+            if candidates is None
+        ]
+        scores: List[Optional[np.ndarray]] = [None] * len(contexts)
+        ragged = self.score_pools(
+            [contexts[row] for row in listed], [pools[row] for row in listed]
         )
-        full_pool = np.arange(self.n_items)
-        results: List[List[ScoredItem]] = []
-        for row, (context, pool) in enumerate(zip(contexts, pools)):
-            if pool is None:
-                pool = full_pool
-            if exclude_context_items:
-                pool = _exclude_items(pool, context)
-            if pool.size == 0:
-                results.append([])
-                continue
-            columns = pool if cols is None else np.searchsorted(cols, pool)
-            results.append(_top_k(pool, matrix[row, columns], k))
-        return results
+        for row, row_scores in zip(listed, ragged):
+            scores[row] = row_scores
+        if whole:
+            matrix = self.score_contexts([contexts[row] for row in whole])
+            for row, row_scores in zip(whole, matrix):
+                scores[row] = row_scores[pools[row]]
+        return [
+            _top_k(pool, row_scores, k) for pool, row_scores in zip(pools, scores)
+        ]
 
     def rank_of(
         self,
@@ -263,7 +281,7 @@ class Recommender(abc.ABC):
         if candidates is None:
             pool = np.arange(self.n_items)
         else:
-            pool = np.asarray(list(candidates), dtype=np.int64)
+            pool = _as_item_array(candidates)
         scores = np.asarray(self.score_items(context, pool), dtype=np.float64)
         target_positions = np.flatnonzero(pool == target_item)
         if target_positions.size == 0:

@@ -59,20 +59,30 @@ def make_catalog(n_items=400, n_factors=8, seed=0):
 class TestTopKSelectOrder:
     @given(
         scores=st.lists(
-            st.sampled_from([0.0, 1.0, 2.0, float("nan")]),
-            min_size=1,
+            st.sampled_from(
+                [0.0, 1.0, 2.0, float("nan"), float("inf"), float("-inf")]
+            ),
+            min_size=0,
             max_size=40,
         ),
-        k=st.integers(min_value=1, max_value=40),
+        k=st.integers(min_value=-2, max_value=45),
+        tiebreak_seed=st.none() | st.integers(min_value=0, max_value=1000),
     )
-    @settings(max_examples=120, deadline=None)
-    def test_matches_total_lexicographic_order(self, scores, k):
-        """Selection == prefix of the full (score desc, index asc) sort."""
+    @settings(max_examples=200, deadline=None)
+    def test_matches_total_lexicographic_order(self, scores, k, tiebreak_seed):
+        """Selection == prefix of the brute-force (score desc, tiebreak
+        asc, NaN last) sort — ties, +-inf, NaN pivots, ``k >= n``,
+        ``k <= 0`` and tiebreak keys in no particular order."""
         arr = np.asarray(scores, dtype=np.float64)
-        sel = top_k_select(arr, k)
-        keys = np.where(np.isnan(arr), -np.inf, arr)
-        full = np.lexsort((np.arange(arr.size), -keys))
-        assert sel.tolist() == full[: min(k, arr.size)].tolist()
+        if tiebreak_seed is None:
+            tiebreak, keys = None, np.arange(arr.size)
+        else:
+            # Distinct, unsorted, and unrelated to position.
+            keys = np.random.default_rng(tiebreak_seed).permutation(arr.size) * 3
+            tiebreak = keys
+        sel = top_k_select(arr, k, tiebreak=tiebreak)
+        assert sel.dtype == np.int64
+        assert sel.tolist() == np.lexsort((keys, -arr))[: max(k, 0)].tolist()
 
     def test_all_tied_returns_lowest_indices(self):
         sel = top_k_select(np.ones(10), 4)
@@ -320,10 +330,20 @@ class TestModelAdapters:
             trained_model.score_items(context, items32),
             trained_model.score_items(context, items64),
         )
+        np.testing.assert_allclose(
+            trained_model.score_contexts([context], items32),
+            trained_model.score_contexts([context], items64),
+        )
+        assert trained_model.rank_of(
+            context, 9, candidates=items32
+        ) == trained_model.rank_of(context, 9, candidates=items64)
+        floats = np.array([5.7, 9.1], dtype=np.float64)
         with pytest.raises(TypeError):
-            trained_model.score_items(
-                context, np.array([5.7, 9.1], dtype=np.float64)
-            )
+            trained_model.score_items(context, floats)
+        with pytest.raises(TypeError):
+            trained_model.score_contexts([context], floats)
+        with pytest.raises(TypeError):
+            trained_model.rank_of(context, 5, candidates=floats)
 
 
 # ----------------------------------------------------------------------
