@@ -3,11 +3,12 @@
 The daily loop's inference cost is dominated by Python overhead: two
 scoring calls per item (view + purchase surface), each re-deriving the
 candidate pool and paying a full interpreter round trip for one gemv.
-The batched path scores each 128-item block's ``(item, candidate)`` pairs
-in one gather-and-dot (``score_pools``: only the pairs asked for, never
-``block x |union of candidate lists|``), resolves candidates through the
-selector's subtree/union memos, and shares the exact per-row top-k with
-the per-item path.
+The batched path ranks each 128-item block as one flat array: its
+``(item, candidate)`` pairs scored in one gather-and-dot (``score_pairs``:
+only the pairs asked for, never ``block x |union of candidate lists|``)
+and selected in one ``segmented_top_k``, candidates resolved through the
+selector's subtree/union memos.  The order is ``top_k_select``'s, which
+the per-item path applies row by row.
 
 Measured here, per synthetic retailer scale:
 
@@ -21,8 +22,13 @@ Measured here, per synthetic retailer scale:
    ``recommend_batch(block, None)`` on the first ``CATALOG_ITEMS`` items:
    the dense question, which ``recommend_batch`` hands to
    ``score_contexts`` (one GEMM per block), not to the pair kernel,
-4. parity — batched results must equal the per-item reference
-   item-for-item before any timing counts.
+4. the top-k stage alone — ``top_k_select`` row by row vs one
+   ``segmented_top_k`` over the same scored 128-item blocks (view
+   surface), in rows/s, so the table shows which stage a change in the
+   totals above came from,
+5. parity — batched results must equal the per-item reference
+   item-for-item, and the two selections position-for-position, before
+   any timing counts.
 
 Results land in ``benchmarks/results/e22.txt`` and ``BENCH_inference.json``
 (committed, so the perf trajectory has data points).  ``E22_FAST=1`` is
@@ -50,6 +56,7 @@ from repro.data.generator import RetailerSpec, generate_retailer
 from repro.data.sessions import UserContext
 from repro.evaluation.evaluator import HoldoutEvaluator
 from repro.evaluation.sampled import SampledRankEstimator
+from repro.models.base import segmented_top_k, top_k_select
 from repro.models.bpr import BPRHyperParams, BPRModel
 from repro.models.trainer import BPRTrainer
 
@@ -69,7 +76,7 @@ FAST_SCALES = {
 #: 2.4x, twelve runs) on the 2-core reference VM, asserted with 2x headroom.
 FAST_BARS = {"fast": 1.0, "fast2k": 1.2}
 #: Full-run bar on the medium retailer, between the two kernels as the
-#: same box measures them: ``score_pools`` 3.8-4.3x (seven runs), the
+#: same box measures them: the pair kernel 3.8-4.3x (seven runs), the
 #: union GEMM it replaced 3.0-3.5x (six runs, the same hour), so a revert
 #: fails it.  The per-item path shares the faster top-k, so the ratio
 #: understates the batched path's own gain (3.4-4.3k -> 4.3-5.8k items/s
@@ -208,6 +215,39 @@ def _catalog_rates(model, n_items):
     return len(contexts) / item_s, len(contexts) / batch_s
 
 
+def _top_k_rates(model, selector, n_items):
+    """The selection stage alone, on blocks scored outside the timing."""
+    blocks = []
+    for start in range(0, n_items, BLOCK):
+        block = list(range(start, min(start + BLOCK, n_items)))
+        pools = selector.batch_view_based(block)
+        sizes = np.asarray([pool.size for pool in pools], dtype=np.int64)
+        items = np.concatenate(pools)
+        owners = np.repeat(np.arange(sizes.size), sizes)
+        contexts = [UserContext((i,), (EventType.VIEW,)) for i in block]
+        scores = model.score_pairs(contexts, items, owners, sizes)
+        blocks.append((scores, items, owners, sizes))
+
+    def per_row():
+        tops = []
+        for scores, items, _, sizes in blocks:
+            rows, lo = [], 0
+            for size in sizes.tolist():
+                row = slice(lo, lo + size)
+                rows.append(lo + top_k_select(scores[row], TOP_K, tiebreak=items[row]))
+                lo += size
+            tops.append(np.concatenate(rows))
+        return tops
+
+    def segmented():
+        return [segmented_top_k(*block, TOP_K)[0] for block in blocks]
+
+    for expected, got in zip(per_row(), segmented()):
+        assert np.array_equal(expected, got), "segmented top-k parity broke"
+    row_s, segmented_s = _best_laps(per_row, segmented)
+    return n_items / row_s, n_items / segmented_s
+
+
 def _loop_ranks(evaluator, model, sampled):
     """The per-example baseline: one public single-example call per holdout row."""
     holdout = evaluator.dataset.holdout
@@ -254,6 +294,7 @@ def _measure(name, spec):
     item_rate, batch_rate = _inference_rates(model, selector, n_items)
     eval_loop, eval_batch, eval_mode = _evaluation_rates(dataset, model)
     catalog_item_rate, catalog_batch_rate = _catalog_rates(model, n_items)
+    top_k_row_rate, top_k_segmented_rate = _top_k_rates(model, selector, n_items)
     return {
         "scale": name,
         "n_items": n_items,
@@ -267,6 +308,9 @@ def _measure(name, spec):
         "catalog_per_item_items_per_s": round(catalog_item_rate, 1),
         "catalog_batched_items_per_s": round(catalog_batch_rate, 1),
         "catalog_speedup": round(catalog_batch_rate / catalog_item_rate, 2),
+        "top_k_per_row_rows_per_s": round(top_k_row_rate, 1),
+        "top_k_segmented_rows_per_s": round(top_k_segmented_rate, 1),
+        "top_k_speedup": round(top_k_segmented_rate / top_k_row_rate, 2),
     }
 
 
@@ -315,6 +359,23 @@ def test_inference_throughput(capsys):
                 f"{row['catalog_per_item_items_per_s']:,.0f}",
                 f"{row['catalog_batched_items_per_s']:,.0f}",
                 f"{row['catalog_speedup']:.2f}x",
+                widths=widths,
+            )
+        )
+    lines += [
+        "",
+        f"top-k stage alone: view-surface blocks of {BLOCK} scored beforehand, k=10",
+        "",
+        fmt_row("scale", "items", "per-row/s", "segment/s", "speedup", widths=widths),
+    ]
+    for row in rows:
+        lines.append(
+            fmt_row(
+                row["scale"],
+                row["n_items"],
+                f"{row['top_k_per_row_rows_per_s']:,.0f}",
+                f"{row['top_k_segmented_rows_per_s']:,.0f}",
+                f"{row['top_k_speedup']:.2f}x",
                 widths=widths,
             )
         )

@@ -26,8 +26,11 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import ctypes
+import os
 import sys
-from typing import List, Optional
+from itertools import product
+from typing import Callable, Iterator, List, Optional
 
 from repro import (
     BPRHyperParams,
@@ -531,7 +534,44 @@ COMMANDS = {
 }
 
 
+def _openblas(function: str, *argtypes, restype=None) -> Iterator[Callable]:
+    """``openblas_<function>`` of every OpenBLAS loaded into this process,
+    read off ``/proc/self/maps`` (numpy lists its libraries only through
+    ``threadpoolctl``); nothing where there is no ``/proc`` or no OpenBLAS."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    except OSError:
+        return
+    for path in paths:
+        library = ctypes.CDLL(path)
+        # Plain builds, and the decorated names numpy's wheels ship.
+        for prefix, suffix in product(("", "scipy_"), ("", "64_", "_64")):
+            symbol = getattr(library, f"{prefix}openblas_{function}{suffix}", None)
+            if symbol is not None:
+                symbol.argtypes, symbol.restype = list(argtypes), restype
+                yield symbol
+                break
+
+
+def _cap_blas_threads() -> None:
+    """One BLAS thread for this process, unless the environment chose.
+
+    Our GEMMs have inner dimension 5-200: a second thread buys nothing and,
+    landing on the caller's CPU, costs the batched evaluator 3-4x for about
+    a second.  numpy is imported by now, so the library is told directly.
+    """
+    if os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS"):
+        return
+    for set_num_threads in _openblas("set_num_threads", ctypes.c_int):
+        set_num_threads(1)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    if argv is None:
+        # ``python -m repro`` / the ``repro`` script: the process is ours.
+        # A caller passing ``argv`` (tests, embedders) keeps its threads.
+        _cap_blas_threads()
     args = build_parser().parse_args(argv)
     return COMMANDS[args.command](args)
 

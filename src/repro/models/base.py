@@ -10,7 +10,8 @@ notes BPR could be swapped for least-squares "easily", section VI).
 from __future__ import annotations
 
 import abc
-from typing import List, NamedTuple, Optional, Sequence
+from itertools import accumulate, repeat
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,9 +107,96 @@ def _top_k(pool: np.ndarray, scores: np.ndarray, k: int) -> List[ScoredItem]:
     if pool.size == 0 or k <= 0:
         return []
     top = top_k_select(scores, k, tiebreak=pool)
-    # .tolist() converts to native int/float in one C pass — much cheaper
-    # than casting numpy scalars one by one.
-    return list(map(ScoredItem, pool[top].tolist(), scores[top].tolist()))
+    return _scored_items(pool[top], scores[top])
+
+
+def _scored_items(items: np.ndarray, scores: np.ndarray) -> List[ScoredItem]:
+    """Aligned index and score arrays -> ``ScoredItem`` list."""
+    # .tolist() converts to native int/float in one C pass, and
+    # tuple.__new__ skips the Python frame of the generated __new__.
+    pairs = zip(items.tolist(), scores.tolist())
+    return list(map(tuple.__new__, repeat(ScoredItem), pairs))
+
+
+#: Scratch cells per scored pair in :func:`segmented_top_k`, which pads a
+#: run of rows to its widest pool: runs are cut so that stays at most this
+#: multiple of their pairs, and one catalog-sized pool beside 127 small
+#: ones is padded alone, not as ``128 x n_items`` doubles.  Sized on
+#: perfbench: ``wide_incr_uniform_cold`` pools run 46-1 000 wide inside a
+#: block (1-11 runs at 4, mean 3.2) and rank in 290-310 us a block at any
+#: factor from 2 to 16, 255 us unbounded, 2 700 us at 1.
+_PAD_FACTOR = 4
+#: Tiebreak key of a padding cell: after every real item.
+_LAST_ITEM = np.iinfo(np.int64).max
+
+
+def segmented_top_k(
+    scores: np.ndarray,
+    items: np.ndarray,
+    owners: np.ndarray,
+    sizes: np.ndarray,
+    k: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`top_k_select` for every segment of a flat array at once.
+
+    Segment ``r`` is the ``sizes[r]`` consecutive entries whose ``owners``
+    are ``r``; ``items`` is the tiebreak key.  Returns ``(top, counts)``:
+    flat positions grouped by segment — ``counts[r]`` for segment ``r`` —
+    each group exactly as ``top_k_select(its scores, k, tiebreak=its
+    items)`` orders it.
+
+    One lexsort over a whole block is slower than a per-segment loop (1.7
+    against 1.4 ms for 128 x 100), so entries are first cut to those not
+    below their segment's k-th score (a row-wise partition of the padded
+    scores) and the ``~rows x k`` survivors, padded again, sort row by row.
+    """
+    counts = np.minimum(sizes, max(k, 0))
+    if scores.size == 0 or k <= 0:
+        return np.empty(0, dtype=np.int64), counts
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    chunks = []
+    row = 0
+    while row < sizes.size:
+        # The longest run of rows from ``row`` on that fits the pad bound
+        # (a single row always does).
+        widths = np.maximum.accumulate(sizes[row:])
+        fits = widths * np.arange(1, widths.size + 1) <= _PAD_FACTOR * (
+            ends[row:] - starts[row]
+        )
+        stop = row + int(np.flatnonzero(fits)[-1]) + 1
+        lo, hi, width = starts[row], ends[stop - 1], int(widths[stop - row - 1])
+        run_sizes = sizes[row:stop]
+        if width > k:
+            # Row-major cells of the padded matrix are the flat order.
+            padded = np.full((stop - row, width), np.nan)
+            padded[np.arange(width) < run_sizes[:, None]] = scores[lo:hi]
+            # Negated, NaN sorts last: the k-th best is NaN only in a row
+            # with fewer than k numbers, which "not below it" keeps whole;
+            # elsewhere that keeps the top k, their ties and the row's
+            # NaNs, which sort behind those.
+            np.negative(padded, out=padded)
+            padded.partition(k - 1, axis=1)
+            kth = np.repeat(-padded[:, k - 1], run_sizes)
+            kept = lo + np.flatnonzero(~(scores[lo:hi] < kth))
+            per_row = np.bincount(owners[kept] - row, minlength=stop - row)
+        else:
+            kept, per_row = np.arange(lo, hi), run_sizes
+        # The survivors, padded again to their widest row, sort row by row:
+        # score descending (NaN last), then item; padding sorts after both.
+        slots = np.arange(int(per_row.max())) < per_row[:, None]
+        by_score = np.full(slots.shape, np.nan)
+        by_score[slots] = -scores[kept]
+        by_item = np.full(slots.shape, _LAST_ITEM)
+        by_item[slots] = items[kept]
+        order = np.lexsort((by_item, by_score), axis=1)[:, :k]
+        # A row's first ``counts`` columns are survivors, never padding.
+        order += (np.cumsum(per_row) - per_row)[:, None]
+        chunks.append(
+            kept[order[np.arange(order.shape[1]) < counts[row:stop, None]]]
+        )
+        row = stop
+    return np.concatenate(chunks), counts
 
 
 class Recommender(abc.ABC):
@@ -166,7 +254,7 @@ class Recommender(abc.ABC):
         The dense kernel: every context against the *same* columns, which
         is the evaluators' question (a holdout block against the catalog
         or one shared negative sample).  Contexts that each bring their
-        own pool go through :meth:`score_pools` instead.
+        own pool go through :meth:`score_pairs` instead.
 
         The default stacks one :meth:`score_all` / :meth:`score_items`
         call per context — correct for any model; embedding models
@@ -183,26 +271,31 @@ class Recommender(abc.ABC):
             return np.zeros((0, width), dtype=np.float64)
         return np.stack([np.asarray(row, dtype=np.float64) for row in rows])
 
-    def score_pools(
-        self, contexts: Sequence[UserContext], pools: Sequence[np.ndarray]
-    ) -> List[np.ndarray]:
-        """Scores of each context's own pool: ``result[r]`` aligns with
-        ``pools[r]`` (int64 index arrays, one per context).
+    def score_pairs(
+        self,
+        contexts: Sequence[UserContext],
+        items: np.ndarray,
+        owners: np.ndarray,
+        sizes: np.ndarray,
+    ) -> np.ndarray:
+        """Scores of the flat ``(contexts[owners[i]], items[i])`` pairs.
 
-        The ragged kernel: only the ``(context, item)`` pairs asked for
-        are scored, which is offline inference's question (every item
-        brings its own candidate list).  The default is one
-        :meth:`score_items` call per non-empty row (like :meth:`recommend`,
-        which never hands a model an empty pool) — correct for any model;
+        The ragged kernel: the contexts' own pools laid end to end
+        (``sizes[r]`` items for context ``r``, ``owners`` naming each
+        item's context), so only the pairs asked for are scored — offline
+        inference's question, where every item brings its own candidate
+        list.  The default is one :meth:`score_items` call per non-empty
+        pool (like :meth:`recommend`, which never hands a model an empty
+        one) — correct for any model, pool-relative ones included;
         embedding models override it with one gather-and-dot per batch.
         """
-        empty = np.zeros(0, dtype=np.float64)
-        return [
-            np.asarray(self.score_items(context, pool), dtype=np.float64)
-            if pool.size
-            else empty
-            for context, pool in zip(contexts, pools)
-        ]
+        scores = np.empty(items.size, dtype=np.float64)
+        lo = 0
+        for context, size in zip(contexts, sizes.tolist()):
+            if size:
+                scores[lo : lo + size] = self.score_items(context, items[lo : lo + size])
+            lo += size
+        return scores
 
     def recommend_batch(
         self,
@@ -215,13 +308,15 @@ class Recommender(abc.ABC):
 
         ``candidate_lists`` aligns with ``contexts`` (``None`` entries — or
         ``None`` for the whole argument — mean the full catalog).  The rows
-        that bring a list are scored through one :meth:`score_pools` call,
-        so their work is the number of pairs asked for, never
-        ``B x |union of pools|``; the whole-catalog rows ask the dense
-        question and share one :meth:`score_contexts` matrix.  Per-row
-        top-k then runs the exact same selection as the per-item path, so
-        results match :meth:`recommend` call-for-call — including
-        exclude-context-items and NaN/diverged-model semantics.
+        that bring a list are ranked as one flat array: pools concatenated,
+        context items dropped, one :meth:`score_pairs` call (work is the
+        number of pairs asked for, never ``B x |union of pools|``), one
+        :func:`segmented_top_k`.  The whole-catalog rows ask the dense
+        question: they share one :meth:`score_contexts` matrix and rank
+        row by row through :func:`_top_k`.  Both select in
+        :func:`top_k_select`'s order, so results match :meth:`recommend`
+        call-for-call — including exclude-context-items and
+        NaN/diverged-model semantics.
         """
         contexts = list(contexts)
         if candidate_lists is None:
@@ -233,18 +328,6 @@ class Recommender(abc.ABC):
                 f"got {len(contexts)} contexts but "
                 f"{len(candidate_lists)} candidate lists"
             )
-        if not contexts:
-            return []
-        full_pool = np.arange(self.n_items)
-        pools = [
-            full_pool if candidates is None else _as_item_array(candidates)
-            for candidates in candidate_lists
-        ]
-        if exclude_context_items:
-            pools = [
-                _exclude_items(pool, context)
-                for pool, context in zip(pools, contexts)
-            ]
         listed = [
             row for row, candidates in enumerate(candidate_lists)
             if candidates is not None
@@ -253,19 +336,58 @@ class Recommender(abc.ABC):
             row for row, candidates in enumerate(candidate_lists)
             if candidates is None
         ]
-        scores: List[Optional[np.ndarray]] = [None] * len(contexts)
-        ragged = self.score_pools(
-            [contexts[row] for row in listed], [pools[row] for row in listed]
-        )
-        for row, row_scores in zip(listed, ragged):
-            scores[row] = row_scores
+        results: List[List[ScoredItem]] = [[] for _ in contexts]
+        if listed:
+            ranked = self._rank_listed(
+                [contexts[row] for row in listed],
+                [_as_item_array(candidate_lists[row]) for row in listed],
+                k,
+                exclude_context_items,
+            )
+            for row, recs in zip(listed, ranked):
+                results[row] = recs
         if whole:
+            full_pool = np.arange(self.n_items)
             matrix = self.score_contexts([contexts[row] for row in whole])
             for row, row_scores in zip(whole, matrix):
-                scores[row] = row_scores[pools[row]]
-        return [
-            _top_k(pool, row_scores, k) for pool, row_scores in zip(pools, scores)
-        ]
+                pool = full_pool
+                if exclude_context_items:
+                    pool = _exclude_items(pool, contexts[row])
+                results[row] = _top_k(pool, row_scores[pool], k)
+        return results
+
+    def _rank_listed(
+        self,
+        contexts: List[UserContext],
+        pools: List[np.ndarray],
+        k: int,
+        exclude_context_items: bool,
+    ) -> List[List[ScoredItem]]:
+        """Top-``k`` of each context's own pool, the block as one array."""
+        single = exclude_context_items and all(
+            len(context) == 1 for context in contexts
+        )
+        if exclude_context_items and not single:
+            pools = [
+                _exclude_items(pool, context)
+                for pool, context in zip(pools, contexts)
+            ]
+        sizes = np.array([pool.size for pool in pools], dtype=np.int64)
+        items = np.concatenate(pools)
+        owners = np.repeat(np.arange(sizes.size), sizes)
+        if single:
+            # Single-item contexts (the whole offline workload): one compare
+            # over the flat block drops every row's own item.
+            seen = np.array([context.item_indices[0] for context in contexts])
+            keep = items != seen[owners]
+            if not keep.all():
+                items, owners = items[keep], owners[keep]
+                sizes = np.bincount(owners, minlength=sizes.size)
+        scores = self.score_pairs(contexts, items, owners, sizes)
+        top, counts = segmented_top_k(scores, items, owners, sizes, k)
+        flat = _scored_items(items[top], scores[top])
+        bounds = list(accumulate(counts.tolist(), initial=0))
+        return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def rank_of(
         self,

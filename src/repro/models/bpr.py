@@ -27,7 +27,6 @@ The update rule for one triple, with ``z = x_ui - x_uj`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,7 +49,7 @@ EVENT_CONTEXT_WEIGHT: Dict[EventType, float] = {
     EventType.CONVERSION: 2.5,
 }
 
-#: Pairs scored per gather in :meth:`BPRModel.score_pools`.  Both operands
+#: Pairs scored per gather in :meth:`BPRModel.score_pairs`.  Both operands
 #: of the dot are gathered (``2 x slice x F`` doubles live at once), so the
 #: slice — not ``B x n`` — bounds the scratch memory of a batch of explicit
 #: catalog-sized pools.  Sized on perfbench: at 8 192 pairs and above
@@ -331,6 +330,11 @@ class BPRModel(Recommender):
         users = np.zeros((batch, self.params.n_factors))
         if batch == 0:
             return users
+        if all(len(context) == 1 for context in contexts):
+            # Offline inference: every weight is 1.0 (:meth:`context_weights`)
+            # and the scatter-add below would be ``0.0 + row`` per context.
+            rows = [context.item_indices[0] for context in contexts]
+            return users + self.context_embeddings[np.array(rows, dtype=np.int64)]
         row_chunks: List[np.ndarray] = []
         weight_chunks: List[np.ndarray] = []
         counts = np.zeros(batch, dtype=np.int64)
@@ -394,35 +398,35 @@ class BPRModel(Recommender):
             return np.zeros((len(contexts), 0), dtype=np.float64)
         return users @ phi[items].T + self.item_bias[items]
 
-    def score_pools(
-        self, contexts: Sequence[UserContext], pools: Sequence[np.ndarray]
-    ) -> List[np.ndarray]:
-        """Ragged batched scoring: one gather-and-dot over all the pools.
+    def score_pairs(
+        self,
+        contexts: Sequence[UserContext],
+        items: np.ndarray,
+        owners: np.ndarray,
+        sizes: np.ndarray,
+    ) -> np.ndarray:
+        """Ragged batched scoring: one gather-and-dot over the flat pairs.
 
-        The offline-inference hot path — the pools are concatenated and
-        every ``(context, item)`` pair is one row of
-        ``einsum("ij,ij->i", phi[items], users[owners])``, so the work is
-        the number of pairs asked for.  Each pair's dot product reads only
-        its own two rows, so a row's scores do not depend on what else is
-        in the batch.
+        The offline-inference hot path — every ``(context, item)`` pair is
+        one row of ``einsum("ij,ij->i", phi[items], users[owners])``, so
+        the work is the number of pairs asked for.  Each pair's dot product
+        reads only its own two rows, so a row's scores do not depend on
+        what else is in the batch.
         """
-        sizes = [pool.size for pool in pools]
-        bounds = list(accumulate(sizes, initial=0))
-        total = bounds[-1]
-        scores = np.empty(total, dtype=np.float64)
-        if total:
+        scores = np.empty(items.size, dtype=np.float64)
+        if items.size:
             users = self.user_embedding_batch(contexts)
             phi = self.effective_item_matrix()
-            items = np.concatenate(pools)
-            owners = np.repeat(np.arange(len(sizes)), sizes)
-            for start in range(0, total, _PAIR_SLICE):
+            for start in range(0, items.size, _PAIR_SLICE):
                 stop = start + _PAIR_SLICE
                 chunk = items[start:stop]
-                scores[start:stop] = (
-                    np.einsum("ij,ij->i", phi[chunk], users[owners[start:stop]])
-                    + self.item_bias[chunk]
-                )
-        return [scores[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+                # take() gathers rows about twice as fast as phi[chunk].
+                scores[start:stop] = np.einsum(
+                    "ij,ij->i",
+                    phi.take(chunk, axis=0),
+                    users.take(owners[start:stop], axis=0),
+                ) + self.item_bias.take(chunk)
+        return scores
 
     # ------------------------------------------------------------------
     # Learning

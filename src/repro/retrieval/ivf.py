@@ -31,7 +31,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import RetrievalError
-from repro.models.base import top_k_select
+from repro.models.base import segmented_top_k, top_k_select
 from repro.obs.metrics import NULL_METRICS
 from repro.rng import make_rng
 
@@ -296,19 +296,11 @@ class IVFIndex:
         flat_scores = np.einsum(
             "nf,nf->n", self._item_aug[candidates], q_aug[owners]
         )
-        bounds = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(per_query)]
+        top, counts = segmented_top_k(
+            flat_scores, candidates, owners, per_query, k
         )
-        for row in range(batch):
-            row_candidates = candidates[bounds[row] : bounds[row + 1]]
-            if row_candidates.size == 0:
-                continue
-            row_scores = flat_scores[bounds[row] : bounds[row + 1]]
-            top = top_k_select(
-                row_scores,
-                min(k, row_candidates.size),
-                tiebreak=row_candidates,
-            )
-            ids[row, : top.size] = row_candidates[top]
-            scores[row, : top.size] = row_scores[top]
+        rows = owners[top]
+        rank = np.arange(top.size) - (np.cumsum(counts) - counts)[rows]
+        ids[rows, rank] = candidates[top]
+        scores[rows, rank] = flat_scores[top]
         return ids, scores

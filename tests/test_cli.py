@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -181,3 +184,54 @@ class TestCommands:
         assert "warm: p50=" in out
         assert "cache_hit_rate=" in out
         assert "stale_serves=" in out
+
+
+class TestBlasThreadCap:
+    """``python -m repro`` runs on one BLAS thread; ``import repro`` and an
+    explicit environment are left alone."""
+
+    READ = (
+        "import ctypes\n"
+        "from repro.cli import _openblas\n"
+        "print([get() for get in _openblas('get_num_threads', restype=ctypes.c_int)])\n"
+    )
+    #: ``python -m repro --help`` (the parser exits 0), then read the pool.
+    AS_MAIN = (
+        "import runpy, sys\n"
+        "sys.argv = ['repro', '--help']\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exit:\n"
+        "    assert exit.code == 0\n"
+    )
+
+    def _threads(self, code, **env):
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        environ = {
+            key: value
+            for key, value in os.environ.items()
+            if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        }
+        environ.update(env, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code + self.READ],
+            env=environ,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_cap_holds_under_dash_m_and_not_under_import(self):
+        untouched = self._threads("import numpy\n")
+        if not untouched:
+            pytest.skip("numpy runs on no OpenBLAS this process can see")
+        assert self._threads("import repro\n") == untouched
+        assert self._threads(self.AS_MAIN) == [1] * len(untouched)
+
+    def test_explicit_environment_wins(self):
+        chosen = self._threads("import numpy\n", OPENBLAS_NUM_THREADS="2")
+        if not chosen:
+            pytest.skip("numpy runs on no OpenBLAS this process can see")
+        assert self._threads(self.AS_MAIN, OPENBLAS_NUM_THREADS="2") == chosen

@@ -1,11 +1,12 @@
-"""``score_pools``: the ragged scoring kernel behind ``recommend_batch``.
+"""``score_pairs``: the ragged scoring kernel behind ``recommend_batch``.
 
-``score_pools(contexts, pools)[r]`` answers "score context ``r`` against
-its own pool ``r``".  The default is a ``score_items`` loop; ``BPRModel``
-overrides it with one sliced gather-and-dot over the concatenated pools.
-Pinned here: every model agrees with its own ``score_items`` row by row,
-a BPR row's result does not depend on what else is in the batch, and the
-slice — not ``B x n x F`` — bounds the kernel's scratch memory.
+``score_pairs(contexts, items, owners, sizes)`` answers "score context
+``r`` against its own pool ``r``" for pools laid end to end.  The default
+is a ``score_items`` loop over the segments; ``BPRModel`` overrides it
+with one sliced gather-and-dot over the flat pairs.  Pinned here: every
+model agrees with its own ``score_items`` row by row, a BPR row's result
+does not depend on what else is in the batch, and the slice — not
+``B x n x F`` — bounds the kernel's scratch memory.
 """
 
 from __future__ import annotations
@@ -57,17 +58,26 @@ def _split(rows):
     return [context for context, _ in rows], [pool for _, pool in rows]
 
 
+def _score_rows(model, contexts, pools):
+    """``score_pairs`` over the concatenated pools, split back into rows."""
+    sizes = np.asarray([pool.size for pool in pools], dtype=np.int64)
+    items = np.concatenate([np.zeros(0, dtype=np.int64), *pools])
+    owners = np.repeat(np.arange(sizes.size), sizes)
+    scores = model.score_pairs(contexts, items, owners, sizes)
+    assert scores.dtype == np.float64 and scores.shape == items.shape
+    return np.split(scores, np.cumsum(sizes)[:-1]) if pools else []
+
+
 # ----------------------------------------------------------------------
-# (a) every model: score_pools row r == score_items(contexts[r], pools[r])
+# (a) every model: score_pairs segment r == score_items(contexts[r], pools[r])
 # ----------------------------------------------------------------------
 @settings(max_examples=30, deadline=None)
 @given(rows=rows_strategy)
-def test_property_score_pools_matches_score_items(model, rows):
+def test_property_score_pairs_matches_score_items(model, rows):
     contexts, pools = _split(rows)
-    scored = model.score_pools(contexts, pools)
+    scored = _score_rows(model, contexts, pools)
     assert len(scored) == len(rows)
     for context, pool, scores in zip(contexts, pools, scored):
-        assert scores.dtype == np.float64
         assert scores.shape == pool.shape
         if pool.size:
             # gather-dot vs gemv differ in summation order: a few ulp of
@@ -154,18 +164,18 @@ def test_whole_catalog_rows_take_the_dense_kernel(trained_model, monkeypatch):
     contexts = [UserContext((item,), (EventType.VIEW,)) for item in (1, 2, 3, 4)]
     candidate_lists = [None, np.asarray([5, 9, 2]), None, []]
     calls = {"pairs": [], "dense": []}
-    score_pools = trained_model.score_pools
+    score_pairs = trained_model.score_pairs
     score_contexts = trained_model.score_contexts
 
-    def spy_pools(ctx, pools):
-        calls["pairs"].append([pool.size for pool in pools])
-        return score_pools(ctx, pools)
+    def spy_pairs(ctx, items, owners, sizes):
+        calls["pairs"].append(sizes.tolist())
+        return score_pairs(ctx, items, owners, sizes)
 
     def spy_contexts(ctx, item_indices=None):
         calls["dense"].append((len(ctx), item_indices))
         return score_contexts(ctx, item_indices)
 
-    monkeypatch.setattr(trained_model, "score_pools", spy_pools)
+    monkeypatch.setattr(trained_model, "score_pairs", spy_pairs)
     monkeypatch.setattr(trained_model, "score_contexts", spy_contexts)
     batched = trained_model.recommend_batch(contexts, candidate_lists, k=n)
     # Row 1's own context item (2) is excluded from its three candidates.
@@ -198,7 +208,7 @@ def test_whole_catalog_pools_stay_under_the_slice_bound(trained_model):
     trained_model.effective_item_matrix()  # the cache is not scratch
     tracemalloc.start()
     try:
-        scored = trained_model.score_pools(contexts, pools)
+        scored = _score_rows(trained_model, contexts, pools)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
