@@ -38,7 +38,7 @@ from repro.core.registry import ModelRegistry
 from repro.data.datasets import RetailerDataset
 from repro.data.events import EventType
 from repro.data.sessions import UserContext
-from repro.exceptions import ModelNotTrainedError, RetrievalError, SigmundError
+from repro.exceptions import ModelNotTrainedError, SigmundError
 from repro.mapreduce.runtime import (
     SKIP_RECORD,
     FaultPlan,
@@ -50,9 +50,7 @@ from repro.mapreduce.splits import InputSplit
 from repro.models.base import Recommender, ScoredItem
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracing import NULL_TRACER
-from repro.retrieval.backend import ModelRetrieval, ann_for_model
-from repro.retrieval.harness import resolve_ann_threshold
-from repro.retrieval.ivf import IVFConfig
+from repro.retrieval.backend import ModelRetrieval
 
 #: Top-N recommendations materialized per item per surface.
 DEFAULT_TOP_N = 10
@@ -126,8 +124,6 @@ class InferencePipeline:
         failure_policy: str = SKIP_RECORD,
         block_size: int = DEFAULT_BLOCK_SIZE,
         crash_plan: Optional["CrashPlan"] = None,
-        retrieval_threshold: Optional[int] = None,
-        retrieval_config: Optional[IVFConfig] = None,
     ):
         self.cluster = cluster
         self.registry = registry
@@ -161,19 +157,6 @@ class InferencePipeline:
         #: from and are invalidated when a different (or grown) dataset
         #: shows up.
         self._selector_cache: Dict[str, Tuple[RetailerDataset, int, CandidateSelector]] = {}
-        #: Catalog size at which candidate selection switches from the
-        #: taxonomy walk to ANN retrieval; default comes from the
-        #: committed E26 bench via :func:`resolve_ann_threshold`.
-        self.retrieval_threshold = (
-            resolve_ann_threshold()
-            if retrieval_threshold is None
-            else retrieval_threshold
-        )
-        self.retrieval_config = retrieval_config or IVFConfig()
-        #: ANN adapters built lazily per retailer when no published index
-        #: is handed in, keyed by retailer and pinned to the model number
-        #: they were built from.
-        self._retrieval_cache: Dict[str, Tuple[int, ModelRetrieval]] = {}
 
     # ------------------------------------------------------------------
     # Entry points
@@ -198,7 +181,6 @@ class InferencePipeline:
         for rid in list(self._selector_cache):
             if rid not in datasets:
                 del self._selector_cache[rid]  # offboarded retailer
-                self._retrieval_cache.pop(rid, None)
         ready = {
             retailer_id: dataset
             for retailer_id, dataset in datasets.items()
@@ -234,8 +216,8 @@ class InferencePipeline:
         ``assignment`` overrides the cell plan (see :meth:`plan`); the
         recovery path passes the journaled one.  ``retrieval`` maps
         retailer ids to pre-built ANN adapters (the service passes the
-        day's published indexes); retailers not in the mapping fall back
-        to the size-threshold switch.
+        day's published indexes); retailers not in the mapping keep the
+        taxonomy candidate walk.
         """
         stats = InferenceStats()
         if assignment is None:
@@ -338,14 +320,10 @@ class InferencePipeline:
                 # (the selector object itself is cached across days).
                 selectors[rid].metrics = metrics
                 models[rid] = (best.model_number, best.model)
-                # ANN candidate source: the published index when the
-                # service provides one, else a locally built (cached)
-                # index above the size threshold.  Re-bound every run,
-                # like ``metrics`` — selectors are cached across days.
-                if retrieval is not None:
-                    adapter = retrieval.get(rid)
-                else:
-                    adapter = self._build_retrieval(rid, dataset, best)
+                # ANN candidate source: the index the service published
+                # for this retailer, if any.  Re-bound every run, like
+                # ``metrics`` — selectors are cached across days.
+                adapter = retrieval.get(rid) if retrieval is not None else None
                 selectors[rid].retrieval = adapter
                 if adapter is not None:
                     adapter.metrics = metrics
@@ -544,30 +522,6 @@ class InferencePipeline:
             selector,
         )
         return selector
-
-    def _build_retrieval(
-        self, retailer_id: str, dataset: RetailerDataset, best
-    ) -> Optional[ModelRetrieval]:
-        """ANN adapter for large catalogs, cached per (retailer, model).
-
-        Below :attr:`retrieval_threshold` the taxonomy walk stays cheaper
-        than quantizing, so no index is built.  A model with no embedding
-        surface (popularity baselines) silently keeps the taxonomy path.
-        """
-        if dataset.n_items < self.retrieval_threshold:
-            return None
-        cached = self._retrieval_cache.get(retailer_id)
-        if cached is not None and cached[0] == best.model_number:
-            self.process_metrics.counter("retrieval_cache_hits_total").inc()
-            return cached[1]
-        try:
-            adapter = ann_for_model(best.model, config=self.retrieval_config)
-        except RetrievalError:
-            return None
-        adapter.model_number = best.model_number
-        self.process_metrics.counter("retrieval_cache_misses_total").inc()
-        self._retrieval_cache[retailer_id] = (best.model_number, adapter)
-        return adapter
 
     def _rank_block(
         self,

@@ -221,8 +221,6 @@ class SigmundService:
             seed=seed + 1,
             fault_plan=fault_plan,
             crash_plan=crash_plan,
-            retrieval_threshold=self.retrieval_threshold,
-            retrieval_config=self.retrieval_config,
         )
         self.inference.process_metrics = self.metrics
         self.retrieval_store = RetrievalIndexStore(metrics=self.metrics)

@@ -565,11 +565,7 @@ def run_scenario(
             availability_floor=scenario.availability_floor,
         )
 
-        breakers = (
-            world.frontend.protection.breakers
-            if world.frontend.protection is not None
-            else None
-        )
+        breakers = world.frontend.protection.breakers
         open_breakers = 0
         if breakers is not None:
             end_of_day = stream[-1][0] if stream else 0.0

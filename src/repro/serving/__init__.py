@@ -27,7 +27,6 @@ from repro.serving.overload import (
     CircuitBreaker,
     DeadlinePolicy,
     OverloadProtection,
-    ProtectionStats,
     ServerQueue,
     TokenBucket,
 )
@@ -65,5 +64,4 @@ __all__ = [
     "ServerQueue",
     "DeadlinePolicy",
     "OverloadProtection",
-    "ProtectionStats",
 ]

@@ -30,7 +30,9 @@ from repro.exceptions import ServingError
 from repro.models.base import ScoredItem
 from repro.rng import hash_string
 
-#: Simulated lookup latencies by tier, in milliseconds.
+#: Lookup latencies by tier, in *modelled* milliseconds: the datacentre
+#: latency model (RAM hit, flash read, one more replica hop) that the
+#: paper's cost experiments run on — constants, never measurements.
 MEMORY_LATENCY_MS = 0.3
 FLASH_LATENCY_MS = 4.0
 #: Per-extra-replica-hop penalty when failing over.
@@ -227,10 +229,23 @@ class ServingCluster:
             shard_id = self.shard_of(retailer_id, int(item))
             per_shard.setdefault(shard_id, {})[(retailer_id, int(item))] = list(recs)
 
+        if current:
+            # A retailer already serving may hold rows in shards this
+            # batch has no item in (its catalog shrank): visit those too,
+            # so the old rows leave with the swap and no shard keeps
+            # answering from the retired version.
+            for shard_id in range(self.n_shards):
+                per_shard.setdefault(shard_id, {})
+
         hot_keys = self._choose_hot(recommendations, retailer_id)
         for replica_index in range(self.replication):
             for shard_id, table in per_shard.items():
                 node = self.replica_nodes(shard_id)[replica_index]
+                existing = node.replicas.get(shard_id)
+                if not table and (
+                    existing is None or retailer_id not in existing.versions
+                ):
+                    continue  # nothing of this retailer to add or retire
                 hot = {k: v for k, v in table.items() if k in hot_keys}
                 cold = {k: v for k, v in table.items() if k not in hot_keys}
                 # Merge with whatever other retailers already live in this
@@ -238,7 +253,6 @@ class ServingCluster:
                 # co-tenant's own version — this retailer's load must not
                 # clobber what version their lookups report.
                 versions = {retailer_id: version}
-                existing = node.replicas.get(shard_id)
                 if existing is not None:
                     for key, value in existing.memory.items():
                         if key[0] != retailer_id:

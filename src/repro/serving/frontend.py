@@ -16,8 +16,8 @@ store — so the frontend's job is plumbing, not math:
   fresh table -> stale table (counted, still served) -> popularity
   fallback -> empty list.  The request path never raises
   :class:`~repro.exceptions.ServingError`,
-* cache responses in an **LRU + TTL** cache keyed by
-  ``(retailer_id, context signature)`` and **coalesce** identical
+* cache responses in an **LRU + TTL** cache keyed by the retailer and
+  the recent context trail, and **coalesce** identical
   in-flight requests so one computation feeds every duplicate,
 * account **simulated latency** per request: the sum of cluster tier
   latencies (memory/flash plus failover penalties) plus fixed costs for
@@ -30,6 +30,12 @@ store — so the frontend's job is plumbing, not math:
   blind failover walk, and per-request **deadline budgets** (bounded
   retry + backoff, every millisecond charged) guarantee
   ``latency_ms <= deadline_ms`` on every protected response.
+
+A request is one pipeline — count -> cache -> admit -> queue ->
+deadline-budgeted compute (lookup -> blend -> top-up -> fallback) ->
+cache -> account — the same statements with or without protection: a
+frontend built without one carries the null policy
+:data:`~repro.serving.overload.UNPROTECTED`, whose limits never bind.
 
 Every request terminates in **exactly one** serving bucket — cache,
 coalesced, fresh, stale, fallback, shed, or empty — so the counts
@@ -54,7 +60,6 @@ from repro.data.sessions import UserContext
 from repro.exceptions import ServingError
 from repro.models.base import ScoredItem
 from repro.obs.metrics import NULL_METRICS
-from repro.rng import hash_string
 from repro.serving.cluster import (
     FAILOVER_PENALTY_MS,
     FLASH_LATENCY_MS,
@@ -62,6 +67,7 @@ from repro.serving.cluster import (
 )
 from repro.serving.overload import (
     SHED_LATENCY_MS,
+    UNPROTECTED,
     OverloadProtection,
     ServerQueue,
 )
@@ -71,7 +77,11 @@ from repro.serving.server import (
     blend_context_lookups,
 )
 
-#: Simulated fixed costs on the request path, in milliseconds.
+#: Fixed costs on the request path, in *modelled* milliseconds: a latency
+#: model of a datacentre deployment, not a measurement of this code.
+#: Every ``latency_ms`` is a sum of these and the cluster's tier constants
+#: (a "warm p50 0.05 ms" is ``CACHE_HIT_LATENCY_MS`` read back); what the
+#: Python costs is perfbench's ``serve_*_us`` and E24's *measured µs*.
 CACHE_HIT_LATENCY_MS = 0.05
 COALESCED_LATENCY_MS = 0.05
 BLEND_LATENCY_MS = 0.1
@@ -210,7 +220,7 @@ class PopularityFallback:
     ) -> List[ScoredItem]:
         """Top-``k`` fallback items, skipping ``exclude`` (empty if unknown)."""
         table = self._tables.get(retailer_id)
-        if not table:
+        if not table or k <= 0:
             return []
         blocked = set(exclude)
         picked: List[ScoredItem] = []
@@ -221,6 +231,10 @@ class PopularityFallback:
             if len(picked) >= k:
                 break
         return picked
+
+
+#: ``(retailer_id, k, recent items, recent events)``; see ``cache_key``.
+CacheKey = Tuple[str, int, Tuple[int, ...], Tuple[int, ...]]
 
 
 @dataclass
@@ -239,9 +253,9 @@ class ServingFrontend:
     accounting, and the benchmark's QPS math all run on this clock, so
     identical request streams produce byte-identical results.
 
-    ``protection`` enables the overload-protection layer and ``queue``
-    the finite-server capacity model; both default to off, leaving the
-    original request path untouched.
+    ``protection`` sets the overload policy (default: the null policy,
+    whose limits never bind) and ``queue`` adds the finite-server
+    capacity model (default: none).
     """
 
     def __init__(
@@ -267,10 +281,10 @@ class ServingFrontend:
         self.cache_capacity = cache_capacity
         self.cache_ttl_ms = cache_ttl_ms
         self.metrics = metrics
-        self.protection = protection
+        self.protection = protection if protection is not None else UNPROTECTED
         self.queue = queue
         self.stats = FrontendStats()
-        self._cache: "OrderedDict[Tuple[str, int], _CacheEntry]" = OrderedDict()
+        self._cache: "OrderedDict[CacheKey, _CacheEntry]" = OrderedDict()
         self._expected_versions: Dict[str, int] = {}
         self._now_ms = 0.0
         #: Worst-case cost of one guarded lookup: fail over past every
@@ -283,9 +297,9 @@ class ServingFrontend:
         self._deadline_floor_ms = (
             self._worst_lookup_ms + BLEND_LATENCY_MS + FALLBACK_LATENCY_MS
         )
-        if protection is not None:
-            protection.validate_for(cluster, self._deadline_floor_ms)
-            protection.breakers.on_transition = self._on_breaker_transition
+        self.protection.validate_for(cluster, self._deadline_floor_ms)
+        if self.protection.breakers is not None:
+            self.protection.breakers.on_transition = self._on_breaker_transition
         #: Published ANN adapters for request-time tail top-up, keyed by
         #: retailer (see :meth:`load_retrieval_index`).
         self._retrieval: Dict[str, object] = {}
@@ -318,23 +332,24 @@ class ServingFrontend:
     # ------------------------------------------------------------------
     def cache_key(
         self, retailer_id: str, context: UserContext, k: int
-    ) -> Tuple[str, int]:
-        """``(retailer, context signature)`` — only the lookups that matter.
+    ) -> CacheKey:
+        """``(retailer, k, items, events)`` — only the lookups that matter.
 
-        The signature hashes the ``context_lookups`` most recent
-        ``(item, event)`` pairs plus ``k``: older context items never
-        influence the answer, so two users with the same recent trail
-        share one cache entry.
+        The ``context_lookups`` most recent items and their events, as
+        plain ``int`` tuples (an ``EventType`` and a bare ``1`` are one
+        entry).  Older context items never influence the answer, so two
+        users with the same recent trail share one cache entry.
         """
-        recent = list(zip(context.item_indices, context.events))
-        recent = recent[-self.context_lookups:]
-        payload = f"{k}|" + "|".join(
-            f"{item}:{int(event)}" for item, event in recent
+        n = self.context_lookups
+        return (
+            retailer_id,
+            k,
+            tuple(map(int, context.item_indices[-n:])),
+            tuple(map(int, context.events[-n:])),
         )
-        return (retailer_id, hash_string(payload))
 
     def _cache_get(
-        self, key: Tuple[str, int], now_ms: float
+        self, key: CacheKey, now_ms: float
     ) -> Optional[FrontendResponse]:
         entry = self._cache.get(key)
         if entry is None:
@@ -358,7 +373,7 @@ class ServingFrontend:
         return entry.response
 
     def _cache_put(
-        self, key: Tuple[str, int], response: FrontendResponse, now_ms: float
+        self, key: CacheKey, response: FrontendResponse, now_ms: float
     ) -> None:
         if self.cache_capacity == 0:
             return
@@ -433,19 +448,8 @@ class ServingFrontend:
     ) -> FrontendResponse:
         """Answer one request; never raises on a degraded retailer."""
         now = self._advance_clock(now_ms)
-        self.stats.requests += 1
-        self.metrics.counter(
-            "frontend_requests_total", retailer=retailer_id
-        ).inc()
-        key = self.cache_key(retailer_id, context, k)
-        cached = self._cache_get(key, now)
-        if cached is not None:
-            return self._serve_cached(retailer_id, cached)
-        response = self._serve_uncached(
-            retailer_id, context, k, now, key, client_id, priority
-        )
-        self._observe_latency(response)
-        return response
+        key = self._count(retailer_id, context, k)
+        return self._answer(retailer_id, context, k, now, key, client_id, priority)
 
     def request_batch(
         self,
@@ -458,10 +462,10 @@ class ServingFrontend:
         """Answer a batch of concurrent requests, coalescing duplicates.
 
         Requests in one batch are in flight *together*: a duplicate
-        ``(retailer, context signature)`` cannot be saved by the cache
-        (the leader's response is not cached yet when the duplicate
-        arrives), so it attaches to the leader's in-flight computation
-        and pays only a coalesced-wait latency.
+        cache key cannot be saved by the cache (the leader's response is
+        not cached yet when the duplicate arrives), so it attaches to the
+        leader's in-flight computation and pays only a coalesced-wait
+        latency.  Everything else is :meth:`request`'s pipeline.
 
         A follower only joins a leader whose invalidation epoch is still
         current: if a publish or rollback landed between the leader's
@@ -470,19 +474,16 @@ class ServingFrontend:
         """
         now = self._advance_clock(now_ms)
         # leader entries: key -> (response, invalidation epoch at start)
-        leaders: Dict[Tuple[str, int], Tuple[FrontendResponse, int]] = {}
-        responses: List[Optional[FrontendResponse]] = [None] * len(requests)
+        leaders: Dict[CacheKey, Tuple[FrontendResponse, int]] = {}
+        responses: List[FrontendResponse] = []
         for position, (retailer_id, context) in enumerate(requests):
             client_id = client_ids[position] if client_ids is not None else None
-            self.stats.requests += 1
-            self.metrics.counter(
-                "frontend_requests_total", retailer=retailer_id
-            ).inc()
-            key = self.cache_key(retailer_id, context, k)
+            key = self._count(retailer_id, context, k)
+            epoch = self._invalidation_epochs.get(retailer_id, 0)
             leader = leaders.get(key)
             if leader is not None:
                 leader_response, leader_epoch = leader
-                if leader_epoch == self._invalidation_epochs.get(retailer_id, 0):
+                if leader_epoch == epoch:
                     self.stats.coalesced += 1
                     self.metrics.counter(
                         "frontend_coalesced_total", retailer=retailer_id
@@ -493,7 +494,7 @@ class ServingFrontend:
                         + COALESCED_LATENCY_MS,
                         coalesced=True,
                     )
-                    responses[position] = follower
+                    responses.append(follower)
                     self._observe_latency(follower)
                     continue
                 # Fenced: the table moved mid-flight; this request
@@ -503,117 +504,82 @@ class ServingFrontend:
                     "frontend_coalesce_fenced_total", retailer=retailer_id
                 ).inc()
                 del leaders[key]
-            cached = self._cache_get(key, now)
-            if cached is not None:
-                response = self._serve_cached(retailer_id, cached)
-                responses[position] = response
-                continue
-            epoch = self._invalidation_epochs.get(retailer_id, 0)
-            response = self._serve_uncached(
+            response = self._answer(
                 retailer_id, context, k, now, key, client_id, priority
             )
-            leaders[key] = (response, epoch)
-            responses[position] = response
-            self._observe_latency(response)
-        return [r for r in responses if r is not None]
+            if not response.cache_hit:
+                leaders[key] = (response, epoch)
+            responses.append(response)
+        return responses
 
-    def _serve_cached(
-        self, retailer_id: str, cached: FrontendResponse
-    ) -> FrontendResponse:
-        self.stats.cache_hits += 1
+    def _count(self, retailer_id: str, context: UserContext, k: int) -> CacheKey:
+        """First step of both entry points: count the request, key it."""
+        self.stats.requests += 1
         self.metrics.counter(
-            "frontend_cache_hits_total", retailer=retailer_id
+            "frontend_requests_total", retailer=retailer_id
         ).inc()
-        response = replace(
-            cached,
-            latency_ms=CACHE_HIT_LATENCY_MS,
-            served_from="cache",
-            cache_hit=True,
-            coalesced=False,
-            queue_wait_ms=0.0,
-        )
-        self._observe_latency(response)
-        return response
+        return self.cache_key(retailer_id, context, k)
 
-    def _serve_uncached(
+    def _answer(
         self,
         retailer_id: str,
         context: UserContext,
         k: int,
         now: float,
-        key: Tuple[str, int],
+        key: CacheKey,
         client_id: Optional[object],
         priority: str,
     ) -> FrontendResponse:
-        """Admission -> queue -> deadline-budgeted compute -> cache."""
-        budget: Optional[float] = None
-        wait = 0.0
-        if self.protection is not None:
-            decision = self.protection.admission.admit(now, client_id, priority)
-            if not decision.admitted:
-                return self._shed_response(
-                    retailer_id, context, k, decision.reason
-                )
-            deadline = self.protection.deadline.deadline_ms
-            if self.queue is not None:
-                wait = self.queue.wait_time(now)
-                if deadline - wait < self._deadline_floor_ms:
-                    # Queuing for a slot would blow the deadline; shed
-                    # to the cheap path instead of joining the backlog.
-                    return self._shed_response(
-                        retailer_id, context, k, "queue_full"
-                    )
-            budget = deadline - wait
-        response = self._compute(retailer_id, context, k, now, budget)
-        if self.queue is not None:
-            wait = self.queue.occupy(now, response.latency_ms)
-            if wait > 0.0:
-                self.metrics.histogram(
-                    "frontend_queue_wait_ms", buckets=QUEUE_WAIT_BUCKETS
-                ).observe(wait)
-            response = replace(
-                response,
-                latency_ms=response.latency_ms + wait,
-                queue_wait_ms=wait,
-            )
-        self._cache_put(key, response, now)
-        return response
+        """Cache -> admit -> queue -> budgeted compute -> cache -> account.
 
-    def _shed_response(
-        self, retailer_id: str, context: UserContext, k: int, reason: str
-    ) -> FrontendResponse:
-        """Admission shed: popularity fallback on the cheap path.
-
-        Shed requests never touch the cluster and never occupy a queue
-        server — that is the protection.  The payload is still a full
-        page whenever a fallback table exists.
+        A shed request never touches the cluster and never occupies a
+        queue server — that is the protection.
         """
-        self.stats.shed += 1
-        self.stats.shed_by_reason[reason] = (
-            self.stats.shed_by_reason.get(reason, 0) + 1
-        )
-        if self.protection is not None:
-            self.protection.stats.shed += 1
-            self.protection.stats.shed_by_reason[reason] = (
-                self.protection.stats.shed_by_reason.get(reason, 0) + 1
+        cached = self._cache_get(key, now)
+        if cached is not None:
+            self.stats.cache_hits += 1
+            self.metrics.counter(
+                "frontend_cache_hits_total", retailer=retailer_id
+            ).inc()
+            response = replace(
+                cached,
+                latency_ms=CACHE_HIT_LATENCY_MS,
+                served_from="cache",
+                cache_hit=True,
+                coalesced=False,
+                queue_wait_ms=0.0,
             )
-        self.metrics.counter("frontend_shed_total", reason=reason).inc()
-        items: List[ScoredItem] = []
-        if self.fallback is not None:
-            items = self.fallback.recommend(
-                retailer_id, set(context.item_indices), k
+            self._observe_latency(response)
+            return response
+        decision = self.protection.admit(now, client_id, priority)
+        wait = self.queue.wait_time(now) if self.queue is not None else 0.0
+        budget = self.protection.deadline.deadline_ms - wait
+        if not decision.admitted:
+            response = self._terminal_page(
+                retailer_id, context, k, decision.reason, shed=True
             )
-        version = self.cluster.version_of(retailer_id) or 0
-        return FrontendResponse(
-            retailer_id=retailer_id,
-            recommendations=tuple(
-                ServedRecommendation(s.item_index, s.score, -1) for s in items
-            ),
-            latency_ms=SHED_LATENCY_MS,
-            served_from="shed",
-            version=version,
-            fallback_stage=reason,
-        )
+        elif budget < self._deadline_floor_ms:
+            # Queuing for a slot would blow the deadline; shed to the
+            # cheap path instead of joining the backlog.
+            response = self._terminal_page(
+                retailer_id, context, k, "queue_full", shed=True
+            )
+        else:
+            response = self._compute(retailer_id, context, k, now, budget)
+            if self.queue is not None:
+                wait = self.queue.occupy(now, response.latency_ms)
+                if wait > 0.0:
+                    self.metrics.histogram(
+                        "frontend_queue_wait_ms", buckets=QUEUE_WAIT_BUCKETS
+                    ).observe(wait)
+                response = replace(
+                    response,
+                    latency_ms=response.latency_ms + wait,
+                    queue_wait_ms=wait,
+                )
+            self._cache_put(key, response, now)
+        self._observe_latency(response)
+        return response
 
     # ------------------------------------------------------------------
     # The fallback chain
@@ -623,35 +589,30 @@ class ServingFrontend:
         retailer_id: str,
         context: UserContext,
         k: int,
-        now: float = 0.0,
-        budget_ms: Optional[float] = None,
+        now: float,
+        budget_ms: float,
     ) -> FrontendResponse:
+        """Lookup -> blend -> top-up -> fallback inside ``budget_ms``
+        (always a number: ``inf`` under the null policy)."""
         version = self.cluster.version_of(retailer_id)
         if version is None:
-            return self._fallback_response(
-                retailer_id, context, k, stage="unserved", base_latency=0.0
-            )
+            return self._terminal_page(retailer_id, context, k, "unserved")
         if len(context) == 0:
-            return self._fallback_response(
-                retailer_id, context, k, stage="empty_context",
-                base_latency=0.0, version=version,
+            return self._terminal_page(
+                retailer_id, context, k, "empty_context", version=version
             )
 
         latency = 0.0
         degraded = False
         truncated = False
-        breakers = self.protection.breakers if self.protection else None
-        max_retries = (
-            self.protection.deadline.max_retries if self.protection else 0
-        )
+        breakers = self.protection.breakers
+        deadline = self.protection.deadline
         #: Budget that must stay reserved past the lookup phase: the
         #: blend constant plus a terminal fallback answer.
         reserve = BLEND_LATENCY_MS + FALLBACK_LATENCY_MS
 
         def within_budget(cost: float) -> bool:
-            return (
-                budget_ms is None or latency + cost + reserve <= budget_ms
-            )
+            return latency + cost + reserve <= budget_ms
 
         def recs_for(item: int) -> List[ScoredItem]:
             nonlocal latency, degraded, truncated
@@ -674,13 +635,12 @@ class ServingFrontend:
                     degraded = True
                     probed = self.cluster.failovers - failovers_before
                     latency += probed * FAILOVER_PENALTY_MS
-                    if attempt < max_retries:
-                        backoff = self.protection.deadline.backoff_for(attempt)
+                    if attempt < deadline.max_retries:
+                        backoff = deadline.backoff_for(attempt)
                         if within_budget(backoff + self._worst_lookup_ms):
                             latency += backoff
                             attempt += 1
                             self.stats.retries += 1
-                            self.protection.stats.retries += 1
                             self.metrics.counter(
                                 "frontend_retries_total"
                             ).inc()
@@ -697,8 +657,6 @@ class ServingFrontend:
         latency += BLEND_LATENCY_MS
         if truncated:
             self.stats.deadline_truncated += 1
-            if self.protection is not None:
-                self.protection.stats.deadline_truncated += 1
             self.metrics.counter("frontend_deadline_truncated_total").inc()
 
         if not recommendations:
@@ -708,9 +666,8 @@ class ServingFrontend:
                 stage = "degraded"
             else:
                 stage = "no_results"
-            return self._fallback_response(
-                retailer_id, context, k, stage=stage,
-                base_latency=latency, version=version,
+            return self._terminal_page(
+                retailer_id, context, k, stage, latency, version
             )
 
         tail_augmented = 0
@@ -728,8 +685,7 @@ class ServingFrontend:
             floor = recommendations[-1].score
             extras: List[ScoredItem] = []
             if index is not None and (
-                budget_ms is None
-                or latency + RETRIEVAL_LATENCY_MS + FALLBACK_LATENCY_MS
+                latency + RETRIEVAL_LATENCY_MS + FALLBACK_LATENCY_MS
                 <= budget_ms
             ):
                 extras = self._retrieval_extras(context, exclude, need, index)
@@ -743,8 +699,7 @@ class ServingFrontend:
             if (
                 len(extras) < need
                 and self.fallback is not None
-                and (budget_ms is None
-                     or latency + FALLBACK_LATENCY_MS <= budget_ms)
+                and latency + FALLBACK_LATENCY_MS <= budget_ms
             ):
                 popular = self.fallback.recommend(
                     retailer_id, exclude, need - len(extras)
@@ -820,48 +775,55 @@ class ServingFrontend:
                 break
         return extras
 
-    def _fallback_response(
+    def _terminal_page(
         self,
         retailer_id: str,
         context: UserContext,
         k: int,
         stage: str,
-        base_latency: float,
-        version: int = 0,
+        base_latency: float = 0.0,
+        version: Optional[int] = None,
+        shed: bool = False,
     ) -> FrontendResponse:
-        """Terminal chain stages: popularity fallback, then empty.
+        """The popularity page of a request the tables did not answer.
 
-        Exactly one bucket is charged: ``fallbacks`` when the popularity
-        table produced a page, ``empty_responses`` when it could not —
-        never both (the conservation invariant the chaos checks audit).
+        **Shed** by admission or a full queue (``stage`` is the reason),
+        the chain's **fallback** stage, or — the chain got here and no
+        popularity table had anything — **empty**.  Exactly one bucket is
+        charged, never two: the conservation invariant the chaos checks
+        audit.
         """
-        latency = base_latency + FALLBACK_LATENCY_MS
         items: List[ScoredItem] = []
         if self.fallback is not None:
             items = self.fallback.recommend(
                 retailer_id, set(context.item_indices), k
             )
-        if not items:
-            self.stats.empty_responses += 1
-            self.metrics.counter("frontend_empty_total", stage=stage).inc()
-            return FrontendResponse(
-                retailer_id=retailer_id,
-                recommendations=(),
-                latency_ms=latency,
-                served_from="empty",
-                version=version,
-                fallback_stage=stage,
+        if shed:
+            served_from, latency = "shed", SHED_LATENCY_MS
+            version = self.cluster.version_of(retailer_id)
+            self.stats.shed += 1
+            self.stats.shed_by_reason[stage] = (
+                self.stats.shed_by_reason.get(stage, 0) + 1
             )
-        self.stats.fallbacks += 1
-        self.metrics.counter("frontend_fallback_total", stage=stage).inc()
+            self.metrics.counter("frontend_shed_total", reason=stage).inc()
+        else:
+            latency = base_latency + FALLBACK_LATENCY_MS
+            if items:
+                served_from = "fallback"
+                self.stats.fallbacks += 1
+                self.metrics.counter("frontend_fallback_total", stage=stage).inc()
+            else:
+                served_from = "empty"
+                self.stats.empty_responses += 1
+                self.metrics.counter("frontend_empty_total", stage=stage).inc()
         return FrontendResponse(
             retailer_id=retailer_id,
             recommendations=tuple(
                 ServedRecommendation(s.item_index, s.score, -1) for s in items
             ),
             latency_ms=latency,
-            served_from="fallback",
-            version=version,
+            served_from=served_from,
+            version=version or 0,
             fallback_stage=stage,
         )
 
@@ -877,8 +839,6 @@ class ServingFrontend:
 
     def _on_breaker_transition(self, node_id: int, old: str, new: str) -> None:
         self.stats.breaker_transitions += 1
-        if self.protection is not None:
-            self.protection.stats.breaker_transitions += 1
         self.metrics.counter(
             "serving_breaker_transitions_total", to_state=new
         ).inc()

@@ -31,14 +31,15 @@ is byte-deterministic:
   to keep the system off that cliff; the E27 chaos bench measures both
   sides of it.
 
-Everything here is optional: a frontend constructed without a
-:class:`OverloadProtection` (and without a queue) behaves byte-for-byte
-as before.
+Protection is a *policy every frontend has*: one built without an
+:class:`OverloadProtection` carries :data:`UNPROTECTED`, the null policy
+at the bottom of this module, and runs the same request pipeline against
+limits that never bind.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import ServingError
@@ -395,18 +396,6 @@ class DeadlinePolicy:
         return self.retry_backoff_ms * (2.0 ** attempt)
 
 
-@dataclass
-class ProtectionStats:
-    """Counters for every protective action taken (mirrored to metrics)."""
-
-    shed: int = 0
-    shed_by_reason: Dict[str, int] = field(default_factory=dict)
-    deadline_truncated: int = 0
-    retries: int = 0
-    breaker_transitions: int = 0
-    queue_bypassed: int = 0
-
-
 class OverloadProtection:
     """The bundle a protected :class:`ServingFrontend` carries.
 
@@ -445,7 +434,11 @@ class OverloadProtection:
             half_open_probes=breaker_half_open_probes,
         )
         self.deadline = deadline
-        self.stats = ProtectionStats()
+
+    def admit(
+        self, now_ms: float, client_id: object = None, priority: str = "normal"
+    ) -> AdmissionDecision:
+        return self.admission.admit(now_ms, client_id, priority)
 
     def validate_for(self, cluster, fixed_floor_ms: float) -> None:
         """Reject deadlines too small to ever finish a fallback answer.
@@ -461,3 +454,31 @@ class OverloadProtection:
                 f"minimum {fixed_floor_ms:.2f}ms needed to serve a "
                 f"fallback answer on this cluster"
             )
+
+
+class _Unprotected:
+    """The null policy: what a frontend built without protection carries.
+
+    The members the frontend reads off :class:`OverloadProtection`, with
+    limits that cannot bind: its own ``admit`` lets everyone in (there is
+    no bucket to consult), no breaker board (the cluster walks replicas
+    blind), an infinite deadline, no retries.  ``inf - wait`` never
+    reaches the deadline floor, so in front of a :class:`ServerQueue` it
+    joins the backlog however long — the collapse E27 measures protection
+    against.  Stateless, so every unprotected frontend shares the one.
+    """
+
+    breakers = None
+    deadline = DeadlinePolicy(deadline_ms=float("inf"), max_retries=0)
+    _ADMITTED = AdmissionDecision(True)
+
+    def admit(
+        self, now_ms: float, client_id: object = None, priority: str = "normal"
+    ) -> AdmissionDecision:
+        return self._ADMITTED
+
+    def validate_for(self, cluster, fixed_floor_ms: float) -> None:
+        """Any cluster can answer inside an infinite deadline."""
+
+
+UNPROTECTED = _Unprotected()

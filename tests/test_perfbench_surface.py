@@ -1,0 +1,51 @@
+"""The callables perfbench traces are where perfbench patches them.
+
+``perfbench.layers.install`` wraps methods by class and attribute name
+and module functions by identity.  A method renamed or moved off its
+class fails the 40 s benchmark; this fails tier-1 in a second instead.
+"""
+
+from __future__ import annotations
+
+from perfbench.layers import install
+from perfbench.trace import HOT, Patcher, Tracer
+
+from repro.data.sessions import UserContext
+from repro.models.base import ScoredItem
+from repro.serving.cluster import ServingCluster
+from repro.serving.frontend import PopularityFallback, ServingFrontend
+from repro.serving.overload import OverloadProtection
+
+
+def traced_layers(protection) -> set:
+    """Hot layer names one uncached request reaches under the tracer."""
+    cluster = ServingCluster(n_nodes=2, n_shards=4, replication=2)
+    cluster.load_batch("shop", {0: [ScoredItem(1, 1.0)]}, version=1)
+    fallback = PopularityFallback()
+    fallback.load_view_counts("shop", {item: 1.0 for item in range(20)})
+    frontend = ServingFrontend(cluster, fallback=fallback, protection=protection)
+    tracer = Tracer()
+    with Patcher() as patcher:
+        install(patcher, tracer)
+        with tracer.span("serve"):
+            frontend.request("shop", UserContext((0,), (0,)), k=5)
+    return set(tracer.spans[0][HOT])
+
+
+def test_every_traced_callable_is_still_patchable():
+    with Patcher() as patcher:
+        install(patcher, Tracer())
+
+
+def test_request_reaches_the_traced_stages_through_patchable_names():
+    stages = {
+        "serving.frontend.request",
+        "serving.frontend.cache_key",
+        "serving.cluster.lookup",
+        "serving.server.blend",
+        "serving.frontend.fallback",  # the tail top-up
+    }
+    # ``admit_us > 0`` on the protected workload alone is a perfbench
+    # assertion: the null policy must not go through the controller.
+    assert traced_layers(None) == stages
+    assert traced_layers(OverloadProtection()) == stages | {"serving.overload.admit"}

@@ -154,6 +154,23 @@ class TestBatchRollout:
         # Mixed versions during rollout are expected; unavailability is not.
         assert versions_seen <= {1, 2}
 
+    def test_shrunk_table_is_not_torn(self):
+        """Regression: a load rebuilt only the shards the *new* batch had
+        an item in, so a retailer whose catalog shrank kept answering
+        removed items from the retired version's rows."""
+        cluster = ServingCluster(n_nodes=4, n_shards=16, replication=2)
+        cluster.load_batch("shop", batch(40), version=1)
+        cluster.load_batch("other", batch(40), version=5)  # co-tenant
+        cluster.load_batch("shop", {0: [ScoredItem(1, 9.0)]}, version=2)
+        assert cluster.lookup("shop", 0).recommendations == [ScoredItem(1, 9.0)]
+        for item in range(40):
+            result = cluster.lookup("shop", item)
+            assert result.version == 2, f"item {item} still answers at v1"
+            if item:
+                assert result.recommendations == [], f"item {item} survived"
+            other = cluster.lookup("other", item)
+            assert other.version == 5 and other.recommendations
+
 
 class TestHotPlacement:
     def test_empty_rec_items_land_in_flash(self):

@@ -89,6 +89,10 @@ class TestRequestPath:
 
     def test_k_and_context_respected(self, frontend):
         assert len(frontend.request("shop", ctx(0), k=3).recommendations) == 3
+        # Regression: the popularity table appended before testing k, so
+        # k=0 came back as a page of one.
+        assert frontend.fallback.recommend("shop", (), 0) == []
+        assert frontend.request("shop", ctx(0), k=0).recommendations == ()
 
 
 class TestCache:

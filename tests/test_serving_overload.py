@@ -356,26 +356,59 @@ class TestProtectedFrontend:
         frontend = self.make_frontend(cluster=cluster)
         frontend.request("shop", ctx(1), now_ms=0.0)
         assert frontend.stats.retries >= 1
-        assert frontend.protection.stats.retries == frontend.stats.retries
+        assert frontend.metrics.snapshot().counter(
+            "frontend_retries_total"
+        ) == frontend.stats.retries
 
     def test_unprotected_path_unchanged(self):
-        cluster_a = make_cluster()
-        cluster_a.load_batch("shop", table(), version=1)
-        cluster_b = make_cluster()
-        cluster_b.load_batch("shop", table(), version=1)
-        plain = ServingFrontend(cluster_a, fallback=make_fallback())
-        protected = ServingFrontend(
-            cluster_b, fallback=make_fallback(),
-            protection=OverloadProtection(),
+        """A protection whose limits cannot bind answers, charges and
+        counts every request exactly as no protection at all."""
+
+        def build(protection):
+            cluster = make_cluster()
+            cluster.load_batch("shop", table(), version=1)
+            cluster.load_batch("old", table(), version=1)
+            # Two recs per item: every page of ten needs the tail top-up.
+            cluster.load_batch("thin", table(n_recs=2), version=1)
+            frontend = ServingFrontend(
+                cluster,
+                fallback=make_fallback(("shop", "old", "thin", "ghost")),
+                protection=protection,
+                queue=ServerQueue(n_servers=1),
+            )
+            frontend.expect_version("old", 2)  # served stale
+            return frontend
+
+        plain = build(None)
+        unbound = build(
+            OverloadProtection(
+                admission_rate_qps=1e9, admission_burst=1e9,
+                deadline=DeadlinePolicy(deadline_ms=1e9, max_retries=0),
+            )
         )
-        for item in range(10):
-            a = plain.request("shop", ctx(item), now_ms=float(item))
-            b = protected.request("shop", ctx(item), now_ms=float(item))
-            assert a.latency_ms == b.latency_ms
-            assert a.served_from == b.served_from
-            assert [r.item_index for r in a.recommendations] == [
-                r.item_index for r in b.recommendations
-            ]
+        stream = [
+            (rid, ctx(*range(item, item + 1 + item % 3)))
+            for item in range(12)
+            for rid in ("shop", "old", "thin", "ghost", "nobody")
+        ]
+        stream += [("shop", UserContext.empty()), ("ghost", UserContext.empty())]
+        stream += stream[:10]  # cache hits
+        for step, (rid, context) in enumerate(stream):
+            # 20 requests/ms against one server: the queue backs up.
+            now = step * 0.05
+            assert plain.request(rid, context, now_ms=now) == unbound.request(
+                rid, context, now_ms=now, client_id="c", priority="low"
+            )
+        batch = [("thin", ctx(30)), ("shop", ctx(31, 32)), ("thin", ctx(30)),
+                 ("old", ctx(33)), ("shop", ctx(1))]
+        assert plain.request_batch(batch, now_ms=10.0) == unbound.request_batch(
+            batch, now_ms=10.0
+        )
+        assert plain.stats == unbound.stats
+        assert plain.stats.stale_serves and plain.stats.tail_augmented
+        assert plain.stats.coalesced and plain.stats.cache_hits
+        assert plain.stats.fallbacks and plain.stats.empty_responses
+        assert plain.queue.max_wait_ms == unbound.queue.max_wait_ms > 0.0
 
 
 class TestServingBucketConservation:
@@ -432,9 +465,10 @@ class TestServingBucketConservation:
         max_size=25,
     ),
     pre_trip=st.lists(st.integers(0, 3), max_size=3),
+    k=st.sampled_from([0, 1, 5, 10]),
 )
 def test_request_never_raises_never_blows_deadline(
-    failure_mask, flips, requests, pre_trip
+    failure_mask, flips, requests, pre_trip, k
 ):
     cluster = make_cluster()
     cluster.load_batch("shop", table(), version=1)
@@ -466,7 +500,8 @@ def test_request_never_raises_never_blows_deadline(
             node_id, alive = flips[step]
             cluster.nodes[node_id].alive = alive
         context = ctx(*items) if items else UserContext((), ())
-        response = frontend.request(retailer, context, now_ms=now)
+        response = frontend.request(retailer, context, k=k, now_ms=now)
+        assert len(response.recommendations) <= k
         assert response.latency_ms <= deadline + 1e-9, (
             f"deadline blown: {response.latency_ms} > {deadline} "
             f"(served_from={response.served_from})"
