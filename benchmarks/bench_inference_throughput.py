@@ -26,7 +26,16 @@ Measured here, per synthetic retailer scale:
    ``segmented_top_k`` over the same scored 128-item blocks (view
    surface), in rows/s, so the table shows which stage a change in the
    totals above came from,
-5. parity — batched results must equal the per-item reference
+5. publish — one ``PUBLISH_SCALE`` retailer through the day's own
+   rank -> reduce -> gate -> load (``InferencePipeline.run``,
+   ``PublishGate.validate`` and ``RecommendationStore.load_batch`` on
+   both surfaces): recommendations published, what the garbage collector
+   cost over that stretch (``gc.callbacks``), and how many tracked
+   objects per recommendation are still alive once both stores serve.
+   A published table is arrays, so that is a handful of objects per
+   *table*; as lists of ``ScoredItem`` it was 1.23 per recommendation,
+   re-walked by every later full collection,
+6. parity — batched results must equal the per-item reference
    item-for-item, and the two selections position-for-position, before
    any timing counts.
 
@@ -35,11 +44,16 @@ Results land in ``benchmarks/results/e22.txt`` and ``BENCH_inference.json``
 the CI smoke mode: a 250-item retailer on which batched must not be
 slower, and a 2 000-item one that carries a real bar — at 250 items every
 block's candidate union *is* the catalog, so that retailer alone cannot
-tell a pairs-only kernel from one that scores the union.
+tell a pairs-only kernel from one that scores the union.  The smoke also
+holds the publish section to zero live ``ScoredItem`` and
+``PUBLISH_OBJECTS_PER_REC`` tracked objects per recommendation: tier-1
+fleets are too small for collector time to show, so this is where CI
+catches a table that went back to being objects.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pathlib
@@ -48,17 +62,23 @@ import time
 import numpy as np
 
 from benchmarks.bench_util import emit, fmt_row, machine, machine_line
+from repro import build_cluster
 from repro.cooccurrence.counts import CoOccurrenceCounts
 from repro.core.candidates import CandidateSelector, RepurchaseDetector
+from repro.core.config import ConfigRecord, OutputConfigRecord
+from repro.core.inference import InferencePipeline
+from repro.core.registry import ModelRegistry, TrainedModel
 from repro.data.datasets import dataset_from_synthetic
 from repro.data.events import EventType
 from repro.data.generator import RetailerSpec, generate_retailer
 from repro.data.sessions import UserContext
 from repro.evaluation.evaluator import HoldoutEvaluator
 from repro.evaluation.sampled import SampledRankEstimator
-from repro.models.base import segmented_top_k, top_k_select
+from repro.models.base import ScoredItem, segmented_top_k, top_k_select
 from repro.models.bpr import BPRHyperParams, BPRModel
 from repro.models.trainer import BPRTrainer
+from repro.serving.gate import PublishGate
+from repro.serving.store import RecommendationStore
 
 #: (n_items, n_users, n_events) per scale.  "medium" carries the
 #: acceptance bar: the paper's mid-sized merchants have catalogs in the
@@ -75,6 +95,13 @@ FAST_SCALES = {
 #: Smoke bars on ``inference_speedup``.  fast2k: measured 2.2-2.6x (median
 #: 2.4x, twelve runs) on the 2-core reference VM, asserted with 2x headroom.
 FAST_BARS = {"fast": 1.0, "fast2k": 1.2}
+#: The publish section's retailer, in the smoke and in the full run.
+PUBLISH_SCALE = FAST_SCALES["fast2k"]
+#: Smoke bar on tracked objects left alive per published recommendation.
+#: Measured 0.0016 (56 objects: two tables, two stores, the gate); the
+#: parent commit's tables of ``ScoredItem`` lists measured 1.23 with all
+#: 34 688 ``ScoredItem`` alive, through this same function.
+PUBLISH_OBJECTS_PER_REC = 0.05
 #: Full-run bar on the medium retailer, between the two kernels as the
 #: same box measures them: the pair kernel 3.8-4.3x (seven runs), the
 #: union GEMM it replaced 3.0-3.5x (six runs, the same hour), so a revert
@@ -118,6 +145,26 @@ def _best_laps(*paths):
 
 
 RESULTS_JSON = pathlib.Path(__file__).parent.parent / "BENCH_inference.json"
+#: What a reader comparing this file across commits must know.
+NOTE = (
+    "Re-measured at PR 19: recommend_batch returns the kernel's arrays "
+    "(RankedRows) and builds no ScoredItem unless a row is indexed, so "
+    "batched_items_per_s / catalog_batched_items_per_s no longer include "
+    "tuple construction and moved against earlier commits; the per-item "
+    "columns still build their lists.  Compare ratios, not rates, across "
+    "commits: on the day of this run the shared 2-core box read 20-45 % "
+    "lower than at PR 16's run in every column, untouched ones included "
+    "(loop_examples_per_s 31.7k -> 16.8k on small); the parent commit, "
+    "same box, same hour, measured batched_items_per_s 9 923 / 3 478 / "
+    "2 801 and inference_speedup 2.55 / 4.50 / 6.10 (small / medium / "
+    "large).  'publish' is one 2 000-item retailer through "
+    "InferencePipeline.run -> PublishGate.validate -> "
+    "RecommendationStore.load_batch on both surfaces; gc_s is gc.callbacks "
+    "time over that stretch, tracked_objects_per_rec what gc.get_objects() "
+    "grew by, per published recommendation, once both stores serve (the "
+    "parent's dict-of-lists tables: 106 collections, 1.23 objects per rec, "
+    "all 34 688 ScoredItem alive)."
+)
 
 
 def _build(n_items, n_users, n_events):
@@ -248,6 +295,72 @@ def _top_k_rates(model, selector, n_items):
     return n_items / row_s, n_items / segmented_s
 
 
+def _publish_row():
+    """One retailer through rank -> reduce -> gate -> load, collector timed."""
+    dataset, model = _build(*PUBLISH_SCALE)[:2]
+    rid = dataset.retailer_id
+    registry = ModelRegistry()
+    registry.publish(
+        TrainedModel(
+            model=model,
+            output=OutputConfigRecord(
+                config=ConfigRecord(rid, 0, model.params), metrics={"map@10": 0.5}
+            ),
+        )
+    )
+    collector = {"collections": 0, "seconds": 0.0, "began": 0.0}
+
+    def on_collection(phase, info):
+        if phase == "start":
+            collector["began"] = time.perf_counter()
+        else:
+            collector["collections"] += 1
+            collector["seconds"] += time.perf_counter() - collector["began"]
+
+    gc.collect()
+    tracked_before = len(gc.get_objects())
+    pipeline = InferencePipeline(
+        build_cluster(n_cells=1, machines_per_cell=4), registry, top_n=TOP_K
+    )
+    gate = PublishGate()
+    stores = (
+        RecommendationStore(name="substitutes"),
+        RecommendationStore(name="accessories"),
+    )
+    gc.callbacks.append(on_collection)
+    try:
+        start = time.perf_counter()
+        results, _ = pipeline.run({rid: dataset})
+        result = results[rid]
+        tables = (result.view_recs, result.purchase_recs)
+        for table, store, allow_empty in zip(tables, stores, (False, True)):
+            decision = gate.validate(
+                rid, table, 1, store, dataset.n_items, allow_empty=allow_empty
+            )
+            assert decision.accepted, decision.reason
+        for table, store in zip(tables, stores):
+            store.load_batch(rid, table, version=1)
+        wall = time.perf_counter() - start
+    finally:
+        gc.callbacks.remove(on_collection)
+    # The pipeline (selector memos, cost ledger) is the day's, not the
+    # publication's: what stays is the gate, the tables and the two stores.
+    del pipeline, results, result
+    gc.collect()
+    alive = gc.get_objects()
+    n_recs = sum(len(recs) for table in tables for recs in table.values())
+    assert stores[0].items_covered(rid) == dataset.n_items
+    return {
+        "n_items": dataset.n_items,
+        "recs_published": n_recs,
+        "wall_s": round(wall, 3),
+        "gc_collections": collector["collections"],
+        "gc_s": round(collector["seconds"], 4),
+        "tracked_objects_per_rec": round((len(alive) - tracked_before) / n_recs, 4),
+        "live_scored_items": sum(type(obj) is ScoredItem for obj in alive),
+    }
+
+
 def _loop_ranks(evaluator, model, sampled):
     """The per-example baseline: one public single-example call per holdout row."""
     holdout = evaluator.dataset.holdout
@@ -317,6 +430,9 @@ def _measure(name, spec):
 def test_inference_throughput(capsys):
     fast = bool(os.environ.get("E22_FAST"))
     scales = FAST_SCALES if fast else SCALES
+    # First, on a heap that holds nothing else: a full collection walks
+    # every tracked object alive, whoever made it.
+    publish = _publish_row()
     rows = [_measure(name, spec) for name, spec in scales.items()]
 
     widths = [8, 7, 11, 11, 9, 8, 10, 10, 9]
@@ -379,7 +495,32 @@ def test_inference_throughput(capsys):
                 widths=widths,
             )
         )
+    publish_widths = [7, 9, 8, 12, 8, 12, 11]
+    lines += [
+        "",
+        "publish: both surfaces through rank -> reduce -> gate -> load, k=10",
+        "",
+        fmt_row(
+            "items", "recs", "wall s", "collections", "gc s",
+            "tracked/rec", "ScoredItem",
+            widths=publish_widths,
+        ),
+        fmt_row(
+            publish["n_items"],
+            f"{publish['recs_published']:,}",
+            f"{publish['wall_s']:.3f}",
+            publish["gc_collections"],
+            f"{publish['gc_s']:.4f}",
+            f"{publish['tracked_objects_per_rec']:.4f}",
+            publish["live_scored_items"],
+            widths=publish_widths,
+        ),
+    ]
     emit("E22", "batched inference & evaluation throughput", lines, capsys)
+
+    # A published table is arrays: nothing it holds is a tracked object.
+    assert publish["live_scored_items"] == 0, publish
+    assert publish["tracked_objects_per_rec"] < PUBLISH_OBJECTS_PER_REC, publish
 
     if fast:
         # CI smoke: batched must never be slower than per-item, even on a
@@ -404,7 +545,9 @@ def test_inference_throughput(capsys):
                 "machine": machine(),
                 "block_size": BLOCK,
                 "k": TOP_K,
+                "note": NOTE,
                 "scales": rows,
+                "publish": publish,
             },
             indent=2,
         )

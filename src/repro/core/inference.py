@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.cluster.cell import Cluster
 from repro.cluster.cost import CostLedger, ResourcePricing
 from repro.cluster.machine import Priority, VMRequest
@@ -47,10 +49,11 @@ from repro.mapreduce.runtime import (
     MapReduceRuntime,
 )
 from repro.mapreduce.splits import InputSplit
-from repro.models.base import Recommender, ScoredItem
+from repro.models.base import RankedRows, Recommender
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracing import NULL_TRACER
 from repro.retrieval.backend import ModelRetrieval
+from repro.serving.store import RecommendationTable
 
 #: Top-N recommendations materialized per item per surface.
 DEFAULT_TOP_N = 10
@@ -71,17 +74,21 @@ def _item_blocks(n_items: int, block_size: int) -> List[Tuple[int, ...]]:
 
 @dataclass
 class InferenceResult:
-    """Materialized recommendations for one retailer."""
+    """Materialized recommendations for one retailer.
+
+    One read-only :class:`RecommendationTable` per surface — the object
+    the journal keeps, the gate vets and the stores serve from.
+    """
 
     retailer_id: str
     model_number: int
-    view_recs: Dict[int, List[ScoredItem]] = field(default_factory=dict)
-    purchase_recs: Dict[int, List[ScoredItem]] = field(default_factory=dict)
+    view_recs: RecommendationTable
+    purchase_recs: RecommendationTable
 
     @property
     def items_covered(self) -> int:
         """Items with at least one view-based recommendation."""
-        return sum(1 for recs in self.view_recs.values() if recs)
+        return self.view_recs.items_covered
 
     def coverage(self, n_items: int) -> float:
         return self.items_covered / n_items if n_items else 0.0
@@ -380,16 +387,26 @@ class InferencePipeline:
             metrics.counter(
                 "inference_items_total", retailer=retailer_id
             ).inc(len(items))
-            for item, view, purchase in zip(items, view_recs, purchase_recs):
-                yield retailer_id, (item, model_number, view, purchase)
+            # One value per block: the kernel's arrays, not a pair of
+            # lists per item.
+            yield retailer_id, (
+                np.array(items, dtype=np.int64),
+                model_number,
+                view_recs,
+                purchase_recs,
+            )
 
         def reducer(key: object, values: List[object]):
-            result = InferenceResult(retailer_id=str(key), model_number=-1)
-            for item_index, model_number, view, purchase in values:
-                result.model_number = model_number
-                result.view_recs[item_index] = view
-                result.purchase_recs[item_index] = purchase
-            yield result
+            ids, model_numbers, views, purchases = zip(*values)
+            item_ids = np.concatenate(ids)
+            yield InferenceResult(
+                retailer_id=str(key),
+                model_number=model_numbers[-1],
+                view_recs=RecommendationTable(item_ids, RankedRows.concat(views)),
+                purchase_recs=RecommendationTable(
+                    item_ids, RankedRows.concat(purchases)
+                ),
+            )
 
         def record_cost(record: object) -> float:
             retailer_id, items = record  # type: ignore[misc]
@@ -528,7 +545,7 @@ class InferencePipeline:
         model: Recommender,
         contexts: List[UserContext],
         candidate_lists: Sequence[Sequence[int]],
-    ) -> List[List[ScoredItem]]:
+    ) -> RankedRows:
         """Top-N for one block of single-item contexts in one batched call."""
         return model.recommend_batch(
             contexts,

@@ -10,8 +10,9 @@ notes BPR could be swapped for least-squares "easily", section VI).
 from __future__ import annotations
 
 import abc
-from itertools import accumulate, repeat
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+import operator
+from itertools import repeat
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,9 +22,12 @@ from repro.data.sessions import UserContext
 class ScoredItem(NamedTuple):
     """An item index paired with a model score (higher is better).
 
-    A ``NamedTuple`` rather than a dataclass: inference materializes
-    ``n_items x surfaces x k`` of these per retailer per day, and tuple
-    construction is several times cheaper than a frozen dataclass.
+    What a *reader* of recommendations gets: :meth:`Recommender.recommend`
+    returns a list of these, and so does one row of a :class:`RankedRows`
+    or one ``lookup`` of a published table.  Nothing holds them in bulk —
+    a day's ``n_items x surfaces x k`` recommendations stay in arrays from
+    the top-k kernel to the store, because a tuple subclass is an object
+    the garbage collector tracks for as long as it lives.
     """
 
     item_index: int
@@ -96,18 +100,24 @@ def top_k_select(
     return np.lexsort((tb, -scores))[:k]
 
 
-def _top_k(pool: np.ndarray, scores: np.ndarray, k: int) -> List[ScoredItem]:
-    """Top-``k`` of a scored pool, shared by the per-item and batched paths.
+def _top_k_arrays(
+    pool: np.ndarray, scores: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Top-``k`` of a scored pool as aligned ``(items, scores)`` arrays.
 
-    Both paths feed this the same (pool, scores) arrays and ties break by
-    item index (not pool position), so selection is identical by
-    construction — including against the retrieval backends, which rank
-    through the same :func:`top_k_select` order.
+    Shared by the per-item and batched paths: both feed this the same
+    (pool, scores) arrays and ties break by item index (not pool
+    position), so selection is identical by construction — including
+    against the retrieval backends, which rank through the same
+    :func:`top_k_select` order.
     """
-    if pool.size == 0 or k <= 0:
-        return []
     top = top_k_select(scores, k, tiebreak=pool)
-    return _scored_items(pool[top], scores[top])
+    return pool[top], scores[top]
+
+
+def _top_k(pool: np.ndarray, scores: np.ndarray, k: int) -> List[ScoredItem]:
+    """:func:`_top_k_arrays` as the ``ScoredItem`` list a reader gets."""
+    return _scored_items(*_top_k_arrays(pool, scores, k))
 
 
 def _scored_items(items: np.ndarray, scores: np.ndarray) -> List[ScoredItem]:
@@ -116,6 +126,110 @@ def _scored_items(items: np.ndarray, scores: np.ndarray) -> List[ScoredItem]:
     # tuple.__new__ skips the Python frame of the generated __new__.
     pairs = zip(items.tolist(), scores.tolist())
     return list(map(tuple.__new__, repeat(ScoredItem), pairs))
+
+
+class RankedRows(Sequence[List[ScoredItem]]):
+    """One ranked list per row, held as three read-only arrays.
+
+    Row ``r`` is ``items[bounds[r]:bounds[r + 1]]`` with its aligned
+    ``scores``, best first — what :func:`segmented_top_k` leaves in hand.
+    It reads as a sequence of ``ScoredItem`` lists, but a row's objects
+    exist only while someone holds the list that indexing it built: each
+    ``rows[r]`` is a fresh list the caller may mutate.  The arrays are
+    frozen at construction (the instance takes them over), which is what
+    lets a day's journal payload, the publish gate and both versions a
+    store keeps share one buffer without a defensive copy.
+    """
+
+    __slots__ = ("items", "scores", "bounds")
+
+    def __init__(
+        self, items: np.ndarray, scores: np.ndarray, bounds: np.ndarray
+    ) -> None:
+        if (
+            items.shape != scores.shape
+            or bounds.ndim != 1
+            or bounds.size == 0
+            or bounds[0] != 0
+            or bounds[-1] != items.size
+        ):
+            raise ValueError(
+                f"bounds {bounds.shape} do not partition {items.shape} items "
+                f"and {scores.shape} scores"
+            )
+        for array in (items, scores, bounds):
+            array.setflags(write=False)
+        self.items, self.scores, self.bounds = items, scores, bounds
+
+    @classmethod
+    def from_counts(
+        cls, items: np.ndarray, scores: np.ndarray, counts: np.ndarray
+    ) -> "RankedRows":
+        """Rows laid end to end, ``counts[r]`` entries for row ``r``."""
+        bounds = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=bounds[1:])
+        return cls(items, scores, bounds)
+
+    @classmethod
+    def concat(cls, blocks: Iterable["RankedRows"]) -> "RankedRows":
+        """The blocks' rows, one block after the other (a lone block is
+        returned as it is: nothing can write to what the two would share)."""
+        blocks = list(blocks)
+        if len(blocks) == 1:
+            return blocks[0]
+        if not blocks:
+            return cls.from_counts(
+                np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64)
+            )
+        return cls.from_counts(
+            np.concatenate([block.items for block in blocks]),
+            np.concatenate([block.scores for block in blocks]),
+            np.concatenate([block.counts for block in blocks]),
+        )
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Entries per row."""
+        return np.diff(self.bounds)
+
+    def take(self, order: np.ndarray) -> "RankedRows":
+        """Rows re-ordered: row ``j`` of the result is row ``order[j]``."""
+        counts = self.counts[order]
+        ends = np.cumsum(counts)
+        # Each entry's source: its row's old start plus its offset in the row.
+        source = np.repeat(self.bounds[:-1][order] - (ends - counts), counts)
+        source += np.arange(source.size)
+        return RankedRows.from_counts(self.items[source], self.scores[source], counts)
+
+    def __len__(self) -> int:
+        return self.bounds.size - 1
+
+    def __getitem__(self, row):
+        if isinstance(row, slice):
+            return [self[r] for r in range(*row.indices(len(self)))]
+        row = operator.index(row)
+        if row < 0:
+            row += len(self)
+        if not 0 <= row < len(self):
+            raise IndexError("row index out of range")
+        lo, hi = self.bounds[row], self.bounds[row + 1]
+        return _scored_items(self.items[lo:hi], self.scores[lo:hi])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self):
+        # Through the constructor: unpickled arrays come back writeable.
+        return type(self), (self.items, self.scores, self.bounds)
+
+    def __repr__(self) -> str:
+        return f"RankedRows({len(self)} rows, {self.items.size} entries)"
 
 
 #: Scratch cells per scored pair in :func:`segmented_top_k`, which pads a
@@ -303,7 +417,7 @@ class Recommender(abc.ABC):
         candidate_lists: Optional[Sequence[Optional[Sequence[int]]]] = None,
         k: int = 10,
         exclude_context_items: bool = True,
-    ) -> List[List[ScoredItem]]:
+    ) -> RankedRows:
         """Batched :meth:`recommend`: one list of recommendations per context.
 
         ``candidate_lists`` aligns with ``contexts`` (``None`` entries — or
@@ -313,10 +427,14 @@ class Recommender(abc.ABC):
         number of pairs asked for, never ``B x |union of pools|``), one
         :func:`segmented_top_k`.  The whole-catalog rows ask the dense
         question: they share one :meth:`score_contexts` matrix and rank
-        row by row through :func:`_top_k`.  Both select in
+        row by row through :func:`_top_k_arrays`.  Both select in
         :func:`top_k_select`'s order, so results match :meth:`recommend`
         call-for-call — including exclude-context-items and
         NaN/diverged-model semantics.
+
+        The result is the kernels' arrays behind a sequence of
+        ``ScoredItem`` lists (:class:`RankedRows`): indexing a row builds
+        its list, nothing else builds any.
         """
         contexts = list(contexts)
         if candidate_lists is None:
@@ -336,16 +454,16 @@ class Recommender(abc.ABC):
             row for row, candidates in enumerate(candidate_lists)
             if candidates is None
         ]
-        results: List[List[ScoredItem]] = [[] for _ in contexts]
+        blocks: List[RankedRows] = []
         if listed:
-            ranked = self._rank_listed(
-                [contexts[row] for row in listed],
-                [_as_item_array(candidate_lists[row]) for row in listed],
-                k,
-                exclude_context_items,
+            blocks.append(
+                self._rank_listed(
+                    [contexts[row] for row in listed],
+                    [_as_item_array(candidate_lists[row]) for row in listed],
+                    k,
+                    exclude_context_items,
+                )
             )
-            for row, recs in zip(listed, ranked):
-                results[row] = recs
         if whole:
             full_pool = np.arange(self.n_items)
             matrix = self.score_contexts([contexts[row] for row in whole])
@@ -353,8 +471,15 @@ class Recommender(abc.ABC):
                 pool = full_pool
                 if exclude_context_items:
                     pool = _exclude_items(pool, contexts[row])
-                results[row] = _top_k(pool, row_scores[pool], k)
-        return results
+                items, scores = _top_k_arrays(pool, row_scores[pool], k)
+                blocks.append(
+                    RankedRows(items, scores, np.array([0, items.size]))
+                )
+        # Inference's blocks are all listed: the kernel's arrays as they are.
+        ranked = RankedRows.concat(blocks)
+        if listed and whole:
+            ranked = ranked.take(np.argsort(listed + whole))
+        return ranked
 
     def _rank_listed(
         self,
@@ -362,7 +487,7 @@ class Recommender(abc.ABC):
         pools: List[np.ndarray],
         k: int,
         exclude_context_items: bool,
-    ) -> List[List[ScoredItem]]:
+    ) -> RankedRows:
         """Top-``k`` of each context's own pool, the block as one array."""
         single = exclude_context_items and all(
             len(context) == 1 for context in contexts
@@ -385,9 +510,7 @@ class Recommender(abc.ABC):
                 sizes = np.bincount(owners, minlength=sizes.size)
         scores = self.score_pairs(contexts, items, owners, sizes)
         top, counts = segmented_top_k(scores, items, owners, sizes, k)
-        flat = _scored_items(items[top], scores[top])
-        bounds = list(accumulate(counts.tolist(), initial=0))
-        return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        return RankedRows.from_counts(items[top], scores[top], counts)
 
     def rank_of(
         self,

@@ -13,7 +13,8 @@ Checks, per retailer table:
    ``min_coverage`` of the catalog; an empty or near-empty table means
    the inference pipeline silently lost its inputs.
 2. **finite scores** — any NaN or infinite score is an immediate reject
-   (a diverged model must never reach serving).
+   (a diverged model must never reach serving); so is any recommended
+   item index outside the catalog.
 3. **version monotonicity** — the batch must be strictly newer than the
    version currently served (a stale replay must not clobber freshness).
 4. **MAP sanity** — today's model-selection MAP must not have collapsed
@@ -27,14 +28,15 @@ as a half-published or silently broken table.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.exceptions import PublishRejectedError
 from repro.models.base import ScoredItem
 from repro.obs.metrics import NULL_METRICS
-from repro.serving.store import RecommendationStore
+from repro.serving.store import RecommendationStore, as_table
 
 #: Fraction of the catalog that must have at least one recommendation.
 #: Deliberately permissive: sparse long-tail retailers legitimately cover
@@ -102,11 +104,13 @@ class PublishGate:
         ``allow_empty`` relaxes the coverage checks for surfaces where an
         empty table is a legitimate state — e.g. the purchase-based
         complements surface of a retailer whose log has no conversion
-        co-occurrence yet.  Finite-score and version checks still apply.
+        co-occurrence yet.  Score, catalog and version checks still apply.
         """
         reasons: List[str] = []
+        table = as_table(recommendations)
+        rows = table.rows
 
-        covered = sum(1 for recs in recommendations.values() if recs)
+        covered = table.items_covered
         if covered == 0:
             if not allow_empty:
                 reasons.append("empty table: no item has any recommendation")
@@ -116,14 +120,16 @@ class PublishGate:
                 f"{self.min_coverage:.0%}"
             )
 
-        bad_scores = sum(
-            1
-            for recs in recommendations.values()
-            for rec in recs
-            if not math.isfinite(rec.score)
-        )
+        bad_scores = int(np.count_nonzero(~np.isfinite(rows.scores)))
         if bad_scores:
             reasons.append(f"{bad_scores} non-finite recommendation scores")
+
+        if n_items > 0:
+            outside = int(
+                np.count_nonzero((rows.items < 0) | (rows.items >= n_items))
+            )
+            if outside:
+                reasons.append(f"{outside} recommendations outside the catalog")
 
         served = store.version_of(retailer_id)
         if served is not None and version <= served:

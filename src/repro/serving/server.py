@@ -92,8 +92,10 @@ class RecommendationServer:
         The most recent ``context_lookups`` context items each contribute
         their precomputed list; scores are blended with recency decay and
         the context event's strength, and already-seen items are dropped.
+        ``k <= 0`` is an empty page (a negative ``k`` must not slice from
+        the wrong end).
         """
-        if len(context) == 0:
+        if len(context) == 0 or k <= 0:
             return []
         recent = list(zip(context.item_indices, context.events))[-self.context_lookups :]
         return blend_context_lookups(
@@ -112,6 +114,8 @@ class RecommendationServer:
         Self-recommendations are filtered *before* taking the top ``k``,
         so an item appearing in its own list never shortens the page.
         """
+        if k <= 0:
+            return []
         recs = [
             r for r in self.store.lookup(retailer_id, item_index)
             if r.item_index != item_index

@@ -4,16 +4,105 @@ Each retailer's recommendations are loaded as one atomic batch: readers
 see either yesterday's complete table or today's complete table, never a
 mix.  All reads are namespaced by retailer id and cross-retailer access
 is impossible by construction — the privacy guarantee of section I.
+
+A batch is a :class:`RecommendationTable`: sorted item ids over the
+read-only arrays the top-k kernel produced.  Inference builds it, the
+journal, the publish gate and the store hold that one object, and a
+``ScoredItem`` exists only in the list a :meth:`~RecommendationStore.lookup`
+hands its caller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+import operator
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.exceptions import ServingError
-from repro.models.base import ScoredItem
+from repro.models.base import RankedRows, ScoredItem
 from repro.obs.metrics import NULL_METRICS
+
+
+class RecommendationTable(Mapping[int, List[ScoredItem]]):
+    """One surface of one retailer: item id -> ranked recommendations.
+
+    ``item_ids`` (strictly increasing) names the rows of ``rows``, whose
+    three arrays — flat ``items``, flat ``scores``, row ``bounds`` — are
+    the whole table.  It reads as the ``dict`` of ``ScoredItem`` lists it
+    replaces (``table[item]`` builds that item's list, fresh each time),
+    and every array is read-only, so whoever holds the table may share it.
+    """
+
+    __slots__ = ("item_ids", "rows")
+
+    def __init__(self, item_ids: np.ndarray, rows: RankedRows) -> None:
+        if item_ids.shape != (len(rows),):
+            raise ValueError(
+                f"{item_ids.shape} item ids for {len(rows)} rows"
+            )
+        if np.any(item_ids[1:] <= item_ids[:-1]):
+            order = np.argsort(item_ids, kind="stable")
+            item_ids, rows = item_ids[order], rows.take(order)
+            if np.any(item_ids[1:] == item_ids[:-1]):
+                raise ValueError("an item id names two rows of one table")
+        item_ids.setflags(write=False)
+        self.item_ids, self.rows = item_ids, rows
+
+    @property
+    def items_covered(self) -> int:
+        """Items with at least one recommendation."""
+        return int(np.count_nonzero(self.rows.counts))
+
+    def __len__(self) -> int:
+        return self.item_ids.size
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.item_ids.tolist())
+
+    def __getitem__(self, item: int) -> List[ScoredItem]:
+        try:
+            item = operator.index(item)
+        except TypeError:
+            raise KeyError(item) from None
+        row = int(np.searchsorted(self.item_ids, item))
+        if row == self.item_ids.size or self.item_ids[row] != item:
+            raise KeyError(item)
+        return self.rows[row]
+
+    def __reduce__(self):
+        # Through the constructor: unpickled arrays come back writeable.
+        return type(self), (self.item_ids, self.rows)
+
+    def __repr__(self) -> str:
+        return (
+            f"RecommendationTable({len(self)} items, "
+            f"{self.rows.items.size} recommendations)"
+        )
+
+
+def as_table(
+    recommendations: Mapping[int, Sequence[ScoredItem]],
+) -> RecommendationTable:
+    """Any item -> recommendations mapping as a :class:`RecommendationTable`
+    (no copy when already one).
+
+    The boundary for callers that still build a ``dict`` of lists — tests,
+    examples, hand-made tables: one pass over the pairs, once, so the
+    gate and the store have arrays to work on and nothing else to handle.
+    """
+    if isinstance(recommendations, RecommendationTable):
+        return recommendations
+    item_ids = np.array([int(item) for item in recommendations], dtype=np.int64)
+    lists = list(recommendations.values())
+    flat = [rec for recs in lists for rec in recs]
+    rows = RankedRows.from_counts(
+        np.array([rec.item_index for rec in flat], dtype=np.int64),
+        np.array([rec.score for rec in flat], dtype=np.float64),
+        np.array([len(recs) for recs in lists], dtype=np.int64),
+    )
+    return RecommendationTable(item_ids, rows)
 
 
 @dataclass
@@ -44,7 +133,7 @@ class _RetailerTable:
     """One retailer's current recommendation table plus its version."""
 
     version: int
-    recommendations: Dict[int, List[ScoredItem]] = field(default_factory=dict)
+    recommendations: RecommendationTable
 
 
 class RecommendationStore:
@@ -89,11 +178,10 @@ class RecommendationStore:
                 f"stale batch for {retailer_id!r}: version {version} <= "
                 f"current {current.version}"
             )
+        # No copy: a table's arrays are read-only, so this version, the
+        # last-good one and the journal's payload can be one buffer.
         table = _RetailerTable(
-            version=version,
-            recommendations={
-                int(item): list(recs) for item, recs in recommendations.items()
-            },
+            version=version, recommendations=as_table(recommendations)
         )
         if current is not None:
             self._previous[retailer_id] = current
@@ -151,7 +239,7 @@ class RecommendationStore:
             self.stats.misses += 1
             self.metrics.counter("store_misses_total", store=self.name).inc()
             return []
-        return list(recs)
+        return recs  # built for this call: the caller's to mutate
 
     def has_retailer(self, retailer_id: str) -> bool:
         return retailer_id in self._tables
@@ -165,7 +253,7 @@ class RecommendationStore:
         table = self._tables.get(retailer_id)
         if table is None:
             return 0
-        return sum(1 for recs in table.recommendations.values() if recs)
+        return table.recommendations.items_covered
 
     def retailers(self) -> List[str]:
         return sorted(self._tables)

@@ -31,7 +31,7 @@ from repro.exceptions import (
     ServingError,
     SimulatedCrash,
 )
-from repro.models.base import ScoredItem
+from repro.models.base import RankedRows, ScoredItem
 from repro.obs.metrics import MetricsRegistry
 from repro.serving.gate import GateDecision, PublishGate
 from repro.serving.store import RecommendationStore
@@ -258,6 +258,25 @@ class TestPublishGate:
             )
             assert not decision.accepted
             assert "non-finite" in decision.reason
+
+    def test_rejects_items_outside_the_catalog(self):
+        gate = PublishGate()
+        for bad in ([2], [-1], [10**12, -5]):
+            table = {
+                0: [ScoredItem(1, 0.9)] + [ScoredItem(item, 0.5) for item in bad],
+                1: [ScoredItem(0, 0.2)],
+            }
+            decision = gate.validate(
+                "r0", table, 1, RecommendationStore(), n_items=2
+            )
+            assert not decision.accepted
+            assert decision.reason == (
+                f"{len(bad)} recommendations outside the catalog"
+            )
+        # An unknown catalog size (0: the retailer left mid-day) checks nothing.
+        assert gate.validate(
+            "r0", {0: [ScoredItem(7, 0.9)]}, 1, RecommendationStore(), n_items=0
+        ).accepted
 
     def test_rejects_stale_version(self):
         store = RecommendationStore()
@@ -514,6 +533,44 @@ class TestGatedPublishInService:
             report = service.run_day()
             assert report.publishes_rejected == 0
         assert service.gate.rejections == []
+
+    def test_out_of_catalog_recommendation_keeps_yesterdays_pair(self):
+        """One bad index on one surface: neither surface loads, the
+        retailer serves yesterday's complete pair, its neighbour publishes."""
+        service = make_service()
+        service.run_day()
+        n_items = 40
+        stores = (service.substitutes_store, service.accessories_store)
+        yesterday = [
+            [store.lookup("r0", item) for item in range(n_items)]
+            for store in stores
+        ]
+
+        rank_block = service.inference._rank_block
+        calls = []
+
+        def corrupt_second_surface(model, contexts, candidate_lists):
+            rows = rank_block(model, contexts, candidate_lists)
+            calls.append(model)
+            # Blocks alternate view / purchase; r0 (sorted first) ranks first.
+            if len(calls) == 2:
+                items = rows.items.copy()
+                items[0] = n_items
+                rows = RankedRows(items, rows.scores, rows.bounds)
+            return rows
+
+        service.inference._rank_block = corrupt_second_surface
+        report = service.run_day()
+
+        assert report.publishes_rejected == 1
+        assert report.failure_reasons == {
+            "r0": "publish: 1 recommendations outside the catalog"
+        }
+        assert [store.versions() for store in stores] == [{"r0": 1, "r1": 2}] * 2
+        assert [
+            [store.lookup("r0", item) for item in range(n_items)]
+            for store in stores
+        ] == yesterday
 
 
 # ----------------------------------------------------------------------

@@ -120,6 +120,15 @@ class TestServer:
         context = UserContext((0,), (EventType.VIEW,))
         assert len(server.recommend("r1", context, k=2)) == 2
 
+    @pytest.mark.parametrize("k", [-3, -1, 0])
+    def test_non_positive_k_is_an_empty_page(self, k):
+        """Regression: ``ranked[:k]`` / ``recs[:k]`` with a negative ``k``
+        returned every item but the last ``-k``."""
+        server = RecommendationServer(loaded_store())
+        context = UserContext((0, 1), (EventType.VIEW, EventType.VIEW))
+        assert server.recommend("r1", context, k=k) == []
+        assert server.recommend_for_item("r1", 0, k=k) == []
+
     def test_recommend_for_item(self):
         server = RecommendationServer(loaded_store())
         served = server.recommend_for_item("r1", 0, k=2)
