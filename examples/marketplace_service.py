@@ -19,6 +19,7 @@ from __future__ import annotations
 from repro import (
     GridSpec,
     MarketplaceSpec,
+    RecommendationServer,
     RetailerSpec,
     SigmundService,
     TrainerSettings,
@@ -89,7 +90,8 @@ def main() -> None:
     dataset = service._datasets[rid]
     example = dataset.holdout[0]
     print(f"\nServing substitutes for a {rid} user from the precomputed store:")
-    for rec in service.substitutes_server.recommend(rid, example.context, k=5):
+    server = RecommendationServer(service.substitutes_store)
+    for rec in server.recommend(rid, example.context, k=5):
         entry = dataset.catalog[rec.item_index]
         print(f"  {entry.item_id:<28} blended_score={rec.score:7.3f}")
 

@@ -62,7 +62,6 @@ from repro.retrieval.harness import measure_model_recall, resolve_ann_threshold
 from repro.retrieval.ivf import IVFConfig
 from repro.retrieval.store import RetrievalIndexStore
 from repro.serving.gate import PublishGate
-from repro.serving.server import RecommendationServer
 from repro.serving.store import RecommendationStore
 
 #: Paper: "periodically we restart the full model selection".
@@ -230,8 +229,6 @@ class SigmundService:
         self.accessories_store = RecommendationStore(
             metrics=self.metrics, name="accessories"
         )
-        self.substitutes_server = RecommendationServer(self.substitutes_store)
-        self.accessories_server = RecommendationServer(self.accessories_store)
         self.full_restart_every = full_restart_every
         self._datasets: Dict[str, RetailerDataset] = {}
         self._repurchase: Dict[str, RepurchaseDetector] = {}

@@ -146,15 +146,6 @@ class ModelRetrieval:
             )
         return self.backend.search(self._query_vectors[items], k, nprobe)
 
-    def search_users(
-        self,
-        user_vectors: np.ndarray,
-        k: int,
-        nprobe: Optional[int] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Top items for pre-computed user embeddings (serving path)."""
-        return self.backend.search(user_vectors, k, nprobe)
-
 
 def _embedding_surface(model) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(phi_eff, bias, query table) for a model, or RetrievalError."""

@@ -3,89 +3,26 @@
 An ANN index is a serving artifact with the same lifecycle as the
 recommendation tables it rides with: rebuilt after each training day,
 published under the day's version, rolled back together with the table
-when production regresses, purged on offboarding.  This store mirrors
-:class:`~repro.serving.store.RecommendationStore`'s contract — version
-monotonicity, a single last-good predecessor, idempotent drops — for
-:class:`~repro.retrieval.backend.ModelRetrieval` adapters.
+when production regresses, purged on offboarding.  So it is held under
+the same policy, :class:`~repro.serving.store.VersionedSlots` — version
+monotonicity, a single last-good predecessor, idempotent drops — with a
+:class:`~repro.retrieval.backend.ModelRetrieval` adapter in each slot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-from repro.exceptions import ServingError
 from repro.obs.metrics import NULL_METRICS
 from repro.retrieval.backend import ModelRetrieval
+from repro.serving.store import VersionedSlots
 
 
-@dataclass
-class _IndexEntry:
-    """One retailer's published index plus its version."""
+class RetrievalIndexStore(VersionedSlots[ModelRetrieval]):
+    """In-memory retailer -> published retrieval index, versioned.
 
-    version: int
-    adapter: ModelRetrieval
+    ``load(retailer_id, adapter, version)`` publishes, ``get`` reads.
+    """
 
-
-class RetrievalIndexStore:
-    """In-memory retailer -> published retrieval index, versioned."""
+    _loaded = _held = "index"
 
     def __init__(self, metrics=NULL_METRICS, name: str = "retrieval") -> None:
-        self._entries: Dict[str, _IndexEntry] = {}
-        #: Last-good predecessor, kept for rollback with the tables.
-        self._previous: Dict[str, _IndexEntry] = {}
-        self.metrics = metrics
-        self.name = name
-
-    def load(
-        self, retailer_id: str, adapter: ModelRetrieval, version: int
-    ) -> None:
-        """Publish an index under ``version`` (monotonic per retailer)."""
-        current = self._entries.get(retailer_id)
-        if current is not None and version <= current.version:
-            self.metrics.counter(
-                "store_stale_rejected_total", store=self.name
-            ).inc()
-            raise ServingError(
-                f"stale index for {retailer_id!r}: version {version} <= "
-                f"current {current.version}"
-            )
-        if current is not None:
-            self._previous[retailer_id] = current
-        self._entries[retailer_id] = _IndexEntry(version, adapter)
-        self.metrics.counter(
-            "store_batches_loaded_total", store=self.name
-        ).inc()
-
-    def rollback(self, retailer_id: str) -> int:
-        """Re-serve the index published with the rolled-back table."""
-        previous = self._previous.pop(retailer_id, None)
-        if previous is None:
-            raise ServingError(
-                f"no last-good index to roll back to for {retailer_id!r}"
-            )
-        self._entries[retailer_id] = previous
-        self.metrics.counter("store_rollbacks_total", store=self.name).inc()
-        return previous.version
-
-    def drop_retailer(self, retailer_id: str) -> None:
-        """Purge a retailer's indexes outright (offboarding, idempotent)."""
-        self._entries.pop(retailer_id, None)
-        self._previous.pop(retailer_id, None)
-
-    def get(self, retailer_id: str) -> Optional[ModelRetrieval]:
-        entry = self._entries.get(retailer_id)
-        return entry.adapter if entry is not None else None
-
-    def has_retailer(self, retailer_id: str) -> bool:
-        return retailer_id in self._entries
-
-    def version_of(self, retailer_id: str) -> Optional[int]:
-        entry = self._entries.get(retailer_id)
-        return entry.version if entry is not None else None
-
-    def retailers(self) -> List[str]:
-        return sorted(self._entries)
-
-    def versions(self) -> Dict[str, int]:
-        return {rid: entry.version for rid, entry in self._entries.items()}
+        super().__init__(metrics, name)

@@ -364,8 +364,7 @@ class _World:
             )
             del self.retailers[source]
             self.traffic.remove_retailer(source)
-            self.fallback.drop(source)
-            self.frontend.invalidate_retailer(source)
+            self.frontend.drop_retailer(source)
             self.retailers[target] = generate_retailer(
                 RetailerSpec(
                     retailer_id=target,

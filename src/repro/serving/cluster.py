@@ -7,7 +7,9 @@ This module simulates that system faithfully enough to study its
 behaviour:
 
 * recommendations are **sharded** by (retailer, item) hash across
-  serving nodes, with **replication** for availability,
+  serving nodes, with **replication** for availability; a shard replica
+  holds one slot per retailer (version, rows, hot items), so a load or a
+  drop swaps that retailer's slot and touches no co-tenant,
 * each node holds a **memory tier** (hot entries, ~sub-millisecond) and
   a **flash tier** (everything else, ~an order of magnitude slower);
   hot/cold placement follows item popularity, since head items take most
@@ -23,8 +25,8 @@ so tests and benches can assert on them exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.exceptions import ServingError
 from repro.models.base import ScoredItem
@@ -51,20 +53,17 @@ class LookupResult:
 
 
 @dataclass
-class _ShardReplica:
-    """One replica of one shard on one node.
+class TenantSlot:
+    """One retailer's part of one shard replica.
 
     Versions are tracked **per retailer**: several retailers hash into
-    the same shard, each with its own batch cadence, so a single replica
-    version would lie for every retailer except whichever loaded last.
+    the same shard, each with its own batch cadence.  ``hot`` names the
+    items of ``rows`` held in the memory tier; the rest are on flash.
     """
 
-    versions: Dict[str, int] = field(default_factory=dict)
-    memory: Dict[Tuple[str, int], List[ScoredItem]] = field(default_factory=dict)
-    flash: Dict[Tuple[str, int], List[ScoredItem]] = field(default_factory=dict)
-
-    def version_of(self, retailer_id: str) -> int:
-        return self.versions.get(retailer_id, 0)
+    version: int
+    rows: Mapping[int, List[ScoredItem]]
+    hot: Set[int]
 
 
 class ServingNode:
@@ -73,35 +72,33 @@ class ServingNode:
     def __init__(self, node_id: int, memory_capacity_entries: int = 10_000):
         self.node_id = node_id
         self.memory_capacity_entries = memory_capacity_entries
-        self.replicas: Dict[int, _ShardReplica] = {}
+        #: shard id -> retailer id -> that retailer's slot.
+        self.replicas: Dict[int, Dict[str, TenantSlot]] = {}
         self.alive = True
         self.lookups = 0
         #: Hot entries pushed down to flash because the memory tier was full.
         self.demotions = 0
 
     def memory_entries(self) -> int:
-        return sum(len(replica.memory) for replica in self.replicas.values())
+        return sum(
+            len(slot.hot)
+            for replica in self.replicas.values()
+            for slot in replica.values()
+        )
 
     def install(
         self,
         shard_id: int,
+        retailer_id: str,
         version: int,
-        hot: Mapping[Tuple[str, int], List[ScoredItem]],
-        cold: Mapping[Tuple[str, int], List[ScoredItem]],
-        versions: Optional[Mapping[str, int]] = None,
+        rows: Mapping[int, List[ScoredItem]],
+        hot: Set[int],
     ) -> None:
-        """Atomically replace this node's replica of one shard.
-
-        ``versions`` maps retailer id -> table version for every retailer
-        present in the replica; when omitted, every retailer appearing in
-        the keys is assumed to be at ``version`` (the single-tenant case).
-        """
-        if versions is None:
-            versions = {key[0]: version for key in (*hot, *cold)}
-        replica = _ShardReplica(
-            versions=dict(versions), memory=dict(hot), flash=dict(cold)
+        """Atomically replace one retailer's slot in this node's replica
+        of one shard; every other retailer's slot stays as it is."""
+        self.replicas.setdefault(shard_id, {})[retailer_id] = TenantSlot(
+            version, rows, hot
         )
-        self.replicas[shard_id] = replica
         self._enforce_memory_capacity()
 
     def _enforce_memory_capacity(self) -> None:
@@ -117,36 +114,35 @@ class ServingNode:
             return
         ranked = sorted(
             (
-                (recs[0].score if recs else float("-inf"), shard_id, key)
-                for shard_id, replica in self.replicas.items()
-                for key, recs in replica.memory.items()
-            ),
+                recs[0].score if (recs := slot.rows.get(item)) else float("-inf"),
+                shard_id, retailer_id, item,
+            )
+            for shard_id, replica in self.replicas.items()
+            for retailer_id, slot in replica.items()
+            for item in slot.hot
         )
-        for _, shard_id, key in ranked[:overflow]:
-            replica = self.replicas[shard_id]
-            replica.flash[key] = replica.memory.pop(key)
+        for _, shard_id, retailer_id, item in ranked[:overflow]:
+            self.replicas[shard_id][retailer_id].hot.remove(item)
             self.demotions += 1
 
-    def lookup(self, shard_id: int, key: Tuple[str, int]) -> Optional[LookupResult]:
+    def lookup(
+        self, shard_id: int, retailer_id: str, item_index: int
+    ) -> Optional[LookupResult]:
         if not self.alive:
             return None
-        replica = self.replicas.get(shard_id)
-        if replica is None:
-            return None
         self.lookups += 1
-        version = replica.version_of(key[0])
-        if key in replica.memory:
+        slot = self.replicas.get(shard_id, {}).get(retailer_id)
+        if slot is None:  # the retailer has no rows in this shard
+            return LookupResult([], MEMORY_LATENCY_MS, self.node_id, "memory", 0)
+        recs = slot.rows.get(item_index)
+        if recs is None or item_index in slot.hot:
             return LookupResult(
-                list(replica.memory[key]), MEMORY_LATENCY_MS,
-                self.node_id, "memory", version,
+                list(recs or ()), MEMORY_LATENCY_MS, self.node_id, "memory",
+                slot.version,
             )
-        if key in replica.flash:
-            return LookupResult(
-                list(replica.flash[key]), FLASH_LATENCY_MS,
-                self.node_id, "flash", version,
-            )
-        return LookupResult([], MEMORY_LATENCY_MS, self.node_id, "memory",
-                            version)
+        return LookupResult(
+            list(recs), FLASH_LATENCY_MS, self.node_id, "flash", slot.version
+        )
 
 
 class ServingCluster:
@@ -162,10 +158,14 @@ class ServingCluster:
     ):
         if n_nodes < 1:
             raise ServingError("need at least one serving node")
+        if n_shards < 1:
+            raise ServingError("need at least one shard")
         if not 1 <= replication <= n_nodes:
             raise ServingError("replication must be in [1, n_nodes]")
         if not 0.0 <= hot_fraction <= 1.0:
             raise ServingError("hot_fraction must be in [0, 1]")
+        if memory_capacity_entries < 0:
+            raise ServingError("memory_capacity_entries must be >= 0")
         self.nodes = [
             ServingNode(node_id, memory_capacity_entries)
             for node_id in range(n_nodes)
@@ -178,13 +178,13 @@ class ServingCluster:
         #: Replica probes skipped for free because their circuit breaker
         #: was open (vs. ``failovers``, each of which costs a penalty).
         self.breaker_skips = 0
-        #: Called with the retailer id after every completed batch load,
-        #: so caches layered above the cluster (the frontend's response
-        #: cache) can drop entries computed against the old version.
+        #: Called with the retailer id after every completed batch load
+        #: or drop, so caches layered above the cluster (the frontend's
+        #: response cache) can drop entries computed against what it held.
         self._invalidation_listeners: List[Callable[[str], None]] = []
 
     def subscribe_invalidation(self, listener: Callable[[str], None]) -> None:
-        """Register a callback fired after each retailer's batch load."""
+        """Register a callback fired after each retailer's load or drop."""
         self._invalidation_listeners.append(listener)
 
     # ------------------------------------------------------------------
@@ -224,10 +224,10 @@ class ServingCluster:
             raise ServingError(
                 f"stale batch for {retailer_id!r}: {version} <= {current}"
             )
-        per_shard: Dict[int, Dict[Tuple[str, int], List[ScoredItem]]] = {}
+        per_shard: Dict[int, Dict[int, List[ScoredItem]]] = {}
         for item, recs in recommendations.items():
             shard_id = self.shard_of(retailer_id, int(item))
-            per_shard.setdefault(shard_id, {})[(retailer_id, int(item))] = list(recs)
+            per_shard.setdefault(shard_id, {})[int(item)] = list(recs)
 
         if current:
             # A retailer already serving may hold rows in shards this
@@ -237,42 +237,43 @@ class ServingCluster:
             for shard_id in range(self.n_shards):
                 per_shard.setdefault(shard_id, {})
 
-        hot_keys = self._choose_hot(recommendations, retailer_id)
+        hot_items = self._choose_hot(recommendations)
         for replica_index in range(self.replication):
-            for shard_id, table in per_shard.items():
+            for shard_id, rows in per_shard.items():
                 node = self.replica_nodes(shard_id)[replica_index]
-                existing = node.replicas.get(shard_id)
-                if not table and (
-                    existing is None or retailer_id not in existing.versions
-                ):
-                    continue  # nothing of this retailer to add or retire
-                hot = {k: v for k, v in table.items() if k in hot_keys}
-                cold = {k: v for k, v in table.items() if k not in hot_keys}
-                # Merge with whatever other retailers already live in this
-                # shard replica (batch swap is per retailer), keeping each
-                # co-tenant's own version — this retailer's load must not
-                # clobber what version their lookups report.
-                versions = {retailer_id: version}
-                if existing is not None:
-                    for key, value in existing.memory.items():
-                        if key[0] != retailer_id:
-                            hot[key] = value
-                    for key, value in existing.flash.items():
-                        if key[0] != retailer_id:
-                            cold[key] = value
-                    for other, other_version in existing.versions.items():
-                        if other != retailer_id:
-                            versions[other] = other_version
-                node.install(shard_id, version, hot, cold, versions=versions)
+                if rows or retailer_id in node.replicas.get(shard_id, ()):
+                    # The rows are built once and shared by the replicas
+                    # (nothing writes them); demotion edits ``hot``, so
+                    # each replica gets its own.
+                    node.install(
+                        shard_id, retailer_id, version, rows,
+                        hot_items & rows.keys(),
+                    )
         self._versions[retailer_id] = version
+        self._notify(retailer_id)
+
+    def drop_retailer(self, retailer_id: str) -> None:
+        """Remove a retailer from the tier outright (offboarding purge).
+
+        Its slot leaves every replica on every node — dead ones too, so a
+        node that recovers later resurrects nothing — and its version is
+        forgotten: lookups raise like for a retailer never loaded, and a
+        re-onboarded one loads version 1 again.  Co-tenants are not
+        touched.  Dropping an unknown retailer changes nothing.
+        """
+        for node in self.nodes:
+            for replica in node.replicas.values():
+                replica.pop(retailer_id, None)
+        self._versions.pop(retailer_id, None)
+        self._notify(retailer_id)
+
+    def _notify(self, retailer_id: str) -> None:
         for listener in self._invalidation_listeners:
             listener(retailer_id)
 
     def _choose_hot(
-        self,
-        recommendations: Mapping[int, Sequence[ScoredItem]],
-        retailer_id: str,
-    ) -> set:
+        self, recommendations: Mapping[int, Sequence[ScoredItem]]
+    ) -> Set[int]:
         # Items with no recommendations can never be hot: they carry no
         # traffic worth sub-millisecond latency and must not occupy the
         # scarce memory tier ahead of real head items.
@@ -281,9 +282,7 @@ class ServingCluster:
             key=lambda pair: (-pair[1][0].score, int(pair[0])),
         )
         n_hot = int(round(len(recommendations) * self.hot_fraction))
-        return {
-            (retailer_id, int(item)) for item, _ in ranked[:n_hot]
-        }
+        return {int(item) for item, _ in ranked[:n_hot]}
 
     # ------------------------------------------------------------------
     # Lookups with failover
@@ -312,7 +311,7 @@ class ServingCluster:
             if breakers is not None and not breakers.allow(node.node_id, now_ms):
                 self.breaker_skips += 1
                 continue
-            result = node.lookup(shard_id, (retailer_id, item_index))
+            result = node.lookup(shard_id, retailer_id, item_index)
             if result is not None:
                 if breakers is not None:
                     breakers.record_success(node.node_id, now_ms)
@@ -343,8 +342,9 @@ class ServingCluster:
         """max/mean entries per node (1.0 = perfectly even placement)."""
         sizes = [
             sum(
-                len(replica.memory) + len(replica.flash)
+                len(slot.rows)
                 for replica in node.replicas.values()
+                for slot in replica.values()
             )
             for node in self.nodes
         ]

@@ -327,6 +327,23 @@ class ServingFrontend:
         """
         self._expected_versions[retailer_id] = int(version)
 
+    def drop_retailer(self, retailer_id: str) -> None:
+        """Take a retailer out of the serving tier (offboarding, merges).
+
+        Its tables leave the cluster — whose drop notice reaches
+        :meth:`invalidate_retailer`, so no cached page outlives them —
+        and with them go the popularity list, the expected version and
+        the ANN adapter: the next request answers ``unserved`` and empty.
+        The invalidation epoch stays; it is the fence that keeps a
+        request in flight from handing the departed tables to a follower.
+        Idempotent.
+        """
+        self.cluster.drop_retailer(retailer_id)
+        if self.fallback is not None:
+            self.fallback.drop(retailer_id)
+        self._expected_versions.pop(retailer_id, None)
+        self._retrieval.pop(retailer_id, None)
+
     # ------------------------------------------------------------------
     # Cache
     # ------------------------------------------------------------------
@@ -354,12 +371,12 @@ class ServingFrontend:
         entry = self._cache.get(key)
         if entry is None:
             return None
-        current = self.cluster.version_of(key[0])
-        if current is not None and entry.version != current:
-            # The table moved under this entry (publish or rollback);
-            # serving it would pin users to a version that no longer
-            # exists.  Belt-and-suspenders with the load-time listener:
-            # this also catches loads that bypassed the subscription.
+        if entry.version != (self.cluster.version_of(key[0]) or 0):
+            # The table moved under this entry (publish, rollback or
+            # drop; a page of no table carries version 0); serving it
+            # would pin users to a version that no longer exists.
+            # Belt-and-suspenders with the load-time listener: this
+            # also catches loads that bypassed the subscription.
             del self._cache[key]
             self.stats.cache_invalidations += 1
             self.metrics.counter("frontend_cache_invalidated_total").inc()
@@ -377,12 +394,11 @@ class ServingFrontend:
     ) -> None:
         if self.cache_capacity == 0:
             return
-        current = self.cluster.version_of(key[0])
-        if current is not None and response.version not in (0, current):
-            # A publish/rollback landed while this response was being
-            # computed; inserting it would cache a table that is already
-            # retired.  The per-read version check would catch it, but
-            # there is no reason to store a known-dead entry.
+        if response.version not in (0, self.cluster.version_of(key[0])):
+            # A publish/rollback/drop landed while this response was
+            # being computed; inserting it would cache a table that is
+            # already retired.  The per-read version check would catch
+            # it, but there is no reason to store a known-dead entry.
             return
         self._cache[key] = _CacheEntry(
             response=response, inserted_ms=now_ms, version=response.version

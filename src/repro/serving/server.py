@@ -69,7 +69,14 @@ def blend_context_lookups(
 
 
 class RecommendationServer:
-    """Merges precomputed per-item recommendations for a live context."""
+    """Merges precomputed per-item recommendations for a live context.
+
+    The in-process read API over a :class:`RecommendationStore`: whoever
+    wants a page straight from a published store builds one over it
+    (``RecommendationServer(service.substitutes_store)``).  The tier that
+    serves traffic is :class:`~repro.serving.frontend.ServingFrontend`,
+    whose fresh pages this class is the oracle for.
+    """
 
     def __init__(
         self,

@@ -16,13 +16,24 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import (
+    Dict,
+    Generic,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    TypeVar,
+)
 
 import numpy as np
 
 from repro.exceptions import ServingError
 from repro.models.base import RankedRows, ScoredItem
 from repro.obs.metrics import NULL_METRICS
+
+T = TypeVar("T")
 
 
 class RecommendationTable(Mapping[int, List[ScoredItem]]):
@@ -129,70 +140,69 @@ class StoreStats:
 
 
 @dataclass
-class _RetailerTable:
-    """One retailer's current recommendation table plus its version."""
+class _Slot(Generic[T]):
+    """One retailer's published value plus the version it was published at."""
 
     version: int
-    recommendations: RecommendationTable
+    value: T
 
 
-class RecommendationStore:
-    """In-memory item -> top-N recommendations, per retailer, versioned."""
+class VersionedSlots(Generic[T]):
+    """Retailer -> the one published ``T`` it serves, versioned.
+
+    The tenant-slot policy of the serving half, written once: a load must
+    carry a higher version than the slot holds (a stale one is counted
+    and raised, never applied), the value a load replaces is kept as the
+    single last-good for :meth:`rollback`, and :meth:`drop_retailer`
+    forgets both.  :class:`RecommendationStore` holds tables in it,
+    :class:`~repro.retrieval.store.RetrievalIndexStore` ANN adapters.
+    """
+
+    #: How the error texts name what a load brings and what a slot holds.
+    _loaded = "batch"
+    _held = "table"
 
     def __init__(self, metrics=NULL_METRICS, name: str = "store") -> None:
-        self._tables: Dict[str, _RetailerTable] = {}
-        #: Last-good predecessor of each current table, kept so a table
+        self._slots: Dict[str, _Slot[T]] = {}
+        #: Last-good predecessor of each current slot, kept so a value
         #: that passed the publish gate but turns out bad in production
         #: can be rolled back without a republish.
-        self._previous: Dict[str, _RetailerTable] = {}
+        self._previous: Dict[str, _Slot[T]] = {}
         self.stats = StoreStats()
         #: Process-level registry mirroring :attr:`stats`; store state
         #: accumulates across days so these counters are not part of the
-        #: crash-parity contract.  ``name`` distinguishes the two serving
-        #: surfaces (substitutes vs accessories).
+        #: crash-parity contract.  ``name`` distinguishes the stores
+        #: (substitutes vs accessories vs retrieval indexes).
         self.metrics = metrics
         self.name = name
 
-    # ------------------------------------------------------------------
-    # Batch loading (the only write path)
-    # ------------------------------------------------------------------
-    def load_batch(
-        self,
-        retailer_id: str,
-        recommendations: Mapping[int, Sequence[ScoredItem]],
-        version: int,
-    ) -> None:
-        """Atomically replace a retailer's table with a new batch.
+    def load(self, retailer_id: str, value: T, version: int) -> None:
+        """Atomically replace a retailer's slot (the only write path).
 
-        Versions must be monotonically increasing per retailer — loading a
-        stale batch (e.g. a delayed pipeline replaying yesterday) is
-        rejected rather than silently clobbering fresher data.
+        Versions must be monotonically increasing per retailer — a stale
+        load (e.g. a delayed pipeline replaying yesterday) is rejected
+        rather than silently clobbering fresher data.
         """
-        current = self._tables.get(retailer_id)
-        if current is not None and version <= current.version:
-            self.stats.stale_batches_rejected += 1
-            self.metrics.counter(
-                "store_stale_rejected_total", store=self.name
-            ).inc()
-            raise ServingError(
-                f"stale batch for {retailer_id!r}: version {version} <= "
-                f"current {current.version}"
-            )
-        # No copy: a table's arrays are read-only, so this version, the
-        # last-good one and the journal's payload can be one buffer.
-        table = _RetailerTable(
-            version=version, recommendations=as_table(recommendations)
-        )
+        current = self._slots.get(retailer_id)
         if current is not None:
+            if version <= current.version:
+                self.stats.stale_batches_rejected += 1
+                self.metrics.counter(
+                    "store_stale_rejected_total", store=self.name
+                ).inc()
+                raise ServingError(
+                    f"stale {self._loaded} for {retailer_id!r}: version "
+                    f"{version} <= current {current.version}"
+                )
             self._previous[retailer_id] = current
-        self._tables[retailer_id] = table
+        self._slots[retailer_id] = _Slot(version, value)
         self.stats.batches_loaded += 1
         self.metrics.counter(
             "store_batches_loaded_total", store=self.name
         ).inc()
 
     def rollback(self, retailer_id: str) -> int:
-        """Re-serve the last-good table (the one the current load replaced).
+        """Re-serve the last-good value (the one the current load replaced).
 
         The escape hatch behind the publish gate: if a table that passed
         validation regresses in production, the previous complete table
@@ -204,63 +214,81 @@ class RecommendationStore:
         previous = self._previous.pop(retailer_id, None)
         if previous is None:
             raise ServingError(
-                f"no last-good table to roll back to for {retailer_id!r}"
+                f"no last-good {self._held} to roll back to for {retailer_id!r}"
             )
-        self._tables[retailer_id] = previous
+        self._slots[retailer_id] = previous
         self.stats.rollbacks += 1
         self.metrics.counter("store_rollbacks_total", store=self.name).inc()
         return previous.version
 
     def drop_retailer(self, retailer_id: str) -> None:
-        """Delete a retailer's table outright (offboarding purge).
+        """Delete a retailer's slot outright (offboarding purge).
 
-        Subsequent lookups raise :class:`ServingError` exactly like a
-        retailer that was never loaded — a departed tenant must not be
-        served stale recommendations.  Dropping an unknown retailer is a
-        no-op so offboarding stays idempotent.
+        Afterwards the retailer reads exactly like one that was never
+        loaded — a departed tenant must not be served stale
+        recommendations — and, re-onboarded, loads version 1 again.
+        Dropping an unknown retailer is a no-op so offboarding stays
+        idempotent.
         """
-        self._tables.pop(retailer_id, None)
+        self._slots.pop(retailer_id, None)
         self._previous.pop(retailer_id, None)
 
-    # ------------------------------------------------------------------
-    # Read path
-    # ------------------------------------------------------------------
+    def get(self, retailer_id: str) -> Optional[T]:
+        """What the retailer serves now (``None`` when not loaded)."""
+        slot = self._slots.get(retailer_id)
+        return slot.value if slot is not None else None
+
+    def has_retailer(self, retailer_id: str) -> bool:
+        return retailer_id in self._slots
+
+    def version_of(self, retailer_id: str) -> Optional[int]:
+        slot = self._slots.get(retailer_id)
+        return slot.version if slot is not None else None
+
+    def retailers(self) -> List[str]:
+        return sorted(self._slots)
+
+    def versions(self) -> Dict[str, int]:
+        """Current version per loaded retailer."""
+        return {rid: slot.version for rid, slot in self._slots.items()}
+
+
+class RecommendationStore(VersionedSlots[RecommendationTable]):
+    """In-memory item -> top-N recommendations, per retailer, versioned."""
+
+    def load_batch(
+        self,
+        retailer_id: str,
+        recommendations: Mapping[int, Sequence[ScoredItem]],
+        version: int,
+    ) -> None:
+        """Atomically replace a retailer's table with a new batch.
+
+        No copy: a table's arrays are read-only, so this version, the
+        last-good one and the journal's payload can be one buffer.
+        """
+        self.load(retailer_id, as_table(recommendations), version)
+
     def lookup(self, retailer_id: str, item_index: int) -> List[ScoredItem]:
         """Precomputed recommendations for one item (empty when unknown)."""
         self.stats.lookups += 1
         self.metrics.counter("store_lookups_total", store=self.name).inc()
-        table = self._tables.get(retailer_id)
+        table = self.get(retailer_id)
         if table is None:
             self.stats.misses += 1
             self.metrics.counter("store_misses_total", store=self.name).inc()
             raise ServingError(f"no recommendations loaded for {retailer_id!r}")
-        recs = table.recommendations.get(int(item_index))
+        recs = table.get(int(item_index))
         if recs is None:
             self.stats.misses += 1
             self.metrics.counter("store_misses_total", store=self.name).inc()
             return []
         return recs  # built for this call: the caller's to mutate
 
-    def has_retailer(self, retailer_id: str) -> bool:
-        return retailer_id in self._tables
-
-    def version_of(self, retailer_id: str) -> Optional[int]:
-        table = self._tables.get(retailer_id)
-        return table.version if table is not None else None
-
     def items_covered(self, retailer_id: str) -> int:
         """How many items of a retailer have at least one recommendation."""
-        table = self._tables.get(retailer_id)
-        if table is None:
-            return 0
-        return table.recommendations.items_covered
-
-    def retailers(self) -> List[str]:
-        return sorted(self._tables)
-
-    def versions(self) -> Dict[str, int]:
-        """Current table version per loaded retailer."""
-        return {rid: table.version for rid, table in self._tables.items()}
+        table = self.get(retailer_id)
+        return table.items_covered if table is not None else 0
 
     def freshness(
         self, retailer_ids: Sequence[str], expected_version: int
@@ -275,10 +303,10 @@ class RecommendationStore:
         """
         states: Dict[str, str] = {}
         for rid in retailer_ids:
-            table = self._tables.get(rid)
-            if table is None:
+            version = self.version_of(rid)
+            if version is None:
                 states[rid] = "unserved"
-            elif table.version >= expected_version:
+            elif version >= expected_version:
                 states[rid] = "fresh"
             else:
                 states[rid] = "stale"

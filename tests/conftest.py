@@ -13,8 +13,11 @@ import pytest
 from repro.data.datasets import RetailerDataset, dataset_from_synthetic
 from repro.data.generator import RetailerSpec, SyntheticRetailer, generate_retailer
 from repro.data.sessions import UserContext
+from repro.models.base import ScoredItem
 from repro.models.bpr import BPRHyperParams, BPRModel
 from repro.models.trainer import BPRTrainer
+from repro.retrieval import ExactRetrieval, ModelRetrieval, RetrievalIndexStore
+from repro.serving.store import RecommendationStore, as_table
 
 
 def step_one(
@@ -91,3 +94,16 @@ def trained_model(small_dataset, default_params) -> BPRModel:
 def fresh_model(small_dataset, default_params) -> BPRModel:
     """An untrained model tests are free to mutate."""
     return BPRModel(small_dataset.catalog, small_dataset.taxonomy, default_params)
+
+
+@pytest.fixture(params=["tables", "indexes"])
+def slot_store(request):
+    """``store, make``: a fresh store of each kind that holds its slots
+    under ``VersionedSlots``, and a maker of distinct values it can hold
+    (``store.load(rid, make(n), version)`` works on both)."""
+    if request.param == "tables":
+        return RecommendationStore(), lambda n: as_table({0: [ScoredItem(n, 1.0)]})
+    vectors = np.eye(2)
+    return RetrievalIndexStore(), lambda n: ModelRetrieval(
+        ExactRetrieval(vectors), vectors, model_number=n
+    )

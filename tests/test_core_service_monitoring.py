@@ -12,6 +12,7 @@ from repro.core.training import TrainerSettings
 from repro.data.datasets import dataset_from_synthetic
 from repro.data.generator import RetailerSpec, generate_retailer
 from repro.exceptions import DataError
+from repro.serving.server import RecommendationServer
 
 FAST_SETTINGS = TrainerSettings(
     max_epochs_full=2, max_epochs_incremental=1, sampler="uniform"
@@ -155,7 +156,8 @@ class TestService:
         rid = service.retailers[0]
         dataset = service._datasets[rid]
         example = dataset.holdout[0]
-        recs = service.substitutes_server.recommend(rid, example.context, k=5)
+        server = RecommendationServer(service.substitutes_store)
+        recs = server.recommend(rid, example.context, k=5)
         assert recs, "serving path should return recommendations"
 
     def test_onboard_duplicate_rejected(self):

@@ -7,6 +7,7 @@ import pytest
 from repro import (
     GridSpec,
     MarketplaceSpec,
+    RecommendationServer,
     SigmundService,
     TrainerSettings,
     build_cluster,
@@ -74,9 +75,10 @@ class TestEndToEnd:
         """Recommendations for retailer A never contain retailer B items —
         structurally guaranteed because stores are namespaced; verify the
         lookups resolve within the retailer's catalog bounds."""
+        server = RecommendationServer(service_after_two_days.substitutes_store)
         for dataset in fleet:
             example = dataset.holdout[0]
-            recs = service_after_two_days.substitutes_server.recommend(
+            recs = server.recommend(
                 dataset.retailer_id, example.context, k=5
             )
             for rec in recs:

@@ -27,6 +27,7 @@ from repro.data.datasets import dataset_from_synthetic
 from repro.data.generator import RetailerSpec, generate_retailer
 from repro.exceptions import RetrievalError, ServingError, SimulatedCrash
 from repro.models.base import top_k_select
+from repro.obs import MetricsRegistry
 from repro.retrieval import (
     ExactRetrieval,
     IVFConfig,
@@ -355,39 +356,57 @@ def make_adapter(seed=0):
 
 
 class TestIndexStore:
-    def test_load_get_version(self):
-        store = RetrievalIndexStore()
-        adapter = make_adapter()
-        store.load("shop", adapter, version=3)
-        assert store.get("shop") is adapter
+    """The slot policy, once for both stores that hold slots under it
+    (``slot_store``: tables and indexes); the index store's own part is
+    its wording and its metrics label."""
+
+    def test_load_get_version(self, slot_store):
+        store, make = slot_store
+        value = make(0)
+        store.load("shop", value, version=3)
+        assert store.get("shop") is value
         assert store.version_of("shop") == 3
-        assert store.retailers() == ["shop"]
-        assert store.versions() == {"shop": 3}
+        assert store.get("ghost") is None and store.version_of("ghost") is None
 
     def test_stale_version_rejected(self):
-        store = RetrievalIndexStore()
+        registry = MetricsRegistry()
+        store = RetrievalIndexStore(metrics=registry)
         store.load("shop", make_adapter(), version=2)
-        with pytest.raises(ServingError):
+        with pytest.raises(ServingError, match="stale index for 'shop'"):
             store.load("shop", make_adapter(), version=2)
-        assert store.version_of("shop") == 2
+        with pytest.raises(ServingError, match="no last-good index"):
+            store.rollback("shop")
+        assert registry.snapshot().counters[
+            "store_stale_rejected_total{store=retrieval}"
+        ] == 1
 
-    def test_rollback_restores_predecessor(self):
-        store = RetrievalIndexStore()
-        old, new = make_adapter(0), make_adapter(1)
-        store.load("shop", old, version=1)
-        store.load("shop", new, version=2)
-        assert store.rollback("shop") == 1
-        assert store.get("shop") is old
-        with pytest.raises(ServingError):
-            store.rollback("shop")  # only one last-good predecessor
+    def test_rollback_restores_predecessor(self, slot_store):
+        store, make = slot_store
+        oldest, old, new = make(0), make(1), make(2)
+        store.load("shop", oldest, version=1)
+        store.load("shop", old, version=2)
+        store.load("shop", new, version=3)
+        assert store.rollback("shop") == 2
+        assert store.get("shop") is old and store.version_of("shop") == 2
+        with pytest.raises(ServingError, match="no last-good"):
+            store.rollback("shop")  # exactly one last-good predecessor
+        assert store.stats.rollbacks == 1
+        store.load("shop", new, version=3)  # forward again from where it is
 
-    def test_drop_is_idempotent(self):
-        store = RetrievalIndexStore()
-        store.load("shop", make_adapter(), version=1)
+    def test_drop_is_idempotent(self, slot_store):
+        store, make = slot_store
+        store.load("shop", make(0), version=1)
+        store.load("shop", make(1), version=2)
+        store.load("other", make(2), version=5)
         store.drop_retailer("shop")
         store.drop_retailer("shop")
         assert not store.has_retailer("shop")
         assert store.get("shop") is None
+        with pytest.raises(ServingError, match="no last-good"):
+            store.rollback("shop")  # the last-good went with it
+        assert store.versions() == {"other": 5}
+        store.load("shop", make(3), version=1)  # re-onboarded: version 1 again
+        assert store.version_of("shop") == 1
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import pytest
 
+from repro.data.sessions import UserContext
 from repro.exceptions import SigmundError
 from repro.scenarios import (
     FAST_SCENARIOS,
@@ -21,7 +22,8 @@ from repro.scenarios import (
     scenario_names,
     strip_adversarial,
 )
-from repro.scenarios.engine import DayStats, Scenario, ScenarioResult
+from repro.scenarios.engine import DayStats, Scenario, ScenarioResult, _World
+from tests.test_serving_cluster import holders
 
 
 @lru_cache(maxsize=None)
@@ -216,3 +218,23 @@ class TestSealedVerdicts:
         result = protected_result("cell_outage")
         assert sum(d.breaker_transitions for d in result.day_stats) >= 4
         assert result.day_stats[-1].open_breakers == 0
+
+    def test_merged_away_retailer_leaves_the_serving_tier(self):
+        """Regression: the merge dropped the source's popularity list and
+        cached pages only; its tables, version and freshness expectation
+        stayed servable in the cluster for the rest of the run."""
+        scenario = get_scenario("catalog_merge")
+        (merge,) = scenario.events
+        source, target = merge.require("source"), merge.require("target")
+        world = _World(scenario, protected=True)
+        context = UserContext((0,), (0,))
+        assert world.frontend.request(source, context).served_from == "fresh"
+        world.apply(merge, merge.day)
+        assert world.cluster.version_of(source) is None
+        assert holders(world.cluster, source) == []
+        assert not world.fallback.has_retailer(source)
+        assert source not in world.frontend._expected_versions
+        response = world.frontend.request(source, context)
+        assert not response.cache_hit and response.recommendations == ()
+        assert (response.served_from, response.fallback_stage) == ("empty", "unserved")
+        assert world.frontend.request(target, context).served_from == "fresh"

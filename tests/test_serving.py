@@ -51,12 +51,19 @@ class TestStore:
         assert store.lookup("r1", 1) == []  # old table fully replaced
         assert store.version_of("r1") == 2
 
-    def test_stale_batch_rejected(self):
-        store = loaded_store()
-        with pytest.raises(ServingError):
-            store.load_batch("r1", {}, version=1)
-        with pytest.raises(ServingError):
-            store.load_batch("r1", {}, version=0)
+    def test_stale_batch_rejected(self, slot_store):
+        """Rejected, counted, and nothing moved — for tables and indexes."""
+        store, make = slot_store
+        held = make(0)
+        store.load("r1", held, version=2)
+        for stale in (2, 1, 0):
+            with pytest.raises(ServingError, match="stale"):
+                store.load("r1", make(stale), version=stale)
+        assert store.stats.stale_batches_rejected == 3
+        assert store.stats.batches_loaded == 1
+        assert store.version_of("r1") == 2 and store.get("r1") is held
+        with pytest.raises(ServingError, match="no last-good"):
+            store.rollback("r1")  # a rejected load left no last-good either
 
     def test_items_covered(self):
         assert loaded_store().items_covered("r1") == 2  # item 2 has no recs
@@ -67,10 +74,13 @@ class TestStore:
         store.lookup("r1", 99)
         assert store.stats.hit_rate == pytest.approx(0.5)
 
-    def test_retailers(self):
-        store = loaded_store()
-        store.load_batch("r0", {}, version=1)
+    def test_retailers(self, slot_store):
+        store, make = slot_store
+        store.load("r1", make(0), version=4)
+        store.load("r0", make(1), version=1)
         assert store.retailers() == ["r0", "r1"]
+        assert store.versions() == {"r0": 1, "r1": 4}
+        assert store.has_retailer("r0") and not store.has_retailer("r2")
 
 
 class TestServer:

@@ -3,6 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.exceptions import ServingError
 from repro.models.base import ScoredItem
@@ -33,13 +41,19 @@ def cluster() -> ServingCluster:
 
 
 class TestConstruction:
-    def test_validation(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_nodes": 0},
+            {"n_shards": 0},  # was a ZeroDivisionError at the first load
+            {"n_nodes": 2, "replication": 3},
+            {"hot_fraction": 1.5},
+            {"memory_capacity_entries": -1},
+        ],
+    )
+    def test_validation(self, kwargs):
         with pytest.raises(ServingError):
-            ServingCluster(n_nodes=0)
-        with pytest.raises(ServingError):
-            ServingCluster(n_nodes=2, replication=3)
-        with pytest.raises(ServingError):
-            ServingCluster(hot_fraction=1.5)
+            ServingCluster(**kwargs)
 
     def test_replica_nodes_distinct(self):
         cluster = ServingCluster(n_nodes=4, replication=3)
@@ -62,6 +76,18 @@ class TestLookup:
     def test_unknown_item_serves_empty(self, cluster):
         result = cluster.lookup("shop", 999)
         assert result.recommendations == []
+
+    def test_item_whose_shard_no_load_reached_serves_empty(self):
+        """Regression (found by the state machine below): a live node
+        answered ``None`` — "I am down" — for a shard nothing had been
+        installed in, so a healthy cluster walked every replica, counted
+        failovers (and breaker failures) and raised "shard unavailable"."""
+        cluster = ServingCluster(n_nodes=2, n_shards=8, replication=2)
+        cluster.load_batch("shop", {0: [ScoredItem(1, 1.0)]}, version=1)
+        for item in range(1, 50):
+            assert cluster.lookup("shop", item).recommendations == []
+        assert cluster.lookup("shop", 0).recommendations == [ScoredItem(1, 1.0)]
+        assert cluster.failovers == 0
 
     def test_hot_items_served_from_memory(self, cluster):
         """The strongest-scored items sit in the memory tier."""
@@ -133,26 +159,31 @@ class TestBatchRollout:
         assert cluster.lookup("shop", 3).recommendations
 
     def test_rollout_never_loses_availability(self):
-        """During a staged rollout every key stays servable."""
+        """Mid-rollout — version 2 on replica 0 of every shard, version 1
+        still on replica 1 — every key stays servable."""
         cluster = ServingCluster(n_nodes=3, n_shards=6, replication=2)
         cluster.load_batch("shop", batch(60), version=1)
-        # Simulate mid-rollout: manually install version 2 only on
-        # replica 0 of every shard (what the first rollout stage does).
-        table = batch(60, score_of=lambda i: float(i))
+        # What the first rollout stage does, by hand.
         per_shard = {}
-        for item, recs in table.items():
-            shard = cluster.shard_of("shop", item)
-            per_shard.setdefault(shard, {})[("shop", item)] = recs
-        for shard, entries in per_shard.items():
-            node = cluster.replica_nodes(shard)[0]
-            node.install(shard, 2, {}, entries)
+        for item, recs in batch(60, score_of=lambda i: float(i)).items():
+            per_shard.setdefault(cluster.shard_of("shop", item), {})[item] = recs
+        assert len(per_shard) == cluster.n_shards
+        for shard, rows in per_shard.items():
+            cluster.replica_nodes(shard)[0].install(shard, "shop", 2, rows, set())
+        for shard in per_shard:
+            first, second = cluster.replica_nodes(shard)
+            assert first.replicas[shard]["shop"].version == 2
+            assert second.replicas[shard]["shop"].version == 1
+        # Primaries answer; failing one sends its shards to replica 1,
+        # which still holds version 1: mixed versions, no unavailability.
+        assert {cluster.lookup("shop", item).version for item in range(60)} == {2}
+        cluster.fail_node(0)
         versions_seen = set()
         for item in range(60):
             result = cluster.lookup("shop", item)
-            assert result.recommendations is not None
+            assert result.recommendations, f"item {item} lost"
             versions_seen.add(result.version)
-        # Mixed versions during rollout are expected; unavailability is not.
-        assert versions_seen <= {1, 2}
+        assert versions_seen == {1, 2}
 
     def test_shrunk_table_is_not_torn(self):
         """Regression: a load rebuilt only the shards the *new* batch had
@@ -170,6 +201,77 @@ class TestBatchRollout:
                 assert result.recommendations == [], f"item {item} survived"
             other = cluster.lookup("other", item)
             assert other.version == 5 and other.recommendations
+
+
+def everything(cluster, retailer_id, n_items):
+    """Every field of every lookup of one retailer."""
+    return [cluster.lookup(retailer_id, item) for item in range(n_items)]
+
+
+def holders(cluster, retailer_id):
+    """(node, shard) of every replica that holds a slot of the retailer."""
+    return [
+        (node.node_id, shard)
+        for node in cluster.nodes
+        for shard, replica in node.replicas.items()
+        if retailer_id in replica
+    ]
+
+
+class TestDropRetailer:
+    """A retailer can leave the tier: until this existed a merged-away or
+    offboarded retailer stayed servable and could never re-onboard."""
+
+    def test_dropped_retailer_is_unreachable(self, cluster):
+        assert holders(cluster, "shop")
+        cluster.drop_retailer("shop")
+        with pytest.raises(ServingError, match="no data loaded"):
+            cluster.lookup("shop", 0)
+        assert cluster.version_of("shop") is None
+        assert holders(cluster, "shop") == []
+        assert all(node.memory_entries() == 0 for node in cluster.nodes)
+
+    def test_co_tenants_sharing_every_shard_are_untouched(self):
+        cluster = ServingCluster(n_nodes=2, n_shards=2, replication=2,
+                                 hot_fraction=0.5, memory_capacity_entries=25)
+        cluster.load_batch("alpha", batch(30), version=5)
+        cluster.load_batch("beta", batch(30), version=3)
+        cluster.load_batch("gamma", batch(30), version=7)
+        alpha, gamma = everything(cluster, "alpha", 30), everything(cluster, "gamma", 30)
+        assert {result.tier for result in alpha + gamma} == {"memory", "flash"}
+        cluster.drop_retailer("beta")
+        # Rows, tiers, latencies, nodes and versions: all as they were.
+        assert everything(cluster, "alpha", 30) == alpha
+        assert everything(cluster, "gamma", 30) == gamma
+        assert holders(cluster, "beta") == []
+
+    def test_drop_on_a_failed_node_resurrects_nothing(self, cluster):
+        cluster.fail_node(0)
+        cluster.drop_retailer("shop")
+        cluster.recover_node(0)
+        assert holders(cluster, "shop") == []
+        with pytest.raises(ServingError, match="no data loaded"):
+            cluster.lookup("shop", 0)
+
+    def test_re_onboarding_starts_at_version_one(self, cluster):
+        cluster.load_batch("shop", batch(100), version=9)
+        cluster.drop_retailer("shop")
+        cluster.load_batch("shop", {0: [ScoredItem(1, 1.0)]}, version=1)
+        assert cluster.lookup("shop", 0).version == 1
+        # Nothing of the departed table is behind the new one.
+        assert sum(
+            len(cluster.lookup("shop", item).recommendations)
+            for item in range(100)
+        ) == 1
+
+    def test_drop_is_idempotent_and_notifies(self, cluster):
+        heard = []
+        cluster.subscribe_invalidation(heard.append)
+        cluster.drop_retailer("shop")
+        cluster.drop_retailer("shop")
+        cluster.drop_retailer("ghost")
+        assert heard == ["shop", "shop", "ghost"]
+        assert cluster.version_of("shop") is None
 
 
 class TestHotPlacement:
@@ -298,3 +400,124 @@ class TestFailoverLatencyAccounting:
 class TestBalance:
     def test_shard_balance_reasonable(self, cluster):
         assert cluster.shard_balance() < 2.0
+
+
+# ----------------------------------------------------------------------
+# The cluster against a dict, under any interleaving
+# ----------------------------------------------------------------------
+TENANTS = ("alpha", "beta", "gamma")
+ITEMS = range(6)
+CAPACITY = 3
+
+row_lists = st.lists(
+    st.builds(ScoredItem, st.sampled_from(ITEMS), st.sampled_from([0.5, 1.0, 2.0])),
+    max_size=3,
+)
+tables = st.dictionaries(st.sampled_from(ITEMS), row_lists, max_size=len(ITEMS))
+tenants = st.sampled_from(TENANTS)
+
+
+class ClusterAgainstDict(RuleBasedStateMachine):
+    """Three tenants hashed into two shards of a cluster whose memory tier
+    holds three entries per node, against ``{rid: (version, table)}``."""
+
+    def __init__(self):
+        super().__init__()
+        self.cluster = ServingCluster(
+            n_nodes=3, n_shards=2, replication=2, hot_fraction=0.5,
+            memory_capacity_entries=CAPACITY,
+        )
+        self.oracle = {}
+        self.down = None
+
+    def _load(self, rid, table, version):
+        self.cluster.load_batch(rid, table, version)
+        self.oracle[rid] = (version, table)
+
+    @rule(rid=tenants, table=tables, bump=st.integers(1, 3))
+    def load_or_reload(self, rid, table, bump):
+        self._load(rid, table, self.oracle.get(rid, (0, None))[0] + bump)
+
+    @precondition(lambda self: self.oracle)
+    @rule(data=st.data(), item=st.sampled_from(ITEMS), rows=row_lists)
+    def shrink_to_one_item(self, data, item, rows):
+        rid = data.draw(st.sampled_from(sorted(self.oracle)))
+        self._load(rid, {item: rows}, self.oracle[rid][0] + 1)
+
+    @precondition(lambda self: len(self.oracle) < len(TENANTS))
+    @rule(data=st.data(), table=tables)
+    def onboard_at_version_one(self, data, table):
+        rid = data.draw(st.sampled_from(sorted(set(TENANTS) - set(self.oracle))))
+        self._load(rid, table, 1)
+
+    @precondition(lambda self: self.oracle)
+    @rule(data=st.data(), table=tables, behind=st.integers(0, 2))
+    def stale_load_changes_nothing(self, data, table, behind):
+        rid = data.draw(st.sampled_from(sorted(self.oracle)))
+        before = repr([node.__dict__ for node in self.cluster.nodes])
+        with pytest.raises(ServingError, match="stale batch"):
+            self.cluster.load_batch(rid, table, self.oracle[rid][0] - behind)
+        assert repr([node.__dict__ for node in self.cluster.nodes]) == before
+
+    @rule(rid=tenants)
+    def drop(self, rid):
+        self.cluster.drop_retailer(rid)
+        self.oracle.pop(rid, None)
+
+    @precondition(lambda self: self.down is None)
+    @rule(node=st.integers(0, 2))
+    def fail_a_node(self, node):
+        self.cluster.fail_node(node)
+        self.down = node
+
+    @precondition(lambda self: self.down is not None)
+    @rule()
+    def recover_the_node(self):
+        self.cluster.recover_node(self.down)
+        self.down = None
+
+    @invariant()
+    def every_lookup_is_the_oracles(self):
+        for rid in TENANTS:
+            if rid not in self.oracle:
+                with pytest.raises(ServingError, match="no data loaded"):
+                    self.cluster.lookup(rid, 0)
+                assert self.cluster.version_of(rid) is None
+                assert holders(self.cluster, rid) == []
+                continue
+            version, table = self.oracle[rid]
+            assert self.cluster.version_of(rid) == version
+            for item in ITEMS:
+                result = self.cluster.lookup(rid, item)
+                assert result.recommendations == table.get(item, [])
+                assert result.node_id != self.down
+                if item in table:
+                    assert result.version == version
+
+    @invariant()
+    def every_replica_holds_its_share_of_the_table_and_nothing_else(self):
+        cluster = self.cluster
+        for rid, (version, table) in self.oracle.items():
+            for shard in range(cluster.n_shards):
+                share = {
+                    item: recs for item, recs in table.items()
+                    if cluster.shard_of(rid, item) == shard
+                }
+                for node in cluster.replica_nodes(shard):
+                    slot = node.replicas.get(shard, {}).get(rid)
+                    if slot is None:
+                        assert not share
+                        continue
+                    assert (slot.version, slot.rows) == (version, share)
+                    assert all(slot.rows[item] for item in slot.hot)
+
+    @invariant()
+    def memory_tier_is_bounded(self):
+        for node in self.cluster.nodes:
+            assert node.memory_entries() <= CAPACITY
+
+
+TestClusterAgainstDict = ClusterAgainstDict.TestCase
+TestClusterAgainstDict.settings = settings(
+    max_examples=60, stateful_step_count=25, deadline=None
+)

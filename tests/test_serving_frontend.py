@@ -517,3 +517,88 @@ class TestCoalescingInvalidationFence:
         assert responses[2].coalesced and responses[2].version == 2
         assert frontend.stats.coalesce_fenced == 1
         assert frontend.stats.coalesced == 1
+
+
+class TestDropRetailer:
+    """Regression: nothing could take a retailer out of the serving tier.
+    A merged-away retailer's rows stayed in the cluster, and because
+    ``version_of`` of a retailer the cluster does not know is ``None``
+    the cache's version check waved its cached pages through until the
+    TTL."""
+
+    def wired_frontend(self):
+        cluster = make_cluster()
+        cluster.load_batch("shop", table(), version=3)
+        cluster.load_batch("other", table(), version=1)
+        frontend = ServingFrontend(
+            cluster, fallback=make_fallback(("shop", "other"))
+        )
+        frontend.expect_version("shop", 3)
+        frontend.load_retrieval_index(
+            "shop", TestRetrievalTopup().make_index()
+        )
+        return cluster, frontend
+
+    def test_departed_retailer_gets_an_empty_unserved_page(self):
+        cluster, frontend = self.wired_frontend()
+        assert frontend.request("shop", ctx(3), k=5).served_from == "fresh"
+        assert frontend.request("shop", ctx(3), k=5).cache_hit
+        frontend.drop_retailer("shop")
+        response = frontend.request("shop", ctx(3), k=5)
+        assert not response.cache_hit
+        assert response.served_from == "empty"
+        assert response.fallback_stage == "unserved"
+        assert response.recommendations == () and response.version == 0
+        with pytest.raises(Exception, match="no data loaded"):
+            cluster.lookup("shop", 3)
+
+    def test_nothing_of_the_retailer_is_left_behind(self):
+        cluster, frontend = self.wired_frontend()
+        frontend.request("shop", ctx(3), k=5)
+        frontend.drop_retailer("shop")
+        frontend.drop_retailer("shop")  # idempotent
+        assert cluster.version_of("shop") is None
+        assert not frontend.fallback.has_retailer("shop")
+        assert "shop" not in frontend._expected_versions
+        assert "shop" not in frontend._retrieval
+        assert all(key[0] != "shop" for key in frontend._cache)
+
+    def test_co_tenant_keeps_its_pages_and_its_cache(self):
+        _, frontend = self.wired_frontend()
+        before = frontend.request("other", ctx(3), k=5)
+        frontend.drop_retailer("shop")
+        after = frontend.request("other", ctx(3), k=5)
+        assert after.cache_hit
+        assert after.recommendations == before.recommendations
+
+    def test_re_onboarded_retailer_serves_version_one_fresh(self):
+        cluster, frontend = self.wired_frontend()
+        frontend.drop_retailer("shop")
+        frontend.request("shop", ctx(3), k=5)  # caches the empty page
+        cluster.load_batch("shop", table(), version=1)
+        response = frontend.request("shop", ctx(3), k=5)
+        assert (response.served_from, response.version) == ("fresh", 1)
+        assert not response.stale  # the old expectation of 3 went too
+
+    def test_drop_landing_mid_batch_fences_the_leader(self):
+        """The invalidation epoch outlives the drop: it is what keeps a
+        follower from being handed the departed retailer's page."""
+        cluster = make_cluster()
+        cluster.load_batch("shop", table(), version=1)
+        frontend = ServingFrontend(cluster, fallback=make_fallback())
+        real_lookup = cluster.lookup
+
+        def lookup_then_drop(*args, **kwargs):
+            result = real_lookup(*args, **kwargs)
+            cluster.lookup = real_lookup  # once: the leader's first lookup
+            frontend.drop_retailer("shop")
+            return result
+
+        cluster.lookup = lookup_then_drop
+        _, follower = frontend.request_batch(
+            [("shop", ctx(1, 2)), ("shop", ctx(1, 2))], k=5
+        )
+        assert not follower.coalesced
+        assert follower.served_from == "empty"
+        assert follower.recommendations == ()
+        assert frontend.stats.coalesce_fenced == 1
