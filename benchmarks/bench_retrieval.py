@@ -21,7 +21,7 @@ import os
 import pathlib
 import time
 
-from benchmarks.bench_util import emit, fmt_row
+from benchmarks.bench_util import emit, fmt_row, machine
 from repro.retrieval import (
     ExactRetrieval,
     IVFConfig,
@@ -195,6 +195,7 @@ def test_retrieval_crossover(capsys):
         json.dumps(
             {
                 "experiment": "E26",
+                "machine": machine(),
                 "default_nprobe": default_nprobe,
                 "recall_target": RECALL_TARGET,
                 "crossover_items": crossover,

@@ -7,6 +7,14 @@ the centroids, probes the ``nprobe`` best lists, and ranks only the
 items inside them with exact inner products.  Work per query drops from
 ``O(n_items)`` to ``O(n_clusters + probed items)``.
 
+The index holds the augmented item matrix once, in inverted-list order:
+list ``c`` is the contiguous rows ``list_aug[offsets[c]:offsets[c + 1]]``
+and ``list_items`` maps each row back to its item id.  A search sorts
+its (query, probed list) pairs by list and scores every distinct probed
+list with one GEMM — the queries probing it against its slice — so the
+work stays ``O(n_clusters + probed items)`` per query without the two
+``O(probed items x f)`` copies a per-pair gather would make.
+
 Maximum-inner-product search reduces to this exactly via bias
 augmentation: item vectors carry their bias as an extra coordinate and
 queries carry a constant ``1.0``, so the inner product in augmented
@@ -15,8 +23,9 @@ space equals ``u . phi_eff + bias`` — the same score
 
 Everything is deterministic from the config seed: k-means init is a
 seeded distinct sample, Lloyd iterations and the final assignment break
-ties by lowest index, and candidate ranking goes through the shared
-:func:`~repro.models.base.top_k_select` order — so rebuilding an index
+ties by lowest index, and both the probe selection and the candidate
+ranking follow the shared :func:`~repro.models.base.top_k_select` order
+(value descending, index ascending, NaN last) — so rebuilding an index
 from the same inputs is byte-identical (the crash-recovery property),
 and probed-cluster sets are prefixes across ``nprobe`` values (which
 makes recall@k provably monotone in ``nprobe``).
@@ -31,7 +40,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import RetrievalError
-from repro.models.base import segmented_top_k, top_k_select
+from repro.models.base import segmented_top_k
 from repro.obs.metrics import NULL_METRICS
 from repro.rng import make_rng
 
@@ -69,13 +78,32 @@ def default_n_clusters(n_items: int) -> int:
 
 
 def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate ``arange(start, start + count)`` for each pair."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    owners_start = np.repeat(starts, counts)
-    bases = np.repeat(np.cumsum(counts) - counts, counts)
-    return owners_start + (np.arange(total, dtype=np.int64) - bases)
+    """Concatenate ``arange(start, start + count)`` for each pair.
+
+    ``starts`` may stack several start arrays along leading axes; each
+    row is expanded over the same ``counts``.
+    """
+    within = np.arange(int(counts.sum()), dtype=np.int64)
+    within -= (counts.cumsum() - counts).repeat(counts)
+    return starts.repeat(counts, axis=-1) + within
+
+
+def _select_probes(affinity: np.ndarray, width: int) -> np.ndarray:
+    """:func:`~repro.models.base.top_k_select` for every row at once.
+
+    ``(B, width)`` column indices in (affinity desc, index asc, NaN last)
+    order — a stable sort of the negation.  Each row is first cut to the
+    entries not behind its ``width``-th best (the rest become ``inf``,
+    which the stable sort skips through as one run), because a full
+    stable sort of ~1 000 centroids a row costs more than the scan.
+    """
+    negated = -affinity
+    if width < negated.shape[1]:
+        kth = np.partition(negated, width - 1, axis=1)[:, width - 1 : width]
+        # A NaN pivot (fewer than ``width`` numbers in the row) compares
+        # false everywhere and leaves its row whole.
+        negated[negated > kth] = np.inf
+    return np.argsort(negated, axis=1, kind="stable")[:, :width]
 
 
 def _assign_chunked(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -153,14 +181,16 @@ class IVFIndex:
 
     def __init__(
         self,
-        item_aug: np.ndarray,
+        list_aug: np.ndarray,
         centroids: np.ndarray,
         list_offsets: np.ndarray,
         list_items: np.ndarray,
         config: IVFConfig,
         metrics=NULL_METRICS,
     ):
-        self._item_aug = item_aug
+        #: Augmented item rows in inverted-list order: row ``p`` is item
+        #: ``list_items[p]``, list ``c`` is rows ``offsets[c]:offsets[c + 1]``.
+        self._list_aug = list_aug
         self.centroids = centroids
         self._list_offsets = list_offsets
         self._list_items = list_items
@@ -206,7 +236,7 @@ class IVFIndex:
         metrics.counter("retrieval_index_builds_total").inc()
         metrics.gauge("retrieval_index_clusters").set(centroids.shape[0])
         return cls(
-            item_aug,
+            item_aug[list_items],
             centroids,
             list_offsets,
             list_items,
@@ -219,7 +249,7 @@ class IVFIndex:
     # ------------------------------------------------------------------
     @property
     def n_items(self) -> int:
-        return self._item_aug.shape[0]
+        return self._list_items.size
 
     @property
     def n_clusters(self) -> int:
@@ -232,7 +262,7 @@ class IVFIndex:
     def state(self) -> Dict[str, np.ndarray]:
         """Every array that defines the index, for parity comparisons."""
         return {
-            "item_aug": self._item_aug,
+            "list_aug": self._list_aug,
             "centroids": self.centroids,
             "list_offsets": self._list_offsets,
             "list_items": self._list_items,
@@ -273,29 +303,59 @@ class IVFIndex:
             self.n_clusters,
             self.config.nprobe if nprobe is None else max(1, int(nprobe)),
         )
-        centroid_affinity = q_aug @ self.centroids.T
-        probed = np.empty((batch, probe_width), dtype=np.int64)
-        for row in range(batch):
-            # Deterministic (affinity desc, cluster asc) order makes the
-            # probed set at nprobe a prefix of the set at nprobe + 1.
-            probed[row] = top_k_select(centroid_affinity[row], probe_width)
-        flat_clusters = probed.ravel()
+        # Probed sets are prefixes across nprobe: one deterministic order.
+        flat_clusters = _select_probes(
+            q_aug @ self.centroids.T, probe_width
+        ).ravel()
         counts = self._list_sizes[flat_clusters]
-        positions = _concat_ranges(self._list_offsets[flat_clusters], counts)
-        candidates = self._list_items[positions]
         per_query = counts.reshape(batch, probe_width).sum(axis=1)
-        owners = np.repeat(np.arange(batch), per_query)
+        total = int(per_query.sum())
         self.metrics.counter("retrieval_probes_total").inc(
             int(batch * probe_width)
         )
-        self.metrics.counter("retrieval_candidates_total").inc(
-            int(candidates.size)
-        )
-        if candidates.size == 0:
+        self.metrics.counter("retrieval_candidates_total").inc(total)
+        if total == 0:
             return ids, scores
-        flat_scores = np.einsum(
-            "nf,nf->n", self._item_aug[candidates], q_aug[owners]
-        )
+        # Pair p is query p // probe_width against list flat_clusters[p].
+        # Sorted by list (stable: rows ascending inside a list), the pairs
+        # probing one list are consecutive, and so are their scores in a
+        # list-major buffer.
+        by_list = flat_clusters.argsort(kind="stable")
+        clusters = flat_clusters[by_list]
+        q_pairs = q_aug[by_list // probe_width]
+        sizes = counts[by_list]
+        # Where pair p's items start: in the index, and in the buffer.
+        pair_starts = np.empty((2, clusters.size), dtype=np.int64)
+        pair_starts[0] = self._list_offsets[flat_clusters]
+        pair_starts[1, by_list] = sizes.cumsum() - sizes
+        cuts = (clusters[1:] != clusters[:-1]).nonzero()[0] + 1
+        pair_bounds = [0, *cuts.tolist(), clusters.size]
+        heads = clusters[pair_bounds[:-1]]
+        buffer = np.empty(total)
+        out_lo = 0
+        # One GEMM per distinct probed list — the queries probing it times
+        # its slice — so the bounds are Python ints up front and the body
+        # is little more than the call.
+        for lo, hi, pair_lo, pair_hi in zip(
+            self._list_offsets[heads].tolist(),
+            self._list_offsets[heads + 1].tolist(),
+            pair_bounds,
+            pair_bounds[1:],
+        ):
+            if hi > lo:
+                n_rows, size = pair_hi - pair_lo, hi - lo
+                out_hi = out_lo + n_rows * size
+                np.dot(
+                    q_pairs[pair_lo:pair_hi],
+                    self._list_aug[lo:hi].T,
+                    out=buffer[out_lo:out_hi].reshape(n_rows, size),
+                )
+                out_lo = out_hi
+        # Back to owner-major, the order ``segmented_top_k`` segments by.
+        positions, scored_at = _concat_ranges(pair_starts, counts)
+        candidates = self._list_items[positions]
+        flat_scores = buffer[scored_at]
+        owners = np.arange(batch).repeat(per_query)
         top, counts = segmented_top_k(
             flat_scores, candidates, owners, per_query, k
         )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -174,6 +175,22 @@ class TestCommands:
         seal = json.loads(seal_path.read_text())
         assert seal["day"] == 0
         assert seal["fleet"]["publishes_accepted"] == 2
+
+    def test_retrieval_bench_prints_a_finite_speedup_per_nprobe(self, capsys):
+        rc = main(["retrieval-bench", "--items", "1500", "--queries", "16",
+                   "--nprobes", "1", "4", "--k", "10"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "exact:" in out
+        rows = re.findall(
+            r"nprobe=\s*(\d+): recall@10=([\d.]+) ([\d.]+) ms/query "
+            r"\(([\d.]+)x\)", out
+        )
+        assert [int(row[0]) for row in rows] == [1, 4]
+        for _, recall, ann_ms, speedup in rows:
+            assert 0.0 <= float(recall) <= 1.0
+            assert float(ann_ms) > 0.0
+            assert 0.0 <= float(speedup) < float("inf")
 
     def test_serve_bench_runs(self, capsys):
         code = main(["serve-bench", "--retailers", "2", "--items", "120",
