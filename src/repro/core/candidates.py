@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -181,118 +181,43 @@ class CandidateSelector:
     )
     #: Neighbours requested per item from the retrieval index.
     retrieval_k: int = DEFAULT_RETRIEVAL_CANDIDATES
-    #: Memo of subtree item sets used by the batch methods, keyed by the
-    #: subtree's root category, as sorted int64 arrays.  ``lca_k(item, k)``
-    #: for ``k >= 1`` is exactly the subtree of the ancestor ``k - 1``
-    #: levels above the item's category, so tens of thousands of items
-    #: share a few hundred entries here.
-    _subtree_memo: Dict[str, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    #: ``(category, k) -> subtree root`` (the ancestor ``k - 1`` up).
-    _root_memo: Dict[Tuple[str, int], str] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    #: Computed unions keyed by their sorted subtree-root tuple; items
-    #: whose co-occurrence neighbourhoods resolve to the same subtrees
-    #: (the common case inside one category) share one entry.
-    _union_memo: Dict[Tuple[str, ...], np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    #: Strict-ancestor sets per category, for nested-subtree checks.
-    _ancestry_memo: Dict[str, frozenset] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.max_candidates < 1:
             raise DataError("max_candidates must be >= 1")
 
-    def _subtree_array(self, root_category: str) -> np.ndarray:
-        """Sorted item array of one category subtree, computed once."""
-        subtree = self._subtree_memo.get(root_category)
-        if subtree is None:
-            members = self.taxonomy.items_in(root_category, include_descendants=True)
-            subtree = np.sort(np.asarray(members, dtype=np.int64))
-            self._subtree_memo[root_category] = subtree
-        return subtree
-
-    def _expansion(self, item_index: int, k: int) -> np.ndarray:
-        """``taxonomy.lca_k`` as a sorted array, memoized for ``k >= 1``."""
-        if k < 1:
-            return np.asarray(self.taxonomy.lca_k(item_index, k), dtype=np.int64)
-        category = self.taxonomy.category_of(item_index)
-        return self._subtree_array(
-            self.taxonomy.ancestor_at_distance(category, k - 1)
-        )
-
-    def _ancestry(self, category: str) -> frozenset:
-        """Strict ancestors of ``category``, memoized."""
-        ancestry = self._ancestry_memo.get(category)
-        if ancestry is None:
-            ancestry = frozenset(
-                self.taxonomy.ancestors(category, include_self=False)
-            )
-            self._ancestry_memo[category] = ancestry
-        return ancestry
-
     def _union_expansions(self, seeds: Sequence[int], k: int) -> np.ndarray:
-        """Sorted union of the seeds' expansions, early break included.
+        """Sorted union of the seeds' ``lca_k`` expansions, early break included.
 
-        Mirrors the reference loop exactly: expansions accumulate in seed
-        order and stop at the first seed that pushes the running union
-        past ``max_candidates * 4``.  Because two category subtrees are
-        either disjoint or nested, the running union is tracked as a set
-        of *maximal* subtree roots: its size is the sum of their sizes
-        (so the early-break condition is evaluated exactly, without
-        materializing a hash set of items), and the final union is a
-        concatenation of disjoint sorted arrays finished by one sort.
+        Mirrors the reference loop (:meth:`_expand`) exactly: expansions
+        accumulate in seed order and stop at the first seed that pushes
+        the running union past ``max_candidates * 4``.  An expansion is a
+        category subtree and two subtrees are either disjoint or nested,
+        so the running union is tracked as its *maximal* subtree roots:
+        its size is the sum of theirs (the early break is evaluated
+        exactly, without a hash set of items), and the taxonomy index
+        keeps each distinct union — items whose neighbourhoods resolve
+        to the same subtrees share one array.
         """
-        cap = self.max_candidates * 4
-        included: Dict[str, np.ndarray] = {}
-        seen_categories: Set[str] = set()
-        size = 0
-        category_of = self.taxonomy.category_of
-        root_memo = self._root_memo
+        index = self.taxonomy.index()
+        enter, leave = index.enter, index.exit
+        included: Dict[int, int] = {}  # maximal root -> subtree size
         for seed in seeds:
-            category = category_of(seed)
-            if category in seen_categories:
+            root = index.lca_root(seed, k)
+            if root in included:
                 continue
-            seen_categories.add(category)
-            key = (category, k)
-            root = root_memo.get(key)
-            if root is None:
-                root = self.taxonomy.ancestor_at_distance(category, k - 1)
-                root_memo[key] = root
-            if root not in included and not any(
-                ancestor in included for ancestor in self._ancestry(root)
-            ):
-                if included:
-                    # New maximal root: absorb any included roots nested
-                    # inside it so the size accounting stays exact.
-                    covered = [
-                        other
-                        for other in included
-                        if root in self._ancestry(other)
-                    ]
-                    for other in covered:
-                        size -= included.pop(other).size
-                subtree = self._subtree_array(root)
-                included[root] = subtree
-                size += subtree.size
-            if size > cap:
+            low, high = enter[root], leave[root]
+            if not any(enter[other] <= low < leave[other] for other in included):
+                # New maximal root: drop the included roots nested inside
+                # it so the size accounting stays exact.
+                for other in [o for o in included if low <= enter[o] < high]:
+                    del included[other]
+                included[root] = index.subtree(root).size
+            if sum(included.values()) > self.max_candidates * 4:
                 break
         if not included:
             return np.empty(0, dtype=np.int64)
-        if len(included) == 1:
-            return next(iter(included.values()))
-        union_key = tuple(sorted(included))
-        union = self._union_memo.get(union_key)
-        if union is None:
-            union = np.concatenate(list(included.values()))
-            union.sort()
-            self._union_memo[union_key] = union
-        return union
+        return index.subtree(*sorted(included))
 
     def _cap_array(self, item_index: int, candidates: np.ndarray) -> np.ndarray:
         """:meth:`_cap` for a sorted unique candidate array.
@@ -340,20 +265,15 @@ class CandidateSelector:
         for.  ``same_facets`` restricts candidates to items matching the
         query item's facet values (late-funnel tightening).
 
-        This is the per-item reference implementation (one taxonomy walk
-        per seed); the inference pipeline uses :meth:`batch_view_based`,
-        which produces identical candidates from memoized expansions.
+        This is the per-item reference implementation (a set of item
+        lists); the inference pipeline uses :meth:`batch_view_based`,
+        which produces identical candidates from the taxonomy index.
         """
         k = self.view_lca_k if lca_k is None else lca_k
         seeds = self.counts.top_co_viewed(item_index, self.co_neighbours)
         if not seeds:
             seeds = [item_index]
-        candidates: Set[int] = set()
-        for seed in seeds:
-            candidates.update(self.taxonomy.lca_k(seed, k))
-            if len(candidates) > self.max_candidates * 4:
-                break
-        candidates.discard(item_index)
+        candidates = self._expand(item_index, seeds, k)
         if same_facets:
             candidates = self._filter_facets(item_index, candidates, same_facets)
         return self._cap(item_index, candidates)
@@ -367,10 +287,8 @@ class CandidateSelector:
         """:meth:`view_based` for a block of items, one sorted int64 array
         per item (values identical to the singular method's list).
 
-        Instead of re-walking the taxonomy per seed per item, expansions
-        are memoized per ``(category, k)`` as sorted arrays and unioned
-        with one ``np.unique`` per item, amortizing candidate selection
-        over a whole inference block.
+        Expansions are the taxonomy index's sorted subtree arrays,
+        unioned per item by :meth:`_union_expansions`.
         """
         k = self.view_lca_k if lca_k is None else lca_k
         self.metrics.counter("candidate_batches_total", kind="view").inc()
@@ -421,25 +339,9 @@ class CandidateSelector:
         if not seeds:
             # No purchase signal: fall back to co-viewed complements.
             seeds = self.counts.top_co_viewed(item_index, self.co_neighbours)
-        candidates: Set[int] = set()
-        for seed in seeds:
-            candidates.update(self.taxonomy.lca_k(seed, k))
-            if len(candidates) > self.max_candidates * 4:
-                break
-        candidates.discard(item_index)
-        category = (
-            self.taxonomy.category_of(item_index)
-            if self.taxonomy.has_item(item_index)
-            else None
-        )
-        repurchasable = (
-            self.repurchase is not None
-            and category is not None
-            and self.repurchase.is_repurchasable(category)
-        )
-        if not repurchasable:
-            substitutes = set(self.taxonomy.lca_k(item_index, self.purchase_lca_k))
-            candidates -= substitutes
+        candidates = self._expand(item_index, seeds, k)
+        if not self._repurchasable(item_index):
+            candidates -= set(self.taxonomy.lca_k(item_index, self.purchase_lca_k))
         return self._cap(item_index, candidates)
 
     def batch_purchase_based(
@@ -476,6 +378,13 @@ class CandidateSelector:
             item_index, self._strip_substitutes(item_index, union[union != item_index])
         )
 
+    def _repurchasable(self, item_index: int) -> bool:
+        return (
+            self.repurchase is not None
+            and self.taxonomy.has_item(item_index)
+            and self.repurchase.is_repurchasable(self.taxonomy.category_of(item_index))
+        )
+
     def _strip_substitutes(
         self, item_index: int, candidates: np.ndarray
     ) -> np.ndarray:
@@ -484,19 +393,10 @@ class CandidateSelector:
         Applied on the purchase path unless the item's category is
         re-purchasable (where substitutes are exactly right).
         """
-        category = (
-            self.taxonomy.category_of(item_index)
-            if self.taxonomy.has_item(item_index)
-            else None
-        )
-        repurchasable = (
-            self.repurchase is not None
-            and category is not None
-            and self.repurchase.is_repurchasable(category)
-        )
-        if repurchasable:
+        if self._repurchasable(item_index):
             return candidates
-        substitutes = self._expansion(item_index, self.purchase_lca_k)
+        index = self.taxonomy.index()
+        substitutes = index.subtree(index.lca_root(item_index, self.purchase_lca_k))
         if substitutes.size and candidates.size:
             # Both arrays are sorted: a searchsorted membership probe
             # is several times cheaper than ``np.setdiff1d``.
@@ -568,6 +468,16 @@ class CandidateSelector:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _expand(self, item_index: int, seeds: Sequence[int], k: int) -> Set[int]:
+        """Union of the seeds' ``lca_k``, cut off once far past the cap."""
+        candidates: Set[int] = set()
+        for seed in seeds:
+            candidates.update(self.taxonomy.lca_k(seed, k))
+            if len(candidates) > self.max_candidates * 4:
+                break
+        candidates.discard(item_index)
+        return candidates
+
     def _filter_facets(
         self, item_index: int, candidates: Set[int], facets: Sequence[str]
     ) -> Set[int]:

@@ -10,12 +10,17 @@ distance 2 (LCA "Smart Phones").
 ``lca_k(i)`` — the set of items within LCA distance ``k`` of item ``i`` —
 drives both negative sampling (sample far-away items) and candidate
 selection (expand co-occurring items to taxonomy neighbours).
+
+Ancestor, LCA and subtree questions are answered from one
+:class:`TaxonomyIndex` per taxonomy version (DESIGN.md, "Taxonomy index").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import TaxonomyError
 from repro.rng import SeedLike, make_rng
@@ -33,6 +38,109 @@ class CategoryNode:
     children: List[str] = field(default_factory=list)
 
 
+def path_distance(path_a: Tuple[int, ...], path_b: Tuple[int, ...]) -> int:
+    """LCA distance of two items (:meth:`Taxonomy.lca_distance`) from their
+    categories' root-first paths: the LCA's depth is the length of the
+    common prefix.  The samplers' inner loop: no ``zip``, no ``max``.
+    """
+    len_a, len_b = len(path_a), len(path_b)
+    shorter = len_a if len_a < len_b else len_b
+    shared = 1  # every path starts at the root
+    while shared < shorter and path_a[shared] == path_b[shared]:
+        shared += 1
+    return len_a + len_b - shorter + 1 - shared
+
+
+class _PerItem(dict):
+    """``[key]`` raises :class:`TaxonomyError` for a missing key; ``.get`` and ``in`` do not."""
+
+    complaint = "item {} has no category"
+
+    def __missing__(self, key: object) -> None:
+        raise TaxonomyError(self.complaint.format(key))
+
+
+class _PerCategory(_PerItem):
+    complaint = "unknown category {!r}"
+
+
+class TaxonomyIndex:
+    """One taxonomy version as flat tables; built by :meth:`Taxonomy.index`.
+
+    Scalar readers take the plain-Python rows (``paths``, ``item_path``,
+    ``enter`` / ``exit``), vectorised readers the arrays: a numpy scalar
+    read costs ten times a tuple read.
+    """
+
+    def __init__(self, taxonomy: "Taxonomy"):
+        nodes, item_category = taxonomy._nodes, taxonomy._item_category
+        #: Category ids, sorted; a category's position is its number.
+        self.categories: Tuple[str, ...] = tuple(sorted(nodes))
+        self.number = _PerCategory((c, n) for n, c in enumerate(self.categories))
+        paths: List[Tuple[int, ...]] = [()] * len(nodes)
+        #: Pre-order numbers: ``a`` is ``b`` or an ancestor of it iff
+        #: ``enter[a] <= enter[b] < exit[a]``.
+        self.enter: List[int] = [0] * len(nodes)
+        self.exit: List[int] = [0] * len(nodes)
+        # Items in the same visiting order, so that the items under a category
+        # are ``_tour[_starts[enter]:_starts[exit]]``.  The order is frozen:
+        # the generator draws companions from ``lca_k`` by position.
+        self._tour: List[int] = []
+        self._starts: List[int] = []
+        stack = [ROOT_CATEGORY]
+        while stack:
+            node = nodes[stack.pop()]
+            current = self.number[node.category_id]
+            above = () if node.parent_id is None else paths[self.number[node.parent_id]]
+            paths[current] = above + (current,)
+            self.enter[current] = len(self._starts)
+            self._starts.append(len(self._tour))
+            self._tour.extend(taxonomy._category_items[node.category_id])
+            for member in paths[current]:  # every subtree this category is in grows
+                self.exit[member] = len(self._starts)
+            stack.extend(node.children)
+        self._starts.append(len(self._tour))
+        #: Root-first ancestor numbers per category, the category last.
+        self.paths: Tuple[Tuple[int, ...], ...] = tuple(paths)
+        #: ``paths`` row of each categorised item's category; ``[item]``
+        #: raises :class:`TaxonomyError` for the others, ``.get`` does not.
+        self.item_path = _PerItem(
+            (item, paths[self.number[category]]) for item, category in item_category.items()
+        )
+        self.cat_depth = np.array([len(path) - 1 for path in paths], dtype=np.int64)
+        #: ``paths`` as one table, padded with -1 on the right.
+        self.cat_ancestors = np.full((len(nodes), self.cat_depth.max() + 1), -1, dtype=np.int64)
+        for current, path in enumerate(paths):
+            self.cat_ancestors[current, : len(path)] = path
+        #: Category number per item index, -1 where uncategorised.
+        self.item_cat = np.full(max(item_category, default=-1) + 1, -1, dtype=np.int64)
+        self.item_cat[list(item_category)] = [path[-1] for path in self.item_path.values()]
+        self._sorted: Dict[Tuple[int, ...], np.ndarray] = {}
+
+    def lca_root(self, item_index: int, k: int) -> int:
+        """Number of the category whose subtree is ``lca_k(item_index, k >= 1)``."""
+        path = self.item_path[item_index]
+        return path[max(len(path) - k, 0)]
+
+    def members(self, category: int) -> List[int]:
+        """Items of category number ``category`` and below, in tour order."""
+        return self._tour[self._starts[self.enter[category]] : self._starts[self.exit[category]]]
+
+    def subtree(self, *roots: int) -> np.ndarray:
+        """Sorted items under the disjoint categories numbered ``roots``
+        (at least one), computed once per ``roots`` (read-only)."""
+        found = self._sorted.get(roots)
+        if found is None:
+            if len(roots) == 1:
+                found = np.array(self.members(*roots), dtype=np.int64)
+            else:
+                found = np.concatenate([self.subtree(root) for root in roots])
+            found.sort()
+            found.setflags(write=False)
+            self._sorted[roots] = found
+        return found
+
+
 class Taxonomy:
     """A rooted tree of product categories with item attachments.
 
@@ -43,11 +151,10 @@ class Taxonomy:
     """
 
     def __init__(self) -> None:
-        self._nodes: Dict[str, CategoryNode] = {
-            ROOT_CATEGORY: CategoryNode(ROOT_CATEGORY, None, 0)
-        }
-        self._item_category: Dict[int, str] = {}
+        self._nodes = _PerCategory({ROOT_CATEGORY: CategoryNode(ROOT_CATEGORY, None, 0)})
+        self._item_category: Dict[int, str] = _PerItem()
         self._category_items: Dict[str, List[int]] = {ROOT_CATEGORY: []}
+        self._index: Optional[TaxonomyIndex] = None
 
     # ------------------------------------------------------------------
     # Tree construction
@@ -67,16 +174,30 @@ class Taxonomy:
         self._nodes[category_id] = CategoryNode(category_id, parent_id, parent.depth + 1)
         self._category_items[category_id] = []
         parent.children.append(category_id)
+        self._index = None
 
     def assign_item(self, item_index: int, category_id: str) -> None:
         """Attach ``item_index`` to ``category_id`` (re-assignment allowed)."""
         if category_id not in self._nodes:
             raise TaxonomyError(f"unknown category {category_id!r}")
+        if item_index < 0:  # a catalog position; the index's tables are laid out by it
+            raise TaxonomyError(f"item index {item_index} is negative")
         previous = self._item_category.get(item_index)
         if previous is not None:
             self._category_items[previous].remove(item_index)
         self._item_category[item_index] = category_id
         self._category_items[category_id].append(item_index)
+        self._index = None
+
+    def index(self) -> TaxonomyIndex:
+        """The tables of the current tree, built on first use after a change."""
+        if self._index is None:
+            self._index = TaxonomyIndex(self)
+        return self._index
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Derived state: a worker rebuilds it (~1 ms), the pipe does not carry it.
+        return {**self.__dict__, "_index": None}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -93,23 +214,20 @@ class Taxonomy:
         return iter(self._nodes)
 
     def children_of(self, category_id: str) -> Sequence[str]:
-        return tuple(self._node(category_id).children)
+        return tuple(self._nodes[category_id].children)
 
     def parent_of(self, category_id: str) -> Optional[str]:
-        return self._node(category_id).parent_id
+        return self._nodes[category_id].parent_id
 
     def depth_of(self, category_id: str) -> int:
-        return self._node(category_id).depth
+        return self._nodes[category_id].depth
 
     def leaves(self) -> List[str]:
         """All categories with no children."""
         return [c for c, node in self._nodes.items() if not node.children]
 
     def category_of(self, item_index: int) -> str:
-        try:
-            return self._item_category[item_index]
-        except KeyError:
-            raise TaxonomyError(f"item {item_index} has no category") from None
+        return self._item_category[item_index]
 
     def has_item(self, item_index: int) -> bool:
         return item_index in self._item_category
@@ -117,26 +235,18 @@ class Taxonomy:
     def items_in(self, category_id: str, include_descendants: bool = False) -> List[int]:
         """Items attached to ``category_id`` (optionally its whole subtree)."""
         if not include_descendants:
-            return list(self._category_items[self._node(category_id).category_id])
-        collected: List[int] = []
-        stack = [category_id]
-        while stack:
-            current = stack.pop()
-            collected.extend(self._category_items[self._node(current).category_id])
-            stack.extend(self._nodes[current].children)
-        return collected
+            return list(self._category_items[self._nodes[category_id].category_id])
+        index = self.index()
+        return index.members(index.number[category_id])
 
     # ------------------------------------------------------------------
     # Ancestors and LCA distances
     # ------------------------------------------------------------------
     def ancestors(self, category_id: str, include_self: bool = True) -> List[str]:
         """Path from ``category_id`` up to (and including) the root."""
-        node = self._node(category_id)
-        path = [node.category_id] if include_self else []
-        while node.parent_id is not None:
-            path.append(node.parent_id)
-            node = self._nodes[node.parent_id]
-        return path
+        index = self.index()
+        path = index.paths[index.number[category_id]]
+        return [index.categories[n] for n in reversed(path if include_self else path[:-1])]
 
     def item_ancestors(self, item_index: int, include_category: bool = True) -> List[str]:
         """Ancestor categories of an item, nearest first."""
@@ -144,20 +254,11 @@ class Taxonomy:
 
     def lca(self, category_a: str, category_b: str) -> str:
         """Least common ancestor of two categories."""
-        return self._lca_node(
-            self._node(category_a), self._node(category_b)
-        ).category_id
-
-    def _lca_node(self, node_a: CategoryNode, node_b: CategoryNode) -> CategoryNode:
-        # Level the deeper side, then climb in step; the root is shared.
-        while node_a.depth > node_b.depth:
-            node_a = self._nodes[node_a.parent_id]
-        while node_b.depth > node_a.depth:
-            node_b = self._nodes[node_b.parent_id]
-        while node_a is not node_b:
-            node_a = self._nodes[node_a.parent_id]
-            node_b = self._nodes[node_b.parent_id]
-        return node_a
+        index = self.index()
+        path_a = index.paths[index.number[category_a]]
+        path_b = index.paths[index.number[category_b]]
+        # Root-first paths agree on their common prefix and nowhere after it.
+        return index.categories[[a for a, b in zip(path_a, path_b) if a == b][-1]]
 
     def lca_distance(self, item_a: int, item_b: int) -> int:
         """Paper's item distance (Fig. 3): items are leaf nodes of the tree.
@@ -172,19 +273,14 @@ class Taxonomy:
         """
         if item_a == item_b:
             return 0
-        node_a = self._nodes[self.category_of(item_a)]
-        node_b = self._nodes[self.category_of(item_b)]
-        lca = self._lca_node(node_a, node_b)
-        return max(node_a.depth, node_b.depth) + 1 - lca.depth
+        paths = self.index().item_path
+        return path_distance(paths[item_a], paths[item_b])
 
     def ancestor_at_distance(self, category_id: str, k: int) -> str:
         """The ancestor ``k`` levels above ``category_id`` (clamped at root)."""
-        node = self._node(category_id)
-        for _ in range(k):
-            if node.parent_id is None:
-                break
-            node = self._nodes[node.parent_id]
-        return node.category_id
+        index = self.index()
+        path = index.paths[index.number[category_id]]
+        return index.categories[path[max(len(path) - 1 - max(k, 0), 0)]]
 
     def lca_k(self, item_index: int, k: int) -> List[int]:
         """All items within LCA distance ``k`` of ``item_index``.
@@ -199,8 +295,8 @@ class Taxonomy:
             raise TaxonomyError("k must be non-negative")
         if k == 0:
             return [item_index]
-        top = self.ancestor_at_distance(self.category_of(item_index), k - 1)
-        return self.items_in(top, include_descendants=True)
+        index = self.index()
+        return index.members(index.lca_root(item_index, k))
 
     def copy(self) -> "Taxonomy":
         """An independent deep copy (same tree, same item assignments).
@@ -219,12 +315,6 @@ class Taxonomy:
         for item, category in self._item_category.items():
             duplicate.assign_item(item, category)
         return duplicate
-
-    def _node(self, category_id: str) -> CategoryNode:
-        try:
-            return self._nodes[category_id]
-        except KeyError:
-            raise TaxonomyError(f"unknown category {category_id!r}") from None
 
 
 def random_taxonomy(

@@ -34,7 +34,7 @@ import numpy as np
 from repro.data.catalog import Catalog
 from repro.data.events import EventType
 from repro.data.sessions import UserContext
-from repro.data.taxonomy import ROOT_CATEGORY, Taxonomy
+from repro.data.taxonomy import Taxonomy
 from repro.exceptions import ConfigError
 from repro.models.base import Recommender, _as_item_array
 from repro.models.optim import Optimizer, make_optimizer, scatter_add_rows
@@ -146,29 +146,21 @@ class BPRModel(Recommender):
         # Taxonomy: per-item ancestor rows, nearest first, as one table
         # padded with -1 on the right so a batch of items is one gather.
         # The root is excluded — it is shared by everything and would only
-        # add a global constant vector.
-        self._categories: List[str] = sorted(taxonomy.categories())
-        cat_row = {category: row for row, category in enumerate(self._categories)}
-        ancestor_rows: List[List[int]] = []
-        for index in range(self.n_items):
-            rows: List[int] = []
-            if params.use_taxonomy and taxonomy.has_item(index):
-                rows = [
-                    cat_row[category]
-                    for category in taxonomy.item_ancestors(index)
-                    if category != ROOT_CATEGORY
-                ]
-            ancestor_rows.append(rows)
+        # add a global constant vector.  A category's index number is its
+        # ``taxonomy_embeddings`` row.
+        index = taxonomy.index()
+        self._n_categories = len(index.categories)
+        item_cat = np.full(self.n_items, -1, dtype=np.int64)
+        if params.use_taxonomy:
+            known = index.item_cat[: self.n_items]
+            item_cat[: known.size] = known
         # Kept beside the table so one item's rows are a slice, not a
         # filter over the padding.
-        self._anc_counts = np.array(
-            [len(rows) for rows in ancestor_rows], dtype=np.int64
-        )
-        self._item_ancestors = np.full(
-            (self.n_items, int(self._anc_counts.max(initial=0))), -1, dtype=np.int64
-        )
-        for index, rows in enumerate(ancestor_rows):
-            self._item_ancestors[index, : len(rows)] = rows
+        self._anc_counts = np.where(item_cat >= 0, index.cat_depth[item_cat], 0)
+        # Column j of an item is its category's root-first row at depth - j.
+        columns = self._anc_counts[:, None] - np.arange(self._anc_counts.max(initial=0))
+        rows = index.cat_ancestors[item_cat[:, None], np.maximum(columns, 0)]
+        self._item_ancestors = np.where(columns > 0, rows, -1)
 
         # Brand: vocabulary row per item, -1 where missing or disabled.
         brands = catalog.brand_vocabulary() if params.use_brand else []
@@ -202,9 +194,8 @@ class BPRModel(Recommender):
         self.item_embeddings = init(self.n_items)
         self.context_embeddings = init(self.n_items)
         self.item_bias = np.zeros(self.n_items, dtype=np.float64)
-        n_categories = len(self._categories)
         self.taxonomy_embeddings = (
-            init(n_categories) if params.use_taxonomy else np.zeros((0, dim))
+            init(self._n_categories) if params.use_taxonomy else np.zeros((0, dim))
         )
         self.brand_embeddings = (
             init(len(self._brand_vocab)) if self._brand_vocab else np.zeros((0, dim))

@@ -17,12 +17,12 @@ Each sampler implements :class:`NegativeSampler`;
 from __future__ import annotations
 
 import abc
-from typing import Mapping, Optional, Set
+from typing import Mapping, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.data.sessions import UserContext
-from repro.data.taxonomy import Taxonomy
+from repro.data.taxonomy import Taxonomy, path_distance
 from repro.exceptions import DataError
 from repro.models.base import Recommender
 
@@ -41,12 +41,21 @@ class NegativeSampler(abc.ABC):
         if n_items < 2:
             raise DataError("need at least 2 items to sample negatives")
         self.n_items = n_items
+        #: ``TaxonomyIndex.item_path`` of the taxonomy as it is when a
+        #: distance-constrained sampler is built; empty for the others.
+        self._item_path: Mapping[int, Tuple[int, ...]] = {}
 
     @abc.abstractmethod
     def sample(
         self, context: UserContext, positive: int, rng: np.random.Generator
     ) -> int:
         """Return a negative item index (never the positive itself)."""
+
+    def _lca_at_least(self, distance: int, candidate: int, positive: int) -> bool:
+        """Whether the pair's LCA distance is >= ``distance``; an
+        uncategorised side (or no taxonomy) puts no constraint on it."""
+        path, other = self._item_path.get(candidate), self._item_path.get(positive)
+        return path is None or other is None or path_distance(path, other) >= distance
 
     def _uniform(
         self, positive: int, rng: np.random.Generator, avoid: Optional[Set[int]] = None
@@ -86,6 +95,7 @@ class TaxonomyAwareSampler(NegativeSampler):
         super().__init__(n_items)
         self.taxonomy = taxonomy
         self.min_distance = min_distance
+        self._item_path = taxonomy.index().item_path
 
     def sample(
         self, context: UserContext, positive: int, rng: np.random.Generator
@@ -95,7 +105,7 @@ class TaxonomyAwareSampler(NegativeSampler):
             candidate = int(rng.integers(self.n_items))
             if candidate == positive or candidate in seen:
                 continue
-            if self.taxonomy.lca_distance(candidate, positive) >= self.min_distance:
+            if self._lca_at_least(self.min_distance, candidate, positive):
                 return candidate
         return self._uniform(positive, rng, avoid=seen)
 
@@ -169,6 +179,8 @@ class CompositeNegativeSampler(NegativeSampler):
     ):
         super().__init__(n_items)
         self.taxonomy = taxonomy
+        if taxonomy is not None:
+            self._item_path = taxonomy.index().item_path
         self.co_items = co_items or {}
         self.model = model
         self.min_lca_distance = min_lca_distance
@@ -179,10 +191,7 @@ class CompositeNegativeSampler(NegativeSampler):
             return False
         if candidate in self.co_items.get(positive, ()):
             return False
-        if self.taxonomy is not None:
-            if self.taxonomy.lca_distance(candidate, positive) < self.min_lca_distance:
-                return False
-        return True
+        return self._lca_at_least(self.min_lca_distance, candidate, positive)
 
     def sample(
         self, context: UserContext, positive: int, rng: np.random.Generator
