@@ -29,7 +29,7 @@ from repro.data.catalog import Catalog
 from repro.data.events import EventType, Interaction
 from repro.data.sessions import UserContext
 from repro.data.taxonomy import Taxonomy
-from repro.exceptions import DataError
+from repro.exceptions import DataError, TaxonomyError
 from repro.obs.metrics import NULL_METRICS
 
 #: Paper: "empirically we found that setting k = 2 provides a good
@@ -187,45 +187,75 @@ class CandidateSelector:
             raise DataError("max_candidates must be >= 1")
 
     def _union_expansions(self, seeds: Sequence[int], k: int) -> np.ndarray:
-        """Sorted union of the seeds' ``lca_k`` expansions, early break included.
+        """Sorted union of the (distinct) seeds' ``lca_k`` expansions.
 
-        Mirrors the reference loop (:meth:`_expand`) exactly: expansions
-        accumulate in seed order and stop at the first seed that pushes
-        the running union past ``max_candidates * 4``.  An expansion is a
-        category subtree and two subtrees are either disjoint or nested,
-        so the running union is tracked as its *maximal* subtree roots:
-        its size is the sum of theirs (the early break is evaluated
-        exactly, without a hash set of items), and the taxonomy index
-        keeps each distinct union — items whose neighbourhoods resolve
-        to the same subtrees share one array.
+        Expansions accumulate in seed order and stop at the first seed
+        that pushes the running union past ``max_candidates * 4``.  An
+        expansion is a category subtree and two subtrees are either
+        disjoint or nested, so the running union is tracked as its
+        *maximal* subtree roots: its size is the sum of theirs (the early
+        break is evaluated exactly, without a hash set of items).  A seed
+        with no category has no taxonomy neighbourhood and, like every
+        seed at ``k = 0``, expands to itself.
+
+        A union of several roots is built for this call and kept by
+        nobody; only a single root's array is the index's own (read-only).
         """
+        if k < 0:
+            raise TaxonomyError("k must be non-negative")
         index = self.taxonomy.index()
-        enter, leave = index.enter, index.exit
+        enter, leave, item_path = index.enter, index.exit, index.item_path
         included: Dict[int, int] = {}  # maximal root -> subtree size
+        alone: List[int] = []  # seeds that expand to themselves
         for seed in seeds:
-            root = index.lca_root(seed, k)
-            if root in included:
-                continue
-            low, high = enter[root], leave[root]
-            if not any(enter[other] <= low < leave[other] for other in included):
-                # New maximal root: drop the included roots nested inside
-                # it so the size accounting stays exact.
-                for other in [o for o in included if low <= enter[o] < high]:
-                    del included[other]
-                included[root] = index.subtree(root).size
-            if sum(included.values()) > self.max_candidates * 4:
+            path = item_path.get(seed) if k else None
+            if path is None:
+                alone.append(seed)
+            else:
+                root = path[max(len(path) - k, 0)]
+                if root in included:
+                    continue
+                low, high = enter[root], leave[root]
+                if not any(enter[other] <= low < leave[other] for other in included):
+                    # New maximal root: drop the included roots nested inside
+                    # it so the size accounting stays exact.
+                    for other in [o for o in included if low <= enter[o] < high]:
+                        del included[other]
+                    included[root] = index.subtree(root).size
+            if sum(included.values()) + len(alone) > self.max_candidates * 4:
                 break
-        if not included:
-            return np.empty(0, dtype=np.int64)
-        return index.subtree(*sorted(included))
+        parts = [index.subtree(root) for root in included]
+        if alone or not parts:
+            parts.append(np.array(sorted(alone), dtype=np.int64))
+        if len(parts) == 1:
+            return parts[0]
+        union = np.concatenate(parts)
+        union.sort(kind="stable")  # a merge of sorted runs
+        return union
 
-    def _cap_array(self, item_index: int, candidates: np.ndarray) -> np.ndarray:
-        """:meth:`_cap` for a sorted unique candidate array.
+    def _match_facets(
+        self, item_index: int, candidates: np.ndarray, facets: Sequence[str]
+    ) -> np.ndarray:
+        """Candidates whose value equals the query item's on every facet
+        (none where the query item itself lacks one of them)."""
+        query = self.catalog[item_index].facets
+        wanted = [(facet, query.get(facet)) for facet in facets]
+        if any(value is None for _, value in wanted):
+            return candidates[:0]
+        catalog = self.catalog
+        keep = [
+            all(catalog[other].facets.get(facet) == value for facet, value in wanted)
+            for other in candidates.tolist()
+        ]
+        return candidates[np.array(keep, dtype=bool)]
 
-        Reproduces the reference ordering exactly: rank by
-        ``(-co_view_strength, item_index)`` — a stable argsort over a
-        strength vector breaks ties in ascending-index order because the
-        input is already index-sorted — keep the strongest
+    def _cap(self, item_index: int, candidates: np.ndarray) -> np.ndarray:
+        """Deterministic cap of a sorted unique pool: strongest co-view
+        first, then by index.
+
+        Rank by ``(-co_view_strength, item_index)`` — a stable argsort
+        over a strength vector breaks ties in ascending-index order
+        because the input is already index-sorted — keep the strongest
         ``max_candidates``, and return them index-sorted.
         """
         if candidates.size <= self.max_candidates:
@@ -265,18 +295,10 @@ class CandidateSelector:
         for.  ``same_facets`` restricts candidates to items matching the
         query item's facet values (late-funnel tightening).
 
-        This is the per-item reference implementation (a set of item
-        lists); the inference pipeline uses :meth:`batch_view_based`,
-        which produces identical candidates from the taxonomy index.
+        One item of :meth:`batch_view_based`'s taxonomy pools, as a list.
         """
         k = self.view_lca_k if lca_k is None else lca_k
-        seeds = self.counts.top_co_viewed(item_index, self.co_neighbours)
-        if not seeds:
-            seeds = [item_index]
-        candidates = self._expand(item_index, seeds, k)
-        if same_facets:
-            candidates = self._filter_facets(item_index, candidates, same_facets)
-        return self._cap(item_index, candidates)
+        return self._view_pool(item_index, k, same_facets).tolist()
 
     def batch_view_based(
         self,
@@ -285,39 +307,29 @@ class CandidateSelector:
         same_facets: Optional[Sequence[str]] = None,
     ) -> List[np.ndarray]:
         """:meth:`view_based` for a block of items, one sorted int64 array
-        per item (values identical to the singular method's list).
-
-        Expansions are the taxonomy index's sorted subtree arrays,
-        unioned per item by :meth:`_union_expansions`.
-        """
+        per item — from the attached retrieval index where there is one
+        (and ``k >= 1``, no facets), else from the taxonomy index."""
         k = self.view_lca_k if lca_k is None else lca_k
         self.metrics.counter("candidate_batches_total", kind="view").inc()
         self.metrics.counter(
             "candidate_items_total", kind="view"
         ).inc(len(items))
-        if same_facets or k < 1:
-            # Facet filtering / item-local expansions: reference path.
-            return [
-                np.asarray(
-                    self.view_based(item, lca_k=k, same_facets=same_facets),
-                    dtype=np.int64,
-                )
-                for item in items
-            ]
-        if self.retrieval is not None:
+        if self.retrieval is not None and k >= 1 and not same_facets:
             pools = self._retrieval_candidates(items)
-            return [
-                self._cap_array(item, pool)
-                for item, pool in zip(items, pools)
-            ]
-        return [self._view_candidates_array(item, k) for item in items]
+            return [self._cap(item, pool) for item, pool in zip(items, pools)]
+        return [self._view_pool(item, k, same_facets) for item in items]
 
-    def _view_candidates_array(self, item_index: int, k: int) -> np.ndarray:
+    def _view_pool(
+        self, item_index: int, k: int, same_facets: Optional[Sequence[str]]
+    ) -> np.ndarray:
         seeds = self.counts.top_co_viewed(item_index, self.co_neighbours)
         if not seeds:
             seeds = [item_index]
         union = self._union_expansions(seeds, k)
-        return self._cap_array(item_index, union[union != item_index])
+        pool = union[union != item_index]
+        if same_facets:
+            pool = self._match_facets(item_index, pool, same_facets)
+        return self._cap(item_index, pool)
 
     # ------------------------------------------------------------------
     # Purchase-based (complements, after the purchase decision)
@@ -331,50 +343,37 @@ class CandidateSelector:
         nobody wants a second phone right after buying one — *except* for
         re-purchasable categories, where the same items are exactly right.
 
-        Like :meth:`view_based` this is the per-item reference path;
-        :meth:`batch_purchase_based` is the amortized equivalent.
+        One item of :meth:`batch_purchase_based`'s taxonomy pools, as a list.
         """
         k = self.purchase_lca_k if lca_k is None else lca_k
-        seeds = self.counts.top_co_bought(item_index, self.co_neighbours)
-        if not seeds:
-            # No purchase signal: fall back to co-viewed complements.
-            seeds = self.counts.top_co_viewed(item_index, self.co_neighbours)
-        candidates = self._expand(item_index, seeds, k)
-        if not self._repurchasable(item_index):
-            candidates -= set(self.taxonomy.lca_k(item_index, self.purchase_lca_k))
-        return self._cap(item_index, candidates)
+        return self._purchase_pool(item_index, k).tolist()
 
     def batch_purchase_based(
         self, items: Sequence[int], lca_k: Optional[int] = None
     ) -> List[np.ndarray]:
         """:meth:`purchase_based` for a block of items, one sorted int64
-        array per item (values identical to the singular method's list)."""
+        array per item — the attached retrieval index's neighbours where
+        there is one (and ``k >= 1``), substitutes stripped the same way."""
         k = self.purchase_lca_k if lca_k is None else lca_k
         self.metrics.counter("candidate_batches_total", kind="purchase").inc()
         self.metrics.counter(
             "candidate_items_total", kind="purchase"
         ).inc(len(items))
-        if k < 1:
-            return [
-                np.asarray(self.purchase_based(item, lca_k=k), dtype=np.int64)
-                for item in items
-            ]
-        if self.retrieval is not None:
+        if self.retrieval is not None and k >= 1:
             pools = self._retrieval_candidates(items)
             return [
-                self._cap_array(
-                    item, self._strip_substitutes(item, pool)
-                )
+                self._cap(item, self._strip_substitutes(item, pool))
                 for item, pool in zip(items, pools)
             ]
-        return [self._purchase_candidates_array(item, k) for item in items]
+        return [self._purchase_pool(item, k) for item in items]
 
-    def _purchase_candidates_array(self, item_index: int, k: int) -> np.ndarray:
+    def _purchase_pool(self, item_index: int, k: int) -> np.ndarray:
         seeds = self.counts.top_co_bought(item_index, self.co_neighbours)
         if not seeds:
+            # No purchase signal: fall back to co-viewed complements.
             seeds = self.counts.top_co_viewed(item_index, self.co_neighbours)
         union = self._union_expansions(seeds, k)
-        return self._cap_array(
+        return self._cap(
             item_index, self._strip_substitutes(item_index, union[union != item_index])
         )
 
@@ -388,24 +387,22 @@ class CandidateSelector:
     def _strip_substitutes(
         self, item_index: int, candidates: np.ndarray
     ) -> np.ndarray:
-        """Remove the query item's own substitutes from a sorted pool.
+        """Remove the query item's own substitutes from a sorted pool
+        that no longer holds the item itself.
 
         Applied on the purchase path unless the item's category is
-        re-purchasable (where substitutes are exactly right).
+        re-purchasable (where substitutes are exactly right).  An item
+        with no category has none but itself.
         """
-        if self._repurchasable(item_index):
+        if not candidates.size or self._repurchasable(item_index):
             return candidates
-        index = self.taxonomy.index()
-        substitutes = index.subtree(index.lca_root(item_index, self.purchase_lca_k))
-        if substitutes.size and candidates.size:
-            # Both arrays are sorted: a searchsorted membership probe
-            # is several times cheaper than ``np.setdiff1d``.
-            slots = np.minimum(
-                np.searchsorted(substitutes, candidates),
-                substitutes.size - 1,
-            )
-            candidates = candidates[substitutes[slots] != candidates]
-        return candidates
+        substitutes = self._union_expansions([item_index], self.purchase_lca_k)
+        # Both arrays are sorted: a searchsorted membership probe is
+        # several times cheaper than ``np.setdiff1d``.
+        slots = np.minimum(
+            np.searchsorted(substitutes, candidates), substitutes.size - 1
+        )
+        return candidates[substitutes[slots] != candidates]
 
     def _retrieval_candidates(self, items: Sequence[int]) -> List[np.ndarray]:
         """Per-item sorted neighbour pools from the attached ANN index.
@@ -452,53 +449,15 @@ class CandidateSelector:
         matched where the item carries facets; falls back to the plain
         same-category set when the facet filter empties the pool.
         """
-        candidates: Set[int] = set(self.taxonomy.lca_k(item_index, 1))
-        candidates.discard(item_index)
+        union = self._union_expansions([item_index], 1)
+        candidates = union[union != item_index]
         facets = [
             name
             for name, value in self.catalog[item_index].facets.items()
             if value is not None
         ]
         if facets:
-            matched = self._filter_facets(item_index, candidates, facets)
-            if matched:
-                return self._cap(item_index, matched)
-        return self._cap(item_index, candidates)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _expand(self, item_index: int, seeds: Sequence[int], k: int) -> Set[int]:
-        """Union of the seeds' ``lca_k``, cut off once far past the cap."""
-        candidates: Set[int] = set()
-        for seed in seeds:
-            candidates.update(self.taxonomy.lca_k(seed, k))
-            if len(candidates) > self.max_candidates * 4:
-                break
-        candidates.discard(item_index)
-        return candidates
-
-    def _filter_facets(
-        self, item_index: int, candidates: Set[int], facets: Sequence[str]
-    ) -> Set[int]:
-        query = self.catalog[item_index]
-        kept = set()
-        for candidate in candidates:
-            other = self.catalog[candidate]
-            if all(
-                query.facets.get(facet) is not None
-                and other.facets.get(facet) == query.facets.get(facet)
-                for facet in facets
-            ):
-                kept.add(candidate)
-        return kept
-
-    def _cap(self, item_index: int, candidates: Set[int]) -> List[int]:
-        """Deterministic cap: strongest co-occurrence first, then by index."""
-        if len(candidates) <= self.max_candidates:
-            return sorted(candidates)
-        strength = self.counts.co_viewed(item_index)
-        ranked = sorted(
-            candidates, key=lambda c: (-strength.get(c, 0.0), c)
-        )
-        return sorted(ranked[: self.max_candidates])
+            matched = self._match_facets(item_index, candidates, facets)
+            if matched.size:
+                candidates = matched
+        return self._cap(item_index, candidates).tolist()

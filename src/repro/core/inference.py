@@ -162,7 +162,9 @@ class InferencePipeline:
         #: unchanged there is no reason to re-count every ``run()``.
         #: Keyed by retailer; entries pin the dataset they were built
         #: from and are invalidated when a different (or grown) dataset
-        #: shows up.
+        #: shows up.  The one owner of a dataset's derived state: the
+        #: service reads its re-purchase surface off :meth:`selector_of`
+        #: and a departing retailer leaves through :meth:`drop_retailer`.
         self._selector_cache: Dict[str, Tuple[RetailerDataset, int, CandidateSelector]] = {}
 
     # ------------------------------------------------------------------
@@ -185,9 +187,6 @@ class InferencePipeline:
         original bins, rather than re-planning against a cluster whose
         free capacity has since changed.
         """
-        for rid in list(self._selector_cache):
-            if rid not in datasets:
-                del self._selector_cache[rid]  # offboarded retailer
         ready = {
             retailer_id: dataset
             for retailer_id, dataset in datasets.items()
@@ -507,6 +506,15 @@ class InferencePipeline:
                 chunk.extend(by_retailer.get(rid, []))
             splits.append(InputSplit(split_id, chunk))
         return [split for split in splits if split.records] or [InputSplit(0, [])]
+
+    def selector_of(self, retailer_id: str) -> Optional[CandidateSelector]:
+        """The selector the retailer's last inference ran with, if any."""
+        cached = self._selector_cache.get(retailer_id)
+        return None if cached is None else cached[2]
+
+    def drop_retailer(self, retailer_id: str) -> None:
+        """Forget a departed retailer's dataset, counts and detector."""
+        self._selector_cache.pop(retailer_id, None)
 
     def _build_selector(self, dataset: RetailerDataset) -> CandidateSelector:
         """Selector for one retailer, cached across days.

@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.cluster.cell import Cluster
 from repro.cluster.cost import CostLedger, ResourcePricing
 from repro.cluster.preemption import PreemptionModel
-from repro.core.candidates import RepurchaseDetector
 from repro.core.checkpoint import CheckpointFaultPlan, CheckpointStorage
 from repro.core.config import ConfigRecord
 from repro.core.grid import GridSpec
@@ -231,7 +230,6 @@ class SigmundService:
         )
         self.full_restart_every = full_restart_every
         self._datasets: Dict[str, RetailerDataset] = {}
-        self._repurchase: Dict[str, RepurchaseDetector] = {}
         self._next_day = 0
         self.reports: List[DailyRunReport] = []
 
@@ -254,8 +252,9 @@ class SigmundService:
         """Remove a retailer and every artifact derived from its data.
 
         Besides the dataset and registry entries, this purges the serving
-        tables and the re-purchase detector — all of them are derived from
-        the tenant's interaction data, and the store's privacy framing
+        tables and the inference pipeline's selector (co-occurrence counts,
+        re-purchase detector, the dataset itself) — all of them are derived
+        from the tenant's interaction data, and the store's privacy framing
         forbids keeping any of it alive after departure.  The open day's
         journal records and the retailer's checkpoints are purged too:
         without that, a retailer offboarded mid-crash was resurrected by
@@ -268,7 +267,7 @@ class SigmundService:
         self.substitutes_store.drop_retailer(retailer_id)
         self.accessories_store.drop_retailer(retailer_id)
         self.retrieval_store.drop_retailer(retailer_id)
-        self._repurchase.pop(retailer_id, None)
+        self.inference.drop_retailer(retailer_id)
         self._purge_journal(retailer_id)
         self.training.checkpoints.discard_matching(
             lambda key: retailer_id in key.split("/")[1:2]
@@ -1076,13 +1075,6 @@ class SigmundService:
             report.alerts += 1
             day_metrics.counter("alerts_total", kind="failure").inc()
 
-        # Refresh the re-purchase surface (section III-D1): detectors are
-        # rebuilt daily from the latest training data.
-        for retailer_id, dataset in self._datasets.items():
-            self._repurchase[retailer_id] = RepurchaseDetector(
-                dataset.taxonomy, dataset.train
-            )
-
         for retailer_id in self._datasets:
             # Failed retailers already got an availability alert; their
             # registry entry is yesterday's, so recording it as today's
@@ -1140,12 +1132,13 @@ class SigmundService:
     ) -> List[int]:
         """Items this user is due to buy again (periodic surface, §III-D1).
 
-        Requires at least one completed daily run (detectors are rebuilt
-        per day).  ``now`` defaults to just past the user's last event.
+        The detector is the one the retailer's last inference selected
+        candidates with, so it takes a day that reached inference.
+        ``now`` defaults to just past the user's last event.
         """
-        detector = self._repurchase.get(retailer_id)
+        selector = self.inference.selector_of(retailer_id)
         dataset = self._datasets.get(retailer_id)
-        if detector is None or dataset is None:
+        if selector is None or dataset is None:
             raise DataError(
                 f"no re-purchase surface for {retailer_id!r}; run a day first"
             )
@@ -1154,7 +1147,7 @@ class SigmundService:
             return []
         if now is None:
             now = history[-1].timestamp + 1.0
-        return detector.due_for_repurchase(history, now)
+        return selector.repurchase.due_for_repurchase(history, now)
 
     def retailer_costs(self) -> Dict[str, float]:
         """Per-retailer charge-back attribution of all compute so far.

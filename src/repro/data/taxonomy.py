@@ -115,7 +115,7 @@ class TaxonomyIndex:
         #: Category number per item index, -1 where uncategorised.
         self.item_cat = np.full(max(item_category, default=-1) + 1, -1, dtype=np.int64)
         self.item_cat[list(item_category)] = [path[-1] for path in self.item_path.values()]
-        self._sorted: Dict[Tuple[int, ...], np.ndarray] = {}
+        self._sorted: Dict[int, np.ndarray] = {}
 
     def lca_root(self, item_index: int, k: int) -> int:
         """Number of the category whose subtree is ``lca_k(item_index, k >= 1)``."""
@@ -126,18 +126,19 @@ class TaxonomyIndex:
         """Items of category number ``category`` and below, in tour order."""
         return self._tour[self._starts[self.enter[category]] : self._starts[self.exit[category]]]
 
-    def subtree(self, *roots: int) -> np.ndarray:
-        """Sorted items under the disjoint categories numbered ``roots``
-        (at least one), computed once per ``roots`` (read-only)."""
-        found = self._sorted.get(roots)
+    def subtree(self, category: int) -> np.ndarray:
+        """Sorted items of category number ``category`` and below, read-only.
+
+        One array per category, built on first use: at most
+        ``n_items x (depth + 1)`` entries a taxonomy.  A union of several
+        is its caller's to build and to drop (DESIGN.md, "Taxonomy index").
+        """
+        found = self._sorted.get(category)
         if found is None:
-            if len(roots) == 1:
-                found = np.array(self.members(*roots), dtype=np.int64)
-            else:
-                found = np.concatenate([self.subtree(root) for root in roots])
+            found = np.array(self.members(category), dtype=np.int64)
             found.sort()
             found.setflags(write=False)
-            self._sorted[roots] = found
+            self._sorted[category] = found
         return found
 
 

@@ -11,6 +11,7 @@ sets, dead-lettered blocks).
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -29,10 +30,12 @@ from repro.data.generator import RetailerSpec, generate_retailer
 from repro.data.sessions import UserContext
 from repro.evaluation.evaluator import HoldoutEvaluator
 from repro.evaluation.sampled import SampledRankEstimator
+from repro.exceptions import TaxonomyError
 from repro.mapreduce.runtime import FaultPlan
 from repro.models.base import _exclude_items
 from repro.models.bpr import BPRHyperParams, BPRModel
 from repro.models.trainer import BPRTrainer
+from tests import reference_set_candidates
 
 _ENV = None
 
@@ -179,30 +182,96 @@ def test_exclude_items_preserves_candidate_order():
 
 
 # ----------------------------------------------------------------------
-# batch candidate selection vs the per-item selectors
+# candidate selection vs the frozen set-based selector
 # ----------------------------------------------------------------------
-@settings(max_examples=15, deadline=None)
+def _same_pool(pool, expected):
+    """Values *and* type: a pool is a sorted int64 array of what the
+    set-based oracle returned as a sorted list."""
+    assert isinstance(pool, np.ndarray) and pool.dtype == np.int64
+    assert pool.tolist() == expected
+
+
+@settings(max_examples=25, deadline=None)
 @given(
     lca_k=st.integers(min_value=0, max_value=3),
     start=st.integers(min_value=0, max_value=119),
     stride=st.integers(min_value=1, max_value=9),
+    max_candidates=st.sampled_from([1, 3, 10, 1000]),
+    co_neighbours=st.sampled_from([1, 3, 20]),
+    facets=st.sampled_from([None, ("color",), ("brand",), ("color", "size")]),
 )
-def test_property_batch_candidates_match_singular(lca_k, start, stride):
-    dataset, _, selector = _env()
+def test_property_batch_candidates_match_singular(
+    lca_k, start, stride, max_candidates, co_neighbours, facets
+):
+    dataset, _, shared = _env()
+    selector = dataclasses.replace(
+        shared, max_candidates=max_candidates, co_neighbours=co_neighbours
+    )
     items = list(range(start, dataset.n_items, stride))
-    views = selector.batch_view_based(items, lca_k=lca_k)
+    views = selector.batch_view_based(items, lca_k=lca_k, same_facets=facets)
     buys = selector.batch_purchase_based(items, lca_k=lca_k)
     for item, view, buy in zip(items, views, buys):
-        assert view.tolist() == selector.view_based(item, lca_k=lca_k)
-        assert buy.tolist() == selector.purchase_based(item, lca_k=lca_k)
+        expected = reference_set_candidates.view_based(
+            selector, item, lca_k=lca_k, same_facets=facets
+        )
+        _same_pool(view, expected)
+        assert selector.view_based(item, lca_k=lca_k, same_facets=facets) == expected
+        expected = reference_set_candidates.purchase_based(selector, item, lca_k=lca_k)
+        _same_pool(buy, expected)
+        assert selector.purchase_based(item, lca_k=lca_k) == expected
+        assert selector.near_item(item) == reference_set_candidates.near_item(
+            selector, item
+        )
 
 
 def test_batch_view_based_same_facets_matches_singular():
     dataset, _, selector = _env()
     items = list(range(dataset.n_items))
-    views = selector.batch_view_based(items, same_facets=("brand",))
+    views = selector.batch_view_based(items, same_facets=("color",))
+    assert any(view.size for view in views)
     for item, view in zip(items, views):
-        assert view.tolist() == selector.view_based(item, same_facets=("brand",))
+        _same_pool(
+            view,
+            reference_set_candidates.view_based(
+                selector, item, same_facets=("color",)
+            ),
+        )
+
+
+def test_lca_zero_keeps_the_first_distinct_seeds():
+    """``lca_0`` is the seed itself and the early break still applies:
+    the union stops at ``4 x max_candidates + 1`` seeds."""
+    dataset, _, shared = _env()
+    selector = dataclasses.replace(shared, max_candidates=1)
+    busy = max(
+        range(dataset.n_items),
+        key=lambda item: len(shared.counts.top_co_viewed(item, 20)),
+    )
+    seeds = shared.counts.top_co_viewed(busy, 20)
+    assert len(seeds) > 5
+    # One candidate survives the cap, chosen among the first five seeds.
+    (kept,) = selector.view_based(busy, lca_k=0)
+    assert kept in seeds[:5]
+    assert [kept] == reference_set_candidates.view_based(selector, busy, lca_k=0)
+
+
+def test_negative_lca_k_is_refused_with_or_without_a_seed():
+    """The set-based selector raised only once it expanded a seed: an
+    item with no co-bought or co-viewed neighbour got ``[]``."""
+    dataset, _, selector = _env()
+    unseen = [
+        item
+        for item in range(dataset.n_items)
+        if not selector.counts.top_co_bought(item, 1)
+        and not selector.counts.top_co_viewed(item, 1)
+    ]
+    assert unseen, "the fixture needs an item nobody touched"
+    assert reference_set_candidates.purchase_based(selector, unseen[0], lca_k=-1) == []
+    for item in (unseen[0], 0):
+        with pytest.raises(TaxonomyError, match="non-negative"):
+            selector.purchase_based(item, lca_k=-1)
+        with pytest.raises(TaxonomyError, match="non-negative"):
+            selector.batch_view_based([item], lca_k=-1)
 
 
 def test_batch_candidates_exclude_self_and_respect_cap():

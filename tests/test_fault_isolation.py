@@ -9,7 +9,9 @@ without taking down the fleet.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
+import dataclasses
+import gc
+from types import FunctionType, ModuleType, SimpleNamespace
 
 import pytest
 
@@ -24,6 +26,7 @@ from repro.core.service import SigmundService
 from repro.core.training import TrainerSettings, TrainingPipeline
 from repro.data.datasets import dataset_from_synthetic
 from repro.data.generator import RetailerSpec, generate_retailer
+from repro.data.taxonomy import Taxonomy
 from repro.exceptions import FaultInjectedError, MapReduceError
 from repro.mapreduce.runtime import (
     FAIL_JOB,
@@ -298,6 +301,41 @@ class TestServiceGracefulDegradation:
             ("svc_0", "training_availability")
         ]
         assert report1.alerts >= 1
+        # Its re-purchase surface is yesterday's too, not gone.
+        assert service.repurchase_recommendations("svc_0", user_id=10 ** 9) == []
+
+    def test_a_taxonomy_that_holds_no_items_is_served(self):
+        """The sweep plans for it and the default sampler trains it; the
+        selector used to refuse it ("inference: item 38 has no category")."""
+        service = SigmundService(
+            build_cluster(n_cells=2, machines_per_cell=4),
+            grid=TINY_GRID,
+            settings=TrainerSettings(max_epochs_full=2, max_epochs_incremental=1),
+        )
+        bare = make_dataset("bare", seed=100)
+        service.onboard(dataclasses.replace(bare, taxonomy=Taxonomy()))
+        service.onboard(make_dataset("svc_1", seed=101))
+        report = service.run_day()
+        assert report.failure_reasons == {}
+        assert report.retailers_served == 2 and report.retailers_unserved == 0
+        # Nothing to expand with: a pool is the co-viewed items themselves.
+        tables = service.substitutes_store
+        assert any(tables.lookup("bare", item) for item in range(bare.n_items))
+
+    def test_one_uncategorised_item_does_not_unserve_its_retailer(self):
+        service = fault_service(FaultPlan())
+        dataset = make_dataset("svc_0", seed=100)
+        orphan = dataset.train[0].item_index  # somebody's co-viewed neighbour
+        taxonomy = Taxonomy()
+        for leaf in ("even", "odd"):
+            taxonomy.add_category(leaf)
+        for item in range(dataset.n_items):
+            if item != orphan:
+                taxonomy.assign_item(item, ("even", "odd")[item % 2])
+        service.update_dataset(dataclasses.replace(dataset, taxonomy=taxonomy))
+        report = service.run_day()
+        assert report.failure_reasons == {}
+        assert report.retailers_served == 2
 
     def test_day_zero_failure_is_unserved_but_day_completes(self):
         plan = FaultPlan().fail_mapper(
@@ -344,3 +382,51 @@ class TestServiceGracefulDegradation:
         assert report.configs_trained >= 1
         assert report.retailers_served == 1
         assert service.substitutes_store.has_retailer("lonely")
+
+
+def reachable_from(root) -> dict:
+    """Every object reachable from ``root`` through instance state, by id:
+    classes, modules and a function's globals are not followed, its
+    closure and defaults are."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, ModuleType)):
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+            stack.extend(obj.__defaults__ or ())
+        else:
+            stack.extend(gc.get_referents(obj))
+    return seen
+
+
+class TestOffboardedTenantIsForgotten:
+    def test_nothing_reachable_from_inference_references_the_departed(self):
+        """The pipeline's selector cache pinned a departed retailer's
+        dataset, log and co-view counts until the next day's ``plan()`` —
+        for ever if no day followed."""
+        service = fault_service(FaultPlan())
+        service.run_day()
+        departed = service._datasets["svc_0"]
+        assert id(departed.train) in reachable_from(service.inference)
+        service.offboard("svc_0")
+        seen = reachable_from(service.inference)
+        for part in (
+            departed,
+            departed.train,
+            departed.train[0],
+            departed.catalog,
+            departed.taxonomy,
+        ):
+            assert id(part) not in seen, type(part).__name__
+        assert not [
+            text for text in seen.values() if isinstance(text, str) and "svc_0" in text
+        ]
+        assert service.inference.selector_of("svc_0") is None
+        # The co-tenant's selector is where it was.
+        kept = service._datasets["svc_1"]
+        assert id(kept.train) in seen
+        assert service.inference.selector_of("svc_1").catalog is kept.catalog
+

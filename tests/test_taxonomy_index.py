@@ -4,7 +4,9 @@ Every answer ``Taxonomy`` gives from its index — and every table the
 model, the candidate selector and the samplers read off it — is compared
 with ``tests/reference_taxonomy_walk.py`` on drawn trees: ragged depth,
 items on inner categories, uncategorised and re-assigned items, category
-ids whose sorted order is not their insertion order.
+ids whose sorted order is not their insertion order.  The selector's
+pools are compared with the set-based selector they replaced
+(``tests/reference_set_candidates.py``).
 """
 
 from __future__ import annotations
@@ -23,12 +25,15 @@ from repro.core.candidates import CandidateSelector
 from repro.core.config import ConfigRecord
 from repro.core.training import TrainerSettings, train_config
 from repro.data.catalog import Catalog, Item
+from repro.data.datasets import dataset_from_synthetic
 from repro.data.events import EventType, Interaction
+from repro.data.generator import MarketplaceSpec, generate_marketplace
 from repro.data.sessions import UserContext
 from repro.data.taxonomy import ROOT_CATEGORY, Taxonomy
 from repro.exceptions import TaxonomyError
 from repro.models.bpr import BPRHyperParams, BPRModel
 from repro.models.negatives import CompositeNegativeSampler, TaxonomyAwareSampler
+from tests import reference_set_candidates as set_selector
 from tests import reference_taxonomy_walk as reference
 
 MAX_ITEM = 24
@@ -181,7 +186,7 @@ def test_feature_maps_equal_the_per_item_loop(taxonomy, n_items, use_taxonomy):
 
 
 # ----------------------------------------------------------------------
-# The selector reads the index, so a mutation reaches both of its paths
+# The selector reads the index per call, so a mutation reaches every pool
 # ----------------------------------------------------------------------
 def shelf() -> Tuple[Taxonomy, CandidateSelector]:
     """``root -> p -> {a, b}``, ``root -> q``; items 0-3 on ``a``, 6 on ``b``,
@@ -209,9 +214,12 @@ def shelf() -> Tuple[Taxonomy, CandidateSelector]:
 
 
 def both_paths(selector: CandidateSelector, item: int) -> List[int]:
-    single = selector.view_based(item)
+    """The selector's pools for ``item`` beside the frozen set-based selector's."""
+    single = set_selector.view_based(selector, item)
+    assert selector.view_based(item) == single
     assert selector.batch_view_based([item])[0].tolist() == single
-    bought = selector.purchase_based(item)
+    bought = set_selector.purchase_based(selector, item)
+    assert selector.purchase_based(item) == bought
     assert selector.batch_purchase_based([item])[0].tolist() == bought
     return single
 
@@ -232,6 +240,108 @@ def test_selector_paths_agree_after_the_taxonomy_changes():
     taxonomy.assign_item(6, "0-sorts-first")
     assert both_paths(selector, 1) == [0, 2, 4]
     assert both_paths(selector, 0) == [3, 5, 6, 7, 8]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    taxonomy=taxonomies(),
+    sessions=st.lists(
+        st.lists(st.integers(0, MAX_ITEM), min_size=2, max_size=5), max_size=12
+    ),
+    view_k=st.integers(0, 3),
+    purchase_k=st.integers(0, 2),
+    max_candidates=st.sampled_from([1, 3, 1000]),
+)
+def test_pools_equal_the_set_selector_wherever_it_answers(
+    taxonomy, sessions, view_k, purchase_k, max_candidates
+):
+    """Drawn trees leave items uncategorised: the set-based selector raised
+    on one as a seed or a query item, the selector answers (below)."""
+    log = [
+        Interaction(float(step), user, item, event)
+        for user, session in enumerate(sessions)
+        for step, item in enumerate(session)
+        for event in (EventType.VIEW, EventType.CONVERSION)[: 1 + (item + user) % 2]
+    ]
+    items = [
+        Item(f"shop-{index}", index, ROOT_CATEGORY, facets={"color": "rgb"[index % 3]})
+        for index in range(MAX_ITEM + 1)
+    ]
+    selector = CandidateSelector(
+        taxonomy=taxonomy,
+        counts=CoOccurrenceCounts.from_interactions(len(items), log),
+        catalog=Catalog("shop", items),
+        view_lca_k=view_k,
+        purchase_lca_k=purchase_k,
+        max_candidates=max_candidates,
+    )
+    for item in range(len(items)):
+        for pool, options in (
+            ("view_based", {}),
+            ("view_based", {"same_facets": ("color",)}),
+            ("purchase_based", {}),
+            ("near_item", {}),
+        ):
+            answer = getattr(selector, pool)(item, **options)  # never raises
+            assert item not in answer and answer == sorted(set(answer))
+            try:
+                expected = getattr(set_selector, pool)(selector, item, **options)
+            except TaxonomyError:
+                continue
+            assert answer == expected
+
+
+def test_an_uncategorised_item_is_its_own_neighbourhood():
+    """Item 8 is on no category: as a seed it expands to itself, as a
+    query item it has no substitutes to strip and no category mates;
+    ``lca_k`` / ``lca_root`` still refuse it."""
+    taxonomy, selector = shelf()
+    log = [
+        Interaction(float(t), user, item, EventType.CONVERSION)
+        for t, (user, item) in enumerate([(1, 0), (1, 8), (2, 8), (2, 7), (2, 6)])
+    ]
+    selector.counts = CoOccurrenceCounts.from_interactions(10, log)
+    assert selector.view_based(0) == [8]  # the seed itself
+    assert selector.batch_purchase_based([0])[0].tolist() == [8]
+    assert selector.view_based(8) == [0, 1, 2, 3, 6, 7]  # its seeds' categories
+    assert selector.purchase_based(8) == [0, 1, 2, 3, 6, 7]  # nothing stripped
+    assert selector.near_item(8) == []
+    assert selector.view_based(9) == []  # cold and uncategorised
+    with pytest.raises(TaxonomyError, match="item 8 has no category"):
+        set_selector.view_based(selector, 0)  # 8 as a seed
+    with pytest.raises(TaxonomyError, match="item 8 has no category"):
+        set_selector.near_item(selector, 8)  # 8 as the query item
+    with pytest.raises(TaxonomyError, match="item 8 has no category"):
+        taxonomy.index().lca_root(8, 1)
+
+
+def test_a_selection_pass_leaves_one_array_per_category():
+    """A union of several subtrees is its caller's: after every pool of a
+    2 000-item retailer at ``MarketplaceSpec``'s default density the index
+    keeps what its tree bounds, not what its traffic was (the union memo
+    kept 2 433 arrays, 11.8 MB, here against a 64 KB bound — 157 MB at
+    12 000 items)."""
+    (retailer,) = generate_marketplace(
+        MarketplaceSpec(n_retailers=1, median_items=2000, sigma_items=0.0, seed=3)
+    )
+    dataset = dataset_from_synthetic(retailer)
+    assert dataset.n_items == 2000
+    selector = CandidateSelector(
+        taxonomy=dataset.taxonomy,
+        counts=CoOccurrenceCounts.from_interactions(dataset.n_items, dataset.train),
+        catalog=dataset.catalog,
+    )
+    items = list(range(dataset.n_items))
+    pools = selector.batch_view_based(items) + selector.batch_purchase_based(items)
+    assert sum(pool.size for pool in pools) > 100 * len(pools)  # a real pass
+    index = dataset.taxonomy.index()
+    kept = index._sorted
+    assert set(kept) <= set(range(len(index.categories)))
+    levels = int(index.cat_depth.max()) + 1
+    assert sum(array.nbytes for array in kept.values()) <= 8 * dataset.n_items * levels
+    # What is kept is shared and frozen; every pool is its caller's own.
+    assert not any(array.flags.writeable for array in kept.values())
+    assert all(pool.flags.writeable for pool in pools)
 
 
 # ----------------------------------------------------------------------
