@@ -18,7 +18,7 @@ Commands:
   outage, ...) against the overload-protected serving stack and print
   the machine-checkable verdict.
 * ``run-day`` — run the daily loop under the declarative DAG
-  orchestrator (or ``--serial`` for the imperative reference path),
+  orchestrator (or ``--serial`` for the serial walk over the same blocks),
   optionally rerunning only ``--blocks`` of the last day's graph, and
   print per-block schedules and the sealed day record.
 """
@@ -159,8 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_day.add_argument("--seed", type=int, default=0)
     run_day.add_argument(
         "--serial", action="store_true",
-        help="use the imperative serial reference path instead of the "
-             "DAG runner (outputs are identical either way)",
+        help="walk the day's blocks one after another instead of "
+             "scheduling them with the DAG runner (outputs are identical "
+             "either way)",
     )
     run_day.add_argument(
         "--max-parallelism", type=int, default=1,

@@ -35,7 +35,7 @@ from repro.cluster.preemption import PreemptionModel
 from repro.core.checkpoint import CheckpointFaultPlan, CheckpointStorage
 from repro.core.config import ConfigRecord
 from repro.core.grid import GridSpec
-from repro.core.inference import InferencePipeline, InferenceResult, InferenceStats
+from repro.core.inference import InferencePipeline, InferenceResult
 from repro.core.journal import RunJournal
 from repro.core.monitoring import QualityMonitor
 from repro.core.recovery import CrashPlan
@@ -43,20 +43,23 @@ from repro.core.registry import ModelRegistry
 from repro.core.sweep import SweepPlanner
 from repro.core.training import PipelineStats, TrainerSettings, TrainingPipeline
 from repro.dag.dayplan import (
+    BLOCK_SPANS,
+    SERIAL_PHASES,
     BackfillState,
     DayState,
     build_backfill_graph,
     build_day_graph,
     build_selection,
 )
-from repro.dag.runner import GraphRunner, GraphRunResult
+from repro.dag.graph import DayGraph
+from repro.dag.runner import EXECUTED_STATUSES, GraphRunner, GraphRunResult, run_block
 from repro.data.datasets import RetailerDataset
 from repro.exceptions import DataError, SigmundError
 from repro.mapreduce.runtime import FaultPlan
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.snapshot import build_day_seal
 from repro.obs.tracing import NULL_TRACER
-from repro.retrieval.backend import ModelRetrieval, ann_for_model
+from repro.retrieval.backend import ann_for_model
 from repro.retrieval.harness import measure_model_recall, resolve_ann_threshold
 from repro.retrieval.ivf import IVFConfig
 from repro.retrieval.store import RetrievalIndexStore
@@ -148,12 +151,12 @@ class SigmundService:
             raise SigmundError(
                 f"max_parallelism must be >= 1, got {max_parallelism}"
             )
-        #: How the daily run is driven: "serial" is the imperative
-        #: reference sequence; "dag" schedules the same blocks through
-        #: :class:`~repro.dag.runner.GraphRunner` with up to
-        #: ``max_parallelism`` lanes (and enables ``--blocks`` partial
-        #: reruns).  Both paths are pinned byte-identical on the day seal
-        #: by tests/test_dag_recovery.py.
+        #: How the daily run's blocks (repro.dag.dayplan) are driven:
+        #: "serial" walks them one after another, phase by phase; "dag"
+        #: schedules them through :class:`~repro.dag.runner.GraphRunner`
+        #: with up to ``max_parallelism`` lanes (and enables ``--blocks``
+        #: partial reruns).  Both execute each block through the one
+        #: step, ``run_block``, and seal the same day byte for byte.
         self.orchestration = orchestration
         self.max_parallelism = max_parallelism
         #: The block-level outcome of the most recent DAG-driven day (or
@@ -345,9 +348,16 @@ class SigmundService:
 
         ``blocks`` (DAG orchestration only) restricts the run to a
         selection of graph blocks — e.g. ``["train/r3"]`` — leaving the
-        day open; a later :meth:`recover` (or :meth:`run_day` of the
-        selection's complement) finishes and commits it.
+        day open; a later :meth:`recover` (with or without its own
+        ``blocks``) finishes and commits it.  While a day is open,
+        ``run_day`` refuses to begin another one.
         """
+        open_day = self.journal.open_day()
+        if open_day is not None:
+            raise SigmundError(
+                f"day {open_day} is still open; call recover() to finish it "
+                "before running another day"
+            )
         day = self._next_day
         self._next_day += 1
         datasets = list(self._datasets.values())
@@ -400,95 +410,97 @@ class SigmundService:
     def _execute_day(
         self, day: int, blocks: Optional[List[str]] = None
     ) -> DailyRunReport:
-        """Run (or resume) one journaled day; shared by run_day/recover."""
-        if self.orchestration == "dag":
-            return self._execute_day_dag(day, blocks=blocks)
-        if blocks:
+        """Run (or resume) one journaled day; shared by run_day/recover.
+
+        Both orchestrations execute the blocks
+        :func:`~repro.dag.dayplan.build_day_graph` declares.  ``dag``
+        schedules them through :class:`~repro.dag.runner.GraphRunner`
+        with up to ``max_parallelism`` lanes; a ``blocks``-restricted run
+        leaves the day open (and out of :attr:`reports`) until a later
+        :meth:`recover` completes it.  ``serial`` walks them in the order
+        ``GraphRunner`` picks on one lane (:meth:`_walk_serial`).  Either
+        way the wrapup block commits the day.
+        """
+        if blocks and self.orchestration != "dag":
             raise SigmundError(
                 "partial --blocks runs require orchestration='dag'"
             )
         intent = self.journal.day_intent(day)
         report = DailyRunReport(day=day, sweep_kind=str(intent["sweep_kind"]))
         self._check("day_begin")
-
         # The day registry folds *only* journaled task payloads (plus
         # values derived from them), and a fresh one is built per
         # execution — the two facts that make a crashed-and-recovered
         # day seal metrics byte-identical to an uninterrupted run's.
         day_metrics = MetricsRegistry() if self.metrics.enabled else NULL_METRICS
-        with self.tracer.span(
-            "run_day", day=day, sweep_kind=report.sweep_kind
-        ):
-            with self.tracer.span("train_phase"):
-                failure_reasons = self._train_phase(
-                    day, intent, report, day_metrics
-                )
-            with self.tracer.span("retrieval_phase"):
-                retrieval_indexes = self._retrieval_phase(
-                    day, failure_reasons, report, day_metrics
-                )
-            with self.tracer.span("inference_phase"):
-                results, infer_stats = self._inference_phase(
-                    day, failure_reasons, report, day_metrics,
-                    retrieval=retrieval_indexes,
-                )
-            with self.tracer.span("publish_phase"):
-                served = self._publish_phase(
-                    day, results, failure_reasons, report, day_metrics
-                )
-            with self.tracer.span("wrapup"):
-                self._wrapup_phase(
-                    day, served, failure_reasons, report, day_metrics
-                )
-
-        self.reports.append(report)
-        return report
-
-    def _execute_day_dag(
-        self, day: int, blocks: Optional[List[str]] = None
-    ) -> DailyRunReport:
-        """Run (or resume) one journaled day as a dependency graph.
-
-        The same blocks, journal keys, kill points, and fold logic as the
-        serial phases — declared in :func:`repro.dag.dayplan.build_day_graph`
-        and scheduled by :class:`~repro.dag.runner.GraphRunner` with up to
-        ``max_parallelism`` lanes.  A full run commits inside the wrapup
-        block exactly like the serial path; a ``blocks``-restricted run
-        leaves the day open (and out of :attr:`reports`) until a later
-        :meth:`recover` completes it.
-        """
-        intent = self.journal.day_intent(day)
-        report = DailyRunReport(day=day, sweep_kind=str(intent["sweep_kind"]))
-        self._check("day_begin")
-        # Same invariant as the serial path: the day registry folds only
-        # journaled task payloads, rebuilt fresh per execution.
-        day_metrics = MetricsRegistry() if self.metrics.enabled else NULL_METRICS
         state = DayState(report=report, day_metrics=day_metrics)
         graph = build_day_graph(self, day, intent, state)
-        select = build_selection(graph, list(blocks)) if blocks else None
-        runner = GraphRunner(
-            journal=self.journal,
-            day=day,
-            crash_check=self._check,
-            max_parallelism=self.max_parallelism,
-        )
-        result = runner.run(graph, select=select)
-        self.last_dag_run = result
-        if self.tracer.enabled:
-            # One span per scheduled block at its simulated lane times;
-            # the day seal (the equivalence contract) carries no traces.
-            start = self.tracer.clock.now
-            for block_run in result.schedule():
-                self.tracer.record_span(
-                    "block",
-                    start + block_run.start,
-                    start + block_run.finish,
-                    name=block_run.name,
-                )
-            self.tracer.clock.advance(result.makespan)
+        if self.orchestration == "dag":
+            select = build_selection(graph, list(blocks)) if blocks else None
+            runner = GraphRunner(
+                journal=self.journal,
+                day=day,
+                crash_check=self._check,
+                max_parallelism=self.max_parallelism,
+            )
+            result = runner.run(graph, select=select)
+            self.last_dag_run = result
+            if self.tracer.enabled:
+                # One span per scheduled block at its simulated lane
+                # times; the day seal (the equivalence contract) carries
+                # no traces.
+                start = self.tracer.clock.now
+                for block_run in result.schedule():
+                    self.tracer.record_span(
+                        "block",
+                        start + block_run.start,
+                        start + block_run.finish,
+                        block=block_run.name,
+                    )
+                self.tracer.clock.advance(result.makespan)
+        else:
+            with self.tracer.span(
+                "run_day", day=day, sweep_kind=report.sweep_kind
+            ):
+                self._walk_serial(graph, day)
         if self.journal.is_committed(day):
             self.reports.append(report)
         return report
+
+    def _walk_serial(self, graph: DayGraph, day: int) -> None:
+        """Run the day's blocks one after another, phase by phase.
+
+        Each phase of :data:`~repro.dag.dayplan.SERIAL_PHASES` is a trace
+        span that runs its families' blocks in declaration order; what a
+        block expands into joins the graph before its family's turn.  A
+        timed block records a :data:`~repro.dag.dayplan.BLOCK_SPANS` span
+        from the phase's start — retailers and cells run "in parallel" —
+        and the clock then advances by the phase's longest one.
+        """
+        tracer = self.tracer
+        for phase, families in SERIAL_PHASES:
+            with tracer.span(phase):
+                start = tracer.clock.now if tracer.enabled else 0.0
+                longest = 0.0
+                for family in families:
+                    for block in [b for b in graph if b.family == family]:
+                        block_run = run_block(
+                            block, self.journal, day, self._check
+                        )
+                        if block_run.status not in EXECUTED_STATUSES:
+                            continue
+                        if block.expand is not None:
+                            for spawned in block.expand(block_run.payload):
+                                graph.add(spawned)
+                        span = BLOCK_SPANS.get(family)
+                        if tracer.enabled and span is not None:
+                            duration = block.duration_of(block_run.payload)
+                            tracer.record_span(
+                                span, start, start + duration, **block.labels
+                            )
+                            longest = max(longest, duration)
+                if tracer.enabled:
+                    tracer.clock.advance(longest)
 
     def backfill_retailer(
         self, retailer_id: str, day: Optional[int] = None
@@ -547,63 +559,6 @@ class SigmundService:
             "failure": state.failure,
         }
 
-    # -- phase 1: per-retailer training --------------------------------
-    def _train_phase(
-        self,
-        day: int,
-        intent: Dict[str, object],
-        report: DailyRunReport,
-        day_metrics=NULL_METRICS,
-    ) -> Dict[str, str]:
-        configs: List[ConfigRecord] = list(intent["configs"])  # type: ignore[arg-type]
-        by_retailer: Dict[str, List[ConfigRecord]] = {}
-        for config in configs:
-            by_retailer.setdefault(config.retailer_id, []).append(config)
-
-        failure_reasons: Dict[str, str] = {}
-        phase_start = self.tracer.clock.now if self.tracer.enabled else 0.0
-        phase_makespan = 0.0
-        for retailer_id in sorted(by_retailer):
-            if self.journal.is_done(day, "train", retailer_id):
-                # Completed before the crash: replay the report numbers
-                # from the journal; the registry publish and the ledger
-                # charge already happened and must not happen again.
-                payload = self.journal.task_payload(day, "train", retailer_id)
-            else:
-                self._check("train_task", retailer_id)
-                payload = self._train_retailer(
-                    day, retailer_id, by_retailer[retailer_id]
-                )
-                self.journal.log_task(day, "train", retailer_id, payload)
-                self._check("train_logged", retailer_id)
-            report.configs_trained += int(payload["trained"])  # type: ignore[call-overload]
-            report.configs_failed += int(payload["failed"])  # type: ignore[call-overload]
-            report.training_cost += float(payload["cost"])  # type: ignore[arg-type]
-            makespan = float(payload["makespan"])  # type: ignore[arg-type]
-            report.training_makespan = max(report.training_makespan, makespan)
-            report.preemptions += int(payload["preemptions"])  # type: ignore[call-overload]
-            if payload.get("failure"):
-                failure_reasons[retailer_id] = str(payload["failure"])
-            snapshot = payload.get("metrics")
-            if snapshot is not None:
-                day_metrics.fold(snapshot)
-            day_metrics.gauge(
-                "train_makespan_seconds", retailer=retailer_id
-            ).set(makespan)
-            if self.tracer.enabled:
-                self.tracer.record_span(
-                    "train_retailer",
-                    phase_start,
-                    phase_start + makespan,
-                    retailer=retailer_id,
-                )
-                phase_makespan = max(phase_makespan, makespan)
-        if self.tracer.enabled:
-            # Retailer sweeps run "in parallel": the phase lasts as long
-            # as its slowest retailer, not the sum.
-            self.tracer.clock.advance(phase_makespan)
-        return failure_reasons
-
     def _train_retailer(
         self, day: int, retailer_id: str, configs: List[ConfigRecord]
     ) -> Dict[str, object]:
@@ -650,48 +605,6 @@ class SigmundService:
             "failure": failure,
             "metrics": task_metrics.snapshot(),
         }
-
-    # -- phase 1b: per-retailer ANN index builds -----------------------
-    def _retrieval_phase(
-        self,
-        day: int,
-        failure_reasons: Dict[str, str],
-        report: DailyRunReport,
-        day_metrics=NULL_METRICS,
-    ) -> Dict[str, ModelRetrieval]:
-        """Rebuild each large catalog's ANN index from today's best model.
-
-        Journaled like training: one task per retailer, with the recall
-        measurement folded into the day metrics from the payload so a
-        recovered day is byte-identical.  An index only reaches inference
-        (and later the serving stores) when its measured recall@k clears
-        :attr:`retrieval_recall_target`; rejected indexes leave the
-        retailer on the exact taxonomy candidate path.
-        """
-        accepted: Dict[str, ModelRetrieval] = {}
-        for retailer_id in sorted(self._datasets):
-            if retailer_id in failure_reasons:
-                continue
-            if not self.registry.has_models(retailer_id):
-                continue
-            if self.journal.is_done(day, "retrieval", retailer_id):
-                payload = self.journal.task_payload(day, "retrieval", retailer_id)
-            else:
-                self._check("retrieval_build", retailer_id)
-                payload = self._build_retrieval_index(day, retailer_id)
-                self.journal.log_task(day, "retrieval", retailer_id, payload)
-                self._check("retrieval_logged", retailer_id)
-            snapshot = payload.get("metrics")
-            if snapshot is not None:
-                day_metrics.fold(snapshot)
-            if not payload["built"]:
-                continue
-            report.indexes_built += 1
-            if payload["accepted"]:
-                accepted[retailer_id] = payload["index"]
-            else:
-                report.indexes_rejected += 1
-        return accepted
 
     def _build_retrieval_index(
         self, day: int, retailer_id: str
@@ -764,178 +677,6 @@ class SigmundService:
             "model_number": best.model_number,
             "metrics": task_metrics.snapshot(),
         }
-
-    # -- phase 2: per-cell inference -----------------------------------
-    def _inference_phase(
-        self,
-        day: int,
-        failure_reasons: Dict[str, str],
-        report: DailyRunReport,
-        day_metrics=NULL_METRICS,
-        retrieval: Optional[Dict[str, ModelRetrieval]] = None,
-    ) -> Tuple[Dict[str, InferenceResult], InferenceStats]:
-        stats = InferenceStats()
-        # A retailer whose training failed outright is served from
-        # yesterday's tables; running inference on its stale registry
-        # entry would hide the failure behind quietly old models.
-        healthy = {
-            retailer_id: dataset
-            for retailer_id, dataset in self._datasets.items()
-            if retailer_id not in failure_reasons
-        }
-        if self.journal.is_done(day, "infer_plan", "assignment"):
-            payload = self.journal.task_payload(day, "infer_plan", "assignment")
-            assignment: List[Tuple[str, List[str]]] = list(payload["assignment"])  # type: ignore[arg-type]
-        else:
-            self._check("inference_plan")
-            # The cell assignment is journaled as *intent*: free capacity
-            # changes as jobs run, so a recovery that replanned would bin
-            # retailers differently and re-run work that already billed.
-            assignment = self.inference.plan(healthy)
-            self.journal.log_task(
-                day, "infer_plan", "assignment", {"assignment": assignment}
-            )
-
-        results: Dict[str, InferenceResult] = {}
-        failed: Dict[str, str] = {}
-        phase_start = self.tracer.clock.now if self.tracer.enabled else 0.0
-        phase_makespan = 0.0
-        for cell_name, retailer_group in assignment:
-            if self.journal.is_done(day, "infer", cell_name):
-                payload = self.journal.task_payload(day, "infer", cell_name)
-                results.update(payload["results"])  # type: ignore[arg-type]
-                failed.update(payload["failed"])  # type: ignore[arg-type]
-                if payload["job_stats"] is not None:
-                    self.inference.fold_cell(
-                        stats,
-                        cell_name,
-                        payload["job_stats"],  # type: ignore[arg-type]
-                        int(payload["loads"]),  # type: ignore[arg-type]
-                    )
-            else:
-                self._check("infer_cell", cell_name)
-                group = {
-                    rid: self._datasets[rid]
-                    for rid in retailer_group
-                    if rid in self._datasets
-                }
-                # Per-cell registry journaled with the payload, like the
-                # train phase: recovery folds the recorded snapshot.
-                cell_metrics = (
-                    MetricsRegistry() if self.metrics.enabled else NULL_METRICS
-                )
-                payload: Dict[str, object]
-                try:
-                    cell_results, job_stats, loads, cell_failed = (
-                        self.inference.run_cell(
-                            cell_name,
-                            group,
-                            day,
-                            metrics=cell_metrics,
-                            tracer=self.tracer,
-                            retrieval=retrieval or {},
-                        )
-                    )
-                except SigmundError as exc:
-                    cell_failed = {
-                        rid: f"cell {cell_name!r}: {exc}" for rid in group
-                    }
-                    payload = {
-                        "results": {},
-                        "failed": cell_failed,
-                        "job_stats": None,
-                        "loads": 0,
-                        "metrics": cell_metrics.snapshot(),
-                    }
-                    failed.update(cell_failed)
-                else:
-                    payload = {
-                        "results": cell_results,
-                        "failed": cell_failed,
-                        "job_stats": job_stats,
-                        "loads": loads,
-                        "metrics": cell_metrics.snapshot(),
-                    }
-                    results.update(cell_results)
-                    failed.update(cell_failed)
-                    self.inference.fold_cell(stats, cell_name, job_stats, loads)
-                self.journal.log_task(day, "infer", cell_name, payload)
-                self._check("infer_logged", cell_name)
-            snapshot = payload.get("metrics")
-            if snapshot is not None:
-                day_metrics.fold(snapshot)
-            if self.tracer.enabled:
-                job_stats_payload = payload.get("job_stats")
-                cell_makespan = (
-                    job_stats_payload.makespan_seconds
-                    if job_stats_payload is not None
-                    else 0.0
-                )
-                self.tracer.record_span(
-                    "infer_cell",
-                    phase_start,
-                    phase_start + cell_makespan,
-                    cell=cell_name,
-                )
-                phase_makespan = max(phase_makespan, cell_makespan)
-        if self.tracer.enabled:
-            self.tracer.clock.advance(phase_makespan)
-        self.inference.finalize_stats(stats, results, failed)
-
-        for retailer_id in stats.failed_retailers:
-            failure_reasons.setdefault(
-                retailer_id,
-                "inference: "
-                + stats.failure_reasons.get(retailer_id, "failed"),
-            )
-        report.inference_cost = stats.total_cost
-        report.inference_makespan = stats.makespan_seconds
-        report.preemptions += stats.preemptions
-        return results, stats
-
-    # -- phase 3: gated publish ----------------------------------------
-    def _publish_phase(
-        self,
-        day: int,
-        results: Dict[str, InferenceResult],
-        failure_reasons: Dict[str, str],
-        report: DailyRunReport,
-        day_metrics=NULL_METRICS,
-    ) -> List[str]:
-        """Validate and atomically load each retailer's tables; returns
-        the retailers actually served fresh today."""
-        version = day + 1
-        served: List[str] = []
-        for retailer_id in sorted(results):
-            if self.journal.is_done(day, "publish", retailer_id):
-                payload = self.journal.task_payload(day, "publish", retailer_id)
-                accepted = bool(payload["accepted"])
-                reason = str(payload["reason"])
-            else:
-                self._check("publish", retailer_id)
-                result = results[retailer_id]
-                accepted, reason = self._publish_retailer(
-                    day, retailer_id, result, version
-                )
-                self.journal.log_task(
-                    day,
-                    "publish",
-                    retailer_id,
-                    {"accepted": accepted, "reason": reason},
-                )
-                self._check("publish_logged", retailer_id)
-            day_metrics.counter(
-                "publish_total",
-                retailer=retailer_id,
-                outcome="accepted" if accepted else "rejected",
-            ).inc()
-            if accepted:
-                served.append(retailer_id)
-            else:
-                report.publishes_rejected += 1
-                failure_reasons[retailer_id] = reason
-        report.retailers_served = len(served)
-        return served
 
     def _publish_retailer(
         self,
@@ -1042,7 +783,7 @@ class SigmundService:
                 self.retrieval_store.drop_retailer(retailer_id)
         return version
 
-    # -- phase 4: wrap-up (monitoring, detectors, commit) --------------
+    # -- the wrapup block: monitoring, detectors, commit ---------------
     def _wrapup_phase(
         self,
         day: int,

@@ -1,15 +1,17 @@
 """Declarative DAG orchestration for the daily run.
 
-``repro.dag`` turns ``SigmundService._execute_day``'s imperative
-sequence into a dependency graph: :class:`~repro.dag.block.Block`
-declares one unit of work (journal key, kill points, retry/failure
-policy, metrics fold), :class:`~repro.dag.graph.DayGraph` holds the
-wiring (cycle detection, deterministic topological order), and
-:class:`~repro.dag.runner.GraphRunner` executes with bounded
+``repro.dag`` is where a Sigmund day is declared and executed:
+:class:`~repro.dag.block.Block` declares one unit of work (journal key,
+kill points, retry/failure policy, metrics fold),
+:class:`~repro.dag.graph.DayGraph` holds the wiring (cycle detection,
+deterministic topological order), :func:`~repro.dag.runner.run_block`
+is the one step that executes a block, and
+:class:`~repro.dag.runner.GraphRunner` schedules blocks with bounded
 parallelism over a simulated clock.  :mod:`repro.dag.dayplan` builds
 the actual day graph and the single-retailer backfill graph.
 
-The serial imperative path remains the reference;
+``SigmundService`` drives the day graph either through ``GraphRunner``
+(``orchestration="dag"``) or as a serial walk over the same blocks;
 ``tests/test_dag_recovery.py`` pins both byte-identical on the sealed
 day snapshot at every crash kill point.
 """

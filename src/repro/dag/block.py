@@ -10,10 +10,10 @@ unit of work safely:
 * ``journal`` — the ``(phase, task_id)`` under which the block's payload
   is write-ahead-logged; a journaled block is **replayed** (payload read
   back, side effects skipped) when the day is recovered after a crash,
-* ``pre_kill`` / ``post_kill`` — the named coordinator kill points that
-  used to be hand-woven through ``SigmundService._execute_day``; the
-  runner checks them immediately before the block runs and immediately
-  after its completion is journaled,
+* ``pre_kill`` / ``post_kill`` — the block's named coordinator kill
+  points; :func:`~repro.dag.runner.run_block` checks them immediately
+  before the block runs and immediately after its completion is
+  journaled,
 * ``fold`` — how the block's payload is absorbed into day-level state
   (report fields, the day metrics registry); folding happens on fresh
   runs *and* on journal replays, which is what makes a recovered day
@@ -24,8 +24,9 @@ unit of work safely:
   blocks (the inference cell assignment is only known once the plan
   block has run).
 
-Blocks carry no scheduling state; :class:`~repro.dag.runner.GraphRunner`
-owns execution.
+Blocks carry no scheduling state; :func:`~repro.dag.runner.run_block`
+executes one, and :class:`~repro.dag.runner.GraphRunner` or the
+service's serial walk decides the order.
 """
 
 from __future__ import annotations
@@ -81,8 +82,7 @@ class Block:
     max_attempts: int = 1
     on_failure: str = HALT
     #: Evaluated once its dependencies are done; False skips the block
-    #: entirely (no run, no journal, no fold) while dependents proceed —
-    #: the graph form of the serial loop's guard-and-``continue``.
+    #: entirely (no run, no journal, no fold) while dependents proceed.
     enabled: Optional[Callable[[], bool]] = None
     #: Dynamic fan-out: blocks derived from this block's payload.  Runs
     #: on replays too, so a recovered day rebuilds the same sub-graph

@@ -1,4 +1,4 @@
-"""The daily run, re-expressed as a declarative graph.
+"""The daily run, declared once as a graph of blocks.
 
 :func:`build_day_graph` produces the block structure of one Sigmund day:
 
@@ -15,12 +15,12 @@
   commit.
 
 Every block's ``run`` body, ``journal`` key, kill points, and ``fold``
-mirror the serial phases of ``SigmundService._execute_day`` line for
-line — the crash-equivalence suite (``tests/test_dag_recovery.py``) pins
-the two paths byte-identical on the day seal, and the fold closures are
-written so their execution order matches the serial iteration order
-whenever blocks become ready simultaneously (declaration order is the
-scheduler's tie-break).
+are written here and nowhere else.  Both orchestrators execute these
+blocks through :func:`repro.dag.runner.run_block`:
+:class:`~repro.dag.runner.GraphRunner` schedules them on lanes, and the
+serial orchestrator walks them family by family in the order
+:data:`SERIAL_PHASES` gives — the order ``GraphRunner`` produces at
+``max_parallelism=1``, because declaration order is its tie-break.
 
 :func:`build_selection` turns a ``--blocks`` request (names or families)
 into a selection predicate for partial reruns, closed over upstream
@@ -44,11 +44,10 @@ from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 class DayState:
     """Mutable cross-block state of one day execution.
 
-    The serial path threads these through ``_execute_day`` as locals and
-    arguments; the graph threads them through fold closures.  Everything
-    here is rebuilt per execution and populated *only* from journaled
-    payloads (or values derived from them) — the invariant that makes a
-    recovered day seal byte-identical.
+    The blocks' fold closures write it and later blocks read it.
+    Everything here is rebuilt per execution and populated *only* from
+    journaled payloads (or values derived from them) — the invariant
+    that makes a recovered day seal byte-identical.
     """
 
     report: object
@@ -68,9 +67,9 @@ class DayState:
 def build_day_graph(service, day: int, intent: Dict[str, object], state: DayState):
     """Declare one day of ``service`` as a :class:`DayGraph`.
 
-    Declaration order is the scheduler's tie-break, so it deliberately
-    matches the serial path's iteration order: sorted train blocks, then
-    sorted retrieval blocks, then the plan, finalize, and wrap-up.
+    Declaration order is the scheduler's tie-break and the serial walk's
+    order within a family: sorted train blocks, then sorted retrieval
+    blocks, then the plan, finalize, and wrap-up.
     """
     report = state.report
     day_metrics = state.day_metrics
@@ -344,12 +343,28 @@ def build_day_graph(service, day: int, intent: Dict[str, object], state: DayStat
 
 
 # ----------------------------------------------------------------------
+# The serial walk's phases
+# ----------------------------------------------------------------------
+#: Each trace span of a serial day and the block families it runs, in
+#: dependency order.
+SERIAL_PHASES = (
+    ("train_phase", ("train",)),
+    ("retrieval_phase", ("retrieval",)),
+    ("inference_phase", ("infer_plan", "infer", "infer_finalize")),
+    ("publish_phase", ("publish",)),
+    ("wrapup", ("wrapup",)),
+)
+#: The span a timed block records in a serial day's trace, by family.
+BLOCK_SPANS = {"train": "train_retailer", "infer": "infer_cell"}
+
+
+# ----------------------------------------------------------------------
 # Partial-run selection
 # ----------------------------------------------------------------------
 #: Families in dependency order.  Selecting anything from the day's tail
 #: (the plan onward) requires the whole fleet's training verdicts, so it
 #: widens to the full graph.
-FAMILIES = ("train", "retrieval", "infer_plan", "infer", "infer_finalize", "publish", "wrapup")
+FAMILIES = tuple(family for _, families in SERIAL_PHASES for family in families)
 _TAIL_FAMILIES = {"infer_plan", "infer", "infer_finalize", "publish", "wrapup"}
 
 

@@ -9,10 +9,10 @@ guarantees the runner relies on:
 * the graph is acyclic (``validate`` raises
   :class:`~repro.dag.block.CycleError` naming the cycle),
 * ``topological_order`` is *deterministic*: among blocks whose
-  dependencies are all satisfied, declaration order wins.  The serial
-  reference path of ``SigmundService._execute_day`` is exactly this
-  order, which is what lets ``max_parallelism=1`` DAG runs be compared
-  edge-for-edge against the imperative sequence.
+  dependencies are all satisfied, declaration order wins.  Declaration
+  order is also ``GraphRunner``'s tie-break, which is what lets a
+  ``max_parallelism=1`` run be compared block for block against the
+  service's serial walk.
 
 Graphs stay mutable because the day's shape is partly data-dependent:
 the inference cell assignment exists only after the plan block has run,

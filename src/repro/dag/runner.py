@@ -1,14 +1,15 @@
-"""GraphRunner: deterministic bounded-parallel execution of a day graph.
+"""Executing a day graph: one block step, and the bounded-parallel runner.
 
-The runner owns the concerns that used to be woven line-by-line through
-``SigmundService._execute_day``:
+:func:`run_block` is the one place a block is executed, and both
+orchestrators call it — :class:`GraphRunner` below and
+``SigmundService._walk_serial``:
 
 * **Journaling** — a block with a ``journal`` key logs its payload to
   the WAL after its side effects land; on recovery the payload is read
   back and the block is *replayed* (fold only, no side effects).
-* **Crash points** — ``pre_kill``/``post_kill`` stages are checked at
-  exactly the positions the serial path checked them, so the fleet's
-  kill-point matrix becomes a property of graph edges.
+* **Crash points** — ``pre_kill``/``post_kill`` stages are checked
+  immediately around the journaled unit, so the fleet's kill-point
+  matrix is a property of the declared blocks.
 * **Retry / failure policy** — ``max_attempts`` retries catch
   ``Exception`` only; ``SimulatedCrash`` is a ``BaseException`` and
   pierces, exactly like a coordinator death.  A final failure either
@@ -93,6 +94,72 @@ class GraphRunResult:
         return [r for r in self.runs.values() if r.status == FAILED]
 
 
+def run_block(
+    block: Block,
+    journal=None,
+    day: int = 0,
+    crash_check: Optional[Callable[[str, str], None]] = None,
+    select: Optional[Callable[[str], bool]] = None,
+    now: float = 0.0,
+) -> BlockRun:
+    """Execute one block: the step both orchestrators share.
+
+    ``enabled`` guard -> journal replay, or ``pre_kill`` -> run ->
+    ``log_task`` -> ``post_kill``; then ``fold``.  A fresh run finishes
+    at ``now`` plus the block's duration, a replay at ``now``.
+    """
+    block_run = BlockRun(name=block.name, status=RAN, start=now, finish=now)
+    # The guard runs first, so a retailer knocked out upstream never
+    # reaches the journal check.
+    if block.enabled is not None and not block.enabled():
+        block_run.status = DISABLED
+        return block_run
+    journaled = (
+        journal is not None
+        and block.journal is not None
+        and journal.is_done(day, block.journal[0], block.journal[1])
+    )
+    if journaled:
+        # Replays ignore the selection: a recovered day must fold the
+        # complete journaled state even when only a slice reruns.
+        payload = journal.task_payload(day, block.journal[0], block.journal[1])
+        block_run.status = REPLAYED
+    else:
+        if select is not None and not select(block.name):
+            block_run.status = UNSELECTED
+            return block_run
+        if block.pre_kill is not None and crash_check is not None:
+            crash_check(*block.pre_kill)
+        payload = _attempt(block, block_run)
+        if block_run.status == FAILED:
+            return block_run
+        if journal is not None and block.journal is not None:
+            journal.log_task(day, block.journal[0], block.journal[1], payload)
+        if block.post_kill is not None and crash_check is not None:
+            crash_check(*block.post_kill)
+        block_run.finish = now + block.duration_of(payload)
+    block_run.payload = payload
+    if block.fold is not None:
+        block.fold(payload)
+    return block_run
+
+
+def _attempt(block: Block, block_run: BlockRun) -> Optional[Payload]:
+    error: Optional[Exception] = None
+    for attempt in range(1, block.max_attempts + 1):
+        block_run.attempts = attempt
+        try:
+            payload = block.run() if block.run is not None else {}
+            return payload if payload is not None else {}
+        except Exception as exc:  # SimulatedCrash is a BaseException: pierces
+            error = exc
+    block_run.status = FAILED
+    block_run.error = f"{type(error).__name__}: {error}"
+    if block.on_failure == HALT:
+        raise error
+    return None
+
+
 class GraphRunner:
     """Execute a :class:`DayGraph` under a simulated clock.
 
@@ -155,7 +222,10 @@ class GraphRunner:
                     break
                 name = min(ready, key=pick_key)
                 pending.discard(name)
-                block_run = self._start(graph, name, now, select)
+                block_run = run_block(
+                    graph.block(name), self.journal, self.day,
+                    self.crash_check, select, now,
+                )
                 runs[name] = block_run
                 if block_run.status in EXECUTED_STATUSES:
                     order.append(name)
@@ -209,69 +279,6 @@ class GraphRunner:
                 dead.add(name)
                 changed = True
 
-    def _start(
-        self,
-        graph: DayGraph,
-        name: str,
-        now: float,
-        select: Optional[Callable[[str], bool]],
-    ) -> BlockRun:
-        block = graph.block(name)
-        block_run = BlockRun(name=name, status=RAN, start=now, finish=now)
-        # The guard runs first, exactly like the serial loop's
-        # guard-and-continue, so a retailer knocked out upstream never
-        # reaches the journal check.
-        if block.enabled is not None and not block.enabled():
-            block_run.status = DISABLED
-            return block_run
-        journaled = (
-            self.journal is not None
-            and block.journal is not None
-            and self.journal.is_done(self.day, block.journal[0], block.journal[1])
-        )
-        if journaled:
-            # Replays ignore the selection: a recovered day must fold the
-            # complete journaled state even when only a slice reruns.
-            payload = self.journal.task_payload(
-                self.day, block.journal[0], block.journal[1]
-            )
-            block_run.status = REPLAYED
-        else:
-            if select is not None and not select(name):
-                block_run.status = UNSELECTED
-                return block_run
-            if block.pre_kill is not None:
-                self._check(*block.pre_kill)
-            payload = self._attempt(block, block_run)
-            if block_run.status == FAILED:
-                return block_run
-            if self.journal is not None and block.journal is not None:
-                self.journal.log_task(
-                    self.day, block.journal[0], block.journal[1], payload
-                )
-            if block.post_kill is not None:
-                self._check(*block.post_kill)
-            block_run.finish = now + block.duration_of(payload)
-        block_run.payload = payload
-        if block.fold is not None:
-            block.fold(payload)
-        return block_run
-
-    def _attempt(self, block: Block, block_run: BlockRun) -> Optional[Payload]:
-        error: Optional[Exception] = None
-        for attempt in range(1, block.max_attempts + 1):
-            block_run.attempts = attempt
-            try:
-                payload = block.run() if block.run is not None else {}
-                return payload if payload is not None else {}
-            except Exception as exc:  # SimulatedCrash is a BaseException: pierces
-                error = exc
-        block_run.status = FAILED
-        block_run.error = f"{type(error).__name__}: {error}"
-        if block.on_failure == HALT:
-            raise error
-        return None
-
     def _expand(self, graph, name, block_run, pri, pending, rng) -> None:
         block = graph.block(name)
         if block.expand is None:
@@ -291,7 +298,3 @@ class GraphRunner:
         for dep_name in dependents:
             graph.add_dependencies(dep_name, names)
         graph.validate()
-
-    def _check(self, stage: str, label: str = "") -> None:
-        if self.crash_check is not None:
-            self.crash_check(stage, label)

@@ -7,14 +7,18 @@ class fails the 40 s benchmark; this fails tier-1 in a second instead.
 
 from __future__ import annotations
 
+import pytest
+
 from perfbench.layers import install
 from perfbench.trace import HOT, Patcher, Tracer
 
+from repro.dag.runner import GraphRunner
 from repro.data.sessions import UserContext
 from repro.models.base import ScoredItem
 from repro.serving.cluster import ServingCluster
 from repro.serving.frontend import PopularityFallback, ServingFrontend
 from repro.serving.overload import OverloadProtection
+from tests.test_crash_recovery import make_service
 
 
 def traced_layers(protection) -> set:
@@ -49,3 +53,18 @@ def test_request_reaches_the_traced_stages_through_patchable_names():
     # assertion: the null policy must not go through the controller.
     assert traced_layers(None) == stages
     assert traced_layers(OverloadProtection()) == stages | {"serving.overload.admit"}
+
+
+@pytest.mark.parametrize("orchestration,runs", [("serial", 0), ("dag", 1)])
+def test_only_a_dag_day_enters_the_graph_runner(monkeypatch, orchestration, runs):
+    """perfbench reads ``dag.runner.self_s > 0`` on churn (dag) alone."""
+    calls = []
+    run = GraphRunner.run
+
+    def counted(self, *args, **kwargs):
+        calls.append(orchestration)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(GraphRunner, "run", counted)
+    make_service(orchestration=orchestration).run_day()
+    assert len(calls) == runs
