@@ -43,29 +43,37 @@ def blend_context_lookups(
     ``recent`` is the context's most recent ``(item, event)`` pairs,
     oldest first; each contributes the lookup ``recs_for(item)``, its
     scores weighted by recency decay and the event's context strength.
-    Items in ``seen`` are dropped; on collisions the strongest blended
-    score wins.  Shared by the in-process :class:`RecommendationServer`
-    and the online :class:`~repro.serving.frontend.ServingFrontend`, so
-    both tiers rank identically given the same lookups.
+    Items in ``seen`` are dropped; on collisions the strictly stronger
+    blended score wins (a tie keeps the more recent lookup's source).
+    Shared by the in-process :class:`RecommendationServer` and the
+    online :class:`~repro.serving.frontend.ServingFrontend`, so both
+    tiers rank identically given the same lookups.
+
+    Candidates are ranked as plain ``(-score, item, source)`` tuples;
+    only the ``k`` survivors become objects (none if ``k <= 0``).
     """
-    merged: Dict[int, ServedRecommendation] = {}
-    for age, (item, event) in enumerate(reversed(list(recent))):
+    best: Dict[int, Tuple[float, int]] = {}
+    for age, (item, event) in enumerate(reversed(recent)):
         weight = (recency_decay ** age) * float(
             EVENT_CONTEXT_WEIGHT[EventType(event)]
         )
-        for scored in recs_for(item):
-            if scored.item_index in seen:
+        for candidate, score in recs_for(item):
+            if candidate in seen:
                 continue
-            blended = weight * scored.score
-            existing = merged.get(scored.item_index)
-            if existing is None or blended > existing.score:
-                merged[scored.item_index] = ServedRecommendation(
-                    item_index=scored.item_index,
-                    score=blended,
-                    source_item=item,
-                )
-    ranked = sorted(merged.values(), key=lambda rec: (-rec.score, rec.item_index))
-    return ranked[:k]
+            blended = weight * score
+            existing = best.get(candidate)
+            if existing is None or blended > existing[0]:
+                best[candidate] = (blended, item)
+    if k <= 0:
+        return []
+    ranked = sorted([
+        (-blended, candidate, source)
+        for candidate, (blended, source) in best.items()
+    ])
+    return [
+        ServedRecommendation(candidate, -negated, source)
+        for negated, candidate, source in ranked[:k]
+    ]
 
 
 class RecommendationServer:

@@ -75,7 +75,16 @@ class TestLookup:
 
     def test_unknown_item_serves_empty(self, cluster):
         result = cluster.lookup("shop", 999)
-        assert result.recommendations == []
+        assert result.recommendations == ()
+
+    def test_a_returned_row_cannot_be_written_into_the_slot(self, cluster):
+        row = cluster.lookup("shop", 0).recommendations
+        assert cluster.lookup("shop", 0).recommendations is row  # no copy
+        with pytest.raises(AttributeError):
+            row.append(ScoredItem(7, 1.0))
+        with pytest.raises(TypeError):
+            row[0] = ScoredItem(7, 1.0)
+        assert cluster.lookup("shop", 0).recommendations == tuple(batch(100)[0])
 
     def test_item_whose_shard_no_load_reached_serves_empty(self):
         """Regression (found by the state machine below): a live node
@@ -85,8 +94,8 @@ class TestLookup:
         cluster = ServingCluster(n_nodes=2, n_shards=8, replication=2)
         cluster.load_batch("shop", {0: [ScoredItem(1, 1.0)]}, version=1)
         for item in range(1, 50):
-            assert cluster.lookup("shop", item).recommendations == []
-        assert cluster.lookup("shop", 0).recommendations == [ScoredItem(1, 1.0)]
+            assert cluster.lookup("shop", item).recommendations == ()
+        assert cluster.lookup("shop", 0).recommendations == (ScoredItem(1, 1.0),)
         assert cluster.failovers == 0
 
     def test_hot_items_served_from_memory(self, cluster):
@@ -193,12 +202,12 @@ class TestBatchRollout:
         cluster.load_batch("shop", batch(40), version=1)
         cluster.load_batch("other", batch(40), version=5)  # co-tenant
         cluster.load_batch("shop", {0: [ScoredItem(1, 9.0)]}, version=2)
-        assert cluster.lookup("shop", 0).recommendations == [ScoredItem(1, 9.0)]
+        assert cluster.lookup("shop", 0).recommendations == (ScoredItem(1, 9.0),)
         for item in range(40):
             result = cluster.lookup("shop", item)
             assert result.version == 2, f"item {item} still answers at v1"
             if item:
-                assert result.recommendations == [], f"item {item} survived"
+                assert result.recommendations == (), f"item {item} survived"
             other = cluster.lookup("other", item)
             assert other.version == 5 and other.recommendations
 
@@ -489,7 +498,7 @@ class ClusterAgainstDict(RuleBasedStateMachine):
             assert self.cluster.version_of(rid) == version
             for item in ITEMS:
                 result = self.cluster.lookup(rid, item)
-                assert result.recommendations == table.get(item, [])
+                assert result.recommendations == tuple(table.get(item, ()))
                 assert result.node_id != self.down
                 if item in table:
                     assert result.version == version
@@ -500,7 +509,7 @@ class ClusterAgainstDict(RuleBasedStateMachine):
         for rid, (version, table) in self.oracle.items():
             for shard in range(cluster.n_shards):
                 share = {
-                    item: recs for item, recs in table.items()
+                    item: tuple(recs) for item, recs in table.items()
                     if cluster.shard_of(rid, item) == shard
                 }
                 for node in cluster.replica_nodes(shard):
@@ -510,6 +519,15 @@ class ClusterAgainstDict(RuleBasedStateMachine):
                         continue
                     assert (slot.version, slot.rows) == (version, share)
                     assert all(slot.rows[item] for item in slot.hot)
+
+    @invariant()
+    def every_loaded_item_is_placed_where_it_hashes(self):
+        placement = self.cluster._placement
+        assert placement.keys() == self.oracle.keys()
+        for rid, (_, table) in self.oracle.items():
+            assert placement[rid] == {
+                item: self.cluster.shard_of(rid, item) for item in table
+            }
 
     @invariant()
     def memory_tier_is_bounded(self):
