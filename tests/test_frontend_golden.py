@@ -9,6 +9,11 @@ changed what some request is answered with, charged or counted as.
 
 The stream never asks for ``k <= 0`` and republishes a same-sized table,
 so the two bug fixes that rode with the refactor do not touch it.
+
+Re-recorded once since, when pages with a failed or deadline-cut lookup
+stopped being cached: 39 cache hits had served such a page, and each now
+recomputes; the extra work moves the queue and the admission buckets,
+so 212 of the 1 500 responses differ, the first at position 32.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from repro.serving.traffic import (
 )
 from tests.test_serving_frontend import _PublishDuringLookupCluster
 
-GOLDEN_SHA256 = "384fa96aac25e905728296043f98551a4e62497c67a8f1f81111e5ef75d57f61"
+GOLDEN_SHA256 = "85e8070a07e5e31ad711d1bb524833ddc7e1f05644fdc0e6ad9cef418392eddf"
 
 #: retailer -> (catalog size, recommendations per item).  ``thin`` serves
 #: three per item, so every page of ten needs the top-ups; ``ghost`` has
