@@ -8,10 +8,11 @@ Sweeps catalog size and measures, per ``nprobe``:
 
 Full mode writes ``BENCH_retrieval.json`` at the repo root with the
 measured crossover (``crossover_items``: the smallest catalog where ANN
-at the chosen default ``nprobe`` beats exact search) — that file is what
-:func:`repro.retrieval.harness.resolve_ann_threshold` reads to pick the
-service's exact-vs-ANN switch.  ``E26_FAST=1`` runs one small catalog as
-a CI smoke: asserts recall@10 >= 0.9 and an ANN speedup, writes nothing.
+at the chosen default ``nprobe`` beats exact search).  That file is the
+evidence for the service's exact-vs-ANN switch, the constant
+:data:`repro.retrieval.harness.DEFAULT_ANN_THRESHOLD`; nothing reads it
+at run time.  ``E26_FAST=1`` runs one small catalog as a CI smoke:
+asserts recall@10 >= 0.9 and an ANN speedup, writes nothing.
 """
 
 from __future__ import annotations

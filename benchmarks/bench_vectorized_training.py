@@ -2,7 +2,7 @@
 
 Sigmund's daily loop sits on the BPR training hot path: thousands of
 per-retailer models retrained every day (paper section III-C).  The
-trainer has one loop (``BPRTrainer.run_pass``): the example list is
+trainer has one loop (``BPRTrainer.run_epoch``): the example list is
 compiled into flat CSR arrays once and every ``batch_size`` triples take
 one ``sgd_step_batch`` — one scatter-add per parameter table.  The paper's
 schedule, one triple per update, is ``batch_size=1`` through that same

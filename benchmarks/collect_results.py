@@ -55,7 +55,8 @@ PAPER_CLAIMS = {
             "basic SGD, even for non-convex problems."),
     "E13": ("§IV-B2", "Training one retailer per machine with Hogwild "
             "threads uses the allocated memory efficiently and avoids the "
-            "memory blow-ups of packing multiple models per machine."),
+            "memory blow-ups of packing multiple models per machine "
+            "(the threads are a cost model, thread_speedup(), not run)."),
     "E14": ("§III-B4, §III-C", "Side features combat sparsity and cold "
             "start; a brand feature below ~10% coverage is detrimental, so "
             "feature selection is per retailer."),

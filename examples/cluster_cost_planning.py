@@ -21,6 +21,7 @@ from repro.cluster.cost import ResourcePricing
 from repro.cluster.execution import expected_cost_comparison, run_with_preemptions
 from repro.cluster.machine import Priority, VMRequest
 from repro.cluster.preemption import PreemptionModel
+from repro.core.training import TrainerSettings
 
 
 def main() -> None:
@@ -82,7 +83,7 @@ def main() -> None:
     print(f"  {'threads':>8} {'wall h':>8} {'cost':>8}")
     single_thread_seconds = work_seconds
     for threads in (1, 2, 4, 8):
-        speedup = 1.0 + (threads - 1) * 0.85
+        speedup = TrainerSettings(n_threads=threads).thread_speedup()
         duration = single_thread_seconds / speedup
         request = VMRequest(cpus=threads, memory_gb=32, priority=Priority.PREEMPTIBLE)
         cost = pricing.cost(request, duration)

@@ -83,11 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--retailer-id", default="csv_retailer")
     train.add_argument("--factors", type=int, default=16)
     train.add_argument("--epochs", type=int, default=8)
-    train.add_argument(
-        "--workers", type=int, default=1,
-        help="Hogwild worker processes updating the model lock-free in "
-             "shared memory; 1 runs the serial trainer",
-    )
 
     inspect = commands.add_parser("inspect", help="summarize CSV data")
     inspect.add_argument("catalog", help="catalog CSV path")
@@ -263,14 +258,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         dataset.catalog, dataset.taxonomy,
         BPRHyperParams(n_factors=args.factors, learning_rate=0.08),
     )
-    if args.workers > 1:
-        from repro.fleet.hogwild import SharedMemoryHogwild
-
-        report = SharedMemoryHogwild(
-            model, dataset, n_processes=args.workers, max_epochs=args.epochs
-        ).train()
-    else:
-        report = BPRTrainer(model, dataset, max_epochs=args.epochs).train()
+    report = BPRTrainer(model, dataset, max_epochs=args.epochs).train()
     result = HoldoutEvaluator(dataset).evaluate(model)
     print(f"epochs={report.epochs_run} map@10={result.map_at_10:.4f} "
           f"mean_rank={result.metric('mean_rank'):.1f}")

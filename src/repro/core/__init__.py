@@ -8,8 +8,8 @@ This package is the paper's primary contribution — everything that turns
 * full and incremental sweeps (:mod:`~repro.core.sweep`),
 * the model registry with strict retailer isolation
   (:mod:`~repro.core.registry`),
-* the training pipeline — Hogwild threads, time-interval checkpointing,
-  pre-emptible execution (:mod:`~repro.core.training`,
+* the training pipeline — the Hogwild thread cost model, time-interval
+  checkpointing, pre-emptible execution (:mod:`~repro.core.training`,
   :mod:`~repro.core.checkpoint`),
 * candidate selection and the offline inference pipeline with bin-packed
   parallelization (:mod:`~repro.core.candidates`,

@@ -30,7 +30,7 @@ from repro.data.datasets import RetailerDataset
 from repro.exceptions import ConfigError
 from repro.models.bpr import BPRHyperParams, BPRModel
 from repro.obs.metrics import NULL_METRICS
-from repro.rng import SeedLike, derive_seed, make_rng
+from repro.rng import derive_seed, make_rng
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def random_search(
     space: SearchSpace = SearchSpace(),
     n_trials: int = 16,
     settings: TrainerSettings = TrainerSettings(),
-    seed: SeedLike = 0,
+    seed: int = 0,
     metrics=NULL_METRICS,
 ) -> SearchOutcome:
     """Train ``n_trials`` independently sampled configurations."""
@@ -108,7 +108,7 @@ def random_search(
     outcome = SearchOutcome()
     for trial in range(n_trials):
         params = space.sample(
-            rng, derive_seed(int(0 if seed is None else 0) or 0, dataset.retailer_id, "rs", trial)
+            rng, derive_seed(seed, dataset.retailer_id, "rs", trial)
         )
         config = ConfigRecord(dataset.retailer_id, trial, params)
         _, output = train_config(config, dataset, settings, metrics=metrics)
@@ -129,7 +129,7 @@ def successive_halving(
     eta: int = 2,
     epochs_per_rung: int = 2,
     settings: TrainerSettings = TrainerSettings(),
-    seed: SeedLike = 0,
+    seed: int = 0,
     metrics=NULL_METRICS,
 ) -> SearchOutcome:
     """Successive halving over randomly sampled configurations.
@@ -150,7 +150,7 @@ def successive_halving(
     candidates: List[Tuple[ConfigRecord, Optional[BPRModel]]] = []
     for trial in range(n_initial):
         params = space.sample(
-            rng, derive_seed(0, dataset.retailer_id, "sh", trial)
+            rng, derive_seed(seed, dataset.retailer_id, "sh", trial)
         )
         candidates.append(
             (ConfigRecord(dataset.retailer_id, trial, params), None)

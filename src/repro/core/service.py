@@ -60,7 +60,7 @@ from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.snapshot import build_day_seal
 from repro.obs.tracing import NULL_TRACER
 from repro.retrieval.backend import ann_for_model
-from repro.retrieval.harness import measure_model_recall, resolve_ann_threshold
+from repro.retrieval.harness import DEFAULT_ANN_THRESHOLD, measure_model_recall
 from repro.retrieval.ivf import IVFConfig
 from repro.retrieval.store import RetrievalIndexStore
 from repro.serving.gate import PublishGate
@@ -202,10 +202,9 @@ class SigmundService:
             executor=executor,
         )
         #: Catalog size at which the ANN index replaces the taxonomy
-        #: walk; defaults to the crossover the committed E26 bench
-        #: measured (:func:`~repro.retrieval.harness.resolve_ann_threshold`).
+        #: walk; defaults to :data:`~repro.retrieval.harness.DEFAULT_ANN_THRESHOLD`.
         self.retrieval_threshold = (
-            resolve_ann_threshold()
+            DEFAULT_ANN_THRESHOLD
             if retrieval_threshold is None
             else retrieval_threshold
         )

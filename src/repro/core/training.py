@@ -10,9 +10,9 @@ Paper section IV-B: training is a MapReduce whose map phase calls a
 * **One retailer per machine, many threads** — instead of packing
   multiple map tasks (and models) per machine, each task trains a single
   model with Hogwild-style lock-free threads, so memory is bounded by one
-  model and the already-allocated memory is kept busy.  Here that is a
-  *cost model* (``TrainerSettings.thread_speedup``) the simulator bills
-  by; real lock-free lanes are :class:`repro.fleet.hogwild.SharedMemoryHogwild`.
+  model and the already-allocated memory is kept busy.  Here that is
+  modelled, not run: a *cost model* (``TrainerSettings.thread_speedup``)
+  the simulator bills by, while the real compute is one serial loop.
 * **Time-interval checkpointing** against the simulated clock.
 * **Per-cell job splitting** sized by free capacity.
 """

@@ -2,23 +2,20 @@
 
 The cluster simulator schedules thousands of Train() tasks in *simulated*
 parallel, but until this package existed every map task's real compute ran
-in one Python process.  ``repro.fleet`` adds the missing real parallelism
-at both levels the paper describes (section IV-B):
+in one Python process.  :class:`ProcessFleetExecutor` fans per-config map
+tasks over a pool of spawned worker processes behind the :class:`Executor`
+protocol; the serial in-process path stays the reference implementation
+and the simulated-clock billing/preemption/checkpoint semantics remain the
+scheduling layer on top.
 
-* **Across configs** — :class:`ProcessFleetExecutor` fans per-config map
-  tasks over a pool of spawned worker processes behind the
-  :class:`Executor` protocol; the serial in-process path stays the
-  reference implementation and the simulated-clock billing/preemption/
-  checkpoint semantics remain the scheduling layer on top.
-* **Within one config** — :class:`SharedMemoryHogwild` trains one model
-  with lock-free worker *processes* updating embedding and optimizer
-  arrays allocated in ``multiprocessing.shared_memory``, the real-memory
-  version of the paper's Hogwild threads.
+Parallelism *within* one config — the paper's lock-free Hogwild threads
+(section IV-B2) — is modelled, not run: the simulator bills it through
+:meth:`repro.core.training.TrainerSettings.thread_speedup`.
 
 Determinism contract: every Train() task is fully seeded from its config
-record and every Hogwild lane from :func:`repro.rng.derive_worker_seed`,
-so a sweep run through the fleet is byte-identical to the serial run —
-worker placement never moves a random draw.
+record (:func:`repro.rng.derive_seed` of the config's own seed), so a
+sweep run through the fleet is byte-identical to the serial run — worker
+placement never moves a random draw.
 """
 
 from repro.fleet.executor import (
@@ -31,8 +28,6 @@ from repro.fleet.executor import (
     SerialExecutor,
     TaskOutcome,
 )
-from repro.fleet.hogwild import SharedMemoryHogwild
-from repro.fleet.sharedmem import SharedArrayBlock, attach_shared_arrays
 from repro.fleet.tasks import TrainTaskResult, TrainTaskSpec, run_train_task
 
 __all__ = [
@@ -44,9 +39,6 @@ __all__ = [
     "ProcessFleetExecutor",
     "SerialExecutor",
     "TaskOutcome",
-    "SharedMemoryHogwild",
-    "SharedArrayBlock",
-    "attach_shared_arrays",
     "TrainTaskResult",
     "TrainTaskSpec",
     "run_train_task",

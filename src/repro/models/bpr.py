@@ -607,34 +607,6 @@ class BPRModel(Recommender):
         self.invalidate_cache()
         return copied
 
-    def bind_parameters(self, arrays: Dict[str, np.ndarray]) -> None:
-        """Rebind parameter storage to externally allocated arrays.
-
-        Shared-memory Hogwild allocates every parameter in a
-        ``multiprocessing.shared_memory`` segment and points each worker
-        process's model at the same buffers; updates race lock-free across
-        processes exactly as they do across threads.  Values are whatever
-        the arrays already hold — callers copy the current state in before
-        binding.  Validates every array before assigning any.
-        """
-        current = self._parameters()
-        for name, param in current.items():
-            if name not in arrays:
-                raise ConfigError(f"bind_parameters missing {name!r}")
-            array = arrays[name]
-            if array.shape != param.shape or array.dtype != param.dtype:
-                raise ConfigError(
-                    f"bound parameter {name!r} is {array.shape}/{array.dtype}, "
-                    f"model expects {param.shape}/{param.dtype}"
-                )
-        self.item_embeddings = arrays["item"]
-        self.context_embeddings = arrays["context"]
-        self.item_bias = arrays["bias"]
-        self.taxonomy_embeddings = arrays["taxonomy"]
-        self.brand_embeddings = arrays["brand"]
-        self.price_embeddings = arrays["price"]
-        self.invalidate_cache()
-
     def memory_bytes(self) -> int:
         """Approximate resident size of the model (cluster-sim scheduling)."""
         return (

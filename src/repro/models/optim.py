@@ -87,7 +87,7 @@ class Optimizer(abc.ABC):
         return 0
 
     # ------------------------------------------------------------------
-    # State hand-off (fleet workers, shared-memory Hogwild)
+    # State hand-off (fleet workers)
     # ------------------------------------------------------------------
     def get_state(self) -> Dict[str, np.ndarray]:
         """Deep copies of accumulated state, keyed like the parameters.
@@ -105,17 +105,6 @@ class Optimizer(abc.ABC):
             raise ValueError(
                 f"stateless optimizer given state for {sorted(state)!r}"
             )
-
-    def bind_state(self, arrays: "Dict[str, np.ndarray]") -> None:
-        """Rebind accumulator storage to externally allocated arrays.
-
-        Shared-memory Hogwild points every worker process's optimizer at
-        the *same* accumulator buffers, so adaptive learning rates stay
-        global across processes instead of silently forking per worker.
-        Current values are whatever the arrays hold — callers copy state
-        in beforehand.  Stateless optimizers ignore the call.
-        """
-        del arrays
 
 
 class Sgd(Optimizer):
@@ -192,20 +181,6 @@ class Adagrad(Optimizer):
                 )
         for name, values in state.items():
             self._accumulators[name][...] = values
-
-    def bind_state(self, arrays: Dict[str, np.ndarray]) -> None:
-        for name, array in arrays.items():
-            if name not in self._accumulators:
-                raise ValueError(f"binding unregistered parameter {name!r}")
-            current = self._accumulators[name]
-            if array.shape != current.shape or array.dtype != current.dtype:
-                raise ValueError(
-                    f"bound accumulator {name!r} is "
-                    f"{array.shape}/{array.dtype}, expected "
-                    f"{current.shape}/{current.dtype}"
-                )
-        for name, array in arrays.items():
-            self._accumulators[name] = array
 
     def state_size_bytes(self) -> int:
         return sum(acc.nbytes for acc in self._accumulators.values())

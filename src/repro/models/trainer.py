@@ -206,7 +206,7 @@ class BPRTrainer:
         return pool[int(self._rng.integers(len(pool)))]
 
     def _compile_examples(self) -> CompiledExamples:
-        """Flatten the example list into the arrays :meth:`run_pass` consumes."""
+        """Flatten the example list into the arrays :meth:`run_epoch` consumes."""
         indptr = np.zeros(len(self.examples) + 1, dtype=np.int64)
         ctx_rows: List[np.ndarray] = []
         ctx_weights: List[np.ndarray] = []
@@ -241,28 +241,18 @@ class BPRTrainer:
     # Training
     # ------------------------------------------------------------------
     def run_epoch(self) -> float:
-        """One pass over all examples in random order; returns mean loss."""
+        """One pass over all examples in random order; returns mean loss.
+
+        The only loop over training examples: one ``sgd_step_batch`` per
+        ``batch_size`` of them.  The trainer's stream supplies the shuffle
+        and every sampled negative, in that order.
+        """
         n = len(self.examples)
         if n == 0:
             return 0.0
-        return self.run_pass(np.arange(n), self._rng) / n
-
-    #: The name ``tests/test_batched_sgd_bit_identity.py`` (frozen with the
-    #: reference it compares against) drives the epoch under.
-    _run_epoch_batched = run_epoch
-
-    def run_pass(self, positions: np.ndarray, rng: np.random.Generator) -> float:
-        """One shuffled pass over ``examples[positions]``; returns the loss total.
-
-        The only loop over training examples: one ``sgd_step_batch`` per
-        ``batch_size`` of them.  ``rng`` supplies the shuffle and every
-        sampled negative, in that order, so a pass is a function of the
-        parameters, ``positions`` and the stream alone — :meth:`run_epoch`
-        passes every position and the trainer's own stream, a Hogwild
-        lane its shard and its lane stream.
-        """
         compiled = self.compiled
-        order = positions[rng.permutation(len(positions))]
+        rng = self._rng
+        order = rng.permutation(n)
         total = 0.0
         for start in range(0, len(order), self.batch_size):
             batch = order[start : start + self.batch_size]
@@ -285,7 +275,11 @@ class BPRTrainer:
                 compiled.gather(batch), compiled.positives[batch], negatives
             )
             total += float(losses.sum())
-        return total
+        return total / n
+
+    #: The name ``tests/test_batched_sgd_bit_identity.py`` (frozen with the
+    #: reference it compares against) drives the epoch under.
+    _run_epoch_batched = run_epoch
 
     def iter_epochs(self) -> Iterator[Tuple[int, float]]:
         """Yield ``(epoch_index, mean_loss)`` after each epoch until done.

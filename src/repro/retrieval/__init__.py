@@ -3,7 +3,7 @@
 The exact ``U @ V_eff.T`` top-k is the scaling wall for million-item
 catalogs (ROADMAP; eBay's embedding-serving architecture in PAPERS.md).
 This package provides the retrieval layer that replaces it above a
-measured catalog-size threshold:
+catalog-size threshold:
 
 * :class:`~repro.retrieval.ivf.IVFIndex` — IVF-style coarse quantization
   (seeded k-means centroids, per-cluster inverted lists, an ``nprobe``
@@ -14,7 +14,7 @@ measured catalog-size threshold:
 * :class:`~repro.retrieval.backend.ModelRetrieval` — couples a trained
   model's query embeddings to a backend for item-to-item search,
 * :mod:`~repro.retrieval.harness` — measured ``recall@k`` against the
-  exact baseline, plus the bench-derived ANN threshold,
+  exact baseline, plus the ANN threshold constant,
 * :class:`~repro.retrieval.store.RetrievalIndexStore` — versioned,
   rollback-able index publication alongside the serving tables.
 
@@ -36,7 +36,6 @@ from repro.retrieval.harness import (
     DEFAULT_ANN_THRESHOLD,
     measure_model_recall,
     recall_at_k,
-    resolve_ann_threshold,
     synthetic_embeddings,
     synthetic_queries,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "exact_for_model",
     "measure_model_recall",
     "recall_at_k",
-    "resolve_ann_threshold",
     "retrieval_for_model",
     "synthetic_embeddings",
     "synthetic_queries",

@@ -1,4 +1,4 @@
-"""Recall measurement for ANN backends, and the bench-derived threshold.
+"""Recall measurement for ANN backends, and the index threshold.
 
 An approximate index is only admissible if we can *measure* how
 approximate it is.  :func:`recall_at_k` compares any backend's top-k
@@ -7,34 +7,26 @@ gate and the E26 benchmark both go through it, so "recall" means the
 same thing in CI, in the bench report, and in the recall gate that can
 reject an index before it reaches serving.
 
-The exact-vs-ANN switchover size comes from measurement too:
-:func:`resolve_ann_threshold` reads the crossover point out of the
-committed ``BENCH_retrieval.json`` (E26's output) and falls back to a
-conservative default when no bench artifact exists.
+The exact-vs-ANN switchover size is a constant,
+:data:`DEFAULT_ANN_THRESHOLD`, with E26's measured crossover
+(``BENCH_retrieval.json``) as its evidence: re-running the bench on a
+noisy machine does not move what the daily run builds.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.retrieval.backend import exact_for_model
 from repro.rng import make_rng
 
-#: Catalog size above which ANN replaces the exact GEMM when no measured
-#: crossover is available.  Conservative: the E26 bench on clustered
-#: synthetic embeddings measures the real crossover far lower.
+#: Catalog size at which ANN replaces the exact taxonomy walk.  E26 on
+#: clustered synthetic embeddings measures the timing crossover lower;
+#: the threshold stays here until the default cell count is checked
+#: against the recall gate at the smaller sizes.
 DEFAULT_ANN_THRESHOLD = 50_000
-
-#: Never let a measured crossover push the switch below this: tiny
-#: catalogs are always cheaper to score exactly than to quantize.
-MIN_ANN_THRESHOLD = 1024
-
-#: Where E26 writes its report, relative to the repo root.
-BENCH_FILENAME = "BENCH_retrieval.json"
 
 
 def recall_at_k(
@@ -92,27 +84,6 @@ def measure_model_recall(
     )
 
 
-def resolve_ann_threshold(
-    path: Optional[Union[str, pathlib.Path]] = None,
-) -> int:
-    """Catalog size at which ANN beats exact, per the committed bench.
-
-    Reads ``crossover_items`` from ``BENCH_retrieval.json`` at the repo
-    root (or ``path``); any missing/unreadable/malformed artifact falls
-    back to :data:`DEFAULT_ANN_THRESHOLD`.
-    """
-    if path is None:
-        path = (
-            pathlib.Path(__file__).resolve().parents[3] / BENCH_FILENAME
-        )
-    try:
-        payload = json.loads(pathlib.Path(path).read_text())
-        crossover = int(payload["crossover_items"])
-    except (OSError, ValueError, KeyError, TypeError):
-        return DEFAULT_ANN_THRESHOLD
-    return max(MIN_ANN_THRESHOLD, crossover)
-
-
 def synthetic_embeddings(
     n_items: int,
     n_factors: int = 16,
@@ -152,10 +123,8 @@ def synthetic_queries(
 
 __all__ = [
     "DEFAULT_ANN_THRESHOLD",
-    "MIN_ANN_THRESHOLD",
     "measure_model_recall",
     "recall_at_k",
-    "resolve_ann_threshold",
     "synthetic_embeddings",
     "synthetic_queries",
 ]

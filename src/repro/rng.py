@@ -3,7 +3,10 @@
 Every stochastic component in the library takes an explicit seed or an
 explicit :class:`numpy.random.Generator`.  These helpers centralize the
 conversion so that the rest of the code never calls the global numpy RNG,
-which keeps experiments reproducible run to run.
+which keeps experiments reproducible run to run.  A unit of work that
+may run in another process derives its stream from its own seed and
+logical names (:func:`derive_seed`), never from a pid or spawn order, so
+where it runs never moves a draw.
 """
 
 from __future__ import annotations
@@ -27,16 +30,6 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Split ``rng`` into ``n`` independent child generators.
-
-    Used when work fans out (e.g. one generator per retailer, or one per
-    Hogwild thread) so that each unit of work has its own stream and the
-    result does not depend on execution order.
-    """
-    return [np.random.default_rng(s) for s in rng.bit_generator.seed_seq.spawn(n)]
-
-
 def derive_seed(base_seed: int, *components: Union[int, str]) -> int:
     """Derive a deterministic 63-bit seed from a base seed and components.
 
@@ -53,26 +46,6 @@ def derive_seed(base_seed: int, *components: Union[int, str]) -> int:
             part = component & 0x7FFFFFFFFFFFFFFF
         h = ((h ^ part) * 0xBF58476D1CE4E5B9) & mask
     return h & 0x7FFFFFFFFFFFFFFF
-
-
-def derive_worker_seed(
-    base_seed: int,
-    process_index: int,
-    thread_index: int,
-    *components: Union[int, str],
-) -> int:
-    """Seed for one (process, thread) worker lane of a parallel unit of work.
-
-    Streams are namespaced by *logical* lane indices, never by ambient
-    process identity (pid, spawn order, time): the same logical shard draws
-    the same stream whether it runs inline, on a thread, or in a spawned
-    worker process.  This is what makes a sweep executed by the process
-    fleet byte-identical to the serial reference run — worker placement
-    can change freely without moving any random draw.
-    """
-    return derive_seed(
-        base_seed, "proc", process_index, "thread", thread_index, *components
-    )
 
 
 def hash_string(text: str) -> int:

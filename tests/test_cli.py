@@ -90,6 +90,15 @@ class TestParser:
         assert args.blocks == "train,publish"
         assert args.schedule is True
 
+    def test_train_has_no_workers_option(self, capsys):
+        """Hogwild is modelled, not run: ``train`` trains one serial loop."""
+        with pytest.raises(SystemExit) as exit:
+            build_parser().parse_args(
+                ["train", "catalog.csv", "events.csv", "--workers", "2"]
+            )
+        assert exit.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_demo_runs(self, capsys):

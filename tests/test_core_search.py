@@ -123,3 +123,29 @@ class TestSuccessiveHalving:
             settings=FAST, seed=7,
         )
         assert halving.best.map_at_10 >= random_outcome.best.map_at_10 * 0.7
+
+
+def model_seeds(outcome):
+    return [output.config.params.seed for output in outcome.outputs]
+
+
+class TestSearchSeed:
+    """A search's ``seed`` reaches every candidate's model init."""
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda data, seed: random_search(
+                data, SMALL_SPACE, n_trials=2, settings=FAST, seed=seed
+            ),
+            lambda data, seed: successive_halving(
+                data, SMALL_SPACE, n_initial=2, eta=2, epochs_per_rung=1,
+                settings=FAST, seed=seed,
+            ),
+        ],
+        ids=["random", "halving"],
+    )
+    def test_seed_reaches_model_init(self, tiny_dataset, search):
+        first = model_seeds(search(tiny_dataset, 1))
+        assert model_seeds(search(tiny_dataset, 1)) == first
+        assert set(model_seeds(search(tiny_dataset, 2))).isdisjoint(first)

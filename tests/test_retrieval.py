@@ -41,9 +41,7 @@ from repro.retrieval import (
 )
 from repro.retrieval.harness import (
     DEFAULT_ANN_THRESHOLD,
-    MIN_ANN_THRESHOLD,
     measure_model_recall,
-    resolve_ann_threshold,
     synthetic_embeddings,
     synthetic_queries,
 )
@@ -212,7 +210,7 @@ class TestIVFSearch:
 
 
 # ----------------------------------------------------------------------
-# Recall harness + threshold resolution
+# Recall harness + the index threshold
 # ----------------------------------------------------------------------
 class TestHarness:
     def test_exact_vs_itself_is_perfect(self):
@@ -236,30 +234,10 @@ class TestHarness:
         exact = ExactRetrieval(vectors, bias)
         assert recall_at_k(EmptyBackend(), exact, vectors, 3) == 0.0
 
-    def test_threshold_falls_back_without_artifact(self, tmp_path):
-        assert (
-            resolve_ann_threshold(tmp_path / "missing.json")
-            == DEFAULT_ANN_THRESHOLD
-        )
-
-    def test_threshold_clamped_to_minimum(self, tmp_path):
-        artifact = tmp_path / "bench.json"
-        artifact.write_text(json.dumps({"crossover_items": 10}))
-        assert resolve_ann_threshold(artifact) == MIN_ANN_THRESHOLD
-
-    def test_threshold_reads_measured_crossover(self, tmp_path):
-        artifact = tmp_path / "bench.json"
-        artifact.write_text(json.dumps({"crossover_items": 123_456}))
-        assert resolve_ann_threshold(artifact) == 123_456
-
-    def test_malformed_artifact_falls_back(self, tmp_path):
-        artifact = tmp_path / "bench.json"
-        artifact.write_text("{not json")
-        assert resolve_ann_threshold(artifact) == DEFAULT_ANN_THRESHOLD
-
-    def test_committed_bench_artifact_resolves(self):
-        """The repo-root E26 artifact is readable and sane."""
-        assert resolve_ann_threshold() >= MIN_ANN_THRESHOLD
+    def test_default_service_uses_the_constant_threshold(self):
+        """The threshold is a constant; no bench artefact is read."""
+        service = SigmundService(build_cluster(n_cells=1, machines_per_cell=1))
+        assert service.retrieval_threshold == DEFAULT_ANN_THRESHOLD == 50_000
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rng import derive_seed, hash_string, make_rng, spawn
+from repro.rng import derive_seed, hash_string, make_rng
 
 
 class TestMakeRng:
@@ -19,16 +19,6 @@ class TestMakeRng:
 
     def test_none_gives_generator(self):
         assert isinstance(make_rng(None), np.random.Generator)
-
-
-class TestSpawn:
-    def test_children_independent_and_deterministic(self):
-        a = spawn(make_rng(7), 3)
-        b = spawn(make_rng(7), 3)
-        draws_a = [g.integers(10**6) for g in a]
-        draws_b = [g.integers(10**6) for g in b]
-        assert draws_a == draws_b
-        assert len(set(draws_a)) == 3  # overwhelmingly likely distinct
 
 
 class TestDeriveSeed:
