@@ -149,3 +149,41 @@ class TestSearchSeed:
         first = model_seeds(search(tiny_dataset, 1))
         assert model_seeds(search(tiny_dataset, 1)) == first
         assert set(model_seeds(search(tiny_dataset, 2))).isdisjoint(first)
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda data: random_search(
+                data, SMALL_SPACE, n_trials=4, settings=FAST, seed=3
+            ),
+            lambda data: successive_halving(
+                data, SMALL_SPACE, n_initial=4, eta=2, epochs_per_rung=1,
+                settings=FAST, seed=3,
+            ),
+        ],
+        ids=["random", "halving"],
+    )
+    def test_every_trial_inits_its_own_model(self, tiny_dataset, search):
+        """Trials of one search never share an init; a rung keeps its trial's."""
+        by_trial = {}
+        for output in search(tiny_dataset).outputs:
+            number = output.config.model_number
+            seed = by_trial.setdefault(number, output.config.params.seed)
+            assert output.config.params.seed == seed
+        assert sorted(by_trial) == [0, 1, 2, 3]
+        assert len(set(by_trial.values())) == 4
+
+    def test_strategies_draw_from_separate_streams(self, tiny_dataset):
+        """One seed does not give random search and halving the same inits."""
+        random_seeds = model_seeds(
+            random_search(
+                tiny_dataset, SMALL_SPACE, n_trials=2, settings=FAST, seed=5
+            )
+        )
+        halving_seeds = model_seeds(
+            successive_halving(
+                tiny_dataset, SMALL_SPACE, n_initial=2, eta=2,
+                epochs_per_rung=1, settings=FAST, seed=5,
+            )
+        )
+        assert set(random_seeds).isdisjoint(halving_seeds)

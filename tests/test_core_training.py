@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import pathlib
+import runpy
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import build_cluster
 from repro.core.checkpoint import CheckpointManager
@@ -87,6 +93,62 @@ class TestTrainerSettings:
             TrainerSettings(n_threads=0)
         with pytest.raises(ConfigError):
             TrainerSettings(sampler="magic")
+
+
+class TestThreadCostModel:
+    """Hogwild threads are modelled, not run: ``thread_speedup()`` bills them."""
+
+    @pytest.mark.parametrize(
+        "threads, speedup", [(1, 1.0), (2, 1.85), (4, 3.55), (8, 6.95)]
+    )
+    def test_default_efficiency_table(self, threads, speedup):
+        assert TrainerSettings(n_threads=threads).thread_speedup() == (
+            pytest.approx(speedup)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        threads=st.integers(min_value=1, max_value=64),
+        efficiency=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_between_one_and_linear(self, threads, efficiency):
+        model = TrainerSettings(n_threads=threads, thread_efficiency=efficiency)
+        one_more = TrainerSettings(
+            n_threads=threads + 1, thread_efficiency=efficiency
+        )
+        assert 1.0 <= model.thread_speedup() <= threads
+        assert model.thread_speedup() <= one_more.thread_speedup()
+
+    def test_simulated_seconds_divide_by_the_speedup(self, small_dataset):
+        """Threads shorten the billed time and change nothing that trains."""
+        config = config_for(small_dataset)
+        _, serial = train_config(
+            config, small_dataset, replace(FAST, n_threads=1)
+        )
+        _, threaded = train_config(
+            config, small_dataset, replace(FAST, n_threads=4)
+        )
+        assert threaded.sgd_steps == serial.sgd_steps
+        assert threaded.metrics == serial.metrics
+        assert serial.train_seconds / threaded.train_seconds == pytest.approx(
+            TrainerSettings(n_threads=4).thread_speedup()
+        )
+
+    def test_cost_planning_example_prints_the_modelled_table(self, capsys):
+        """The example bills threads through the model, digit for digit."""
+        example = (
+            pathlib.Path(__file__).resolve().parents[1]
+            / "examples"
+            / "cluster_cost_planning.py"
+        )
+        runpy.run_path(str(example), run_name="__main__")
+        table = capsys.readouterr().out.splitlines()[-4:]
+        assert [line.split() for line in table] == [
+            ["1", "3.00", "0.1890"],
+            ["2", "1.62", "0.1265"],
+            ["4", "0.85", "0.0913"],
+            ["8", "0.43", "0.0725"],
+        ]
 
 
 class TestTrainingPipeline:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.datasets import RetailerDataset
 from repro.data.events import EventType, Interaction
@@ -10,6 +13,7 @@ from repro.data.split import leave_last_out_split
 from repro.exceptions import DataError
 from repro.models.bpr import BPRHyperParams, BPRModel
 from repro.models.trainer import BPRTrainer
+from repro.rng import make_rng
 
 
 def make_dataset(interactions, retailer) -> RetailerDataset:
@@ -98,8 +102,6 @@ class TestTrainingLoop:
         assert report.sgd_steps == report.epochs_run * trainer.n_examples
 
     def test_deterministic_given_seed(self, small_dataset, default_params):
-        import numpy as np
-
         def run():
             model = BPRModel(
                 small_dataset.catalog, small_dataset.taxonomy, default_params
@@ -108,6 +110,63 @@ class TestTrainingLoop:
             return model.item_embeddings.copy()
 
         assert np.array_equal(run(), run())
+
+    def test_seed_moves_the_trained_model(self, small_dataset, default_params):
+        def run(seed):
+            model = BPRModel(
+                small_dataset.catalog, small_dataset.taxonomy, default_params
+            )
+            BPRTrainer(model, small_dataset, max_epochs=1, seed=seed).train()
+            return model.item_embeddings.copy()
+
+        assert not np.array_equal(run(77), run(78))
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 32, 100_000])
+    def test_epoch_steps_every_example_once(
+        self, small_dataset, fresh_model, monkeypatch, batch_size
+    ):
+        """One loop: batches of ``batch_size`` cover the shuffled examples."""
+        trainer = BPRTrainer(
+            fresh_model, small_dataset, batch_size=batch_size, seed=3
+        )
+        step = fresh_model.sgd_step_batch
+        batches = []
+
+        def recording_step(contexts, positives, negatives):
+            batches.append((positives.copy(), negatives.copy()))
+            return step(contexts, positives, negatives)
+
+        monkeypatch.setattr(fresh_model, "sgd_step_batch", recording_step)
+        trainer.run_epoch()
+        n = trainer.n_examples
+        sizes = [len(positives) for positives, _ in batches]
+        assert sizes == [min(batch_size, n - start) for start in range(0, n, batch_size)]
+        positives = np.concatenate([positives for positives, _ in batches])
+        assert np.array_equal(np.sort(positives), np.sort(trainer.compiled.positives))
+        negatives = np.concatenate([negatives for _, negatives in batches])
+        assert (negatives >= 0).all(), "a sampled negative was left undrawn"
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_shuffle_is_one_permutation_draw(self, n, seed):
+        """``run_epoch`` shuffles with ``rng.permutation(n)``: the same values,
+        and the same stream position, as the indexed ``np.arange(n)`` of the
+        loop it replaced."""
+        ours, theirs = make_rng(seed), make_rng(seed)
+        assert np.array_equal(ours.permutation(n), np.arange(n)[theirs.permutation(n)])
+        assert ours.integers(1 << 62) == theirs.integers(1 << 62)
+
+    def test_empty_epoch_draws_nothing(self, tiny_retailer):
+        dataset = make_dataset([], tiny_retailer)
+        model = BPRModel(
+            dataset.catalog, dataset.taxonomy, BPRHyperParams(n_factors=4)
+        )
+        trainer = BPRTrainer(model, dataset, seed=9)
+        assert trainer.run_epoch() == 0.0
+        assert trainer._rng.integers(1 << 62) == make_rng(9).integers(1 << 62)
 
     def test_empty_dataset_trains_trivially(self, tiny_retailer):
         dataset = make_dataset([], tiny_retailer)

@@ -500,6 +500,15 @@ class TestServiceRetrievalLifecycle:
             assert payload["built"] is False
             assert "below threshold" in payload["reason"]
 
+    @pytest.mark.parametrize("threshold, built", [(39, 1), (40, 1), (41, 0)])
+    def test_threshold_is_the_least_indexed_catalog(self, threshold, built):
+        """A 40-item catalog is indexed at a threshold of 40, not at 41."""
+        service = make_service(n_retailers=1, retrieval_threshold=threshold)
+        report = service.run_day()
+        assert report.indexes_built == built
+        payload = service.journal.task_payload(0, "retrieval", "r0")
+        assert payload["built"] is bool(built)
+
     def test_indexes_publish_at_table_version(self):
         service = make_service(retrieval_threshold=1)
         report = service.run_day()

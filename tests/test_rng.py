@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +42,38 @@ class TestDeriveSeed:
         seed = derive_seed(2**40, "retailer", 10**9)
         assert 0 <= seed < 2**63
         make_rng(seed)  # must be accepted by numpy
+
+    def test_logical_units_are_disjoint(self):
+        """Every (retailer, model, phase) unit of a sweep gets its own seed."""
+        seeds = {
+            derive_seed(7, f"r{retailer}", model, phase)
+            for retailer in range(8)
+            for model in range(8)
+            for phase in ("trainer", "eval", "sampler")
+        }
+        assert len(seeds) == 8 * 8 * 3
+
+    def test_same_in_a_fresh_interpreter(self):
+        """No process identity leaks in: a worker derives the parent's seed."""
+        here = derive_seed(11, "r3", 4, "trainer")
+        script = (
+            "from repro.rng import derive_seed\n"
+            "print(derive_seed(11, 'r3', 4, 'trainer'))\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="12345")
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        there = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        ).stdout
+        assert int(there) == here
 
 
 class TestHashString:
