@@ -16,10 +16,14 @@ Measured here:
    >= 5x at batch_size >= 64),
 2. quality parity — same-seed batches-of-one and default-batch runs
    converge to the same holdout MAP@10 within 5 % (mini-batch semantics,
-   not a different model).
+   not a different model),
+3. the composite sampler's cost — an epoch with the fleet's default
+   ``"taxonomy"`` sampler (``CompositeNegativeSampler``, one batch draw
+   per step) at the default batch size costs <= 2x an epoch with the
+   uniform sampler on the same retailer.
 
 ``E20_FAST=1`` is the CI smoke: batches of one against the default batch
-size only, same two assertions, nothing written to ``results/``.
+size only, same three assertions, nothing written to ``results/``.
 """
 
 from __future__ import annotations
@@ -30,25 +34,33 @@ import time
 from benchmarks.bench_util import emit, fmt_row, machine_line
 from repro.evaluation.evaluator import HoldoutEvaluator
 from repro.models.bpr import BPRHyperParams, BPRModel
+from repro.models.negatives import CompositeNegativeSampler
 from repro.models.trainer import DEFAULT_BATCH_SIZE, BPRTrainer
 
 BATCH_SIZES = (16, DEFAULT_BATCH_SIZE, 64, 256)
 EPOCHS = 2
+#: Bound on a composite-sampler epoch over a uniform-sampler one.
+COMPOSITE_EPOCH_RATIO = 2.0
 
 
-def make_trainer(dataset, batch_size):
+def make_trainer(dataset, batch_size, composite=False):
     model = BPRModel(
         dataset.catalog,
         dataset.taxonomy,
         BPRHyperParams(n_factors=16, learning_rate=0.08, seed=3),
     )
+    sampler = (
+        CompositeNegativeSampler(dataset.n_items, taxonomy=dataset.taxonomy, model=model)
+        if composite
+        else None
+    )
     return BPRTrainer(
-        model, dataset, max_epochs=6, batch_size=batch_size, seed=7
+        model, dataset, sampler=sampler, max_epochs=6, batch_size=batch_size, seed=7
     )
 
 
-def triples_per_second(dataset, batch_size):
-    trainer = make_trainer(dataset, batch_size)
+def triples_per_second(dataset, batch_size, composite=False):
+    trainer = make_trainer(dataset, batch_size, composite)
     trainer.run_epoch()  # warm-up: numpy allocations, caches
     start = time.perf_counter()
     for _ in range(EPOCHS):
@@ -68,6 +80,10 @@ def test_vectorized_training_speedup(medium_dataset, benchmark, capsys):
     sizes = (DEFAULT_BATCH_SIZE,) if fast else BATCH_SIZES
     single_rate = triples_per_second(medium_dataset, batch_size=1)
     rates = {size: triples_per_second(medium_dataset, size) for size in sizes}
+    composite_rate = triples_per_second(
+        medium_dataset, DEFAULT_BATCH_SIZE, composite=True
+    )
+    composite_ratio = rates[DEFAULT_BATCH_SIZE] / composite_rate
 
     single_map = trained_quality(medium_dataset, batch_size=1)
     default_map = trained_quality(medium_dataset, DEFAULT_BATCH_SIZE)
@@ -95,6 +111,11 @@ def test_vectorized_training_speedup(medium_dataset, benchmark, capsys):
         f"quality parity: MAP@10 batch-1 {single_map:.4f} vs "
         f"batch-{DEFAULT_BATCH_SIZE} (default) {default_map:.4f}"
     )
+    lines.append(
+        f"composite sampler at batch {DEFAULT_BATCH_SIZE}: "
+        f"{composite_rate:,.0f} triples/s, an epoch {composite_ratio:.2f}x "
+        f"a uniform-sampler epoch"
+    )
     if fast:
         with capsys.disabled():
             print("\n== E20 (fast smoke) ==\n" + "\n".join(lines))
@@ -109,6 +130,10 @@ def test_vectorized_training_speedup(medium_dataset, benchmark, capsys):
     assert abs(default_map - single_map) <= 0.05 * single_map, (
         f"default-batch MAP@10 {default_map:.4f} must stay within 5 % of "
         f"batches of one's {single_map:.4f}"
+    )
+    assert composite_ratio <= COMPOSITE_EPOCH_RATIO, (
+        f"a composite-sampler epoch must cost <= {COMPOSITE_EPOCH_RATIO}x a "
+        f"uniform-sampler epoch ({composite_ratio:.2f}x)"
     )
     for size in (s for s in sizes if s >= 64):
         assert rates[size] >= 5.0 * single_rate, (

@@ -42,11 +42,6 @@ EPOCH_LOSS_BUCKETS = (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0, 2.0)
 #: "Vectorized training" has the sweep).
 DEFAULT_BATCH_SIZE = 32
 
-#: What assembling the effective vectors of one sampler-sized pool costs,
-#: in items of a whole-catalog assembly (26 us against 0.3-0.6 us per item
-#: on 400- to 12 000-item catalogs).
-POOL_ASSEMBLY_ITEMS = 48
-
 
 @dataclass(frozen=True)
 class TrainingExample:
@@ -244,8 +239,9 @@ class BPRTrainer:
         """One pass over all examples in random order; returns mean loss.
 
         The only loop over training examples: one ``sgd_step_batch`` per
-        ``batch_size`` of them.  The trainer's stream supplies the shuffle
-        and every sampled negative, in that order.
+        ``batch_size`` of them, and one ``sample_batch`` for the batch's
+        examples without a fixed negative.  The trainer's stream supplies
+        the shuffle and every sampled negative, in that order.
         """
         n = len(self.examples)
         if n == 0:
@@ -258,18 +254,9 @@ class BPRTrainer:
             batch = order[start : start + self.batch_size]
             negatives = compiled.negatives[batch]
             sampled = np.flatnonzero(negatives < 0)
-            if (
-                self.sampler.model is self.model
-                and sampled.size * POOL_ASSEMBLY_ITEMS >= self.model.n_items
-            ):
-                # Every draw scores a small pool, and parameters stay frozen
-                # until the step: assemble all items once (the same rows,
-                # bit for bit) instead of one pool per draw.
-                self.model.effective_item_matrix()
-            for offset, position in zip(sampled.tolist(), batch[sampled].tolist()):
-                example = self.examples[position]
-                negatives[offset] = self.sampler.sample(
-                    example.context, example.positive, rng
+            if sampled.size:
+                negatives[sampled] = self.sampler.sample_batch(
+                    self.examples, compiled, batch[sampled], rng
                 )
             losses = self.model.sgd_step_batch(
                 compiled.gather(batch), compiled.positives[batch], negatives

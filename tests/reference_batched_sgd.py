@@ -6,13 +6,14 @@ draw may change.  This module copies what the code did before —
 ``_run_epoch_batched``, ``CompiledExamples.gather``, ``sgd_step_batch``,
 ``_step_feature_rows``, ``effective_item_vectors``,
 ``Sgd/Adagrad.step_rows``, and everything a negative sampler reaches
-(``score_items`` on a small pool, ``user_embedding``, ``context_weights``,
-``Taxonomy.lca_distance``) — statement for statement, re-hung as functions
-over the live objects' state and trimmed only of branches training never
-takes (input validation, the co-occurrence exclusion list nobody passes,
-the cached-matrix branch of ``score_items``), so
+(``score_items`` on a small pool, ``user_embedding``, ``context_weights``)
+— statement for statement, re-hung as functions over the live objects'
+state and trimmed only of branches training never takes (input
+validation, the cached-matrix branch of ``score_items``), so
 ``tests/test_batched_sgd_bit_identity.py`` can demand byte-equal
-parameters and accumulators from the production code.
+parameters and accumulators from the production code.  The per-draw
+composite sampler that stood here left with it: the composite sampler now
+draws a batch at once, against ``tests/reference_batched_negatives.py``.
 
 Do not "fix" or speed up anything here: a reference that moves with the
 code under test proves nothing.
@@ -256,22 +257,6 @@ class ReferenceModel:
 # ----------------------------------------------------------------------
 # Negative samplers
 # ----------------------------------------------------------------------
-def lca_distance(taxonomy, item_a: int, item_b: int) -> int:
-    """``Taxonomy.lca_distance`` through the public tree walk only."""
-    if item_a == item_b:
-        return 0
-    cat_a = taxonomy.category_of(item_a)
-    cat_b = taxonomy.category_of(item_b)
-    ancestors_a = set(taxonomy.ancestors(cat_a))
-    lca = cat_b
-    while lca not in ancestors_a:
-        lca = taxonomy.parent_of(lca)
-    lca_depth = taxonomy.depth_of(lca)
-    climb_a = taxonomy.depth_of(cat_a) + 1 - lca_depth
-    climb_b = taxonomy.depth_of(cat_b) + 1 - lca_depth
-    return max(climb_a, climb_b)
-
-
 def _uniform(
     n_items: int,
     positive: int,
@@ -309,45 +294,6 @@ class ReferenceAffinitySampler:
         for _ in range(self.pool_size * 3):
             candidate = int(rng.integers(self.n_items))
             if candidate != positive and candidate not in seen:
-                pool.append(candidate)
-            if len(pool) >= self.pool_size:
-                break
-        if not pool:
-            return _uniform(self.n_items, positive, rng, avoid=seen)
-        if len(pool) == 1:
-            return pool[0]
-        scores = self.reference.score_items(context, pool)
-        return pool[int(np.argmax(scores))]
-
-
-class ReferenceCompositeSampler:
-    def __init__(
-        self,
-        n_items: int,
-        taxonomy,
-        reference: ReferenceModel,
-        min_lca_distance: int = 3,
-        pool_size: int = 4,
-    ):
-        self.n_items = n_items
-        self.taxonomy = taxonomy
-        self.reference = reference
-        self.min_lca_distance = min_lca_distance
-        self.pool_size = max(1, pool_size)
-
-    def _acceptable(self, candidate: int, positive: int, seen: Set[int]) -> bool:
-        if candidate == positive or candidate in seen:
-            return False
-        return (
-            lca_distance(self.taxonomy, candidate, positive) >= self.min_lca_distance
-        )
-
-    def sample(self, context: UserContext, positive: int, rng: np.random.Generator) -> int:
-        seen = set(context.item_indices)
-        pool = []
-        for _ in range(MAX_REJECTION_ATTEMPTS * self.pool_size):
-            candidate = int(rng.integers(self.n_items))
-            if self._acceptable(candidate, positive, seen):
                 pool.append(candidate)
             if len(pool) >= self.pool_size:
                 break

@@ -6,13 +6,15 @@ became the default.  The production code has since had batch-invariant
 Python taken out of the loop; the contract is that this changed no
 floating-point operation and no ``rng`` draw, so parameters *and* optimizer
 accumulators must come out byte-equal — not close — after several epochs.
+The composite sampler has since drawn a whole batch at once, in a new
+stream layout: its rows compare against that batch draw written plainly in
+``tests/reference_batched_negatives.py``.
 
 The main retailer is tiny on purpose: two dozen items over two brands, so
 every batch collides on item, taxonomy, brand and price rows, and contexts
 repeat items (both asserted below, so the dataset cannot quietly stop doing
-it).  On so small a catalog the trainer always pre-assembles every item's
-vector before a batch's draws; a second, 400-item retailer keeps the
-scoring samplers on per-pool assembly at batch 1 and 7 and switches at 32.
+it).  A second, 400-item retailer runs the two scoring samplers where a
+pool seldom repeats an item.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.models.negatives import (
 )
 from repro.models.trainer import BPRTrainer
 
+from tests import reference_batched_negatives as batched
 from tests import reference_batched_sgd as frozen
 
 
@@ -74,7 +77,7 @@ def _frozen_sampler(kind: str, reference: frozen.ReferenceModel, taxonomy):
         return frozen.ReferenceUniformSampler(n_items)
     if kind == "affinity":
         return frozen.ReferenceAffinitySampler(n_items, reference)
-    return frozen.ReferenceCompositeSampler(n_items, taxonomy, reference)
+    return batched.ReferenceBatchedCompositeSampler(n_items, taxonomy, reference)
 
 
 def _trainer(optimizer: str, kind: str, batch_size: int, seed: int, retailer="colliding"):
@@ -131,12 +134,15 @@ def _assert_epochs_byte_equal(optimizer, kind, batch_size, seed, retailer):
     twin, twin_trainer = _trainer(optimizer, kind, batch_size, seed, retailer)
     reference = frozen.ReferenceModel(twin)
     frozen_sampler = _frozen_sampler(kind, reference, _DATASETS[retailer].taxonomy)
+    frozen_epoch = (
+        batched.run_epoch_batched if kind == "composite" else frozen.run_epoch_batched
+    )
 
     for _ in range(EPOCHS):
         # batch_size=1 through run_epoch would select the scalar loop; the
         # batched loop must hold at every size, single-triple batches included.
         loss = trainer._run_epoch_batched()
-        frozen_loss = frozen.run_epoch_batched(twin_trainer, reference, frozen_sampler)
+        frozen_loss = frozen_epoch(twin_trainer, reference, frozen_sampler)
         assert loss == frozen_loss
 
     _assert_bytes_equal(model.get_state(), twin.get_state(), "parameter")

@@ -68,11 +68,13 @@ def make_dataset(retailer_id: str, seed: int):
     )
 
 
-def make_service(n_retailers: int = 2, **kwargs) -> SigmundService:
+def make_service(
+    n_retailers: int = 2, settings: TrainerSettings = FAST_SETTINGS, **kwargs
+) -> SigmundService:
     service = SigmundService(
         build_cluster(n_cells=2, machines_per_cell=4),
         grid=TINY_GRID,
-        settings=FAST_SETTINGS,
+        settings=settings,
         **kwargs,
     )
     for i in range(n_retailers):
@@ -489,6 +491,50 @@ class TestCrashRecoveryEndToEnd:
         assert summarize(service)["total_cost"] == baseline_day0["summary"][
             "total_cost"
         ]
+
+
+class TestTaxonomySamplerDay:
+    """The same contracts under ``TrainerSettings()`` defaults: the
+    composite ``"taxonomy"`` sampler the fleet runs, not the uniform one
+    the fast suites pin."""
+
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        service = make_service(settings=TrainerSettings())
+        report = service.run_day()
+        return {
+            "summary": summarize(service),
+            "report": report_key(report),
+            "alerts": report.alerts,
+        }
+
+    @pytest.mark.parametrize("stage", ["train_task", "train_epoch"])
+    def test_recovery_matches_uninterrupted_run(self, stage, baseline):
+        assert TrainerSettings().sampler == "taxonomy"
+        crash_plan = CrashPlan().crash_at(stage)
+        service = make_service(settings=TrainerSettings(), crash_plan=crash_plan)
+        with pytest.raises(SimulatedCrash):
+            service.run_day()
+        assert crash_plan.crash_count == 1
+
+        report = service.recover()
+        assert service.journal.is_committed(0)
+        assert report_key(report) == baseline["report"]
+        assert report.alerts == baseline["alerts"]
+        assert summarize(service) == baseline["summary"]
+        assert service.journal.task_count(0, "train") == len(service.retailers)
+
+    def test_serial_and_dag_days_seal_byte_equal(self):
+        seals = []
+        for orchestration in ("serial", "dag"):
+            service = make_service(
+                settings=TrainerSettings(),
+                metrics=MetricsRegistry(),
+                orchestration=orchestration,
+            )
+            service.run_day()
+            seals.append(json.dumps(service.journal.day_seal(0), sort_keys=True))
+        assert seals[0] == seals[1]
 
 
 class _RejectEverything(PublishGate):
