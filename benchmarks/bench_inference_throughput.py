@@ -6,10 +6,11 @@ candidate pool and paying a full interpreter round trip for one gemv.
 The batched path ranks each 128-item block as one flat array: its
 ``(item, candidate)`` pairs scored in one gather-and-dot (``score_pairs``:
 only the pairs asked for, never ``block x |union of candidate lists|``)
-and selected in one ``segmented_top_k``, candidates built from the
-taxonomy index's per-category subtree arrays (a union of several is
-made per pool and not kept).  The order is ``top_k_select``'s, which
-the per-item path applies row by row.
+and selected in one ``segmented_top_k``, over the flat candidate arrays
+the block's selection emitted (runs of the taxonomy index's members
+array, cut and gathered once per block).  The order is ``top_k_select``'s,
+which the per-item path applies row by row; the per-item path reads its
+pools as one-row blocks (``view_based`` / ``purchase_based``).
 
 Measured here, per synthetic retailer scale:
 
@@ -27,7 +28,10 @@ Measured here, per synthetic retailer scale:
    ``segmented_top_k`` over the same scored 128-item blocks (view
    surface), in rows/s, so the table shows which stage a change in the
    totals above came from,
-5. publish — one ``PUBLISH_SCALE`` retailer through the day's own
+5. selection alone — one-row reads (``view_based`` + ``purchase_based``
+   per item) vs ``batch_view_based`` + ``batch_purchase_based`` over
+   128-item blocks, in items/s, rows checked equal first,
+6. publish — one ``PUBLISH_SCALE`` retailer through the day's own
    rank -> reduce -> gate -> load (``InferencePipeline.run``,
    ``PublishGate.validate`` and ``RecommendationStore.load_batch`` on
    both surfaces): recommendations published, what the garbage collector
@@ -36,7 +40,7 @@ Measured here, per synthetic retailer scale:
    A published table is arrays, so that is a handful of objects per
    *table*; as lists of ``ScoredItem`` it was 1.23 per recommendation,
    re-walked by every later full collection,
-6. parity — batched results must equal the per-item reference
+7. parity — batched results must equal the per-item reference
    item-for-item, and the two selections position-for-position, before
    any timing counts.
 
@@ -45,7 +49,8 @@ Results land in ``benchmarks/results/e22.txt`` and ``BENCH_inference.json``
 the CI smoke mode: a 250-item retailer on which batched must not be
 slower, and a 2 000-item one that carries a real bar — at 250 items every
 block's candidate union *is* the catalog, so that retailer alone cannot
-tell a pairs-only kernel from one that scores the union.  The smoke also
+tell a pairs-only kernel from one that scores the union.  At 2 000 items
+block selection must also be ``FAST_SELECT_BAR`` times the one-row reads.  The smoke also
 holds the publish section to zero live ``ScoredItem`` and
 ``PUBLISH_OBJECTS_PER_REC`` tracked objects per recommendation: tier-1
 fleets are too small for collector time to show, so this is where CI
@@ -96,6 +101,9 @@ FAST_SCALES = {
 #: Smoke bars on ``inference_speedup``.  fast2k: measured 2.2-2.6x (median
 #: 2.4x, twelve runs) on the 2-core reference VM, asserted with 2x headroom.
 FAST_BARS = {"fast": 1.0, "fast2k": 1.2}
+#: Smoke bar on ``select_speedup`` at fast2k: block selection against
+#: one-row reads of the same pools (both surfaces per item).
+FAST_SELECT_BAR = 3.0
 #: The publish section's retailer, in the smoke and in the full run.
 PUBLISH_SCALE = FAST_SCALES["fast2k"]
 #: Smoke bar on tracked objects left alive per published recommendation.
@@ -148,18 +156,21 @@ def _best_laps(*paths):
 RESULTS_JSON = pathlib.Path(__file__).parent.parent / "BENCH_inference.json"
 #: What a reader comparing this file across commits must know.
 NOTE = (
-    "Re-measured at PR 19: recommend_batch returns the kernel's arrays "
-    "(RankedRows) and builds no ScoredItem unless a row is indexed, so "
-    "batched_items_per_s / catalog_batched_items_per_s no longer include "
-    "tuple construction and moved against earlier commits; the per-item "
-    "columns still build their lists.  Compare ratios, not rates, across "
-    "commits: on the day of this run the shared 2-core box read 20-45 % "
-    "lower than at PR 16's run in every column, untouched ones included "
-    "(loop_examples_per_s 31.7k -> 16.8k on small); the parent commit, "
-    "same box, same hour, measured batched_items_per_s 9 923 / 3 478 / "
-    "2 801 and inference_speedup 2.55 / 4.50 / 6.10 (small / medium / "
-    "large).  'publish' is one 2 000-item retailer through "
-    "InferencePipeline.run -> PublishGate.validate -> "
+    "Re-measured when candidate selection became one block function: a "
+    "block's pools are built as runs of the taxonomy index and handed to "
+    "recommend_batch as flat arrays (ItemRows), and view_based / "
+    "purchase_based are one-row reads of that block function.  So "
+    "per_item_items_per_s, which reads its pools one row at a time, fell "
+    "and inference_speedup rose against earlier commits for a reason "
+    "outside ranking; the select_* columns isolate selection (one-row "
+    "reads vs 128-item blocks, both surfaces per item).  recommend_batch "
+    "returns the kernel's arrays (RankedRows) and builds no ScoredItem "
+    "unless a row is indexed.  Compare ratios, not rates, across commits: "
+    "the parent commit, same box, same hour, measured per_item_items_per_s "
+    "5 200 / 2 973 / 2 060, batched_items_per_s 8 953 / 3 966 / 2 920 and "
+    "inference_speedup 1.72 / 1.33 / 1.42 (small / medium / large; medium "
+    "below MEDIUM_BAR on that box that hour).  'publish' is one 2 000-item "
+    "retailer through InferencePipeline.run -> PublishGate.validate -> "
     "RecommendationStore.load_batch on both surfaces; gc_s is gc.callbacks "
     "time over that stretch, tracked_objects_per_rec what gc.get_objects() "
     "grew by, per published recommendation, once both stores serve (the "
@@ -260,14 +271,37 @@ def _catalog_rates(model, n_items):
     return len(contexts) / item_s, len(contexts) / batch_s
 
 
+def _select_rates(selector, n_items):
+    """Candidate selection alone: one-row reads vs 128-item blocks."""
+    items = list(range(n_items))
+    blocks = [items[start : start + BLOCK] for start in range(0, n_items, BLOCK)]
+    for block in blocks:
+        views, buys = selector.batch_view_based(block), selector.batch_purchase_based(block)
+        for item, view, buy in zip(block, views, buys):
+            assert view.tolist() == selector.view_based(item), "selection parity broke"
+            assert buy.tolist() == selector.purchase_based(item), "selection parity broke"
+
+    def one_row():
+        for item in items:
+            selector.view_based(item)
+            selector.purchase_based(item)
+
+    def in_blocks():
+        for block in blocks:
+            selector.batch_view_based(block)
+            selector.batch_purchase_based(block)
+
+    row_s, block_s = _best_laps(one_row, in_blocks)
+    return n_items / row_s, n_items / block_s
+
+
 def _top_k_rates(model, selector, n_items):
     """The selection stage alone, on blocks scored outside the timing."""
     blocks = []
     for start in range(0, n_items, BLOCK):
         block = list(range(start, min(start + BLOCK, n_items)))
         pools = selector.batch_view_based(block)
-        sizes = np.asarray([pool.size for pool in pools], dtype=np.int64)
-        items = np.concatenate(pools)
+        items, sizes = pools.items, pools.sizes
         owners = np.repeat(np.arange(sizes.size), sizes)
         contexts = [UserContext((i,), (EventType.VIEW,)) for i in block]
         scores = model.score_pairs(contexts, items, owners, sizes)
@@ -406,6 +440,7 @@ def _measure(name, spec):
     eval_loop, eval_batch, eval_mode = _evaluation_rates(dataset, model)
     catalog_item_rate, catalog_batch_rate = _catalog_rates(model, n_items)
     top_k_row_rate, top_k_segmented_rate = _top_k_rates(model, selector, n_items)
+    select_row_rate, select_block_rate = _select_rates(selector, n_items)
     return {
         "scale": name,
         "n_items": n_items,
@@ -422,6 +457,9 @@ def _measure(name, spec):
         "top_k_per_row_rows_per_s": round(top_k_row_rate, 1),
         "top_k_segmented_rows_per_s": round(top_k_segmented_rate, 1),
         "top_k_speedup": round(top_k_segmented_rate / top_k_row_rate, 2),
+        "select_one_row_items_per_s": round(select_row_rate, 1),
+        "select_items_per_s": round(select_block_rate, 1),
+        "select_speedup": round(select_block_rate / select_row_rate, 2),
     }
 
 
@@ -493,6 +531,23 @@ def test_inference_throughput(capsys):
                 widths=widths,
             )
         )
+    lines += [
+        "",
+        f"selection alone: both surfaces per item, one-row reads vs blocks of {BLOCK}",
+        "",
+        fmt_row("scale", "items", "one-row/s", "block/s", "speedup", widths=widths),
+    ]
+    for row in rows:
+        lines.append(
+            fmt_row(
+                row["scale"],
+                row["n_items"],
+                f"{row['select_one_row_items_per_s']:,.0f}",
+                f"{row['select_items_per_s']:,.0f}",
+                f"{row['select_speedup']:.2f}x",
+                widths=widths,
+            )
+        )
     publish_widths = [7, 9, 8, 12, 8, 12, 11]
     lines += [
         "",
@@ -527,6 +582,8 @@ def test_inference_throughput(capsys):
             assert row["inference_speedup"] >= FAST_BARS[row["scale"]], row
             assert row["catalog_speedup"] >= 1.0, row
             assert row["eval_speedup"] >= 1.0, row
+        fast2k = next(row for row in rows if row["scale"] == "fast2k")
+        assert fast2k["select_speedup"] >= FAST_SELECT_BAR, fast2k
         return
 
     by_scale = {row["scale"]: row for row in rows}

@@ -13,7 +13,10 @@ thousands of events does not dominate the statistics.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from itertools import chain
 from typing import Dict, Iterable, List, Set, Tuple
+
+import numpy as np
 
 from repro.data.events import EventType, Interaction
 from repro.data.sessions import build_user_histories
@@ -36,12 +39,10 @@ class CoOccurrenceCounts:
         self.buy_counts: Counter = Counter()
         self.total_view_pairs = 0.0
         self.total_buy_pairs = 0.0
-        # Lazily built full neighbour rankings (strongest first), so the
-        # inference hot path does one sort per item ever instead of one
-        # ``Counter.most_common`` re-sort per query.  Dropped whenever new
+        # Every item's neighbours, strongest first, as one CSR per table
+        # (``_Ranking``): built on the first query, dropped whenever new
         # histories are counted.
-        self._ranked_view: Dict[int, List[int]] = {}
-        self._ranked_buy: Dict[int, List[int]] = {}
+        self._ranked: Dict[str, _Ranking] = {}
 
     # ------------------------------------------------------------------
     # Building
@@ -61,8 +62,7 @@ class CoOccurrenceCounts:
         return counts
 
     def _add_history(self, history: List[Interaction], pair_window: int) -> None:
-        self._ranked_view.clear()
-        self._ranked_buy.clear()
+        self._ranked.clear()
         viewed = [interaction.item_index for interaction in history]
         bought: List[Tuple[int, float]] = []
         for interaction in history:
@@ -110,39 +110,27 @@ class CoOccurrenceCounts:
 
     def top_co_viewed(self, item_index: int, k: int = 20) -> List[int]:
         """The ``cv(i)`` set, strongest pairs first."""
-        return self._ranked(self._co_view, self._ranked_view, item_index)[:k]
+        return self._ranking("view").row(item_index)[:k].tolist()
 
     def top_co_bought(self, item_index: int, k: int = 20) -> List[int]:
         """The ``cb(i)`` set, strongest pairs first."""
-        return self._ranked(self._co_buy, self._ranked_buy, item_index)[:k]
+        return self._ranking("buy").row(item_index)[:k].tolist()
 
-    def _ranked(
-        self,
-        table: Dict[int, Counter],
-        cache: Dict[int, List[int]],
-        item_index: int,
-    ) -> List[int]:
-        """Full neighbour ranking for one item, computed once and cached.
+    def top_co_viewed_block(self, items: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`top_co_viewed` of a block as ``(rows, neighbours)`` pairs:
+        row-major, strongest first within a row."""
+        return self._ranking("view").block(items, k)
 
-        ``sorted(..., key=count, reverse=True)`` is stable on ties exactly
-        like ``Counter.most_common`` (both resolve equal counts in
-        insertion order), so every prefix of the cached ranking matches
-        what ``most_common(k)`` used to return.
-        """
-        ranked = cache.get(item_index)
-        if ranked is None:
-            neighbours = table.get(item_index)
-            if not neighbours:
-                ranked = []
-            else:
-                ranked = [
-                    item
-                    for item, _ in sorted(
-                        neighbours.items(), key=lambda pair: pair[1], reverse=True
-                    )
-                ]
-            cache[item_index] = ranked
-        return ranked
+    def top_co_bought_block(self, items: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`top_co_bought` of a block, like :meth:`top_co_viewed_block`."""
+        return self._ranking("buy").block(items, k)
+
+    def _ranking(self, kind: str) -> "_Ranking":
+        ranking = self._ranked.get(kind)
+        if ranking is None:
+            table = self._co_view if kind == "view" else self._co_buy
+            ranking = self._ranked[kind] = _Ranking(table, self.n_items)
+        return ranking
 
     def strong_co_occurrence_sets(self, min_count: float = 2.0) -> Dict[int, Set[int]]:
         """Items too strongly related to ever use as negatives (section III-B3)."""
@@ -156,3 +144,48 @@ class CoOccurrenceCounts:
             if chosen:
                 strong.setdefault(item, set()).update(chosen)
         return strong
+
+
+class _Ranking:
+    """One co-occurrence table's neighbour lists, strongest first, as CSR:
+    item ``i``'s are ``neighbours[bounds[i]:bounds[i + 1]]``.
+
+    Within an item, equal counts keep their insertion order — what
+    ``sorted(..., key=count, reverse=True)`` and ``Counter.most_common``
+    give — because ``np.lexsort`` is stable.
+    """
+
+    __slots__ = ("neighbours", "bounds")
+
+    def __init__(self, table: Dict[int, Counter], n_items: int):
+        owners = np.fromiter(table, dtype=np.int64, count=len(table))
+        sizes = np.fromiter(map(len, table.values()), dtype=np.int64, count=len(table))
+        total = int(sizes.sum())
+        neighbours = np.fromiter(
+            chain.from_iterable(table.values()), dtype=np.int64, count=total
+        )
+        strengths = np.fromiter(
+            chain.from_iterable(c.values() for c in table.values()),
+            dtype=np.float64,
+            count=total,
+        )
+        order = np.lexsort((-strengths, np.repeat(owners, sizes)))
+        self.neighbours = neighbours[order]
+        width = max(n_items, int(owners.max(initial=-1)) + 1)
+        self.bounds = np.zeros(width + 1, dtype=np.int64)
+        per_item = np.bincount(owners, weights=sizes, minlength=width).astype(np.int64)
+        np.cumsum(per_item, out=self.bounds[1:])
+
+    def row(self, item: int) -> np.ndarray:
+        if not 0 <= item < self.bounds.size - 1:
+            return self.neighbours[:0]
+        return self.neighbours[self.bounds[item] : self.bounds[item + 1]]
+
+    def block(self, items: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        # An item past the table clips to the last bound: no neighbours.
+        starts = self.bounds.take(items, mode="clip")
+        sizes = np.minimum(self.bounds.take(items + 1, mode="clip") - starts, max(k, 0))
+        rows = np.arange(items.size).repeat(sizes)
+        ends = sizes.cumsum()
+        at = (starts - ends + sizes).repeat(sizes) + np.arange(rows.size)
+        return rows, self.neighbours[at]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -28,8 +28,9 @@ from repro.cooccurrence.counts import CoOccurrenceCounts
 from repro.data.catalog import Catalog
 from repro.data.events import EventType, Interaction
 from repro.data.sessions import UserContext
-from repro.data.taxonomy import Taxonomy
+from repro.data.taxonomy import Taxonomy, TaxonomyIndex
 from repro.exceptions import DataError, TaxonomyError
+from repro.models.base import ItemRows
 from repro.obs.metrics import NULL_METRICS
 
 #: Paper: "empirically we found that setting k = 2 provides a good
@@ -46,6 +47,8 @@ DEFAULT_CO_NEIGHBOURS = 20
 #: attached — far below ``max_candidates`` because ANN neighbours are
 #: already ranked by model score rather than taxonomy membership.
 DEFAULT_RETRIEVAL_CANDIDATES = 256
+#: Sorts after every item id: a dropped cell of a retrieval row.
+_PAST = np.iinfo(np.int64).max
 
 
 def classify_funnel(context: UserContext, taxonomy: Taxonomy) -> str:
@@ -186,52 +189,58 @@ class CandidateSelector:
         if self.max_candidates < 1:
             raise DataError("max_candidates must be >= 1")
 
-    def _union_expansions(self, seeds: Sequence[int], k: int) -> np.ndarray:
-        """Sorted union of the (distinct) seeds' ``lca_k`` expansions.
-
-        Expansions accumulate in seed order and stop at the first seed
-        that pushes the running union past ``max_candidates * 4``.  An
-        expansion is a category subtree and two subtrees are either
-        disjoint or nested, so the running union is tracked as its
-        *maximal* subtree roots: its size is the sum of theirs (the early
-        break is evaluated exactly, without a hash set of items).  A seed
-        with no category has no taxonomy neighbourhood and, like every
-        seed at ``k = 0``, expands to itself.
-
-        A union of several roots is built for this call and kept by
-        nobody; only a single root's array is the index's own (read-only).
-        """
+    def _pools(
+        self,
+        query: np.ndarray,
+        seeds: Tuple[np.ndarray, np.ndarray],
+        k: int,
+        strip: bool = False,
+        refine: Optional[Callable[[int, np.ndarray], np.ndarray]] = None,
+    ) -> ItemRows:
+        """A block's taxonomy pools: the union of each row's ``seeds``
+        (``(rows, seed items)``) expanded to ``lca_k``, cut and gathered as
+        runs of the index (:meth:`TaxonomyIndex.expand`) without the query
+        item — and, with ``strip``, without its substitutes.  ``refine``
+        (a facet filter) then visits every row, :meth:`_cap` a row over
+        ``max_candidates``."""
         if k < 0:
             raise TaxonomyError("k must be non-negative")
         index = self.taxonomy.index()
-        enter, leave, item_path = index.enter, index.exit, index.item_path
-        included: Dict[int, int] = {}  # maximal root -> subtree size
-        alone: List[int] = []  # seeds that expand to themselves
-        for seed in seeds:
-            path = item_path.get(seed) if k else None
-            if path is None:
-                alone.append(seed)
-            else:
-                root = path[max(len(path) - k, 0)]
-                if root in included:
-                    continue
-                low, high = enter[root], leave[root]
-                if not any(enter[other] <= low < leave[other] for other in included):
-                    # New maximal root: drop the included roots nested inside
-                    # it so the size accounting stays exact.
-                    for other in [o for o in included if low <= enter[o] < high]:
-                        del included[other]
-                    included[root] = index.subtree(root).size
-            if sum(included.values()) + len(alone) > self.max_candidates * 4:
-                break
-        parts = [index.subtree(root) for root in included]
-        if alone or not parts:
-            parts.append(np.array(sorted(alone), dtype=np.int64))
-        if len(parts) == 1:
-            return parts[0]
-        union = np.concatenate(parts)
-        union.sort(kind="stable")  # a merge of sorted runs
-        return union
+        drop = self._substitutes(index, query) if strip else (np.full(query.size, -1),) * 2
+        items, bounds = index.expand(query, *seeds, k, 4 * self.max_candidates, *drop)
+        return self._finish(query, items, bounds, refine)
+
+    def _substitutes(
+        self, index: TaxonomyIndex, query: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Pre-order interval of each query item's ``lca_{purchase_lca_k}``
+        substitutes; ``(-1, -1)`` where nothing but the item goes (no
+        category, ``purchase_lca_k = 0``, or a re-purchasable category)."""
+        if self.purchase_lca_k < 0:
+            raise TaxonomyError("k must be non-negative")
+        subs = index.lca_roots(query, self.purchase_lca_k)
+        if self.repurchase is not None:  # one look-up per category in the block
+            cats = index.categories_of(query)
+            again = [
+                c for c in set(cats.tolist())
+                if c >= 0 and self.repurchase.is_repurchasable(index.categories[c])
+            ]
+            if again:
+                subs[np.isin(cats, again)] = -1
+        held = subs >= 0
+        return np.where(held, index.cat_enter[subs], -1), np.where(held, index.cat_exit[subs], -1)
+
+    def _finish(self, query, items, bounds, refine) -> ItemRows:
+        """The block's rows: every row ``refine``-d (if given), then one
+        over ``max_candidates`` through :meth:`_cap`."""
+        visit = (bounds[1:] - bounds[:-1] > self.max_candidates) | (refine is not None)
+        if not visit.any():
+            return ItemRows(items, bounds)
+        rows = [items[lo:hi] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+        for row in visit.nonzero()[0].tolist():
+            pool = rows[row] if refine is None else refine(row, rows[row])
+            rows[row] = self._cap(int(query[row]), pool)
+        return ItemRows.of(rows)
 
     def _match_facets(
         self, item_index: int, candidates: np.ndarray, facets: Sequence[str]
@@ -295,18 +304,18 @@ class CandidateSelector:
         for.  ``same_facets`` restricts candidates to items matching the
         query item's facet values (late-funnel tightening).
 
-        One item of :meth:`batch_view_based`'s taxonomy pools, as a list.
+        One row of :meth:`batch_view_based`'s taxonomy pools, as a list.
         """
         k = self.view_lca_k if lca_k is None else lca_k
-        return self._view_pool(item_index, k, same_facets).tolist()
+        return self._taxonomy_pools([item_index], k, False, same_facets)[0].tolist()
 
     def batch_view_based(
         self,
         items: Sequence[int],
         lca_k: Optional[int] = None,
         same_facets: Optional[Sequence[str]] = None,
-    ) -> List[np.ndarray]:
-        """:meth:`view_based` for a block of items, one sorted int64 array
+    ) -> ItemRows:
+        """:meth:`view_based` for a block of items, one sorted int64 row
         per item — from the attached retrieval index where there is one
         (and ``k >= 1``, no facets), else from the taxonomy index."""
         k = self.view_lca_k if lca_k is None else lca_k
@@ -315,21 +324,8 @@ class CandidateSelector:
             "candidate_items_total", kind="view"
         ).inc(len(items))
         if self.retrieval is not None and k >= 1 and not same_facets:
-            pools = self._retrieval_candidates(items)
-            return [self._cap(item, pool) for item, pool in zip(items, pools)]
-        return [self._view_pool(item, k, same_facets) for item in items]
-
-    def _view_pool(
-        self, item_index: int, k: int, same_facets: Optional[Sequence[str]]
-    ) -> np.ndarray:
-        seeds = self.counts.top_co_viewed(item_index, self.co_neighbours)
-        if not seeds:
-            seeds = [item_index]
-        union = self._union_expansions(seeds, k)
-        pool = union[union != item_index]
-        if same_facets:
-            pool = self._match_facets(item_index, pool, same_facets)
-        return self._cap(item_index, pool)
+            return self._retrieval_pools(items, strip=False)
+        return self._taxonomy_pools(items, k, False, same_facets)
 
     # ------------------------------------------------------------------
     # Purchase-based (complements, after the purchase decision)
@@ -343,16 +339,16 @@ class CandidateSelector:
         nobody wants a second phone right after buying one — *except* for
         re-purchasable categories, where the same items are exactly right.
 
-        One item of :meth:`batch_purchase_based`'s taxonomy pools, as a list.
+        One row of :meth:`batch_purchase_based`'s taxonomy pools, as a list.
         """
         k = self.purchase_lca_k if lca_k is None else lca_k
-        return self._purchase_pool(item_index, k).tolist()
+        return self._taxonomy_pools([item_index], k, True)[0].tolist()
 
     def batch_purchase_based(
         self, items: Sequence[int], lca_k: Optional[int] = None
-    ) -> List[np.ndarray]:
+    ) -> ItemRows:
         """:meth:`purchase_based` for a block of items, one sorted int64
-        array per item — the attached retrieval index's neighbours where
+        row per item — the attached retrieval index's neighbours where
         there is one (and ``k >= 1``), substitutes stripped the same way."""
         k = self.purchase_lca_k if lca_k is None else lca_k
         self.metrics.counter("candidate_batches_total", kind="purchase").inc()
@@ -360,68 +356,55 @@ class CandidateSelector:
             "candidate_items_total", kind="purchase"
         ).inc(len(items))
         if self.retrieval is not None and k >= 1:
-            pools = self._retrieval_candidates(items)
-            return [
-                self._cap(item, self._strip_substitutes(item, pool))
-                for item, pool in zip(items, pools)
-            ]
-        return [self._purchase_pool(item, k) for item in items]
+            return self._retrieval_pools(items, strip=True)
+        return self._taxonomy_pools(items, k, True)
 
-    def _purchase_pool(self, item_index: int, k: int) -> np.ndarray:
-        seeds = self.counts.top_co_bought(item_index, self.co_neighbours)
-        if not seeds:
-            # No purchase signal: fall back to co-viewed complements.
-            seeds = self.counts.top_co_viewed(item_index, self.co_neighbours)
-        union = self._union_expansions(seeds, k)
-        return self._cap(
-            item_index, self._strip_substitutes(item_index, union[union != item_index])
-        )
+    def _taxonomy_pools(
+        self,
+        items: Sequence[int],
+        k: int,
+        bought: bool,
+        same_facets: Optional[Sequence[str]] = None,
+    ) -> ItemRows:
+        """Seeds: the co-bought (``bought``) or co-viewed neighbours; a row
+        with none falls back to its co-viewed ones (``bought``) or to its
+        own item.  ``bought`` also strips the query's substitutes."""
+        query = np.asarray(items, dtype=np.int64)
+        counts, width = self.counts, self.co_neighbours
+        first = counts.top_co_bought_block if bought else counts.top_co_viewed_block
+        rows, seeds = first(query, width)
+        empty = (np.bincount(rows, minlength=query.size) == 0).nonzero()[0]
+        if empty.size:
+            if bought:
+                more_rows, more = counts.top_co_viewed_block(query[empty], width)
+                more_rows = empty[more_rows]
+            else:
+                more_rows, more = empty, query[empty]
+            rows, seeds = np.concatenate([rows, more_rows]), np.concatenate([seeds, more])
+        refine = None
+        if same_facets:
+            def refine(row: int, pool: np.ndarray) -> np.ndarray:
+                return self._match_facets(int(query[row]), pool, same_facets)
+        return self._pools(query, (rows, seeds), k, bought, refine)
 
-    def _repurchasable(self, item_index: int) -> bool:
-        return (
-            self.repurchase is not None
-            and self.taxonomy.has_item(item_index)
-            and self.repurchase.is_repurchasable(self.taxonomy.category_of(item_index))
-        )
-
-    def _strip_substitutes(
-        self, item_index: int, candidates: np.ndarray
-    ) -> np.ndarray:
-        """Remove the query item's own substitutes from a sorted pool
-        that no longer holds the item itself.
-
-        Applied on the purchase path unless the item's category is
-        re-purchasable (where substitutes are exactly right).  An item
-        with no category has none but itself.
-        """
-        if not candidates.size or self._repurchasable(item_index):
-            return candidates
-        substitutes = self._union_expansions([item_index], self.purchase_lca_k)
-        # Both arrays are sorted: a searchsorted membership probe is
-        # several times cheaper than ``np.setdiff1d``.
-        slots = np.minimum(
-            np.searchsorted(substitutes, candidates), substitutes.size - 1
-        )
-        return candidates[substitutes[slots] != candidates]
-
-    def _retrieval_candidates(self, items: Sequence[int]) -> List[np.ndarray]:
-        """Per-item sorted neighbour pools from the attached ANN index.
-
-        One batched index probe covers the whole block; padding ids and
-        the query item itself are dropped per row.
-        """
-        seeds = np.asarray(items, dtype=np.int64)
+    def _retrieval_pools(self, items: Sequence[int], strip: bool) -> ItemRows:
+        """Pools from the attached ANN index: one probe for the block, the
+        padding and query item masked out of the ``(B, k)`` id matrix,
+        substitutes by their pre-order interval, each row sorted."""
+        query = np.asarray(items, dtype=np.int64)
         k = min(self.retrieval_k, self.retrieval.n_items)
-        ids, _ = self.retrieval.search_items(seeds, k)
-        pools: List[np.ndarray] = []
-        total = 0
-        for row, item in zip(ids, seeds):
-            pool = row[(row >= 0) & (row != item)]
-            pool = np.sort(pool)
-            total += pool.size
-            pools.append(pool)
-        self.metrics.counter("retrieval_candidate_items_total").inc(total)
-        return pools
+        ids, _ = self.retrieval.search_items(query, k)
+        drop = (ids < 0) | (ids == query[:, None])
+        self.metrics.counter("retrieval_candidate_items_total").inc(int(drop.size - drop.sum()))
+        if strip:
+            index = self.taxonomy.index()
+            sub_lo, sub_hi = self._substitutes(index, query)
+            inside = index.pre_order_of(ids)
+            drop |= (sub_lo[:, None] <= inside) & (inside < sub_hi[:, None])
+        ids = np.sort(np.where(drop, _PAST, ids), axis=1)
+        bounds = np.zeros(query.size + 1, dtype=np.int64)
+        np.cumsum(drop.shape[1] - drop.sum(axis=1), out=bounds[1:])
+        return self._finish(query, ids[ids != _PAST], bounds, None)
 
     # ------------------------------------------------------------------
     # Context-aware selection (funnel stage)
@@ -449,15 +432,17 @@ class CandidateSelector:
         matched where the item carries facets; falls back to the plain
         same-category set when the facet filter empties the pool.
         """
-        union = self._union_expansions([item_index], 1)
-        candidates = union[union != item_index]
         facets = [
             name
             for name, value in self.catalog[item_index].facets.items()
             if value is not None
         ]
-        if facets:
-            matched = self._match_facets(item_index, candidates, facets)
-            if matched.size:
-                candidates = matched
-        return self._cap(item_index, candidates).tolist()
+
+        def refine(row: int, pool: np.ndarray) -> np.ndarray:
+            matched = self._match_facets(item_index, pool, facets) if facets else pool
+            return matched if matched.size else pool
+
+        query = np.array([item_index], dtype=np.int64)
+        seeds = (np.zeros(1, dtype=np.int64), query)
+        return self._pools(query, seeds, 1, refine=refine)[0].tolist()
+

@@ -115,7 +115,35 @@ class TaxonomyIndex:
         #: Category number per item index, -1 where uncategorised.
         self.item_cat = np.full(max(item_category, default=-1) + 1, -1, dtype=np.int64)
         self.item_cat[list(item_category)] = [path[-1] for path in self.item_path.values()]
-        self._sorted: Dict[int, np.ndarray] = {}
+        #: ``enter`` / ``exit`` as arrays, and the category at each pre-order number.
+        self.cat_enter = np.array(self.enter, dtype=np.int64)
+        self.cat_exit = np.array(self.exit, dtype=np.int64)
+        self.pre_order = np.argsort(self.cat_enter)
+        self._lay_out_members()
+
+    def _lay_out_members(self) -> None:
+        """Every category's subtree, sorted, the runs laid end to end in
+        pre-order: ``member_items[member_bounds[e]:member_bounds[e + 1]]``
+        is the subtree of the category entered at ``e`` — one entry per
+        (item, level) of the tree.  ``member_rank[i, d]`` is where item
+        ``i`` sits in ``member_items`` inside its depth-``d`` ancestor's run
+        (-1 where it has none), so a pool drops its query item by position.
+        """
+        items = np.flatnonzero(self.item_cat >= 0)
+        above = self.cat_ancestors[self.item_cat[items]]  # (items, levels), -1 padded
+        held = above >= 0
+        owner = self.cat_enter[above[held]]
+        member = np.broadcast_to(items[:, None], above.shape)[held]
+        level = np.broadcast_to(np.arange(above.shape[1]), above.shape)[held]
+        # ``member`` ascends already: a stable sort by owner keeps each run sorted.
+        order = np.argsort(owner, kind="stable")
+        self.member_items = member[order]
+        self.member_bounds = np.zeros(len(self.categories) + 1, dtype=np.int64)
+        self.member_bounds[1:] = np.bincount(owner, minlength=len(self.categories)).cumsum()
+        self.member_rank = np.full((self.item_cat.size, above.shape[1]), -1, dtype=np.int64)
+        self.member_rank[member[order], level[order]] = np.arange(order.size)
+        for table in (self.member_items, self.member_bounds, self.member_rank):
+            table.setflags(write=False)
 
     def lca_root(self, item_index: int, k: int) -> int:
         """Number of the category whose subtree is ``lca_k(item_index, k >= 1)``."""
@@ -127,19 +155,155 @@ class TaxonomyIndex:
         return self._tour[self._starts[self.enter[category]] : self._starts[self.exit[category]]]
 
     def subtree(self, category: int) -> np.ndarray:
-        """Sorted items of category number ``category`` and below, read-only.
+        """Sorted items of category number ``category`` and below: a
+        read-only slice of ``member_items`` (DESIGN.md, "Taxonomy index")."""
+        start = self.enter[category]
+        return self.member_items[self.member_bounds[start] : self.member_bounds[start + 1]]
 
-        One array per category, built on first use: at most
-        ``n_items x (depth + 1)`` entries a taxonomy.  A union of several
-        is its caller's to build and to drop (DESIGN.md, "Taxonomy index").
+    def categories_of(self, items: np.ndarray) -> np.ndarray:
+        """``item_cat`` of each item id (>= 0), -1 for ids past its end too."""
+        if not self.item_cat.size:
+            return np.full(items.shape, -1, dtype=np.int64)
+        return np.where(items < self.item_cat.size, self.item_cat.take(items, mode="clip"), -1)
+
+    def pre_order_of(self, items: np.ndarray) -> np.ndarray:
+        """``enter`` of each item's category, -1 for none."""
+        cats = self.categories_of(items)
+        return np.where(cats >= 0, self.cat_enter[cats], -1)
+
+    def lca_roots(self, items: np.ndarray, k: int) -> np.ndarray:
+        """:meth:`lca_root` of each item, -1 where it has none (the item
+        is uncategorised, or ``k == 0``: it expands to itself)."""
+        cats = self.categories_of(items)
+        if k == 0:
+            return np.full_like(cats, -1)
+        roots = self.cat_ancestors[cats, np.maximum(self.cat_depth[cats] + 1 - k, 0)]
+        return np.where(cats >= 0, roots, -1)
+
+    def expand(
+        self,
+        query: np.ndarray,
+        rows: np.ndarray,
+        seeds: np.ndarray,
+        k: int,
+        bound: int,
+        drop_lo: np.ndarray,
+        drop_hi: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Each query item's union of its seeds' ``lca_k`` subtrees, as
+        sorted rows ``(items, bounds)``: without the query item, and
+        without the subtree whose pre-order interval is ``[drop_lo[r],
+        drop_hi[r])`` (-1: none).
+
+        ``rows`` / ``seeds`` pair every seed with its row, in seed order.
+        A seed with no category (or at ``k = 0``) expands to itself.
+        Subtrees are laminar, so a row's union is its maximal roots' runs
+        of ``member_items``, and a row whose union passes ``bound`` keeps
+        its seeds up to the one that crossed it.  The query item is cut
+        out of its run, runs inside the dropped subtree go (a run around
+        it is masked), one gather emits every row, and only a row of
+        several runs is sorted.
         """
-        found = self._sorted.get(category)
-        if found is None:
-            found = np.array(self.members(category), dtype=np.int64)
-            found.sort()
-            found.setflags(write=False)
-            self._sorted[category] = found
-        return found
+        n = query.size
+        roots = self.lca_roots(seeds, k)
+        lone = roots < 0
+        top_rows, enter = self._maximal_roots(rows, roots)
+        lo, hi = self.member_bounds[enter], self.member_bounds[enter + 1]
+        union = np.bincount(top_rows, hi - lo, minlength=n)
+        if lone.any():
+            union += np.bincount(rows[lone], minlength=n)
+        if union.max(initial=0) > bound:  # only these rows need accounting in seed order
+            keep = np.ones(rows.size, dtype=bool)
+            for row in (union > bound).nonzero()[0].tolist():
+                at = (rows == row).nonzero()[0]
+                keep[at[np.argmax(self._prefix_unions(roots[at]) > bound) + 1 :]] = False
+            rows, seeds, roots, lone = rows[keep], seeds[keep], roots[keep], lone[keep]
+            top_rows, enter = self._maximal_roots(rows, roots)
+            lo, hi = self.member_bounds[enter], self.member_bounds[enter + 1]
+        leave = self.cat_exit[self.pre_order[enter]]
+        below, above = drop_lo[top_rows], drop_hi[top_rows]
+        around = top_rows[(enter < below) & (below < leave)]
+        kept = (enter < below) | (above <= enter)
+        if not kept.all():
+            top_rows, enter, leave, lo, hi = (a[kept] for a in (top_rows, enter, leave, lo, hi))
+        alone_rows, alone = rows[lone], seeds[lone]
+        if alone.size:
+            inside = self.pre_order_of(alone)
+            kept = (alone != query[alone_rows]) & (
+                (inside < drop_lo[alone_rows]) | (drop_hi[alone_rows] <= inside)
+            )
+            alone_rows, alone = alone_rows[kept], alone[kept]
+        # One gather emits every row's runs, in (row, enter) order.
+        size = hi - lo
+        bounds = np.zeros(n + 1, dtype=np.int64)
+        bounds[1:] = np.bincount(top_rows, size, minlength=n).cumsum()
+        ends = size.cumsum()
+        items = self.member_items.take((lo - ends + size).repeat(size) + np.arange(bounds[-1]))
+        # The query item leaves its run: one position, found by its rank.
+        mine = self.pre_order_of(query)[top_rows]
+        holds = ((enter <= mine) & (mine < leave)).nonzero()[0]
+        if holds.size:
+            depth = self.cat_depth[self.pre_order[enter[holds]]]
+            rank = self.member_rank[query[top_rows[holds]], depth]
+            keep = np.ones(items.size, dtype=bool)
+            keep[ends[holds] - size[holds] + rank - lo[holds]] = False
+            items = items[keep]
+            bounds[1:] -= np.bincount(top_rows[holds], minlength=n).cumsum()
+        if alone.size:  # one-item runs, merged in row order
+            owner = np.arange(n).repeat(bounds[1:] - bounds[:-1])
+            order = np.concatenate([owner, alone_rows]).argsort(kind="stable")
+            items = np.concatenate([items, alone])[order]
+            bounds[1:] += np.bincount(alone_rows, minlength=n).cumsum()
+        if top_rows.size + alone.size > 1:  # rows of several runs: merge them
+            several = np.bincount(np.concatenate([top_rows, alone_rows]), minlength=n) > 1
+            for row in several.nonzero()[0].tolist():
+                items[bounds[row] : bounds[row + 1]].sort(kind="stable")
+        if around.size:  # what those runs hold of the dropped subtree
+            owner = np.arange(n).repeat(bounds[1:] - bounds[:-1])
+            inside = self.pre_order_of(items)
+            keep = (inside < drop_lo[owner]) | (drop_hi[owner] <= inside)
+            items = items[keep]
+            bounds[1:] = np.bincount(owner[keep], minlength=n).cumsum()
+        return items, bounds
+
+    def _maximal_roots(
+        self, rows: np.ndarray, roots: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Each row's maximal roots (category numbers, -1: none) as
+        ``(rows, enter)``, sorted.  Pre-order intervals are laminar: in
+        (row, enter) order a root is nested (or repeated) exactly when its
+        ``enter`` is below the running maximum ``exit`` before it in its row."""
+        width = len(self.categories) + 1
+        held = roots >= 0
+        if not held.all():
+            rows, roots = rows[held], roots[held]
+        keys = rows * width + self.cat_enter[roots]
+        keys.sort()
+        enter = keys % width
+        reach = np.maximum.accumulate(keys - enter + self.cat_exit[self.pre_order[enter]])
+        top = keys[1:] >= reach[:-1]
+        if top.all():
+            return keys // width, enter
+        top = np.concatenate([[True], top])
+        return keys[top] // width, enter[top]
+
+    def _prefix_unions(self, roots: np.ndarray) -> np.ndarray:
+        """Sizes of the unions of one row's first 1, 2, ... expansions
+        (roots in seed order, -1 for a seed that is its own).  Root ``j``
+        counts from its own prefix up to the first root covering it (one
+        around it, or the same root earlier)."""
+        alone, order = roots < 0, np.arange(roots.size)
+        enter = np.where(alone, -1, self.cat_enter[roots])
+        leave = np.where(alone, -1, self.cat_exit[roots])
+        start = np.maximum(enter, 0)
+        size = np.where(alone, 1, self.member_bounds[start + 1] - self.member_bounds[start])
+        covers = (enter[:, None] <= enter) & (enter < leave[:, None])
+        covers &= (enter[:, None] != enter) | (order[:, None] < order)
+        until = np.where(covers.any(axis=0), covers.argmax(axis=0), roots.size)
+        live = until > order
+        change = np.bincount(order[live], size[live], minlength=roots.size + 1)
+        change -= np.bincount(until[live], size[live], minlength=roots.size + 1)
+        return np.cumsum(change[:-1])
 
 
 class Taxonomy:

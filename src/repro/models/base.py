@@ -12,7 +12,7 @@ from __future__ import annotations
 import abc
 import operator
 from itertools import repeat
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -232,6 +232,56 @@ class RankedRows(Sequence[List[ScoredItem]]):
         return f"RankedRows({len(self)} rows, {self.items.size} entries)"
 
 
+class ItemRows(Sequence[np.ndarray]):
+    """Candidate pools laid end to end: row ``r`` is the read-only int64
+    array ``items[bounds[r]:bounds[r + 1]]``.
+
+    What a block's candidate selection hands :meth:`Recommender.recommend_batch`,
+    which ranks the flat ``items`` as they are.
+    """
+
+    __slots__ = ("items", "bounds")
+
+    def __init__(self, items: np.ndarray, bounds: np.ndarray) -> None:
+        for array in (items, bounds):
+            array.setflags(write=False)
+        self.items, self.bounds = items, bounds
+
+    @classmethod
+    def of(cls, pools: Iterable[Sequence[int]]) -> "ItemRows":
+        """Pools flattened once."""
+        arrays = [_as_item_array(pool) for pool in pools]
+        bounds = np.zeros(len(arrays) + 1, dtype=np.int64)
+        np.cumsum([pool.size for pool in arrays], out=bounds[1:])
+        items = np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
+        return cls(items, bounds)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.bounds)
+
+    def __len__(self) -> int:
+        return self.bounds.size - 1
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        # Not ``Sequence``'s index-until-IndexError walk: a row is a slice.
+        bounds = self.bounds.tolist()
+        return map(self.items.__getitem__, map(slice, bounds[:-1], bounds[1:]))
+
+    def __getitem__(self, row):
+        if isinstance(row, slice):
+            return [self[r] for r in range(*row.indices(len(self)))]
+        row = operator.index(row)
+        if row < 0:
+            row += len(self)
+        if not 0 <= row < len(self):
+            raise IndexError("row index out of range")
+        return self.items[self.bounds[row] : self.bounds[row + 1]]
+
+    def __repr__(self) -> str:
+        return f"ItemRows({len(self)} rows, {self.items.size} items)"
+
+
 #: Scratch cells per scored pair in :func:`segmented_top_k`, which pads a
 #: run of rows to its widest pool: runs are cut so that stays at most this
 #: multiple of their pairs, and one catalog-sized pool beside 127 small
@@ -439,27 +489,32 @@ class Recommender(abc.ABC):
         contexts = list(contexts)
         if candidate_lists is None:
             candidate_lists = [None] * len(contexts)
-        else:
+        elif not isinstance(candidate_lists, ItemRows):
             candidate_lists = list(candidate_lists)
         if len(candidate_lists) != len(contexts):
             raise ValueError(
                 f"got {len(contexts)} contexts but "
                 f"{len(candidate_lists)} candidate lists"
             )
-        listed = [
-            row for row, candidates in enumerate(candidate_lists)
-            if candidates is not None
-        ]
-        whole = [
-            row for row, candidates in enumerate(candidate_lists)
-            if candidates is None
-        ]
+        if isinstance(candidate_lists, ItemRows):
+            pools, listed, whole = candidate_lists, list(range(len(contexts))), []
+        else:
+            listed = [
+                row for row, candidates in enumerate(candidate_lists)
+                if candidates is not None
+            ]
+            whole = [
+                row for row, candidates in enumerate(candidate_lists)
+                if candidates is None
+            ]
+            pools = ItemRows.of(candidate_lists[row] for row in listed)
         blocks: List[RankedRows] = []
         if listed:
             blocks.append(
                 self._rank_listed(
                     [contexts[row] for row in listed],
-                    [_as_item_array(candidate_lists[row]) for row in listed],
+                    pools.items,
+                    pools.sizes,
                     k,
                     exclude_context_items,
                 )
@@ -484,27 +539,25 @@ class Recommender(abc.ABC):
     def _rank_listed(
         self,
         contexts: List[UserContext],
-        pools: List[np.ndarray],
+        items: np.ndarray,
+        sizes: np.ndarray,
         k: int,
         exclude_context_items: bool,
     ) -> RankedRows:
-        """Top-``k`` of each context's own pool, the block as one array."""
-        single = exclude_context_items and all(
-            len(context) == 1 for context in contexts
-        )
-        if exclude_context_items and not single:
-            pools = [
-                _exclude_items(pool, context)
-                for pool, context in zip(pools, contexts)
-            ]
-        sizes = np.array([pool.size for pool in pools], dtype=np.int64)
-        items = np.concatenate(pools)
+        """Top-``k`` of each context's own pool, the pools laid end to end
+        (``sizes[r]`` items for context ``r``)."""
         owners = np.repeat(np.arange(sizes.size), sizes)
-        if single:
-            # Single-item contexts (the whole offline workload): one compare
-            # over the flat block drops every row's own item.
-            seen = np.array([context.item_indices[0] for context in contexts])
-            keep = items != seen[owners]
+        if exclude_context_items:
+            if all(len(context) == 1 for context in contexts):
+                # Single-item contexts (the whole offline workload): one
+                # compare over the flat block drops every row's own item.
+                seen = np.array([context.item_indices[0] for context in contexts])
+                keep = items != seen[owners]
+            else:  # a row at a time
+                keep = np.ones(items.size, dtype=bool)
+                ends = np.cumsum(sizes).tolist()
+                for context, start, stop in zip(contexts, [0] + ends, ends):
+                    keep[start:stop] = ~np.isin(items[start:stop], context.item_indices)
             if not keep.all():
                 items, owners = items[keep], owners[keep]
                 sizes = np.bincount(owners, minlength=sizes.size)

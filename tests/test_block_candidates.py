@@ -1,0 +1,298 @@
+"""A block's candidate pools against the frozen set-based selector.
+
+``CandidateSelector.batch_view_based`` / ``batch_purchase_based`` build a
+whole block as runs of ``Taxonomy.index()`` (``TaxonomyIndex.expand``);
+every row must equal what ``tests/reference_set_candidates.py`` answers
+for that item alone, wherever the oracle answers at all (it raises on an
+uncategorised seed or query item).  Drawn trees have unequal leaf depths
+(the root alone, too), items on inner categories, uncategorised items and
+ids past ``index.item_cat``; drawn logs make categories re-purchasable or
+leave the co-occurrence tables empty; ``max_candidates`` is small enough
+for the ``4 x max_candidates`` early break and for the cap.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cooccurrence.counts import CoOccurrenceCounts
+from repro.core.candidates import CandidateSelector, RepurchaseDetector
+from repro.data.catalog import Catalog, Item
+from repro.data.events import EventType, Interaction
+from repro.data.sessions import UserContext
+from repro.data.taxonomy import ROOT_CATEGORY, Taxonomy
+from repro.exceptions import TaxonomyError
+from repro.models.base import ItemRows
+from repro.retrieval import exact_for_model
+from tests import reference_set_candidates as oracle
+from tests.test_taxonomy_index import MAX_ITEM, taxonomies
+
+#: Catalog ids past every id a drawn tree can categorise.
+N_ITEMS = MAX_ITEM + 4
+
+
+def shop(n_items: int = N_ITEMS, colours: str = "rgb") -> Catalog:
+    return Catalog(
+        "shop",
+        [
+            Item(f"shop-{i}", i, ROOT_CATEGORY, facets={"color": colours[i % len(colours)]})
+            for i in range(n_items)
+        ],
+    )
+
+
+def same_rows(pools: ItemRows, expected_by_row) -> None:
+    """Row for row what the oracle answers, as sorted int64 arrays."""
+    assert isinstance(pools, ItemRows) and pools.items.dtype == np.int64
+    assert not pools.items.flags.writeable
+    for row, pool in enumerate(pools):
+        assert isinstance(pool, np.ndarray) and pool.dtype == np.int64
+        expected = expected_by_row(row)
+        if expected is not None:
+            assert pool.tolist() == expected, row
+
+
+def answer(pool_of, *args, **kwargs):
+    try:
+        return pool_of(*args, **kwargs)
+    except TaxonomyError:
+        return None
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    taxonomy=taxonomies(),
+    sessions=st.lists(
+        st.lists(st.integers(0, N_ITEMS - 1), min_size=2, max_size=6), max_size=12
+    ),
+    lca_k=st.integers(0, 3),
+    purchase_k=st.integers(0, 2),
+    max_candidates=st.sampled_from([1, 2, 3, 5, 1000]),
+    co_neighbours=st.sampled_from([1, 3, 20]),
+    block=st.lists(st.integers(0, N_ITEMS - 1), max_size=2 * N_ITEMS),
+)
+def test_block_pools_equal_the_set_selector_row_for_row(
+    taxonomy, sessions, lca_k, purchase_k, max_candidates, co_neighbours, block
+):
+    log = [
+        Interaction(float(step), user, item, event)
+        for user, session in enumerate(sessions)
+        for step, item in enumerate(session)
+        for event in (EventType.VIEW, EventType.CONVERSION)[: 1 + (item + user) % 2]
+    ]
+    selector = CandidateSelector(
+        taxonomy=taxonomy,
+        counts=CoOccurrenceCounts.from_interactions(N_ITEMS, log),
+        catalog=shop(),
+        # One user buying twice in a category makes it re-purchasable.
+        repurchase=RepurchaseDetector(taxonomy, log, min_repeat_users=1),
+        view_lca_k=lca_k,
+        purchase_lca_k=purchase_k,
+        max_candidates=max_candidates,
+        co_neighbours=co_neighbours,
+    )
+    same_rows(
+        selector.batch_view_based(block),
+        lambda row: answer(oracle.view_based, selector, block[row]),
+    )
+    same_rows(
+        selector.batch_view_based(block, same_facets=("color",)),
+        lambda row: answer(oracle.view_based, selector, block[row], same_facets=("color",)),
+    )
+    same_rows(
+        selector.batch_purchase_based(block),
+        lambda row: answer(oracle.purchase_based, selector, block[row]),
+    )
+    for item in block[:5]:
+        expected = answer(oracle.near_item, selector, item)
+        if expected is not None:
+            assert selector.near_item(item) == expected
+
+
+def chain_of_categories(n_categories: int, per_category: int = 3) -> Taxonomy:
+    """Categories ``c0, c1, ...`` under the root, ``per_category`` items
+    each (item ``i`` on ``c{i // per_category}``)."""
+    taxonomy = Taxonomy()
+    for number in range(n_categories):
+        taxonomy.add_category(f"c{number}")
+        for item in range(number * per_category, (number + 1) * per_category):
+            taxonomy.assign_item(item, f"c{number}")
+    return taxonomy
+
+
+def co_viewed_with(query: int, seeds, n_items: int) -> CoOccurrenceCounts:
+    """Counts in which ``seeds`` are ``query``'s co-views, strongest first."""
+    log = [
+        Interaction(float(step), rank * 100 + copy, item, EventType.VIEW)
+        for rank, seed in enumerate(seeds)
+        for copy in range(len(seeds) - rank)  # the earlier seed, the more users
+        for step, item in enumerate((query, seed))
+    ]
+    return CoOccurrenceCounts.from_interactions(n_items, log)
+
+
+def test_the_early_break_stops_at_the_seed_whose_prefix_crosses():
+    """Seeds on ``c0``, ``c1``, ``c2``, ``c3`` (three items each) with
+    ``max_candidates = 2``: the union passes 8 at the third seed, so the
+    fourth category never joins.  Only ``c3`` matches the query's colour,
+    so the facet filter shows the break the cap would otherwise hide."""
+    taxonomy = chain_of_categories(4)
+    taxonomy.add_category("q")
+    taxonomy.assign_item(12, "q")
+    colours = "bbbbbbbbbrrrr"  # items 9-12 (c3 and the query) are red
+    catalog = Catalog(
+        "shop",
+        [Item(f"shop-{i}", i, ROOT_CATEGORY, facets={"color": colours[i]}) for i in range(13)],
+    )
+    counts = co_viewed_with(12, [0, 3, 6, 9], 13)
+    assert counts.top_co_viewed(12) == [0, 3, 6, 9]
+    selector = CandidateSelector(
+        taxonomy=taxonomy, counts=counts, catalog=catalog, view_lca_k=1, max_candidates=2
+    )
+    facets = ("color",)
+    (pool,) = selector.batch_view_based([12], same_facets=facets)
+    assert pool.tolist() == [] == oracle.view_based(selector, 12, same_facets=facets)
+    roomy = CandidateSelector(
+        taxonomy=taxonomy, counts=counts, catalog=catalog, view_lca_k=1, max_candidates=3
+    )
+    (pool,) = roomy.batch_view_based([12], same_facets=facets)
+    assert pool.tolist() == [9, 10, 11] == oracle.view_based(roomy, 12, same_facets=facets)
+    # Unfiltered, the break leaves nine items for the cap to cut to two.
+    (pool,) = selector.batch_view_based([12])
+    assert pool.tolist() == [0, 3] == oracle.view_based(selector, 12)
+
+
+def test_a_seed_around_an_earlier_one_replaces_it_in_the_count():
+    """Seeds ``a`` (3 items), then ``p`` around it (7), then ``z`` (3),
+    with ``max_candidates = 2``: the union is 3, 7, then 10 > 8 at the
+    last seed, which is still taken — summing ``a`` and ``p`` would have
+    broken at the second and lost ``z``, the only category matching the
+    query's colour."""
+    taxonomy = Taxonomy()
+    taxonomy.add_category("p")
+    taxonomy.add_category("a", "p")
+    taxonomy.add_category("b", "p")
+    taxonomy.add_category("z")
+    for item, category in enumerate("aaabbbzzzp"):
+        taxonomy.assign_item(item, category)
+    catalog = shop(10, colours="bbbbbbrrrb")
+    counts = co_viewed_with(8, [0, 9, 6], 10)
+    selector = CandidateSelector(
+        taxonomy=taxonomy, counts=counts, catalog=catalog, view_lca_k=1, max_candidates=2
+    )
+    facets = ("color",)
+    (pool,) = selector.batch_view_based([8], same_facets=facets)
+    assert pool.tolist() == [6, 7] == oracle.view_based(selector, 8, same_facets=facets)
+
+
+def test_ranking_a_block_of_pools_equals_ranking_their_list(trained_model, small_dataset):
+    """``recommend_batch`` takes a block's flat arrays as they are; a plain
+    list of the same rows is flattened once and ranks byte for byte alike."""
+    counts = CoOccurrenceCounts.from_interactions(small_dataset.n_items, small_dataset.train)
+    selector = CandidateSelector(small_dataset.taxonomy, counts, small_dataset.catalog)
+    items = list(range(0, small_dataset.n_items, 3))
+    for pools in (selector.batch_view_based(items), selector.batch_purchase_based(items)):
+        for event in (EventType.VIEW, EventType.CONVERSION):
+            contexts = [UserContext((item,), (event,)) for item in items]
+            flat = trained_model.recommend_batch(contexts, pools, k=7, exclude_context_items=True)
+            listed = trained_model.recommend_batch(
+                contexts, list(pools), k=7, exclude_context_items=True
+            )
+            for mine, theirs in zip(
+                (flat.items, flat.scores, flat.bounds),
+                (listed.items, listed.scores, listed.bounds),
+            ):
+                assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+
+
+def test_block_neighbours_are_the_per_item_rankings():
+    """The CSR ``top_co_*_block`` reads is the per-item ranking: strongest
+    first, equal counts in insertion order, ids past the table empty."""
+    VIEW, BUY = EventType.VIEW, EventType.CONVERSION
+    log = [
+        Interaction(float(t), user, item, event)
+        for t, (user, item, event) in enumerate(
+            [(0, 1, VIEW), (0, 2, VIEW), (0, 3, BUY), (1, 1, BUY), (1, 3, BUY), (1, 4, VIEW),
+             (2, 4, VIEW), (2, 1, VIEW)]
+        )
+    ]
+    counts = CoOccurrenceCounts.from_interactions(5, log)
+    assert counts.top_co_bought(1) and counts.top_co_viewed(4)
+    query = np.array([1, 4, 0, 7, 3, 1])
+    for block, single, table in (
+        (counts.top_co_viewed_block, counts.top_co_viewed, counts.co_viewed),
+        (counts.top_co_bought_block, counts.top_co_bought, counts.co_bought),
+    ):
+        for k in (0, 1, 2, 20):
+            rows, seeds = block(query, k)
+            assert np.all(np.diff(rows) >= 0)
+            for row, item in enumerate(query.tolist()):
+                pairs = sorted(table(item).items(), key=lambda pair: pair[1], reverse=True)
+                ranked = [neighbour for neighbour, _ in pairs]
+                assert seeds[rows == row].tolist() == single(item, k) == ranked[:k]
+
+
+def test_a_repurchasable_category_keeps_its_substitutes():
+    """Two users bought twice on ``a``, nobody twice on ``b``: with the
+    detector ``a`` is re-purchasable, so item 0's purchase pool keeps its
+    category mates; without one they are stripped.  Item 4's pool has
+    nothing of ``b`` to strip either way."""
+    taxonomy = Taxonomy()
+    for category in "ab":
+        taxonomy.add_category(category)
+    for item, category in enumerate("aaabbb"):
+        taxonomy.assign_item(item, category)
+    bought = [(1, 0), (1, 1), (1, 3), (2, 0), (2, 2), (3, 4), (3, 0)]
+    log = [
+        Interaction(float(t), user, item, EventType.CONVERSION)
+        for t, (user, item) in enumerate(bought)
+    ]
+    detector = RepurchaseDetector(taxonomy, log, min_repeat_users=1)
+    assert detector.repurchasable_categories() == ["a"]
+    counts = CoOccurrenceCounts.from_interactions(6, log)
+    pools = {}
+    for name, repurchase in (("detector", detector), ("none", None)):
+        selector = CandidateSelector(
+            taxonomy=taxonomy, counts=counts, catalog=shop(6), repurchase=repurchase
+        )
+        rows = selector.batch_purchase_based([0, 4])
+        for row, item in enumerate((0, 4)):
+            assert rows[row].tolist() == oracle.purchase_based(selector, item)
+        pools[name] = [row.tolist() for row in rows]
+    assert pools["detector"] == [[1, 2, 3, 4, 5], [0, 1, 2]]
+    assert pools["none"] == [[3, 4, 5], [0, 1, 2]]
+
+
+def test_retrieval_pools_are_the_masked_sorted_stripped_neighbour_rows(
+    trained_model, small_dataset
+):
+    """The ANN branch: each row is its probe's ids without padding or the
+    query item, sorted, substitutes stripped on the purchase surface
+    unless the category is re-purchasable, capped only past
+    ``max_candidates`` — what the per-row code it replaced built."""
+    counts = CoOccurrenceCounts.from_interactions(small_dataset.n_items, small_dataset.train)
+    for max_candidates in (1000, 7):
+        selector = CandidateSelector(
+            taxonomy=small_dataset.taxonomy,
+            counts=counts,
+            catalog=small_dataset.catalog,
+            repurchase=RepurchaseDetector(small_dataset.taxonomy, small_dataset.train, 1),
+            retrieval=exact_for_model(trained_model),
+            retrieval_k=20,
+            max_candidates=max_candidates,
+        )
+        items = list(range(0, small_dataset.n_items, 5))
+        ids, _ = selector.retrieval.search_items(np.array(items), 20)
+        views, buys = selector.batch_view_based(items), selector.batch_purchase_based(items)
+        stripped = 0
+        for item, row, view, buy in zip(items, ids.tolist(), views, buys):
+            near = {c for c in row if c >= 0 and c != item}
+            assert view.tolist() == oracle._cap(selector, item, near)
+            if not oracle._repurchasable(selector, item):
+                substitutes = set(small_dataset.taxonomy.lca_k(item, selector.purchase_lca_k))
+                stripped += len(near & substitutes)
+                near -= substitutes
+            assert buy.tolist() == oracle._cap(selector, item, near)
+        assert stripped

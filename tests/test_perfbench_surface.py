@@ -68,3 +68,27 @@ def test_only_a_dag_day_enters_the_graph_runner(monkeypatch, orchestration, runs
     monkeypatch.setattr(GraphRunner, "run", counted)
     make_service(orchestration=orchestration).run_day()
     assert len(calls) == runs
+
+
+def test_a_traced_cell_counts_every_candidate_once():
+    """perfbench sums ``len(pool)`` over what the block selectors return
+    and over the pools ``recommend_batch`` is handed: a block's ragged
+    pools must iterate as their rows, so both counters read the pools'
+    total length."""
+    service = make_service()
+    service.run_day()  # trains and publishes both retailers
+    datasets = dict(service._datasets)
+    tracer = Tracer()
+    with Patcher() as patcher:
+        install(patcher, tracer)
+        with tracer.span("day"):
+            results, _, _, failed = service.inference.run_cell("cell", datasets, day=1)
+    assert not failed and set(results) == set(datasets)
+    total = 0
+    for rid, dataset in datasets.items():
+        selector = service.inference.selector_of(rid)
+        for item in range(dataset.n_items):
+            total += len(selector.view_based(item)) + len(selector.purchase_based(item))
+    assert total > 0
+    assert tracer.counters["core.candidates.candidates"] == total
+    assert tracer.counters["models.items_scored"] == total

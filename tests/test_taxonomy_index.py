@@ -320,7 +320,9 @@ def test_a_selection_pass_leaves_one_array_per_category():
     2 000-item retailer at ``MarketplaceSpec``'s default density the index
     keeps what its tree bounds, not what its traffic was (the union memo
     kept 2 433 arrays, 11.8 MB, here against a 64 KB bound — 157 MB at
-    12 000 items)."""
+    12 000 items).  What it keeps is every category's sorted subtree end
+    to end (``member_items``: one entry per (item, level)) and one further
+    per-tree table, ``member_rank`` (one entry per (item, level) too)."""
     (retailer,) = generate_marketplace(
         MarketplaceSpec(n_retailers=1, median_items=2000, sigma_items=0.0, seed=3)
     )
@@ -331,17 +333,27 @@ def test_a_selection_pass_leaves_one_array_per_category():
         counts=CoOccurrenceCounts.from_interactions(dataset.n_items, dataset.train),
         catalog=dataset.catalog,
     )
-    items = list(range(dataset.n_items))
-    pools = selector.batch_view_based(items) + selector.batch_purchase_based(items)
-    assert sum(pool.size for pool in pools) > 100 * len(pools)  # a real pass
     index = dataset.taxonomy.index()
-    kept = index._sorted
-    assert set(kept) <= set(range(len(index.categories)))
+
+    def tables():
+        return {
+            name: (value.shape, value.nbytes)
+            for name, value in vars(index).items()
+            if isinstance(value, np.ndarray)
+        }
+
+    before = tables()
+    items = list(range(dataset.n_items))
+    pools = list(selector.batch_view_based(items)) + list(selector.batch_purchase_based(items))
+    assert sum(pool.size for pool in pools) > 100 * len(pools)  # a real pass
+    assert tables() == before  # nothing built for the traffic
     levels = int(index.cat_depth.max()) + 1
-    assert sum(array.nbytes for array in kept.values()) <= 8 * dataset.n_items * levels
+    assert index.member_items.nbytes <= 8 * dataset.n_items * levels
+    assert index.member_rank.nbytes <= 8 * dataset.n_items * levels
     # What is kept is shared and frozen; every pool is its caller's own.
-    assert not any(array.flags.writeable for array in kept.values())
-    assert all(pool.flags.writeable for pool in pools)
+    kept = (index.member_items, index.member_bounds, index.member_rank)
+    assert not any(array.flags.writeable for array in kept)
+    assert not any(np.may_share_memory(pool, index.member_items) for pool in pools)
 
 
 # ----------------------------------------------------------------------
