@@ -45,9 +45,7 @@ from repro.core.training import PipelineStats, TrainerSettings, TrainingPipeline
 from repro.dag.dayplan import (
     BLOCK_SPANS,
     SERIAL_PHASES,
-    BackfillState,
     DayState,
-    build_backfill_graph,
     build_day_graph,
     build_selection,
 )
@@ -507,12 +505,15 @@ class SigmundService:
         """Re-run one retailer's failed subgraph of a *committed* day.
 
         The daily run degrades a failed retailer to stale tables and
-        moves on; this repairs it after the fact — train from the day's
-        pinned intent configs, rebuild the ANN index, infer, and publish
-        at the day's version — without touching any other retailer's
-        tables, versions, or billed costs, and without reopening the
-        day's sealed record.  Journaled under ``backfill_*`` phases, so
-        repeating a backfill replays instead of re-billing.
+        moves on; this repairs it after the fact by running the day's
+        own blocks for that retailer alone
+        (:func:`~repro.dag.dayplan.build_day_graph` with ``retailer``):
+        train from the day's pinned intent configs, rebuild the ANN
+        index, infer, and publish at the day's version — without
+        touching any other retailer's tables, versions, or billed costs,
+        and without reopening the day's sealed record.  Journaled under
+        ``backfill_*`` phases keyed by the retailer, so repeating a
+        backfill replays instead of re-billing.
         """
         if retailer_id not in self._datasets:
             raise DataError(f"retailer {retailer_id!r} not onboarded")
@@ -542,20 +543,21 @@ class SigmundService:
             raise SigmundError(
                 f"day {day} planned no configs for {retailer_id!r}"
             )
-        state = BackfillState()
-        graph = build_backfill_graph(
-            self, day, retailer_id, configs, version, state
+        report = DailyRunReport(day=day, sweep_kind=str(intent["sweep_kind"]))
+        state = DayState(report=report)
+        graph = build_day_graph(
+            self, day, {"configs": configs}, state, retailer=retailer_id
         )
-        runner = GraphRunner(journal=self.journal, day=day, max_parallelism=1)
-        self.last_dag_run = runner.run(graph)
+        self.last_dag_run = GraphRunner(journal=self.journal, day=day).run(graph)
+        published = retailer_id in state.served
         return {
             "retailer_id": retailer_id,
             "day": day,
-            "version": version if state.published else None,
-            "trained": state.trained,
-            "cost": state.cost,
-            "published": state.published,
-            "failure": state.failure,
+            "version": version if published else None,
+            "trained": report.configs_trained,
+            "cost": report.total_cost,
+            "published": published,
+            "failure": state.failure_reasons.get(retailer_id),
         }
 
     def _train_retailer(
@@ -683,8 +685,13 @@ class SigmundService:
         retailer_id: str,
         result: InferenceResult,
         version: int,
+        index=None,
     ) -> Tuple[bool, str]:
         """Gate both surfaces, then load them; returns (accepted, reason).
+
+        ``index`` is the day's accepted ANN adapter, if any; it rides the
+        tables' version and loads last (skipped, idempotent on recovery,
+        once the retrieval store is at ``version``).
 
         A crash between the two loads leaves the substitutes store ahead
         of the accessories store; recovery detects that (the substitutes
@@ -741,26 +748,11 @@ class SigmundService:
             self.accessories_store.load_batch(
                 retailer_id, result.purchase_recs, version=version
             )
-        self._load_retrieval_index(day, retailer_id, version)
+        if index is not None and (
+            self.retrieval_store.version_of(retailer_id) or -1
+        ) < version:
+            self.retrieval_store.load(retailer_id, index, version)
         return True, ""
-
-    def _load_retrieval_index(
-        self, day: int, retailer_id: str, version: int
-    ) -> None:
-        """Publish the day's accepted ANN index with the tables.
-
-        The index rides the table's version: it only loads when the
-        retrieval task journaled an accepted index, and skips (idempotent
-        on recovery) when the store is already at today's version.
-        """
-        if not self.journal.is_done(day, "retrieval", retailer_id):
-            return
-        payload = self.journal.task_payload(day, "retrieval", retailer_id)
-        if not payload["accepted"]:
-            return
-        if (self.retrieval_store.version_of(retailer_id) or -1) >= version:
-            return
-        self.retrieval_store.load(retailer_id, payload["index"], version)
 
     def rollback_retailer(self, retailer_id: str) -> int:
         """Roll every serving artifact back to its last-good version.

@@ -2,13 +2,15 @@
 
 ``repro.dag`` is where a Sigmund day is declared and executed:
 :class:`~repro.dag.block.Block` declares one unit of work (journal key,
-kill points, retry/failure policy, metrics fold),
+kill points, metrics fold),
 :class:`~repro.dag.graph.DayGraph` holds the wiring (cycle detection,
 deterministic topological order), :func:`~repro.dag.runner.run_block`
 is the one step that executes a block, and
 :class:`~repro.dag.runner.GraphRunner` schedules blocks with bounded
 parallelism over a simulated clock.  :mod:`repro.dag.dayplan` builds
-the actual day graph and the single-retailer backfill graph.
+the day graph, for the whole fleet or (a backfill) for one retailer.
+There is no retry or skip policy: an exception that escapes a block
+halts the run.
 
 ``SigmundService`` drives the day graph either through ``GraphRunner``
 (``orchestration="dag"``) or as a serial walk over the same blocks;
@@ -16,29 +18,14 @@ the actual day graph and the single-retailer backfill graph.
 day snapshot at every crash kill point.
 """
 
-from repro.dag.block import (
-    FAILURE_POLICIES,
-    HALT,
-    SKIP_DEPENDENTS,
-    Block,
-    CycleError,
-    DagError,
-)
-from repro.dag.dayplan import (
-    BackfillState,
-    DayState,
-    build_backfill_graph,
-    build_day_graph,
-    build_selection,
-)
+from repro.dag.block import Block, CycleError, DagError
+from repro.dag.dayplan import DayState, build_day_graph, build_selection
 from repro.dag.graph import DayGraph
 from repro.dag.runner import (
     BLOCKED,
     DISABLED,
-    FAILED,
     RAN,
     REPLAYED,
-    SKIPPED,
     UNSELECTED,
     BlockRun,
     GraphRunner,
@@ -48,24 +35,17 @@ from repro.dag.runner import (
 __all__ = [
     "Block",
     "BlockRun",
-    "BackfillState",
     "CycleError",
     "DagError",
     "DayGraph",
     "DayState",
     "GraphRunner",
     "GraphRunResult",
-    "FAILURE_POLICIES",
-    "HALT",
-    "SKIP_DEPENDENTS",
     "RAN",
     "REPLAYED",
     "DISABLED",
     "UNSELECTED",
     "BLOCKED",
-    "FAILED",
-    "SKIPPED",
-    "build_backfill_graph",
     "build_day_graph",
     "build_selection",
 ]

@@ -18,15 +18,16 @@ unit of work safely:
   (report fields, the day metrics registry); folding happens on fresh
   runs *and* on journal replays, which is what makes a recovered day
   seal byte-identical metrics,
-* ``max_attempts`` / ``on_failure`` — the retry budget and what a final
-  failure does to the rest of the graph,
 * ``expand`` — dynamic fan-out: a block whose payload determines more
   blocks (the inference cell assignment is only known once the plan
   block has run).
 
-Blocks carry no scheduling state; :func:`~repro.dag.runner.run_block`
-executes one, and :class:`~repro.dag.runner.GraphRunner` or the
-service's serial walk decides the order.
+Blocks carry no scheduling state and no failure policy: every day
+block catches its own ``SigmundError`` and reports the failure in its
+payload, so an exception that escapes a block halts the run, like a
+coordinator death.  :func:`~repro.dag.runner.run_block` executes one,
+and :class:`~repro.dag.runner.GraphRunner` or the service's serial walk
+decides the order.
 """
 
 from __future__ import annotations
@@ -35,14 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 
 from repro.exceptions import SigmundError
-
-#: Failure policies: a block that exhausts ``max_attempts`` either halts
-#: the whole run (the exception propagates, like a coordinator death) or
-#: is recorded as failed while its transitive dependents are skipped and
-#: every independent block still runs.
-HALT = "halt"
-SKIP_DEPENDENTS = "skip"
-FAILURE_POLICIES = (HALT, SKIP_DEPENDENTS)
 
 Payload = Dict[str, object]
 
@@ -79,8 +72,6 @@ class Block:
     #: ``(stage, label)`` crash-plan checks around the journaled unit.
     pre_kill: Optional[Tuple[str, str]] = None
     post_kill: Optional[Tuple[str, str]] = None
-    max_attempts: int = 1
-    on_failure: str = HALT
     #: Evaluated once its dependencies are done; False skips the block
     #: entirely (no run, no journal, no fold) while dependents proceed.
     enabled: Optional[Callable[[], bool]] = None
@@ -95,13 +86,6 @@ class Block:
     def __post_init__(self) -> None:
         if not self.name or any(ch.isspace() for ch in self.name):
             raise DagError(f"block name {self.name!r} must be non-empty, no whitespace")
-        if self.max_attempts < 1:
-            raise DagError(f"block {self.name!r}: max_attempts must be >= 1")
-        if self.on_failure not in FAILURE_POLICIES:
-            raise DagError(
-                f"block {self.name!r}: unknown failure policy {self.on_failure!r}; "
-                f"expected one of {FAILURE_POLICIES}"
-            )
         if self.name in self.depends_on:
             raise DagError(f"block {self.name!r} depends on itself")
 

@@ -14,6 +14,10 @@
 * ``wrapup`` — the fan-in of everything: monitoring, detectors, seal,
   commit.
 
+``build_day_graph(..., retailer=rid)`` declares the same chain for one
+retailer of a committed day — its backfill: no ``wrapup``, and every
+journal key moved to a ``backfill_<phase>``/``rid`` record of its own.
+
 Every block's ``run`` body, ``journal`` key, kill points, and ``fold``
 are written here and nowhere else.  Both orchestrators execute these
 blocks through :func:`repro.dag.runner.run_block`:
@@ -64,16 +68,34 @@ class DayState:
 # ----------------------------------------------------------------------
 # The day graph
 # ----------------------------------------------------------------------
-def build_day_graph(service, day: int, intent: Dict[str, object], state: DayState):
+def build_day_graph(
+    service,
+    day: int,
+    intent: Dict[str, object],
+    state: DayState,
+    retailer: Optional[str] = None,
+):
     """Declare one day of ``service`` as a :class:`DayGraph`.
 
     Declaration order is the scheduler's tie-break and the serial walk's
     order within a family: sorted train blocks, then sorted retrieval
     blocks, then the plan, finalize, and wrap-up.
+
+    With ``retailer`` the graph is that retailer's backfill: its chain
+    alone, over the intent's configs, with no ``wrapup`` (the day stays
+    committed, its seal untouched).  A backfill has one block per phase,
+    so ``("backfill_<phase>", retailer)`` keys every record it journals
+    apart from the day's and from any other retailer's backfill.
     """
     report = state.report
     day_metrics = state.day_metrics
     graph = DayGraph()
+    fleet = sorted(service._datasets) if retailer is None else [retailer]
+
+    def key(phase: str, task_id: str) -> Tuple[str, str]:
+        if retailer is None:
+            return (phase, task_id)
+        return (f"backfill_{phase}", retailer)
 
     configs: List[ConfigRecord] = list(intent["configs"])  # type: ignore[arg-type]
     by_retailer: Dict[str, List[ConfigRecord]] = {}
@@ -103,7 +125,7 @@ def build_day_graph(service, day: int, intent: Dict[str, object], state: DayStat
             name=f"train/{rid}",
             run=run,
             fold=fold,
-            journal=("train", rid),
+            journal=key("train", rid),
             pre_kill=("train_task", rid),
             post_kill=("train_logged", rid),
             duration=lambda payload: float(payload["makespan"]),
@@ -141,7 +163,7 @@ def build_day_graph(service, day: int, intent: Dict[str, object], state: DayStat
             run=run,
             depends_on=deps,
             fold=fold,
-            journal=("retrieval", rid),
+            journal=key("retrieval", rid),
             pre_kill=("retrieval_build", rid),
             post_kill=("retrieval_logged", rid),
             enabled=enabled,
@@ -149,7 +171,7 @@ def build_day_graph(service, day: int, intent: Dict[str, object], state: DayStat
         )
 
     retrieval_names = []
-    for rid in sorted(service._datasets):
+    for rid in fleet:
         graph.add(make_retrieval(rid))
         retrieval_names.append(f"retrieval/{rid}")
 
@@ -159,8 +181,8 @@ def build_day_graph(service, day: int, intent: Dict[str, object], state: DayStat
         # yesterday's tables; inference on its stale registry entry
         # would hide the failure behind quietly old models.
         healthy = {
-            rid: dataset
-            for rid, dataset in service._datasets.items()
+            rid: service._datasets[rid]
+            for rid in fleet
             if rid not in state.failure_reasons
         }
         # Journaled as *intent*: free capacity changes as jobs run, so a
@@ -234,7 +256,7 @@ def build_day_graph(service, day: int, intent: Dict[str, object], state: DayStat
             run=run,
             depends_on=deps,
             fold=fold,
-            journal=("infer", cell_name),
+            journal=key("infer", cell_name),
             pre_kill=("infer_cell", cell_name),
             post_kill=("infer_logged", cell_name),
             expand=None,
@@ -251,7 +273,7 @@ def build_day_graph(service, day: int, intent: Dict[str, object], state: DayStat
             name="infer_plan",
             run=plan_run,
             depends_on=tuple(train_names),
-            journal=("infer_plan", "assignment"),
+            journal=key("infer_plan", "assignment"),
             pre_kill=("inference_plan", ""),
             expand=plan_expand,
         )
@@ -261,7 +283,7 @@ def build_day_graph(service, day: int, intent: Dict[str, object], state: DayStat
     def make_publish(rid: str) -> Block:
         def run():
             accepted, reason = service._publish_retailer(
-                day, rid, state.results[rid], day + 1
+                day, rid, state.results[rid], day + 1, state.retrieval.get(rid)
             )
             return {"accepted": accepted, "reason": reason}
 
@@ -285,7 +307,7 @@ def build_day_graph(service, day: int, intent: Dict[str, object], state: DayStat
             run=run,
             depends_on=("infer_finalize",),
             fold=fold,
-            journal=("publish", rid),
+            journal=key("publish", rid),
             pre_kill=("publish", rid),
             post_kill=("publish_logged", rid),
             labels={"retailer": rid},
@@ -321,6 +343,10 @@ def build_day_graph(service, day: int, intent: Dict[str, object], state: DayStat
     )
 
     # -- wrapup ---------------------------------------------------------
+    if retailer is not None:
+        graph.validate()
+        return graph
+
     def wrapup_run():
         # _wrapup_phase carries its own "wrapup" kill point, the seal
         # build, the commit, and the monitor snapshot.
@@ -418,156 +444,3 @@ def build_selection(
                     changed = True
     selected = frozenset(names)
     return lambda name: name in selected
-
-
-# ----------------------------------------------------------------------
-# Single-retailer backfill
-# ----------------------------------------------------------------------
-@dataclass
-class BackfillState:
-    """Cross-block state of one retailer's backfill run."""
-
-    failure: Optional[str] = None
-    trained: int = 0
-    cost: float = 0.0
-    retrieval: Dict[str, object] = field(default_factory=dict)
-    retrieval_payload: Optional[Dict[str, object]] = None
-    result: Optional[InferenceResult] = None
-    published: bool = False
-    reason: str = ""
-
-
-def build_backfill_graph(
-    service,
-    day: int,
-    retailer_id: str,
-    configs: List[ConfigRecord],
-    version: int,
-    state: BackfillState,
-) -> DayGraph:
-    """One retailer's train -> retrieval -> infer -> publish chain.
-
-    Journaled under ``backfill_*`` phases of the (already committed) day,
-    so a repeated backfill replays instead of re-billing.  No kill points
-    and no day-seal mutation: the day's committed record stays untouched;
-    only this retailer's tables, registry entries, and chargeback move.
-    """
-    rid = retailer_id
-    graph = DayGraph()
-
-    def train_run():
-        return service._train_retailer(day, rid, configs)
-
-    def train_fold(payload):
-        state.trained += int(payload["trained"])
-        state.cost += float(payload["cost"])
-        if payload.get("failure"):
-            state.failure = str(payload["failure"])
-
-    graph.add(
-        Block(
-            name=f"backfill_train/{rid}",
-            run=train_run,
-            fold=train_fold,
-            journal=("backfill_train", rid),
-            labels={"retailer": rid},
-        )
-    )
-
-    def retrieval_enabled():
-        return state.failure is None and service.registry.has_models(rid)
-
-    def retrieval_run():
-        return service._build_retrieval_index(day, rid)
-
-    def retrieval_fold(payload):
-        state.retrieval_payload = payload
-        if payload["built"] and payload["accepted"]:
-            state.retrieval[rid] = payload["index"]
-
-    graph.add(
-        Block(
-            name=f"backfill_retrieval/{rid}",
-            run=retrieval_run,
-            depends_on=(f"backfill_train/{rid}",),
-            fold=retrieval_fold,
-            journal=("backfill_retrieval", rid),
-            enabled=retrieval_enabled,
-            labels={"retailer": rid},
-        )
-    )
-
-    def infer_enabled():
-        return state.failure is None
-
-    def infer_run():
-        cell_metrics = MetricsRegistry() if service.metrics.enabled else NULL_METRICS
-        results, stats = service.inference.run(
-            {rid: service._datasets[rid]},
-            day=day,
-            metrics=cell_metrics,
-            tracer=service.tracer,
-            retrieval=state.retrieval,
-        )
-        return {
-            "results": results,
-            "failed": stats.failure_reasons,
-            "cost": stats.total_cost,
-        }
-
-    def infer_fold(payload):
-        state.cost += float(payload["cost"])
-        failed = payload["failed"]
-        if rid in failed:  # type: ignore[operator]
-            state.failure = "inference: " + str(failed[rid])  # type: ignore[index]
-        state.result = payload["results"].get(rid)  # type: ignore[union-attr]
-
-    graph.add(
-        Block(
-            name=f"backfill_infer/{rid}",
-            run=infer_run,
-            depends_on=(f"backfill_retrieval/{rid}",),
-            fold=infer_fold,
-            journal=("backfill_infer", rid),
-            enabled=infer_enabled,
-            labels={"retailer": rid},
-        )
-    )
-
-    def publish_enabled():
-        return state.failure is None and state.result is not None
-
-    def publish_run():
-        accepted, reason = service._publish_retailer(day, rid, state.result, version)
-        if accepted:
-            payload = state.retrieval_payload
-            if (
-                payload is not None
-                and payload["accepted"]
-                and (service.retrieval_store.version_of(rid) or -1) < version
-            ):
-                # The day's own retrieval task was skipped (the retailer
-                # had failed), so _load_retrieval_index finds nothing —
-                # the backfilled index rides the version here instead.
-                service.retrieval_store.load(rid, payload["index"], version)
-        return {"accepted": accepted, "reason": reason}
-
-    def publish_fold(payload):
-        state.published = bool(payload["accepted"])
-        state.reason = str(payload["reason"])
-        if not state.published:
-            state.failure = state.reason
-
-    graph.add(
-        Block(
-            name=f"backfill_publish/{rid}",
-            run=publish_run,
-            depends_on=(f"backfill_infer/{rid}",),
-            fold=publish_fold,
-            journal=("backfill_publish", rid),
-            enabled=publish_enabled,
-            labels={"retailer": rid},
-        )
-    )
-    graph.validate()
-    return graph

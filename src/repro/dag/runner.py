@@ -10,10 +10,11 @@ orchestrators call it — :class:`GraphRunner` below and
 * **Crash points** — ``pre_kill``/``post_kill`` stages are checked
   immediately around the journaled unit, so the fleet's kill-point
   matrix is a property of the declared blocks.
-* **Retry / failure policy** — ``max_attempts`` retries catch
-  ``Exception`` only; ``SimulatedCrash`` is a ``BaseException`` and
-  pierces, exactly like a coordinator death.  A final failure either
-  halts the run or skips the block's transitive dependents.
+* **Failure** — there is no retry and no skip policy.  A day block
+  catches its own ``SigmundError`` and reports it in its payload; any
+  exception that escapes ``run`` (or a ``SimulatedCrash``) propagates
+  out of the runner before the block is journaled, and halts the run
+  like a coordinator death.
 * **Bounded parallelism** — independent blocks overlap on up to
   ``max_parallelism`` lanes of a simulated clock.  Block bodies execute
   for real (sequentially, in deterministic pick order) at their
@@ -35,7 +36,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.dag.block import HALT, Block, DagError, Payload
+from repro.dag.block import Block, DagError, Payload
 from repro.dag.graph import DayGraph
 
 # Terminal block statuses.
@@ -44,12 +45,8 @@ REPLAYED = "replayed"  # found in the journal; payload folded, no side effects
 DISABLED = "disabled"  # enabled() returned False; dependents proceed
 UNSELECTED = "unselected"  # outside the partial-run selection
 BLOCKED = "blocked"  # a dependency was unselected/blocked, so it cannot run
-FAILED = "failed"  # run() exhausted max_attempts (policy: skip)
-SKIPPED = "skipped"  # a transitive dependency failed
 
 EXECUTED_STATUSES = (RAN, REPLAYED)
-#: Statuses whose block produced no effects; dependents cannot run.
-DEAD_STATUSES = (FAILED, SKIPPED, UNSELECTED, BLOCKED)
 
 
 @dataclass
@@ -61,7 +58,6 @@ class BlockRun:
     start: float = 0.0
     finish: float = 0.0
     lane: Optional[int] = None
-    attempts: int = 0
     payload: Optional[Payload] = None
     error: Optional[str] = None
 
@@ -89,9 +85,6 @@ class GraphRunResult:
         for run in self.runs.values():
             counts[run.status] = counts.get(run.status, 0) + 1
         return counts
-
-    def failures(self) -> List[BlockRun]:
-        return [r for r in self.runs.values() if r.status == FAILED]
 
 
 def run_block(
@@ -130,9 +123,9 @@ def run_block(
             return block_run
         if block.pre_kill is not None and crash_check is not None:
             crash_check(*block.pre_kill)
-        payload = _attempt(block, block_run)
-        if block_run.status == FAILED:
-            return block_run
+        payload = block.run() if block.run is not None else None
+        if payload is None:
+            payload = {}
         if journal is not None and block.journal is not None:
             journal.log_task(day, block.journal[0], block.journal[1], payload)
         if block.post_kill is not None and crash_check is not None:
@@ -142,22 +135,6 @@ def run_block(
     if block.fold is not None:
         block.fold(payload)
     return block_run
-
-
-def _attempt(block: Block, block_run: BlockRun) -> Optional[Payload]:
-    error: Optional[Exception] = None
-    for attempt in range(1, block.max_attempts + 1):
-        block_run.attempts = attempt
-        try:
-            payload = block.run() if block.run is not None else {}
-            return payload if payload is not None else {}
-        except Exception as exc:  # SimulatedCrash is a BaseException: pierces
-            error = exc
-    block_run.status = FAILED
-    block_run.error = f"{type(error).__name__}: {error}"
-    if block.on_failure == HALT:
-        raise error
-    return None
 
 
 class GraphRunner:
@@ -233,7 +210,7 @@ class GraphRunner:
                 if block_run.status == DISABLED:
                     finished.add(name)
                     continue
-                if block_run.status in (FAILED, UNSELECTED):
+                if block_run.status == UNSELECTED:
                     dead.add(name)
                     self._propagate_dead(graph, pending, dead, runs, pick_key)
                     continue
@@ -270,10 +247,10 @@ class GraphRunner:
                 )
                 if bad is None:
                     continue
-                cause = runs[bad].status
-                status = SKIPPED if cause in (FAILED, SKIPPED) else BLOCKED
                 runs[name] = BlockRun(
-                    name=name, status=status, error=f"dependency {bad!r} was {cause}"
+                    name=name,
+                    status=BLOCKED,
+                    error=f"dependency {bad!r} was {runs[bad].status}",
                 )
                 pending.discard(name)
                 dead.add(name)

@@ -4,7 +4,8 @@ The scheduler is the foundation the crash-equivalence suite stands on,
 so its own invariants are pinned here independently of the service:
 generated DAGs never run a block before its dependencies, cycle
 detection raises, identical seeds give identical schedules, and
-``max_parallelism=1`` reproduces the deterministic topological order.
+``max_parallelism=1`` reproduces the deterministic topological order,
+and an exception that escapes a block halts the run unjournaled.
 """
 
 import pytest
@@ -15,10 +16,8 @@ from repro.core.journal import RunJournal
 from repro.dag import (
     BLOCKED,
     DISABLED,
-    FAILED,
     RAN,
     REPLAYED,
-    SKIPPED,
     UNSELECTED,
     Block,
     CycleError,
@@ -26,6 +25,7 @@ from repro.dag import (
     DayGraph,
     GraphRunner,
 )
+from repro.exceptions import SimulatedCrash
 
 # ----------------------------------------------------------------------
 # helpers
@@ -43,8 +43,11 @@ def chain(*names, **block_kwargs):
     return graph
 
 
-def build_graph(n, edges, durations=None, log=None, runs=None):
-    """``n`` blocks b0..b{n-1} with dependency edges (i, j), i < j."""
+def build_graph(n, edges, durations=None, log=None, runs=None, journaled=False):
+    """``n`` blocks b0..b{n-1} with dependency edges (i, j), i < j.
+
+    ``journaled`` keys each block's payload as ``("phase", name)``.
+    """
     graph = DayGraph()
     deps = {j: [] for j in range(n)}
     for i, j in edges:
@@ -63,6 +66,7 @@ def build_graph(n, edges, durations=None, log=None, runs=None):
                 run=run if runs is None else runs.get(name),
                 depends_on=tuple(deps[j]),
                 duration=durations[j] if durations is not None else 0.0,
+                journal=("phase", name) if journaled else None,
             )
         )
     return graph
@@ -119,6 +123,12 @@ def test_unknown_dependency_raises():
         graph.validate()
 
 
+@pytest.mark.parametrize("name", ["", "train r0"])
+def test_blank_or_spaced_block_name_raises(name):
+    with pytest.raises(DagError, match="no whitespace"):
+        Block(name=name)
+
+
 def test_self_dependency_raises():
     with pytest.raises(DagError, match="depends on itself"):
         Block(name="a", depends_on=("a",))
@@ -136,11 +146,7 @@ def test_cycle_detection_raises_with_cycle_named():
         graph.validate()
 
 
-def test_bad_failure_policy_and_attempts_raise():
-    with pytest.raises(DagError, match="failure policy"):
-        Block(name="a", on_failure="explode")
-    with pytest.raises(DagError, match="max_attempts"):
-        Block(name="a", max_attempts=0)
+def test_zero_parallelism_raises():
     with pytest.raises(DagError, match="max_parallelism"):
         GraphRunner(max_parallelism=0)
 
@@ -172,67 +178,41 @@ def test_serial_execution_order_matches_topological_order():
     assert log == result.order
 
 
-def test_retry_succeeds_on_later_attempt():
-    calls = {"n": 0}
+@pytest.mark.parametrize("error", [RuntimeError, SimulatedCrash])
+@pytest.mark.parametrize("max_parallelism", [1, 4])
+def test_an_escaping_exception_halts_the_run_unjournaled(error, max_parallelism):
+    """No retry, no skip: the first raise propagates out of ``run``.
 
-    def flaky():
-        calls["n"] += 1
-        if calls["n"] < 3:
-            raise RuntimeError("transient")
-        return {"ok": True}
+    The raising block runs once and is never journaled, its dependents
+    never run, and what finished before it stays journaled.
+    """
+    journal = RunJournal()
+    journal.begin_day(0, {})
+    calls = []
 
-    graph = DayGraph([Block(name="a", run=flaky, max_attempts=3)])
-    result = GraphRunner().run(graph)
-    assert result["a"].status == RAN
-    assert result["a"].attempts == 3
-    assert calls["n"] == 3
-
-
-def test_failure_with_skip_policy_skips_transitive_dependents_only():
     def boom():
-        raise RuntimeError("dead")
+        calls.append("boom")
+        raise error("dead")
 
     graph = DayGraph(
         [
-            Block(name="a", run=boom, max_attempts=2, on_failure="skip"),
-            Block(name="b", depends_on=("a",)),
-            Block(name="c", depends_on=("b",)),
-            Block(name="independent"),
+            Block(name="a", run=lambda: {"x": 1}, journal=("phase", "a")),
+            Block(
+                name="boom", run=boom, depends_on=("a",), journal=("phase", "boom")
+            ),
+            Block(
+                name="after",
+                run=lambda: calls.append("after") or {},
+                depends_on=("boom",),
+                journal=("phase", "after"),
+            ),
         ]
     )
-    result = GraphRunner().run(graph)
-    assert result["a"].status == FAILED
-    assert result["a"].attempts == 2
-    assert result["b"].status == SKIPPED
-    assert result["c"].status == SKIPPED
-    assert result["independent"].status == RAN
-
-
-def test_failure_with_halt_policy_reraises():
-    def boom():
-        raise RuntimeError("dead")
-
-    graph = DayGraph([Block(name="a", run=boom, on_failure="halt")])
-    with pytest.raises(RuntimeError, match="dead"):
-        GraphRunner().run(graph)
-
-
-def test_crash_pierces_retry_loop():
-    """A BaseException (the coordinator dying) must not be retried."""
-
-    class Crash(BaseException):
-        pass
-
-    calls = {"n": 0}
-
-    def crashing():
-        calls["n"] += 1
-        raise Crash()
-
-    graph = DayGraph([Block(name="a", run=crashing, max_attempts=5)])
-    with pytest.raises(Crash):
-        GraphRunner().run(graph)
-    assert calls["n"] == 1
+    runner = GraphRunner(journal=journal, day=0, max_parallelism=max_parallelism)
+    with pytest.raises(error, match="dead"):
+        runner.run(graph)
+    assert calls == ["boom"]
+    assert journal.completed(0, "phase") == {"a": {"x": 1}}
 
 
 def test_pre_kill_checks_fire_through_crash_check():
@@ -426,28 +406,29 @@ def test_serial_parallelism_equals_topological_order(dag):
 
 
 @settings(max_examples=40, deadline=None)
-@given(random_dags(), st.data())
-def test_failed_block_skips_exactly_its_descendants(dag, data):
+@given(random_dags(), st.integers(min_value=1, max_value=4), st.data())
+def test_a_raising_block_journals_neither_itself_nor_its_descendants(
+    dag, parallelism, data
+):
     n, edges, durations = dag
     failing = data.draw(st.integers(min_value=0, max_value=n - 1))
 
     def boom():
         raise RuntimeError("dead")
 
+    journal = RunJournal()
+    journal.begin_day(0, {})
     graph = build_graph(
-        n, edges, durations=durations, runs={f"b{failing}": boom}
+        n, edges, durations=durations, runs={f"b{failing}": boom}, journaled=True
     )
-    for block in graph:
-        block.on_failure = "skip"
-    result = GraphRunner().run(graph)
-    expected_skipped = descendants(n, edges, failing)
-    assert result[f"b{failing}"].status == FAILED
-    assert {r.name for r in result.runs.values() if r.status == SKIPPED} == (
-        expected_skipped
-    )
-    for name, run in result.runs.items():
-        if name != f"b{failing}" and name not in expected_skipped:
-            assert run.status == RAN
+    with pytest.raises(RuntimeError, match="dead"):
+        GraphRunner(journal=journal, day=0, max_parallelism=parallelism).run(graph)
+    journaled = set(journal.completed(0, "phase"))
+    assert not journaled & (descendants(n, edges, failing) | {f"b{failing}"})
+    # Whatever did run, ran after its dependencies.
+    for i, j in edges:
+        if f"b{j}" in journaled:
+            assert f"b{i}" in journaled
 
 
 @settings(max_examples=25, deadline=None)

@@ -19,6 +19,8 @@ from repro.dag import DISABLED, RAN, REPLAYED, UNSELECTED, DagError
 from repro.exceptions import SigmundError
 from repro.mapreduce.runtime import FaultPlan
 from repro.obs.metrics import MetricsRegistry
+from repro.retrieval.ivf import IVFConfig
+from repro.serving.gate import GateDecision, PublishGate
 from tests.test_crash_recovery import make_service, report_key, summarize
 
 
@@ -290,3 +292,137 @@ def test_backfill_next_day_continues_normally(serial_day0):
     assert report.failed_retailers == []
     assert report.retailers_served == 2
     assert service.substitutes_store.version_of("r1") == 2
+
+
+# ----------------------------------------------------------------------
+# backfill against an unfaulted day
+# ----------------------------------------------------------------------
+
+#: An ANN index for every retailer, accepted whatever its recall.
+INDEXED = dict(
+    retrieval_threshold=1,
+    retrieval_config=IVFConfig(n_clusters=2),
+    retrieval_recall_target=0.0,
+)
+
+
+def fail_training_of(*retailers, times):
+    """Fail the first ``times`` training mapper records of ``retailers``."""
+    return FaultPlan().fail_mapper(
+        lambda record: getattr(record, "retailer_id", None) in retailers,
+        times=times,
+    )
+
+
+def table_bytes(store, rid):
+    table = store.get(rid)
+    return tuple(
+        array.tobytes()
+        for array in (
+            table.item_ids,
+            table.rows.items,
+            table.rows.scores,
+            table.rows.bounds,
+        )
+    )
+
+
+@pytest.fixture(scope="module")
+def unfaulted_day():
+    """A clean day 0, with an index for every retailer."""
+    service = make_service(metrics=MetricsRegistry(), **INDEXED)
+    service.run_day()
+    return service
+
+
+@pytest.mark.parametrize("failed", [("r1",), ("r0", "r1")])
+def test_backfill_publishes_the_unfaulted_days_tables_and_cost(
+    unfaulted_day, failed
+):
+    """Backfilled retailers serve what a clean day would have served,
+    billed what a clean day bills them.  Two backfills of one day keep
+    apart: neither replays the other's inference plan or cell."""
+    service = make_service(
+        metrics=MetricsRegistry(),
+        fault_plan=fail_training_of(*failed, times=len(failed)),
+        **INDEXED,
+    )
+    report = service.run_day()
+    assert report.failed_retailers == list(failed)
+    for rid in failed:
+        outcome = service.backfill_retailer(rid)
+        assert outcome["published"] and outcome["failure"] is None
+        assert outcome["cost"] == pytest.approx(
+            unfaulted_day.retailer_costs()[rid], rel=1e-12
+        )
+        for store in ("substitutes_store", "accessories_store"):
+            assert table_bytes(getattr(service, store), rid) == table_bytes(
+                getattr(unfaulted_day, store), rid
+            )
+    journaled = {
+        (entry.phase, entry.task_id)
+        for entry in service.journal.entries
+        if entry.kind == "task" and entry.phase.startswith("backfill_")
+    }
+    assert journaled == {
+        (f"backfill_{phase}", rid)
+        for phase in ("train", "retrieval", "infer_plan", "infer", "publish")
+        for rid in failed
+    }
+    assert service.substitutes_store.versions() == (
+        unfaulted_day.substitutes_store.versions()
+    )
+
+
+def test_backfill_serves_the_index_it_built(unfaulted_day):
+    """The day's retrieval block never ran for a retailer whose training
+    failed; the backfill's own accepted index rides the table's version."""
+    service = make_service(
+        metrics=MetricsRegistry(), fault_plan=fail_training_of("r1", times=1),
+        **INDEXED,
+    )
+    service.run_day()
+    assert not service.retrieval_store.has_retailer("r1")
+    service.backfill_retailer("r1")
+    assert service.retrieval_store.version_of("r1") == 1
+    assert (
+        service.retrieval_store.get("r1").query_vectors.tobytes()
+        == unfaulted_day.retrieval_store.get("r1").query_vectors.tobytes()
+    )
+
+
+def test_a_backfill_whose_training_fails_again_publishes_nothing():
+    service = make_service(
+        metrics=MetricsRegistry(), fault_plan=fail_training_of("r1", times=2)
+    )
+    service.run_day()
+    outcome = service.backfill_retailer("r1")
+    assert not outcome["published"] and outcome["version"] is None
+    assert str(outcome["failure"]).startswith("training: ")
+    assert outcome["trained"] == 0
+    assert service.substitutes_store.version_of("r1") is None
+    runs = service.last_dag_run.runs
+    assert runs["retrieval/r1"].status == DISABLED
+    assert not any(name.startswith("publish/") for name in runs)
+
+
+class _RejectR1(PublishGate):
+    def validate(self, retailer_id, *args, **kwargs):
+        if retailer_id == "r1":
+            return GateDecision(retailer_id, False, ["forced rejection"])
+        return super().validate(retailer_id, *args, **kwargs)
+
+
+def test_repeating_a_backfill_replays_instead_of_rebilling():
+    service = make_service(metrics=MetricsRegistry(), publish_gate=_RejectR1())
+    report = service.run_day()
+    assert report.failed_retailers == ["r1"]
+    first = service.backfill_retailer("r1")
+    assert not first["published"] and first["version"] is None
+    assert first["failure"] == "publish: forced rejection; forced rejection"
+    assert first["cost"] > 0.0
+    costs = (service.total_cost(), service.retailer_costs())
+    second = service.backfill_retailer("r1")
+    assert second == first
+    assert (service.total_cost(), service.retailer_costs()) == costs
+
