@@ -4,7 +4,8 @@ Sigmund's daily loop sits on the BPR training hot path: thousands of
 per-retailer models retrained every day (paper section III-C).  The
 trainer has one loop (``BPRTrainer.run_epoch``): the example list is
 compiled into flat CSR arrays once and every ``batch_size`` triples take
-one ``sgd_step_batch`` — one scatter-add per parameter table.  The paper's
+one ``sgd_step_batch`` — two flat optimizer updates over the model's one
+parameter buffer, whatever the number of tables.  The paper's
 schedule, one triple per update, is ``batch_size=1`` through that same
 loop: it pays the whole per-step numpy overhead for a single triple, and
 is the baseline row here.
@@ -20,16 +21,23 @@ Measured here:
 3. the composite sampler's cost — an epoch with the fleet's default
    ``"taxonomy"`` sampler (``CompositeNegativeSampler``, one batch draw
    per step) at the default batch size costs <= 2x an epoch with the
-   uniform sampler on the same retailer.
+   uniform sampler on the same retailer,
+4. dispatch — ``ufunc.at`` calls per default-size ``sgd_step_batch`` on the
+   taxonomy + brand + price model, counted from ``sys.setprofile``
+   ``c_call`` events: at most 6 (22 while every table and item side was
+   an Adagrad step of its own).
 
 ``E20_FAST=1`` is the CI smoke: batches of one against the default batch
-size only, same three assertions, nothing written to ``results/``.
+size only, same four assertions, nothing written to ``results/``.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import time
+
+import numpy as np
 
 from benchmarks.bench_util import emit, fmt_row, machine_line
 from repro.evaluation.evaluator import HoldoutEvaluator
@@ -41,6 +49,10 @@ BATCH_SIZES = (16, DEFAULT_BATCH_SIZE, 64, 256)
 EPOCHS = 2
 #: Bound on a composite-sampler epoch over a uniform-sampler one.
 COMPOSITE_EPOCH_RATIO = 2.0
+#: Bound on ``ufunc.at`` calls in one default-size ``sgd_step_batch``:
+#: the user segment-sum, the item-vector assembly, and two Adagrad updates
+#: of two scatters each.
+MAX_AT_CALLS_PER_STEP = 6
 
 
 def make_trainer(dataset, batch_size, composite=False):
@@ -69,6 +81,32 @@ def triples_per_second(dataset, batch_size, composite=False):
     return EPOCHS * trainer.n_examples / elapsed
 
 
+def ufunc_at_calls_per_step(dataset):
+    """``ufunc.at`` calls inside each default-size ``sgd_step_batch`` of
+    one epoch, read off ``sys.setprofile`` ``c_call`` events."""
+    trainer = make_trainer(dataset, DEFAULT_BATCH_SIZE)
+    step = BPRModel.sgd_step_batch.__code__
+    counts = []
+    inside = False
+
+    def profile(frame, event, arg):
+        nonlocal inside
+        if event in ("call", "return") and frame.f_code is step:
+            inside = event == "call"
+            if inside:
+                counts.append(0)
+        elif event == "c_call" and inside and getattr(arg, "__name__", None) == "at":
+            if isinstance(getattr(arg, "__self__", None), np.ufunc):
+                counts[-1] += 1
+
+    sys.setprofile(profile)
+    try:
+        trainer.run_epoch()
+    finally:
+        sys.setprofile(None)
+    return counts[: trainer.n_examples // DEFAULT_BATCH_SIZE]
+
+
 def trained_quality(dataset, batch_size):
     trainer = make_trainer(dataset, batch_size)
     trainer.train()
@@ -87,6 +125,7 @@ def test_vectorized_training_speedup(medium_dataset, benchmark, capsys):
 
     single_map = trained_quality(medium_dataset, batch_size=1)
     default_map = trained_quality(medium_dataset, DEFAULT_BATCH_SIZE)
+    at_calls = ufunc_at_calls_per_step(medium_dataset)
 
     lines = [
         machine_line(),
@@ -116,6 +155,10 @@ def test_vectorized_training_speedup(medium_dataset, benchmark, capsys):
         f"{composite_rate:,.0f} triples/s, an epoch {composite_ratio:.2f}x "
         f"a uniform-sampler epoch"
     )
+    lines.append(
+        f"dispatch at batch {DEFAULT_BATCH_SIZE}: {max(at_calls)} ufunc.at calls "
+        f"per sgd_step_batch (max over {len(at_calls)} full steps)"
+    )
     if fast:
         with capsys.disabled():
             print("\n== E20 (fast smoke) ==\n" + "\n".join(lines))
@@ -134,6 +177,10 @@ def test_vectorized_training_speedup(medium_dataset, benchmark, capsys):
     assert composite_ratio <= COMPOSITE_EPOCH_RATIO, (
         f"a composite-sampler epoch must cost <= {COMPOSITE_EPOCH_RATIO}x a "
         f"uniform-sampler epoch ({composite_ratio:.2f}x)"
+    )
+    assert max(at_calls) <= MAX_AT_CALLS_PER_STEP, (
+        f"a default-size sgd_step_batch must make <= {MAX_AT_CALLS_PER_STEP} "
+        f"ufunc.at calls ({max(at_calls)})"
     )
     for size in (s for s in sizes if s >= 64):
         assert rates[size] >= 5.0 * single_rate, (

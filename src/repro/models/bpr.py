@@ -37,7 +37,14 @@ from repro.data.sessions import UserContext
 from repro.data.taxonomy import Taxonomy
 from repro.exceptions import ConfigError
 from repro.models.base import Recommender, _as_item_array
-from repro.models.optim import Optimizer, make_optimizer, scatter_add_rows
+from repro.models.optim import (
+    Layout,
+    Optimizer,
+    carve,
+    flat_row_index,
+    make_optimizer,
+    scatter_add_rows,
+)
 from repro.rng import make_rng
 
 #: Context weights scale with event strength when event weighting is on —
@@ -58,6 +65,25 @@ EVENT_CONTEXT_WEIGHT: Dict[EventType, float] = {
 #: 52.3-52.4, and a 5 000-item retailer's inference runs as fast at 4 096
 #: as at 16 384 (0.41 s a pass; 0.44 s at 1 024, 0.70 s at 65 536).
 _PAIR_SLICE = 4_096
+
+#: Items per slice when :meth:`BPRModel.effective_item_matrix` adds feature
+#: vectors.  One gather over all of ``wide00``'s 12 000 items (every
+#: feature row's 16 doubles, plus their element index) put perfbench's
+#: ``wide_incr_uniform_cold`` ``day_peak_rss_mb`` at 146.2-147.2 MB against
+#: 140.4-141.8 in slices of 2 048 and 141.3-141.4 with one gather per
+#: feature table (seeds 1-2, 2-core x86 box; the bound is 3 %).
+_ASSEMBLY_SLICE = 2_048
+
+#: Each parameter table's attribute, in :meth:`BPRModel._parameters` order,
+#: which checkpoints and the optimizer's state keys follow.
+_TABLES = {
+    "item": "item_embeddings",
+    "context": "context_embeddings",
+    "bias": "item_bias",
+    "taxonomy": "taxonomy_embeddings",
+    "brand": "brand_embeddings",
+    "price": "price_embeddings",
+}
 
 
 @dataclass(frozen=True)
@@ -125,8 +151,7 @@ class BPRModel(Recommender):
         self._build_feature_maps(catalog, taxonomy)
         self._init_parameters()
         self.optimizer: Optimizer = make_optimizer(params.optimizer, params.learning_rate)
-        for name, param in self._parameters().items():
-            self.optimizer.register(name, param)
+        self.optimizer.register_flat(self._layout)
         #: Cached effective-item matrix; ``None`` whenever parameters have
         #: changed since the last assembly.  Every internal update path
         #: invalidates it; external code mutating parameter arrays directly
@@ -141,13 +166,18 @@ class BPRModel(Recommender):
     # Construction helpers
     # ------------------------------------------------------------------
     def _build_feature_maps(self, catalog: Catalog, taxonomy: Taxonomy) -> None:
-        """Precompute per-item feature rows (ancestors, brand, price bucket)."""
+        """Precompute per-item feature rows (ancestors, brand, price bucket).
+
+        They land in one table, ``_item_features``: per item, its rows of
+        ``_features`` (the taxonomy, brand and price embeddings end to end)
+        padded with -1 — ancestors nearest first, then brand, then price
+        bucket, the order their vectors are added.  One gather and one
+        ``np.nonzero`` list a batch's feature rows in that order.
+        """
         params = self.params
-        # Taxonomy: per-item ancestor rows, nearest first, as one table
-        # padded with -1 on the right so a batch of items is one gather.
-        # The root is excluded — it is shared by everything and would only
-        # add a global constant vector.  A category's index number is its
-        # ``taxonomy_embeddings`` row.
+        # Taxonomy: the root is excluded — it is shared by everything and
+        # would only add a global constant vector.  A category's index
+        # number is its ``taxonomy_embeddings`` row.
         index = taxonomy.index()
         self._n_categories = len(index.categories)
         item_cat = np.full(self.n_items, -1, dtype=np.int64)
@@ -160,13 +190,12 @@ class BPRModel(Recommender):
         # Column j of an item is its category's root-first row at depth - j.
         columns = self._anc_counts[:, None] - np.arange(self._anc_counts.max(initial=0))
         rows = index.cat_ancestors[item_cat[:, None], np.maximum(columns, 0)]
-        self._item_ancestors = np.where(columns > 0, rows, -1)
 
         # Brand: vocabulary row per item, -1 where missing or disabled.
         brands = catalog.brand_vocabulary() if params.use_brand else []
         self._brand_vocab: List[str] = brands
         brand_row = {brand: row for row, brand in enumerate(brands)}
-        self._item_brand = np.array(
+        item_brand = np.array(
             [
                 brand_row.get(item.brand, -1) if item.brand is not None else -1
                 for item in catalog
@@ -178,42 +207,93 @@ class BPRModel(Recommender):
         prices = catalog.prices()
         self._price_edges = _price_bucket_edges(prices, params.n_price_buckets)
         if params.use_price and self._price_edges.size > 0:
-            self._item_price_bucket = _bucketize(prices, self._price_edges)
+            item_price = _bucketize(prices, self._price_edges)
         else:
-            self._item_price_bucket = np.full(self.n_items, -1, dtype=np.int64)
+            item_price = np.full(self.n_items, -1, dtype=np.int64)
+
+        n_taxonomy = self._n_categories if params.use_taxonomy else 0
+        n_brand = len(brands)
+        self._item_features = np.concatenate(
+            [
+                np.where(columns > 0, rows, -1),
+                np.where(item_brand >= 0, item_brand + n_taxonomy, -1)[:, None],
+                np.where(item_price >= 0, item_price + n_taxonomy + n_brand, -1)[:, None],
+            ],
+            axis=1,
+        )
+
+    @property
+    def _item_brand(self) -> np.ndarray:
+        """``brand_embeddings`` row per item, -1 where it has none."""
+        rows = self._item_features[:, -2]
+        return np.where(rows >= 0, rows - self.taxonomy_embeddings.shape[0], -1)
+
+    @property
+    def _item_price_bucket(self) -> np.ndarray:
+        """``price_embeddings`` row per item, -1 where it has none."""
+        rows = self._item_features[:, -1]
+        offset = self.taxonomy_embeddings.shape[0] + self.brand_embeddings.shape[0]
+        return np.where(rows >= 0, rows - offset, -1)
 
     def _init_parameters(self) -> None:
+        """Lay the tables out in one flat buffer and draw them into it.
+
+        Buffer order is item, context, taxonomy, brand, price, bias, so the
+        five ``F``-wide tables are one ``(rows, F)`` matrix, ``_rows``; the
+        draws come off ``_rng`` in the order item, context, taxonomy,
+        brand, price.
+        """
         params = self.params
-        scale = params.init_scale
         dim = params.n_factors
-        rng = self._rng
-
-        def init(rows: int) -> np.ndarray:
-            return rng.normal(0.0, scale, size=(rows, dim))
-
-        self.item_embeddings = init(self.n_items)
-        self.context_embeddings = init(self.n_items)
-        self.item_bias = np.zeros(self.n_items, dtype=np.float64)
-        self.taxonomy_embeddings = (
-            init(self._n_categories) if params.use_taxonomy else np.zeros((0, dim))
-        )
-        self.brand_embeddings = (
-            init(len(self._brand_vocab)) if self._brand_vocab else np.zeros((0, dim))
-        )
         n_buckets = max(0, self._price_edges.size - 1)
-        self.price_embeddings = (
-            init(n_buckets) if params.use_price and n_buckets else np.zeros((0, dim))
-        )
+        heights = {
+            "item": self.n_items,
+            "context": self.n_items,
+            "taxonomy": self._n_categories if params.use_taxonomy else 0,
+            "brand": len(self._brand_vocab),
+            "price": n_buckets if params.use_price else 0,
+        }
+        layout: Layout = {}
+        offset = 0
+        for name, height in heights.items():
+            layout[name] = (offset, (height, dim))
+            offset += height * dim
+        layout["bias"] = (offset, (self.n_items,))
+        self._layout = {name: layout[name] for name in _TABLES}
+        self._buffer = np.zeros(offset + self.n_items, dtype=np.float64)
+        self._bind_views()
+        tables = self._parameters()
+        for name in heights:
+            # ``normal(0, s)`` is ``0.0 + s * z`` per draw; drawn in place,
+            # with no table-sized temporary beside the buffer.
+            self._rng.standard_normal(out=tables[name])
+            tables[name] *= params.init_scale
+            tables[name] += 0.0
+
+    def _bind_views(self) -> None:
+        """Point every table attribute at its range of ``_buffer``."""
+        for name, table in carve(self._buffer, self._layout).items():
+            setattr(self, _TABLES[name], table)
+        self._rows = self._buffer[: self._layout["bias"][0]].reshape(-1, self.params.n_factors)
+        self._features = self._rows[2 * self.n_items :]
+        self._item_ancestors = self._item_features[:, :-2]
+
+    def __getstate__(self) -> Dict[str, object]:
+        # A copy carries the buffer once; views copied one by one would
+        # each become an array of their own, and training would stop
+        # reaching them.
+        state = self.__dict__.copy()
+        for name in (*_TABLES.values(), "_rows", "_features", "_item_ancestors"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._bind_views()
 
     def _parameters(self) -> Dict[str, np.ndarray]:
-        return {
-            "item": self.item_embeddings,
-            "context": self.context_embeddings,
-            "bias": self.item_bias,
-            "taxonomy": self.taxonomy_embeddings,
-            "brand": self.brand_embeddings,
-            "price": self.price_embeddings,
-        }
+        """The six tables, views of ``_buffer``, in :data:`_TABLES` order."""
+        return {name: getattr(self, attribute) for name, attribute in _TABLES.items()}
 
     # ------------------------------------------------------------------
     # Embedding assembly
@@ -230,59 +310,48 @@ class BPRModel(Recommender):
         """Effective vectors for all items at once (used by batch inference).
 
         The result is cached until the next parameter update; treat the
-        returned array as read-only.
+        returned array as read-only.  Feature vectors are added
+        :data:`_ASSEMBLY_SLICE` items at a time; rows are independent, so
+        the slicing changes no sum.
         """
         if self._phi_cache is not None:
             return self._phi_cache
-        self._phi_cache = self.effective_item_vectors(np.arange(self.n_items))
-        return self._phi_cache
+        matrix = self.item_embeddings.copy()
+        for start in range(0, self.n_items, _ASSEMBLY_SLICE):
+            items = np.arange(start, min(start + _ASSEMBLY_SLICE, self.n_items))
+            self._add_feature_vectors(matrix[start:], *self._item_feature_rows(items))
+        self._phi_cache = matrix
+        return matrix
 
-    def _item_feature_rows(
-        self, items: np.ndarray
-    ) -> List[Tuple[str, np.ndarray, np.ndarray]]:
-        """``(table, positions, rows)`` per feature table ``items`` touch.
+    def _item_feature_rows(self, items: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(positions, rows)``: the ``_features`` rows ``items`` touch.
 
-        ``table`` is a :meth:`_parameters` key, ``positions`` index into
-        ``items`` in ascending order (an item repeats once per taxonomy
-        ancestor, nearest first) and ``rows`` are the matching rows of
-        that table.  Tables are listed in the order their vectors are
-        added: taxonomy, brand, price.
+        ``positions`` index into ``items`` in ascending order; per item the
+        rows come in ``_item_features`` order (ancestors nearest first,
+        brand, price), which is the order their vectors are added.
         """
-        found = []
-        ancestors = self._item_ancestors[items]
-        is_row = ancestors >= 0
-        if is_row.any():
-            found.append(("taxonomy", np.nonzero(is_row)[0], ancestors[is_row]))
-        for table, item_rows in (
-            ("brand", self._item_brand),
-            ("price", self._item_price_bucket),
-        ):
-            rows = item_rows[items]
-            positions = np.flatnonzero(rows >= 0)
-            if positions.size:
-                found.append((table, positions, rows[positions]))
-        return found
+        table = self._item_features.take(items, axis=0)
+        found = table >= 0
+        return np.nonzero(found)[0], table[found]
 
     def effective_item_vectors(self, items: np.ndarray) -> np.ndarray:
         """Effective vectors for a batch of item indices (``len(items) x F``).
 
         Item embedding plus every active feature embedding (taxonomy
-        ancestors, brand, price bucket): one gather per feature table.
+        ancestors, brand, price bucket): one gather of feature rows and
+        one scatter-add.
         """
         items = np.asarray(items, dtype=np.int64)
-        return self._assemble_item_vectors(items, self._item_feature_rows(items))
-
-    def _assemble_item_vectors(
-        self,
-        items: np.ndarray,
-        feature_rows: List[Tuple[str, np.ndarray, np.ndarray]],
-    ) -> np.ndarray:
-        """Item embeddings plus the vectors of their ``feature_rows``."""
-        tables = self._parameters()
         vectors = self.item_embeddings[items]
-        for table, positions, rows in feature_rows:
-            scatter_add_rows(vectors, positions, tables[table][rows])
+        self._add_feature_vectors(vectors, *self._item_feature_rows(items))
         return vectors
+
+    def _add_feature_vectors(
+        self, vectors: np.ndarray, positions: np.ndarray, rows: np.ndarray
+    ) -> None:
+        """Add feature row ``rows[k]`` to ``vectors[positions[k]]``, in order."""
+        if rows.size:
+            scatter_add_rows(vectors, positions, self._features[rows])
 
     def context_weights(self, context: UserContext) -> np.ndarray:
         """Decayed (and optionally event-weighted) weights, normalized to 1."""
@@ -435,9 +504,19 @@ class BPRModel(Recommender):
         (decayed, event-weighted, normalized) ``weights`` — exactly what
         :meth:`context_weights` produces per example.
 
-        This is the model's only update.  All gradients are evaluated at
-        the pre-batch parameters and scattered so that duplicate rows sum
-        (standard mini-batch semantics); a batch of one non-colliding
+        This is the model's only update.  Gradients are scattered so that
+        duplicate rows sum (standard mini-batch semantics), in two flat
+        optimizer steps over ``_buffer``:
+
+        * **A** — item, bias and context rows, and the positive side's
+          feature rows.  Their gradients read only pre-batch values.
+        * **B** — the negative side's feature rows, whose regularizer
+          reads what step A wrote to the feature tables.
+
+        Tables are disjoint ranges of the buffer and each table's rows keep
+        their order, so every element receives the same additions in the
+        same sequence as one step per table and side (the frozen order of
+        ``tests/reference_batched_sgd.py``).  A batch of one non-colliding
         triple is the module docstring's per-triple rule, which
         ``tests/reference_scalar_sgd.py`` writes out row by row as the
         oracle.
@@ -455,10 +534,9 @@ class BPRModel(Recommender):
             return np.zeros(0, dtype=np.float64)
 
         # User embeddings (Eq. 1), one segment-sum per batch.
-        counts = np.diff(indptr)
+        owners = np.repeat(np.arange(batch), np.diff(indptr))
         users = np.zeros((batch, self.params.n_factors))
         if ctx_rows.size:
-            owners = np.repeat(np.arange(batch), counts)
             scatter_add_rows(
                 users,
                 owners,
@@ -468,8 +546,9 @@ class BPRModel(Recommender):
         # Both item sides in one assembly: rows are independent, and the
         # feature-row lookup is reused by the feature-table updates below.
         items = np.concatenate([positives, negatives])
-        feature_rows = self._item_feature_rows(items)
-        phi = self._assemble_item_vectors(items, feature_rows)
+        positions, feature_rows = self._item_feature_rows(items)
+        phi = self.item_embeddings[items]
+        self._add_feature_vectors(phi, positions, feature_rows)
         phi_pos, phi_neg = phi[:batch], phi[batch:]
         z = np.einsum("bf,bf->b", users, phi_pos - phi_neg) + (
             self.item_bias[positives] - self.item_bias[negatives]
@@ -478,68 +557,52 @@ class BPRModel(Recommender):
         e = 1.0 / (1.0 + np.exp(z_clipped))  # sigma(-z), per example
 
         params = self.params
-        opt = self.optimizer
         scaled_user = e[:, None] * users  # (B, F)
+        delta = e[:, None] * (phi_pos - phi_neg)  # (B, F)
+        # ``_rows`` holds item rows, then context rows, then ``_features``.
+        n = self.n_items
+        cut = int(positions.searchsorted(batch))
 
-        # Item embeddings: positive rows ascend, negative rows descend.
-        item_grads = np.concatenate(
+        # Step A.  Item rows: positives ascend, negatives descend.  Context
+        # rows: the gradient of u distributes over them.  Positive feature
+        # rows: the positives' gradient, once per row.
+        rows = np.concatenate([items, ctx_rows + n, feature_rows[:cut] + 2 * n])
+        ascent = np.concatenate(
             [
-                scaled_user - params.reg_item * self.item_embeddings[positives],
-                -scaled_user - params.reg_item * self.item_embeddings[negatives],
+                scaled_user,
+                -scaled_user,
+                ctx_weights[:, None] * delta[owners],
+                scaled_user[positions[:cut]],
             ]
         )
-        opt.step_rows("item", self.item_embeddings, items, item_grads)
-
-        # Feature tables: each item side distributes the same gradient over
-        # its taxonomy/brand/price rows.  One step per side, positives
-        # first: the negatives' regularizer reads what the positives wrote.
-        positive_side, negative_side = [], []
-        for table, positions, rows in feature_rows:
-            cut = int(positions.searchsorted(batch))
-            positive_side.append((table, positions[:cut], rows[:cut]))
-            negative_side.append((table, positions[cut:] - batch, rows[cut:]))
-        self._step_feature_rows(positive_side, scaled_user, +1.0)
-        self._step_feature_rows(negative_side, scaled_user, -1.0)
-
-        bias_grads = np.concatenate(
-            [
-                e - params.reg_bias * self.item_bias[positives],
-                -e - params.reg_bias * self.item_bias[negatives],
-            ]
+        reg = np.repeat(
+            [params.reg_item, params.reg_context, params.reg_features],
+            [items.size, ctx_rows.size, cut],
         )
-        opt.step_rows("bias", self.item_bias, items, bias_grads)
+        grads = ascent - reg[:, None] * self._rows[rows]
+        bias_grads = np.concatenate([e, -e]) - params.reg_bias * self.item_bias[items]
+        self.optimizer.step_flat(
+            self._buffer,
+            np.concatenate(
+                [flat_row_index(rows, params.n_factors), self._layout["bias"][0] + items]
+            ),
+            np.concatenate([grads.reshape(-1), bias_grads]),
+        )
 
-        # Context side: the gradient of u distributes over context rows.
-        if ctx_rows.size:
-            delta = e[:, None] * (phi_pos - phi_neg)  # (B, F)
-            ctx_grads = (
-                ctx_weights[:, None] * delta[owners]
-                - params.reg_context * self.context_embeddings[ctx_rows]
+        # Step B.  Negative feature rows: the negatives' gradient (``-1.0 *``
+        # as the per-table step wrote it; ``-x`` would flip a NaN's sign).
+        if cut < feature_rows.size:
+            rows = feature_rows[cut:] + 2 * n
+            grads = (
+                -1.0 * scaled_user[positions[cut:] - batch]
+                - params.reg_features * self._rows[rows]
             )
-            opt.step_rows("context", self.context_embeddings, ctx_rows, ctx_grads)
+            self.optimizer.step_flat(
+                self._buffer, flat_row_index(rows, params.n_factors), grads.reshape(-1)
+            )
 
         self.invalidate_cache()
         return np.log1p(np.exp(-z_clipped))
-
-    def _step_feature_rows(
-        self,
-        feature_rows: List[Tuple[str, np.ndarray, np.ndarray]],
-        scaled_user: np.ndarray,
-        sign: float,
-    ) -> None:
-        """Feature-table updates for one item side of the triples.
-
-        ``feature_rows`` is :meth:`_item_feature_rows` of that side's
-        items, so positions index the examples of ``scaled_user``.
-        """
-        reg = self.params.reg_features
-        tables = self._parameters()
-        for table, owners, rows in feature_rows:
-            if rows.size == 0:
-                continue
-            embeddings = tables[table]
-            grads = sign * scaled_user[owners] - reg * embeddings[rows]
-            self.optimizer.step_rows(table, embeddings, rows, grads)
 
     # ------------------------------------------------------------------
     # State management (checkpointing & incremental training)

@@ -17,7 +17,7 @@ Each sampler implements :class:`NegativeSampler`;
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Set
+from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Set
 
 import numpy as np
 
@@ -86,12 +86,52 @@ class NegativeSampler(abc.ABC):
 
 
 class UniformNegativeSampler(NegativeSampler):
-    """Uniform over the catalog, avoiding the positive and the context items."""
+    """Uniform over the catalog, avoiding the positive and the context items.
+
+    A training batch is drawn as arrays (:meth:`sample_batch`) that take
+    exactly the draws one :meth:`sample` per row takes, in row order.
+    """
 
     def sample(
         self, context: UserContext, positive: int, rng: np.random.Generator
     ) -> int:
         return self._uniform(positive, rng, avoid=set(context.item_indices))
+
+    def sample_batch(
+        self,
+        examples: Sequence["TrainingExample"],
+        compiled: "CompiledExamples",
+        rows: np.ndarray,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """:meth:`sample` per row, off the same stream, in rounds of arrays.
+
+        A round draws at most one value per row still waiting and at most
+        what the current row has left of ``MAX_REJECTION_ATTEMPTS``, and
+        the values are handed out in order.  A row can therefore use its
+        last attempt only on a round's last value, so its fallback draw
+        comes next on the stream, where :meth:`_uniform` takes it, and no
+        round draws a value nobody reads.  An array draw yields the values
+        and stream position of as many scalar draws.
+        """
+        negatives: List[int] = []
+        waiting = [examples[r] for r in rows.tolist()]
+        attempts = 0
+        while len(negatives) < len(waiting):
+            size = min(len(waiting) - len(negatives), MAX_REJECTION_ATTEMPTS - attempts)
+            for candidate in rng.integers(self.n_items, size=size).tolist():
+                example = waiting[len(negatives)]
+                if candidate != example.positive and candidate not in example.context.item_indices:
+                    negatives.append(candidate)
+                    attempts = 0
+                else:
+                    attempts += 1
+            if attempts == MAX_REJECTION_ATTEMPTS:
+                positive = waiting[len(negatives)].positive
+                candidate = int(rng.integers(self.n_items - 1))
+                negatives.append(candidate if candidate < positive else candidate + 1)
+                attempts = 0
+        return np.array(negatives, dtype=np.int64)
 
 
 class TaxonomyAwareSampler(NegativeSampler):

@@ -7,17 +7,31 @@ and relatively increases the rate for the rare items" and empirically
 III-C1).  Incremental runs reset the accumulated norms to zero before
 continuing (section III-C3); :meth:`Adagrad.reset_norms` implements that.
 
-Optimizers here update *rows* of parameter matrices in place, which is the
-access pattern of BPR: one training triple touches a handful of embedding
-rows.
+Optimizers here update parameter elements in place through index arrays,
+which is the access pattern of BPR: one training triple touches a handful
+of embedding rows.  A model registers its tables as consecutive ranges of
+one flat buffer (:func:`carve`), so one update can reach every table a
+batch touches.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional
+import math
+from typing import Dict, Optional, Tuple
 
 import numpy as np
+
+#: ``name -> (offset, shape)``: where each table lives in a flat buffer.
+Layout = Dict[str, Tuple[int, Tuple[int, ...]]]
+
+
+def carve(buffer: np.ndarray, layout: Layout) -> Dict[str, np.ndarray]:
+    """Views of ``buffer``, one per table of ``layout``, in ``layout`` order."""
+    return {
+        name: buffer[offset : offset + math.prod(shape)].reshape(shape)
+        for name, (offset, shape) in layout.items()
+    }
 
 
 def flat_row_index(rows: np.ndarray, width: int) -> np.ndarray:
@@ -25,36 +39,30 @@ def flat_row_index(rows: np.ndarray, width: int) -> np.ndarray:
     return (rows[:, None] * width + np.arange(width)).reshape(-1)
 
 
-def scatter_add_rows(
-    target: np.ndarray,
-    rows: np.ndarray,
-    values: np.ndarray,
-    flat: Optional[np.ndarray] = None,
-) -> None:
+def scatter_add_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     """``np.add.at(target, rows, values)``: the same sums in the same order.
 
     numpy scatters into a 2-D target through its generic path; going
     through the target's 1-D view with element indices takes the fast
     one (~3x at mini-batch sizes).  Elements are still visited row by
     row, so every element of ``target`` receives the same additions in
-    the same sequence and the result is bit-identical.  ``flat`` is
-    ``flat_row_index(rows, width)`` when the caller scatters over the
-    same rows more than once.
+    the same sequence and the result is bit-identical.
     """
     if target.ndim == 1 or not target.flags.c_contiguous:
         # reshape(-1) of a non-contiguous table would be a copy.
         np.add.at(target, rows, values)
         return
-    if flat is None:
-        flat = flat_row_index(rows, target.shape[1])
-    np.add.at(target.reshape(-1), flat, values.reshape(-1))
+    np.add.at(target.reshape(-1), flat_row_index(rows, target.shape[1]), values.reshape(-1))
 
 
 class Optimizer(abc.ABC):
-    """Row-wise parameter updater.
+    """Element-wise parameter updater.
 
-    A parameter matrix is registered once under a name; afterwards
-    :meth:`step_rows` applies one gradient per listed row.
+    A model registers its flat parameter buffer's :data:`Layout` once
+    (:meth:`register_flat`); afterwards :meth:`step_flat` applies one
+    gradient per listed element of that buffer.  A table kept on its own
+    is registered under a name (:meth:`register`) and stepped by rows
+    (:meth:`step_rows`).
     """
 
     def __init__(self, learning_rate: float):
@@ -67,6 +75,19 @@ class Optimizer(abc.ABC):
         """Declare a parameter array before any step touches it."""
 
     @abc.abstractmethod
+    def register_flat(self, layout: Layout) -> None:
+        """Declare a flat parameter buffer's tables before any step touches it."""
+
+    @abc.abstractmethod
+    def step_flat(self, params: np.ndarray, index: np.ndarray, grads: np.ndarray) -> None:
+        """Apply ``grads[k]`` (ascent direction) to ``params[index[k]]`` in place.
+
+        ``params`` is the flat buffer of :meth:`register_flat`.  Duplicate
+        elements sum in ``index`` order, so the result is deterministic;
+        all gradients are taken as evaluated before the step.
+        """
+
+    @abc.abstractmethod
     def step_rows(
         self, name: str, param: np.ndarray, rows: np.ndarray, grads: np.ndarray
     ) -> None:
@@ -74,9 +95,9 @@ class Optimizer(abc.ABC):
 
         ``rows`` may contain duplicates (two triples in a mini-batch can
         touch the same embedding row); duplicate contributions are summed
-        in ``rows`` order (:func:`scatter_add_rows`), so the result is
-        deterministic.  All gradients are taken as evaluated at the pre-batch
-        parameters — standard mini-batch semantics.
+        in ``rows`` order, so the result is deterministic.  All gradients
+        are taken as evaluated at the pre-batch parameters — standard
+        mini-batch semantics.
         """
 
     def reset_norms(self) -> None:
@@ -114,6 +135,12 @@ class Sgd(Optimizer):
         # SGD is stateless; registration is accepted for interface parity.
         del name, param
 
+    def register_flat(self, layout: Layout) -> None:
+        del layout
+
+    def step_flat(self, params: np.ndarray, index: np.ndarray, grads: np.ndarray) -> None:
+        np.add.at(params, index, self.learning_rate * grads)
+
     def step_rows(
         self, name: str, param: np.ndarray, rows: np.ndarray, grads: np.ndarray
     ) -> None:
@@ -126,12 +153,20 @@ class Adagrad(Optimizer):
     Keeps the running sum of squared gradients for every parameter element
     and scales each step by its inverse square root, so hot (popular) items
     cool down while rare items keep learning.
+
+    After :meth:`register_flat` the sums live in one flat buffer laid out
+    like the model's parameters, and ``_accumulators`` holds a view of it
+    per table, so one :meth:`step_flat` serves every table a batch touches.
     """
 
     def __init__(self, learning_rate: float, epsilon: float = 1e-8):
         super().__init__(learning_rate)
         self.epsilon = epsilon
         self._accumulators: Dict[str, np.ndarray] = {}
+        #: The buffer ``_accumulators`` views, and its layout, once
+        #: :meth:`register_flat` has run.
+        self._flat: Optional[np.ndarray] = None
+        self._layout: Layout = {}
 
     def register(self, name: str, param: np.ndarray) -> None:
         if name not in self._accumulators:
@@ -142,17 +177,29 @@ class Adagrad(Optimizer):
                 f"accumulator has {self._accumulators[name].shape}"
             )
 
+    def register_flat(self, layout: Layout) -> None:
+        self._layout = dict(layout)
+        size = max((offset + math.prod(shape) for offset, shape in layout.values()), default=0)
+        self._flat = np.zeros(size, dtype=np.float64)
+        self._accumulators = carve(self._flat, self._layout)
+
+    def step_flat(self, params: np.ndarray, index: np.ndarray, grads: np.ndarray) -> None:
+        self._step(params, self._flat, index, grads)
+
     def step_rows(
         self, name: str, param: np.ndarray, rows: np.ndarray, grads: np.ndarray
     ) -> None:
-        acc = self._accumulators[name]
-        flat = flat_row_index(rows, param.shape[1]) if param.ndim == 2 else None
-        scatter_add_rows(acc, rows, np.square(grads), flat)
+        self._step(param, self._accumulators[name], rows, grads)
+
+    def _step(
+        self, param: np.ndarray, acc: np.ndarray, index: np.ndarray, grads: np.ndarray
+    ) -> None:
+        np.add.at(acc, index, np.square(grads))
         # The adaptive rate reads the accumulator *after* the whole batch's
-        # squared mass lands, so a row hit twice in one batch is damped for
-        # both contributions — per-row adaptivity survives vectorization.
-        scaled = grads / (np.sqrt(acc[rows]) + self.epsilon)
-        scatter_add_rows(param, rows, self.learning_rate * scaled, flat)
+        # squared mass lands, so an element hit twice in one batch is damped
+        # for both contributions — per-element adaptivity survives batching.
+        scaled = grads / (np.sqrt(acc[index]) + self.epsilon)
+        np.add.at(param, index, self.learning_rate * scaled)
 
     def reset_norms(self) -> None:
         """Zero all accumulated squared-gradient norms.
@@ -184,6 +231,20 @@ class Adagrad(Optimizer):
 
     def state_size_bytes(self) -> int:
         return sum(acc.nbytes for acc in self._accumulators.values())
+
+    # Copies (pickle, ``copy.deepcopy``) carry the flat buffer alone and
+    # re-carve the views, which would otherwise each become an array of
+    # their own and stop seeing :meth:`step_flat`.
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__.copy()
+        if self._flat is not None:
+            del state["_accumulators"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        if self._flat is not None:
+            self._accumulators = carve(self._flat, self._layout)
 
 
 def make_optimizer(kind: str, learning_rate: float) -> Optimizer:

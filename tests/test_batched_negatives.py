@@ -1,11 +1,15 @@
-"""The composite sampler's batch draw against the plain row-by-row draw.
+"""The samplers' batch draws against the plain row-by-row draws.
 
 ``CompositeNegativeSampler`` draws a training batch's negatives as arrays:
 candidate blocks, one acceptability mask, the first ``pool_size``
 survivors per row, one scoring of every pool.  Checked here against
 ``tests/reference_batched_negatives.py``: the mask element by element on
 hostile taxonomies, and whole draws — negatives and stream — with
-co-occurrence exclusions and rows that fall back to uniform.  The byte
+co-occurrence exclusions and rows that fall back to uniform.
+
+``UniformNegativeSampler`` draws rounds of arrays off the stream one
+``sample`` per row reads; checked against exactly that on catalogs small
+enough that contexts cover them and rows fall back mid-batch.  The byte
 equality of trained parameters is ``tests/test_batched_sgd_bit_identity.py``.
 """
 
@@ -16,11 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.datasets import dataset_from_synthetic
+from repro.data.events import EventType
 from repro.data.generator import RetailerSpec, generate_retailer
+from repro.data.sessions import UserContext
 from repro.data.taxonomy import ROOT_CATEGORY, Taxonomy
 from repro.models.bpr import BPRHyperParams, BPRModel
-from repro.models.negatives import CompositeNegativeSampler
-from repro.models.trainer import BPRTrainer
+from repro.models.negatives import (
+    CompositeNegativeSampler,
+    UniformNegativeSampler,
+)
+from repro.models.trainer import BPRTrainer, TrainingExample
 
 from tests import reference_batched_negatives as batched
 from tests import reference_batched_sgd as frozen
@@ -186,3 +195,63 @@ def test_a_batch_with_no_sampled_rows_draws_nothing():
     trainer.run_epoch()
     twin.permutation(trainer.n_examples)
     assert trainer._rng.bit_generator.state == twin.bit_generator.state
+
+
+def _example(positive: int, context) -> TrainingExample:
+    items = tuple(int(item) for item in context)
+    return TrainingExample(UserContext(items, (EventType.VIEW,) * len(items)), positive)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_items=st.integers(min_value=2, max_value=6),
+    n_rows=st.integers(min_value=1, max_value=40),
+    covered_share=st.floats(min_value=0.0, max_value=0.9),
+    data=st.data(),
+)
+def test_uniform_batch_draw_is_one_sample_per_row(seed, n_items, n_rows, covered_share, data):
+    """Values and stream position, with the 20-attempt fallback mid-batch.
+
+    The batch is every example, shuffled.  Its row at ``forced`` (never
+    the last) has a context covering the whole catalog, so only the
+    fallback can answer it; other rows cover the catalog at
+    ``covered_share`` or hold a few random items.
+    """
+    rng = np.random.default_rng(seed)
+    catalog = np.arange(n_items)
+    rows = rng.permutation(n_rows)
+    forced = data.draw(st.integers(min_value=0, max_value=max(0, n_rows - 2)), label="forced")
+    examples = [None] * n_rows
+    for position, row in enumerate(rows.tolist()):
+        if (position == forced and n_rows > 1) or rng.random() < covered_share:
+            context = rng.permutation(catalog)
+        else:
+            context = rng.integers(n_items, size=int(rng.integers(0, 4)))
+        examples[row] = _example(int(rng.integers(n_items)), context)
+    if n_rows > 1:
+        covering = examples[rows[forced]].context.item_indices
+        assert set(covering) == set(catalog.tolist()) and forced < n_rows - 1
+    sampler = UniformNegativeSampler(n_items)
+    ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+
+    drawn = sampler.sample_batch(examples, None, rows, ours)  # reads no CSR
+
+    expected = [
+        sampler.sample(examples[r].context, examples[r].positive, theirs)
+        for r in rows.tolist()
+    ]
+    assert drawn.dtype == np.int64
+    assert drawn.tolist() == expected
+    assert ours.integers(2**62) == theirs.integers(2**62)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_uniform_batch_of_no_rows_draws_nothing():
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    drawn = UniformNegativeSampler(4).sample_batch(
+        [_example(0, [1])], None, np.zeros(0, dtype=np.int64), rng
+    )
+    assert drawn.size == 0 and drawn.dtype == np.int64
+    assert rng.bit_generator.state == before

@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.core.checkpoint import CheckpointManager
+from repro.core.config import ConfigRecord, OutputConfigRecord
+from repro.data.datasets import dataset_from_synthetic
 from repro.data.events import EventType
+from repro.data.generator import RetailerSpec, generate_retailer
 from repro.data.sessions import UserContext
 from repro.exceptions import ConfigError
-from repro.models.bpr import BPRHyperParams, BPRModel
+from repro.fleet.tasks import TrainTaskResult, rebuild_trained_model
+from repro.models.bpr import _ASSEMBLY_SLICE, BPRHyperParams, BPRModel
+from repro.models.trainer import BPRTrainer
 
+from tests import reference_batched_sgd as frozen
 from tests.conftest import step_one
 from tests.reference_scalar_sgd import effective_item_vector
 
@@ -101,6 +111,34 @@ class TestEffectiveVectors:
         full = trained_model.score_all(context)
         some = trained_model.score_items(context, [0, 5, 11])
         assert np.allclose(full[[0, 5, 11]], some)
+
+    def test_effective_matrix_is_byte_equal_across_assembly_slices(self):
+        """Two full assembly slices plus a remainder, against the frozen
+        per-table assembly over every item."""
+        dataset = dataset_from_synthetic(
+            generate_retailer(
+                RetailerSpec(
+                    retailer_id="assembly_slices",
+                    n_items=2 * _ASSEMBLY_SLICE + 333,
+                    n_users=10,
+                    n_events=200,
+                    taxonomy_depth=3,
+                    taxonomy_fanout=4,
+                    n_brands=12,
+                    seed=5,
+                )
+            )
+        )
+        model = BPRModel(dataset.catalog, dataset.taxonomy, BPRHyperParams(n_factors=8, seed=4))
+        assert model.n_items > 2 * _ASSEMBLY_SLICE and model.n_items % _ASSEMBLY_SLICE
+        for rows in (model._item_ancestors, model._item_brand, model._item_price_bucket):
+            assert (rows >= 0).any()
+
+        matrix = model.effective_item_matrix()
+
+        expected = frozen.ReferenceModel(model).effective_item_vectors(np.arange(model.n_items))
+        assert matrix.shape == expected.shape
+        assert matrix.tobytes() == expected.tobytes()
 
 
 class TestContextEmbedding:
@@ -224,6 +262,119 @@ class TestStateAndWarmStart:
         before = fresh.item_embeddings.copy()
         fresh.warm_start_from(old)
         assert np.array_equal(fresh.item_embeddings, before)
+
+
+def _trained(dataset, params) -> BPRModel:
+    model = BPRModel(dataset.catalog, dataset.taxonomy, params)
+    BPRTrainer(model, dataset, max_epochs=1, seed=9).train()
+    return model
+
+
+def _via_set_state(model, dataset):
+    other = BPRModel(dataset.catalog, dataset.taxonomy, model.params)
+    other.set_state(model.get_state())
+    return other
+
+
+def _via_warm_start(model, dataset):
+    other = BPRModel(dataset.catalog, dataset.taxonomy, model.params)
+    other.warm_start_from_state(model.get_state())
+    return other
+
+
+def _via_checkpoint(model, dataset):
+    manager = CheckpointManager()
+    manager.write("cfg", model, now=0.0, epoch=1)
+    other = BPRModel(dataset.catalog, dataset.taxonomy, model.params)
+    assert manager.try_restore("cfg", other) == 1
+    return other
+
+
+def _via_rebuild(model, dataset):
+    config = ConfigRecord(dataset.retailer_id, 0, model.params)
+    result = TrainTaskResult(
+        output=OutputConfigRecord(config),
+        model_kind="bpr",
+        model_state=model.get_state(),
+        optimizer_state=model.optimizer.get_state(),
+    )
+    return rebuild_trained_model(config, dataset, result)
+
+
+_ROUTES = {
+    "set_state": _via_set_state,
+    "warm_start_from_state": _via_warm_start,
+    "checkpoint_try_restore": _via_checkpoint,
+    "rebuild_trained_model": _via_rebuild,
+    "deepcopy": lambda model, dataset: copy.deepcopy(model),
+    "pickle": lambda model, dataset: pickle.loads(pickle.dumps(model)),
+}
+
+
+def _assert_one_buffer(model: BPRModel) -> None:
+    """Every table is a view of the model's buffer, every accumulator a
+    view of the optimizer's — what a step writes is what the tables read."""
+    for name, table in model._parameters().items():
+        assert table.size and np.shares_memory(table, model._buffer), name
+    for name, acc in model.optimizer._accumulators.items():
+        assert np.shares_memory(acc, model.optimizer._flat), name
+    assert np.shares_memory(model._item_ancestors, model._item_features)
+
+
+def _state_bytes(model: BPRModel):
+    return [
+        (name, array.tobytes())
+        for state in (model.get_state(), model.optimizer.get_state())
+        for name, array in state.items()
+    ]
+
+
+class TestFlatBuffer:
+    """The six tables are views of one buffer, Adagrad's sums of another."""
+
+    @pytest.mark.parametrize("route", sorted(_ROUTES))
+    def test_a_copied_model_trains_through_its_own_buffer(
+        self, small_dataset, default_params, route
+    ):
+        original = _trained(small_dataset, default_params)
+        twin = _trained(small_dataset, default_params)
+        assert _state_bytes(original) == _state_bytes(twin)
+
+        copied = _ROUTES[route](original, small_dataset)
+        _assert_one_buffer(copied)
+        # Routes that carry parameters only get the twin's accumulators,
+        # written through the copy's views.
+        copied.optimizer.set_state(twin.optimizer.get_state())
+        assert _state_bytes(copied) == _state_bytes(twin)
+        before = _state_bytes(original)
+
+        for model in (copied, twin):
+            BPRTrainer(model, small_dataset, seed=11).run_epoch()
+
+        _assert_one_buffer(copied)
+        assert _state_bytes(copied) == _state_bytes(twin)
+        assert _state_bytes(copied) != before
+        assert _state_bytes(original) == before, "training the copy moved the original"
+
+    @pytest.mark.parametrize("optimizer, memory", [("adagrad", 39_552), ("sgd", 19_776)])
+    def test_state_keys_and_memory_are_unchanged(self, small_dataset, optimizer, memory):
+        """Checkpoints, task results and the cluster simulator read these;
+        the values are the ones the per-table arrays gave."""
+        params = BPRHyperParams(n_factors=8, learning_rate=0.08, seed=3, optimizer=optimizer)
+        model = BPRModel(small_dataset.catalog, small_dataset.taxonomy, params)
+        tables = ["item", "context", "bias", "taxonomy", "brand", "price"]
+        assert list(model.get_state()) == tables
+        assert list(model.optimizer.get_state()) == (tables if optimizer == "adagrad" else [])
+        assert model.memory_bytes() == memory
+        shapes = {name: array.shape for name, array in model.get_state().items()}
+        assert shapes == {
+            "item": (120, 8),
+            "context": (120, 8),
+            "bias": (120,),
+            "taxonomy": (40, 8),
+            "brand": (6, 8),
+            "price": (8, 8),
+        }
 
 
 class TestRecommenderInterface:
