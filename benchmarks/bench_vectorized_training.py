@@ -3,12 +3,14 @@
 Sigmund's daily loop sits on the BPR training hot path: thousands of
 per-retailer models retrained every day (paper section III-C).  The
 trainer has one loop (``BPRTrainer.run_epoch``): the example list is
-compiled into flat CSR arrays once and every ``batch_size`` triples take
-one ``sgd_step_batch`` — two flat optimizer updates over the model's one
-parameter buffer, whatever the number of tables.  The paper's
-schedule, one triple per update, is ``batch_size=1`` through that same
-loop: it pays the whole per-step numpy overhead for a single triple, and
-is the baseline row here.
+compiled into flat CSR arrays once, each window of ``PLAN_WINDOW``
+batches has its parameter-free indices planned once, and every
+``batch_size`` triples take one ``step_planned`` — gathers, arithmetic
+and two flat optimizer updates over the model's one parameter buffer,
+whatever the number of tables.  The paper's schedule, one triple per
+update, is ``batch_size=1`` through that same loop: it pays the whole
+per-step numpy overhead for a single triple, and is the baseline row
+here.
 
 Measured here:
 
@@ -19,23 +21,29 @@ Measured here:
    converge to the same holdout MAP@10 within 5 % (mini-batch semantics,
    not a different model),
 3. the composite sampler's cost — an epoch with the fleet's default
-   ``"taxonomy"`` sampler (``CompositeNegativeSampler``, one batch draw
-   per step) at the default batch size costs <= 2x an epoch with the
-   uniform sampler on the same retailer,
-4. dispatch — ``ufunc.at`` calls per default-size ``sgd_step_batch`` on the
-   taxonomy + brand + price model, counted from ``sys.setprofile``
-   ``c_call`` events: at most 6 (22 while every table and item side was
-   an Adagrad step of its own).
+   ``"taxonomy"`` sampler (``CompositeNegativeSampler``: candidate pools
+   drawn per window, picked against the model per step) at the default
+   batch size costs <= 2x an epoch with the uniform sampler on the same
+   retailer,
+4. dispatch — ``ufunc.at`` calls per default-size ``step_planned`` (the
+   per-batch step) on the taxonomy + brand + price model, counted from
+   ``sys.setprofile`` ``c_call`` events: at most 6 (22 while every table
+   and item side was an Adagrad step of its own),
+5. planning — a uniform-sampler epoch builds ``ceil(batches / PLAN_WINDOW)``
+   positive plans, not one per batch, and draws its negatives in one
+   ``sample_batch`` call.
 
 ``E20_FAST=1`` is the CI smoke: batches of one against the default batch
-size only, same four assertions, nothing written to ``results/``.
+size only, same five assertions, nothing written to ``results/``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -43,13 +51,14 @@ from benchmarks.bench_util import emit, fmt_row, machine_line
 from repro.evaluation.evaluator import HoldoutEvaluator
 from repro.models.bpr import BPRHyperParams, BPRModel
 from repro.models.negatives import CompositeNegativeSampler
-from repro.models.trainer import DEFAULT_BATCH_SIZE, BPRTrainer
+from repro.models import trainer as trainer_module
+from repro.models.trainer import DEFAULT_BATCH_SIZE, PLAN_WINDOW, BPRTrainer
 
 BATCH_SIZES = (16, DEFAULT_BATCH_SIZE, 64, 256)
 EPOCHS = 2
 #: Bound on a composite-sampler epoch over a uniform-sampler one.
 COMPOSITE_EPOCH_RATIO = 2.0
-#: Bound on ``ufunc.at`` calls in one default-size ``sgd_step_batch``:
+#: Bound on ``ufunc.at`` calls in one default-size ``step_planned``:
 #: the user segment-sum, the item-vector assembly, and two Adagrad updates
 #: of two scatters each.
 MAX_AT_CALLS_PER_STEP = 6
@@ -82,10 +91,10 @@ def triples_per_second(dataset, batch_size, composite=False):
 
 
 def ufunc_at_calls_per_step(dataset):
-    """``ufunc.at`` calls inside each default-size ``sgd_step_batch`` of
-    one epoch, read off ``sys.setprofile`` ``c_call`` events."""
+    """``ufunc.at`` calls inside each default-size ``step_planned`` of one
+    epoch, read off ``sys.setprofile`` ``c_call`` events."""
     trainer = make_trainer(dataset, DEFAULT_BATCH_SIZE)
-    step = BPRModel.sgd_step_batch.__code__
+    step = BPRModel.step_planned.__code__
     counts = []
     inside = False
 
@@ -107,6 +116,29 @@ def ufunc_at_calls_per_step(dataset):
     return counts[: trainer.n_examples // DEFAULT_BATCH_SIZE]
 
 
+def plans_and_draws_per_epoch(dataset):
+    """``(plans, batches, sample_batch calls)`` of one default-size
+    uniform-sampler epoch."""
+    trainer = make_trainer(dataset, DEFAULT_BATCH_SIZE)
+    plans = []
+    draws = []
+    plan, draw = trainer_module.PositivePlan, trainer.sampler.sample_batch
+
+    def counting_plan(*args):
+        plans.append(plan(*args))
+        return plans[-1]
+
+    def counting_draw(*args):
+        draws.append(1)
+        return draw(*args)
+
+    with mock.patch.object(trainer_module, "PositivePlan", counting_plan), mock.patch.object(
+        trainer.sampler, "sample_batch", counting_draw
+    ):
+        trainer.run_epoch()
+    return len(plans), math.ceil(trainer.n_examples / DEFAULT_BATCH_SIZE), len(draws)
+
+
 def trained_quality(dataset, batch_size):
     trainer = make_trainer(dataset, batch_size)
     trainer.train()
@@ -126,6 +158,7 @@ def test_vectorized_training_speedup(medium_dataset, benchmark, capsys):
     single_map = trained_quality(medium_dataset, batch_size=1)
     default_map = trained_quality(medium_dataset, DEFAULT_BATCH_SIZE)
     at_calls = ufunc_at_calls_per_step(medium_dataset)
+    plans, batches, draws = plans_and_draws_per_epoch(medium_dataset)
 
     lines = [
         machine_line(),
@@ -157,7 +190,12 @@ def test_vectorized_training_speedup(medium_dataset, benchmark, capsys):
     )
     lines.append(
         f"dispatch at batch {DEFAULT_BATCH_SIZE}: {max(at_calls)} ufunc.at calls "
-        f"per sgd_step_batch (max over {len(at_calls)} full steps)"
+        f"per step_planned (max over {len(at_calls)} full steps)"
+    )
+    lines.append(
+        f"planning at batch {DEFAULT_BATCH_SIZE}: {plans} positive plans for "
+        f"{batches} batches (window {PLAN_WINDOW}), {draws} sample_batch call per "
+        f"uniform epoch"
     )
     if fast:
         with capsys.disabled():
@@ -179,8 +217,13 @@ def test_vectorized_training_speedup(medium_dataset, benchmark, capsys):
         f"uniform-sampler epoch ({composite_ratio:.2f}x)"
     )
     assert max(at_calls) <= MAX_AT_CALLS_PER_STEP, (
-        f"a default-size sgd_step_batch must make <= {MAX_AT_CALLS_PER_STEP} "
+        f"a default-size step_planned must make <= {MAX_AT_CALLS_PER_STEP} "
         f"ufunc.at calls ({max(at_calls)})"
+    )
+    assert plans == math.ceil(batches / PLAN_WINDOW) and draws == 1, (
+        f"a uniform-sampler epoch must plan once per window of {PLAN_WINDOW} "
+        f"batches and draw its negatives once ({plans} plans for {batches} "
+        f"batches, {draws} sample_batch calls)"
     )
     for size in (s for s in sizes if s >= 64):
         assert rates[size] >= 5.0 * single_rate, (

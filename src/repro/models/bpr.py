@@ -55,6 +55,8 @@ EVENT_CONTEXT_WEIGHT: Dict[EventType, float] = {
     EventType.CART: 2.0,
     EventType.CONVERSION: 2.5,
 }
+#: :data:`EVENT_CONTEXT_WEIGHT` indexed by event code.
+_EVENT_WEIGHTS = np.array([EVENT_CONTEXT_WEIGHT[event] for event in EventType])
 
 #: Pairs scored per gather in :meth:`BPRModel.score_pairs`.  Both operands
 #: of the dot are gathered (``2 x slice x F`` doubles live at once), so the
@@ -318,40 +320,40 @@ class BPRModel(Recommender):
             return self._phi_cache
         matrix = self.item_embeddings.copy()
         for start in range(0, self.n_items, _ASSEMBLY_SLICE):
-            items = np.arange(start, min(start + _ASSEMBLY_SLICE, self.n_items))
-            self._add_feature_vectors(matrix[start:], *self._item_feature_rows(items))
+            stop = min(start + _ASSEMBLY_SLICE, self.n_items)
+            self._add_feature_vectors(matrix[start:stop], np.arange(start, stop))
         self._phi_cache = matrix
         return matrix
-
-    def _item_feature_rows(self, items: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(positions, rows)``: the ``_features`` rows ``items`` touch.
-
-        ``positions`` index into ``items`` in ascending order; per item the
-        rows come in ``_item_features`` order (ancestors nearest first,
-        brand, price), which is the order their vectors are added.
-        """
-        table = self._item_features.take(items, axis=0)
-        found = table >= 0
-        return np.nonzero(found)[0], table[found]
 
     def effective_item_vectors(self, items: np.ndarray) -> np.ndarray:
         """Effective vectors for a batch of item indices (``len(items) x F``).
 
         Item embedding plus every active feature embedding (taxonomy
-        ancestors, brand, price bucket): one gather of feature rows and
-        one scatter-add.
+        ancestors, brand, price bucket).
         """
         items = np.asarray(items, dtype=np.int64)
-        vectors = self.item_embeddings[items]
-        self._add_feature_vectors(vectors, *self._item_feature_rows(items))
+        vectors = self.item_embeddings.take(items, axis=0)
+        self._add_feature_vectors(vectors, items)
         return vectors
 
-    def _add_feature_vectors(
-        self, vectors: np.ndarray, positions: np.ndarray, rows: np.ndarray
-    ) -> None:
-        """Add feature row ``rows[k]`` to ``vectors[positions[k]]``, in order."""
-        if rows.size:
-            scatter_add_rows(vectors, positions, self._features[rows])
+    def _add_feature_vectors(self, vectors: np.ndarray, items: np.ndarray) -> None:
+        """Add every feature vector of ``items[r]`` to ``vectors[r]``.
+
+        One column of ``_item_features`` at a time (nearest ancestor first,
+        then brand, then price), so each row receives its feature vectors
+        in the order a per-item walk adds them; a row with no feature in a
+        column is left as it is.  Its gathers are a column of rows, never
+        every feature row of ``items`` at once.
+        """
+        if not self._features.shape[0]:
+            return
+        for column in self._item_features.take(items, axis=0).T:
+            np.add(
+                vectors,
+                self._features.take(column, axis=0),
+                out=vectors,
+                where=(column >= 0)[:, None],
+            )
 
     def context_weights(self, context: UserContext) -> np.ndarray:
         """Decayed (and optionally event-weighted) weights, normalized to 1."""
@@ -370,6 +372,28 @@ class BPRModel(Recommender):
             )
         total = weights.sum()
         return weights / total if total > 0 else weights
+
+    def context_weights_csr(self, indptr: np.ndarray, events: np.ndarray) -> np.ndarray:
+        """:meth:`context_weights` of many contexts, end to end.
+
+        Context ``b`` is ``events[indptr[b]:indptr[b + 1]]`` (event codes).
+        The contexts of one length ``L >= 2`` are weighted as one
+        ``(contexts, L)`` block: the same products, a row sum that is
+        numpy's pairwise sum along each row (the sum of the one-context
+        call), and the same division, so every weight is bit for bit the
+        one :meth:`context_weights` gives.  A total is never 0: the newest
+        action weighs ``decay ** 0`` times an event weight >= 1.
+        """
+        weights = np.ones(events.size)
+        lengths = np.diff(indptr)
+        for length in np.unique(lengths[lengths >= 2]).tolist():
+            at = indptr[:-1][lengths == length][:, None] + np.arange(length)
+            ages = np.arange(length - 1, -1, -1, dtype=np.float64)
+            block = self.params.context_decay ** ages
+            if self.params.event_weighting:
+                block = block * _EVENT_WEIGHTS[events[at]]
+            weights[at] = block / block.sum(axis=-1, keepdims=True)
+        return weights
 
     def user_embedding(self, context: UserContext) -> np.ndarray:
         """Eq. 1: decayed linear combination of context embeddings."""
@@ -504,9 +528,40 @@ class BPRModel(Recommender):
         (decayed, event-weighted, normalized) ``weights`` — exactly what
         :meth:`context_weights` produces per example.
 
-        This is the model's only update.  Gradients are scattered so that
-        duplicate rows sum (standard mini-batch semantics), in two flat
-        optimizer steps over ``_buffer``:
+        The public one-batch update: it plans the batch as a window of one
+        (:class:`PositivePlan`, :class:`NegativePlan`) and takes the step
+        :meth:`step_planned`, the code a training epoch runs per batch.  A
+        batch of one non-colliding triple is the module docstring's
+        per-triple rule, which ``tests/reference_scalar_sgd.py`` writes out
+        row by row as the oracle.
+        """
+        positives = np.asarray(positives, dtype=np.int64)
+        negatives = np.asarray(negatives, dtype=np.int64)
+        batch = positives.size
+        if contexts_csr[0].size != batch + 1 or negatives.size != batch:
+            raise ValueError(
+                f"batch shape mismatch: {batch} positives, {negatives.size} "
+                f"negatives, indptr of size {contexts_csr[0].size} (want batch + 1)"
+            )
+        if batch == 0:
+            return np.zeros(0, dtype=np.float64)
+        return self.step_planned(
+            PositivePlan(self, contexts_csr, positives, batch),
+            0,
+            NegativePlan(self, negatives, batch),
+            0,
+        )
+
+    def step_planned(
+        self, positive: "PositivePlan", k: int, negative: "NegativePlan", j: int
+    ) -> np.ndarray:
+        """The update of batch ``k`` of ``positive`` against batch ``j`` of
+        ``negative``; returns the per-example log losses.
+
+        Every index is read off the plans, so the step is gathers of
+        parameter rows, the arithmetic, and two flat optimizer steps over
+        ``_buffer``.  Gradients are scattered so that duplicate rows sum
+        (standard mini-batch semantics):
 
         * **A** — item, bias and context rows, and the positive side's
           feature rows.  Their gradients read only pre-batch values.
@@ -514,91 +569,95 @@ class BPRModel(Recommender):
           reads what step A wrote to the feature tables.
 
         Tables are disjoint ranges of the buffer and each table's rows keep
-        their order, so every element receives the same additions in the
+        their order (in the item table the positives come before the
+        negatives), so every element receives the same additions in the
         same sequence as one step per table and side (the frozen order of
-        ``tests/reference_batched_sgd.py``).  A batch of one non-colliding
-        triple is the module docstring's per-triple rule, which
-        ``tests/reference_scalar_sgd.py`` writes out row by row as the
-        oracle.
+        ``tests/reference_batched_sgd.py``).
         """
-        indptr, ctx_rows, ctx_weights = contexts_csr
-        positives = np.asarray(positives, dtype=np.int64)
-        negatives = np.asarray(negatives, dtype=np.int64)
-        batch = positives.size
-        if indptr.size != batch + 1 or negatives.size != batch:
-            raise ValueError(
-                f"batch shape mismatch: {batch} positives, {negatives.size} "
-                f"negatives, indptr of size {indptr.size} (want batch + 1)"
-            )
-        if batch == 0:
-            return np.zeros(0, dtype=np.float64)
+        params = self.params
+        width = params.n_factors
+        lo, hi = positive.bounds[k], positive.bounds[k + 1]
+        r0, r1 = positive.row_bounds[k], positive.row_bounds[k + 1]
+        c0, c1 = positive.context_bounds[k], positive.context_bounds[k + 1]
+        f0, f1 = positive.feature_bounds[k], positive.feature_bounds[k + 1]
+        n0, n1 = negative.bounds[j], negative.bounds[j + 1]
+        g0, g1 = negative.feature_bounds[j], negative.feature_bounds[j + 1]
+        batch = hi - lo
+        items = 2 * batch  # step A's item rows; then context rows, feature rows
+        features = items + c1 - c0
+
+        # Every row step A touches, at its pre-batch value.
+        rows = np.concatenate(
+            (positive.items[lo:hi], negative.items[n0:n1], positive.rows[r0:r1])
+        )
+        taken = self._rows.take(rows, axis=0)
+        bias_index = np.concatenate(
+            (positive.bias_index[lo:hi], negative.bias_index[n0:n1])
+        )
+        biases = self._buffer.take(bias_index)
 
         # User embeddings (Eq. 1), one segment-sum per batch.
-        owners = np.repeat(np.arange(batch), np.diff(indptr))
-        users = np.zeros((batch, self.params.n_factors))
-        if ctx_rows.size:
-            scatter_add_rows(
-                users,
-                owners,
-                ctx_weights[:, None] * self.context_embeddings[ctx_rows],
+        users = np.zeros((batch, width))
+        if c1 > c0:
+            np.add.at(
+                users.reshape(-1),
+                _expand(positive.owners[c0:c1], positive.span),
+                (positive.weights[c0:c1, None] * taken[items:features]).reshape(-1),
             )
-
-        # Both item sides in one assembly: rows are independent, and the
-        # feature-row lookup is reused by the feature-table updates below.
-        items = np.concatenate([positives, negatives])
-        positions, feature_rows = self._item_feature_rows(items)
-        phi = self.item_embeddings[items]
-        self._add_feature_vectors(phi, positions, feature_rows)
-        phi_pos, phi_neg = phi[:batch], phi[batch:]
-        z = np.einsum("bf,bf->b", users, phi_pos - phi_neg) + (
-            self.item_bias[positives] - self.item_bias[negatives]
-        )
+        # Both item sides in one assembly: rows are independent.
+        phi = taken[:items].copy()
+        if f1 > f0 or g1 > g0:
+            np.add.at(
+                phi.reshape(-1),
+                _expand(
+                    np.concatenate(
+                        (positive.feature_slots[f0:f1], negative.feature_slots[g0:g1])
+                    ),
+                    positive.span,
+                ),
+                np.concatenate(
+                    (
+                        taken[features:],
+                        self._rows.take(negative.feature_rows[g0:g1], axis=0),
+                    )
+                ).reshape(-1),
+            )
+        difference = phi[:batch] - phi[batch:]
+        z = np.einsum("bf,bf->b", users, difference) + (biases[:batch] - biases[batch:])
         z_clipped = np.clip(z, -35.0, 35.0)
         e = 1.0 / (1.0 + np.exp(z_clipped))  # sigma(-z), per example
-
-        params = self.params
-        scaled_user = e[:, None] * users  # (B, F)
-        delta = e[:, None] * (phi_pos - phi_neg)  # (B, F)
-        # ``_rows`` holds item rows, then context rows, then ``_features``.
-        n = self.n_items
-        cut = int(positions.searchsorted(batch))
+        # ``e * u`` (rows ``:batch``) and ``e * (phi_i - phi_j)``: what a
+        # planned row's ``sources`` entry points at.
+        source = np.concatenate((e[:, None] * users, e[:, None] * difference))
+        scaled_user = source[:batch]
 
         # Step A.  Item rows: positives ascend, negatives descend.  Context
         # rows: the gradient of u distributes over them.  Positive feature
         # rows: the positives' gradient, once per row.
-        rows = np.concatenate([items, ctx_rows + n, feature_rows[:cut] + 2 * n])
-        ascent = np.concatenate(
-            [
-                scaled_user,
-                -scaled_user,
-                ctx_weights[:, None] * delta[owners],
-                scaled_user[positions[:cut]],
-            ]
+        grads = np.concatenate(
+            (scaled_user, -scaled_user, source.take(positive.sources[r0:r1], axis=0))
         )
-        reg = np.repeat(
-            [params.reg_item, params.reg_context, params.reg_features],
-            [items.size, ctx_rows.size, cut],
-        )
-        grads = ascent - reg[:, None] * self._rows[rows]
-        bias_grads = np.concatenate([e, -e]) - params.reg_bias * self.item_bias[items]
+        grads[items:features] *= positive.weights[c0:c1, None]
+        grads[:items] -= params.reg_item * taken[:items]
+        grads[items:features] -= params.reg_context * taken[items:features]
+        grads[features:] -= params.reg_features * taken[features:]
+        bias_grads = np.concatenate((e, -e)) - params.reg_bias * biases
         self.optimizer.step_flat(
             self._buffer,
-            np.concatenate(
-                [flat_row_index(rows, params.n_factors), self._layout["bias"][0] + items]
-            ),
-            np.concatenate([grads.reshape(-1), bias_grads]),
+            np.concatenate((flat_row_index(rows, width), bias_index)),
+            np.concatenate((grads.reshape(-1), bias_grads)),
         )
 
         # Step B.  Negative feature rows: the negatives' gradient (``-1.0 *``
         # as the per-table step wrote it; ``-x`` would flip a NaN's sign).
-        if cut < feature_rows.size:
-            rows = feature_rows[cut:] + 2 * n
+        if g1 > g0:
+            rows = negative.feature_rows[g0:g1]
             grads = (
-                -1.0 * scaled_user[positions[cut:] - batch]
-                - params.reg_features * self._rows[rows]
+                -1.0 * scaled_user.take(negative.feature_sources[g0:g1], axis=0)
+                - params.reg_features * self._rows.take(rows, axis=0)
             )
             self.optimizer.step_flat(
-                self._buffer, flat_row_index(rows, params.n_factors), grads.reshape(-1)
+                self._buffer, flat_row_index(rows, width), grads.reshape(-1)
             )
 
         self.invalidate_cache()
@@ -676,6 +735,108 @@ class BPRModel(Recommender):
             sum(param.nbytes for param in self._parameters().values())
             + self.optimizer.state_size_bytes()
         )
+
+
+def _batches(size: int, batch_size: int) -> Tuple[List[int], np.ndarray, np.ndarray]:
+    """``(bounds, batch, slot)`` for ``size`` examples cut into batches of
+    ``batch_size``: batch ``k`` is ``bounds[k]:bounds[k + 1]``, and example
+    ``x`` is row ``slot[x]`` of batch ``batch[x]``."""
+    batch, slot = np.divmod(np.arange(size, dtype=np.int64), batch_size)
+    return [*range(0, size, batch_size), size], batch, slot
+
+
+def _expand(bases: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """Element indices of the rows starting at ``bases``: one broadcast add."""
+    return (bases[:, None] + span).reshape(-1)
+
+
+class PositivePlan:
+    """The positive side of a window of batches, planned once.
+
+    A window is a run of consecutive batches of one epoch.  This holds what
+    their steps read that is no parameter: the positives (``items``) and
+    their bias elements, each context row's weight and owner, the
+    positives' feature rows and the phi row each one adds to, and the rest
+    of step A's row list — per batch its context rows, then its feature
+    rows (``_rows`` indices), each with the slot of its gradient source
+    (``e * u`` or ``e * (phi_i - phi_j)``).  Batch ``k`` is
+    ``items[bounds[k]:bounds[k + 1]]``.
+
+    Indices are kept per row, not per element: :meth:`BPRModel.step_planned`
+    expands a batch's rows to element indices with one broadcast add, so a
+    window costs a few arrays of its rows and not ``n_factors`` times that.
+    """
+
+    def __init__(
+        self,
+        model: BPRModel,
+        contexts_csr: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        positives: np.ndarray,
+        batch_size: int,
+    ):
+        indptr, ctx_rows, ctx_weights = contexts_csr
+        n, width = model.n_items, model.params.n_factors
+        self.items = positives
+        self.span = np.arange(width)
+        bounds, batch, slot = _batches(positives.size, batch_size)
+        self.bounds = bounds
+        self.bias_index = model._layout["bias"][0] + positives
+
+        # Contexts: each row's weight and the element base of its user row.
+        owner = np.repeat(np.arange(positives.size), np.diff(indptr))
+        self.weights = ctx_weights
+        self.owners = slot[owner] * width
+        self.context_bounds = indptr[bounds].tolist()
+
+        # The positives' feature rows, and the element base of their phi row.
+        table = model._item_features.take(positives, axis=0)
+        found = table >= 0
+        example = np.nonzero(found)[0]
+        self.feature_slots = slot[example] * width
+        self.feature_bounds = np.searchsorted(example, bounds).tolist()
+
+        # Batch by batch, the context rows then the feature rows: a stable
+        # sort on the batch number.  A context row's source is its owner's
+        # ``e * (phi_i - phi_j)``, after the batch's ``e * u`` rows.
+        order = np.argsort(np.concatenate((batch[owner], batch[example])), kind="stable")
+        self.rows = np.concatenate((ctx_rows + n, table[found] + 2 * n))[order]
+        self.sources = np.concatenate(
+            (np.diff(bounds)[batch[owner]] + slot[owner], slot[example])
+        )[order]
+        self.row_bounds = [
+            contexts + features
+            for contexts, features in zip(self.context_bounds, self.feature_bounds)
+        ]
+
+    @property
+    def n_batches(self) -> int:
+        return len(self.bounds) - 1
+
+
+class NegativePlan:
+    """The negative side of one or more batches, planned where it is drawn.
+
+    The negatives (``items``) and their bias elements, their feature rows
+    (``_rows`` indices), and per feature row its slot in the batch and the
+    element base of its phi row (after the batch's positives).  A sampler
+    that reads no parameter draws a whole epoch up front and is planned a
+    window at a time; one that scores with the live model is planned a
+    batch at a time.  Batch ``j`` is ``items[bounds[j]:bounds[j + 1]]``.
+    """
+
+    def __init__(self, model: BPRModel, negatives: np.ndarray, batch_size: int):
+        width = model.params.n_factors
+        self.items = negatives
+        bounds, batch, slot = _batches(negatives.size, batch_size)
+        self.bounds = bounds
+        self.bias_index = model._layout["bias"][0] + negatives
+        table = model._item_features.take(negatives, axis=0)
+        found = table >= 0
+        example = np.nonzero(found)[0]
+        self.feature_rows = table[found] + 2 * model.n_items
+        self.feature_sources = slot[example]
+        self.feature_slots = (np.diff(bounds)[batch[example]] + slot[example]) * width
+        self.feature_bounds = np.searchsorted(example, bounds).tolist()
 
 
 def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

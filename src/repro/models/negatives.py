@@ -17,6 +17,7 @@ Each sampler implements :class:`NegativeSampler`;
 from __future__ import annotations
 
 import abc
+from bisect import bisect_right
 from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Set
 
 import numpy as np
@@ -40,6 +41,13 @@ FIRST_BLOCK_ATTEMPTS = 4
 
 class NegativeSampler(abc.ABC):
     """Draws a negative item for a (context, positive) training pair."""
+
+    #: Whether the trainer may draw a whole epoch's negatives in one
+    #: :meth:`sample_batch` right after the shuffle.  Only a sampler that
+    #: reads no parameter, and whose batch draw is its per-row draws in row
+    #: order, may: then the epoch's draw takes the stream the per-batch
+    #: draws would.  A fixed fact of the class.
+    draws_ahead = False
 
     def __init__(self, n_items: int):
         if n_items < 2:
@@ -69,6 +77,22 @@ class NegativeSampler(abc.ABC):
             dtype=np.int64,
         )
 
+    def draw_window(
+        self,
+        examples: Sequence["TrainingExample"],
+        compiled: "CompiledExamples",
+        rows: np.ndarray,
+        bounds: Sequence[int],
+        rng: np.random.Generator,
+    ) -> "PerBatchDraws":
+        """The negatives of consecutive batches, ``rows[bounds[k]:bounds[k +
+        1]]`` being batch ``k``'s, each picked when the trainer reaches it.
+
+        This default draws nothing up front: each pick is one
+        :meth:`sample_batch`, against the model as it is then.
+        """
+        return PerBatchDraws(self, examples, compiled, rows, bounds, rng)
+
     def _uniform(
         self, positive: int, rng: np.random.Generator, avoid: Optional[Set[int]] = None
     ) -> int:
@@ -85,12 +109,42 @@ class NegativeSampler(abc.ABC):
         return candidate if candidate < positive else candidate + 1
 
 
+class PerBatchDraws:
+    """:meth:`NegativeSampler.draw_window` that draws each batch when picked."""
+
+    def __init__(
+        self,
+        sampler: NegativeSampler,
+        examples: Sequence["TrainingExample"],
+        compiled: "CompiledExamples",
+        rows: np.ndarray,
+        bounds: Sequence[int],
+        rng: np.random.Generator,
+    ):
+        self.sampler = sampler
+        self.examples = examples
+        self.compiled = compiled
+        self.rows = rows
+        self.bounds = bounds
+        self.rng = rng
+
+    def pick(self, k: int) -> np.ndarray:
+        """Batch ``k``'s negatives, drawn now."""
+        rows = self.rows[self.bounds[k] : self.bounds[k + 1]]
+        return self.sampler.sample_batch(self.examples, self.compiled, rows, self.rng)
+
+
 class UniformNegativeSampler(NegativeSampler):
     """Uniform over the catalog, avoiding the positive and the context items.
 
     A training batch is drawn as arrays (:meth:`sample_batch`) that take
-    exactly the draws one :meth:`sample` per row takes, in row order.
+    exactly the draws one :meth:`sample` per row takes, in row order.  It
+    reads no parameter, so the trainer draws a whole epoch's negatives in
+    one call right after the shuffle (``draws_ahead``): split into batches
+    or not, the rows take the same values at the same stream positions.
     """
+
+    draws_ahead = True
 
     def sample(
         self, context: UserContext, positive: int, rng: np.random.Generator
@@ -226,10 +280,12 @@ class CompositeNegativeSampler(NegativeSampler):
     model scores highest (adaptive step).  Any stage degrades gracefully
     when its constraint cannot be met.
 
-    A training batch is drawn as arrays (:meth:`_draw`), which
-    ``tests/reference_batched_negatives.py`` writes out row by row.
-    ``model`` is a :class:`~repro.models.bpr.BPRModel`, or ``None`` for no
-    adaptive step (a row's first survivor is its negative).
+    A training batch is drawn as arrays, which
+    ``tests/reference_batched_negatives.py`` writes out row by row.  The
+    pools read no parameter: the trainer draws a window's at once
+    (:meth:`draw_window`) and picks each batch's negatives when its step
+    comes.  ``model`` is a :class:`~repro.models.bpr.BPRModel`, or ``None``
+    for no adaptive step (a row's first survivor is its negative).
     """
 
     def __init__(
@@ -263,7 +319,10 @@ class CompositeNegativeSampler(NegativeSampler):
         weights = np.zeros(seen.shape)
         if self.model is not None:
             weights[0] = self.model.context_weights(context)
-        return int(self._draw(np.array([positive], dtype=np.int64), seen, weights, rng)[0])
+        pools = self._draw_pools(
+            np.array([positive], dtype=np.int64), seen, weights, [len(context)], [0, 1], rng
+        )
+        return int(pools.pick(0)[0])
 
     def sample_batch(
         self,
@@ -272,65 +331,101 @@ class CompositeNegativeSampler(NegativeSampler):
         rows: np.ndarray,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        if rows.size == 0:
-            return np.zeros(0, dtype=np.int64)
+        return self.draw_window(examples, compiled, rows, [0, rows.size], rng).pick(0)
+
+    def draw_window(
+        self,
+        examples: Sequence["TrainingExample"],
+        compiled: "CompiledExamples",
+        rows: np.ndarray,
+        bounds: Sequence[int],
+        rng: np.random.Generator,
+    ) -> "CandidatePools":
+        """Every batch's candidate pools now; the pick waits for the model.
+
+        The pools read no parameter, so a window's are drawn at once
+        (:meth:`_draw_pools`); :meth:`CandidatePools.pick` scores batch
+        ``k``'s against the live model when its step comes.
+        """
         # The rows' contexts and weights padded to the longest, with -1 / 0.
         starts = compiled.indptr[rows]
-        counts = compiled.indptr[rows + 1] - starts
-        column = np.arange(counts.max())
-        inside = column < counts[:, None]
+        lengths = compiled.indptr[rows + 1] - starts
+        column = np.arange(lengths.max(initial=0))
+        inside = column < lengths[:, None]
         at = np.where(inside, starts[:, None] + column, 0)
         seen = np.where(inside, compiled.ctx_rows.take(at, mode="clip"), -1)
         weights = np.where(inside, compiled.ctx_weights.take(at, mode="clip"), 0.0)
-        return self._draw(compiled.positives[rows], seen, weights, rng)
+        return self._draw_pools(compiled.positives[rows], seen, weights, lengths, bounds, rng)
 
-    def _draw(
+    def _draw_pools(
         self,
         positives: np.ndarray,
         seen: np.ndarray,
         weights: np.ndarray,
+        lengths: Sequence[int],
+        bounds: Sequence[int],
         rng: np.random.Generator,
-    ) -> np.ndarray:
-        """One negative per row; ``seen`` / ``weights`` are the rows' context
-        items and Eq. 1 weights, padded with -1 / 0.  Off the stream, in this
-        order: a ``(B, 4 * pool_size)`` candidate block, a second block for
-        the rows it left short, a uniform draw per row with no survivor.
+    ) -> "CandidatePools":
+        """Each row's pool; ``seen`` / ``weights`` are the rows' context items
+        and Eq. 1 weights, padded with -1 / 0, ``lengths`` the contexts'
+        lengths, and rows ``bounds[k]:bounds[k + 1]`` are batch ``k``'s.
+        Off the stream, batch by batch, in this order: a ``(B, 4 *
+        pool_size)`` candidate block, a second block for the rows it left
+        short, a uniform draw per row with no survivor.
+
+        A batch that leaves no row short draws its first block alone, so a
+        run of such batches is one draw of their first blocks.  Where a row
+        falls short, the stream is rewound to just after its batch's first
+        block (a draw of ``n`` values is ``n`` scalar draws) and the batch
+        draws the rest; the next run is one batch, and runs double while
+        no row falls short.
         """
-        n, pool = positives.size, self.pool_size
-        candidates = rng.integers(self.n_items, size=(n, FIRST_BLOCK_ATTEMPTS * pool))
-        ok = self._acceptable_block(candidates, positives, seen)
-        short = np.flatnonzero(ok.sum(axis=1) < pool)
-        if short.size:
-            rest = (MAX_REJECTION_ATTEMPTS - FIRST_BLOCK_ATTEMPTS) * pool
-            more = np.full((n, rest), -1, dtype=np.int64)
-            more_ok = np.zeros((n, rest), dtype=bool)
-            more[short] = rng.integers(self.n_items, size=(short.size, rest))
-            more_ok[short] = self._acceptable_block(more[short], positives[short], seen[short])
-            candidates = np.concatenate([candidates, more], axis=1)
-            ok = np.concatenate([ok, more_ok], axis=1)
+        n_batches, pool = len(bounds) - 1, self.pool_size
+        first = FIRST_BLOCK_ATTEMPTS * pool
+        pools = np.zeros((positives.size, pool), dtype=np.int64)
+        counts = np.zeros(positives.size, dtype=np.int64)
+        batch, run = 0, n_batches
+        while batch < n_batches:
+            stop = min(n_batches, batch + run)
+            lo, hi = bounds[batch], bounds[stop]
+            if lo == hi:
+                batch = stop
+                continue
+            state = rng.bit_generator.state
+            candidates = rng.integers(self.n_items, size=(hi - lo, first))
+            ok = self._acceptable_block(candidates, positives[lo:hi], seen[lo:hi])
+            short = np.flatnonzero(ok.sum(axis=1) < pool)
+            run *= 2
+            if short.size:
+                # The first batch with a short row ends the run.
+                stop = bisect_right(bounds, lo + int(short[0]))
+                if bounds[stop] < hi:
+                    hi = bounds[stop]
+                    rng.bit_generator.state = state
+                    rng.integers(self.n_items, size=(hi - lo) * first)
+                    candidates, ok = candidates[: hi - lo], ok[: hi - lo]
+                    short = short[short < hi - lo]
+                rest = (MAX_REJECTION_ATTEMPTS - FIRST_BLOCK_ATTEMPTS) * pool
+                more = np.full((hi - lo, rest), -1, dtype=np.int64)
+                more_ok = np.zeros((hi - lo, rest), dtype=bool)
+                more[short] = rng.integers(self.n_items, size=(short.size, rest))
+                more_ok[short] = self._acceptable_block(
+                    more[short], positives[lo + short], seen[lo + short]
+                )
+                candidates = np.concatenate([candidates, more], axis=1)
+                ok = np.concatenate([ok, more_ok], axis=1)
+                run = 1
 
-        # The first ``pool`` survivors of each row, in draw order.
-        rank = np.cumsum(ok, axis=1)
-        row, column = np.nonzero(ok & (rank <= pool))
-        items = candidates[row, column]
-        slot = rank[row, column] - 1
-        pools = np.zeros((n, pool), dtype=np.int64)
-        pools[row, slot] = items
-        if self.model is None:
-            negatives = pools[:, 0]
-        else:
-            # Padding reads the last context row, at weight 0.
-            model = self.model
-            users = np.einsum("nc,ncf->nf", weights, model.context_embeddings[seen])
-            scores = np.full((n, pool), -np.inf)
-            vectors = model.effective_item_vectors(items)
-            scores[row, slot] = np.einsum("ij,ij->i", vectors, users[row]) + model.item_bias[items]
-            negatives = pools[np.arange(n), scores.argmax(axis=1)]
-
-        for empty in np.flatnonzero(rank[:, -1] == 0).tolist():
-            avoid = set(seen[empty].tolist()) - {-1}
-            negatives[empty] = self._uniform(int(positives[empty]), rng, avoid=avoid)
-        return negatives
+            # The first ``pool`` survivors of each row, in draw order.
+            rank = np.cumsum(ok, axis=1)
+            row, column = np.nonzero(ok & (rank <= pool))
+            pools[lo + row, rank[row, column] - 1] = candidates[row, column]
+            counts[lo:hi] = np.minimum(rank[:, -1], pool)
+            for empty in np.flatnonzero(rank[:, -1] == 0).tolist():
+                avoid = set(seen[lo + empty].tolist()) - {-1}
+                pools[lo + empty, 0] = self._uniform(int(positives[lo + empty]), rng, avoid=avoid)
+            batch = stop
+        return CandidatePools(self.model, pools, counts, seen, weights, lengths, bounds)
 
     def _acceptable_block(
         self, candidates: np.ndarray, positives: np.ndarray, seen: np.ndarray
@@ -340,7 +435,14 @@ class CompositeNegativeSampler(NegativeSampler):
         co-occurring, at LCA distance >= ``min_lca_distance`` unless either
         side is uncategorised."""
         ok = candidates != positives[:, None]
-        ok &= ~(candidates[:, :, None] == seen[:, None, :]).any(axis=2)
+        if seen.shape[1]:
+            # Context membership as one sorted search: row r keys its items
+            # r * (n_items + 1) + item, so every row's keys sort after the
+            # row before's, and the padding (-1) keys no candidate.
+            offsets = (self.n_items + 1) * np.arange(positives.size)[:, None]
+            keys = (np.sort(seen, axis=1) + offsets).ravel()
+            wanted = candidates + offsets
+            ok &= keys.take(np.searchsorted(keys, wanted), mode="clip") != wanted
         if self.co_items:
             for row, positive in enumerate(positives.tolist()):
                 excluded = self.co_items.get(positive)
@@ -358,3 +460,52 @@ class CompositeNegativeSampler(NegativeSampler):
         shared = ((path == self._item_ancestors[positives][:, None, :]) & (path >= 0)).sum(axis=2)
         distance = np.maximum(depth, anchor_depth) + 2 - shared
         return ok & ((depth < 0) | (anchor_depth < 0) | (distance >= self.min_lca_distance))
+
+
+class CandidatePools:
+    """A window's candidate pools, drawn; each batch picked against the model.
+
+    ``pools[r, :counts[r]]`` are row ``r``'s survivors in draw order; a row
+    with none holds its uniform fallback in ``pools[r, 0]``.
+    """
+
+    def __init__(
+        self,
+        model: Optional["BPRModel"],
+        pools: np.ndarray,
+        counts: np.ndarray,
+        seen: np.ndarray,
+        weights: np.ndarray,
+        lengths: Sequence[int],
+        bounds: Sequence[int],
+    ):
+        self.model = model
+        self.pools = pools
+        self.counts = counts
+        self.seen = seen
+        self.weights = weights
+        self.lengths = np.asarray(lengths)
+        self.bounds = bounds
+
+    def pick(self, k: int) -> np.ndarray:
+        """Batch ``k``'s negatives: per row, the pool member the model scores
+        highest now (the first one without a model), or the fallback of a
+        row with no survivor."""
+        lo, hi = self.bounds[k], self.bounds[k + 1]
+        pools = self.pools[lo:hi]
+        if self.model is None:
+            return pools[:, 0].copy()
+        n, pool = pools.shape
+        # The batch's contexts as the batch pads them, to its longest.
+        width = int(self.lengths[lo:hi].max(initial=0))
+        seen = np.ascontiguousarray(self.seen[lo:hi, :width])
+        weights = np.ascontiguousarray(self.weights[lo:hi, :width])
+        row, slot = np.nonzero(np.arange(pool) < self.counts[lo:hi, None])
+        items = pools[row, slot]
+        # Padding reads the last context row, at weight 0.
+        model = self.model
+        users = np.einsum("nc,ncf->nf", weights, model.context_embeddings[seen])
+        scores = np.full((n, pool), -np.inf)
+        vectors = model.effective_item_vectors(items)
+        scores[row, slot] = np.einsum("ij,ij->i", vectors, users[row]) + model.item_bias[items]
+        return pools[np.arange(n), scores.argmax(axis=1)]

@@ -19,6 +19,7 @@ stopping, which is what makes warm-started incremental runs cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -27,7 +28,7 @@ from repro.data.datasets import RetailerDataset
 from repro.data.events import EVENT_STRENGTH_ORDER, EventType
 from repro.data.sessions import UserContext, context_windows
 from repro.exceptions import ConfigError, DataError
-from repro.models.bpr import BPRModel, concat_ranges
+from repro.models.bpr import BPRModel, NegativePlan, PositivePlan, concat_ranges
 from repro.models.negatives import NegativeSampler, UniformNegativeSampler
 from repro.obs.metrics import NULL_METRICS
 from repro.rng import SeedLike, make_rng
@@ -41,6 +42,13 @@ EPOCH_LOSS_BUCKETS = (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0, 2.0)
 #: workloads (64 loses 4.1 % on ``wide_incr_uniform_cold``; README
 #: "Vectorized training" has the sweep).
 DEFAULT_BATCH_SIZE = 32
+
+#: Batches one :class:`~repro.models.bpr.PositivePlan` covers.  Sized on
+#: perfbench's ``dense_full_zipf_hot``: planning a whole epoch's element
+#: indices put ``day_peak_rss_mb`` 7.5 % over the per-batch loop, and row
+#: indices over windows of 64 batches keep it level while a window's
+#: planning is spread over 64 steps.
+PLAN_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -201,35 +209,41 @@ class BPRTrainer:
         return pool[int(self._rng.integers(len(pool)))]
 
     def _compile_examples(self) -> CompiledExamples:
-        """Flatten the example list into the arrays :meth:`run_epoch` consumes."""
-        indptr = np.zeros(len(self.examples) + 1, dtype=np.int64)
-        ctx_rows: List[np.ndarray] = []
-        ctx_weights: List[np.ndarray] = []
-        positives = np.zeros(len(self.examples), dtype=np.int64)
-        negatives = np.full(len(self.examples), -1, dtype=np.int64)
-        for position, example in enumerate(self.examples):
-            context = example.context
-            indptr[position + 1] = indptr[position] + len(context)
-            if len(context) > 0:
-                ctx_rows.append(
-                    np.asarray(context.item_indices, dtype=np.int64)
-                )
-                ctx_weights.append(self.model.context_weights(context))
-            positives[position] = example.positive
-            if example.negative is not None:
-                negatives[position] = example.negative
+        """Flatten the example list into the arrays :meth:`run_epoch` consumes.
+
+        One pass over the examples builds every array; the context weights
+        come from :meth:`~repro.models.bpr.BPRModel.context_weights_csr`,
+        one block per context length, equal bit for bit to one
+        :meth:`~repro.models.bpr.BPRModel.context_weights` per example.
+        """
+        examples = self.examples
+        count = len(examples)
+        contexts = [example.context for example in examples]
+        lengths = np.fromiter(map(len, contexts), dtype=np.int64, count=count)
+        indptr = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        size = int(indptr[-1])
+        events = np.fromiter(
+            chain.from_iterable(context.events for context in contexts),
+            dtype=np.int64,
+            count=size,
+        )
         return CompiledExamples(
             indptr=indptr,
-            ctx_rows=(
-                np.concatenate(ctx_rows)
-                if ctx_rows
-                else np.zeros(0, dtype=np.int64)
+            ctx_rows=np.fromiter(
+                chain.from_iterable(context.item_indices for context in contexts),
+                dtype=np.int64,
+                count=size,
             ),
-            ctx_weights=(
-                np.concatenate(ctx_weights) if ctx_weights else np.zeros(0)
+            ctx_weights=self.model.context_weights_csr(indptr, events),
+            positives=np.fromiter(
+                (example.positive for example in examples), dtype=np.int64, count=count
             ),
-            positives=positives,
-            negatives=negatives,
+            negatives=np.fromiter(
+                (-1 if example.negative is None else example.negative for example in examples),
+                dtype=np.int64,
+                count=count,
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -238,30 +252,60 @@ class BPRTrainer:
     def run_epoch(self) -> float:
         """One pass over all examples in random order; returns mean loss.
 
-        The only loop over training examples: one ``sgd_step_batch`` per
-        ``batch_size`` of them, and one ``sample_batch`` for the batch's
-        examples without a fixed negative.  The trainer's stream supplies
-        the shuffle and every sampled negative, in that order.
+        The only loop over training examples.  The trainer's stream
+        supplies the shuffle and then every sampled negative, in batch
+        order.  The epoch is cut into windows of :data:`PLAN_WINDOW`
+        batches; each window's positive side is planned once
+        (:class:`~repro.models.bpr.PositivePlan`), and each batch is one
+        :meth:`~repro.models.bpr.BPRModel.step_planned`.  Negatives are
+        planned where they are drawn (:class:`~repro.models.bpr.NegativePlan`):
+        a sampler that ``draws_ahead`` reads no parameter, so the whole
+        epoch's are drawn in one ``sample_batch`` right after the shuffle
+        and planned a window at a time; any other sampler's are picked,
+        and planned, one batch at a time against the live model, from what
+        its ``draw_window`` drew for the window.
         """
         n = len(self.examples)
         if n == 0:
             return 0.0
         compiled = self.compiled
+        model = self.model
+        size = self.batch_size
         rng = self._rng
         order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, len(order), self.batch_size):
-            batch = order[start : start + self.batch_size]
-            negatives = compiled.negatives[batch]
+        negatives = compiled.negatives[order]
+        ahead = self.sampler.draws_ahead
+        if ahead:
             sampled = np.flatnonzero(negatives < 0)
             if sampled.size:
                 negatives[sampled] = self.sampler.sample_batch(
-                    self.examples, compiled, batch[sampled], rng
+                    self.examples, compiled, order[sampled], rng
                 )
-            losses = self.model.sgd_step_batch(
-                compiled.gather(batch), compiled.positives[batch], negatives
+        total = 0.0
+        span = size * PLAN_WINDOW
+        for start in range(0, n, span):
+            window = order[start : start + span]
+            plan = PositivePlan(
+                model, compiled.gather(window), compiled.positives[window], size
             )
-            total += float(losses.sum())
+            drawn = negatives[start : start + span]
+            if ahead:
+                planned = NegativePlan(model, drawn, size)
+            else:
+                sampled = np.flatnonzero(drawn < 0)
+                cuts = np.searchsorted(sampled, plan.bounds).tolist()
+                draws = self.sampler.draw_window(
+                    self.examples, compiled, window[sampled], cuts, rng
+                )
+            for k in range(plan.n_batches):
+                if ahead:
+                    losses = model.step_planned(plan, k, planned, k)
+                else:
+                    if cuts[k + 1] > cuts[k]:
+                        drawn[sampled[cuts[k] : cuts[k + 1]]] = draws.pick(k)
+                    batch = drawn[plan.bounds[k] : plan.bounds[k + 1]]
+                    losses = model.step_planned(plan, k, NegativePlan(model, batch, size), 0)
+                total += float(losses.sum())
         return total / n
 
     #: The name ``tests/test_batched_sgd_bit_identity.py`` (frozen with the

@@ -129,18 +129,24 @@ class TestTrainingLoop:
         trainer = BPRTrainer(
             fresh_model, small_dataset, batch_size=batch_size, seed=3
         )
-        step = fresh_model.sgd_step_batch
+        step = fresh_model.step_planned
         batches = []
 
-        def recording_step(contexts, positives, negatives):
-            batches.append((positives.copy(), negatives.copy()))
-            return step(contexts, positives, negatives)
+        def recording_step(positive, k, negative, j):
+            batches.append(
+                (
+                    positive.items[positive.bounds[k] : positive.bounds[k + 1]].copy(),
+                    negative.items[negative.bounds[j] : negative.bounds[j + 1]].copy(),
+                )
+            )
+            return step(positive, k, negative, j)
 
-        monkeypatch.setattr(fresh_model, "sgd_step_batch", recording_step)
+        monkeypatch.setattr(fresh_model, "step_planned", recording_step)
         trainer.run_epoch()
         n = trainer.n_examples
         sizes = [len(positives) for positives, _ in batches]
         assert sizes == [min(batch_size, n - start) for start in range(0, n, batch_size)]
+        assert [len(negatives) for _, negatives in batches] == sizes
         positives = np.concatenate([positives for positives, _ in batches])
         assert np.array_equal(np.sort(positives), np.sort(trainer.compiled.positives))
         negatives = np.concatenate([negatives for _, negatives in batches])
