@@ -12,7 +12,9 @@ at the chosen default ``nprobe`` beats exact search).  That file is the
 evidence for the service's exact-vs-ANN switch, the constant
 :data:`repro.retrieval.harness.DEFAULT_ANN_THRESHOLD`; nothing reads it
 at run time.  ``E26_FAST=1`` runs one small catalog as a CI smoke:
-asserts recall@10 >= 0.9 and an ANN speedup, writes nothing.
+asserts recall@10 >= 0.9 and an ANN speedup, writes nothing.  Both modes
+assert that ``IVFIndex.neighbours`` equals the row-sorted ``search`` ids
+at the default ``nprobe`` on every catalog.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import json
 import os
 import pathlib
 import time
+
+import numpy as np
 
 from benchmarks.bench_util import emit, fmt_row, machine
 from repro.retrieval import (
@@ -62,6 +66,15 @@ def _measure_size(n_items: int, seed: int) -> dict:
     build_seconds = time.perf_counter() - build_start
     exact_ms = (
         _best_of(lambda: exact.search(queries, 100)) * 1000.0 / N_QUERIES
+    )
+    # Candidate pools read the index as sets: at the service's default
+    # nprobe, each row must be the ranked read-out's ids, sorted.
+    ranked, _ = index.search(queries, 100)
+    past = np.iinfo(np.int64).max
+    as_sets = np.sort(np.where(ranked < 0, past, ranked), axis=1)
+    as_sets[as_sets == past] = -1
+    assert np.array_equal(index.neighbours(queries, 100), as_sets), (
+        f"neighbours is not the row-sorted search ids at {n_items} items"
     )
     rows = []
     for nprobe in NPROBES:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -47,8 +48,6 @@ DEFAULT_CO_NEIGHBOURS = 20
 #: attached — far below ``max_candidates`` because ANN neighbours are
 #: already ranked by model score rather than taxonomy membership.
 DEFAULT_RETRIEVAL_CANDIDATES = 256
-#: Sorts after every item id: a dropped cell of a retrieval row.
-_PAST = np.iinfo(np.int64).max
 
 
 def classify_funnel(context: UserContext, taxonomy: Taxonomy) -> str:
@@ -158,6 +157,26 @@ class RepurchaseDetector:
             if now - last_time >= (1.0 - slack) * cycle:
                 due.append(item)
         return sorted(due)
+
+
+@dataclass(eq=False)
+class NeighbourPass:
+    """One block's retrieval neighbours, shared by its two surfaces.
+
+    ``ids`` is drawn on its first read — by whichever surface reader gets
+    there first — and the other reads the same ``(B, k)`` id matrix, so
+    a block probes the index once however many surfaces it builds.
+    """
+
+    retrieval: object
+    query: np.ndarray
+    k: int
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """:meth:`~repro.retrieval.backend.ModelRetrieval.neighbours_items`:
+        each row ascending, ``-1`` padding at its end."""
+        return self.retrieval.neighbours_items(self.query, self.k)
 
 
 @dataclass
@@ -314,17 +333,20 @@ class CandidateSelector:
         items: Sequence[int],
         lca_k: Optional[int] = None,
         same_facets: Optional[Sequence[str]] = None,
+        neighbours: Optional[NeighbourPass] = None,
     ) -> ItemRows:
         """:meth:`view_based` for a block of items, one sorted int64 row
         per item — from the attached retrieval index where there is one
-        (and ``k >= 1``, no facets), else from the taxonomy index."""
+        (and ``k >= 1``, no facets), else from the taxonomy index.
+        ``neighbours`` is the block's shared pass (:meth:`neighbour_pass`
+        over these ``items``); without it the reader draws its own."""
         k = self.view_lca_k if lca_k is None else lca_k
         self.metrics.counter("candidate_batches_total", kind="view").inc()
         self.metrics.counter(
             "candidate_items_total", kind="view"
         ).inc(len(items))
         if self.retrieval is not None and k >= 1 and not same_facets:
-            return self._retrieval_pools(items, strip=False)
+            return self._retrieval_pools(items, False, neighbours)
         return self._taxonomy_pools(items, k, False, same_facets)
 
     # ------------------------------------------------------------------
@@ -345,18 +367,22 @@ class CandidateSelector:
         return self._taxonomy_pools([item_index], k, True)[0].tolist()
 
     def batch_purchase_based(
-        self, items: Sequence[int], lca_k: Optional[int] = None
+        self,
+        items: Sequence[int],
+        lca_k: Optional[int] = None,
+        neighbours: Optional[NeighbourPass] = None,
     ) -> ItemRows:
         """:meth:`purchase_based` for a block of items, one sorted int64
         row per item — the attached retrieval index's neighbours where
-        there is one (and ``k >= 1``), substitutes stripped the same way."""
+        there is one (and ``k >= 1``), substitutes stripped the same way.
+        ``neighbours`` as for :meth:`batch_view_based`."""
         k = self.purchase_lca_k if lca_k is None else lca_k
         self.metrics.counter("candidate_batches_total", kind="purchase").inc()
         self.metrics.counter(
             "candidate_items_total", kind="purchase"
         ).inc(len(items))
         if self.retrieval is not None and k >= 1:
-            return self._retrieval_pools(items, strip=True)
+            return self._retrieval_pools(items, True, neighbours)
         return self._taxonomy_pools(items, k, True)
 
     def _taxonomy_pools(
@@ -387,13 +413,30 @@ class CandidateSelector:
                 return self._match_facets(int(query[row]), pool, same_facets)
         return self._pools(query, (rows, seeds), k, bought, refine)
 
-    def _retrieval_pools(self, items: Sequence[int], strip: bool) -> ItemRows:
-        """Pools from the attached ANN index: one probe for the block, the
-        padding and query item masked out of the ``(B, k)`` id matrix,
-        substitutes by their pre-order interval, each row sorted."""
+    def neighbour_pass(self, items: Sequence[int]) -> Optional[NeighbourPass]:
+        """The block's retrieval neighbours, not yet drawn; ``None``
+        without an attached index.  Hand it to both surface readers of
+        the same ``items`` and the block probes the index once."""
+        if self.retrieval is None:
+            return None
         query = np.asarray(items, dtype=np.int64)
-        k = min(self.retrieval_k, self.retrieval.n_items)
-        ids, _ = self.retrieval.search_items(query, k)
+        return NeighbourPass(
+            self.retrieval, query, min(self.retrieval_k, self.retrieval.n_items)
+        )
+
+    def _retrieval_pools(
+        self,
+        items: Sequence[int],
+        strip: bool,
+        neighbours: Optional[NeighbourPass],
+    ) -> ItemRows:
+        """Pools from the attached ANN index: the block's neighbour sets
+        (ascending rows, padding last) without the padding and the query
+        item — and, with ``strip``, its substitutes by their pre-order
+        interval.  What is left of each row is still ascending."""
+        if neighbours is None:
+            neighbours = self.neighbour_pass(items)
+        query, ids = neighbours.query, neighbours.ids
         drop = (ids < 0) | (ids == query[:, None])
         self.metrics.counter("retrieval_candidate_items_total").inc(int(drop.size - drop.sum()))
         if strip:
@@ -401,10 +444,9 @@ class CandidateSelector:
             sub_lo, sub_hi = self._substitutes(index, query)
             inside = index.pre_order_of(ids)
             drop |= (sub_lo[:, None] <= inside) & (inside < sub_hi[:, None])
-        ids = np.sort(np.where(drop, _PAST, ids), axis=1)
         bounds = np.zeros(query.size + 1, dtype=np.int64)
         np.cumsum(drop.shape[1] - drop.sum(axis=1), out=bounds[1:])
-        return self._finish(query, ids[ids != _PAST], bounds, None)
+        return self._finish(query, ids[~drop], bounds, None)
 
     # ------------------------------------------------------------------
     # Context-aware selection (funnel stage)

@@ -370,15 +370,18 @@ class InferencePipeline:
                 self.crash_plan.check(
                     "infer_block", f"{retailer_id}@{items[0]}"
                 )
+            # One neighbour pass for both surfaces, drawn by the first
+            # reader that needs it.
+            neighbours = selector.neighbour_pass(items)
             view_recs = self._rank_block(
                 model,
                 [UserContext((item,), (EventType.VIEW,)) for item in items],
-                selector.batch_view_based(items),
+                selector.batch_view_based(items, neighbours=neighbours),
             )
             purchase_recs = self._rank_block(
                 model,
                 [UserContext((item,), (EventType.CONVERSION,)) for item in items],
-                selector.batch_purchase_based(items),
+                selector.batch_purchase_based(items, neighbours=neighbours),
             )
             metrics.counter(
                 "inference_blocks_total", retailer=retailer_id

@@ -1,7 +1,9 @@
 """Retrieval backends: the protocol, the exact baseline, model adapters.
 
 :class:`ExactRetrieval` and :class:`~repro.retrieval.ivf.IVFIndex` share
-one contract (:class:`RetrievalBackend`), one scoring rule (augmented
+one contract (:class:`RetrievalBackend`: ``search`` ranks each row's
+top ``k``, ``neighbours`` returns the same ids as an ascending set, both
+``(B, k)`` with ``-1`` padding), one scoring rule (augmented
 inner product == ``u . phi_eff + bias``), and one deterministic tie
 order — so the exact backend doubles as the ground truth the recall
 harness measures ANN against, and consumers can swap backends on a size
@@ -40,6 +42,10 @@ class RetrievalBackend(Protocol):
         self, queries: np.ndarray, k: int, nprobe: Optional[int] = None
     ) -> Tuple[np.ndarray, np.ndarray]: ...
 
+    def neighbours(
+        self, queries: np.ndarray, k: int, nprobe: Optional[int] = None
+    ) -> np.ndarray: ...
+
 
 class ExactRetrieval:
     """Brute-force top-k over all items — baseline and recall reference."""
@@ -65,10 +71,14 @@ class ExactRetrieval:
         k: int,
         nprobe: Optional[int] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Exact top-``k`` per query row; ``nprobe`` is accepted, unused."""
+        """Exact top-``k`` per query row; ``nprobe`` is accepted, unused.
+
+        ``(B, k)`` like the IVF index: past ``n_items`` a row pads ids
+        with ``-1`` and scores with NaN.
+        """
         q_aug = augment_queries(queries)
         batch = q_aug.shape[0]
-        k = max(0, min(int(k), self.n_items))
+        k = max(0, int(k))
         ids = np.full((batch, k), -1, dtype=np.int64)
         scores = np.full((batch, k), np.nan)
         if batch == 0 or k == 0:
@@ -83,9 +93,21 @@ class ExactRetrieval:
                 # Positions ARE item ids here, so the default tiebreak
                 # matches the IVF candidate-id tiebreak exactly.
                 top = top_k_select(all_scores[offset], k)
-                ids[start + offset] = top
-                scores[start + offset] = all_scores[offset, top]
+                ids[start + offset, : top.size] = top
+                scores[start + offset, : top.size] = all_scores[offset, top]
         return ids, scores
+
+    def neighbours(
+        self,
+        queries: np.ndarray,
+        k: int,
+        nprobe: Optional[int] = None,
+    ) -> np.ndarray:
+        """The ids :meth:`search` ranks, each row ascending with its
+        ``-1`` padding (``k > n_items``) at the end."""
+        ids, _ = self.search(queries, k)
+        ids[:, : self.n_items].sort(axis=1)
+        return ids
 
 
 class ModelRetrieval:
@@ -137,6 +159,19 @@ class ModelRetrieval:
         nprobe: Optional[int] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Neighbours of each seed item, ``(len(item_ids), k)`` padded."""
+        return self.backend.search(self._seed_queries(item_ids), k, nprobe)
+
+    def neighbours_items(
+        self,
+        item_ids: np.ndarray,
+        k: int,
+        nprobe: Optional[int] = None,
+    ) -> np.ndarray:
+        """:meth:`search_items`'s ids as sets: each row ascending, its
+        ``-1`` padding at the end."""
+        return self.backend.neighbours(self._seed_queries(item_ids), k, nprobe)
+
+    def _seed_queries(self, item_ids: np.ndarray) -> np.ndarray:
         items = np.asarray(item_ids, dtype=np.int64)
         if items.size and (
             items.min() < 0 or items.max() >= self._query_vectors.shape[0]
@@ -144,7 +179,7 @@ class ModelRetrieval:
             raise RetrievalError(
                 "item id out of range for the indexed catalog"
             )
-        return self.backend.search(self._query_vectors[items], k, nprobe)
+        return self._query_vectors[items]
 
 
 def _embedding_surface(model) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

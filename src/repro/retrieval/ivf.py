@@ -9,11 +9,15 @@ items inside them with exact inner products.  Work per query drops from
 
 The index holds the augmented item matrix once, in inverted-list order:
 list ``c`` is the contiguous rows ``list_aug[offsets[c]:offsets[c + 1]]``
-and ``list_items`` maps each row back to its item id.  A search sorts
+and ``list_items`` maps each row back to its item id.  A scan sorts
 its (query, probed list) pairs by list and scores every distinct probed
-list with one GEMM — the queries probing it against its slice — so the
-work stays ``O(n_clusters + probed items)`` per query without the two
-``O(probed items x f)`` copies a per-pair gather would make.
+list with one GEMM — the queries probing it against its slice — written
+straight into a ``(queries x probed items)`` matrix, so the work stays
+``O(n_clusters + probed items)`` per query without the two ``O(probed
+items x f)`` copies a per-pair gather would make.  Two read-outs share
+that scan: :meth:`IVFIndex.search` ranks each row's top ``k``;
+:meth:`IVFIndex.neighbours` returns the same ``k`` ids as a sorted set,
+for callers that read a row as a pool.
 
 Maximum-inner-product search reduces to this exactly via bias
 augmentation: item vectors carry their bias as an extra coordinate and
@@ -35,18 +39,20 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import RetrievalError
-from repro.models.base import segmented_top_k
 from repro.obs.metrics import NULL_METRICS
 from repro.rng import make_rng
 
 #: Upper bound on coarse-quantizer size; beyond this, centroid scoring
 #: itself starts to cost like a small exact search.
 MAX_CLUSTERS = 1024
+
+#: Sorts after every item id: an unfilled cell of a neighbour row.
+_PAST = np.iinfo(np.int64).max
 
 #: Assignment chunk: bounds the (chunk, n_clusters) score matrix while a
 #: million-item catalog streams through the quantizer.
@@ -75,17 +81,6 @@ class IVFConfig:
 def default_n_clusters(n_items: int) -> int:
     """``~4 * sqrt(n)`` clusters, clamped to ``[1, MAX_CLUSTERS]``."""
     return max(1, min(MAX_CLUSTERS, int(round(4.0 * np.sqrt(n_items)))))
-
-
-def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate ``arange(start, start + count)`` for each pair.
-
-    ``starts`` may stack several start arrays along leading axes; each
-    row is expanded over the same ``counts``.
-    """
-    within = np.arange(int(counts.sum()), dtype=np.int64)
-    within -= (counts.cumsum() - counts).repeat(counts)
-    return starts.repeat(counts, axis=-1) + within
 
 
 def _select_probes(affinity: np.ndarray, width: int) -> np.ndarray:
@@ -299,68 +294,168 @@ class IVFIndex:
         scores = np.full((batch, k), np.nan)
         if batch == 0 or k == 0:
             return ids, scores
-        probe_width = min(
+        scan = self._scan(q_aug, nprobe)
+        cells, filled = scan.top(k)
+        # Only the survivors are ranked, row by row: negated score (NaN
+        # last), then item; the padding (NaN, _PAST) sorts after both.
+        by_score = np.full((batch, k), np.nan)
+        by_score[filled] = scan.negated.reshape(-1)[cells]
+        by_item = np.full((batch, k), _PAST)
+        by_item[filled] = scan.items_at(cells)
+        order = np.lexsort((by_item, by_score), axis=1)
+        ids[filled] = np.take_along_axis(by_item, order, axis=1)[filled]
+        scores[filled] = -np.take_along_axis(by_score, order, axis=1)[filled]
+        return ids, scores
+
+    def neighbours(
+        self,
+        queries: np.ndarray,
+        k: int,
+        nprobe: Optional[int] = None,
+    ) -> np.ndarray:
+        """The ids :meth:`search` ranks, as a set: ``(B, k)``, each row
+        ascending with ``-1`` padding at its end.
+
+        Same probes, same products, same cut at ``k`` — only the ranking
+        of the survivors is left out, for callers that read a row as a
+        pool rather than as a list.
+        """
+        q_aug = augment_queries(queries)
+        batch = q_aug.shape[0]
+        k = max(0, int(k))
+        if batch == 0 or k == 0:
+            return np.full((batch, k), -1, dtype=np.int64)
+        scan = self._scan(q_aug, nprobe)
+        cells, filled = scan.top(k)
+        ids = np.full((batch, k), _PAST)
+        ids[filled] = scan.items_at(cells)
+        ids.sort(axis=1)
+        ids[ids == _PAST] = -1
+        return ids
+
+    def _scan(self, q_aug: np.ndarray, nprobe: Optional[int]) -> "_Scan":
+        """The scoring step both read-outs share: probe selection, then
+        one GEMM per distinct probed list — the queries probing it times
+        its slice — written straight into the rows of those queries."""
+        batch = q_aug.shape[0]
+        width = min(
             self.n_clusters,
             self.config.nprobe if nprobe is None else max(1, int(nprobe)),
         )
         # Probed sets are prefixes across nprobe: one deterministic order.
-        flat_clusters = _select_probes(
-            q_aug @ self.centroids.T, probe_width
-        ).ravel()
-        counts = self._list_sizes[flat_clusters]
-        per_query = counts.reshape(batch, probe_width).sum(axis=1)
-        total = int(per_query.sum())
-        self.metrics.counter("retrieval_probes_total").inc(
-            int(batch * probe_width)
+        lists = _select_probes(q_aug @ self.centroids.T, width).ravel()
+        sizes = self._list_sizes[lists].reshape(batch, width)
+        per_query = sizes.sum(axis=1)
+        self.metrics.counter("retrieval_probes_total").inc(batch * width)
+        self.metrics.counter("retrieval_candidates_total").inc(
+            int(per_query.sum())
         )
-        self.metrics.counter("retrieval_candidates_total").inc(total)
-        if total == 0:
-            return ids, scores
-        # Pair p is query p // probe_width against list flat_clusters[p].
+        row_width = int(per_query.max())
+        scored = np.full((batch, row_width), np.nan)
+        # Pair p is query p // width against list lists[p]; its scores
+        # fill the flat cells from starts[p], behind its row's earlier
+        # probes.
+        starts = sizes.cumsum(axis=1) - sizes
+        starts += np.arange(batch)[:, None] * row_width
+        starts = starts.ravel()
         # Sorted by list (stable: rows ascending inside a list), the pairs
-        # probing one list are consecutive, and so are their scores in a
-        # list-major buffer.
-        by_list = flat_clusters.argsort(kind="stable")
-        clusters = flat_clusters[by_list]
-        q_pairs = q_aug[by_list // probe_width]
-        sizes = counts[by_list]
-        # Where pair p's items start: in the index, and in the buffer.
-        pair_starts = np.empty((2, clusters.size), dtype=np.int64)
-        pair_starts[0] = self._list_offsets[flat_clusters]
-        pair_starts[1, by_list] = sizes.cumsum() - sizes
+        # probing one list are consecutive.
+        by_list = lists.argsort(kind="stable")
+        clusters = lists[by_list]
+        q_pairs = q_aug[by_list // width]
+        pair_starts = starts[by_list][:, None]
         cuts = (clusters[1:] != clusters[:-1]).nonzero()[0] + 1
         pair_bounds = [0, *cuts.tolist(), clusters.size]
         heads = clusters[pair_bounds[:-1]]
-        buffer = np.empty(total)
-        out_lo = 0
-        # One GEMM per distinct probed list — the queries probing it times
-        # its slice — so the bounds are Python ints up front and the body
-        # is little more than the call.
+        ramp = np.arange(int(self._list_sizes[heads].max()))
+        flat = scored.reshape(-1)
+        first_cells = pair_starts[:, 0].tolist()
+        # One GEMM per distinct probed list, the bounds Python ints up
+        # front.  A list one query probes fills one run of that query's
+        # row, so its product is written there in place.
         for lo, hi, pair_lo, pair_hi in zip(
             self._list_offsets[heads].tolist(),
             self._list_offsets[heads + 1].tolist(),
             pair_bounds,
             pair_bounds[1:],
         ):
-            if hi > lo:
-                n_rows, size = pair_hi - pair_lo, hi - lo
-                out_hi = out_lo + n_rows * size
+            if hi == lo:
+                continue
+            if pair_hi - pair_lo == 1:
+                at = first_cells[pair_lo]
                 np.dot(
                     q_pairs[pair_lo:pair_hi],
                     self._list_aug[lo:hi].T,
-                    out=buffer[out_lo:out_hi].reshape(n_rows, size),
+                    out=flat[at : at + hi - lo].reshape(1, hi - lo),
                 )
-                out_lo = out_hi
-        # Back to owner-major, the order ``segmented_top_k`` segments by.
-        positions, scored_at = _concat_ranges(pair_starts, counts)
-        candidates = self._list_items[positions]
-        flat_scores = buffer[scored_at]
-        owners = np.arange(batch).repeat(per_query)
-        top, counts = segmented_top_k(
-            flat_scores, candidates, owners, per_query, k
+            else:
+                flat[pair_starts[pair_lo:pair_hi] + ramp[: hi - lo]] = np.dot(
+                    q_pairs[pair_lo:pair_hi], self._list_aug[lo:hi].T
+                )
+        np.negative(scored, out=scored)
+        return _Scan(
+            scored, per_query, starts, self._list_offsets[lists], self._list_items
         )
-        rows = owners[top]
-        rank = np.arange(top.size) - (np.cumsum(counts) - counts)[rows]
-        ids[rows, rank] = candidates[top]
-        scores[rows, rank] = flat_scores[top]
-        return ids, scores
+
+
+class _Scan(NamedTuple):
+    """One block's probed candidates, scored.
+
+    Row ``r`` of ``negated`` holds its query's negated scores in its first
+    ``per_query[r]`` cells and NaN after them.  Pair ``p`` — query ``p //
+    nprobe`` against its ``p % nprobe``-th probed list, which starts at
+    row ``firsts[p]`` of the index's list order — fills the flat cells
+    from ``starts[p]`` (non-decreasing; an empty list fills none).
+    """
+
+    negated: np.ndarray
+    per_query: np.ndarray
+    starts: np.ndarray
+    firsts: np.ndarray
+    list_items: np.ndarray
+
+    def items_at(self, cells: np.ndarray) -> np.ndarray:
+        """Item id of each flat cell (never a padding cell)."""
+        pair = np.searchsorted(self.starts, cells, side="right") - 1
+        return self.list_items[self.firsts[pair] + (cells - self.starts[pair])]
+
+    def top(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Each row's top ``k`` as a set: ``(cells, filled)``.
+
+        ``cells`` are flat and row-major, in no rank order, so they fill
+        the ``(B, k)`` slots where ``filled`` is true: a row's first
+        ``min(k, candidates)``.  The set is the one
+        :func:`~repro.models.base.top_k_select` cuts (score descending,
+        item ascending, NaN last): a row-wise partition finds the
+        ``k``-th score; everything strictly ahead of it goes in, and the
+        smallest item ids among the ties at it fill the rest.  A row
+        with fewer than ``k`` numbers takes them all, then its NaN
+        candidates by item id.
+        """
+        negated = self.negated
+        width = negated.shape[1]
+        filled = np.arange(k) < np.minimum(self.per_query, k)[:, None]
+        real = np.arange(width) < self.per_query[:, None]
+        if width <= k:
+            return np.flatnonzero(real), filled
+        kth = np.partition(negated, k - 1, axis=1)[:, k - 1 : k]
+        ahead = negated < kth
+        tied = negated == kth
+        # Negated, NaN sorts last: the k-th is NaN only where a row has
+        # fewer than k numbers (its padding is NaN too, but no candidate).
+        short = np.isnan(kth[:, 0]).nonzero()[0]
+        if short.size:
+            missing = np.isnan(negated[short])
+            ahead[short] = ~missing
+            tied[short] = missing & real[short]
+        need = k - ahead.sum(axis=1)
+        over = (tied.sum(axis=1) > need).nonzero()[0]
+        if over.size:
+            rows, cols = tied[over].nonzero()
+            order = np.lexsort((self.items_at(over[rows] * width + cols), rows))
+            counts = np.bincount(rows, minlength=over.size)
+            rank = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+            cut = order[rank >= need[over][rows]]
+            tied[over[rows[cut]], cols[cut]] = False
+        ahead |= tied
+        return np.flatnonzero(ahead), filled

@@ -19,14 +19,16 @@ from hypothesis import strategies as st
 
 from repro.cooccurrence.counts import CoOccurrenceCounts
 from repro.core.candidates import CandidateSelector, RepurchaseDetector
+from repro.core.inference import _item_blocks
 from repro.data.catalog import Catalog, Item
 from repro.data.events import EventType, Interaction
 from repro.data.sessions import UserContext
 from repro.data.taxonomy import ROOT_CATEGORY, Taxonomy
 from repro.exceptions import TaxonomyError
 from repro.models.base import ItemRows
-from repro.retrieval import exact_for_model
+from repro.retrieval import IVFIndex, exact_for_model
 from tests import reference_set_candidates as oracle
+from tests.test_retrieval import make_service
 from tests.test_taxonomy_index import MAX_ITEM, taxonomies
 
 #: Catalog ids past every id a drawn tree can categorise.
@@ -296,3 +298,48 @@ def test_retrieval_pools_are_the_masked_sorted_stripped_neighbour_rows(
                 near -= substitutes
             assert buy.tolist() == oracle._cap(selector, item, near)
         assert stripped
+
+
+def test_an_indexed_inference_run_draws_one_neighbour_pass_per_block(monkeypatch):
+    """The mapper hands one neighbour pass to both surface readers: one
+    ``IVFIndex.neighbours`` call per block, no ranked ``search``, and each
+    block's pools equal what either reader builds called alone."""
+    service = make_service(n_retailers=1, retrieval_threshold=1)
+    service.run_day()
+    adapter = service.retrieval_store.get("r0")
+    assert adapter.backend_name == "ivf"
+    service.inference.block_size = 8
+    log = {name: [] for name in ("neighbours", "search", "view", "purchase")}
+
+    def spy(owner, name, calls):
+        method = getattr(owner, name)
+
+        def logged(self, *args, **kwargs):
+            result = method(self, *args, **kwargs)
+            calls.append((args, result))
+            return result
+
+        monkeypatch.setattr(owner, name, logged)
+
+    spy(IVFIndex, "neighbours", log["neighbours"])
+    spy(IVFIndex, "search", log["search"])
+    spy(CandidateSelector, "batch_view_based", log["view"])
+    spy(CandidateSelector, "batch_purchase_based", log["purchase"])
+    datasets = dict(service._datasets)
+    results, _, _, failed = service.inference.run_cell(
+        "cell", datasets, day=1, retrieval={"r0": adapter}
+    )
+    monkeypatch.undo()
+    assert not failed and set(results) == {"r0"}
+    blocks = _item_blocks(datasets["r0"].n_items, 8)
+    assert len(blocks) > 1
+    assert len(log["neighbours"]) == len(blocks) and not log["search"]
+    selector = service.inference.selector_of("r0")
+    assert selector.retrieval is adapter
+    for surface in ("view", "purchase"):
+        assert sorted(tuple(args[0]) for args, _ in log[surface]) == sorted(blocks)
+        alone = getattr(selector, f"batch_{surface}_based")
+        for (items, *_), got in log[surface]:
+            want = alone(list(items))
+            assert np.array_equal(got.items, want.items)
+            assert np.array_equal(got.bounds, want.bounds)
