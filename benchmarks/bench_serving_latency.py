@@ -23,7 +23,11 @@ cold and then warm, plus a node-failure pass:
 Results land in ``benchmarks/results/e24.txt`` and ``BENCH_serving.json``.
 ``E24_FAST=1`` replays a small stream and asserts the cache invariant
 (warm p50 < uncached p50 in model ms, and warm < uncached measured µs
-per request on the wall clock) — the CI smoke mode.
+per request on the wall clock) — the CI smoke mode.  Both modes also
+count what the warm replay, where every request is a hit, rebuilds: no
+``metric_key`` call (the cold replay resolved every series it touches)
+and at most one ``dataclasses.replace`` per cache entry (a hit returns
+its entry's page, built at the entry's first hit).
 """
 
 from __future__ import annotations
@@ -32,11 +36,15 @@ import json
 import os
 import pathlib
 import time
+from contextlib import ExitStack, contextmanager
+from unittest import mock
 
 import numpy as np
 
 from benchmarks.bench_util import emit, fmt_row, machine, machine_line
 from repro.obs import MetricsRegistry
+from repro.obs import metrics as metrics_module
+from repro.serving import frontend as frontend_module
 from repro.serving.cluster import ServingCluster
 from repro.serving.frontend import PopularityFallback, ServingFrontend
 from repro.serving.traffic import (
@@ -136,6 +144,25 @@ def replay(frontend: ServingFrontend, requests, k: int = 10) -> dict:
     }
 
 
+@contextmanager
+def counting(*targets):
+    """Count calls to each ``(module, name)`` function while inside."""
+    counts = dict.fromkeys((name for _, name in targets), 0)
+
+    def wrap(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    with ExitStack() as stack:
+        for module, name in targets:
+            stack.enter_context(
+                mock.patch.object(module, name, wrap(name, getattr(module, name)))
+            )
+        yield counts
+
+
 def replay_coalesced(frontend: ServingFrontend, requests, batch_size: int = 64) -> dict:
     """Replay in concurrent batches so duplicate in-flight keys coalesce."""
     latencies = []
@@ -169,7 +196,11 @@ def test_serving_latency(capsys):
 
     frontend = build_frontend()
     cold = replay(frontend, stream)      # cache filling as the head repeats
-    warm = replay(frontend, stream)      # same stream, cache warmed
+    with counting(
+        (metrics_module, "metric_key"), (frontend_module, "replace")
+    ) as rebuilt:
+        warm = replay(frontend, stream)  # same stream, cache warmed
+    entries = frontend.cache_size()
 
     # Node failure pass: kill one node, keep serving (cache still warm,
     # misses pay failover penalties on the dead node's shards).
@@ -195,6 +226,13 @@ def test_serving_latency(capsys):
         f"uncached {uncached['measured_us_per_req']:.1f}us/req"
     )
     assert warm["cache_hit_rate"] > cold["cache_hit_rate"]
+    # What a warm hit reuses: every series was resolved by the cold
+    # replay, and each entry builds its hit page once.
+    assert warm["cache_hit_rate"] == 1.0
+    assert rebuilt["metric_key"] == 0, f"{rebuilt['metric_key']} metric_key calls"
+    assert rebuilt["replace"] <= entries, (
+        f"{rebuilt['replace']} replace calls for {entries} cache entries"
+    )
     assert uncached["cache_hit_rate"] == 0.0
     assert cold["stale_serves"] > 0        # r_stale served, not refused
     assert cold["fallbacks"] > 0           # r_unserved fell back, no raise
@@ -237,6 +275,10 @@ def test_serving_latency(capsys):
         f"coalesced batches: p50 {coalescing['p50_ms']:.3f}ms, "
         f"{coalescing['coalesced']} requests coalesced"
     )
+    lines.append(
+        f"warm replay rebuilt: {rebuilt['metric_key']} series keys, "
+        f"{rebuilt['replace']} hit pages for {entries} cache entries"
+    )
     emit("E24", "online serving latency under power-law load", lines, capsys)
 
     if fast:
@@ -275,6 +317,11 @@ def test_serving_latency(capsys):
                     "warm": warm,
                     "node_down": degraded,
                     "coalesced": coalescing,
+                },
+                "warm_rebuilt": {
+                    "metric_key_calls": rebuilt["metric_key"],
+                    "replace_calls": rebuilt["replace"],
+                    "cache_entries": entries,
                 },
             },
             indent=2,

@@ -14,6 +14,12 @@ anyone babysitting a tenant.  This module is the measurement substrate:
 * :class:`NullMetricsRegistry` is the disabled mode: every instrument is
   a shared no-op singleton, so instrumented hot paths cost one dynamic
   dispatch when observability is off and benchmarks do not move.
+* A live registry resolves a series once: the first
+  ``counter(name, **labels)`` call builds the series key and finds (or
+  creates) the instrument; every later call with the same arguments is
+  one dictionary read by call signature.  Keys, snapshots and seals are
+  the same as when every call built its key — the memo only remembers
+  which instrument the key led to.
 
 Merge semantics are chosen so folding is **associative and commutative**
 (property-tested in ``tests/test_obs_metrics.py``):
@@ -274,6 +280,17 @@ class MetricsRegistry:
     ``registry.counter("x", retailer="r0")`` calls hit the same
     :class:`Counter` — call sites never hold instrument references
     across requests unless they want to.
+
+    A call is resolved once: the instrument is also memoized by the
+    call's signature — ``(kind, name, *labels.items())``, a histogram's
+    buckets after the name — so a repeated call builds no series key.
+    The first call of a signature takes the keyed path (``metric_key``,
+    get-or-create, the bucket check), so one series reached with its
+    labels in another order, or ``retailer=1`` beside ``retailer="1"``,
+    is still one instrument, and a histogram asked for with other buckets
+    raises every time.  Label values must be hashable, and values that
+    compare equal must print alike (``str`` and ``int``, as every call
+    site passes: ``True`` would share ``1``'s signature, not its key).
     """
 
     enabled = True
@@ -282,20 +299,30 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        #: call signature -> the instrument the keyed dicts above hold.
+        self._resolved: Dict[tuple, object] = {}
 
     def counter(self, name: str, **labels: str) -> Counter:
-        key = metric_key(name, labels)
-        instrument = self._counters.get(key)
+        signature = ("counter", name, *labels.items())
+        instrument = self._resolved.get(signature)
         if instrument is None:
-            instrument = self._counters[key] = Counter()
-        return instrument
+            key = metric_key(name, labels)
+            instrument = self._counters.get(key)
+            if instrument is None:
+                instrument = self._counters[key] = Counter()
+            self._resolved[signature] = instrument
+        return instrument  # type: ignore[return-value]
 
     def gauge(self, name: str, **labels: str) -> Gauge:
-        key = metric_key(name, labels)
-        instrument = self._gauges.get(key)
+        signature = ("gauge", name, *labels.items())
+        instrument = self._resolved.get(signature)
         if instrument is None:
-            instrument = self._gauges[key] = Gauge()
-        return instrument
+            key = metric_key(name, labels)
+            instrument = self._gauges.get(key)
+            if instrument is None:
+                instrument = self._gauges[key] = Gauge()
+            self._resolved[signature] = instrument
+        return instrument  # type: ignore[return-value]
 
     def histogram(
         self,
@@ -303,15 +330,19 @@ class MetricsRegistry:
         buckets: Sequence[float] = DEFAULT_BUCKETS,
         **labels: str,
     ) -> Histogram:
-        key = metric_key(name, labels)
-        instrument = self._histograms.get(key)
+        signature = ("histogram", name, tuple(buckets), *labels.items())
+        instrument = self._resolved.get(signature)
         if instrument is None:
-            instrument = self._histograms[key] = Histogram(buckets)
-        elif instrument.buckets != tuple(float(b) for b in buckets):
-            raise MetricsError(
-                f"histogram {key!r} re-registered with different buckets"
-            )
-        return instrument
+            key = metric_key(name, labels)
+            instrument = self._histograms.get(key)
+            if instrument is None:
+                instrument = self._histograms[key] = Histogram(buckets)
+            elif instrument.buckets != tuple(float(b) for b in buckets):
+                raise MetricsError(
+                    f"histogram {key!r} re-registered with different buckets"
+                )
+            self._resolved[signature] = instrument
+        return instrument  # type: ignore[return-value]
 
     def snapshot(self) -> MetricsSnapshot:
         """Freeze current values; zero-valued series are kept (a counter

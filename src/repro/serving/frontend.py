@@ -17,7 +17,8 @@ store — so the frontend's job is plumbing, not math:
   fallback -> empty list.  The request path never raises
   :class:`~repro.exceptions.ServingError`,
 * cache responses in an **LRU + TTL** cache keyed by the retailer and
-  the recent context trail, and **coalesce** identical
+  the recent context trail (a hit returns its entry's own page, built
+  at the entry's first hit), and **coalesce** identical
   in-flight requests so one computation feeds every duplicate,
 * account **simulated latency** per request: the sum of cluster tier
   latencies (memory/flash plus failover penalties) plus fixed costs for
@@ -242,6 +243,9 @@ class _CacheEntry:
     response: FrontendResponse
     inserted_ms: float
     version: int
+    #: The page every hit on this entry returns, built at the first hit
+    #: (most entries of a wide, cold cache are evicted unread).
+    hit_page: Optional[FrontendResponse] = None
 
 
 class ServingFrontend:
@@ -371,6 +375,10 @@ class ServingFrontend:
     def _cache_get(
         self, key: CacheKey, now_ms: float
     ) -> Optional[FrontendResponse]:
+        """The page a hit on ``key`` returns, or ``None`` (a miss).
+
+        The version and TTL checks and the LRU touch run on every hit;
+        an entry that fails one leaves, and its page with it."""
         entry = self._cache.get(key)
         if entry is None:
             return None
@@ -390,7 +398,17 @@ class ServingFrontend:
             self.metrics.counter("frontend_cache_expired_total").inc()
             return None
         self._cache.move_to_end(key)
-        return entry.response
+        page = entry.hit_page
+        if page is None:
+            page = entry.hit_page = replace(
+                entry.response,
+                latency_ms=CACHE_HIT_LATENCY_MS,
+                served_from="cache",
+                cache_hit=True,
+                coalesced=False,
+                queue_wait_ms=0.0,
+            )
+        return page
 
     def _cache_put(
         self, key: CacheKey, response: FrontendResponse, now_ms: float
@@ -568,16 +586,8 @@ class ServingFrontend:
             self.metrics.counter(
                 "frontend_cache_hits_total", retailer=retailer_id
             ).inc()
-            response = replace(
-                cached,
-                latency_ms=CACHE_HIT_LATENCY_MS,
-                served_from="cache",
-                cache_hit=True,
-                coalesced=False,
-                queue_wait_ms=0.0,
-            )
-            self._observe_latency(response)
-            return response
+            self._observe_latency(cached)
+            return cached
         decision = self.protection.admit(now, client_id, priority)
         wait = self.queue.wait_time(now) if self.queue is not None else 0.0
         budget = self.protection.deadline.deadline_ms - wait

@@ -9,8 +9,7 @@ because everything is keyed by item, not user.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Set, Tuple
 
 from repro.data.events import EventType
 from repro.data.sessions import UserContext
@@ -21,14 +20,24 @@ from repro.serving.store import RecommendationStore
 #: How many recent context items contribute lookups per request.
 DEFAULT_CONTEXT_LOOKUPS = 3
 
+#: :data:`EVENT_CONTEXT_WEIGHT` keyed by event code (an ``EventType`` and
+#: its bare ``int`` find the same weight); a code with no weight is absent.
+_CONTEXT_WEIGHTS: Dict[int, float] = {
+    int(event): float(weight) for event, weight in EVENT_CONTEXT_WEIGHT.items()
+}
 
-@dataclass(frozen=True)
-class ServedRecommendation:
-    """One recommendation as returned to the frontend."""
+
+class ServedRecommendation(NamedTuple):
+    """One recommendation as returned to the frontend (a plain tuple)."""
 
     item_index: int
     score: float
     source_item: int
+
+
+#: Builds a row from a ready tuple, skipping the NamedTuple's Python
+#: ``__new__``: the blend builds its ``k`` survivors this way.
+_new_row = tuple.__new__
 
 
 def blend_context_lookups(
@@ -44,19 +53,23 @@ def blend_context_lookups(
     oldest first; each contributes the lookup ``recs_for(item)``, its
     scores weighted by recency decay and the event's context strength.
     Items in ``seen`` are dropped; on collisions the strictly stronger
-    blended score wins (a tie keeps the more recent lookup's source).
+    blended score wins (a tie keeps the more recent lookup's source).  An
+    action whose event has no context weight (not an
+    :class:`~repro.data.events.EventType` code) makes no lookup and keeps
+    its age, so the actions before it decay as they would with it.
     Shared by the in-process :class:`RecommendationServer` and the
     online :class:`~repro.serving.frontend.ServingFrontend`, so both
     tiers rank identically given the same lookups.
 
     Candidates are ranked as plain ``(-score, item, source)`` tuples;
-    only the ``k`` survivors become objects (none if ``k <= 0``).
+    only the ``k`` survivors become rows (none if ``k <= 0``).
     """
     best: Dict[int, Tuple[float, int]] = {}
     for age, (item, event) in enumerate(reversed(recent)):
-        weight = (recency_decay ** age) * float(
-            EVENT_CONTEXT_WEIGHT[EventType(event)]
-        )
+        strength = _CONTEXT_WEIGHTS.get(event)
+        if strength is None:
+            continue
+        weight = (recency_decay ** age) * strength
         for candidate, score in recs_for(item):
             if candidate in seen:
                 continue
@@ -71,7 +84,7 @@ def blend_context_lookups(
         for candidate, (blended, source) in best.items()
     ])
     return [
-        ServedRecommendation(candidate, -negated, source)
+        _new_row(ServedRecommendation, (candidate, -negated, source))
         for negated, candidate, source in ranked[:k]
     ]
 

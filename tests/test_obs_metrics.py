@@ -14,10 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import metrics as metrics_module
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     NULL_INSTRUMENT,
     NULL_METRICS,
+    Counter,
+    Gauge,
+    Histogram,
     MetricsError,
     MetricsRegistry,
     MetricsSnapshot,
@@ -350,3 +354,126 @@ class TestFleetWorkerFold:
         for part in reversed(parts):
             backward.fold(part)
         assert forward.snapshot() == backward.snapshot()
+
+
+# ----------------------------------------------------------------------
+# A series is resolved once: the signature memo against keyed lookups
+# ----------------------------------------------------------------------
+class KeyedRegistry(MetricsRegistry):
+    """The registry with no signature memo: every call builds its key."""
+
+    def counter(self, name, **labels):
+        key = metric_key(name, labels)
+        instrument = self._counters.get(key)
+        if instrument is None:
+            instrument = self._counters[key] = Counter()
+        return instrument
+
+    def gauge(self, name, **labels):
+        key = metric_key(name, labels)
+        instrument = self._gauges.get(key)
+        if instrument is None:
+            instrument = self._gauges[key] = Gauge()
+        return instrument
+
+    def histogram(self, name, buckets=DEFAULT_BUCKETS, **labels):
+        key = metric_key(name, labels)
+        instrument = self._histograms.get(key)
+        if instrument is None:
+            instrument = self._histograms[key] = Histogram(buckets)
+        elif instrument.buckets != tuple(float(b) for b in buckets):
+            raise MetricsError(f"histogram {key!r} re-registered")
+        return instrument
+
+
+_LABELS = st.lists(
+    st.tuples(
+        st.sampled_from(["retailer", "stage", "reason"]),
+        st.sampled_from([1, "1", 2, "r0", "r1"]),
+    ),
+    max_size=3,
+    unique_by=lambda pair: pair[0],
+)
+_CALLS = st.lists(
+    st.tuples(
+        st.sampled_from(["counter", "gauge", "histogram"]),
+        st.sampled_from(["x", "y"]),
+        st.sampled_from([_BUCKETS, (1, 10, 100), (2.0, 20.0)]),
+        _LABELS,
+        _VALUES,
+    ),
+    max_size=40,
+)
+
+
+def _replay(registry, calls):
+    """Apply ``calls`` (labels in the order drawn); each outcome."""
+    outcomes = []
+    for kind, name, buckets, labels, value in calls:
+        try:
+            if kind == "counter":
+                registry.counter(name, **dict(labels)).inc(value)
+            elif kind == "gauge":
+                registry.gauge(name, **dict(labels)).set(value)
+            else:
+                registry.histogram(name, buckets, **dict(labels)).observe(value)
+            outcomes.append("ok")
+        except MetricsError:
+            outcomes.append("raised")
+    return outcomes
+
+
+class TestResolvedOnce:
+    @settings(max_examples=200, deadline=None)
+    @given(calls=_CALLS)
+    def test_snapshot_is_byte_equal_to_keyed_lookups(self, calls):
+        memo, keyed = MetricsRegistry(), KeyedRegistry()
+        assert _replay(memo, calls) == _replay(keyed, calls)
+        assert memo.snapshot().to_json() == keyed.snapshot().to_json()
+
+    def test_a_repeated_call_builds_no_key(self, monkeypatch):
+        registry = MetricsRegistry()
+        first = (
+            registry.counter("c", retailer="r0"),
+            registry.gauge("g"),
+            registry.histogram("h", _BUCKETS, served="cache"),
+        )
+        keys = []
+        monkeypatch.setattr(
+            metrics_module, "metric_key",
+            lambda name, labels: keys.append(name) or metric_key(name, labels),
+        )
+        again = (
+            registry.counter("c", retailer="r0"),
+            registry.gauge("g"),
+            registry.histogram("h", _BUCKETS, served="cache"),
+        )
+        assert all(a is b for a, b in zip(first, again)) and keys == []
+        registry.counter("c", retailer="r1")
+        assert keys == ["c"]
+
+    def test_other_buckets_raise_on_every_call(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram("lat", buckets=(1.0, 2.0))
+        for _ in range(3):
+            with pytest.raises(MetricsError):
+                registry.histogram("lat", buckets=(1.0, 3.0))
+            assert registry.histogram("lat", buckets=(1.0, 2.0)) is hist
+            assert registry.histogram("lat", buckets=(1, 2)) is hist
+
+    def test_label_order_and_spelling_reach_one_series(self):
+        registry = MetricsRegistry()
+        registry.counter("x", a="1", b="2").inc()
+        registry.counter("x", b="2", a="1").inc()
+        registry.counter("x", b="2", a="1").inc()
+        registry.counter("req", retailer=1).inc()
+        registry.counter("req", retailer="1").inc(2)
+        assert registry.counter("x", a="1", b="2") is registry.counter(
+            "x", b="2", a="1"
+        )
+        assert registry.counter("req", retailer=1) is registry.counter(
+            "req", retailer="1"
+        )
+        assert registry.snapshot().counters == {
+            "x{a=1,b=2}": 3.0, "req{retailer=1}": 3.0,
+        }

@@ -139,6 +139,34 @@ class TestServer:
         assert server.recommend("r1", context, k=k) == []
         assert server.recommend_for_item("r1", 0, k=k) == []
 
+    @pytest.mark.parametrize("event", [9, -1, 4])
+    def test_an_unknown_event_makes_no_lookup(self, event):
+        """Regression: ``EventType(event)`` in the blend raised
+        ``ValueError: 9 is not a valid EventType`` out of ``recommend``."""
+        server = RecommendationServer(loaded_store())
+        assert server.recommend("r1", UserContext((0,), (event,)), k=5) == []
+
+    def test_an_unknown_event_keeps_its_slot_age(self):
+        """The unknown action's lookup is skipped, not its age: the page
+        is the one a known action with an empty lookup would give."""
+        store = loaded_store()
+        server = RecommendationServer(store, recency_decay=0.5)
+        lookups = []
+        store_lookup = store.lookup
+
+        def counted(retailer_id, item):
+            lookups.append(item)
+            return store_lookup(retailer_id, item)
+
+        store.lookup = counted
+        mixed = server.recommend("r1", UserContext((0, 2, 1), (0, 7, 1)), k=10)
+        assert lookups == [1, 0]
+        # Item 2's table is empty, so its VIEW adds nothing but an age.
+        known = server.recommend("r1", UserContext((0, 2, 1), (0, 0, 1)), k=10)
+        assert mixed == known
+        # Item 0 is two actions old (decay 0.5 ** 2), not one.
+        assert [tuple(r) for r in mixed] == [(4, 1.5 * 5.0, 1), (3, 0.25, 0)]
+
     def test_recommend_for_item(self):
         server = RecommendationServer(loaded_store())
         served = server.recommend_for_item("r1", 0, k=2)

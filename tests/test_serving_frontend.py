@@ -110,6 +110,26 @@ class TestRequestPath:
                 zero.served_from, zero.fallback_stage, zero.latency_ms,
             )
 
+    @pytest.mark.parametrize("protection", [None, OverloadProtection()])
+    @pytest.mark.parametrize("event", [9, -1])
+    def test_an_unknown_event_takes_the_no_results_page(self, event, protection):
+        """Regression: ``EventType(event)`` in the blend raised
+        ``ValueError: 9 is not a valid EventType`` out of ``request``.  An
+        action with no context weight makes no lookup; a context left
+        with none is the chain's ``no_results`` page."""
+        for fallback, served_from in ((make_fallback(), "fallback"), (None, "empty")):
+            cluster = make_cluster()
+            cluster.load_batch("shop", table(), version=1)
+            frontend = ServingFrontend(
+                cluster, fallback=fallback, protection=protection
+            )
+            page = frontend.request("shop", UserContext((0,), (event,)), k=5)
+            assert (page.served_from, page.fallback_stage) == (
+                served_from, "no_results"
+            )
+            assert sum(node.lookups for node in cluster.nodes) == 0
+            assert sum(frontend.stats.serving_buckets().values()) == 1
+
 
 class TestCache:
     def test_identical_context_hits_cache(self, frontend):
