@@ -54,7 +54,10 @@ block selection must also be ``FAST_SELECT_BAR`` times the one-row reads.  The s
 holds the publish section to zero live ``ScoredItem`` and
 ``PUBLISH_OBJECTS_PER_REC`` tracked objects per recommendation: tier-1
 fleets are too small for collector time to show, so this is where CI
-catches a table that went back to being objects.
+catches a table that went back to being objects.  It also counts calls
+over a second inference run of that retailer, in both modes: no
+``UserContext`` built, and per 128-item block two ``rank_items`` calls
+(one per surface) and one ``BPRModel.query_users`` user matrix.
 """
 
 from __future__ import annotations
@@ -67,12 +70,12 @@ import time
 
 import numpy as np
 
-from benchmarks.bench_util import emit, fmt_row, machine, machine_line
+from benchmarks.bench_util import counting, emit, fmt_row, machine, machine_line
 from repro import build_cluster
 from repro.cooccurrence.counts import CoOccurrenceCounts
 from repro.core.candidates import CandidateSelector, RepurchaseDetector
 from repro.core.config import ConfigRecord, OutputConfigRecord
-from repro.core.inference import InferencePipeline
+from repro.core.inference import DEFAULT_BLOCK_SIZE, InferencePipeline
 from repro.core.registry import ModelRegistry, TrainedModel
 from repro.data.datasets import dataset_from_synthetic
 from repro.data.events import EventType
@@ -80,7 +83,7 @@ from repro.data.generator import RetailerSpec, generate_retailer
 from repro.data.sessions import UserContext
 from repro.evaluation.evaluator import HoldoutEvaluator
 from repro.evaluation.sampled import SampledRankEstimator
-from repro.models.base import ScoredItem, segmented_top_k, top_k_select
+from repro.models.base import Recommender, ScoredItem, segmented_top_k, top_k_select
 from repro.models.bpr import BPRHyperParams, BPRModel
 from repro.models.trainer import BPRTrainer
 from repro.serving.gate import PublishGate
@@ -375,6 +378,13 @@ def _publish_row():
         wall = time.perf_counter() - start
     finally:
         gc.callbacks.remove(on_collection)
+    # What an inference run builds per block, counted over a second run
+    # (the timed one above pays no wrappers): no per-item ``UserContext``,
+    # one user matrix shared by a block's two surfaces.
+    with counting(
+        (UserContext, "__init__"), (BPRModel, "query_users"), (Recommender, "rank_items")
+    ) as calls:
+        pipeline.run({rid: dataset})
     # The pipeline (selector memos, cost ledger) is the day's, not the
     # publication's: what stays is the gate, the tables and the two stores.
     del pipeline, results, result
@@ -390,6 +400,10 @@ def _publish_row():
         "gc_s": round(collector["seconds"], 4),
         "tracked_objects_per_rec": round((len(alive) - tracked_before) / n_recs, 4),
         "live_scored_items": sum(type(obj) is ScoredItem for obj in alive),
+        "blocks": -(-dataset.n_items // DEFAULT_BLOCK_SIZE),
+        "rank_items_calls": calls["rank_items"],
+        "user_matrices": calls["query_users"],
+        "contexts_built": calls["__init__"],
     }
 
 
@@ -569,11 +583,21 @@ def test_inference_throughput(capsys):
             widths=publish_widths,
         ),
     ]
+    lines.append(
+        f"inference run: {publish['blocks']} blocks, {publish['rank_items_calls']} "
+        f"rank_items calls, {publish['user_matrices']} user matrices, "
+        f"{publish['contexts_built']} UserContext built"
+    )
     emit("E22", "batched inference & evaluation throughput", lines, capsys)
 
     # A published table is arrays: nothing it holds is a tracked object.
     assert publish["live_scored_items"] == 0, publish
     assert publish["tracked_objects_per_rec"] < PUBLISH_OBJECTS_PER_REC, publish
+    # A block ranks its item ids: no context object per item, and one user
+    # matrix for both surfaces.
+    assert publish["contexts_built"] == 0, publish
+    assert publish["rank_items_calls"] == 2 * publish["blocks"], publish
+    assert publish["user_matrices"] == publish["blocks"], publish
 
     if fast:
         # CI smoke: batched must never be slower than per-item, even on a

@@ -36,12 +36,10 @@ import json
 import os
 import pathlib
 import time
-from contextlib import ExitStack, contextmanager
-from unittest import mock
 
 import numpy as np
 
-from benchmarks.bench_util import emit, fmt_row, machine, machine_line
+from benchmarks.bench_util import counting, emit, fmt_row, machine, machine_line
 from repro.obs import MetricsRegistry
 from repro.obs import metrics as metrics_module
 from repro.serving import frontend as frontend_module
@@ -142,25 +140,6 @@ def replay(frontend: ServingFrontend, requests, k: int = 10) -> dict:
         "stale_serves": frontend.stats.stale_serves - stale_before,
         "fallbacks": frontend.stats.fallbacks - fallback_before,
     }
-
-
-@contextmanager
-def counting(*targets):
-    """Count calls to each ``(module, name)`` function while inside."""
-    counts = dict.fromkeys((name for _, name in targets), 0)
-
-    def wrap(name, original):
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-        return counted
-
-    with ExitStack() as stack:
-        for module, name in targets:
-            stack.enter_context(
-                mock.patch.object(module, name, wrap(name, getattr(module, name)))
-            )
-        yield counts
 
 
 def replay_coalesced(frontend: ServingFrontend, requests, batch_size: int = 64) -> dict:

@@ -11,11 +11,33 @@ from __future__ import annotations
 import os
 import pathlib
 import platform
+from contextlib import ExitStack, contextmanager
 from typing import Dict, Iterable
+from unittest import mock
 
 import numpy as np
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+
+@contextmanager
+def counting(*targets):
+    """Count calls to each ``(module or class, name)`` function while
+    inside; the counts are keyed by ``name``."""
+    counts = dict.fromkeys((name for _, name in targets), 0)
+
+    def wrap(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    with ExitStack() as stack:
+        for owner, name in targets:
+            stack.enter_context(
+                mock.patch.object(owner, name, wrap(name, getattr(owner, name)))
+            )
+        yield counts
 
 
 def machine() -> Dict[str, object]:

@@ -24,7 +24,7 @@ Systems properties reproduced:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from repro.core.recovery import CrashPlan
 from repro.core.registry import ModelRegistry
 from repro.data.datasets import RetailerDataset
 from repro.data.events import EventType
-from repro.data.sessions import UserContext
 from repro.exceptions import ModelNotTrainedError, SigmundError
 from repro.mapreduce.runtime import (
     SKIP_RECORD,
@@ -49,7 +48,7 @@ from repro.mapreduce.runtime import (
     MapReduceRuntime,
 )
 from repro.mapreduce.splits import InputSplit
-from repro.models.base import RankedRows, Recommender
+from repro.models.base import ItemRows, RankedRows, Recommender
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracing import NULL_TRACER
 from repro.retrieval.backend import ModelRetrieval
@@ -361,7 +360,6 @@ class InferencePipeline:
                 loader_state["loads"] += 1
             model_number, model = models[retailer_id]
             selector = selectors[retailer_id]
-            items = list(items)
             if self.crash_plan is not None and items:
                 # Mid-mapper coordinator kill: mappers run before any
                 # billing or scheduling-RNG draws, so an abort here costs
@@ -370,33 +368,31 @@ class InferencePipeline:
                 self.crash_plan.check(
                     "infer_block", f"{retailer_id}@{items[0]}"
                 )
+            # The block's item ids, once: every reader below takes them as
+            # they are, and no per-item context is built.
+            query = np.array(items, dtype=np.int64)
             # One neighbour pass for both surfaces, drawn by the first
             # reader that needs it.
-            neighbours = selector.neighbour_pass(items)
+            neighbours = selector.neighbour_pass(query)
             view_recs = self._rank_block(
                 model,
-                [UserContext((item,), (EventType.VIEW,)) for item in items],
-                selector.batch_view_based(items, neighbours=neighbours),
+                (query, EventType.VIEW),
+                selector.batch_view_based(query, neighbours=neighbours),
             )
             purchase_recs = self._rank_block(
                 model,
-                [UserContext((item,), (EventType.CONVERSION,)) for item in items],
-                selector.batch_purchase_based(items, neighbours=neighbours),
+                (query, EventType.CONVERSION),
+                selector.batch_purchase_based(query, neighbours=neighbours),
             )
             metrics.counter(
                 "inference_blocks_total", retailer=retailer_id
             ).inc()
             metrics.counter(
                 "inference_items_total", retailer=retailer_id
-            ).inc(len(items))
+            ).inc(query.size)
             # One value per block: the kernel's arrays, not a pair of
             # lists per item.
-            yield retailer_id, (
-                np.array(items, dtype=np.int64),
-                model_number,
-                view_recs,
-                purchase_recs,
-            )
+            yield retailer_id, (query, model_number, view_recs, purchase_recs)
 
         def reducer(key: object, values: List[object]):
             ids, model_numbers, views, purchases = zip(*values)
@@ -554,13 +550,11 @@ class InferencePipeline:
     def _rank_block(
         self,
         model: Recommender,
-        contexts: List[UserContext],
-        candidate_lists: Sequence[Sequence[int]],
+        surface: Tuple[np.ndarray, EventType],
+        pools: ItemRows,
     ) -> RankedRows:
-        """Top-N for one block of single-item contexts in one batched call."""
-        return model.recommend_batch(
-            contexts,
-            candidate_lists,
-            k=self.top_n,
-            exclude_context_items=True,
-        )
+        """Top-N of one surface's pools for a block, in one call:
+        ``surface`` is the block's item ids and the event each row's user
+        did on its item (a view, or a purchase)."""
+        query, event = surface
+        return model.rank_items(query, pools, self.top_n, event)

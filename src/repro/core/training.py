@@ -63,7 +63,12 @@ from repro.models.negatives import (
     NegativeSampler,
     UniformNegativeSampler,
 )
-from repro.models.trainer import DEFAULT_BATCH_SIZE, BPRTrainer, TrainingReport
+from repro.models.trainer import (
+    DEFAULT_BATCH_SIZE,
+    BPRTrainer,
+    ExampleSet,
+    TrainingReport,
+)
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracing import NULL_TRACER
 from repro.rng import derive_seed
@@ -187,6 +192,7 @@ def train_config(
     crash_plan: Optional["CrashPlan"] = None,
     metrics=NULL_METRICS,
     warm_state: Optional[Tuple[str, Dict[str, np.ndarray]]] = None,
+    examples: Optional[ExampleSet] = None,
 ) -> Tuple[BPRModel, OutputConfigRecord]:
     """The paper's Train(): config record in, model + output record out.
 
@@ -211,6 +217,10 @@ def train_config(
     parameters as a ``(model_kind, get_state())`` pair, because live model
     objects never cross the process boundary.  Same row-prefix copy and
     epoch-budget semantics.
+
+    ``examples`` is the retailer's :class:`ExampleSet` when the caller
+    trains several configs on one dataset; without it the trainer builds
+    its own.
     """
     if dataset.retailer_id != config.retailer_id:
         raise DataError(
@@ -249,6 +259,7 @@ def train_config(
         patience=settings.patience,
         batch_size=settings.batch_size,
         seed=derive_seed(config.params.seed, "trainer"),
+        examples=examples,
     )
     report = TrainingReport()
     epoch_seconds = (
@@ -457,10 +468,15 @@ class TrainingPipeline:
         recorded here derives deterministically from the run's inputs,
         which is what lets the service seal a crashed-and-recovered
         day's metrics bit-identical to an uninterrupted one.
+
+        Each retailer's training examples are built once per run, by its
+        first BPR config, and shared by the rest (:class:`ExampleSet`);
+        nothing is kept for the next run.
         """
         stats = PipelineStats()
         if not configs:
             return [], stats
+        example_sets: Dict[str, ExampleSet] = {}
         shares = self.cluster.split_by_capacity(len(configs))
         outputs: List[OutputConfigRecord] = []
         cursor = 0
@@ -475,7 +491,7 @@ class TrainingPipeline:
                 continue
             try:
                 job_outputs, job_stats = self._run_cell_job(
-                    cell_name, chunk, datasets, day, metrics, tracer
+                    cell_name, chunk, datasets, day, example_sets, metrics, tracer
                 )
             except SigmundError as exc:
                 # The whole cell job died (capacity, isolation, a crash
@@ -520,9 +536,12 @@ class TrainingPipeline:
         configs: List[ConfigRecord],
         datasets: Dict[str, RetailerDataset],
         day: int,
+        example_sets: Dict[str, ExampleSet],
         metrics=NULL_METRICS,
         tracer=NULL_TRACER,
     ) -> Tuple[List[OutputConfigRecord], JobStats]:
+        """One cell's Train() job; ``example_sets`` holds the run's
+        retailer example sets, each built where first needed."""
         settings = self.settings
         registry = self.registry
 
@@ -531,6 +550,11 @@ class TrainingPipeline:
             dataset = datasets[config.retailer_id]
             registry.assert_isolated(config.retailer_id, dataset.retailer_id)
             warm_model = self._warm_model(config)
+            examples = None
+            if config.model_kind != "wals":
+                examples = example_sets.get(config.retailer_id)
+                if examples is None:
+                    examples = example_sets[config.retailer_id] = ExampleSet.build(dataset)
             model, output = train_config(
                 config,
                 dataset,
@@ -539,6 +563,7 @@ class TrainingPipeline:
                 checkpoints=self.checkpoints,
                 crash_plan=self.crash_plan,
                 metrics=metrics,
+                examples=examples,
             )
             # Publication happens after the job, from surviving outputs
             # only — a config on a task that later fails permanently must

@@ -9,7 +9,7 @@ sold by different retailers will have a different ID"), while dense item
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,8 +33,27 @@ class Item:
     facets: Mapping[str, str] = field(default_factory=dict)
 
 
+class CatalogColumns(NamedTuple):
+    """A catalog's feature attributes as read-only arrays, aligned with
+    item indices."""
+
+    #: Sorted distinct brands present in the catalog.
+    brand_vocabulary: Tuple[str, ...]
+    #: Per item, its brand's position in ``brand_vocabulary``; -1 where
+    #: it has none.
+    brand_codes: np.ndarray
+    #: Per item, its price; ``nan`` where it has none.
+    prices: np.ndarray
+    #: Items that carry a price attribute (a ``nan`` price is one).
+    n_priced: int
+
+
 class Catalog:
-    """An immutable-after-build collection of :class:`Item` objects."""
+    """An immutable-after-build collection of :class:`Item` objects.
+
+    Its feature attributes are walked once, on first use, into
+    :attr:`columns`; the public views below copy out of them.
+    """
 
     def __init__(self, retailer_id: str, items: Sequence[Item]):
         self.retailer_id = retailer_id
@@ -48,6 +67,36 @@ class Catalog:
             if item.item_id in self._by_id:
                 raise DataError(f"duplicate item id {item.item_id!r}")
             self._by_id[item.item_id] = item
+        self._columns: Optional[CatalogColumns] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Rebuilt on first use after a copy: unpickled arrays come back
+        # writeable.
+        return {**self.__dict__, "_columns": None}
+
+    @property
+    def columns(self) -> CatalogColumns:
+        """The feature columns, built on first use and shared read-only."""
+        if self._columns is None:
+            vocabulary = tuple(
+                sorted({item.brand for item in self._items if item.brand is not None})
+            )
+            code = {brand: position for position, brand in enumerate(vocabulary)}
+            brand_codes = np.fromiter(
+                (code.get(item.brand, -1) for item in self._items),
+                dtype=np.int64,
+                count=len(self._items),
+            )
+            prices = np.fromiter(
+                (np.nan if item.price is None else float(item.price) for item in self._items),
+                dtype=np.float64,
+                count=len(self._items),
+            )
+            for array in (brand_codes, prices):
+                array.setflags(write=False)
+            n_priced = sum(1 for item in self._items if item.price is not None)
+            self._columns = CatalogColumns(vocabulary, brand_codes, prices, n_priced)
+        return self._columns
 
     def __len__(self) -> int:
         return len(self._items)
@@ -76,28 +125,24 @@ class Catalog:
 
     def brand_vocabulary(self) -> List[str]:
         """Sorted distinct brands present in the catalog."""
-        return sorted({item.brand for item in self._items if item.brand is not None})
+        return list(self.columns.brand_vocabulary)
 
     def brand_coverage(self) -> float:
         """Fraction of items that carry a brand attribute."""
         if not self._items:
             return 0.0
-        covered = sum(1 for item in self._items if item.brand is not None)
+        covered = int(np.count_nonzero(self.columns.brand_codes >= 0))
         return covered / len(self._items)
 
     def prices(self) -> np.ndarray:
         """Per-item price array with ``nan`` where missing."""
-        return np.array(
-            [np.nan if item.price is None else float(item.price) for item in self._items],
-            dtype=np.float64,
-        )
+        return self.columns.prices.copy()
 
     def price_coverage(self) -> float:
         """Fraction of items that carry a price attribute."""
         if not self._items:
             return 0.0
-        covered = sum(1 for item in self._items if item.price is not None)
-        return covered / len(self._items)
+        return self.columns.n_priced / len(self._items)
 
     def facet_values(self, facet: str) -> List[Optional[str]]:
         """Per-item value of a named facet (e.g. color), ``None`` if absent."""

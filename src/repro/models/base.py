@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 
 import numpy as np
 
+from repro.data.events import EventType
 from repro.data.sessions import UserContext
 
 
@@ -363,6 +364,24 @@ def segmented_top_k(
     return np.concatenate(chunks), counts
 
 
+def _kept(
+    items: np.ndarray, owners: np.ndarray, sizes: np.ndarray, keep: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flat pools' ``(items, owners, sizes)`` cut to the ``keep`` entries."""
+    if keep.all():
+        return items, owners, sizes
+    owners = owners[keep]
+    return items[keep], owners, np.bincount(owners, minlength=sizes.size)
+
+
+def _ranked(
+    scores: np.ndarray, items: np.ndarray, owners: np.ndarray, sizes: np.ndarray, k: int
+) -> RankedRows:
+    """The scored flat pools' top-``k`` per row, through :func:`segmented_top_k`."""
+    top, counts = segmented_top_k(scores, items, owners, sizes, k)
+    return RankedRows.from_counts(items[top], scores[top], counts)
+
+
 class Recommender(abc.ABC):
     """Scores items for a user context and produces ranked recommendations."""
 
@@ -475,7 +494,9 @@ class Recommender(abc.ABC):
         that bring a list are ranked as one flat array: pools concatenated,
         context items dropped, one :meth:`score_pairs` call (work is the
         number of pairs asked for, never ``B x |union of pools|``), one
-        :func:`segmented_top_k`.  The whole-catalog rows ask the dense
+        :func:`segmented_top_k` — and when each of them is one action, all
+        of one event, the whole question is :meth:`rank_items`', asked with
+        their item ids.  The whole-catalog rows ask the dense
         question: they share one :meth:`score_contexts` matrix and rank
         row by row through :func:`_top_k_arrays`.  Both select in
         :func:`top_k_select`'s order, so results match :meth:`recommend`
@@ -510,15 +531,23 @@ class Recommender(abc.ABC):
             pools = ItemRows.of(candidate_lists[row] for row in listed)
         blocks: List[RankedRows] = []
         if listed:
-            blocks.append(
-                self._rank_listed(
-                    [contexts[row] for row in listed],
-                    pools.items,
-                    pools.sizes,
-                    k,
-                    exclude_context_items,
+            listed_contexts = [contexts[row] for row in listed]
+            events = {context.events for context in listed_contexts}
+            if exclude_context_items and len(events) == 1 and len(next(iter(events))) == 1:
+                # Each row is one action, all of one event: the item-id question.
+                (event,) = events.pop()
+                query = np.fromiter(
+                    (context.item_indices[0] for context in listed_contexts),
+                    dtype=np.int64,
+                    count=len(listed_contexts),
                 )
-            )
+                blocks.append(self.rank_items(query, pools, k, event))
+            else:
+                blocks.append(
+                    self._rank_listed(
+                        listed_contexts, pools.items, pools.sizes, k, exclude_context_items
+                    )
+                )
         if whole:
             full_pool = np.arange(self.n_items)
             matrix = self.score_contexts([contexts[row] for row in whole])
@@ -536,6 +565,50 @@ class Recommender(abc.ABC):
             ranked = ranked.take(np.argsort(listed + whole))
         return ranked
 
+    def rank_items(
+        self,
+        query: Sequence[int],
+        pools: Sequence[Sequence[int]],
+        k: int = 10,
+        event: EventType = EventType.VIEW,
+    ) -> RankedRows:
+        """Top-``k`` of ``pools[r]`` for the user whose whole context is
+        one ``event`` on item ``query[r]``, that item left out of its pool.
+
+        Offline inference's question, asked once per block and surface
+        with the block's item ids as one array: what :meth:`recommend_batch`
+        answers for the contexts ``UserContext((query[r],), (event,))``,
+        which sends such a batch here.  One compare over the flat pools
+        drops every row's own item, :meth:`_score_queries` scores the rest,
+        and one :func:`segmented_top_k` ranks them.
+        """
+        query = _as_item_array(query)
+        if not isinstance(pools, ItemRows):
+            pools = ItemRows.of(pools)
+        if len(pools) != query.size:
+            raise ValueError(
+                f"got {query.size} query items but {len(pools)} candidate lists"
+            )
+        items, sizes = pools.items, pools.sizes
+        owners = np.repeat(np.arange(sizes.size), sizes)
+        items, owners, sizes = _kept(items, owners, sizes, items != query[owners])
+        scores = self._score_queries(query, event, items, owners, sizes)
+        return _ranked(scores, items, owners, sizes, k)
+
+    def _score_queries(
+        self,
+        query: np.ndarray,
+        event: EventType,
+        items: np.ndarray,
+        owners: np.ndarray,
+        sizes: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`score_pairs` for the single-action contexts of
+        :meth:`rank_items`.  This default builds them; a model that needs
+        no context object for one action overrides it."""
+        contexts = [UserContext((item,), (event,)) for item in query.tolist()]
+        return self.score_pairs(contexts, items, owners, sizes)
+
     def _rank_listed(
         self,
         contexts: List[UserContext],
@@ -548,22 +621,13 @@ class Recommender(abc.ABC):
         (``sizes[r]`` items for context ``r``)."""
         owners = np.repeat(np.arange(sizes.size), sizes)
         if exclude_context_items:
-            if all(len(context) == 1 for context in contexts):
-                # Single-item contexts (the whole offline workload): one
-                # compare over the flat block drops every row's own item.
-                seen = np.array([context.item_indices[0] for context in contexts])
-                keep = items != seen[owners]
-            else:  # a row at a time
-                keep = np.ones(items.size, dtype=bool)
-                ends = np.cumsum(sizes).tolist()
-                for context, start, stop in zip(contexts, [0] + ends, ends):
-                    keep[start:stop] = ~np.isin(items[start:stop], context.item_indices)
-            if not keep.all():
-                items, owners = items[keep], owners[keep]
-                sizes = np.bincount(owners, minlength=sizes.size)
+            keep = np.ones(items.size, dtype=bool)
+            ends = np.cumsum(sizes).tolist()
+            for context, start, stop in zip(contexts, [0] + ends, ends):
+                keep[start:stop] = ~np.isin(items[start:stop], context.item_indices)
+            items, owners, sizes = _kept(items, owners, sizes, keep)
         scores = self.score_pairs(contexts, items, owners, sizes)
-        top, counts = segmented_top_k(scores, items, owners, sizes, k)
-        return RankedRows.from_counts(items[top], scores[top], counts)
+        return _ranked(scores, items, owners, sizes, k)
 
     def rank_of(
         self,

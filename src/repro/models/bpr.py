@@ -163,6 +163,10 @@ class BPRModel(Recommender):
         #: ``score_items`` instead of stacking per item; smaller pools (the
         #: negative samplers' mid-training calls) stay on the cheap path.
         self._cache_pool_threshold = 32
+        #: ``(query, users)`` of the last :meth:`rank_items` block, so a
+        #: block's two surfaces share one :meth:`query_users` matrix;
+        #: dropped with the effective-item cache.
+        self._block_users: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -194,19 +198,17 @@ class BPRModel(Recommender):
         rows = index.cat_ancestors[item_cat[:, None], np.maximum(columns, 0)]
 
         # Brand: vocabulary row per item, -1 where missing or disabled.
-        brands = catalog.brand_vocabulary() if params.use_brand else []
+        # The catalog's columns are built once and shared by every model.
+        attributes = catalog.columns
+        brands = list(attributes.brand_vocabulary) if params.use_brand else []
         self._brand_vocab: List[str] = brands
-        brand_row = {brand: row for row, brand in enumerate(brands)}
-        item_brand = np.array(
-            [
-                brand_row.get(item.brand, -1) if item.brand is not None else -1
-                for item in catalog
-            ],
-            dtype=np.int64,
-        )
+        if params.use_brand:
+            item_brand = attributes.brand_codes
+        else:
+            item_brand = np.full(self.n_items, -1, dtype=np.int64)
 
         # Price: quantile buckets over log-price, -1 where missing/disabled.
-        prices = catalog.prices()
+        prices = attributes.prices
         self._price_edges = _price_bucket_edges(prices, params.n_price_buckets)
         if params.use_price and self._price_edges.size > 0:
             item_price = _bucketize(prices, self._price_edges)
@@ -287,6 +289,7 @@ class BPRModel(Recommender):
         state = self.__dict__.copy()
         for name in (*_TABLES.values(), "_rows", "_features", "_item_ancestors"):
             del state[name]
+        state["_block_users"] = None
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
@@ -305,8 +308,10 @@ class BPRModel(Recommender):
         return self._item_ancestors[item_index, : self._anc_counts[item_index]]
 
     def invalidate_cache(self) -> None:
-        """Drop the cached effective-item matrix (call after any update)."""
+        """Drop the cached effective-item matrix and block users (call
+        after any update)."""
         self._phi_cache = None
+        self._block_users = None
 
     def effective_item_matrix(self) -> np.ndarray:
         """Effective vectors for all items at once (used by batch inference).
@@ -414,11 +419,6 @@ class BPRModel(Recommender):
         users = np.zeros((batch, self.params.n_factors))
         if batch == 0:
             return users
-        if all(len(context) == 1 for context in contexts):
-            # Offline inference: every weight is 1.0 (:meth:`context_weights`)
-            # and the scatter-add below would be ``0.0 + row`` per context.
-            rows = [context.item_indices[0] for context in contexts]
-            return users + self.context_embeddings[np.array(rows, dtype=np.int64)]
         row_chunks: List[np.ndarray] = []
         weight_chunks: List[np.ndarray] = []
         counts = np.zeros(batch, dtype=np.int64)
@@ -436,6 +436,18 @@ class BPRModel(Recommender):
         scatter_add_rows(
             users, owners, weights[:, None] * self.context_embeddings[rows]
         )
+        return users
+
+    def query_users(self, query: np.ndarray) -> np.ndarray:
+        """Eq. 1 for one action on each of the ``query`` items: a ``(B, d)``
+        matrix, row ``r`` the context row of ``query[r]``.
+
+        One action weighs 1.0 whatever its event (:meth:`context_weights`),
+        so this is :meth:`user_embedding_batch`'s scatter of each row into
+        zeros, ``0.0 + row`` (a ``-0.0`` comes out ``0.0``), as one gather.
+        """
+        users = self.context_embeddings.take(query, axis=0)
+        users += 0.0
         return users
 
     # ------------------------------------------------------------------
@@ -497,19 +509,42 @@ class BPRModel(Recommender):
         reads only its own two rows, so a row's scores do not depend on
         what else is in the batch.
         """
+        if not items.size:
+            return np.empty(0, dtype=np.float64)
+        return self._score_user_pairs(self.user_embedding_batch(contexts), items, owners)
+
+    def _score_queries(
+        self,
+        query: np.ndarray,
+        event: EventType,
+        items: np.ndarray,
+        owners: np.ndarray,
+        sizes: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`rank_items`' pairs against :meth:`query_users`, built once
+        for a block's query items whichever surfaces ask (the event of one
+        action changes no weight)."""
+        memo = self._block_users
+        if memo is None or not np.array_equal(memo[0], query):
+            memo = self._block_users = (query.copy(), self.query_users(query))
+        return self._score_user_pairs(memo[1], items, owners)
+
+    def _score_user_pairs(
+        self, users: np.ndarray, items: np.ndarray, owners: np.ndarray
+    ) -> np.ndarray:
+        """``phi[items[i]] . users[owners[i]] + bias[items[i]]`` per pair,
+        :data:`_PAIR_SLICE` pairs per gather."""
         scores = np.empty(items.size, dtype=np.float64)
-        if items.size:
-            users = self.user_embedding_batch(contexts)
-            phi = self.effective_item_matrix()
-            for start in range(0, items.size, _PAIR_SLICE):
-                stop = start + _PAIR_SLICE
-                chunk = items[start:stop]
-                # take() gathers rows about twice as fast as phi[chunk].
-                scores[start:stop] = np.einsum(
-                    "ij,ij->i",
-                    phi.take(chunk, axis=0),
-                    users.take(owners[start:stop], axis=0),
-                ) + self.item_bias.take(chunk)
+        phi = self.effective_item_matrix()
+        for start in range(0, items.size, _PAIR_SLICE):
+            stop = start + _PAIR_SLICE
+            chunk = items[start:stop]
+            # take() gathers rows about twice as fast as phi[chunk].
+            scores[start:stop] = np.einsum(
+                "ij,ij->i",
+                phi.take(chunk, axis=0),
+                users.take(owners[start:stop], axis=0),
+            ) + self.item_bias.take(chunk)
         return scores
 
     # ------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -90,6 +90,143 @@ class CompiledExamples:
         return sub_indptr, self.ctx_rows[flat], self.ctx_weights[flat]
 
 
+@dataclass(frozen=True, eq=False)
+class ExampleSet:
+    """One retailer's training examples, as far as they read its data alone.
+
+    The users' context windows, the positives, the contexts as CSR arrays
+    (example ``b`` owns ``ctx_rows[indptr[b]:indptr[b + 1]]``, with event
+    codes ``ctx_events``) and each strength-constraint example's pool of
+    weaker items depend on the dataset and nothing else, so a training run
+    builds them once per retailer (:meth:`build`) and hands them to every
+    config's :class:`BPRTrainer`.  What a trainer adds is its own: the
+    context weights of its model's decay and event weighting, and one draw
+    from each pool off its stream.  The arrays are read-only.
+    """
+
+    retailer_id: str
+    strength_constraints: bool
+    #: The examples in training order; a constraint example's ``negative``
+    #: is still ``None`` here.
+    examples: Tuple[TrainingExample, ...]
+    indptr: np.ndarray
+    ctx_rows: np.ndarray
+    ctx_events: np.ndarray
+    positives: np.ndarray
+    #: Positions of the strength-constraint examples, ascending, and each
+    #: one's pool, in the order a draw indexes it.
+    constrained: Tuple[int, ...] = ()
+    pools: Tuple[Tuple[int, ...], ...] = ()
+
+    @classmethod
+    def build(
+        cls, dataset: RetailerDataset, strength_constraints: bool = True
+    ) -> "ExampleSet":
+        """Walk every user's training history into examples.
+
+        Each context window is an implicit-positive example.  With
+        ``strength_constraints``, a search, cart or conversion is followed
+        by a constraint example whenever the user touched some other item
+        more weakly before it (:func:`_weaker_items`).
+        """
+        examples: List[TrainingExample] = []
+        constrained: List[int] = []
+        pools: List[Tuple[int, ...]] = []
+        histories = dataset.train_histories()
+        max_context = dataset.max_context
+        for user_id in sorted(histories):
+            history = histories[user_id]
+            # Track the strongest event each item has received so far, to
+            # build the strength-constraint pools.
+            strongest: Dict[int, EventType] = {}
+            for context, interaction in context_windows(history, max_context):
+                example = TrainingExample(context, interaction.item_index)
+                examples.append(example)
+                if strength_constraints and interaction.event > EventType.VIEW:
+                    pool = _weaker_items(
+                        strongest, interaction.event, interaction.item_index
+                    )
+                    if pool:
+                        constrained.append(len(examples))
+                        pools.append(pool)
+                        examples.append(example)
+                previous = strongest.get(interaction.item_index, EventType.VIEW)
+                strongest[interaction.item_index] = max(previous, interaction.event)
+            # Seed the tracker with the first interaction too (the window
+            # generator skips it as a positive but it still carries strength).
+            if history:
+                first = history[0]
+                previous = strongest.get(first.item_index, EventType.VIEW)
+                strongest[first.item_index] = max(previous, first.event)
+        return cls.of(
+            dataset.retailer_id, examples, strength_constraints, constrained, pools
+        )
+
+    @classmethod
+    def of(
+        cls,
+        retailer_id: str,
+        examples: Sequence[TrainingExample],
+        strength_constraints: bool = True,
+        constrained: Sequence[int] = (),
+        pools: Sequence[Tuple[int, ...]] = (),
+    ) -> "ExampleSet":
+        """``examples`` with their contexts and positives flattened once."""
+        count = len(examples)
+        contexts = [example.context for example in examples]
+        lengths = np.fromiter(map(len, contexts), dtype=np.int64, count=count)
+        indptr = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        size = int(indptr[-1])
+        arrays = (
+            indptr,
+            np.fromiter(
+                chain.from_iterable(context.item_indices for context in contexts),
+                dtype=np.int64,
+                count=size,
+            ),
+            np.fromiter(
+                chain.from_iterable(context.events for context in contexts),
+                dtype=np.int64,
+                count=size,
+            ),
+            np.fromiter(
+                (example.positive for example in examples), dtype=np.int64, count=count
+            ),
+        )
+        for array in arrays:
+            array.setflags(write=False)
+        return cls(
+            retailer_id,
+            strength_constraints,
+            tuple(examples),
+            *arrays,
+            constrained=tuple(constrained),
+            pools=tuple(pools),
+        )
+
+
+def _weaker_items(
+    strongest: Dict[int, EventType], event: EventType, positive: int
+) -> Tuple[int, ...]:
+    """The items this user touched strictly more weakly than ``event``.
+
+    Prefers the adjacent level (search pairs with view, cart with search,
+    ...) as the paper describes, falling back to any strictly weaker level.
+    """
+    target_level = EVENT_STRENGTH_ORDER[event.strength - 1]
+    adjacent = tuple(
+        item
+        for item, strength in strongest.items()
+        if strength == target_level and item != positive
+    )
+    return adjacent or tuple(
+        item
+        for item, strength in strongest.items()
+        if strength < event and item != positive
+    )
+
+
 @dataclass
 class TrainingReport:
     """What one training run did — consumed by sweeps and benchmarks."""
@@ -119,11 +256,21 @@ class BPRTrainer:
         batch_size: int = DEFAULT_BATCH_SIZE,
         seed: SeedLike = None,
         metrics=NULL_METRICS,
+        examples: Optional[ExampleSet] = None,
     ):
         if dataset.retailer_id != model.retailer_id:
             raise DataError(
                 f"model for {model.retailer_id!r} cannot train on "
                 f"{dataset.retailer_id!r} data"
+            )
+        if examples is not None and (
+            examples.retailer_id != dataset.retailer_id
+            or examples.strength_constraints != strength_constraints
+        ):
+            raise DataError(
+                f"examples of {examples.retailer_id!r} (strength constraints "
+                f"{examples.strength_constraints}) cannot train {dataset.retailer_id!r} "
+                f"(strength constraints {strength_constraints})"
             )
         if batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
@@ -144,108 +291,57 @@ class BPRTrainer:
         self.metrics = metrics
         self._rng = make_rng(seed if seed is not None else model.params.seed)
         self._converged = False
-        self.examples: List[TrainingExample] = self._build_examples()
-        self.compiled: CompiledExamples = self._compile_examples()
+        if examples is None:
+            examples = ExampleSet.build(dataset, strength_constraints)
+        self.examples, negatives = self._draw_constraint_negatives(examples)
+        self.compiled: CompiledExamples = self._compile(examples, negatives)
 
     # ------------------------------------------------------------------
     # Example construction
     # ------------------------------------------------------------------
-    def _build_examples(self) -> List[TrainingExample]:
-        examples: List[TrainingExample] = []
-        histories = self.dataset.train_histories()
-        max_context = self.dataset.max_context
-        for user_id in sorted(histories):
-            history = histories[user_id]
-            # Track the strongest event each item has received so far, to
-            # build the strength-constraint negatives.
-            strongest: Dict[int, EventType] = {}
-            for context, interaction in context_windows(history, max_context):
-                examples.append(TrainingExample(context, interaction.item_index))
-                if self.strength_constraints and interaction.event > EventType.VIEW:
-                    weaker = self._weaker_item(
-                        strongest, interaction.event, interaction.item_index
-                    )
-                    if weaker is not None:
-                        examples.append(
-                            TrainingExample(
-                                context, interaction.item_index, negative=weaker
-                            )
-                        )
-                previous = strongest.get(interaction.item_index, EventType.VIEW)
-                strongest[interaction.item_index] = max(previous, interaction.event)
-            # Seed the tracker with the first interaction too (the window
-            # generator skips it as a positive but it still carries strength).
-            if history:
-                first = history[0]
-                previous = strongest.get(first.item_index, EventType.VIEW)
-                strongest[first.item_index] = max(previous, first.event)
-        return examples
+    def _draw_constraint_negatives(
+        self, examples: ExampleSet
+    ) -> Tuple[List[TrainingExample], np.ndarray]:
+        """Each constraint example's negative, one draw from its pool, in
+        order, off the trainer's stream (its shuffles come after).  Returns
+        the trainer's examples and their negatives, ``-1`` where the
+        sampler draws one per epoch."""
+        drawn = list(examples.examples)
+        negatives = np.full(len(drawn), -1, dtype=np.int64)
+        for position, pool in zip(examples.constrained, examples.pools):
+            weaker = pool[int(self._rng.integers(len(pool)))]
+            negatives[position] = weaker
+            example = drawn[position]
+            drawn[position] = TrainingExample(example.context, example.positive, weaker)
+        return drawn, negatives
 
-    def _weaker_item(
-        self,
-        strongest: Dict[int, EventType],
-        event: EventType,
-        positive: int,
-    ) -> Optional[int]:
-        """Pick an item this user touched strictly more weakly than ``event``.
+    def _compile(self, examples: ExampleSet, negatives: np.ndarray) -> CompiledExamples:
+        """The arrays :meth:`run_epoch` consumes: ``examples``' own, the
+        context weights of this trainer's model, and ``negatives``.
 
-        Prefers the adjacent level (search pairs with view, cart with
-        search, ...) as the paper describes, falling back to any strictly
-        weaker level.
-        """
-        target_level = EVENT_STRENGTH_ORDER[event.strength - 1]
-        adjacent = [
-            item
-            for item, strength in strongest.items()
-            if strength == target_level and item != positive
-        ]
-        pool = adjacent or [
-            item
-            for item, strength in strongest.items()
-            if strength < event and item != positive
-        ]
-        if not pool:
-            return None
-        return pool[int(self._rng.integers(len(pool)))]
-
-    def _compile_examples(self) -> CompiledExamples:
-        """Flatten the example list into the arrays :meth:`run_epoch` consumes.
-
-        One pass over the examples builds every array; the context weights
-        come from :meth:`~repro.models.bpr.BPRModel.context_weights_csr`,
-        one block per context length, equal bit for bit to one
+        The weights come from
+        :meth:`~repro.models.bpr.BPRModel.context_weights_csr`, one block
+        per context length, equal bit for bit to one
         :meth:`~repro.models.bpr.BPRModel.context_weights` per example.
         """
-        examples = self.examples
-        count = len(examples)
-        contexts = [example.context for example in examples]
-        lengths = np.fromiter(map(len, contexts), dtype=np.int64, count=count)
-        indptr = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        size = int(indptr[-1])
-        events = np.fromiter(
-            chain.from_iterable(context.events for context in contexts),
-            dtype=np.int64,
-            count=size,
-        )
         return CompiledExamples(
-            indptr=indptr,
-            ctx_rows=np.fromiter(
-                chain.from_iterable(context.item_indices for context in contexts),
-                dtype=np.int64,
-                count=size,
-            ),
-            ctx_weights=self.model.context_weights_csr(indptr, events),
-            positives=np.fromiter(
-                (example.positive for example in examples), dtype=np.int64, count=count
-            ),
-            negatives=np.fromiter(
-                (-1 if example.negative is None else example.negative for example in examples),
-                dtype=np.int64,
-                count=count,
-            ),
+            indptr=examples.indptr,
+            ctx_rows=examples.ctx_rows,
+            ctx_weights=self.model.context_weights_csr(examples.indptr, examples.ctx_events),
+            positives=examples.positives,
+            negatives=negatives,
         )
 
+    def _compile_examples(self) -> CompiledExamples:
+        """:attr:`examples` as they stand, flattened again (after a caller
+        replaced them)."""
+        examples = self.examples
+        negatives = np.fromiter(
+            (-1 if example.negative is None else example.negative for example in examples),
+            dtype=np.int64,
+            count=len(examples),
+        )
+        return self._compile(ExampleSet.of(self.dataset.retailer_id, examples), negatives)
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------

@@ -164,18 +164,20 @@ def test_whole_catalog_rows_take_the_dense_kernel(trained_model, monkeypatch):
     contexts = [UserContext((item,), (EventType.VIEW,)) for item in (1, 2, 3, 4)]
     candidate_lists = [None, np.asarray([5, 9, 2]), None, []]
     calls = {"pairs": [], "dense": []}
-    score_pairs = trained_model.score_pairs
+    score_user_pairs = trained_model._score_user_pairs
     score_contexts = trained_model.score_contexts
 
-    def spy_pairs(ctx, items, owners, sizes):
-        calls["pairs"].append(sizes.tolist())
-        return score_pairs(ctx, items, owners, sizes)
+    def spy_pairs(users, items, owners):
+        calls["pairs"].append(np.bincount(owners, minlength=len(users)).tolist())
+        return score_user_pairs(users, items, owners)
 
     def spy_contexts(ctx, item_indices=None):
         calls["dense"].append((len(ctx), item_indices))
         return score_contexts(ctx, item_indices)
 
-    monkeypatch.setattr(trained_model, "score_pairs", spy_pairs)
+    # The pair kernel behind ``score_pairs`` and ``rank_items`` alike (these
+    # single-item rows take the second).
+    monkeypatch.setattr(trained_model, "_score_user_pairs", spy_pairs)
     monkeypatch.setattr(trained_model, "score_contexts", spy_contexts)
     batched = trained_model.recommend_batch(contexts, candidate_lists, k=n)
     # Row 1's own context item (2) is excluded from its three candidates.
