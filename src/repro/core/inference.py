@@ -48,7 +48,7 @@ from repro.mapreduce.runtime import (
     MapReduceRuntime,
 )
 from repro.mapreduce.splits import InputSplit
-from repro.models.base import ItemRows, RankedRows, Recommender
+from repro.models.base import ItemRows, RankedRows, Recommender, SingleActions
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracing import NULL_TRACER
 from repro.retrieval.backend import ModelRetrieval
@@ -376,12 +376,12 @@ class InferencePipeline:
             neighbours = selector.neighbour_pass(query)
             view_recs = self._rank_block(
                 model,
-                (query, EventType.VIEW),
+                SingleActions(query, EventType.VIEW),
                 selector.batch_view_based(query, neighbours=neighbours),
             )
             purchase_recs = self._rank_block(
                 model,
-                (query, EventType.CONVERSION),
+                SingleActions(query, EventType.CONVERSION),
                 selector.batch_purchase_based(query, neighbours=neighbours),
             )
             metrics.counter(
@@ -550,11 +550,12 @@ class InferencePipeline:
     def _rank_block(
         self,
         model: Recommender,
-        surface: Tuple[np.ndarray, EventType],
+        contexts: SingleActions,
         pools: ItemRows,
     ) -> RankedRows:
-        """Top-N of one surface's pools for a block, in one call:
-        ``surface`` is the block's item ids and the event each row's user
+        """Top-N of one surface's pools for a block, in one batched call:
+        ``contexts`` is the block's item ids and the event each row's user
         did on its item (a view, or a purchase)."""
-        query, event = surface
-        return model.rank_items(query, pools, self.top_n, event)
+        return model.recommend_batch(
+            contexts, pools, k=self.top_n, exclude_context_items=True
+        )

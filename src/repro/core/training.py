@@ -19,6 +19,7 @@ Paper section IV-B: training is a MapReduce whose map phase calls a
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -390,6 +391,29 @@ class PipelineStats:
     failed_retailers: List[str] = field(default_factory=list)
 
 
+class _ExampleSets:
+    """One training run's :class:`ExampleSet` per retailer: built by the
+    retailer's first BPR config, shared by the rest, and let go when the
+    last of them takes it.  A retried config past that count builds a set
+    of its own."""
+
+    def __init__(self, configs: Sequence[ConfigRecord]) -> None:
+        self._left = Counter(
+            config.retailer_id for config in configs if config.model_kind != "wals"
+        )
+        self._sets: Dict[str, ExampleSet] = {}
+
+    def take(self, dataset: RetailerDataset) -> ExampleSet:
+        retailer_id = dataset.retailer_id
+        examples = self._sets.pop(retailer_id, None)
+        if examples is None:
+            examples = ExampleSet.build(dataset)
+        self._left[retailer_id] -= 1
+        if self._left[retailer_id] > 0:
+            self._sets[retailer_id] = examples
+        return examples
+
+
 class TrainingPipeline:
     """Runs a sweep's config records as per-cell MapReduce jobs.
 
@@ -470,13 +494,14 @@ class TrainingPipeline:
         day's metrics bit-identical to an uninterrupted one.
 
         Each retailer's training examples are built once per run, by its
-        first BPR config, and shared by the rest (:class:`ExampleSet`);
-        nothing is kept for the next run.
+        first BPR config, and shared by the rest (:class:`ExampleSet`); a
+        set is dropped once its retailer's last BPR config has trained,
+        and nothing is kept for the next run.
         """
         stats = PipelineStats()
         if not configs:
             return [], stats
-        example_sets: Dict[str, ExampleSet] = {}
+        example_sets = _ExampleSets(configs)
         shares = self.cluster.split_by_capacity(len(configs))
         outputs: List[OutputConfigRecord] = []
         cursor = 0
@@ -536,12 +561,12 @@ class TrainingPipeline:
         configs: List[ConfigRecord],
         datasets: Dict[str, RetailerDataset],
         day: int,
-        example_sets: Dict[str, ExampleSet],
+        example_sets: _ExampleSets,
         metrics=NULL_METRICS,
         tracer=NULL_TRACER,
     ) -> Tuple[List[OutputConfigRecord], JobStats]:
-        """One cell's Train() job; ``example_sets`` holds the run's
-        retailer example sets, each built where first needed."""
+        """One cell's Train() job; ``example_sets`` hands out the run's
+        retailer example sets."""
         settings = self.settings
         registry = self.registry
 
@@ -552,9 +577,7 @@ class TrainingPipeline:
             warm_model = self._warm_model(config)
             examples = None
             if config.model_kind != "wals":
-                examples = example_sets.get(config.retailer_id)
-                if examples is None:
-                    examples = example_sets[config.retailer_id] = ExampleSet.build(dataset)
+                examples = example_sets.take(dataset)
             model, output = train_config(
                 config,
                 dataset,

@@ -283,6 +283,31 @@ class ItemRows(Sequence[np.ndarray]):
         return f"ItemRows({len(self)} rows, {self.items.size} items)"
 
 
+class SingleActions(Sequence[UserContext]):
+    """User contexts of one action each, all of one ``event``, held as
+    their item ids: row ``r`` is ``UserContext((items[r],), (event,))``.
+
+    What offline inference hands :meth:`Recommender.recommend_batch` for a
+    block's surface, which asks :meth:`Recommender.rank_items` with the ids
+    as they are.  Indexing a row builds its context; nothing else builds any.
+    """
+
+    __slots__ = ("items", "event")
+
+    def __init__(self, items: Sequence[int], event: EventType) -> None:
+        self.items = _as_item_array(items)
+        self.event = event
+
+    def __len__(self) -> int:
+        return self.items.size
+
+    def __getitem__(self, row: int) -> UserContext:
+        return UserContext((int(self.items[row]),), (self.event,))
+
+    def __repr__(self) -> str:
+        return f"SingleActions({len(self)} rows, {self.event.name})"
+
+
 #: Scratch cells per scored pair in :func:`segmented_top_k`, which pads a
 #: run of rows to its widest pool: runs are cut so that stays at most this
 #: multiple of their pairs, and one catalog-sized pool beside 127 small
@@ -503,10 +528,19 @@ class Recommender(abc.ABC):
         call-for-call — including exclude-context-items and
         NaN/diverged-model semantics.
 
+        Offline inference asks with :class:`SingleActions` and
+        :class:`ItemRows`, which go to :meth:`rank_items` as they are.
+
         The result is the kernels' arrays behind a sequence of
         ``ScoredItem`` lists (:class:`RankedRows`): indexing a row builds
         its list, nothing else builds any.
         """
+        if (
+            exclude_context_items
+            and isinstance(contexts, SingleActions)
+            and isinstance(candidate_lists, ItemRows)
+        ):
+            return self.rank_items(contexts.items, candidate_lists, k, contexts.event)
         contexts = list(contexts)
         if candidate_lists is None:
             candidate_lists = [None] * len(contexts)

@@ -167,9 +167,9 @@ class ExampleSet:
         cls,
         retailer_id: str,
         examples: Sequence[TrainingExample],
-        strength_constraints: bool = True,
-        constrained: Sequence[int] = (),
-        pools: Sequence[Tuple[int, ...]] = (),
+        strength_constraints: bool,
+        constrained: Sequence[int],
+        pools: Sequence[Tuple[int, ...]],
     ) -> "ExampleSet":
         """``examples`` with their contexts and positives flattened once."""
         count = len(examples)
@@ -332,16 +332,6 @@ class BPRTrainer:
             negatives=negatives,
         )
 
-    def _compile_examples(self) -> CompiledExamples:
-        """:attr:`examples` as they stand, flattened again (after a caller
-        replaced them)."""
-        examples = self.examples
-        negatives = np.fromiter(
-            (-1 if example.negative is None else example.negative for example in examples),
-            dtype=np.int64,
-            count=len(examples),
-        )
-        return self._compile(ExampleSet.of(self.dataset.retailer_id, examples), negatives)
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ from repro.data.generator import RetailerSpec, SyntheticRetailer, generate_retai
 from repro.data.sessions import UserContext
 from repro.models.base import ScoredItem
 from repro.models.bpr import BPRHyperParams, BPRModel
-from repro.models.trainer import BPRTrainer
+from repro.models.trainer import BPRTrainer, CompiledExamples, ExampleSet
 from repro.retrieval import ExactRetrieval, ModelRetrieval, RetrievalIndexStore
 from repro.serving.store import RecommendationStore, as_table
 
@@ -31,6 +31,21 @@ def step_one(
     )
     losses = model.sgd_step_batch(csr, np.array([positive]), np.array([negative]))
     return float(losses[0])
+
+
+def recompile(trainer: BPRTrainer) -> CompiledExamples:
+    """``trainer.examples`` as they stand, flattened again through the
+    trainer's own compile — for tests that replace a trainer's examples.
+    Each example's negative is taken as it is (``-1`` for none)."""
+    examples = trainer.examples
+    negatives = np.array(
+        [-1 if example.negative is None else example.negative for example in examples],
+        dtype=np.int64,
+    )
+    flat = ExampleSet.of(
+        trainer.dataset.retailer_id, examples, trainer.strength_constraints, (), ()
+    )
+    return trainer._compile(flat, negatives)
 
 
 SMALL_SPEC = RetailerSpec(

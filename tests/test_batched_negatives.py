@@ -33,6 +33,7 @@ from repro.models.trainer import BPRTrainer, TrainingExample
 
 from tests import reference_batched_negatives as batched
 from tests import reference_batched_sgd as frozen
+from tests.conftest import recompile
 
 _DATASET = dataset_from_synthetic(
     generate_retailer(
@@ -188,7 +189,7 @@ def test_a_batch_with_no_sampled_rows_draws_nothing():
     # epoch reads the shuffle off the stream and nothing else.
     trainer.sampler = sampler
     trainer.examples = [e for e in trainer.examples if e.negative is not None]
-    trainer.compiled = trainer._compile_examples()
+    trainer.compiled = recompile(trainer)
     assert trainer.n_examples > 0
     twin = np.random.default_rng()
     twin.bit_generator.state = trainer._rng.bit_generator.state

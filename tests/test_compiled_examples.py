@@ -1,6 +1,6 @@
 """The one-pass example compile against one ``context_weights`` per example.
 
-``BPRTrainer._compile_examples`` builds every array in one pass and
+``BPRTrainer._compile`` builds every array in one pass and
 weights all contexts of one length as one block
 (``BPRModel.context_weights_csr``).  Each array must be byte-equal to the
 per-example build it replaced, written out here: lengths 1 to 25 (8 and up
@@ -18,6 +18,8 @@ from repro.data.events import EventType
 from repro.data.sessions import UserContext
 from repro.models.bpr import BPRHyperParams, BPRModel
 from repro.models.trainer import BPRTrainer, CompiledExamples, TrainingExample
+
+from tests.conftest import recompile
 
 
 def _per_example(model: BPRModel, examples) -> CompiledExamples:
@@ -79,7 +81,7 @@ def test_one_pass_compile_is_the_per_example_build(
         )
         for length in lengths
     ]
-    _assert_byte_equal(trainer._compile_examples(), _per_example(model, trainer.examples))
+    _assert_byte_equal(recompile(trainer), _per_example(model, trainer.examples))
 
 
 def test_every_length_from_1_to_25_in_one_compile(tiny_dataset):
@@ -107,7 +109,7 @@ def test_every_length_from_1_to_25_in_one_compile(tiny_dataset):
                 for length in rng.permutation(np.repeat(np.arange(1, 26), 5)).tolist()
             ]
             _assert_byte_equal(
-                trainer._compile_examples(), _per_example(model, trainer.examples)
+                recompile(trainer), _per_example(model, trainer.examples)
             )
 
 

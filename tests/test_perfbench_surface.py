@@ -71,15 +71,10 @@ def test_only_a_dag_day_enters_the_graph_runner(monkeypatch, orchestration, runs
 
 
 def test_a_traced_cell_counts_every_candidate_once():
-    """perfbench sums ``len(pool)`` over what the block selectors return:
-    a block's ragged pools must iterate as their rows, so the counter
-    reads the pools' total length.
-
-    It also sums the pools ``recommend_batch`` is handed, but inference
-    ranks a block through ``rank_items``, which the harness does not wrap:
-    its ``models.recommend_batch`` layer sees no inference, and time spent
-    ranking is ``mapreduce.run`` self time, until perfbench wraps
-    ``rank_items`` as well."""
+    """perfbench sums ``len(pool)`` over what the block selectors return
+    and over the pools ``recommend_batch`` is handed: a block's ragged
+    pools must iterate as their rows, so both counters read the pools'
+    total length."""
     service = make_service()
     service.run_day()  # trains and publishes both retailers
     datasets = dict(service._datasets)
@@ -96,4 +91,4 @@ def test_a_traced_cell_counts_every_candidate_once():
             total += len(selector.view_based(item)) + len(selector.purchase_based(item))
     assert total > 0
     assert tracer.counters["core.candidates.candidates"] == total
-    assert "models.items_scored" not in tracer.counters
+    assert tracer.counters["models.items_scored"] == total

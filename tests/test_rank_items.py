@@ -3,11 +3,12 @@
 Offline inference asks every block the same question: for each item id
 ``q`` of the block, the top-``k`` of its pool for a user whose whole
 context is one action on ``q``.  ``Recommender.rank_items`` answers it
-from the ids alone; ``recommend_batch`` sends a batch of single-action
-contexts there, and ``BPRModel`` builds the block's user matrix once for
-both surfaces.  Pinned here, on ``BPRModel`` and on a model that takes the
-base-class path (WALS): ``rank_items``, ``recommend_batch`` on the
-single-item contexts and one ``recommend`` per item return the same ids,
+from the ids alone; ``recommend_batch`` sends it a batch of single-action
+contexts, and inference's ``SingleActions`` batch as the ids it holds, and
+``BPRModel`` builds the block's user matrix once for both surfaces.
+Pinned here, on ``BPRModel`` and on a model that takes the base-class path
+(WALS): ``rank_items``, ``recommend_batch`` on ``SingleActions`` and on
+the single-item contexts, and one ``recommend`` per item return the same ids,
 scores and order, on tables with NaN and inf rows and exact ties, pools
 that hold the query item, empty pools, ``k >= pool`` and ``k <= 0``.
 """
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.data.events import EventType
 from repro.data.sessions import UserContext
-from repro.models.base import ItemRows
+from repro.models.base import ItemRows, SingleActions
 from repro.models.bpr import BPRModel
 from tests.test_recommender_contract import build_wals
 
@@ -94,12 +95,13 @@ def _check(model, case, seen):
     contexts = [UserContext((q,), (event,)) for q in query]
 
     ranked = model.rank_items(np.asarray(query, dtype=np.int64), ItemRows.of(pools), k, event)
+    actions = model.recommend_batch(SingleActions(query, event), ItemRows.of(pools), k=k)
     batched = model.recommend_batch(contexts, pools, k=k)
     per_item = [
         model.recommend(context, k=k, candidates=pool)
         for context, pool in zip(contexts, pools)
     ]
-    assert _bits(ranked) == _bits(batched) == _bits(per_item)
+    assert _bits(ranked) == _bits(actions) == _bits(batched) == _bits(per_item)
     if isinstance(model, BPRModel) and len(query) > 1:
         # Mixed events are no single-item batch: the context path
         # (``_rank_listed``) ranks them, bit for bit the same, since one
@@ -182,6 +184,25 @@ def test_bpr_builds_one_user_matrix_per_block(models, monkeypatch):
     again = model.rank_items(block, views, 2)
     assert len(built) == 3
     assert _bits(again[:1]) == _bits(first[:1]) and _bits(again[1:2]) != _bits(first[1:2])
+
+
+def test_single_actions_are_their_contexts(models, monkeypatch):
+    """A ``SingleActions`` row is the one-action context it stands for;
+    a batch of them reaches ``rank_items`` with no context built, and
+    asked anything else (list pools, own items kept) ranks as those
+    contexts would."""
+    actions = SingleActions(np.array([4, 0, 9]), EventType.CART)
+    contexts = [UserContext((q,), (EventType.CART,)) for q in (4, 0, 9)]
+    assert list(actions) == contexts and actions[-1] == contexts[-1]
+    pools = [[4, 1, 2], [0, 3], []]
+    model = models["bpr"]
+    for exclude in (True, False):
+        ask = dict(k=2, exclude_context_items=exclude)
+        assert _bits(model.recommend_batch(actions, pools, **ask)) == _bits(
+            model.recommend_batch(contexts, pools, **ask)
+        )
+    monkeypatch.setattr(UserContext, "__init__", lambda *a: pytest.fail("context built"))
+    model.recommend_batch(actions, ItemRows.of(pools), k=2)
 
 
 def test_rank_items_rejects_misaligned_pools(models):

@@ -7,7 +7,8 @@ its constraint negatives from it, on its own stream.  Pinned here: the
 ``GridSpec.small()`` configs trained through one shared set end byte-equal
 (parameters, Adagrad sums, epoch losses, compiled arrays) to trainers that
 each build their own, and ``TrainingPipeline.run`` builds each retailer's
-set once per run and keeps none for the next.
+set once per run, lets it go when the retailer's last config has taken
+it, and keeps none for the next.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.core.sweep import SweepPlanner
 from repro.core.training import (
     TrainerSettings,
     TrainingPipeline,
+    _ExampleSets,
     _make_sampler,
     train_config,
 )
@@ -124,3 +126,24 @@ def test_a_run_builds_each_retailers_set_once(small_dataset, tiny_dataset, monke
         published = registry.get(config.retailer_id, config.model_number).model
         assert published._buffer.tobytes() == alone._buffer.tobytes()
         assert np.array_equal(published.optimizer._flat, alone.optimizer._flat)
+
+
+def test_a_set_is_let_go_when_its_last_config_takes_it(small_dataset, tiny_dataset):
+    """The run holds a retailer's set only while a config of it is still
+    to train; a retry past the count builds its own."""
+    datasets = (small_dataset, tiny_dataset)
+    configs = SweepPlanner(GridSpec.small()).full_sweep(list(datasets)).configs
+    sets = _ExampleSets(configs)
+    left = {
+        d.retailer_id: sum(c.retailer_id == d.retailer_id and c.model_kind != "wals" for c in configs)
+        for d in datasets
+    }
+    assert min(left.values()) > 1
+    first = {d.retailer_id: sets.take(d) for d in datasets}
+    for dataset in datasets:
+        for _ in range(left[dataset.retailer_id] - 1):
+            assert dataset.retailer_id in sets._sets
+            assert sets.take(dataset) is first[dataset.retailer_id]
+    assert sets._sets == {}
+    again = sets.take(small_dataset)
+    assert again is not first[small_dataset.retailer_id] and sets._sets == {}

@@ -29,7 +29,7 @@ from repro.models.bpr import BPRHyperParams, BPRModel, concat_ranges
 from repro.models.trainer import DEFAULT_BATCH_SIZE, BPRTrainer
 
 from tests import reference_scalar_sgd as scalar
-from tests.conftest import step_one
+from tests.conftest import recompile, step_one
 
 #: A small synthetic retailer shared by the property tests (hypothesis
 #: cannot take pytest fixtures).
@@ -349,7 +349,7 @@ class TestBatchSizeIsASize:
                 for example in trainer.examples
                 if len(set(example.context.item_indices)) == len(example.context)
             ]
-            trainer.compiled = trainer._compile_examples()
+            trainer.compiled = recompile(trainer)
             return trainer
 
         ours, oracle = trainer_for(), trainer_for()
