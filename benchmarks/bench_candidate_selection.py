@@ -22,29 +22,31 @@ from repro.cooccurrence.counts import CoOccurrenceCounts
 from repro.core.candidates import CandidateSelector, RepurchaseDetector
 
 
-def build_selector(dataset, max_candidates=1000):
+def build_selector(dataset, view_lca_k=2, max_candidates=1000):
     counts = CoOccurrenceCounts.from_interactions(dataset.n_items, dataset.train)
     return CandidateSelector(
         taxonomy=dataset.taxonomy,
         counts=counts,
         catalog=dataset.catalog,
         repurchase=RepurchaseDetector(dataset.taxonomy, dataset.train),
+        view_lca_k=view_lca_k,
         max_candidates=max_candidates,
     )
 
 
-def recall_and_size(dataset, selector, k):
-    hits, sizes = 0, []
-    for example in dataset.holdout:
-        if len(example.context) == 0:
-            continue
-        query = example.context.most_recent_item
-        candidates = selector.view_based(query, lca_k=k)
-        sizes.append(len(candidates))
-        if example.held_out_item in candidates:
-            hits += 1
+def recall_and_size(dataset, selector):
+    """One block of every holdout example's query item, read at the
+    selector's ``view_lca_k``."""
+    examples = [example for example in dataset.holdout if len(example.context)]
+    pools = selector.batch_view_based(
+        [example.context.most_recent_item for example in examples]
+    )
+    hits = sum(
+        bool((pool == example.held_out_item).any())
+        for example, pool in zip(examples, pools)
+    )
     total = len(dataset.holdout)
-    return hits / total, float(np.mean(sizes))
+    return hits / total, float(np.mean(pools.sizes))
 
 
 def test_lca_k_tradeoff(fleet, benchmark, capsys):
@@ -58,8 +60,8 @@ def test_lca_k_tradeoff(fleet, benchmark, capsys):
     for k in (1, 2, 3):
         recalls, sizes = [], []
         for dataset in fleet:
-            selector = build_selector(dataset)
-            recall, size = recall_and_size(dataset, selector, k)
+            selector = build_selector(dataset, view_lca_k=k)
+            recall, size = recall_and_size(dataset, selector)
             recalls.append(recall)
             sizes.append(size)
         mean_recall = float(np.mean(recalls))
@@ -90,4 +92,4 @@ def test_lca_k_tradeoff(fleet, benchmark, capsys):
 
     dataset = fleet[0]
     selector = build_selector(dataset)
-    benchmark(lambda: selector.view_based(0, lca_k=2))
+    benchmark(lambda: selector.batch_view_based([0]))

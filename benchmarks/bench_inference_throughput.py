@@ -4,13 +4,14 @@ The daily loop's inference cost is dominated by Python overhead: two
 scoring calls per item (view + purchase surface), each re-deriving the
 candidate pool and paying a full interpreter round trip for one gemv.
 The batched path ranks each 128-item block as one flat array: its
-``(item, candidate)`` pairs scored in one gather-and-dot (``score_pairs``:
-only the pairs asked for, never ``block x |union of candidate lists|``)
-and selected in one ``segmented_top_k``, over the flat candidate arrays
-the block's selection emitted (runs of the taxonomy index's members
-array, cut and gathered once per block).  The order is ``top_k_select``'s,
-which the per-item path applies row by row; the per-item path reads its
-pools as one-row blocks (``view_based`` / ``purchase_based``).
+``(item, candidate)`` pairs scored in one gather-and-dot
+(``_score_queries``: only the pairs asked for, never ``block x |union of
+candidate lists|``) and selected in one ``segmented_top_k``, over the
+flat candidate arrays the block's selection emitted (runs of the taxonomy
+index's members array, cut and gathered once per block).  The order is
+``top_k_select``'s, which the per-item path applies row by row; the
+per-item path reads its pools as one-row blocks
+(``batch_view_based([item])`` / ``batch_purchase_based([item])``).
 
 Measured here, per synthetic retailer scale:
 
@@ -20,19 +21,15 @@ Measured here, per synthetic retailer scale:
 2. holdout examples/s — a per-example loop over ``rank_of`` /
    ``estimate_rank`` (built here; the library has one evaluator) vs
    ``HoldoutEvaluator`` (exact or sampled, whichever the scale selects),
-3. whole-catalog pools — ``recommend(context)`` per item vs
-   ``recommend_batch(block, None)`` on the first ``CATALOG_ITEMS`` items:
-   the dense question, which ``recommend_batch`` hands to
-   ``score_contexts`` (one GEMM per block), not to the pair kernel,
-4. the top-k stage alone — ``top_k_select`` row by row vs one
+3. the top-k stage alone — ``top_k_select`` row by row vs one
    ``segmented_top_k`` over the same scored 128-item blocks (view
    surface), in rows/s, so the table shows which stage a change in the
    totals above came from,
-5. selection alone — one-row reads (``view_based`` + ``purchase_based``
-   per item) vs ``batch_view_based`` + ``batch_purchase_based`` over
+4. selection alone — one-row blocks (``batch_view_based([item])`` +
+   ``batch_purchase_based([item])`` per item) vs the same readers over
    128-item blocks, in items/s, rows checked equal first,
-6. publish — one ``PUBLISH_SCALE`` retailer through the day's own
-   rank -> reduce -> gate -> load (``InferencePipeline.run``,
+5. publish — one ``PUBLISH_SCALE`` retailer through the day's own
+   rank -> reduce -> gate -> load (``InferencePipeline.run_cell``,
    ``PublishGate.validate`` and ``RecommendationStore.load_batch`` on
    both surfaces): recommendations published, what the garbage collector
    cost over that stretch (``gc.callbacks``), and how many tracked
@@ -40,7 +37,7 @@ Measured here, per synthetic retailer scale:
    A published table is arrays, so that is a handful of objects per
    *table*; as lists of ``ScoredItem`` it was 1.23 per recommendation,
    re-walked by every later full collection,
-7. parity — batched results must equal the per-item reference
+6. parity — batched results must equal the per-item reference
    item-for-item, and the two selections position-for-position, before
    any timing counts.
 
@@ -56,8 +53,8 @@ holds the publish section to zero live ``ScoredItem`` and
 fleets are too small for collector time to show, so this is where CI
 catches a table that went back to being objects.  It also counts calls
 over a second inference run of that retailer, in both modes: no
-``UserContext`` built, and per 128-item block two ``rank_items`` calls
-(one per surface) and one ``BPRModel.query_users`` user matrix.
+``UserContext`` built, and per 128-item block two ``recommend_batch``
+calls and two ``BPRModel.query_users`` user matrices (one per surface).
 """
 
 from __future__ import annotations
@@ -123,8 +120,6 @@ PUBLISH_OBJECTS_PER_REC = 0.05
 MEDIUM_BAR = 3.6
 BLOCK = 128
 TOP_K = 10
-#: Contexts in the whole-catalog case (four blocks; ``n_items`` if fewer).
-CATALOG_ITEMS = 512
 #: Timed laps per path; the fastest counts (standard best-of-N to keep
 #: scheduler noise out of the committed numbers).
 LAPS = 3
@@ -173,12 +168,15 @@ NOTE = (
     "5 200 / 2 973 / 2 060, batched_items_per_s 8 953 / 3 966 / 2 920 and "
     "inference_speedup 1.72 / 1.33 / 1.42 (small / medium / large; medium "
     "below MEDIUM_BAR on that box that hour).  'publish' is one 2 000-item "
-    "retailer through InferencePipeline.run -> PublishGate.validate -> "
+    "retailer through InferencePipeline.run_cell -> PublishGate.validate -> "
     "RecommendationStore.load_batch on both surfaces; gc_s is gc.callbacks "
     "time over that stretch, tracked_objects_per_rec what gc.get_objects() "
     "grew by, per published recommendation, once both stores serve (the "
     "parent's dict-of-lists tables: 106 collections, 1.23 objects per rec, "
-    "all 34 688 ScoredItem alive)."
+    "all 34 688 ScoredItem alive).  The whole-catalog section "
+    "(catalog_* columns, recommend_batch with candidates=None) left with "
+    "that path, and the one-row reads became one-row blocks: recommend_batch "
+    "ranks item ids against their own pools only."
 )
 
 
@@ -212,11 +210,11 @@ def _build(n_items, n_users, n_events):
 def _check_parity(model, selector, contexts, items):
     """Batched output must equal the per-item reference before timing."""
     view_lists = selector.batch_view_based(items)
-    batched = model.recommend_batch(contexts, view_lists, k=TOP_K)
+    batched = model.recommend_batch(items, view_lists, k=TOP_K)
     stride = max(1, len(items) // 50)
     for i in items[::stride]:
         reference = model.recommend(
-            contexts[i], k=TOP_K, candidates=selector.view_based(i)
+            contexts[i], k=TOP_K, candidates=selector.batch_view_based([i])[0]
         )
         assert [s.item_index for s in batched[i]] == [
             s.item_index for s in reference
@@ -233,61 +231,37 @@ def _inference_rates(model, selector, n_items):
 
     def per_item():
         for i in items:
-            model.recommend(contexts[i], k=TOP_K, candidates=selector.view_based(i))
-            model.recommend(
-                contexts[i], k=TOP_K, candidates=selector.purchase_based(i)
-            )
+            (view,) = selector.batch_view_based([i])
+            model.recommend(contexts[i], k=TOP_K, candidates=view)
+            (buy,) = selector.batch_purchase_based([i])
+            model.recommend(contexts[i], k=TOP_K, candidates=buy)
 
     def batched():
         for start in range(0, n_items, BLOCK):
             block = items[start : start + BLOCK]
-            ctx = contexts[start : start + BLOCK]
-            model.recommend_batch(ctx, selector.batch_view_based(block), k=TOP_K)
-            model.recommend_batch(
-                ctx, selector.batch_purchase_based(block), k=TOP_K
-            )
+            model.recommend_batch(block, selector.batch_view_based(block), k=TOP_K)
+            model.recommend_batch(block, selector.batch_purchase_based(block), k=TOP_K)
 
     item_s, batch_s = _best_laps(per_item, batched)
     return n_items / item_s, n_items / batch_s
 
 
-def _catalog_rates(model, n_items):
-    """Whole-catalog pools: every context against every item."""
-    contexts = [
-        UserContext((i,), (EventType.VIEW,))
-        for i in range(min(n_items, CATALOG_ITEMS))
-    ]
-    batched = model.recommend_batch(contexts[:BLOCK], None, k=TOP_K)
-    for context, recs in zip(contexts[:BLOCK], batched):
-        reference = model.recommend(context, k=TOP_K)
-        assert [s.item_index for s in recs] == [s.item_index for s in reference]
-
-    def per_item():
-        for context in contexts:
-            model.recommend(context, k=TOP_K)
-
-    def in_blocks():
-        for start in range(0, len(contexts), BLOCK):
-            model.recommend_batch(contexts[start : start + BLOCK], None, k=TOP_K)
-
-    item_s, batch_s = _best_laps(per_item, in_blocks)
-    return len(contexts) / item_s, len(contexts) / batch_s
-
-
 def _select_rates(selector, n_items):
-    """Candidate selection alone: one-row reads vs 128-item blocks."""
+    """Candidate selection alone: one-row blocks vs 128-item blocks."""
     items = list(range(n_items))
     blocks = [items[start : start + BLOCK] for start in range(0, n_items, BLOCK)]
     for block in blocks:
         views, buys = selector.batch_view_based(block), selector.batch_purchase_based(block)
         for item, view, buy in zip(block, views, buys):
-            assert view.tolist() == selector.view_based(item), "selection parity broke"
-            assert buy.tolist() == selector.purchase_based(item), "selection parity broke"
+            (alone,) = selector.batch_view_based([item])
+            assert np.array_equal(view, alone), "selection parity broke"
+            (alone,) = selector.batch_purchase_based([item])
+            assert np.array_equal(buy, alone), "selection parity broke"
 
     def one_row():
         for item in items:
-            selector.view_based(item)
-            selector.purchase_based(item)
+            selector.batch_view_based([item])
+            selector.batch_purchase_based([item])
 
     def in_blocks():
         for block in blocks:
@@ -306,8 +280,7 @@ def _top_k_rates(model, selector, n_items):
         pools = selector.batch_view_based(block)
         items, sizes = pools.items, pools.sizes
         owners = np.repeat(np.arange(sizes.size), sizes)
-        contexts = [UserContext((i,), (EventType.VIEW,)) for i in block]
-        scores = model.score_pairs(contexts, items, owners, sizes)
+        scores = model._score_queries(np.array(block), EventType.VIEW, items, owners, sizes)
         blocks.append((scores, items, owners, sizes))
 
     def per_row():
@@ -365,7 +338,8 @@ def _publish_row():
     gc.callbacks.append(on_collection)
     try:
         start = time.perf_counter()
-        results, _ = pipeline.run({rid: dataset})
+        results, _, _, failed = pipeline.run_cell("cell", {rid: dataset}, 0)
+        assert not failed, failed
         result = results[rid]
         tables = (result.view_recs, result.purchase_recs)
         for table, store, allow_empty in zip(tables, stores, (False, True)):
@@ -380,14 +354,16 @@ def _publish_row():
         gc.callbacks.remove(on_collection)
     # What an inference run builds per block, counted over a second run
     # (the timed one above pays no wrappers): no per-item ``UserContext``,
-    # one user matrix shared by a block's two surfaces.
+    # one ranking call and one user matrix per surface.
     with counting(
-        (UserContext, "__init__"), (BPRModel, "query_users"), (Recommender, "rank_items")
+        (UserContext, "__init__"),
+        (BPRModel, "query_users"),
+        (Recommender, "recommend_batch"),
     ) as calls:
-        pipeline.run({rid: dataset})
+        pipeline.run_cell("cell", {rid: dataset}, 1)
     # The pipeline (selector memos, cost ledger) is the day's, not the
     # publication's: what stays is the gate, the tables and the two stores.
-    del pipeline, results, result
+    del pipeline, results, result, failed
     gc.collect()
     alive = gc.get_objects()
     n_recs = sum(len(recs) for table in tables for recs in table.values())
@@ -401,7 +377,7 @@ def _publish_row():
         "tracked_objects_per_rec": round((len(alive) - tracked_before) / n_recs, 4),
         "live_scored_items": sum(type(obj) is ScoredItem for obj in alive),
         "blocks": -(-dataset.n_items // DEFAULT_BLOCK_SIZE),
-        "rank_items_calls": calls["rank_items"],
+        "recommend_batch_calls": calls["recommend_batch"],
         "user_matrices": calls["query_users"],
         "contexts_built": calls["__init__"],
     }
@@ -452,7 +428,6 @@ def _measure(name, spec):
     dataset, model, selector = _build(n_items, n_users, n_events)
     item_rate, batch_rate = _inference_rates(model, selector, n_items)
     eval_loop, eval_batch, eval_mode = _evaluation_rates(dataset, model)
-    catalog_item_rate, catalog_batch_rate = _catalog_rates(model, n_items)
     top_k_row_rate, top_k_segmented_rate = _top_k_rates(model, selector, n_items)
     select_row_rate, select_block_rate = _select_rates(selector, n_items)
     return {
@@ -465,9 +440,6 @@ def _measure(name, spec):
         "loop_examples_per_s": round(eval_loop, 1),
         "batched_examples_per_s": round(eval_batch, 1),
         "eval_speedup": round(eval_batch / eval_loop, 2),
-        "catalog_per_item_items_per_s": round(catalog_item_rate, 1),
-        "catalog_batched_items_per_s": round(catalog_batch_rate, 1),
-        "catalog_speedup": round(catalog_batch_rate / catalog_item_rate, 2),
         "top_k_per_row_rows_per_s": round(top_k_row_rate, 1),
         "top_k_segmented_rows_per_s": round(top_k_segmented_rate, 1),
         "top_k_speedup": round(top_k_segmented_rate / top_k_row_rate, 2),
@@ -513,23 +485,6 @@ def test_inference_throughput(capsys):
         )
     lines += [
         "",
-        f"whole-catalog pools (candidates=None), first {CATALOG_ITEMS} items, k=10",
-        "",
-        fmt_row("scale", "items", "item/s", "batch/s", "speedup", widths=widths),
-    ]
-    for row in rows:
-        lines.append(
-            fmt_row(
-                row["scale"],
-                row["n_items"],
-                f"{row['catalog_per_item_items_per_s']:,.0f}",
-                f"{row['catalog_batched_items_per_s']:,.0f}",
-                f"{row['catalog_speedup']:.2f}x",
-                widths=widths,
-            )
-        )
-    lines += [
-        "",
         f"top-k stage alone: view-surface blocks of {BLOCK} scored beforehand, k=10",
         "",
         fmt_row("scale", "items", "per-row/s", "segment/s", "speedup", widths=widths),
@@ -547,7 +502,7 @@ def test_inference_throughput(capsys):
         )
     lines += [
         "",
-        f"selection alone: both surfaces per item, one-row reads vs blocks of {BLOCK}",
+        f"selection alone: both surfaces per item, one-row blocks vs blocks of {BLOCK}",
         "",
         fmt_row("scale", "items", "one-row/s", "block/s", "speedup", widths=widths),
     ]
@@ -584,8 +539,8 @@ def test_inference_throughput(capsys):
         ),
     ]
     lines.append(
-        f"inference run: {publish['blocks']} blocks, {publish['rank_items_calls']} "
-        f"rank_items calls, {publish['user_matrices']} user matrices, "
+        f"inference run: {publish['blocks']} blocks, {publish['recommend_batch_calls']} "
+        f"recommend_batch calls, {publish['user_matrices']} user matrices, "
         f"{publish['contexts_built']} UserContext built"
     )
     emit("E22", "batched inference & evaluation throughput", lines, capsys)
@@ -593,18 +548,17 @@ def test_inference_throughput(capsys):
     # A published table is arrays: nothing it holds is a tracked object.
     assert publish["live_scored_items"] == 0, publish
     assert publish["tracked_objects_per_rec"] < PUBLISH_OBJECTS_PER_REC, publish
-    # A block ranks its item ids: no context object per item, and one user
-    # matrix for both surfaces.
+    # A block ranks its item ids: no context object per item, and one
+    # ranking call and one user matrix per surface.
     assert publish["contexts_built"] == 0, publish
-    assert publish["rank_items_calls"] == 2 * publish["blocks"], publish
-    assert publish["user_matrices"] == publish["blocks"], publish
+    assert publish["recommend_batch_calls"] == 2 * publish["blocks"], publish
+    assert publish["user_matrices"] == 2 * publish["blocks"], publish
 
     if fast:
         # CI smoke: batched must never be slower than per-item, even on a
         # retailer small enough that there is little to amortize.
         for row in rows:
             assert row["inference_speedup"] >= FAST_BARS[row["scale"]], row
-            assert row["catalog_speedup"] >= 1.0, row
             assert row["eval_speedup"] >= 1.0, row
         fast2k = next(row for row in rows if row["scale"] == "fast2k")
         assert fast2k["select_speedup"] >= FAST_SELECT_BAR, fast2k
@@ -613,7 +567,6 @@ def test_inference_throughput(capsys):
     by_scale = {row["scale"]: row for row in rows}
     assert by_scale["medium"]["inference_speedup"] >= MEDIUM_BAR, by_scale["medium"]
     for row in rows:
-        assert row["catalog_speedup"] >= 1.0, row
         assert row["eval_speedup"] >= 1.0, row
 
     RESULTS_JSON.write_text(

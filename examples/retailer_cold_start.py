@@ -111,7 +111,7 @@ def main() -> None:
     )
     if cold_items:
         cold = cold_items[0]
-        candidates = selector.view_based(cold)
+        candidates = selector.batch_view_based([cold])[0]
         print(
             f"  cold item {dataset.catalog[cold].item_id} still gets "
             f"{len(candidates)} candidates via its taxonomy neighbourhood"

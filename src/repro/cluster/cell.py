@@ -110,12 +110,6 @@ class Cell:
                 return
         raise ClusterError(f"vm {vm.vm_id} not found in cell {self.name!r}")
 
-    def machine_of(self, vm: VirtualMachine) -> Machine:
-        for machine in self.machines:
-            if machine.machine_id == vm.machine_id:
-                return machine
-        raise ClusterError(f"vm {vm.vm_id} references unknown machine")
-
 
 class Cluster:
     """Several cells with (typically) different amounts of free capacity."""
@@ -137,9 +131,6 @@ class Cluster:
     def cells_by_free_capacity(self) -> List[Cell]:
         """Cells ordered most-free-first — where Sigmund sends work."""
         return sorted(self.cells.values(), key=lambda cell: -cell.free_cpus)
-
-    def total_free_cpus(self) -> int:
-        return sum(cell.free_cpus for cell in self.cells.values())
 
     def split_by_capacity(self, total_shards: int) -> Dict[str, int]:
         """Divide ``total_shards`` units of work across cells ∝ free CPUs.

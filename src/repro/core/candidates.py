@@ -12,8 +12,12 @@ Sigmund instead selects ~a thousand likely candidates per item:
 * **Re-purchasable categories** (diapers, water): detected by repeat
   purchases; for them the substitutes are *not* removed and periodic
   recommendations are made on the category's observed repurchase cycle.
-* **Late-funnel users** get candidates constrained to the query item's
-  facets (same color apparel, same weight-class laptop, ...).
+
+The paper also tightens a late-funnel user's candidates to the query
+item's facets (same color apparel, same weight-class laptop, ...).  That
+is a question about a live user's context, which offline inference over
+item ids never asks, so it is not reproduced here (DESIGN.md,
+"Late-funnel tightening is not reproduced").
 """
 
 from __future__ import annotations
@@ -21,14 +25,13 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.cooccurrence.counts import CoOccurrenceCounts
 from repro.data.catalog import Catalog
 from repro.data.events import EventType, Interaction
-from repro.data.sessions import UserContext
 from repro.data.taxonomy import Taxonomy, TaxonomyIndex
 from repro.exceptions import DataError, TaxonomyError
 from repro.models.base import ItemRows
@@ -48,38 +51,6 @@ DEFAULT_CO_NEIGHBOURS = 20
 #: attached — far below ``max_candidates`` because ANN neighbours are
 #: already ranked by model score rather than taxonomy membership.
 DEFAULT_RETRIEVAL_CANDIDATES = 256
-
-
-def classify_funnel(context: UserContext, taxonomy: Taxonomy) -> str:
-    """Classify a user context as ``"early"`` or ``"late"`` funnel.
-
-    Paper section III-D1: "we also distinguish between early funnel and
-    late funnel users.  For late funnel users, we focus very close to the
-    viewed item".  A user is late-funnel when their recent actions show
-    *converged intent*: strong events (search/cart) concentrated in one
-    category neighbourhood.  Browsing across categories is early funnel.
-    """
-    if len(context) < 2:
-        return "early"
-    recent_items = context.item_indices[-4:]
-    recent_events = context.events[-4:]
-    has_strong_intent = any(
-        event >= EventType.SEARCH for event in recent_events
-    )
-    if not has_strong_intent:
-        return "early"
-    categorized = [
-        item for item in recent_items if taxonomy.has_item(item)
-    ]
-    if len(categorized) < 2:
-        return "early"
-    anchor = categorized[-1]
-    near = sum(
-        1
-        for item in categorized
-        if taxonomy.lca_distance(item, anchor) <= 2
-    )
-    return "late" if near / len(categorized) >= 0.75 else "early"
 
 
 class RepurchaseDetector:
@@ -213,21 +184,18 @@ class CandidateSelector:
         query: np.ndarray,
         seeds: Tuple[np.ndarray, np.ndarray],
         k: int,
-        strip: bool = False,
-        refine: Optional[Callable[[int, np.ndarray], np.ndarray]] = None,
+        strip: bool,
     ) -> ItemRows:
         """A block's taxonomy pools: the union of each row's ``seeds``
         (``(rows, seed items)``) expanded to ``lca_k``, cut and gathered as
         runs of the index (:meth:`TaxonomyIndex.expand`) without the query
-        item — and, with ``strip``, without its substitutes.  ``refine``
-        (a facet filter) then visits every row, :meth:`_cap` a row over
-        ``max_candidates``."""
+        item — and, with ``strip``, without its substitutes."""
         if k < 0:
             raise TaxonomyError("k must be non-negative")
         index = self.taxonomy.index()
         drop = self._substitutes(index, query) if strip else (np.full(query.size, -1),) * 2
         items, bounds = index.expand(query, *seeds, k, 4 * self.max_candidates, *drop)
-        return self._finish(query, items, bounds, refine)
+        return self._finish(query, items, bounds)
 
     def _substitutes(
         self, index: TaxonomyIndex, query: np.ndarray
@@ -249,33 +217,16 @@ class CandidateSelector:
         held = subs >= 0
         return np.where(held, index.cat_enter[subs], -1), np.where(held, index.cat_exit[subs], -1)
 
-    def _finish(self, query, items, bounds, refine) -> ItemRows:
-        """The block's rows: every row ``refine``-d (if given), then one
-        over ``max_candidates`` through :meth:`_cap`."""
-        visit = (bounds[1:] - bounds[:-1] > self.max_candidates) | (refine is not None)
+    def _finish(self, query, items, bounds) -> ItemRows:
+        """The block's rows, each one over ``max_candidates`` cut through
+        :meth:`_cap`."""
+        visit = bounds[1:] - bounds[:-1] > self.max_candidates
         if not visit.any():
             return ItemRows(items, bounds)
         rows = [items[lo:hi] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
         for row in visit.nonzero()[0].tolist():
-            pool = rows[row] if refine is None else refine(row, rows[row])
-            rows[row] = self._cap(int(query[row]), pool)
+            rows[row] = self._cap(int(query[row]), rows[row])
         return ItemRows.of(rows)
-
-    def _match_facets(
-        self, item_index: int, candidates: np.ndarray, facets: Sequence[str]
-    ) -> np.ndarray:
-        """Candidates whose value equals the query item's on every facet
-        (none where the query item itself lacks one of them)."""
-        query = self.catalog[item_index].facets
-        wanted = [(facet, query.get(facet)) for facet in facets]
-        if any(value is None for _, value in wanted):
-            return candidates[:0]
-        catalog = self.catalog
-        keep = [
-            all(catalog[other].facets.get(facet) == value for facet, value in wanted)
-            for other in candidates.tolist()
-        ]
-        return candidates[np.array(keep, dtype=bool)]
 
     def _cap(self, item_index: int, candidates: np.ndarray) -> np.ndarray:
         """Deterministic cap of a sorted unique pool: strongest co-view
@@ -308,90 +259,52 @@ class CandidateSelector:
         return capped
 
     # ------------------------------------------------------------------
-    # View-based (substitutes, before the purchase decision)
+    # Block readers: one sorted int64 row per item of the block
     # ------------------------------------------------------------------
-    def view_based(
-        self,
-        item_index: int,
-        lca_k: Optional[int] = None,
-        same_facets: Optional[Sequence[str]] = None,
-    ) -> List[int]:
-        """``C = union over j in cv(i) of lca_k(j)`` (minus the item itself).
+    def batch_view_based(
+        self, items: Sequence[int], neighbours: Optional[NeighbourPass] = None
+    ) -> ItemRows:
+        """View-based candidates (substitutes, before the purchase
+        decision): ``C = union over j in cv(i) of lca_k(j)``, minus the
+        item itself, with ``k = view_lca_k``.
 
         Cold items with no co-view data fall back to their own taxonomy
         neighbourhood — the cold-start path the taxonomy feature exists
-        for.  ``same_facets`` restricts candidates to items matching the
-        query item's facet values (late-funnel tightening).
-
-        One row of :meth:`batch_view_based`'s taxonomy pools, as a list.
-        """
-        k = self.view_lca_k if lca_k is None else lca_k
-        return self._taxonomy_pools([item_index], k, False, same_facets)[0].tolist()
-
-    def batch_view_based(
-        self,
-        items: Sequence[int],
-        lca_k: Optional[int] = None,
-        same_facets: Optional[Sequence[str]] = None,
-        neighbours: Optional[NeighbourPass] = None,
-    ) -> ItemRows:
-        """:meth:`view_based` for a block of items, one sorted int64 row
-        per item — from the attached retrieval index where there is one
-        (and ``k >= 1``, no facets), else from the taxonomy index.
-        ``neighbours`` is the block's shared pass (:meth:`neighbour_pass`
-        over these ``items``); without it the reader draws its own."""
-        k = self.view_lca_k if lca_k is None else lca_k
+        for.  From the attached retrieval index where there is one (and
+        ``k >= 1``), else from the taxonomy index.  ``neighbours`` is the
+        block's shared pass (:meth:`neighbour_pass` over these ``items``);
+        without it the reader draws its own.  A lone item is a block of
+        one: ``batch_view_based([item])[0]``."""
         self.metrics.counter("candidate_batches_total", kind="view").inc()
         self.metrics.counter(
             "candidate_items_total", kind="view"
         ).inc(len(items))
-        if self.retrieval is not None and k >= 1 and not same_facets:
+        if self.retrieval is not None and self.view_lca_k >= 1:
             return self._retrieval_pools(items, False, neighbours)
-        return self._taxonomy_pools(items, k, False, same_facets)
+        return self._taxonomy_pools(items, self.view_lca_k, False)
 
-    # ------------------------------------------------------------------
-    # Purchase-based (complements, after the purchase decision)
-    # ------------------------------------------------------------------
-    def purchase_based(
-        self, item_index: int, lca_k: Optional[int] = None
-    ) -> List[int]:
-        """``C = union over j in cb(i) of lca_1(j) minus lca_1(i)``.
+    def batch_purchase_based(
+        self, items: Sequence[int], neighbours: Optional[NeighbourPass] = None
+    ) -> ItemRows:
+        """Purchase-based candidates (complements, after the purchase
+        decision): ``C = union over j in cb(i) of lca_k(j) minus lca_k(i)``,
+        with ``k = purchase_lca_k``.
 
         The subtraction removes substitutes of the just-bought item —
         nobody wants a second phone right after buying one — *except* for
         re-purchasable categories, where the same items are exactly right.
-
-        One row of :meth:`batch_purchase_based`'s taxonomy pools, as a list.
-        """
-        k = self.purchase_lca_k if lca_k is None else lca_k
-        return self._taxonomy_pools([item_index], k, True)[0].tolist()
-
-    def batch_purchase_based(
-        self,
-        items: Sequence[int],
-        lca_k: Optional[int] = None,
-        neighbours: Optional[NeighbourPass] = None,
-    ) -> ItemRows:
-        """:meth:`purchase_based` for a block of items, one sorted int64
-        row per item — the attached retrieval index's neighbours where
-        there is one (and ``k >= 1``), substitutes stripped the same way.
-        ``neighbours`` as for :meth:`batch_view_based`."""
-        k = self.purchase_lca_k if lca_k is None else lca_k
+        The attached retrieval index's neighbours where there is one (and
+        ``k >= 1``), substitutes stripped the same way.  ``neighbours`` as
+        for :meth:`batch_view_based`."""
         self.metrics.counter("candidate_batches_total", kind="purchase").inc()
         self.metrics.counter(
             "candidate_items_total", kind="purchase"
         ).inc(len(items))
-        if self.retrieval is not None and k >= 1:
+        if self.retrieval is not None and self.purchase_lca_k >= 1:
             return self._retrieval_pools(items, True, neighbours)
-        return self._taxonomy_pools(items, k, True)
+        return self._taxonomy_pools(items, self.purchase_lca_k, True)
 
-    def _taxonomy_pools(
-        self,
-        items: Sequence[int],
-        k: int,
-        bought: bool,
-        same_facets: Optional[Sequence[str]] = None,
-    ) -> ItemRows:
+    def _taxonomy_pools(self, items: Sequence[int], k: int, bought: bool) -> ItemRows:
         """Seeds: the co-bought (``bought``) or co-viewed neighbours; a row
         with none falls back to its co-viewed ones (``bought``) or to its
         own item.  ``bought`` also strips the query's substitutes."""
@@ -407,11 +320,7 @@ class CandidateSelector:
             else:
                 more_rows, more = empty, query[empty]
             rows, seeds = np.concatenate([rows, more_rows]), np.concatenate([seeds, more])
-        refine = None
-        if same_facets:
-            def refine(row: int, pool: np.ndarray) -> np.ndarray:
-                return self._match_facets(int(query[row]), pool, same_facets)
-        return self._pools(query, (rows, seeds), k, bought, refine)
+        return self._pools(query, (rows, seeds), k, bought)
 
     def neighbour_pass(self, items: Sequence[int]) -> Optional[NeighbourPass]:
         """The block's retrieval neighbours, not yet drawn; ``None``
@@ -446,45 +355,4 @@ class CandidateSelector:
             drop |= (sub_lo[:, None] <= inside) & (inside < sub_hi[:, None])
         bounds = np.zeros(query.size + 1, dtype=np.int64)
         np.cumsum(drop.shape[1] - drop.sum(axis=1), out=bounds[1:])
-        return self._finish(query, ids[~drop], bounds, None)
-
-    # ------------------------------------------------------------------
-    # Context-aware selection (funnel stage)
-    # ------------------------------------------------------------------
-    def for_context(self, context: UserContext) -> List[int]:
-        """Candidates for a live context, tightened for late-funnel users.
-
-        Early funnel: the normal view-based expansion around the most
-        recent item.  Late funnel (converged intent): candidates are
-        constrained "very close to the viewed item" — same category
-        (lca 1) and matching facets where the query item has them.
-        """
-        if len(context) == 0:
-            return []
-        query = context.most_recent_item
-        stage = classify_funnel(context, self.taxonomy)
-        if stage == "late":
-            return self.near_item(query)
-        return self.view_based(query)
-
-    def near_item(self, item_index: int) -> List[int]:
-        """Candidates "very close to the viewed item" (late funnel).
-
-        Same category (lca 1) around the *query item itself*, facet-
-        matched where the item carries facets; falls back to the plain
-        same-category set when the facet filter empties the pool.
-        """
-        facets = [
-            name
-            for name, value in self.catalog[item_index].facets.items()
-            if value is not None
-        ]
-
-        def refine(row: int, pool: np.ndarray) -> np.ndarray:
-            matched = self._match_facets(item_index, pool, facets) if facets else pool
-            return matched if matched.size else pool
-
-        query = np.array([item_index], dtype=np.int64)
-        seeds = (np.zeros(1, dtype=np.int64), query)
-        return self._pools(query, seeds, 1, refine=refine)[0].tolist()
-
+        return self._finish(query, ids[~drop], bounds)

@@ -48,7 +48,7 @@ from repro.mapreduce.runtime import (
     MapReduceRuntime,
 )
 from repro.mapreduce.splits import InputSplit
-from repro.models.base import ItemRows, RankedRows, Recommender, SingleActions
+from repro.models.base import ItemRows, RankedRows, Recommender
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracing import NULL_TRACER
 from repro.retrieval.backend import ModelRetrieval
@@ -180,7 +180,7 @@ class InferencePipeline:
         heaviest retailer group lands on the cell with the most spare
         capacity instead of whatever dict insertion order yields.
 
-        Exposed separately from :meth:`run` so the service layer can
+        Exposed separately from :meth:`run_cell` so the service layer can
         journal the assignment as *intent* before executing any cell: a
         recovery then re-runs only the incomplete cells with the
         original bins, rather than re-planning against a cluster whose
@@ -206,54 +206,6 @@ class InferencePipeline:
             for cell_name, group in zip(cells, cell_bins)
             if group
         ]
-
-    def run(
-        self,
-        datasets: Dict[str, RetailerDataset],
-        day: int = 0,
-        assignment: Optional[List[Tuple[str, List[str]]]] = None,
-        metrics=NULL_METRICS,
-        tracer=NULL_TRACER,
-        retrieval: Optional[Dict[str, ModelRetrieval]] = None,
-    ) -> Tuple[Dict[str, InferenceResult], InferenceStats]:
-        """Run inference for every retailer with a trained model.
-
-        ``assignment`` overrides the cell plan (see :meth:`plan`); the
-        recovery path passes the journaled one.  ``retrieval`` maps
-        retailer ids to pre-built ANN adapters (the service passes the
-        day's published indexes); retailers not in the mapping keep the
-        taxonomy candidate walk.
-        """
-        stats = InferenceStats()
-        if assignment is None:
-            assignment = self.plan(datasets)
-        results: Dict[str, InferenceResult] = {}
-        failed: Dict[str, str] = {}
-        for cell_name, retailer_group in assignment:
-            if not retailer_group:
-                continue
-            group = {rid: datasets[rid] for rid in retailer_group}
-            try:
-                cell_results, job_stats, loads, cell_failed = self.run_cell(
-                    cell_name,
-                    group,
-                    day,
-                    metrics=metrics,
-                    tracer=tracer,
-                    retrieval=retrieval,
-                )
-            except SigmundError as exc:
-                # The whole cell job died; its retailers degrade, the
-                # other cells still publish fresh tables.
-                failed.update(
-                    {rid: f"cell {cell_name!r}: {exc}" for rid in group}
-                )
-                continue
-            results.update(cell_results)
-            failed.update(cell_failed)
-            self.fold_cell(stats, cell_name, job_stats, loads)
-        self.finalize_stats(stats, results, failed)
-        return results, stats
 
     @staticmethod
     def fold_cell(
@@ -376,13 +328,15 @@ class InferencePipeline:
             neighbours = selector.neighbour_pass(query)
             view_recs = self._rank_block(
                 model,
-                SingleActions(query, EventType.VIEW),
+                query,
                 selector.batch_view_based(query, neighbours=neighbours),
+                EventType.VIEW,
             )
             purchase_recs = self._rank_block(
                 model,
-                SingleActions(query, EventType.CONVERSION),
+                query,
                 selector.batch_purchase_based(query, neighbours=neighbours),
+                EventType.CONVERSION,
             )
             metrics.counter(
                 "inference_blocks_total", retailer=retailer_id
@@ -550,12 +504,11 @@ class InferencePipeline:
     def _rank_block(
         self,
         model: Recommender,
-        contexts: SingleActions,
+        query: np.ndarray,
         pools: ItemRows,
+        event: EventType,
     ) -> RankedRows:
         """Top-N of one surface's pools for a block, in one batched call:
-        ``contexts`` is the block's item ids and the event each row's user
-        did on its item (a view, or a purchase)."""
-        return model.recommend_batch(
-            contexts, pools, k=self.top_n, exclude_context_items=True
-        )
+        ``query`` is the block's item ids and ``event`` what each row's
+        user did on its item (a view, or a purchase)."""
+        return model.recommend_batch(query, pools, k=self.top_n, event=event)

@@ -95,7 +95,7 @@ class TrainerSettings:
     n_threads: int = 4
     #: Per-extra-thread efficiency of Hogwild scaling (1.0 = perfectly linear).
     thread_efficiency: float = 0.85
-    #: Triples per BPRModel.sgd_step_batch in every daily run's training
+    #: Triples per BPRModel.step_planned in every daily run's training
     #: (a size: 1 is batches of one through the same loop).
     batch_size: int = DEFAULT_BATCH_SIZE
 

@@ -21,7 +21,7 @@ Key properties preserved from the paper's setting:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -232,11 +232,6 @@ def generate_marketplace(spec: MarketplaceSpec) -> List[SyntheticRetailer]:
         )
         retailers.append(generate_retailer(retailer_spec))
     return retailers
-
-
-def rescaled(spec: RetailerSpec, **overrides: object) -> RetailerSpec:
-    """A copy of ``spec`` with fields replaced (convenience for sweeps)."""
-    return replace(spec, **overrides)  # type: ignore[arg-type]
 
 
 # ----------------------------------------------------------------------

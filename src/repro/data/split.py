@@ -79,11 +79,6 @@ def leave_last_out_split(
     return TrainTestSplit(train=train, holdout=holdout)
 
 
-def holdout_items(split: TrainTestSplit) -> List[int]:
-    """The held-out item per example, aligned with ``split.holdout``."""
-    return [example.held_out_item for example in split.holdout]
-
-
 def per_user_train_counts(split: TrainTestSplit) -> Dict[int, int]:
     """Number of training interactions per user (for diagnostics)."""
     counts: Dict[int, int] = {}

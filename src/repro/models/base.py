@@ -58,9 +58,6 @@ def _exclude_items(pool: np.ndarray, context: UserContext) -> np.ndarray:
     if len(context) == 0 or pool.size == 0:
         return pool
     seen = np.asarray(context.item_indices, dtype=np.int64)
-    if seen.size == 1:
-        # The inference pipeline's contexts are single items.
-        return pool[pool != seen[0]]
     if seen.size <= 16:
         # Typical contexts are a handful of items: a broadcast compare is
         # several times cheaper than np.isin's sort-based set machinery.
@@ -101,24 +98,15 @@ def top_k_select(
     return np.lexsort((tb, -scores))[:k]
 
 
-def _top_k_arrays(
-    pool: np.ndarray, scores: np.ndarray, k: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Top-``k`` of a scored pool as aligned ``(items, scores)`` arrays.
+def _top_k(pool: np.ndarray, scores: np.ndarray, k: int) -> List[ScoredItem]:
+    """Top-``k`` of a scored pool as the ``ScoredItem`` list a reader gets.
 
-    Shared by the per-item and batched paths: both feed this the same
-    (pool, scores) arrays and ties break by item index (not pool
-    position), so selection is identical by construction — including
-    against the retrieval backends, which rank through the same
-    :func:`top_k_select` order.
+    Ties break by item index (not pool position), in :func:`top_k_select`'s
+    order — the order :func:`segmented_top_k` and the retrieval backends
+    rank in, so every path fed the same scores selects the same items.
     """
     top = top_k_select(scores, k, tiebreak=pool)
-    return pool[top], scores[top]
-
-
-def _top_k(pool: np.ndarray, scores: np.ndarray, k: int) -> List[ScoredItem]:
-    """:func:`_top_k_arrays` as the ``ScoredItem`` list a reader gets."""
-    return _scored_items(*_top_k_arrays(pool, scores, k))
+    return _scored_items(pool[top], scores[top])
 
 
 def _scored_items(items: np.ndarray, scores: np.ndarray) -> List[ScoredItem]:
@@ -283,31 +271,6 @@ class ItemRows(Sequence[np.ndarray]):
         return f"ItemRows({len(self)} rows, {self.items.size} items)"
 
 
-class SingleActions(Sequence[UserContext]):
-    """User contexts of one action each, all of one ``event``, held as
-    their item ids: row ``r`` is ``UserContext((items[r],), (event,))``.
-
-    What offline inference hands :meth:`Recommender.recommend_batch` for a
-    block's surface, which asks :meth:`Recommender.rank_items` with the ids
-    as they are.  Indexing a row builds its context; nothing else builds any.
-    """
-
-    __slots__ = ("items", "event")
-
-    def __init__(self, items: Sequence[int], event: EventType) -> None:
-        self.items = _as_item_array(items)
-        self.event = event
-
-    def __len__(self) -> int:
-        return self.items.size
-
-    def __getitem__(self, row: int) -> UserContext:
-        return UserContext((int(self.items[row]),), (self.event,))
-
-    def __repr__(self) -> str:
-        return f"SingleActions({len(self)} rows, {self.event.name})"
-
-
 #: Scratch cells per scored pair in :func:`segmented_top_k`, which pads a
 #: run of rows to its widest pool: runs are cut so that stays at most this
 #: multiple of their pairs, and one catalog-sized pool beside 127 small
@@ -389,24 +352,6 @@ def segmented_top_k(
     return np.concatenate(chunks), counts
 
 
-def _kept(
-    items: np.ndarray, owners: np.ndarray, sizes: np.ndarray, keep: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The flat pools' ``(items, owners, sizes)`` cut to the ``keep`` entries."""
-    if keep.all():
-        return items, owners, sizes
-    owners = owners[keep]
-    return items[keep], owners, np.bincount(owners, minlength=sizes.size)
-
-
-def _ranked(
-    scores: np.ndarray, items: np.ndarray, owners: np.ndarray, sizes: np.ndarray, k: int
-) -> RankedRows:
-    """The scored flat pools' top-``k`` per row, through :func:`segmented_top_k`."""
-    top, counts = segmented_top_k(scores, items, owners, sizes, k)
-    return RankedRows.from_counts(items[top], scores[top], counts)
-
-
 class Recommender(abc.ABC):
     """Scores items for a user context and produces ranked recommendations."""
 
@@ -461,8 +406,8 @@ class Recommender(abc.ABC):
 
         The dense kernel: every context against the *same* columns, which
         is the evaluators' question (a holdout block against the catalog
-        or one shared negative sample).  Contexts that each bring their
-        own pool go through :meth:`score_pairs` instead.
+        or one shared negative sample).  Single actions that each bring
+        their own pool go through :meth:`_score_queries` instead.
 
         The default stacks one :meth:`score_all` / :meth:`score_items`
         call per context — correct for any model; embedding models
@@ -479,127 +424,7 @@ class Recommender(abc.ABC):
             return np.zeros((0, width), dtype=np.float64)
         return np.stack([np.asarray(row, dtype=np.float64) for row in rows])
 
-    def score_pairs(
-        self,
-        contexts: Sequence[UserContext],
-        items: np.ndarray,
-        owners: np.ndarray,
-        sizes: np.ndarray,
-    ) -> np.ndarray:
-        """Scores of the flat ``(contexts[owners[i]], items[i])`` pairs.
-
-        The ragged kernel: the contexts' own pools laid end to end
-        (``sizes[r]`` items for context ``r``, ``owners`` naming each
-        item's context), so only the pairs asked for are scored — offline
-        inference's question, where every item brings its own candidate
-        list.  The default is one :meth:`score_items` call per non-empty
-        pool (like :meth:`recommend`, which never hands a model an empty
-        one) — correct for any model, pool-relative ones included;
-        embedding models override it with one gather-and-dot per batch.
-        """
-        scores = np.empty(items.size, dtype=np.float64)
-        lo = 0
-        for context, size in zip(contexts, sizes.tolist()):
-            if size:
-                scores[lo : lo + size] = self.score_items(context, items[lo : lo + size])
-            lo += size
-        return scores
-
     def recommend_batch(
-        self,
-        contexts: Sequence[UserContext],
-        candidate_lists: Optional[Sequence[Optional[Sequence[int]]]] = None,
-        k: int = 10,
-        exclude_context_items: bool = True,
-    ) -> RankedRows:
-        """Batched :meth:`recommend`: one list of recommendations per context.
-
-        ``candidate_lists`` aligns with ``contexts`` (``None`` entries — or
-        ``None`` for the whole argument — mean the full catalog).  The rows
-        that bring a list are ranked as one flat array: pools concatenated,
-        context items dropped, one :meth:`score_pairs` call (work is the
-        number of pairs asked for, never ``B x |union of pools|``), one
-        :func:`segmented_top_k` — and when each of them is one action, all
-        of one event, the whole question is :meth:`rank_items`', asked with
-        their item ids.  The whole-catalog rows ask the dense
-        question: they share one :meth:`score_contexts` matrix and rank
-        row by row through :func:`_top_k_arrays`.  Both select in
-        :func:`top_k_select`'s order, so results match :meth:`recommend`
-        call-for-call — including exclude-context-items and
-        NaN/diverged-model semantics.
-
-        Offline inference asks with :class:`SingleActions` and
-        :class:`ItemRows`, which go to :meth:`rank_items` as they are.
-
-        The result is the kernels' arrays behind a sequence of
-        ``ScoredItem`` lists (:class:`RankedRows`): indexing a row builds
-        its list, nothing else builds any.
-        """
-        if (
-            exclude_context_items
-            and isinstance(contexts, SingleActions)
-            and isinstance(candidate_lists, ItemRows)
-        ):
-            return self.rank_items(contexts.items, candidate_lists, k, contexts.event)
-        contexts = list(contexts)
-        if candidate_lists is None:
-            candidate_lists = [None] * len(contexts)
-        elif not isinstance(candidate_lists, ItemRows):
-            candidate_lists = list(candidate_lists)
-        if len(candidate_lists) != len(contexts):
-            raise ValueError(
-                f"got {len(contexts)} contexts but "
-                f"{len(candidate_lists)} candidate lists"
-            )
-        if isinstance(candidate_lists, ItemRows):
-            pools, listed, whole = candidate_lists, list(range(len(contexts))), []
-        else:
-            listed = [
-                row for row, candidates in enumerate(candidate_lists)
-                if candidates is not None
-            ]
-            whole = [
-                row for row, candidates in enumerate(candidate_lists)
-                if candidates is None
-            ]
-            pools = ItemRows.of(candidate_lists[row] for row in listed)
-        blocks: List[RankedRows] = []
-        if listed:
-            listed_contexts = [contexts[row] for row in listed]
-            events = {context.events for context in listed_contexts}
-            if exclude_context_items and len(events) == 1 and len(next(iter(events))) == 1:
-                # Each row is one action, all of one event: the item-id question.
-                (event,) = events.pop()
-                query = np.fromiter(
-                    (context.item_indices[0] for context in listed_contexts),
-                    dtype=np.int64,
-                    count=len(listed_contexts),
-                )
-                blocks.append(self.rank_items(query, pools, k, event))
-            else:
-                blocks.append(
-                    self._rank_listed(
-                        listed_contexts, pools.items, pools.sizes, k, exclude_context_items
-                    )
-                )
-        if whole:
-            full_pool = np.arange(self.n_items)
-            matrix = self.score_contexts([contexts[row] for row in whole])
-            for row, row_scores in zip(whole, matrix):
-                pool = full_pool
-                if exclude_context_items:
-                    pool = _exclude_items(pool, contexts[row])
-                items, scores = _top_k_arrays(pool, row_scores[pool], k)
-                blocks.append(
-                    RankedRows(items, scores, np.array([0, items.size]))
-                )
-        # Inference's blocks are all listed: the kernel's arrays as they are.
-        ranked = RankedRows.concat(blocks)
-        if listed and whole:
-            ranked = ranked.take(np.argsort(listed + whole))
-        return ranked
-
-    def rank_items(
         self,
         query: Sequence[int],
         pools: Sequence[Sequence[int]],
@@ -610,11 +435,18 @@ class Recommender(abc.ABC):
         one ``event`` on item ``query[r]``, that item left out of its pool.
 
         Offline inference's question, asked once per block and surface
-        with the block's item ids as one array: what :meth:`recommend_batch`
-        answers for the contexts ``UserContext((query[r],), (event,))``,
-        which sends such a batch here.  One compare over the flat pools
-        drops every row's own item, :meth:`_score_queries` scores the rest,
-        and one :func:`segmented_top_k` ranks them.
+        with the block's item ids as one array and its pools as
+        :class:`ItemRows`: row ``r`` is what :meth:`recommend` answers for
+        ``UserContext((query[r],), (event,))`` with ``candidates=pools[r]``.
+        One compare over the flat pools drops every row's own item,
+        :meth:`_score_queries` scores the rest (work is the number of pairs
+        asked for, never ``B x |union of pools|``), and one
+        :func:`segmented_top_k` ranks them in :func:`top_k_select`'s order —
+        NaN/diverged-model semantics included.
+
+        The result is the kernels' arrays behind a sequence of
+        ``ScoredItem`` lists (:class:`RankedRows`): indexing a row builds
+        its list, nothing else builds any.
         """
         query = _as_item_array(query)
         if not isinstance(pools, ItemRows):
@@ -625,9 +457,13 @@ class Recommender(abc.ABC):
             )
         items, sizes = pools.items, pools.sizes
         owners = np.repeat(np.arange(sizes.size), sizes)
-        items, owners, sizes = _kept(items, owners, sizes, items != query[owners])
+        keep = items != query[owners]
+        if not keep.all():
+            items, owners = items[keep], owners[keep]
+            sizes = np.bincount(owners, minlength=sizes.size)
         scores = self._score_queries(query, event, items, owners, sizes)
-        return _ranked(scores, items, owners, sizes, k)
+        top, counts = segmented_top_k(scores, items, owners, sizes, k)
+        return RankedRows.from_counts(items[top], scores[top], counts)
 
     def _score_queries(
         self,
@@ -637,31 +473,24 @@ class Recommender(abc.ABC):
         owners: np.ndarray,
         sizes: np.ndarray,
     ) -> np.ndarray:
-        """:meth:`score_pairs` for the single-action contexts of
-        :meth:`rank_items`.  This default builds them; a model that needs
-        no context object for one action overrides it."""
-        contexts = [UserContext((item,), (event,)) for item in query.tolist()]
-        return self.score_pairs(contexts, items, owners, sizes)
+        """Scores of the flat ``(query[owners[i]], items[i])`` pairs, for
+        one ``event`` on each query item: row ``r``'s ``sizes[r]`` items
+        lie end to end after row ``r - 1``'s.
 
-    def _rank_listed(
-        self,
-        contexts: List[UserContext],
-        items: np.ndarray,
-        sizes: np.ndarray,
-        k: int,
-        exclude_context_items: bool,
-    ) -> RankedRows:
-        """Top-``k`` of each context's own pool, the pools laid end to end
-        (``sizes[r]`` items for context ``r``)."""
-        owners = np.repeat(np.arange(sizes.size), sizes)
-        if exclude_context_items:
-            keep = np.ones(items.size, dtype=bool)
-            ends = np.cumsum(sizes).tolist()
-            for context, start, stop in zip(contexts, [0] + ends, ends):
-                keep[start:stop] = ~np.isin(items[start:stop], context.item_indices)
-            items, owners, sizes = _kept(items, owners, sizes, keep)
-        scores = self.score_pairs(contexts, items, owners, sizes)
-        return _ranked(scores, items, owners, sizes, k)
+        The default builds each row's one-action context and makes one
+        :meth:`score_items` call per non-empty pool (like :meth:`recommend`,
+        which never hands a model an empty one) — correct for any model,
+        pool-relative ones included; embedding models override it with one
+        gather-and-dot per batch.
+        """
+        scores = np.empty(items.size, dtype=np.float64)
+        lo = 0
+        for item, size in zip(query.tolist(), sizes.tolist()):
+            if size:
+                context = UserContext((item,), (event,))
+                scores[lo : lo + size] = self.score_items(context, items[lo : lo + size])
+            lo += size
+        return scores
 
     def rank_of(
         self,

@@ -26,7 +26,7 @@ The update rule for one triple, with ``z = x_ui - x_uj`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,7 +58,7 @@ EVENT_CONTEXT_WEIGHT: Dict[EventType, float] = {
 #: :data:`EVENT_CONTEXT_WEIGHT` indexed by event code.
 _EVENT_WEIGHTS = np.array([EVENT_CONTEXT_WEIGHT[event] for event in EventType])
 
-#: Pairs scored per gather in :meth:`BPRModel.score_pairs`.  Both operands
+#: Pairs scored per gather in :meth:`BPRModel._score_user_pairs`.  Both operands
 #: of the dot are gathered (``2 x slice x F`` doubles live at once), so the
 #: slice — not ``B x n`` — bounds the scratch memory of a batch of explicit
 #: catalog-sized pools.  Sized on perfbench: at 8 192 pairs and above
@@ -116,9 +116,6 @@ class BPRHyperParams:
         if self.optimizer not in ("sgd", "adagrad"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
-    def with_seed(self, seed: int) -> "BPRHyperParams":
-        return replace(self, seed=seed)
-
     def describe(self) -> Dict[str, object]:
         """Flat dict form used in config records and sweep logs."""
         return {
@@ -163,10 +160,6 @@ class BPRModel(Recommender):
         #: ``score_items`` instead of stacking per item; smaller pools (the
         #: negative samplers' mid-training calls) stay on the cheap path.
         self._cache_pool_threshold = 32
-        #: ``(query, users)`` of the last :meth:`rank_items` block, so a
-        #: block's two surfaces share one :meth:`query_users` matrix;
-        #: dropped with the effective-item cache.
-        self._block_users: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -289,7 +282,6 @@ class BPRModel(Recommender):
         state = self.__dict__.copy()
         for name in (*_TABLES.values(), "_rows", "_features", "_item_ancestors"):
             del state[name]
-        state["_block_users"] = None
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
@@ -308,10 +300,8 @@ class BPRModel(Recommender):
         return self._item_ancestors[item_index, : self._anc_counts[item_index]]
 
     def invalidate_cache(self) -> None:
-        """Drop the cached effective-item matrix and block users (call
-        after any update)."""
+        """Drop the cached effective-item matrix (call after any update)."""
         self._phi_cache = None
-        self._block_users = None
 
     def effective_item_matrix(self) -> np.ndarray:
         """Effective vectors for all items at once (used by batch inference).
@@ -411,8 +401,8 @@ class BPRModel(Recommender):
         """Eq. 1 for a batch of contexts at once: a ``(B, d)`` matrix.
 
         Contexts are flattened into one CSR segment list and combined with
-        a single scatter-add — the inference-time analogue of the CSR
-        layout :meth:`sgd_step_batch` trains on.  Empty contexts produce
+        a single scatter-add — the scoring-time analogue of the CSR
+        contexts a :class:`PositivePlan` trains on.  Empty contexts produce
         zero rows, exactly like :meth:`user_embedding`.
         """
         batch = len(contexts)
@@ -494,25 +484,6 @@ class BPRModel(Recommender):
             return np.zeros((len(contexts), 0), dtype=np.float64)
         return users @ phi[items].T + self.item_bias[items]
 
-    def score_pairs(
-        self,
-        contexts: Sequence[UserContext],
-        items: np.ndarray,
-        owners: np.ndarray,
-        sizes: np.ndarray,
-    ) -> np.ndarray:
-        """Ragged batched scoring: one gather-and-dot over the flat pairs.
-
-        The offline-inference hot path — every ``(context, item)`` pair is
-        one row of ``einsum("ij,ij->i", phi[items], users[owners])``, so
-        the work is the number of pairs asked for.  Each pair's dot product
-        reads only its own two rows, so a row's scores do not depend on
-        what else is in the batch.
-        """
-        if not items.size:
-            return np.empty(0, dtype=np.float64)
-        return self._score_user_pairs(self.user_embedding_batch(contexts), items, owners)
-
     def _score_queries(
         self,
         query: np.ndarray,
@@ -521,13 +492,16 @@ class BPRModel(Recommender):
         owners: np.ndarray,
         sizes: np.ndarray,
     ) -> np.ndarray:
-        """:meth:`rank_items`' pairs against :meth:`query_users`, built once
-        for a block's query items whichever surfaces ask (the event of one
-        action changes no weight)."""
-        memo = self._block_users
-        if memo is None or not np.array_equal(memo[0], query):
-            memo = self._block_users = (query.copy(), self.query_users(query))
-        return self._score_user_pairs(memo[1], items, owners)
+        """Ragged batched scoring: the flat pairs against
+        :meth:`query_users` (the event of one action changes no weight).
+
+        The offline-inference hot path — every ``(query, item)`` pair is
+        one row of ``einsum("ij,ij->i", phi[items], users[owners])``, so
+        the work is the number of pairs asked for.  Each pair's dot product
+        reads only its own two rows, so a row's scores do not depend on
+        what else is in the batch.
+        """
+        return self._score_user_pairs(self.query_users(query), items, owners)
 
     def _score_user_pairs(
         self, users: np.ndarray, items: np.ndarray, owners: np.ndarray
@@ -550,43 +524,6 @@ class BPRModel(Recommender):
     # ------------------------------------------------------------------
     # Learning
     # ------------------------------------------------------------------
-    def sgd_step_batch(
-        self,
-        contexts_csr: Tuple[np.ndarray, np.ndarray, np.ndarray],
-        positives: np.ndarray,
-        negatives: np.ndarray,
-    ) -> np.ndarray:
-        """Mini-batch BPR update; returns the per-example log losses.
-
-        ``contexts_csr`` is ``(indptr, rows, weights)``: example ``b``'s
-        context occupies ``rows[indptr[b]:indptr[b+1]]`` with the matching
-        (decayed, event-weighted, normalized) ``weights`` — exactly what
-        :meth:`context_weights` produces per example.
-
-        The public one-batch update: it plans the batch as a window of one
-        (:class:`PositivePlan`, :class:`NegativePlan`) and takes the step
-        :meth:`step_planned`, the code a training epoch runs per batch.  A
-        batch of one non-colliding triple is the module docstring's
-        per-triple rule, which ``tests/reference_scalar_sgd.py`` writes out
-        row by row as the oracle.
-        """
-        positives = np.asarray(positives, dtype=np.int64)
-        negatives = np.asarray(negatives, dtype=np.int64)
-        batch = positives.size
-        if contexts_csr[0].size != batch + 1 or negatives.size != batch:
-            raise ValueError(
-                f"batch shape mismatch: {batch} positives, {negatives.size} "
-                f"negatives, indptr of size {contexts_csr[0].size} (want batch + 1)"
-            )
-        if batch == 0:
-            return np.zeros(0, dtype=np.float64)
-        return self.step_planned(
-            PositivePlan(self, contexts_csr, positives, batch),
-            0,
-            NegativePlan(self, negatives, batch),
-            0,
-        )
-
     def step_planned(
         self, positive: "PositivePlan", k: int, negative: "NegativePlan", j: int
     ) -> np.ndarray:

@@ -60,19 +60,13 @@ class Optimizer(abc.ABC):
 
     A model registers its flat parameter buffer's :data:`Layout` once
     (:meth:`register_flat`); afterwards :meth:`step_flat` applies one
-    gradient per listed element of that buffer.  A table kept on its own
-    is registered under a name (:meth:`register`) and stepped by rows
-    (:meth:`step_rows`).
+    gradient per listed element of that buffer.
     """
 
     def __init__(self, learning_rate: float):
         if learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         self.learning_rate = learning_rate
-
-    @abc.abstractmethod
-    def register(self, name: str, param: np.ndarray) -> None:
-        """Declare a parameter array before any step touches it."""
 
     @abc.abstractmethod
     def register_flat(self, layout: Layout) -> None:
@@ -85,19 +79,6 @@ class Optimizer(abc.ABC):
         ``params`` is the flat buffer of :meth:`register_flat`.  Duplicate
         elements sum in ``index`` order, so the result is deterministic;
         all gradients are taken as evaluated before the step.
-        """
-
-    @abc.abstractmethod
-    def step_rows(
-        self, name: str, param: np.ndarray, rows: np.ndarray, grads: np.ndarray
-    ) -> None:
-        """Apply one gradient (ascent direction) per entry of ``rows`` in place.
-
-        ``rows`` may contain duplicates (two triples in a mini-batch can
-        touch the same embedding row); duplicate contributions are summed
-        in ``rows`` order, so the result is deterministic.  All gradients
-        are taken as evaluated at the pre-batch parameters — standard
-        mini-batch semantics.
         """
 
     def reset_norms(self) -> None:
@@ -131,20 +112,11 @@ class Optimizer(abc.ABC):
 class Sgd(Optimizer):
     """Plain stochastic gradient descent with a constant learning rate."""
 
-    def register(self, name: str, param: np.ndarray) -> None:
-        # SGD is stateless; registration is accepted for interface parity.
-        del name, param
-
     def register_flat(self, layout: Layout) -> None:
         del layout
 
     def step_flat(self, params: np.ndarray, index: np.ndarray, grads: np.ndarray) -> None:
         np.add.at(params, index, self.learning_rate * grads)
-
-    def step_rows(
-        self, name: str, param: np.ndarray, rows: np.ndarray, grads: np.ndarray
-    ) -> None:
-        scatter_add_rows(param, rows, self.learning_rate * grads)
 
 
 class Adagrad(Optimizer):
@@ -168,15 +140,6 @@ class Adagrad(Optimizer):
         self._flat: Optional[np.ndarray] = None
         self._layout: Layout = {}
 
-    def register(self, name: str, param: np.ndarray) -> None:
-        if name not in self._accumulators:
-            self._accumulators[name] = np.zeros_like(param, dtype=np.float64)
-        elif self._accumulators[name].shape != param.shape:
-            raise ValueError(
-                f"parameter {name!r} re-registered with shape {param.shape}, "
-                f"accumulator has {self._accumulators[name].shape}"
-            )
-
     def register_flat(self, layout: Layout) -> None:
         self._layout = dict(layout)
         size = max((offset + math.prod(shape) for offset, shape in layout.values()), default=0)
@@ -184,22 +147,13 @@ class Adagrad(Optimizer):
         self._accumulators = carve(self._flat, self._layout)
 
     def step_flat(self, params: np.ndarray, index: np.ndarray, grads: np.ndarray) -> None:
-        self._step(params, self._flat, index, grads)
-
-    def step_rows(
-        self, name: str, param: np.ndarray, rows: np.ndarray, grads: np.ndarray
-    ) -> None:
-        self._step(param, self._accumulators[name], rows, grads)
-
-    def _step(
-        self, param: np.ndarray, acc: np.ndarray, index: np.ndarray, grads: np.ndarray
-    ) -> None:
+        acc = self._flat
         np.add.at(acc, index, np.square(grads))
         # The adaptive rate reads the accumulator *after* the whole batch's
         # squared mass lands, so an element hit twice in one batch is damped
         # for both contributions — per-element adaptivity survives batching.
         scaled = grads / (np.sqrt(acc[index]) + self.epsilon)
-        np.add.at(param, index, self.learning_rate * scaled)
+        np.add.at(params, index, self.learning_rate * scaled)
 
     def reset_norms(self) -> None:
         """Zero all accumulated squared-gradient norms.

@@ -281,7 +281,7 @@ class BPRTrainer:
         self.convergence_tol = convergence_tol
         self.patience = patience
         self.strength_constraints = strength_constraints
-        #: Triples per ``sgd_step_batch`` (gradients evaluated at pre-batch
+        #: Triples per ``step_planned`` (gradients evaluated at pre-batch
         #: parameters).  A size, not a path: ``1`` is batches of one
         #: through the same loop.
         self.batch_size = batch_size

@@ -10,14 +10,44 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.inference import InferenceStats
 from repro.data.datasets import RetailerDataset, dataset_from_synthetic
 from repro.data.generator import RetailerSpec, SyntheticRetailer, generate_retailer
 from repro.data.sessions import UserContext
 from repro.models.base import ScoredItem
-from repro.models.bpr import BPRHyperParams, BPRModel
+from repro.models.bpr import BPRHyperParams, BPRModel, NegativePlan, PositivePlan
 from repro.models.trainer import BPRTrainer, CompiledExamples, ExampleSet
 from repro.retrieval import ExactRetrieval, ModelRetrieval, RetrievalIndexStore
 from repro.serving.store import RecommendationStore, as_table
+
+
+def sgd_step_batch(
+    model: BPRModel,
+    contexts_csr: tuple,
+    positives: np.ndarray,
+    negatives: np.ndarray,
+) -> np.ndarray:
+    """One mini-batch BPR update; returns the per-example log losses.
+
+    ``contexts_csr`` is ``(indptr, rows, weights)``: example ``b``'s
+    context occupies ``rows[indptr[b]:indptr[b + 1]]`` with the matching
+    ``model.context_weights``.  The batch is planned as a window of one
+    (``PositivePlan``, ``NegativePlan``) and taken by ``step_planned``, the
+    step a training epoch runs per batch.  A batch of one non-colliding
+    triple is the per-triple rule ``tests/reference_scalar_sgd.py`` writes
+    out row by row.
+    """
+    positives = np.asarray(positives, dtype=np.int64)
+    negatives = np.asarray(negatives, dtype=np.int64)
+    batch = positives.size
+    if batch == 0:
+        return np.zeros(0, dtype=np.float64)
+    return model.step_planned(
+        PositivePlan(model, contexts_csr, positives, batch),
+        0,
+        NegativePlan(model, negatives, batch),
+        0,
+    )
 
 
 def step_one(
@@ -29,7 +59,7 @@ def step_one(
         np.asarray(context.item_indices, dtype=np.int64),
         model.context_weights(context),
     )
-    losses = model.sgd_step_batch(csr, np.array([positive]), np.array([negative]))
+    losses = sgd_step_batch(model, csr, np.array([positive]), np.array([negative]))
     return float(losses[0])
 
 
@@ -46,6 +76,26 @@ def recompile(trainer: BPRTrainer) -> CompiledExamples:
         trainer.dataset.retailer_id, examples, trainer.strength_constraints, (), ()
     )
     return trainer._compile(flat, negatives)
+
+
+def run_inference(pipeline, datasets, day: int = 0):
+    """Inference for every retailer of ``datasets`` with a trained model,
+    the way a day's ``infer_plan`` / ``infer/<cell>`` / ``infer_finalize``
+    blocks drive it: plan the cells, run each, fold its stats, finalize.
+    Returns ``(results, stats)``.  A cell job that raises propagates; the
+    day's ``infer/<cell>`` block is what degrades its retailers instead.
+    """
+    stats = InferenceStats()
+    results, failed = {}, {}
+    for cell_name, group in pipeline.plan(datasets):
+        cell_results, job_stats, loads, cell_failed = pipeline.run_cell(
+            cell_name, {rid: datasets[rid] for rid in group}, day
+        )
+        results.update(cell_results)
+        failed.update(cell_failed)
+        pipeline.fold_cell(stats, cell_name, job_stats, loads)
+    pipeline.finalize_stats(stats, results, failed)
+    return results, stats
 
 
 SMALL_SPEC = RetailerSpec(

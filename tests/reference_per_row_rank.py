@@ -1,7 +1,7 @@
 """``recommend_batch`` as ``src/`` held it until PR 16, kept as an oracle.
 
-Test-only.  ``Recommender.recommend_batch`` now ranks the listed rows of
-a block as one flat array pipeline (flat exclude -> ``score_pairs`` ->
+Test-only.  ``Recommender.recommend_batch`` now ranks the rows of a
+block as one flat array pipeline (flat exclude -> ``_score_queries`` ->
 ``segmented_top_k``); what it replaced — a per-row ``_exclude_items`` /
 ``score_pools`` / ``_top_k`` loop, with ``Recommender.score_pools``,
 ``BPRModel.score_pools`` and the scatter-add ``user_embedding_batch`` it

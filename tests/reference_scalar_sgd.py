@@ -1,6 +1,6 @@
 """The per-triple BPR update as ``src/`` held it until PR 14, kept as an oracle.
 
-Test-only.  ``BPRModel.sgd_step_batch`` is the library's one update and
+Test-only.  ``BPRModel.step_planned`` is the library's one update and
 ``BPRTrainer.run_epoch`` its one loop; what stood beside them —
 ``BPRModel.sgd_step``, ``_update_item_side``, ``effective_item_vector``,
 ``Sgd.step`` / ``Adagrad.step`` and ``BPRTrainer._run_epoch_scalar`` —

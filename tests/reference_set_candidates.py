@@ -2,12 +2,12 @@
 Python sets until issue 24, kept as an oracle.
 
 Test-only.  Every pool is now one array implementation on
-``Taxonomy.index()`` (``_union_expansions`` -> drop the query item ->
-``_match_facets`` -> ``_strip_substitutes`` -> ``_cap``); what that
-replaced — ``_expand`` / ``_filter_facets`` / ``_cap`` over a ``set`` of
-item indices, one ``Taxonomy.lca_k`` list per seed — is copied here
-statement for statement, re-hung as functions over a live selector's
-``taxonomy`` / ``counts`` / ``catalog`` / ``repurchase`` and its knobs.
+``Taxonomy.index()`` (``TaxonomyIndex.expand`` -> drop the query item and
+its substitutes -> ``_cap``); what that replaced — ``_expand`` / ``_cap``
+over a ``set`` of item indices, one ``Taxonomy.lca_k`` list per seed — is
+copied here statement for statement, re-hung as functions over a live
+selector's ``taxonomy`` / ``counts`` / ``repurchase`` and its knobs.  (Its
+facet filter and ``near_item`` left with the selector's.)
 
 Where the two differ on purpose, this file keeps the old answer:
 ``Taxonomy.lca_k`` raises for an uncategorised seed or query item (the
@@ -39,25 +39,6 @@ def _expand(
     return candidates
 
 
-def _filter_facets(
-    selector: CandidateSelector,
-    item_index: int,
-    candidates: Set[int],
-    facets: Sequence[str],
-) -> Set[int]:
-    query = selector.catalog[item_index]
-    kept = set()
-    for candidate in candidates:
-        other = selector.catalog[candidate]
-        if all(
-            query.facets.get(facet) is not None
-            and other.facets.get(facet) == query.facets.get(facet)
-            for facet in facets
-        ):
-            kept.add(candidate)
-    return kept
-
-
 def _cap(
     selector: CandidateSelector, item_index: int, candidates: Set[int]
 ) -> List[int]:
@@ -83,15 +64,12 @@ def view_based(
     selector: CandidateSelector,
     item_index: int,
     lca_k: Optional[int] = None,
-    same_facets: Optional[Sequence[str]] = None,
 ) -> List[int]:
     k = selector.view_lca_k if lca_k is None else lca_k
     seeds = selector.counts.top_co_viewed(item_index, selector.co_neighbours)
     if not seeds:
         seeds = [item_index]
     candidates = _expand(selector, item_index, seeds, k)
-    if same_facets:
-        candidates = _filter_facets(selector, item_index, candidates, same_facets)
     return _cap(selector, item_index, candidates)
 
 
@@ -108,19 +86,4 @@ def purchase_based(
         candidates -= set(
             selector.taxonomy.lca_k(item_index, selector.purchase_lca_k)
         )
-    return _cap(selector, item_index, candidates)
-
-
-def near_item(selector: CandidateSelector, item_index: int) -> List[int]:
-    candidates: Set[int] = set(selector.taxonomy.lca_k(item_index, 1))
-    candidates.discard(item_index)
-    facets = [
-        name
-        for name, value in selector.catalog[item_index].facets.items()
-        if value is not None
-    ]
-    if facets:
-        matched = _filter_facets(selector, item_index, candidates, facets)
-        if matched:
-            return _cap(selector, item_index, matched)
     return _cap(selector, item_index, candidates)

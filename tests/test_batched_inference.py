@@ -36,6 +36,7 @@ from repro.models.base import _exclude_items
 from repro.models.bpr import BPRHyperParams, BPRModel
 from repro.models.trainer import BPRTrainer
 from tests import reference_set_candidates
+from tests.conftest import run_inference
 
 _ENV = None
 
@@ -91,45 +92,28 @@ def _assert_same_recs(batched, reference):
     )
 
 
-contexts_strategy = st.lists(
-    st.integers(min_value=0, max_value=119), min_size=1, max_size=5
-).map(
-    lambda items: UserContext(
-        tuple(items), tuple(EventType.VIEW for _ in items)
-    )
-)
-
-
 # ----------------------------------------------------------------------
 # recommend_batch vs recommend
 # ----------------------------------------------------------------------
 @settings(max_examples=25, deadline=None)
 @given(
-    batch=st.lists(contexts_strategy, min_size=0, max_size=6),
+    query=st.lists(st.integers(min_value=0, max_value=119), min_size=0, max_size=6),
     k=st.integers(min_value=0, max_value=15),
     pool_seed=st.integers(min_value=0, max_value=10_000),
-    exclude=st.booleans(),
-    restrict=st.booleans(),
+    event=st.sampled_from(list(EventType)),
 )
-def test_property_recommend_batch_matches_recommend(
-    batch, k, pool_seed, exclude, restrict
-):
+def test_property_recommend_batch_matches_recommend(query, k, pool_seed, event):
     _, model, _ = _env()
     rng = np.random.default_rng(pool_seed)
-    if restrict:
-        pools = [
-            rng.choice(model.n_items, size=int(rng.integers(0, 40)), replace=False)
-            for _ in batch
-        ]
-    else:
-        pools = [None] * len(batch)
-    batched = model.recommend_batch(
-        batch, pools, k=k, exclude_context_items=exclude
-    )
-    assert len(batched) == len(batch)
-    for context, pool, recs in zip(batch, pools, batched):
+    pools = [
+        rng.choice(model.n_items, size=int(rng.integers(0, 40)), replace=False)
+        for _ in query
+    ]
+    batched = model.recommend_batch(query, pools, k=k, event=event)
+    assert len(batched) == len(query)
+    for item, pool, recs in zip(query, pools, batched):
         reference = model.recommend(
-            context, k=k, candidates=pool, exclude_context_items=exclude
+            UserContext((item,), (event,)), k=k, candidates=pool
         )
         _assert_same_recs(recs, reference)
 
@@ -137,7 +121,7 @@ def test_property_recommend_batch_matches_recommend(
 def test_recommend_batch_empty_candidate_sets():
     _, model, _ = _env()
     ctx = UserContext((0,), (EventType.VIEW,))
-    results = model.recommend_batch([ctx, ctx], [[], [5, 9]], k=3)
+    results = model.recommend_batch([0, 0], [[], [5, 9]], k=3)
     assert results[0] == []
     assert [s.item_index for s in results[1]] == [
         s.item_index for s in model.recommend(ctx, k=3, candidates=[5, 9])
@@ -146,9 +130,8 @@ def test_recommend_batch_empty_candidate_sets():
 
 def test_recommend_batch_length_mismatch_raises():
     _, model, _ = _env()
-    ctx = UserContext((0,), (EventType.VIEW,))
     with pytest.raises(ValueError, match="candidate lists"):
-        model.recommend_batch([ctx], [[1], [2]])
+        model.recommend_batch([0], [[1], [2]])
 
 
 def test_recommend_batch_diverged_model_matches_per_item():
@@ -157,10 +140,10 @@ def test_recommend_batch_diverged_model_matches_per_item():
     diverged.item_embeddings[:] = np.nan
     diverged.invalidate_cache()
     items = list(range(0, dataset.n_items, 7))
-    contexts = [UserContext((i,), (EventType.VIEW,)) for i in items]
     pools = selector.batch_view_based(items)
-    batched = diverged.recommend_batch(contexts, pools, k=5)
-    for context, pool, recs in zip(contexts, pools, batched):
+    batched = diverged.recommend_batch(items, pools, k=5)
+    for item, pool, recs in zip(items, pools, batched):
+        context = UserContext((item,), (EventType.VIEW,))
         _assert_same_recs(
             recs, diverged.recommend(context, k=5, candidates=pool)
         )
@@ -169,8 +152,8 @@ def test_recommend_batch_diverged_model_matches_per_item():
 def test_exclude_items_preserves_candidate_order():
     """Regression: exclusion must filter, never sort, the candidate pool.
 
-    Covers all three internal paths (single seen item, small broadcast
-    compare, large ``np.isin``) with a deliberately unsorted pool.
+    Covers both internal paths (the broadcast compare for a handful of
+    seen items, ``np.isin`` past 16) with a deliberately unsorted pool.
     """
     pool = np.array([90, 3, 57, 12, 40, 3, 88, 1], dtype=np.int64)
     for n_seen in (1, 5, 20):
@@ -198,51 +181,31 @@ def _same_pool(pool, expected):
     stride=st.integers(min_value=1, max_value=9),
     max_candidates=st.sampled_from([1, 3, 10, 1000]),
     co_neighbours=st.sampled_from([1, 3, 20]),
-    facets=st.sampled_from([None, ("color",), ("brand",), ("color", "size")]),
 )
-def test_property_batch_candidates_match_singular(
-    lca_k, start, stride, max_candidates, co_neighbours, facets
+def test_property_batch_candidates_match_the_set_selector(
+    lca_k, start, stride, max_candidates, co_neighbours
 ):
     dataset, _, shared = _env()
     selector = dataclasses.replace(
-        shared, max_candidates=max_candidates, co_neighbours=co_neighbours
+        shared,
+        view_lca_k=lca_k,
+        purchase_lca_k=lca_k,
+        max_candidates=max_candidates,
+        co_neighbours=co_neighbours,
     )
     items = list(range(start, dataset.n_items, stride))
-    views = selector.batch_view_based(items, lca_k=lca_k, same_facets=facets)
-    buys = selector.batch_purchase_based(items, lca_k=lca_k)
+    views = selector.batch_view_based(items)
+    buys = selector.batch_purchase_based(items)
     for item, view, buy in zip(items, views, buys):
-        expected = reference_set_candidates.view_based(
-            selector, item, lca_k=lca_k, same_facets=facets
-        )
-        _same_pool(view, expected)
-        assert selector.view_based(item, lca_k=lca_k, same_facets=facets) == expected
-        expected = reference_set_candidates.purchase_based(selector, item, lca_k=lca_k)
-        _same_pool(buy, expected)
-        assert selector.purchase_based(item, lca_k=lca_k) == expected
-        assert selector.near_item(item) == reference_set_candidates.near_item(
-            selector, item
-        )
-
-
-def test_batch_view_based_same_facets_matches_singular():
-    dataset, _, selector = _env()
-    items = list(range(dataset.n_items))
-    views = selector.batch_view_based(items, same_facets=("color",))
-    assert any(view.size for view in views)
-    for item, view in zip(items, views):
-        _same_pool(
-            view,
-            reference_set_candidates.view_based(
-                selector, item, same_facets=("color",)
-            ),
-        )
+        _same_pool(view, reference_set_candidates.view_based(selector, item))
+        _same_pool(buy, reference_set_candidates.purchase_based(selector, item))
 
 
 def test_lca_zero_keeps_the_first_distinct_seeds():
     """``lca_0`` is the seed itself and the early break still applies:
     the union stops at ``4 x max_candidates + 1`` seeds."""
     dataset, _, shared = _env()
-    selector = dataclasses.replace(shared, max_candidates=1)
+    selector = dataclasses.replace(shared, view_lca_k=0, max_candidates=1)
     busy = max(
         range(dataset.n_items),
         key=lambda item: len(shared.counts.top_co_viewed(item, 20)),
@@ -250,9 +213,9 @@ def test_lca_zero_keeps_the_first_distinct_seeds():
     seeds = shared.counts.top_co_viewed(busy, 20)
     assert len(seeds) > 5
     # One candidate survives the cap, chosen among the first five seeds.
-    (kept,) = selector.view_based(busy, lca_k=0)
+    (kept,) = selector.batch_view_based([busy])[0].tolist()
     assert kept in seeds[:5]
-    assert [kept] == reference_set_candidates.view_based(selector, busy, lca_k=0)
+    assert [kept] == reference_set_candidates.view_based(selector, busy)
 
 
 def test_negative_lca_k_is_refused_with_or_without_a_seed():
@@ -267,11 +230,12 @@ def test_negative_lca_k_is_refused_with_or_without_a_seed():
     ]
     assert unseen, "the fixture needs an item nobody touched"
     assert reference_set_candidates.purchase_based(selector, unseen[0], lca_k=-1) == []
+    negative = dataclasses.replace(selector, view_lca_k=-1, purchase_lca_k=-1)
     for item in (unseen[0], 0):
         with pytest.raises(TaxonomyError, match="non-negative"):
-            selector.purchase_based(item, lca_k=-1)
+            negative.batch_purchase_based([item])
         with pytest.raises(TaxonomyError, match="non-negative"):
-            selector.batch_view_based([item], lca_k=-1)
+            negative.batch_view_based([item])
 
 
 def test_batch_candidates_exclude_self_and_respect_cap():
@@ -417,7 +381,7 @@ def _run_pipeline(datasets, registry, **kwargs):
         top_n=5,
         **kwargs,
     )
-    return pipeline, *pipeline.run(datasets)
+    return pipeline, *run_inference(pipeline, datasets)
 
 
 def test_item_blocks_cover_catalog_contiguously():
@@ -490,12 +454,12 @@ def test_selector_cache_reused_across_days(pipeline_fleet):
     first = {
         rid: entry[2] for rid, entry in pipeline._selector_cache.items()
     }
-    pipeline.run(datasets, day=1)
+    run_inference(pipeline, datasets, day=1)
     for rid, selector in pipeline._selector_cache.items():
         assert selector[2] is first[rid], "selector must be reused day-over-day"
     # A replaced dataset object invalidates only its own entry.
     replaced = dict(datasets)
     replaced["blk_a"] = _pipeline_dataset("blk_a", seed=21)
-    pipeline.run(replaced, day=2)
+    run_inference(pipeline, replaced, day=2)
     assert pipeline._selector_cache["blk_a"][2] is not first["blk_a"]
     assert pipeline._selector_cache["blk_b"][2] is first["blk_b"]

@@ -13,6 +13,8 @@ for the ``4 x max_candidates`` early break and for the cap.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,6 @@ from repro.core.candidates import CandidateSelector, RepurchaseDetector
 from repro.core.inference import _item_blocks
 from repro.data.catalog import Catalog, Item
 from repro.data.events import EventType, Interaction
-from repro.data.sessions import UserContext
 from repro.data.taxonomy import ROOT_CATEGORY, Taxonomy
 from repro.exceptions import TaxonomyError
 from repro.models.base import ItemRows
@@ -35,14 +36,8 @@ from tests.test_taxonomy_index import MAX_ITEM, taxonomies
 N_ITEMS = MAX_ITEM + 4
 
 
-def shop(n_items: int = N_ITEMS, colours: str = "rgb") -> Catalog:
-    return Catalog(
-        "shop",
-        [
-            Item(f"shop-{i}", i, ROOT_CATEGORY, facets={"color": colours[i % len(colours)]})
-            for i in range(n_items)
-        ],
-    )
+def shop(n_items: int = N_ITEMS) -> Catalog:
+    return Catalog("shop", [Item(f"shop-{i}", i, ROOT_CATEGORY) for i in range(n_items)])
 
 
 def same_rows(pools: ItemRows, expected_by_row) -> None:
@@ -100,17 +95,9 @@ def test_block_pools_equal_the_set_selector_row_for_row(
         lambda row: answer(oracle.view_based, selector, block[row]),
     )
     same_rows(
-        selector.batch_view_based(block, same_facets=("color",)),
-        lambda row: answer(oracle.view_based, selector, block[row], same_facets=("color",)),
-    )
-    same_rows(
         selector.batch_purchase_based(block),
         lambda row: answer(oracle.purchase_based, selector, block[row]),
     )
-    for item in block[:5]:
-        expected = answer(oracle.near_item, selector, item)
-        if expected is not None:
-            assert selector.near_item(item) == expected
 
 
 def chain_of_categories(n_categories: int, per_category: int = 3) -> Taxonomy:
@@ -135,43 +122,42 @@ def co_viewed_with(query: int, seeds, n_items: int) -> CoOccurrenceCounts:
     return CoOccurrenceCounts.from_interactions(n_items, log)
 
 
+def uncapped_pool(selector: CandidateSelector, item: int) -> list:
+    """``item``'s view pool as the union leaves it, before the cap (which
+    would otherwise hide where the union stopped)."""
+    uncapped = dataclasses.replace(selector)
+    uncapped._cap = lambda query, pool: pool
+    (pool,) = uncapped.batch_view_based([item])
+    return pool.tolist()
+
+
 def test_the_early_break_stops_at_the_seed_whose_prefix_crosses():
     """Seeds on ``c0``, ``c1``, ``c2``, ``c3`` (three items each) with
     ``max_candidates = 2``: the union passes 8 at the third seed, so the
-    fourth category never joins.  Only ``c3`` matches the query's colour,
-    so the facet filter shows the break the cap would otherwise hide."""
+    fourth category never joins; at 3 it never passes 12, so all four do."""
     taxonomy = chain_of_categories(4)
     taxonomy.add_category("q")
     taxonomy.assign_item(12, "q")
-    colours = "bbbbbbbbbrrrr"  # items 9-12 (c3 and the query) are red
-    catalog = Catalog(
-        "shop",
-        [Item(f"shop-{i}", i, ROOT_CATEGORY, facets={"color": colours[i]}) for i in range(13)],
-    )
     counts = co_viewed_with(12, [0, 3, 6, 9], 13)
     assert counts.top_co_viewed(12) == [0, 3, 6, 9]
     selector = CandidateSelector(
-        taxonomy=taxonomy, counts=counts, catalog=catalog, view_lca_k=1, max_candidates=2
+        taxonomy=taxonomy, counts=counts, catalog=shop(13), view_lca_k=1, max_candidates=2
     )
-    facets = ("color",)
-    (pool,) = selector.batch_view_based([12], same_facets=facets)
-    assert pool.tolist() == [] == oracle.view_based(selector, 12, same_facets=facets)
-    roomy = CandidateSelector(
-        taxonomy=taxonomy, counts=counts, catalog=catalog, view_lca_k=1, max_candidates=3
-    )
-    (pool,) = roomy.batch_view_based([12], same_facets=facets)
-    assert pool.tolist() == [9, 10, 11] == oracle.view_based(roomy, 12, same_facets=facets)
-    # Unfiltered, the break leaves nine items for the cap to cut to two.
-    (pool,) = selector.batch_view_based([12])
-    assert pool.tolist() == [0, 3] == oracle.view_based(selector, 12)
+    roomy = dataclasses.replace(selector, max_candidates=3)
+    for chosen, union in ((selector, list(range(9))), (roomy, list(range(12)))):
+        expected = sorted(oracle._expand(chosen, 12, [0, 3, 6, 9], 1))
+        assert uncapped_pool(chosen, 12) == union == expected
+        (pool,) = chosen.batch_view_based([12])
+        assert pool.tolist() == oracle.view_based(chosen, 12)
+    # Capped, the break leaves nine items for the cap to cut to two.
+    assert selector.batch_view_based([12])[0].tolist() == [0, 3]
 
 
 def test_a_seed_around_an_earlier_one_replaces_it_in_the_count():
     """Seeds ``a`` (3 items), then ``p`` around it (7), then ``z`` (3),
     with ``max_candidates = 2``: the union is 3, 7, then 10 > 8 at the
     last seed, which is still taken — summing ``a`` and ``p`` would have
-    broken at the second and lost ``z``, the only category matching the
-    query's colour."""
+    broken at the second and lost ``z``."""
     taxonomy = Taxonomy()
     taxonomy.add_category("p")
     taxonomy.add_category("a", "p")
@@ -179,14 +165,14 @@ def test_a_seed_around_an_earlier_one_replaces_it_in_the_count():
     taxonomy.add_category("z")
     for item, category in enumerate("aaabbbzzzp"):
         taxonomy.assign_item(item, category)
-    catalog = shop(10, colours="bbbbbbrrrb")
     counts = co_viewed_with(8, [0, 9, 6], 10)
     selector = CandidateSelector(
-        taxonomy=taxonomy, counts=counts, catalog=catalog, view_lca_k=1, max_candidates=2
+        taxonomy=taxonomy, counts=counts, catalog=shop(10), view_lca_k=1, max_candidates=2
     )
-    facets = ("color",)
-    (pool,) = selector.batch_view_based([8], same_facets=facets)
-    assert pool.tolist() == [6, 7] == oracle.view_based(selector, 8, same_facets=facets)
+    union = sorted(oracle._expand(selector, 8, [0, 9, 6], 1))
+    assert uncapped_pool(selector, 8) == [0, 1, 2, 3, 4, 5, 6, 7, 9] == union
+    (pool,) = selector.batch_view_based([8])
+    assert pool.tolist() == oracle.view_based(selector, 8)
 
 
 def test_ranking_a_block_of_pools_equals_ranking_their_list(trained_model, small_dataset):
@@ -197,11 +183,8 @@ def test_ranking_a_block_of_pools_equals_ranking_their_list(trained_model, small
     items = list(range(0, small_dataset.n_items, 3))
     for pools in (selector.batch_view_based(items), selector.batch_purchase_based(items)):
         for event in (EventType.VIEW, EventType.CONVERSION):
-            contexts = [UserContext((item,), (event,)) for item in items]
-            flat = trained_model.recommend_batch(contexts, pools, k=7, exclude_context_items=True)
-            listed = trained_model.recommend_batch(
-                contexts, list(pools), k=7, exclude_context_items=True
-            )
+            flat = trained_model.recommend_batch(items, pools, k=7, event=event)
+            listed = trained_model.recommend_batch(items, list(pools), k=7, event=event)
             for mine, theirs in zip(
                 (flat.items, flat.scores, flat.bounds),
                 (listed.items, listed.scores, listed.bounds),

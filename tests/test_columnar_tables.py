@@ -153,11 +153,12 @@ class TestRankedRows:
             RankedRows(items, scores[:1], np.array([0, 2]))
 
     def test_recommend_batch_returns_the_kernels_arrays(self, trained_model):
-        """Mixed listed / whole-catalog rows come back in row order, equal
-        to ``recommend`` row for row, and no list exists until asked for."""
-        contexts = [UserContext((item,), (EventType.VIEW,)) for item in (3, 8, 3, 20)]
-        pools = [[5, 9, 3, 40], None, [], None]
-        ranked = trained_model.recommend_batch(contexts, pools, k=4)
+        """Rows come back in query order, equal to ``recommend`` row for
+        row, and no list exists until asked for."""
+        query = [3, 8, 3, 20]
+        contexts = [UserContext((item,), (EventType.VIEW,)) for item in query]
+        pools = [[5, 9, 3, 40], list(range(30)), [], [20, 2, 7]]
+        ranked = trained_model.recommend_batch(query, pools, k=4)
         assert isinstance(ranked, RankedRows) and len(ranked) == 4
         for context, pool, row in zip(contexts, pools, ranked):
             reference = trained_model.recommend(context, k=4, candidates=pool)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,8 +36,9 @@ def selector(small_dataset):
 
 class TestViewBased:
     def test_excludes_query_item(self, selector, small_dataset):
-        for item in range(0, small_dataset.n_items, 17):
-            assert item not in selector.view_based(item)
+        items = list(range(0, small_dataset.n_items, 17))
+        for item, pool in zip(items, selector.batch_view_based(items)):
+            assert item not in pool
 
     def test_candidates_capped(self, small_dataset):
         counts = CoOccurrenceCounts.from_interactions(
@@ -47,11 +50,11 @@ class TestViewBased:
             catalog=small_dataset.catalog,
             max_candidates=10,
         )
-        assert len(tight.view_based(0)) <= 10
+        assert tight.batch_view_based([0])[0].size <= 10
 
     def test_larger_k_larger_coverage(self, selector):
-        small_k = set(selector.view_based(0, lca_k=1))
-        large_k = set(selector.view_based(0, lca_k=3))
+        small_k = set(replace(selector, view_lca_k=1).batch_view_based([0])[0].tolist())
+        large_k = set(replace(selector, view_lca_k=3).batch_view_based([0])[0].tolist())
         assert len(large_k) >= len(small_k)
 
     def test_cold_item_falls_back_to_taxonomy(self, selector, small_dataset):
@@ -62,21 +65,14 @@ class TestViewBased:
         if not cold_items:
             pytest.skip("all items interacted in this fixture")
         cold = min(cold_items)
-        candidates = selector.view_based(cold)
-        assert candidates, "cold item must get taxonomy-based candidates"
-
-    def test_same_facet_filter(self, selector, small_dataset):
-        item = 0
-        color = small_dataset.catalog[item].facets.get("color")
-        constrained = selector.view_based(item, same_facets=["color"])
-        for candidate in constrained:
-            assert small_dataset.catalog[candidate].facets.get("color") == color
+        candidates = selector.batch_view_based([cold])[0]
+        assert candidates.size, "cold item must get taxonomy-based candidates"
 
 
 class TestPurchaseBased:
     def test_excludes_query_and_substitutes(self, selector, small_dataset):
         item = 0
-        candidates = selector.purchase_based(item)
+        candidates = selector.batch_purchase_based([item])[0].tolist()
         assert item not in candidates
         category = small_dataset.taxonomy.category_of(item)
         is_repurchasable = (
@@ -111,8 +107,24 @@ class TestPurchaseBased:
             catalog=small_dataset.catalog,
             repurchase=detector,
         )
-        candidates = selector.purchase_based(0)
+        candidates = selector.batch_purchase_based([0])[0].tolist()
         assert peers[0] in candidates  # substitute NOT removed
+
+
+class TestBlockReaders:
+    """What holds for both readers of a block: one row per item, in order."""
+
+    @pytest.mark.parametrize("surface", ["view", "purchase"])
+    def test_an_empty_block_has_no_rows(self, selector, surface):
+        pools = getattr(selector, f"batch_{surface}_based")([])
+        assert len(pools) == 0 and pools.items.size == 0
+
+    @pytest.mark.parametrize("surface", ["view", "purchase"])
+    def test_a_repeated_item_gets_its_own_row_each_time(self, selector, surface):
+        read = getattr(selector, f"batch_{surface}_based")
+        alone = {item: read([item])[0].tolist() for item in (5, 9)}
+        block = [5, 9, 5, 9, 5]
+        assert [row.tolist() for row in read(block)] == [alone[i] for i in block]
 
 
 class TestRepurchaseDetector:
@@ -217,93 +229,3 @@ def test_property_ffd_within_4_3_of_lower_bound(weights, n_bins):
     # conservation
     packed = sorted(key for group in bins for key in group)
     assert packed == sorted(table)
-
-
-class TestFunnelClassification:
-    def make_context(self, small_dataset, items, events):
-        from repro.data.sessions import UserContext
-
-        return UserContext(tuple(items), tuple(events))
-
-    def test_short_context_is_early(self, small_dataset):
-        from repro.core.candidates import classify_funnel
-        from repro.data.events import EventType
-
-        context = self.make_context(small_dataset, (0,), (EventType.CART,))
-        assert classify_funnel(context, small_dataset.taxonomy) == "early"
-
-    def test_browsing_across_categories_is_early(self, small_dataset):
-        from repro.core.candidates import classify_funnel
-        from repro.data.events import EventType
-
-        taxonomy = small_dataset.taxonomy
-        anchor = 0
-        far = next(
-            i for i in range(small_dataset.n_items)
-            if taxonomy.lca_distance(i, anchor) >= 3
-        )
-        context = self.make_context(
-            small_dataset, (far, anchor), (EventType.SEARCH, EventType.SEARCH)
-        )
-        assert classify_funnel(context, taxonomy) == "early"
-
-    def test_converged_strong_intent_is_late(self, small_dataset):
-        from repro.core.candidates import classify_funnel
-        from repro.data.events import EventType
-
-        taxonomy = small_dataset.taxonomy
-        anchor = 0
-        category = taxonomy.category_of(anchor)
-        peers = [i for i in taxonomy.items_in(category) if i != anchor][:2]
-        if not peers:
-            pytest.skip("anchor category has one item in this fixture")
-        items = tuple(peers) + (anchor,)
-        events = (EventType.VIEW, EventType.SEARCH, EventType.CART)[: len(items)]
-        context = self.make_context(small_dataset, items, events)
-        assert classify_funnel(context, taxonomy) == "late"
-
-    def test_weak_events_stay_early_even_when_converged(self, small_dataset):
-        from repro.core.candidates import classify_funnel
-        from repro.data.events import EventType
-
-        taxonomy = small_dataset.taxonomy
-        category = taxonomy.category_of(0)
-        peers = taxonomy.items_in(category)[:3]
-        if len(peers) < 2:
-            pytest.skip("not enough category peers")
-        context = self.make_context(
-            small_dataset, tuple(peers),
-            tuple(EventType.VIEW for _ in peers),
-        )
-        assert classify_funnel(context, taxonomy) == "early"
-
-
-class TestForContext:
-    def test_empty_context(self, selector):
-        from repro.data.sessions import UserContext
-
-        assert selector.for_context(UserContext.empty()) == []
-
-    def test_late_funnel_candidates_are_tight(self, selector, small_dataset):
-        from repro.data.events import EventType
-        from repro.data.sessions import UserContext
-
-        taxonomy = small_dataset.taxonomy
-        anchor = 0
-        peers = [
-            i for i in taxonomy.items_in(taxonomy.category_of(anchor))
-            if i != anchor
-        ][:2]
-        if not peers:
-            pytest.skip("anchor category has one item")
-        late = UserContext(
-            tuple(peers) + (anchor,),
-            (EventType.VIEW, EventType.SEARCH, EventType.CART)[: len(peers) + 1],
-        )
-        early = UserContext((anchor,), (EventType.VIEW,))
-        tight = selector.for_context(late)
-        broad = selector.for_context(early)
-        assert tight, "late funnel still yields candidates"
-        assert len(tight) <= len(broad)
-        for candidate in tight:
-            assert taxonomy.lca_distance(candidate, anchor) <= 1

@@ -14,6 +14,7 @@ from repro.core.inference import InferencePipeline
 from repro.core.registry import ModelRegistry, TrainedModel
 from repro.data.events import EventType
 from repro.data.sessions import UserContext
+from tests.conftest import run_inference
 
 
 def ctx(*items) -> UserContext:
@@ -44,7 +45,9 @@ class TestInferencePipeline:
             registry_with_model,
             top_n=5,
         )
-        results, stats = pipeline.run({small_dataset.retailer_id: small_dataset})
+        results, stats = run_inference(
+            pipeline, {small_dataset.retailer_id: small_dataset}
+        )
         result = results[small_dataset.retailer_id]
         assert len(result.view_recs) == small_dataset.n_items
         assert stats.items_processed == small_dataset.n_items
@@ -60,7 +63,9 @@ class TestInferencePipeline:
             registry_with_model,
             top_n=5,
         )
-        results, _ = pipeline.run({small_dataset.retailer_id: small_dataset})
+        results, _ = run_inference(
+            pipeline, {small_dataset.retailer_id: small_dataset}
+        )
         result = results[small_dataset.retailer_id]
         assert 0.5 < result.coverage(small_dataset.n_items) <= 1.0
 
@@ -70,7 +75,8 @@ class TestInferencePipeline:
             build_cluster(n_cells=1, machines_per_cell=2),
             registry_with_model,
         )
-        results, _ = pipeline.run(
+        results, _ = run_inference(
+            pipeline,
             {
                 small_dataset.retailer_id: small_dataset,
                 tiny_dataset.retailer_id: tiny_dataset,  # no model trained
@@ -88,7 +94,9 @@ class TestInferencePipeline:
             registry_with_model,
             workers_per_cell=4,
         )
-        _, stats = pipeline.run({small_dataset.retailer_id: small_dataset})
+        _, stats = run_inference(
+            pipeline, {small_dataset.retailer_id: small_dataset}
+        )
         assert stats.model_loads <= 4  # never per-item
 
     def test_purchase_recs_distinct_surface(self, small_dataset,
@@ -98,7 +106,9 @@ class TestInferencePipeline:
             registry_with_model,
             top_n=5,
         )
-        results, _ = pipeline.run({small_dataset.retailer_id: small_dataset})
+        results, _ = run_inference(
+            pipeline, {small_dataset.retailer_id: small_dataset}
+        )
         result = results[small_dataset.retailer_id]
         assert len(result.purchase_recs) == small_dataset.n_items
         differing = sum(

@@ -14,6 +14,7 @@ from repro.core.training import TrainerSettings, TrainingPipeline, train_config
 from repro.exceptions import ConfigError
 from repro.models.bpr import BPRHyperParams
 from repro.models.wals import WALSModel
+from tests.conftest import run_inference
 
 FAST = TrainerSettings(max_epochs_full=3, max_epochs_incremental=2,
                        sampler="uniform")
@@ -110,6 +111,6 @@ class TestMixedPipeline:
         # Whatever won, inference must serve it through the common
         # interface.
         inference = InferencePipeline(cluster, registry, top_n=3)
-        results, _ = inference.run(datasets)
+        results, _ = run_inference(inference, datasets)
         result = results[tiny_dataset.retailer_id]
         assert result.view_recs

@@ -595,8 +595,8 @@ class TestGatedPublishInService:
         rank_block = service.inference._rank_block
         calls = []
 
-        def corrupt_second_surface(model, contexts, candidate_lists):
-            rows = rank_block(model, contexts, candidate_lists)
+        def corrupt_second_surface(model, *block):
+            rows = rank_block(model, *block)
             calls.append(model)
             # Blocks alternate view / purchase; r0 (sorted first) ranks first.
             if len(calls) == 2:

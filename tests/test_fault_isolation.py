@@ -33,7 +33,6 @@ from repro.mapreduce.runtime import (
     MAX_TASK_ATTEMPTS,
     SKIP_RECORD,
     FaultPlan,
-    JobStats,
     MapReduceJob,
     MapReduceRuntime,
 )
@@ -221,7 +220,7 @@ class TestTrainingPipelineIsolation:
 
 
 class TestInferenceCellPairing:
-    def test_heaviest_group_lands_on_most_free_cell(self, monkeypatch):
+    def test_heaviest_group_lands_on_most_free_cell(self):
         # Free cpus 48/16/8: shares come out a=2, b=1, c=1 for 4 retailers.
         cluster = Cluster(
             [
@@ -239,14 +238,10 @@ class TestInferenceCellPairing:
             "z": SimpleNamespace(n_items=3),
         }
 
-        assignments = {}
-
-        def fake_cell_job(cell_name, group, day, **kwargs):
-            assignments[cell_name] = frozenset(group)
-            return {}, JobStats(job_name=cell_name), 0, {}
-
-        monkeypatch.setattr(pipeline, "run_cell", fake_cell_job)
-        pipeline.run(datasets)
+        assignments = {
+            cell_name: frozenset(group)
+            for cell_name, group in pipeline.plan(datasets)
+        }
         # FFD bins are {w}=5, {x}=4, {y,z}=6: the heaviest bin must pair
         # with the most-free cell, not with whatever order FFD emitted.
         assert assignments["cell_a"] == frozenset({"y", "z"})
@@ -368,6 +363,35 @@ class TestServiceGracefulDegradation:
         # Training itself succeeded and published.
         assert service.registry.has_models("svc_0")
         assert report.retailers_served == 1
+
+    def test_a_dead_inference_cell_degrades_only_its_retailers(self, monkeypatch):
+        """A cell job that raises takes its own retailers' inference down
+        with it (the ``infer/<cell>`` block catches it); the day's other
+        cell still publishes fresh tables."""
+        service = fault_service(FaultPlan())
+        service.run_day()
+        run_cell = service.inference.run_cell
+        groups = []
+
+        def dying(cell_name, datasets, *args, **kwargs):
+            groups.append(sorted(datasets))
+            if "svc_0" in datasets:
+                raise MapReduceError("cell lost")
+            return run_cell(cell_name, datasets, *args, **kwargs)
+
+        monkeypatch.setattr(service.inference, "run_cell", dying)
+        report = service.run_day()
+        assert sorted(groups) == [["svc_0"], ["svc_1"]]  # one retailer a cell
+        assert report.failed_retailers == ["svc_0"]
+        assert report.failure_reasons["svc_0"].startswith("inference: cell ")
+        assert report.failure_reasons["svc_0"].endswith(": cell lost")
+        assert report.retailers_served == 1 and report.retailers_stale == 1
+        assert service.substitutes_store.freshness(["svc_0", "svc_1"], 2) == {
+            "svc_0": "stale",
+            "svc_1": "fresh",
+        }
+        # Training itself succeeded and published.
+        assert service.registry.has_models("svc_0")
 
     def test_run_day_with_fewer_configs_than_cells(self):
         # 2 configs over 4 cells used to crash split_by_capacity outright.

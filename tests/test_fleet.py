@@ -387,21 +387,24 @@ def test_parallel_equals_serial_property(
 # ----------------------------------------------------------------------
 # Optimizer state hand-off
 # ----------------------------------------------------------------------
+#: One ``(3, 2)`` table at the start of a flat buffer.
+_W = {"w": (0, (3, 2))}
+
+
 class TestOptimizerState:
     def test_adagrad_roundtrip(self):
         opt = Adagrad(0.1)
-        opt.register("w", np.zeros((3, 2)))
-        param = np.zeros((3, 2))
-        opt.step_rows("w", param, np.array([1]), np.ones((1, 2)))
+        opt.register_flat(_W)
+        opt.step_flat(np.zeros(6), np.array([2, 3]), np.ones(2))
         state = opt.get_state()
         clone = Adagrad(0.1)
-        clone.register("w", np.zeros((3, 2)))
+        clone.register_flat(_W)
         clone.set_state(state)
         assert np.array_equal(clone.get_state()["w"], state["w"])
 
     def test_adagrad_set_state_validates(self):
         opt = Adagrad(0.1)
-        opt.register("w", np.zeros((3, 2)))
+        opt.register_flat(_W)
         with pytest.raises(ValueError, match="unregistered"):
             opt.set_state({"nope": np.zeros((3, 2))})
         with pytest.raises(ValueError, match="shape"):

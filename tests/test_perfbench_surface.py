@@ -87,8 +87,9 @@ def test_a_traced_cell_counts_every_candidate_once():
     total = 0
     for rid, dataset in datasets.items():
         selector = service.inference.selector_of(rid)
-        for item in range(dataset.n_items):
-            total += len(selector.view_based(item)) + len(selector.purchase_based(item))
+        items = list(range(dataset.n_items))
+        for pools in (selector.batch_view_based(items), selector.batch_purchase_based(items)):
+            total += pools.items.size
     assert total > 0
     assert tracer.counters["core.candidates.candidates"] == total
     assert tracer.counters["models.items_scored"] == total

@@ -1,16 +1,17 @@
-"""``rank_items``: a block's item ids ranked with one user matrix.
+"""``recommend_batch``: a block's item ids ranked against their own pools.
 
 Offline inference asks every block the same question: for each item id
 ``q`` of the block, the top-``k`` of its pool for a user whose whole
-context is one action on ``q``.  ``Recommender.rank_items`` answers it
-from the ids alone; ``recommend_batch`` sends it a batch of single-action
-contexts, and inference's ``SingleActions`` batch as the ids it holds, and
-``BPRModel`` builds the block's user matrix once for both surfaces.
-Pinned here, on ``BPRModel`` and on a model that takes the base-class path
-(WALS): ``rank_items``, ``recommend_batch`` on ``SingleActions`` and on
-the single-item contexts, and one ``recommend`` per item return the same ids,
-scores and order, on tables with NaN and inf rows and exact ties, pools
-that hold the query item, empty pools, ``k >= pool`` and ``k <= 0``.
+context is one ``event`` on ``q``.  ``Recommender.recommend_batch``
+answers it from the ids alone, and ``BPRModel`` scores the block against
+one user matrix built from them.  Pinned here, on ``BPRModel`` and on two
+models that take the base-class scoring — WALS and the co-occurrence
+model, whose single-action scores both read the event (a fold-in
+confidence, a vote weight), while BPR's one action weighs 1.0 whatever
+it is: ``recommend_batch`` over ``ItemRows`` and over plain lists, and
+one ``recommend`` per item, return the same ids, scores and order, on
+tables with NaN and inf rows and exact ties, pools that hold the query
+item, empty pools, ``k >= pool`` and ``k <= 0``.
 """
 
 from __future__ import annotations
@@ -24,19 +25,31 @@ from hypothesis import strategies as st
 
 from repro.data.events import EventType
 from repro.data.sessions import UserContext
-from repro.models.base import ItemRows, SingleActions
+from repro.models.base import ItemRows
 from repro.models.bpr import BPRModel
-from tests.test_recommender_contract import build_wals
+from repro.models.wals import WALSModel
+from tests.test_recommender_contract import build_cooccurrence, build_wals
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
-#: Cases every run of the property must have drawn, per model.
+#: Cases a run of the property must draw, and the only ones it may: an
+#: event that moves a score is drawn exactly where the model reads it.
 CASES = {"nan_row", "inf_row", "tie", "query_in_pool", "empty_pool", "k_ge_pool", "k_le_0"}
+#: Per model: the co-occurrence model has no factor table to poison.
+MODEL_CASES = {
+    "bpr": CASES,
+    "wals": CASES | {"event_moves_scores"},
+    "cooccurrence": CASES - {"nan_row", "inf_row"} | {"event_moves_scores"},
+}
 
 
 @pytest.fixture(scope="module")
 def models(small_dataset, trained_model):
-    return {"bpr": trained_model, "wals": build_wals(small_dataset, trained_model)}
+    return {
+        "bpr": trained_model,
+        "wals": build_wals(small_dataset, trained_model),
+        "cooccurrence": build_cooccurrence(small_dataset, trained_model),
+    }
 
 
 def _bits(rows):
@@ -87,36 +100,32 @@ def _case_strategy(n_items: int):
 
 
 def _check(model, case, seen):
-    model = _with_table(model, case["seed"], case["nan_rows"], case["inf_rows"])
+    tabled = isinstance(model, (BPRModel, WALSModel))
+    if tabled:
+        model = _with_table(model, case["seed"], case["nan_rows"], case["inf_rows"])
     # A row asked to hold its query item gets it; the others may anyway.
     query = [q for q, _, _ in case["rows"]]
     pools = [pool + [q] if holds else pool for q, pool, holds in case["rows"]]
     k, event = case["k"], case["event"]
     contexts = [UserContext((q,), (event,)) for q in query]
 
-    ranked = model.rank_items(np.asarray(query, dtype=np.int64), ItemRows.of(pools), k, event)
-    actions = model.recommend_batch(SingleActions(query, event), ItemRows.of(pools), k=k)
-    batched = model.recommend_batch(contexts, pools, k=k)
+    ranked = model.recommend_batch(np.asarray(query, dtype=np.int64), ItemRows.of(pools), k, event)
+    listed = model.recommend_batch(query, pools, k=k, event=event)
     per_item = [
         model.recommend(context, k=k, candidates=pool)
         for context, pool in zip(contexts, pools)
     ]
-    assert _bits(ranked) == _bits(actions) == _bits(batched) == _bits(per_item)
-    if isinstance(model, BPRModel) and len(query) > 1:
-        # Mixed events are no single-item batch: the context path
-        # (``_rank_listed``) ranks them, bit for bit the same, since one
-        # action weighs 1.0 whatever its event.
-        mixed = [
-            UserContext((q,), (list(EventType)[row % len(EventType)],))
-            for row, q in enumerate(query)
-        ]
-        assert _bits(model.recommend_batch(mixed, pools, k=k)) == _bits(ranked)
+    assert _bits(ranked) == _bits(listed) == _bits(per_item)
 
+    viewed = [
+        model.recommend(UserContext((q,), (EventType.VIEW,)), k=k, candidates=pool)
+        for q, pool in zip(query, pools)
+    ]
     seen.update(
         name
         for name, drawn in (
-            ("nan_row", case["nan_rows"]),
-            ("inf_row", case["inf_rows"]),
+            ("nan_row", tabled and case["nan_rows"]),
+            ("inf_row", tabled and case["inf_rows"]),
             ("query_in_pool", any(q in pool for q, pool in zip(query, pools))),
             ("empty_pool", any(not pool for pool in pools)),
             ("k_le_0", k <= 0),
@@ -128,14 +137,15 @@ def _check(model, case, seen):
                     for row in per_item
                 ),
             ),
+            ("event_moves_scores", _bits(per_item) != _bits(viewed)),
         )
         if drawn
     )
 
 
-@pytest.mark.parametrize("name", ["bpr", "wals"])
-def test_rank_items_recommend_batch_and_recommend_agree(models, name):
-    model, seen = models[name], set()
+@pytest.mark.parametrize("name", sorted(MODEL_CASES))
+def test_recommend_batch_and_recommend_agree(models, name):
+    model, cases, seen = models[name], MODEL_CASES[name], set()
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(case=_case_strategy(model.n_items))
@@ -143,7 +153,7 @@ def test_rank_items_recommend_batch_and_recommend_agree(models, name):
         _check(model, case, seen)
 
     parity()
-    assert seen == CASES, f"never drawn: {sorted(CASES - seen)}"
+    assert seen == cases, f"drawn {sorted(seen)}, expected {sorted(cases)}"
 
 
 def test_query_users_is_the_scatter_into_zeros(models):
@@ -159,52 +169,19 @@ def test_query_users_is_the_scatter_into_zeros(models):
     assert not np.signbit(users[0]).any()
 
 
-def test_bpr_builds_one_user_matrix_per_block(models, monkeypatch):
-    """Two surfaces of one block share the block's user matrix; a
-    parameter update drops it."""
-    model = copy.deepcopy(models["bpr"])
-    built = []
-    query_users = model.query_users
-
-    def counted(query):
-        built.append(query.tolist())
-        return query_users(query)
-
-    monkeypatch.setattr(model, "query_users", counted)
-    block = np.arange(5, 9, dtype=np.int64)
-    views = ItemRows.of([[1, 2, 3]] * 4)
-    buys = ItemRows.of([[4, 10, 11], [], [12], [5, 6]])
-    first = model.rank_items(block, views, 2, EventType.VIEW)
-    model.rank_items(block, buys, 2, EventType.CONVERSION)
-    assert built == [[5, 6, 7, 8]]
-    model.rank_items(block + 1, views, 2)
-    assert len(built) == 2
-    model.context_embeddings[6] += 1.0
-    model.invalidate_cache()
-    again = model.rank_items(block, views, 2)
-    assert len(built) == 3
-    assert _bits(again[:1]) == _bits(first[:1]) and _bits(again[1:2]) != _bits(first[1:2])
-
-
-def test_single_actions_are_their_contexts(models, monkeypatch):
-    """A ``SingleActions`` row is the one-action context it stands for;
-    a batch of them reaches ``rank_items`` with no context built, and
-    asked anything else (list pools, own items kept) ranks as those
-    contexts would."""
-    actions = SingleActions(np.array([4, 0, 9]), EventType.CART)
-    contexts = [UserContext((q,), (EventType.CART,)) for q in (4, 0, 9)]
-    assert list(actions) == contexts and actions[-1] == contexts[-1]
-    pools = [[4, 1, 2], [0, 3], []]
-    model = models["bpr"]
-    for exclude in (True, False):
-        ask = dict(k=2, exclude_context_items=exclude)
-        assert _bits(model.recommend_batch(actions, pools, **ask)) == _bits(
-            model.recommend_batch(contexts, pools, **ask)
-        )
+def test_a_block_builds_no_context(models, monkeypatch):
+    """BPR ranks a block from its ids alone: no ``UserContext`` is built."""
+    pools = ItemRows.of([[4, 1, 2], [0, 3], []])
     monkeypatch.setattr(UserContext, "__init__", lambda *a: pytest.fail("context built"))
-    model.recommend_batch(actions, ItemRows.of(pools), k=2)
+    models["bpr"].recommend_batch(np.array([4, 0, 9]), pools, k=2, event=EventType.CART)
 
 
-def test_rank_items_rejects_misaligned_pools(models):
+@pytest.mark.parametrize("name", sorted(MODEL_CASES))
+def test_an_empty_block_ranks_to_no_rows(models, name):
+    ranked = models[name].recommend_batch(np.empty(0, dtype=np.int64), ItemRows.of([]), 5)
+    assert len(ranked) == 0 and list(ranked) == []
+
+
+def test_recommend_batch_rejects_misaligned_pools(models):
     with pytest.raises(ValueError):
-        models["bpr"].rank_items(np.arange(3), ItemRows.of([[1], [2]]), 2)
+        models["bpr"].recommend_batch(np.arange(3), ItemRows.of([[1], [2]]), 2)

@@ -1,7 +1,7 @@
 """The flat ranking pipeline against the per-row loop it replaced.
 
-``recommend_batch`` ranks a block's listed rows as one array (flat
-exclude -> ``score_pairs`` -> ``segmented_top_k``).  The per-row
+``recommend_batch`` ranks a block's rows as one array (flat exclude ->
+``_score_queries`` -> ``segmented_top_k``).  The per-row
 ``_exclude_items`` / ``score_pools`` / ``_top_k`` loop it replaced is
 frozen in ``tests/reference_per_row_rank.py``; pinned here: the two
 return the same items with bit-identical scores on every model and on
@@ -25,7 +25,7 @@ from repro.models import base
 from repro.models.base import Recommender, segmented_top_k, top_k_select
 from tests import reference_per_row_rank as reference
 from tests.test_recommender_contract import BUILDERS
-from tests.test_score_pairs import _bits, build_diverged
+from tests.test_score_queries import _bits, build_diverged
 
 #: Diverged and overflowed models multiply NaN and inf on purpose.
 pytestmark = pytest.mark.filterwarnings(
@@ -133,12 +133,13 @@ def test_one_catalog_sized_pool_does_not_pad_the_block():
 # ----------------------------------------------------------------------
 # recommend_batch == the frozen per-row loop, bit for bit
 # ----------------------------------------------------------------------
-def _assert_equals_reference(model, contexts, candidate_lists, k, exclude):
-    batched = model.recommend_batch(
-        contexts, candidate_lists, k=k, exclude_context_items=exclude
-    )
+def _assert_equals_reference(model, query, candidate_lists, k, event=EventType.VIEW):
+    """``recommend_batch`` against the frozen loop over the one-action
+    contexts it stands for, their own items excluded."""
+    batched = model.recommend_batch(query, candidate_lists, k=k, event=event)
+    contexts = [UserContext((int(item),), (event,)) for item in query]
     expected = reference.recommend_batch(
-        model, contexts, candidate_lists, k=k, exclude_context_items=exclude
+        model, contexts, candidate_lists, k=k, exclude_context_items=True
     )
     assert [_bits(recs) for recs in batched] == [_bits(recs) for recs in expected]
     for recs in batched:
@@ -179,14 +180,9 @@ def model(request, small_dataset, trained_model):
 
 
 item_ids = st.integers(min_value=0, max_value=N_ITEMS - 1)
-#: Empty, single-item (the offline workload) and multi-item contexts.
-contexts_strategy = st.lists(item_ids, min_size=0, max_size=5).map(
-    lambda items: UserContext(tuple(items), tuple(EventType.CART for _ in items))
-)
-#: ``None`` (whole catalog), empty, unsorted, repeated items, and wider
-#: than the catalog; arrays and plain lists both.
+#: Empty, unsorted, repeated items, and wider than the catalog; arrays
+#: and plain lists both.
 pools_strategy = st.one_of(
-    st.none(),
     st.lists(item_ids, min_size=0, max_size=30),
     st.lists(item_ids, min_size=0, max_size=30).map(
         lambda items: np.asarray(items, dtype=np.int64)
@@ -198,9 +194,7 @@ pools_strategy = st.one_of(
         lambda items: np.asarray(items + items[:40], dtype=np.int64)
     ),
 )
-rows_strategy = st.lists(
-    st.tuples(contexts_strategy, pools_strategy), min_size=0, max_size=7
-)
+rows_strategy = st.lists(st.tuples(item_ids, pools_strategy), min_size=0, max_size=7)
 #: 0, inside every pool, and past the widest (160).
 k_strategy = st.one_of(
     st.integers(min_value=0, max_value=12), st.sampled_from([40, 200])
@@ -208,13 +202,13 @@ k_strategy = st.one_of(
 
 
 @settings(max_examples=40, deadline=None)
-@given(rows=rows_strategy, k=k_strategy, exclude=st.booleans())
+@given(rows=rows_strategy, k=k_strategy, event=st.sampled_from(list(EventType)))
 def test_property_recommend_batch_equals_per_row_reference(
-    model, pad_factor, rows, k, exclude
+    model, pad_factor, rows, k, event
 ):
-    contexts = [context for context, _ in rows]
+    query = [item for item, _ in rows]
     candidate_lists = [pool for _, pool in rows]
-    _assert_equals_reference(model, contexts, candidate_lists, k, exclude)
+    _assert_equals_reference(model, query, candidate_lists, k, event)
 
 
 @settings(max_examples=40, deadline=None)
@@ -226,13 +220,12 @@ def test_property_recommend_batch_equals_per_row_reference(
     k=k_strategy,
 )
 def test_property_single_item_block_equals_per_row_reference(model, items, pools, k):
-    """The offline-inference shape: one item per context, its own pool,
-    context item excluded — the flat-exclude and user-embedding fast paths."""
-    contexts = [UserContext((item,), (EventType.VIEW,)) for item in items]
+    """The offline-inference shape: a block of int64 ids, each with its own
+    int64 pool."""
     candidate_lists = [
         np.asarray(pool, dtype=np.int64) for pool in pools[: len(items)]
     ]
-    _assert_equals_reference(model, contexts, candidate_lists, k, True)
+    _assert_equals_reference(model, np.asarray(items), candidate_lists, k)
 
 
 class TableModel(Recommender):
@@ -243,7 +236,7 @@ class TableModel(Recommender):
         self.n_items = table.shape[1]
 
     def score_items(self, context, item_indices):
-        row = context.item_indices[-1] if len(context) else 0
+        row = context.item_indices[-1]
         return self.table[row % self.table.shape[0], np.asarray(item_indices)]
 
 
@@ -256,39 +249,30 @@ class TableModel(Recommender):
     ),
     rows=st.lists(
         st.tuples(
-            st.lists(st.integers(0, 11), min_size=0, max_size=3),
-            st.one_of(
-                st.none(), st.lists(st.integers(0, 11), min_size=0, max_size=20)
-            ),
+            st.integers(0, 11),
+            st.lists(st.integers(0, 11), min_size=0, max_size=20),
         ),
         min_size=0,
         max_size=6,
     ),
     k=st.integers(min_value=0, max_value=22),
-    exclude=st.booleans(),
 )
 def test_property_adversarial_score_tables_equal_per_row_reference(
-    pad_factor, table, rows, k, exclude
+    pad_factor, table, rows, k
 ):
     """Ties inside and across rows, all-equal rows, NaN and +-inf scores,
     rows with fewer than k numbers, duplicate ids — through the default
-    ``score_pairs`` and the whole-catalog path alike."""
+    ``_score_queries``."""
     model = TableModel(np.asarray(table, dtype=np.float64))
-    contexts = [
-        UserContext(tuple(items), tuple(EventType.VIEW for _ in items))
-        for items, _ in rows
-    ]
+    query = [item for item, _ in rows]
     candidate_lists = [pool for _, pool in rows]
-    _assert_equals_reference(model, contexts, candidate_lists, k, exclude)
+    _assert_equals_reference(model, query, candidate_lists, k)
 
 
 def test_catalog_sized_pool_among_small_ones_equals_reference(trained_model):
     rng = np.random.default_rng(9)
     n = trained_model.n_items
-    contexts = [
-        UserContext((int(item),), (EventType.VIEW,))
-        for item in rng.integers(n, size=128)
-    ]
-    candidate_lists = [rng.permutation(n)[:12] for _ in contexts]
+    query = rng.integers(n, size=128)
+    candidate_lists = [rng.permutation(n)[:12] for _ in query]
     candidate_lists[50] = np.tile(np.arange(n), 40)
-    _assert_equals_reference(trained_model, contexts, candidate_lists, 10, True)
+    _assert_equals_reference(trained_model, query, candidate_lists, 10)

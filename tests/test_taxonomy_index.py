@@ -216,10 +216,8 @@ def shelf() -> Tuple[Taxonomy, CandidateSelector]:
 def both_paths(selector: CandidateSelector, item: int) -> List[int]:
     """The selector's pools for ``item`` beside the frozen set-based selector's."""
     single = set_selector.view_based(selector, item)
-    assert selector.view_based(item) == single
     assert selector.batch_view_based([item])[0].tolist() == single
     bought = set_selector.purchase_based(selector, item)
-    assert selector.purchase_based(item) == bought
     assert selector.batch_purchase_based([item])[0].tolist() == bought
     return single
 
@@ -263,10 +261,7 @@ def test_pools_equal_the_set_selector_wherever_it_answers(
         for step, item in enumerate(session)
         for event in (EventType.VIEW, EventType.CONVERSION)[: 1 + (item + user) % 2]
     ]
-    items = [
-        Item(f"shop-{index}", index, ROOT_CATEGORY, facets={"color": "rgb"[index % 3]})
-        for index in range(MAX_ITEM + 1)
-    ]
+    items = [Item(f"shop-{index}", index, ROOT_CATEGORY) for index in range(MAX_ITEM + 1)]
     selector = CandidateSelector(
         taxonomy=taxonomy,
         counts=CoOccurrenceCounts.from_interactions(len(items), log),
@@ -275,17 +270,16 @@ def test_pools_equal_the_set_selector_wherever_it_answers(
         purchase_lca_k=purchase_k,
         max_candidates=max_candidates,
     )
-    for item in range(len(items)):
-        for pool, options in (
-            ("view_based", {}),
-            ("view_based", {"same_facets": ("color",)}),
-            ("purchase_based", {}),
-            ("near_item", {}),
-        ):
-            answer = getattr(selector, pool)(item, **options)  # never raises
+    block = list(range(len(items)))
+    for pool, rows in (
+        ("view_based", selector.batch_view_based(block)),  # never raises
+        ("purchase_based", selector.batch_purchase_based(block)),
+    ):
+        for item, row in zip(block, rows):
+            answer = row.tolist()
             assert item not in answer and answer == sorted(set(answer))
             try:
-                expected = getattr(set_selector, pool)(selector, item, **options)
+                expected = getattr(set_selector, pool)(selector, item)
             except TaxonomyError:
                 continue
             assert answer == expected
@@ -293,24 +287,25 @@ def test_pools_equal_the_set_selector_wherever_it_answers(
 
 def test_an_uncategorised_item_is_its_own_neighbourhood():
     """Item 8 is on no category: as a seed it expands to itself, as a
-    query item it has no substitutes to strip and no category mates;
-    ``lca_k`` / ``lca_root`` still refuse it."""
+    query item it has no substitutes to strip; ``lca_k`` / ``lca_root``
+    still refuse it."""
     taxonomy, selector = shelf()
     log = [
         Interaction(float(t), user, item, EventType.CONVERSION)
         for t, (user, item) in enumerate([(1, 0), (1, 8), (2, 8), (2, 7), (2, 6)])
     ]
     selector.counts = CoOccurrenceCounts.from_interactions(10, log)
-    assert selector.view_based(0) == [8]  # the seed itself
+    views = selector.batch_view_based([0, 8, 9])
+    assert views[0].tolist() == [8]  # the seed itself
     assert selector.batch_purchase_based([0])[0].tolist() == [8]
-    assert selector.view_based(8) == [0, 1, 2, 3, 6, 7]  # its seeds' categories
-    assert selector.purchase_based(8) == [0, 1, 2, 3, 6, 7]  # nothing stripped
-    assert selector.near_item(8) == []
-    assert selector.view_based(9) == []  # cold and uncategorised
+    assert views[1].tolist() == [0, 1, 2, 3, 6, 7]  # its seeds' categories
+    # Nothing stripped as the query item.
+    assert selector.batch_purchase_based([8])[0].tolist() == [0, 1, 2, 3, 6, 7]
+    assert views[2].tolist() == []  # cold and uncategorised
     with pytest.raises(TaxonomyError, match="item 8 has no category"):
         set_selector.view_based(selector, 0)  # 8 as a seed
     with pytest.raises(TaxonomyError, match="item 8 has no category"):
-        set_selector.near_item(selector, 8)  # 8 as the query item
+        set_selector.purchase_based(selector, 8)  # 8 as the query item
     with pytest.raises(TaxonomyError, match="item 8 has no category"):
         taxonomy.index().lca_root(8, 1)
 

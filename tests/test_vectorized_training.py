@@ -1,6 +1,6 @@
 """Tests for the mini-batch training step and the trainer's one loop.
 
-The contract under test: ``sgd_step_batch`` with a batch of one
+The contract under test: ``step_planned`` on a batch of one
 non-colliding triple is the paper's per-triple rule as the oracle in
 ``tests/reference_scalar_sgd.py`` writes it out (for both optimizers), a
 ``batch_size=1`` epoch is that oracle's loop, larger batches follow
@@ -29,7 +29,7 @@ from repro.models.bpr import BPRHyperParams, BPRModel, concat_ranges
 from repro.models.trainer import DEFAULT_BATCH_SIZE, BPRTrainer
 
 from tests import reference_scalar_sgd as scalar
-from tests.conftest import recompile, step_one
+from tests.conftest import recompile, sgd_step_batch, step_one
 
 #: A small synthetic retailer shared by the property tests (hypothesis
 #: cannot take pytest fixtures).
@@ -149,7 +149,8 @@ def test_scalar_and_batch_step_produce_same_parameters(seed, optimizer):
     losses = []
     for context, positive, negative in _non_colliding_triples(rng, 40):
         scalar_loss = scalar.sgd_step(scalar_model, context, positive, negative)
-        batch_loss = batch_model.sgd_step_batch(
+        batch_loss = sgd_step_batch(
+            batch_model,
             _csr_of(batch_model, context),
             np.array([positive]),
             np.array([negative]),
@@ -169,7 +170,8 @@ def test_scalar_and_batch_step_produce_same_parameters(seed, optimizer):
 class TestBatchStep:
     def test_empty_batch_is_noop(self, fresh_model):
         state = fresh_model.get_state()
-        losses = fresh_model.sgd_step_batch(
+        losses = sgd_step_batch(
+            fresh_model,
             (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)),
             np.zeros(0, dtype=np.int64),
             np.zeros(0, dtype=np.int64),
@@ -187,7 +189,8 @@ class TestBatchStep:
         weights = model.context_weights(context)
         indptr = np.array([0, 2, 4], dtype=np.int64)
         rows = np.array([1, 2, 1, 2], dtype=np.int64)
-        model.sgd_step_batch(
+        sgd_step_batch(
+            model,
             (indptr, rows, np.concatenate([weights, weights])),
             np.array([5, 6]),
             np.array([30, 31]),
@@ -200,7 +203,7 @@ class TestBatchStep:
         model = BPRModel(small_dataset.catalog, small_dataset.taxonomy, default_params)
         before = model.item_bias.copy()
         empty = (np.array([0, 0], dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
-        model.sgd_step_batch(empty, np.array([1]), np.array([2]))
+        sgd_step_batch(model, empty, np.array([1]), np.array([2]))
         assert model.item_bias[1] != before[1]
 
     def test_duplicate_rows_in_one_batch_sum(self, small_dataset):
@@ -215,8 +218,8 @@ class TestBatchStep:
         weights = np.concatenate(
             [model.context_weights(context), model.context_weights(context)]
         )
-        model.sgd_step_batch(
-            (indptr, rows, weights), np.array([4, 4]), np.array([10, 11])
+        sgd_step_batch(
+            model, (indptr, rows, weights), np.array([4, 4]), np.array([10, 11])
         )
         # Mini-batch semantics: both gradients evaluated at pre-batch
         # parameters, then summed onto the shared rows.
