@@ -27,7 +27,6 @@ def build_selector(dataset, view_lca_k=2, max_candidates=1000):
     return CandidateSelector(
         taxonomy=dataset.taxonomy,
         counts=counts,
-        catalog=dataset.catalog,
         repurchase=RepurchaseDetector(dataset.taxonomy, dataset.train),
         view_lca_k=view_lca_k,
         max_candidates=max_candidates,

@@ -201,7 +201,6 @@ def _build(n_items, n_users, n_events):
     selector = CandidateSelector(
         dataset.taxonomy,
         counts,
-        dataset.catalog,
         repurchase=RepurchaseDetector(dataset.taxonomy, dataset.train),
     )
     return dataset, model, selector

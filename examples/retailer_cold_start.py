@@ -107,7 +107,7 @@ def main() -> None:
     print(f"\nCold items (zero training interactions): {len(cold_items)}")
     counts = CoOccurrenceCounts.from_interactions(dataset.n_items, dataset.train)
     selector = CandidateSelector(
-        taxonomy=dataset.taxonomy, counts=counts, catalog=dataset.catalog
+        taxonomy=dataset.taxonomy, counts=counts
     )
     if cold_items:
         cold = cold_items[0]

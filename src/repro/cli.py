@@ -71,11 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     service.add_argument("--days", type=int, default=3)
     service.add_argument("--median-items", type=int, default=80)
     service.add_argument("--seed", type=int, default=0)
-    service.add_argument(
-        "--workers", type=int, default=0,
-        help="fleet worker processes for Train() map tasks; 0 or 1 runs "
-             "the serial reference path (outputs are identical either way)",
-    )
 
     train = commands.add_parser("train", help="train on CSV data")
     train.add_argument("catalog", help="catalog CSV path")
@@ -218,34 +213,33 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_service(args: argparse.Namespace) -> int:
-    with SigmundService(
+    service = SigmundService(
         build_cluster(n_cells=2, machines_per_cell=6),
         grid=GridSpec.small(),
         settings=TrainerSettings(
             max_epochs_full=3, max_epochs_incremental=2, sampler="uniform"
         ),
-        n_workers=args.workers,
-    ) as service:
-        fleet = generate_marketplace(
-            MarketplaceSpec(
-                n_retailers=args.retailers,
-                median_items=args.median_items,
-                seed=args.seed,
-            )
+    )
+    fleet = generate_marketplace(
+        MarketplaceSpec(
+            n_retailers=args.retailers,
+            median_items=args.median_items,
+            seed=args.seed,
         )
-        for retailer in fleet:
-            service.onboard(dataset_from_synthetic(retailer))
-            print(f"onboarded {retailer.retailer_id} ({retailer.n_items} items)")
-        for _ in range(args.days):
-            report = service.run_day()
-            print(
-                f"day {report.day}: sweep={report.sweep_kind} "
-                f"models={report.configs_trained} served={report.retailers_served} "
-                f"cost={report.total_cost:.4f}"
-            )
-        print(f"total cost: {service.total_cost():.4f}")
-        for retailer_id, cost in sorted(service.retailer_costs().items()):
-            print(f"  chargeback {retailer_id}: {cost:.4f}")
+    )
+    for retailer in fleet:
+        service.onboard(dataset_from_synthetic(retailer))
+        print(f"onboarded {retailer.retailer_id} ({retailer.n_items} items)")
+    for _ in range(args.days):
+        report = service.run_day()
+        print(
+            f"day {report.day}: sweep={report.sweep_kind} "
+            f"models={report.configs_trained} served={report.retailers_served} "
+            f"cost={report.total_cost:.4f}"
+        )
+    print(f"total cost: {service.total_cost():.4f}")
+    for retailer_id, cost in sorted(service.retailer_costs().items()):
+        print(f"  chargeback {retailer_id}: {cost:.4f}")
     return 0
 
 

@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.cooccurrence.counts import CoOccurrenceCounts
-from repro.data.catalog import Catalog
 from repro.data.events import EventType, Interaction
 from repro.data.taxonomy import Taxonomy, TaxonomyIndex
 from repro.exceptions import DataError, TaxonomyError
@@ -156,7 +155,6 @@ class CandidateSelector:
 
     taxonomy: Taxonomy
     counts: CoOccurrenceCounts
-    catalog: Catalog
     repurchase: Optional[RepurchaseDetector] = None
     view_lca_k: int = DEFAULT_VIEW_LCA_K
     purchase_lca_k: int = DEFAULT_PURCHASE_LCA_K

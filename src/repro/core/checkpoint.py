@@ -32,7 +32,7 @@ import os
 import pickle
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -299,19 +299,6 @@ class CheckpointManager:
         self._last_written: Dict[str, float] = {}
         self.stats = CheckpointStats()
 
-    # Backwards-compatible counter views (pre-durability API).
-    @property
-    def writes(self) -> int:
-        return self.stats.writes
-
-    @property
-    def garbage_collected(self) -> int:
-        return self.stats.garbage_collected
-
-    @property
-    def restores(self) -> int:
-        return self.stats.restores
-
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
@@ -332,19 +319,7 @@ class CheckpointManager:
 
     def write(self, key: str, model: BPRModel, now: float, epoch: int) -> None:
         """Unconditionally checkpoint; the previous one is GC'd."""
-        self.write_state(key, model.get_state(), now, epoch)
-
-    def write_state(
-        self, key: str, state: Dict[str, np.ndarray], now: float, epoch: int
-    ) -> None:
-        """:meth:`write` from a raw state dict (no model object needed).
-
-        The fleet path: a worker process makes the interval decision
-        against its local clock shim and ships the state it would have
-        written; the coordinator replays the write here so fault plans,
-        stats, and the durable storage all stay coordinator-side.
-        """
-        blob = _encode(state, now, epoch)
+        blob = _encode(model.get_state(), now, epoch)
         if self.fault_plan is not None:
             corrupted = self.fault_plan.corrupt(key, blob)
         else:
@@ -421,37 +396,6 @@ class CheckpointManager:
             return None
         self._last_written.pop(key, None)
         return epoch
-
-    def try_restore_state(
-        self, key: str
-    ) -> Optional[Tuple[Dict[str, np.ndarray], int]]:
-        """:meth:`try_restore` without a model: ``(state, epoch)`` or None.
-
-        The fleet path reads the resume point *before* dispatching a task
-        to a worker process (the worker has no access to coordinator
-        storage), with the same integrity/cold-start semantics: a missing
-        blob and a corrupt blob both degrade to ``None``, corrupt blobs
-        are deleted, and the interval clock is reset on success.  Shape
-        validation against the model happens worker-side in ``set_state``
-        (checkpoints are day-namespaced, so shapes cannot drift within a
-        key).
-        """
-        blob = self.storage.get(key)
-        if blob is None:
-            self.stats.cold_starts += 1
-            return None
-        try:
-            decoded = _decode(key, blob)
-        except CheckpointCorruptionError:
-            self.stats.corruptions_detected += 1
-            self.stats.corrupt_keys.append(key)
-            self.storage.delete(key)
-            self._meta.pop(key, None)
-            self.stats.cold_starts += 1
-            return None
-        self.stats.restores += 1
-        self._last_written.pop(key, None)
-        return decoded["state"], int(decoded["epoch"])  # type: ignore[return-value,arg-type]
 
     def checkpoint_age(self, key: str, now: float) -> Optional[float]:
         """Seconds since this key's latest checkpoint (None if absent)."""

@@ -491,7 +491,6 @@ class InferencePipeline:
         selector = CandidateSelector(
             taxonomy=dataset.taxonomy,
             counts=counts,
-            catalog=dataset.catalog,
             repurchase=detector,
         )
         self._selector_cache[dataset.retailer_id] = (

@@ -136,8 +136,6 @@ class SigmundService:
         retrieval_threshold: Optional[int] = None,
         retrieval_config: Optional[IVFConfig] = None,
         retrieval_recall_target: float = 0.95,
-        n_workers: int = 0,
-        executor=None,
         orchestration: str = "serial",
         max_parallelism: int = 1,
     ):
@@ -174,17 +172,6 @@ class SigmundService:
         self.journal = RunJournal()
         self.crash_plan = crash_plan
         self.gate = publish_gate or PublishGate(metrics=self.metrics)
-        #: Real process parallelism for Train() map tasks.  ``executor``
-        #: wins if given; otherwise ``n_workers > 1`` builds a
-        #: ProcessFleetExecutor the service owns (and closes).  The
-        #: default (0/None) keeps the serial in-process reference path.
-        self._owns_executor = False
-        if executor is None and n_workers > 1:
-            from repro.fleet.executor import ProcessFleetExecutor
-
-            executor = ProcessFleetExecutor(n_workers, metrics=self.metrics)
-            self._owns_executor = True
-        self.executor = executor
         self.training = TrainingPipeline(
             cluster,
             self.registry,
@@ -197,7 +184,6 @@ class SigmundService:
             checkpoint_storage=checkpoint_storage,
             checkpoint_fault_plan=checkpoint_fault_plan,
             crash_plan=crash_plan,
-            executor=executor,
         )
         #: Catalog size at which the ANN index replaces the taxonomy
         #: walk; defaults to :data:`~repro.retrieval.harness.DEFAULT_ANN_THRESHOLD`.
@@ -306,22 +292,6 @@ class SigmundService:
                 table = cell_payload.get(field_name)
                 if isinstance(table, dict):
                     table.pop(retailer_id, None)
-
-    def close(self) -> None:
-        """Shut down the training fleet's worker pool (idempotent).
-
-        Only closes an executor the service created itself (via
-        ``n_workers``); an injected executor belongs to the caller, who
-        may be sharing it across services.
-        """
-        if self._owns_executor and self.executor is not None:
-            self.executor.close()
-
-    def __enter__(self) -> "SigmundService":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     @property
     def retailers(self) -> List[str]:

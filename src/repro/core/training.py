@@ -15,6 +15,11 @@ Paper section IV-B: training is a MapReduce whose map phase calls a
   the simulator bills by, while the real compute is one serial loop.
 * **Time-interval checkpointing** against the simulated clock.
 * **Per-cell job splitting** sized by free capacity.
+
+The fan-out across machines is modelled the same way: a cell job's
+map tasks are list-scheduled over its workers on the simulated clock,
+and every Train() call runs in this process, one config after another
+(:class:`~repro.mapreduce.runtime.MapReduceRuntime`).
 """
 
 from __future__ import annotations
@@ -40,22 +45,12 @@ from repro.core.registry import ModelRegistry, TrainedModel
 from repro.data.datasets import RetailerDataset
 from repro.evaluation.evaluator import HoldoutEvaluator
 from repro.exceptions import ConfigError, DataError, SigmundError
-from repro.fleet.tasks import (
-    CHECKPOINT_EVENT,
-    CRASH_CHECK_EVENT,
-    DISCARD_EVENT,
-    TrainTaskResult,
-    TrainTaskSpec,
-    rebuild_trained_model,
-    run_train_task,
-)
 from repro.mapreduce.runtime import (
     SKIP_RECORD,
     FaultPlan,
     JobStats,
     MapReduceJob,
     MapReduceRuntime,
-    RemoteMapSpec,
 )
 from repro.mapreduce.splits import uniform_splits
 from repro.models.bpr import BPRModel
@@ -192,7 +187,6 @@ def train_config(
     start_time: float = 0.0,
     crash_plan: Optional["CrashPlan"] = None,
     metrics=NULL_METRICS,
-    warm_state: Optional[Tuple[str, Dict[str, np.ndarray]]] = None,
     examples: Optional[ExampleSet] = None,
 ) -> Tuple[BPRModel, OutputConfigRecord]:
     """The paper's Train(): config record in, model + output record out.
@@ -214,11 +208,6 @@ def train_config(
     learner instead (paper section VI's drop-in substitute); WALS trains
     in one monolithic fit, so checkpointing does not apply to it.
 
-    ``warm_state`` is the fleet-worker form of ``warm_model``: yesterday's
-    parameters as a ``(model_kind, get_state())`` pair, because live model
-    objects never cross the process boundary.  Same row-prefix copy and
-    epoch-budget semantics.
-
     ``examples`` is the retailer's :class:`ExampleSet` when the caller
     trains several configs on one dataset; without it the trainer builds
     its own.
@@ -229,16 +218,12 @@ def train_config(
         )
     if config.model_kind == "wals":
         return _train_wals_config(
-            config, dataset, settings, warm_model, start_time, metrics, warm_state
+            config, dataset, settings, warm_model, start_time, metrics
         )
     model = BPRModel(dataset.catalog, dataset.taxonomy, config.params)
-    warmed = False
-    if warm_model is not None and isinstance(warm_model, BPRModel):
+    warmed = isinstance(warm_model, BPRModel)
+    if warmed:
         model.warm_start_from(warm_model)
-        warmed = True
-    elif warm_state is not None and warm_state[0] == "bpr":
-        model.warm_start_from_state(warm_state[1])
-        warmed = True
     max_epochs = (
         settings.max_epochs_incremental
         if config.warm_start and warmed
@@ -310,7 +295,6 @@ def _train_wals_config(
     warm_model,
     start_time: float,
     metrics=NULL_METRICS,
-    warm_state=None,
 ):
     """Train() for the least-squares substitute (paper section VI).
 
@@ -320,9 +304,7 @@ def _train_wals_config(
     from repro.models.wals import WALSHyperParams, WALSModel
 
     params = config.params
-    warmed = (warm_model is not None and isinstance(warm_model, WALSModel)) or (
-        warm_state is not None and warm_state[0] == "wals"
-    )
+    warmed = isinstance(warm_model, WALSModel)
     iterations = (
         settings.max_epochs_incremental
         if config.warm_start and warmed
@@ -338,10 +320,8 @@ def _train_wals_config(
         ),
         retailer_id=dataset.retailer_id,
     )
-    if warm_model is not None and isinstance(warm_model, WALSModel):
+    if warmed:
         model.warm_start_from(warm_model)
-    elif warm_state is not None and warm_state[0] == "wals":
-        model.warm_start_from_state(warm_state[1])
     model.fit(dataset.train)
     # One ALS iteration visits every observation once on each side.
     steps = 2 * dataset.n_train_interactions * model.params.n_iterations
@@ -444,26 +424,18 @@ class TrainingPipeline:
         checkpoint_storage: Optional["CheckpointStorage"] = None,
         checkpoint_fault_plan: Optional["CheckpointFaultPlan"] = None,
         crash_plan: Optional["CrashPlan"] = None,
-        executor=None,
     ):
         self.cluster = cluster
         self.registry = registry
         self.settings = settings
         self.ledger = ledger or CostLedger(pricing)
         self.failure_policy = failure_policy
-        #: A :class:`repro.fleet.executor.Executor` (or None for the
-        #: serial reference path).  With an executor, every cell job's
-        #: Train() calls fan out over its workers; coordinator-side
-        #: semantics (checkpoints, crash plans, billing, metrics) are
-        #: replayed in record order, keeping outputs byte-identical.
-        self.executor = executor
         self.runtime = MapReduceRuntime(
             pricing=pricing,
             preemption_model=preemption_model,
             ledger=self.ledger,
             seed=seed,
             fault_plan=fault_plan,
-            executor=executor,
         )
         self.checkpoints = CheckpointManager(
             settings.checkpoint_interval_seconds,
@@ -605,57 +577,6 @@ class TrainingPipeline:
             steps = dataset.n_train_interactions * epochs
             return steps * settings.seconds_per_sgd_step / settings.thread_speedup()
 
-        def task_payload(record: object) -> TrainTaskSpec:
-            """Coordinator side of a fleet Train(): resolve everything a
-            worker cannot reach (registry, checkpoint storage) into a
-            picklable spec."""
-            config: ConfigRecord = record  # type: ignore[assignment]
-            dataset = datasets[config.retailer_id]
-            registry.assert_isolated(config.retailer_id, dataset.retailer_id)
-            warm_model = self._warm_model(config)
-            warm_state = None
-            if warm_model is not None:
-                kind = "bpr" if isinstance(warm_model, BPRModel) else "wals"
-                warm_state = (kind, warm_model.get_state())
-            resume = None
-            if config.model_kind != "wals":
-                resume = self.checkpoints.try_restore_state(
-                    checkpoint_key(config)
-                )
-            return TrainTaskSpec(
-                config=config,
-                dataset=dataset,
-                settings=settings,
-                warm_state=warm_state,
-                resume=resume,
-                record_crash_checks=self.crash_plan is not None,
-                metrics_enabled=bool(getattr(metrics, "enabled", False)),
-            )
-
-        def task_collect(record: object, result: TrainTaskResult):
-            """Coordinator side of a fleet result: replay the worker's
-            recorded side effects in record order (checkpoint durability,
-            crash-plan counters, metrics), then rebuild the model."""
-            config: ConfigRecord = record  # type: ignore[assignment]
-            ckpt_key = checkpoint_key(config)
-            for event in result.events:
-                kind = event[0]
-                if kind == CHECKPOINT_EVENT:
-                    _, epoch, now, state = event
-                    self.checkpoints.write_state(ckpt_key, state, now, epoch)
-                elif kind == DISCARD_EVENT:
-                    self.checkpoints.discard(ckpt_key)
-                elif kind == CRASH_CHECK_EVENT and self.crash_plan is not None:
-                    # May raise SimulatedCrash — exactly where the serial
-                    # path would have, with identical plan counters.
-                    self.crash_plan.check(event[1], event[2])
-            if result.metrics is not None:
-                metrics.fold(result.metrics)
-            model = rebuild_trained_model(
-                config, datasets[config.retailer_id], result
-            )
-            yield config.retailer_id, TrainedModel(model=model, output=result.output)
-
         cell = self.cluster.cell(cell_name)
         workers = max(1, cell.free_cpus // settings.n_threads)
         # Dynamically sized VMs (section IV-B2): the job's memory ask is
@@ -679,11 +600,6 @@ class TrainingPipeline:
             ),
             record_cost_fn=record_cost,
             failure_policy=self.failure_policy,
-            remote=RemoteMapSpec(
-                task_fn=run_train_task,
-                payload_fn=task_payload,
-                collect_fn=task_collect,
-            ),
         )
         # One config record per split: a map task trains exactly one model,
         # so no machine ever holds two retailers' models at once.

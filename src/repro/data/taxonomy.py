@@ -361,7 +361,7 @@ class Taxonomy:
         return self._index
 
     def __getstate__(self) -> Dict[str, object]:
-        # Derived state: a worker rebuilds it (~1 ms), the pipe does not carry it.
+        # Derived state: an unpickled copy rebuilds it (~1 ms) on first use.
         return {**self.__dict__, "_index": None}
 
     # ------------------------------------------------------------------

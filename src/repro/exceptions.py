@@ -81,23 +81,6 @@ class MapReduceError(SigmundError):
     """A MapReduce job failed permanently (retries exhausted)."""
 
 
-class WorkerCrashError(SigmundError):
-    """A fleet worker process died mid-task (SIGKILL, OOM, segfault).
-
-    Unlike :class:`SimulatedCrash`, this is a *real* process death in the
-    multiprocessing training fleet, not a simulated coordinator kill.  The
-    executor respawns the worker and retries the task a bounded number of
-    times; a task that keeps killing its workers surfaces as this error
-    and is handled by the job's failure policy (dead-lettered under
-    ``skip_record``, job abort under ``fail_job``) — the pool itself never
-    hangs or shrinks.
-    """
-
-    def __init__(self, message: str, attempts: int = 1):
-        super().__init__(message)
-        self.attempts = attempts
-
-
 class FaultInjectedError(SigmundError):
     """A deliberate failure raised by a fault-injection plan.
 

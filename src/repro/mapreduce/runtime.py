@@ -11,7 +11,9 @@ without re-running expensive user code per attempt.
 
 Scheduling model: the job holds ``n_workers`` single-task VM slots; each
 map task goes to the earliest-free worker (list scheduling), which is how
-a MapReduce master assigns splits to a fixed worker pool.
+a MapReduce master assigns splits to a fixed worker pool.  The workers
+exist only on the simulated clock: every map task's real compute runs in
+this one process, in split order.
 
 Failure semantics: a job declares a :data:`failure policy
 <MapReduceJob.failure_policy>`.  Under ``"fail_job"`` (classic MapReduce)
@@ -59,33 +61,6 @@ def _identity_reducer(key: object, values: List[object]) -> Iterable[object]:
     """Default reducer: pass every value through."""
     del key
     return values
-
-
-@dataclass(frozen=True)
-class RemoteMapSpec:
-    """How to run a job's map records on a fleet executor.
-
-    The in-process ``mapper`` closure cannot cross a process boundary (it
-    closes over live registries, managers, datasets), so a job that wants
-    real parallelism declares the three picklable-friendly pieces instead:
-
-    * ``task_fn`` — a module-level function the worker runs; receives the
-      payload, returns a picklable result.
-    * ``payload_fn(record)`` — coordinator-side: builds the picklable
-      payload for one record (resolving everything that must stay
-      coordinator-side, e.g. warm-model state and resume checkpoints).
-    * ``collect_fn(record, result)`` — coordinator-side: turns a worker
-      result into the mapper's ``(key, value)`` pairs, applying any
-      recorded side effects (checkpoint writes, crash probes) in record
-      order — this runs sequentially, preserving serial semantics.
-
-    Results are consumed in record order regardless of completion order,
-    so a remote run's outputs are byte-identical to the inline path.
-    """
-
-    task_fn: Callable[[object], object]
-    payload_fn: Callable[[object], object]
-    collect_fn: Callable[[object, object], Iterable[Tuple[object, object]]]
 
 
 @dataclass(frozen=True)
@@ -193,10 +168,6 @@ class MapReduceJob:
     #: ``"fail_job"`` aborts on the first bad record or doomed task;
     #: ``"skip_record"`` dead-letters them and completes the rest.
     failure_policy: str = FAIL_JOB
-    #: Optional picklable decomposition of the mapper; when set *and* the
-    #: runtime holds an executor, map records run on the fleet instead of
-    #: inline (outputs stay byte-identical — see :class:`RemoteMapSpec`).
-    remote: Optional[RemoteMapSpec] = None
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -263,15 +234,11 @@ class MapReduceRuntime:
         ledger: Optional[CostLedger] = None,
         seed: SeedLike = 0,
         fault_plan: Optional[FaultPlan] = None,
-        executor=None,
     ):
         self.pricing = pricing
         self.preemption_model = preemption_model
         self.ledger = ledger or CostLedger(pricing)
         self.fault_plan = fault_plan
-        #: A :class:`repro.fleet.executor.Executor`; jobs that declare a
-        #: :class:`RemoteMapSpec` run their map records through it.
-        self.executor = executor
         self._rng = make_rng(seed)
 
     # ------------------------------------------------------------------
@@ -318,10 +285,7 @@ class MapReduceRuntime:
         stats: JobStats,
         tracer=NULL_TRACER,
     ) -> Dict[object, List[object]]:
-        if self.executor is not None and job.remote is not None:
-            tasks = self._execute_remote(job, splits, stats)
-        else:
-            tasks = self._execute_inline(job, splits, stats)
+        tasks = self._execute_inline(job, splits, stats)
 
         # Simulated scheduling: list-schedule task durations over workers,
         # sampling VM uptime per attempt.
@@ -409,7 +373,7 @@ class MapReduceRuntime:
         splits: Sequence[InputSplit],
         stats: JobStats,
     ) -> List[Tuple[InputSplit, float, List[Tuple[object, object]]]]:
-        """Reference execution: every record through the mapper, in order.
+        """Every record through the mapper, in order, in this process.
 
         Output pairs are buffered per task so a task that later fails its
         scheduling permanently can be dropped without side effects leaking
@@ -438,99 +402,6 @@ class MapReduceRuntime:
                             f"{job.name!r}: {exc}"
                         ) from exc
                     stats.dead_letters.append(DeadLetter(record, exc, attempts=1))
-                    stats.records_skipped += 1
-            tasks.append((split, seconds, pairs))
-        return tasks
-
-    def _execute_remote(
-        self,
-        job: MapReduceJob,
-        splits: Sequence[InputSplit],
-        stats: JobStats,
-    ) -> List[Tuple[InputSplit, float, List[Tuple[object, object]]]]:
-        """Fleet execution: records fan out to worker processes.
-
-        Three passes, two of them sequential in record order so every
-        order-sensitive effect matches :meth:`_execute_inline` exactly:
-
-        1. **Pre-pass (record order)** — consult the fault plan (its
-           counters are order-sensitive) and build payloads for the
-           healthy records.
-        2. **Fan-out** — the executor runs all tasks; completion order is
-           its business, outcomes come back keyed by record position.
-        3. **Collect (record order)** — charge record costs, dead-letter
-           faults/errors/crashes, and run ``collect_fn`` (which replays
-           worker-recorded side effects through coordinator state).
-
-        A worker that *dies* (SIGKILL, OOM) is retried by the executor;
-        a task still dead after those attempts lands in the dead letters
-        under ``skip_record`` — a crashing config never hangs or aborts
-        the fleet's sweep — and aborts the job under ``fail_job``.
-        """
-        from repro.fleet.executor import OK, FleetTask
-
-        remote = job.remote
-        skip = job.failure_policy == SKIP_RECORD
-        ordered = [record for split in splits for record in split.records]
-        faults: Dict[int, BaseException] = {}
-        fleet_tasks: List[FleetTask] = []
-        for position, record in enumerate(ordered):
-            fault = (
-                self.fault_plan.mapper_fault(record)
-                if self.fault_plan is not None
-                else None
-            )
-            if fault is not None:
-                # fail_job aborts here, before any fan-out: the serial
-                # path would have died on this record anyway and every
-                # output of a failed job is discarded.
-                if not skip:
-                    raise MapReduceError(
-                        f"mapper failed on record {record!r} in job "
-                        f"{job.name!r}: {fault}"
-                    ) from fault
-                faults[position] = fault
-                continue
-            fleet_tasks.append(
-                FleetTask(
-                    task_id=str(position),
-                    fn=remote.task_fn,
-                    payload=remote.payload_fn(record),
-                )
-            )
-        outcomes = self.executor.run_tasks(fleet_tasks)
-
-        tasks: List[Tuple[InputSplit, float, List[Tuple[object, object]]]] = []
-        position = 0
-        for split in splits:
-            seconds = job.task_startup_seconds
-            pairs: List[Tuple[object, object]] = []
-            for record in split.records:
-                record_position = position
-                position += 1
-                try:
-                    seconds += float(job.record_cost_fn(record))
-                    if record_position in faults:
-                        raise faults[record_position]
-                    outcome = outcomes[str(record_position)]
-                    if outcome.status != OK:
-                        raise outcome.error
-                    pairs.extend(remote.collect_fn(record, outcome.value))
-                except Exception as exc:
-                    if not skip:
-                        raise MapReduceError(
-                            f"mapper failed on record {record!r} in job "
-                            f"{job.name!r}: {exc}"
-                        ) from exc
-                    attempts = (
-                        outcomes[str(record_position)].attempts
-                        if record_position not in faults
-                        and str(record_position) in outcomes
-                        else 1
-                    )
-                    stats.dead_letters.append(
-                        DeadLetter(record, exc, attempts=attempts)
-                    )
                     stats.records_skipped += 1
             tasks.append((split, seconds, pairs))
         return tasks

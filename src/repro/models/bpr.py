@@ -672,16 +672,7 @@ class BPRModel(Recommender):
         Returns the number of item rows copied.  Adagrad norms are *not*
         copied — the paper resets them before incremental runs.
         """
-        return self.warm_start_from_state(other._parameters())
-
-    def warm_start_from_state(self, state: Dict[str, np.ndarray]) -> int:
-        """:meth:`warm_start_from` against raw parameter arrays.
-
-        Fleet workers receive yesterday's model as its :meth:`get_state`
-        dict (the registry's live model object never crosses the process
-        boundary), so the warm start must work from arrays alone.  Same
-        row-prefix semantics and Adagrad norm reset as the model form.
-        """
+        state = other._parameters()
         copied = 0
         for name, param in self._parameters().items():
             source = state.get(name)

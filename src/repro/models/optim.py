@@ -88,26 +88,6 @@ class Optimizer(abc.ABC):
         """Approximate memory held by optimizer state."""
         return 0
 
-    # ------------------------------------------------------------------
-    # State hand-off (fleet workers)
-    # ------------------------------------------------------------------
-    def get_state(self) -> Dict[str, np.ndarray]:
-        """Deep copies of accumulated state, keyed like the parameters.
-
-        Stateless optimizers return an empty dict; the pair
-        ``(model.get_state(), model.optimizer.get_state())`` is exactly
-        what a fleet worker ships back so the coordinator can rebuild the
-        trained model without pickling live objects.
-        """
-        return {}
-
-    def set_state(self, state: Dict[str, np.ndarray]) -> None:
-        """Restore accumulated state from :meth:`get_state` output in place."""
-        if state:
-            raise ValueError(
-                f"stateless optimizer given state for {sorted(state)!r}"
-            )
-
 
 class Sgd(Optimizer):
     """Plain stochastic gradient descent with a constant learning rate."""
@@ -167,21 +147,6 @@ class Adagrad(Optimizer):
     def accumulated_norm(self, name: str) -> float:
         """Total accumulated squared-gradient mass for a parameter (testing)."""
         return float(self._accumulators[name].sum())
-
-    def get_state(self) -> Dict[str, np.ndarray]:
-        return {name: acc.copy() for name, acc in self._accumulators.items()}
-
-    def set_state(self, state: Dict[str, np.ndarray]) -> None:
-        for name, values in state.items():
-            if name not in self._accumulators:
-                raise ValueError(f"state for unregistered parameter {name!r}")
-            if values.shape != self._accumulators[name].shape:
-                raise ValueError(
-                    f"state for {name!r} has shape {values.shape}, "
-                    f"accumulator has {self._accumulators[name].shape}"
-                )
-        for name, values in state.items():
-            self._accumulators[name][...] = values
 
     def state_size_bytes(self) -> int:
         return sum(acc.nbytes for acc in self._accumulators.values())

@@ -72,36 +72,12 @@ class WALSModel(Recommender):
         self._user_index: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    # Pipeline interface parity with BPRModel (checkpoints, warm starts)
+    # Warm starts (same semantics as BPRModel)
     # ------------------------------------------------------------------
-    def get_state(self) -> Dict[str, np.ndarray]:
-        """Learned parameters (checkpoint/registry payload)."""
-        state = {"item_factors": self.item_factors.copy()}
-        if self.user_factors is not None:
-            state["user_factors"] = self.user_factors.copy()
-        return state
-
-    def set_state(self, state: Dict[str, np.ndarray]) -> None:
-        if state["item_factors"].shape != self.item_factors.shape:
-            raise ModelNotTrainedError(
-                "checkpoint item_factors shape mismatch"
-            )
-        self.item_factors[...] = state["item_factors"]
-        if "user_factors" in state:
-            self.user_factors = state["user_factors"].copy()
-
     def warm_start_from(self, other: "WALSModel") -> int:
         """Copy overlapping item-factor rows (same semantics as BPR)."""
-        return self.warm_start_from_state(other.get_state())
-
-    def warm_start_from_state(self, state: Dict[str, np.ndarray]) -> int:
-        """:meth:`warm_start_from` against a raw :meth:`get_state` dict.
-
-        Fleet workers receive yesterday's model as arrays, not as a live
-        object; same row-prefix semantics as the model form.
-        """
-        source = state.get("item_factors")
-        if source is None or source.shape[1] != self.item_factors.shape[1]:
+        source = other.item_factors
+        if source.shape[1] != self.item_factors.shape[1]:
             return 0
         rows = min(self.n_items, source.shape[0])
         self.item_factors[:rows] = source[:rows]

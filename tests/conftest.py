@@ -63,6 +63,21 @@ def step_one(
     return float(losses[0])
 
 
+def assert_states_equal(a: dict, b: dict) -> None:
+    """Two state dicts hold the same names, dtypes and values."""
+    assert sorted(a) == sorted(b)
+    for name in a:
+        assert a[name].dtype == b[name].dtype
+        assert np.array_equal(a[name], b[name]), name
+
+
+def optimizer_state(optimizer) -> dict:
+    """Copies of an optimizer's accumulators, keyed like the model's
+    tables (empty for a stateless optimizer)."""
+    accumulators = getattr(optimizer, "_accumulators", {})
+    return {name: acc.copy() for name, acc in accumulators.items()}
+
+
 def recompile(trainer: BPRTrainer) -> CompiledExamples:
     """``trainer.examples`` as they stand, flattened again through the
     trainer's own compile — for tests that replace a trainer's examples.

@@ -74,7 +74,6 @@ def _env():
         selector = CandidateSelector(
             dataset.taxonomy,
             counts,
-            dataset.catalog,
             repurchase=RepurchaseDetector(dataset.taxonomy, dataset.train),
         )
         _ENV = (dataset, model, selector)

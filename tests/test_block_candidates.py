@@ -22,9 +22,8 @@ from hypothesis import strategies as st
 from repro.cooccurrence.counts import CoOccurrenceCounts
 from repro.core.candidates import CandidateSelector, RepurchaseDetector
 from repro.core.inference import _item_blocks
-from repro.data.catalog import Catalog, Item
 from repro.data.events import EventType, Interaction
-from repro.data.taxonomy import ROOT_CATEGORY, Taxonomy
+from repro.data.taxonomy import Taxonomy
 from repro.exceptions import TaxonomyError
 from repro.models.base import ItemRows
 from repro.retrieval import IVFIndex, exact_for_model
@@ -34,10 +33,6 @@ from tests.test_taxonomy_index import MAX_ITEM, taxonomies
 
 #: Catalog ids past every id a drawn tree can categorise.
 N_ITEMS = MAX_ITEM + 4
-
-
-def shop(n_items: int = N_ITEMS) -> Catalog:
-    return Catalog("shop", [Item(f"shop-{i}", i, ROOT_CATEGORY) for i in range(n_items)])
 
 
 def same_rows(pools: ItemRows, expected_by_row) -> None:
@@ -82,7 +77,6 @@ def test_block_pools_equal_the_set_selector_row_for_row(
     selector = CandidateSelector(
         taxonomy=taxonomy,
         counts=CoOccurrenceCounts.from_interactions(N_ITEMS, log),
-        catalog=shop(),
         # One user buying twice in a category makes it re-purchasable.
         repurchase=RepurchaseDetector(taxonomy, log, min_repeat_users=1),
         view_lca_k=lca_k,
@@ -141,7 +135,7 @@ def test_the_early_break_stops_at_the_seed_whose_prefix_crosses():
     counts = co_viewed_with(12, [0, 3, 6, 9], 13)
     assert counts.top_co_viewed(12) == [0, 3, 6, 9]
     selector = CandidateSelector(
-        taxonomy=taxonomy, counts=counts, catalog=shop(13), view_lca_k=1, max_candidates=2
+        taxonomy=taxonomy, counts=counts, view_lca_k=1, max_candidates=2
     )
     roomy = dataclasses.replace(selector, max_candidates=3)
     for chosen, union in ((selector, list(range(9))), (roomy, list(range(12)))):
@@ -167,7 +161,7 @@ def test_a_seed_around_an_earlier_one_replaces_it_in_the_count():
         taxonomy.assign_item(item, category)
     counts = co_viewed_with(8, [0, 9, 6], 10)
     selector = CandidateSelector(
-        taxonomy=taxonomy, counts=counts, catalog=shop(10), view_lca_k=1, max_candidates=2
+        taxonomy=taxonomy, counts=counts, view_lca_k=1, max_candidates=2
     )
     union = sorted(oracle._expand(selector, 8, [0, 9, 6], 1))
     assert uncapped_pool(selector, 8) == [0, 1, 2, 3, 4, 5, 6, 7, 9] == union
@@ -179,7 +173,7 @@ def test_ranking_a_block_of_pools_equals_ranking_their_list(trained_model, small
     """``recommend_batch`` takes a block's flat arrays as they are; a plain
     list of the same rows is flattened once and ranks byte for byte alike."""
     counts = CoOccurrenceCounts.from_interactions(small_dataset.n_items, small_dataset.train)
-    selector = CandidateSelector(small_dataset.taxonomy, counts, small_dataset.catalog)
+    selector = CandidateSelector(small_dataset.taxonomy, counts)
     items = list(range(0, small_dataset.n_items, 3))
     for pools in (selector.batch_view_based(items), selector.batch_purchase_based(items)):
         for event in (EventType.VIEW, EventType.CONVERSION):
@@ -240,7 +234,7 @@ def test_a_repurchasable_category_keeps_its_substitutes():
     pools = {}
     for name, repurchase in (("detector", detector), ("none", None)):
         selector = CandidateSelector(
-            taxonomy=taxonomy, counts=counts, catalog=shop(6), repurchase=repurchase
+            taxonomy=taxonomy, counts=counts, repurchase=repurchase
         )
         rows = selector.batch_purchase_based([0, 4])
         for row, item in enumerate((0, 4)):
@@ -262,7 +256,6 @@ def test_retrieval_pools_are_the_masked_sorted_stripped_neighbour_rows(
         selector = CandidateSelector(
             taxonomy=small_dataset.taxonomy,
             counts=counts,
-            catalog=small_dataset.catalog,
             repurchase=RepurchaseDetector(small_dataset.taxonomy, small_dataset.train, 1),
             retrieval=exact_for_model(trained_model),
             retrieval_k=20,

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from repro import SigmundService, build_cluster
 from repro.cli import build_parser, main
 
 CATALOG_CSV = """item_id,category,brand,price
@@ -98,6 +99,17 @@ class TestParser:
             )
         assert exit.value.code == 2
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+    def test_service_has_no_workers_option(self, capsys):
+        """Train()'s fan-out is modelled, not run: every map task trains in
+        the one process, and the service takes no worker pool."""
+        with pytest.raises(SystemExit) as exit:
+            build_parser().parse_args(["service", "--workers", "2"])
+        assert exit.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        for option in ("n_workers", "executor"):
+            with pytest.raises(TypeError, match=option):
+                SigmundService(build_cluster(n_cells=1, machines_per_cell=2), **{option: 2})
 
 
 class TestCommands:

@@ -29,7 +29,6 @@ def selector(small_dataset):
     return CandidateSelector(
         taxonomy=small_dataset.taxonomy,
         counts=counts,
-        catalog=small_dataset.catalog,
         repurchase=detector,
     )
 
@@ -47,7 +46,6 @@ class TestViewBased:
         tight = CandidateSelector(
             taxonomy=small_dataset.taxonomy,
             counts=counts,
-            catalog=small_dataset.catalog,
             max_candidates=10,
         )
         assert tight.batch_view_based([0])[0].size <= 10
@@ -104,7 +102,6 @@ class TestPurchaseBased:
         selector = CandidateSelector(
             taxonomy=taxonomy,
             counts=counts,
-            catalog=small_dataset.catalog,
             repurchase=detector,
         )
         candidates = selector.batch_purchase_based([0])[0].tolist()

@@ -20,7 +20,7 @@ class TestCheckpointManager:
         assert manager.maybe_checkpoint("k", fresh_model, now=0.0, epoch=0)
         assert not manager.maybe_checkpoint("k", fresh_model, now=50.0, epoch=1)
         assert manager.maybe_checkpoint("k", fresh_model, now=100.0, epoch=2)
-        assert manager.writes == 2
+        assert manager.stats.writes == 2
 
     def test_restore_roundtrip(self, fresh_model):
         manager = CheckpointManager()
@@ -30,7 +30,7 @@ class TestCheckpointManager:
         epoch = manager.restore("k", fresh_model)
         assert epoch == 3
         assert fresh_model.item_bias[0] == 7.0
-        assert manager.restores == 1
+        assert manager.stats.restores == 1
 
     def test_checkpoint_is_snapshot_not_reference(self, fresh_model):
         manager = CheckpointManager()
@@ -45,7 +45,7 @@ class TestCheckpointManager:
         manager.write("k", fresh_model, now=0.0, epoch=0)
         manager.write("k", fresh_model, now=10.0, epoch=5)
         assert manager.stored_count == 1
-        assert manager.garbage_collected == 1
+        assert manager.stats.garbage_collected == 1
         assert manager.restore("k", fresh_model) == 5
 
     def test_restore_missing_raises(self, fresh_model):
@@ -80,7 +80,7 @@ class TestCheckpointManager:
         the first call protects the task immediately."""
         manager = CheckpointManager(interval_seconds=1e9)
         assert manager.maybe_checkpoint("k", fresh_model, now=5.0, epoch=0)
-        assert manager.writes == 1
+        assert manager.stats.writes == 1
         assert not manager.maybe_checkpoint("k", fresh_model, now=6.0, epoch=1)
 
     def test_discard_resets_interval_clock(self, fresh_model):
@@ -150,7 +150,7 @@ class TestStorageBackends:
         manager = CheckpointManager(storage=storage)
         manager.write("k", fresh_model, now=0.0, epoch=0)
         manager.write("k", fresh_model, now=10.0, epoch=1)
-        assert manager.garbage_collected == 1
+        assert manager.stats.garbage_collected == 1
         assert manager.stored_count == 1
         manager.discard("k")
         assert storage.keys() == []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.config import ConfigRecord, OutputConfigRecord
@@ -11,6 +13,7 @@ from repro.core.grid import (
     feature_switch_axes,
     generate_configs,
 )
+from repro.core.training import TrainerSettings, train_config
 from repro.data.datasets import dataset_from_synthetic
 from repro.data.generator import RetailerSpec, generate_retailer
 from repro.exceptions import ConfigError
@@ -35,6 +38,12 @@ class TestConfigRecord:
         assert reissued.warm_start
         assert reissued.model_number == record.model_number
         assert reissued.params is record.params
+
+    def test_config_record_roundtrip(self):
+        config = ConfigRecord(
+            "r", 3, BPRHyperParams(n_factors=6, seed=3), warm_start=True, day=2
+        )
+        assert pickle.loads(pickle.dumps(config)) == config
 
 
 class TestOutputRecord:
@@ -62,6 +71,15 @@ class TestOutputRecord:
 
     def test_better_than_none(self):
         assert self.output().better_than(None)
+
+    def test_output_record_roundtrip(self, tiny_dataset):
+        config = ConfigRecord(tiny_dataset.retailer_id, 0, BPRHyperParams(n_factors=6))
+        settings = TrainerSettings(max_epochs_full=2, sampler="uniform")
+        _, output = train_config(config, tiny_dataset, settings)
+        clone = pickle.loads(pickle.dumps(output))
+        assert clone == output
+        assert clone.metrics == output.metrics
+        assert clone.map_at_10 == output.map_at_10
 
 
 class TestGrid:

@@ -72,7 +72,7 @@ class TestTrainConfig:
         manager = CheckpointManager(settings.checkpoint_interval_seconds)
         config = config_for(small_dataset)
         train_config(config, small_dataset, settings, checkpoints=manager)
-        assert manager.writes >= 2
+        assert manager.stats.writes >= 2
         # Finished tasks discard their checkpoint.
         assert not manager.has_checkpoint(config.key)
 

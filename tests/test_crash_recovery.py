@@ -693,78 +693,6 @@ def test_any_kill_point_recovers_equivalently(stage, nth):
 
 
 # ----------------------------------------------------------------------
-# Crash-recovery equivalence under the process fleet executor
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def fleet_executor():
-    """One 2-worker pool shared by every fleet test in this module (the
-    spawn + import cost is paid once)."""
-    from repro.fleet.executor import ProcessFleetExecutor
-
-    with ProcessFleetExecutor(n_workers=2) as executor:
-        yield executor
-
-
-class TestCrashRecoveryUnderFleetExecutor:
-    """The tentpole equivalence: the process-parallel training fleet must
-    preserve every kill-point recovery guarantee of the serial path —
-    coordinator crash semantics are replayed from worker event logs, so
-    checkpoints, billing, and reports stay identical."""
-
-    def test_clean_fleet_day_matches_serial_baseline(
-        self, baseline_day0, fleet_executor
-    ):
-        service = make_service(executor=fleet_executor)
-        report = service.run_day()
-        assert report_key(report) == baseline_day0["report"]
-        assert summarize(service) == baseline_day0["summary"]
-
-    @pytest.mark.parametrize("stage", KILL_STAGES)
-    def test_recovery_matches_serial_baseline(
-        self, stage, baseline_day0, fleet_executor
-    ):
-        crash_plan = CrashPlan().crash_at(stage)
-        service = make_service(crash_plan=crash_plan, executor=fleet_executor)
-        with pytest.raises(SimulatedCrash):
-            service.run_day()
-        assert crash_plan.crash_count == 1
-        report = service.recover()
-        assert report is not None
-        assert service.journal.is_committed(0)
-        assert report_key(report) == baseline_day0["report"]
-        assert report.alerts == baseline_day0["alerts"]
-        assert summarize(service) == baseline_day0["summary"]
-
-    def test_train_epoch_crash_leaves_checkpoint_and_resumes(
-        self, baseline_day0, fleet_executor
-    ):
-        """The replayed worker event log produces the same durable
-        checkpoint a serial mid-epoch kill leaves behind, and recovery
-        restores from it instead of retraining."""
-        crash_plan = CrashPlan().crash_at("train_epoch")
-        service = make_service(crash_plan=crash_plan, executor=fleet_executor)
-        with pytest.raises(SimulatedCrash):
-            service.run_day()
-        assert service.training.checkpoints.stored_count == 1
-        report = service.recover()
-        assert report_key(report) == baseline_day0["report"]
-        assert service.training.checkpoints.stats.restores >= 1
-        assert service.training.checkpoints.stored_count == 0
-
-    def test_fleet_seal_matches_serial_seal(self, fleet_executor):
-        """Day metrics fold from per-worker snapshots; the sealed day must
-        be byte-identical to the serial registry's."""
-        serial = make_service(metrics=MetricsRegistry())
-        serial.run_day()
-        expected = json.dumps(serial.journal.day_seal(0), sort_keys=True)
-
-        fleet = make_service(metrics=MetricsRegistry(), executor=fleet_executor)
-        fleet.run_day()
-        sealed = json.dumps(fleet.journal.day_seal(0), sort_keys=True)
-        assert sealed == expected
-
-
-# ----------------------------------------------------------------------
 # Offboarding during an open (crashed) day
 # ----------------------------------------------------------------------
 class TestOffboardPurgesOpenDayState:

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.core.config import ConfigRecord
+from repro.core.training import TrainerSettings, train_config
 from repro.data.datasets import dataset_from_synthetic
 from repro.data.events import EventType, count_by_event
 from repro.data.generator import (
@@ -14,6 +18,9 @@ from repro.data.generator import (
     generate_retailer,
 )
 from repro.exceptions import DataError
+from repro.models.bpr import BPRHyperParams
+
+from tests.conftest import assert_states_equal
 
 
 class TestSpecValidation:
@@ -136,6 +143,20 @@ class TestDatasetBundle:
             small_retailer.interactions
         )
         assert dataset.source is small_retailer
+
+    def test_dataset_roundtrip_trains_byte_identical(self, tiny_dataset):
+        """A pickled dataset must train the exact model the original does:
+        a nondeterministic or lossy field would fork the two."""
+        clone = pickle.loads(pickle.dumps(tiny_dataset))
+        assert clone.retailer_id == tiny_dataset.retailer_id
+        assert clone.n_items == tiny_dataset.n_items
+        assert clone.n_train_interactions == tiny_dataset.n_train_interactions
+        config = ConfigRecord(tiny_dataset.retailer_id, 0, BPRHyperParams(n_factors=6))
+        settings = TrainerSettings(max_epochs_full=2, sampler="uniform")
+        original_model, original_output = train_config(config, tiny_dataset, settings)
+        cloned_model, cloned_output = train_config(config, clone, settings)
+        assert cloned_output == original_output
+        assert_states_equal(cloned_model.get_state(), original_model.get_state())
 
     def test_describe_keys(self, small_dataset):
         description = small_dataset.describe()

@@ -452,5 +452,8 @@ class TestOffboardedTenantIsForgotten:
         # The co-tenant's selector is where it was.
         kept = service._datasets["svc_1"]
         assert id(kept.train) in seen
-        assert service.inference.selector_of("svc_1").catalog is kept.catalog
+        # A selector reads the taxonomy and the counts; it holds no catalog.
+        selector = service.inference.selector_of("svc_1")
+        assert not hasattr(selector, "catalog")
+        assert id(kept.catalog) not in reachable_from(selector)
 

@@ -9,18 +9,16 @@ import numpy as np
 import pytest
 
 from repro.core.checkpoint import CheckpointManager
-from repro.core.config import ConfigRecord, OutputConfigRecord
 from repro.data.datasets import dataset_from_synthetic
 from repro.data.events import EventType
 from repro.data.generator import RetailerSpec, generate_retailer
 from repro.data.sessions import UserContext
 from repro.exceptions import ConfigError
-from repro.fleet.tasks import TrainTaskResult, rebuild_trained_model
 from repro.models.bpr import _ASSEMBLY_SLICE, BPRHyperParams, BPRModel
 from repro.models.trainer import BPRTrainer
 
 from tests import reference_batched_sgd as frozen
-from tests.conftest import step_one
+from tests.conftest import assert_states_equal, optimizer_state, step_one
 from tests.reference_scalar_sgd import effective_item_vector
 
 
@@ -224,6 +222,18 @@ class TestStateAndWarmStart:
         assert np.array_equal(a.item_embeddings, b.item_embeddings)
         assert np.array_equal(a.item_bias, b.item_bias)
 
+    def test_model_state_roundtrip_byte_identical(self, trained_model):
+        state = trained_model.get_state()
+        assert_states_equal(pickle.loads(pickle.dumps(state)), state)
+
+    def test_model_state_set_matches_get(self, tiny_dataset, default_params):
+        model = BPRModel(tiny_dataset.catalog, tiny_dataset.taxonomy, default_params)
+        BPRTrainer(model, tiny_dataset, max_epochs=1, seed=5).train()
+        state = model.get_state()
+        clone = BPRModel(tiny_dataset.catalog, tiny_dataset.taxonomy, default_params)
+        clone.set_state(state)
+        assert_states_equal(clone.get_state(), state)
+
     def test_state_is_a_copy(self, fresh_model):
         state = fresh_model.get_state()
         state["item"][0, 0] = 999.0
@@ -278,7 +288,7 @@ def _via_set_state(model, dataset):
 
 def _via_warm_start(model, dataset):
     other = BPRModel(dataset.catalog, dataset.taxonomy, model.params)
-    other.warm_start_from_state(model.get_state())
+    other.warm_start_from(model)
     return other
 
 
@@ -290,22 +300,10 @@ def _via_checkpoint(model, dataset):
     return other
 
 
-def _via_rebuild(model, dataset):
-    config = ConfigRecord(dataset.retailer_id, 0, model.params)
-    result = TrainTaskResult(
-        output=OutputConfigRecord(config),
-        model_kind="bpr",
-        model_state=model.get_state(),
-        optimizer_state=model.optimizer.get_state(),
-    )
-    return rebuild_trained_model(config, dataset, result)
-
-
 _ROUTES = {
     "set_state": _via_set_state,
-    "warm_start_from_state": _via_warm_start,
+    "warm_start_from": _via_warm_start,
     "checkpoint_try_restore": _via_checkpoint,
-    "rebuild_trained_model": _via_rebuild,
     "deepcopy": lambda model, dataset: copy.deepcopy(model),
     "pickle": lambda model, dataset: pickle.loads(pickle.dumps(model)),
 }
@@ -324,7 +322,7 @@ def _assert_one_buffer(model: BPRModel) -> None:
 def _state_bytes(model: BPRModel):
     return [
         (name, array.tobytes())
-        for state in (model.get_state(), model.optimizer.get_state())
+        for state in (model.get_state(), optimizer_state(model.optimizer))
         for name, array in state.items()
     ]
 
@@ -344,7 +342,8 @@ class TestFlatBuffer:
         _assert_one_buffer(copied)
         # Routes that carry parameters only get the twin's accumulators,
         # written through the copy's views.
-        copied.optimizer.set_state(twin.optimizer.get_state())
+        for name, acc in twin.optimizer._accumulators.items():
+            copied.optimizer._accumulators[name][...] = acc
         assert _state_bytes(copied) == _state_bytes(twin)
         before = _state_bytes(original)
 
@@ -358,13 +357,15 @@ class TestFlatBuffer:
 
     @pytest.mark.parametrize("optimizer, memory", [("adagrad", 39_552), ("sgd", 19_776)])
     def test_state_keys_and_memory_are_unchanged(self, small_dataset, optimizer, memory):
-        """Checkpoints, task results and the cluster simulator read these;
-        the values are the ones the per-table arrays gave."""
+        """Checkpoints and the cluster simulator read these; the values
+        are the ones the per-table arrays gave."""
         params = BPRHyperParams(n_factors=8, learning_rate=0.08, seed=3, optimizer=optimizer)
         model = BPRModel(small_dataset.catalog, small_dataset.taxonomy, params)
         tables = ["item", "context", "bias", "taxonomy", "brand", "price"]
         assert list(model.get_state()) == tables
-        assert list(model.optimizer.get_state()) == (tables if optimizer == "adagrad" else [])
+        assert list(optimizer_state(model.optimizer)) == (
+            tables if optimizer == "adagrad" else []
+        )
         assert model.memory_bytes() == memory
         shapes = {name: array.shape for name, array in model.get_state().items()}
         assert shapes == {

@@ -311,11 +311,12 @@ def _apply(registry: MetricsRegistry, observations) -> None:
 
 
 class TestFleetWorkerFold:
-    """The fleet runs each Train() task against a fresh per-worker
-    MetricsRegistry and folds the shipped snapshots into the coordinator's
-    day registry.  Worker placement must not change the sealed day: any
-    partition of the observation stream across workers has to fold to the
-    same snapshot a serial registry would produce."""
+    """A day runs each retailer's train and retrieval blocks, and each
+    inference cell, against a fresh MetricsRegistry and folds the
+    journaled snapshots into the day registry.  How the observations are split across those task
+    registries must not change the sealed day: any partition of the
+    observation stream has to fold to the same snapshot one registry
+    would produce."""
 
     @settings(max_examples=30, deadline=None)
     @given(observations=_OBSERVATIONS, n_workers=st.integers(1, 4))

@@ -399,7 +399,6 @@ class TestSelectorIntegration:
         return CandidateSelector(
             taxonomy=small_dataset.taxonomy,
             counts=counts,
-            catalog=small_dataset.catalog,
             retrieval=exact_for_model(trained_model),
             retrieval_k=20,
         )

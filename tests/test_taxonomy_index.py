@@ -207,7 +207,6 @@ def shelf() -> Tuple[Taxonomy, CandidateSelector]:
     selector = CandidateSelector(
         taxonomy=taxonomy,
         counts=CoOccurrenceCounts.from_interactions(10, log),
-        catalog=catalog_of(10),
         view_lca_k=1,
     )
     return taxonomy, selector
@@ -265,7 +264,6 @@ def test_pools_equal_the_set_selector_wherever_it_answers(
     selector = CandidateSelector(
         taxonomy=taxonomy,
         counts=CoOccurrenceCounts.from_interactions(len(items), log),
-        catalog=Catalog("shop", items),
         view_lca_k=view_k,
         purchase_lca_k=purchase_k,
         max_candidates=max_candidates,
@@ -326,7 +324,6 @@ def test_a_selection_pass_leaves_one_array_per_category():
     selector = CandidateSelector(
         taxonomy=dataset.taxonomy,
         counts=CoOccurrenceCounts.from_interactions(dataset.n_items, dataset.train),
-        catalog=dataset.catalog,
     )
     index = dataset.taxonomy.index()
 

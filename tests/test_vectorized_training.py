@@ -29,7 +29,7 @@ from repro.models.bpr import BPRHyperParams, BPRModel, concat_ranges
 from repro.models.trainer import DEFAULT_BATCH_SIZE, BPRTrainer
 
 from tests import reference_scalar_sgd as scalar
-from tests.conftest import recompile, sgd_step_batch, step_one
+from tests.conftest import optimizer_state, recompile, sgd_step_batch, step_one
 
 #: A small synthetic retailer shared by the property tests (hypothesis
 #: cannot take pytest fixtures).
@@ -367,9 +367,9 @@ class TestBatchSizeIsASize:
             np.testing.assert_allclose(
                 ours.model.get_state()[name], param, atol=1e-9, err_msg=name
             )
-        for name, acc in oracle.model.optimizer.get_state().items():
+        for name, acc in optimizer_state(oracle.model.optimizer).items():
             np.testing.assert_allclose(
-                ours.model.optimizer.get_state()[name], acc, atol=1e-9, err_msg=name
+                optimizer_state(ours.model.optimizer)[name], acc, atol=1e-9, err_msg=name
             )
         assert ours._rng.integers(1 << 62) == oracle._rng.integers(1 << 62)
 
