@@ -14,16 +14,29 @@ from repro.core.checkpoint import (
 from repro.exceptions import CheckpointCorruptionError, CheckpointError
 
 
+@pytest.fixture()
+def make_manager():
+    """Builds the manager under test; these keep their blobs in memory."""
+    return CheckpointManager
+
+
+def on_disk(tmp_path):
+    """A manager maker whose blobs are files under ``tmp_path`` (the
+    backend the instrumented day runs on)."""
+    storage = FilesystemCheckpointStorage(str(tmp_path / "ckpts"))
+    return lambda **kwargs: CheckpointManager(storage=storage, **kwargs)
+
+
 class TestCheckpointManager:
-    def test_interval_gating(self, fresh_model):
-        manager = CheckpointManager(interval_seconds=100.0)
+    def test_interval_gating(self, make_manager, fresh_model):
+        manager = make_manager(interval_seconds=100.0)
         assert manager.maybe_checkpoint("k", fresh_model, now=0.0, epoch=0)
         assert not manager.maybe_checkpoint("k", fresh_model, now=50.0, epoch=1)
         assert manager.maybe_checkpoint("k", fresh_model, now=100.0, epoch=2)
         assert manager.stats.writes == 2
 
-    def test_restore_roundtrip(self, fresh_model):
-        manager = CheckpointManager()
+    def test_restore_roundtrip(self, make_manager, fresh_model):
+        manager = make_manager()
         fresh_model.item_bias[0] = 7.0
         manager.write("k", fresh_model, now=0.0, epoch=3)
         fresh_model.item_bias[0] = -1.0
@@ -32,80 +45,86 @@ class TestCheckpointManager:
         assert fresh_model.item_bias[0] == 7.0
         assert manager.stats.restores == 1
 
-    def test_checkpoint_is_snapshot_not_reference(self, fresh_model):
-        manager = CheckpointManager()
+    def test_checkpoint_is_snapshot_not_reference(
+        self, make_manager, fresh_model
+    ):
+        manager = make_manager()
         manager.write("k", fresh_model, now=0.0, epoch=0)
         fresh_model.item_bias[0] = 123.0
         manager.restore("k", fresh_model)
         assert fresh_model.item_bias[0] != 123.0
 
-    def test_keep_latest_only(self, fresh_model):
+    def test_keep_latest_only(self, make_manager, fresh_model):
         """Paper: as soon as a new checkpoint is written, GC the previous."""
-        manager = CheckpointManager(interval_seconds=1.0)
+        manager = make_manager(interval_seconds=1.0)
         manager.write("k", fresh_model, now=0.0, epoch=0)
         manager.write("k", fresh_model, now=10.0, epoch=5)
         assert manager.stored_count == 1
         assert manager.stats.garbage_collected == 1
         assert manager.restore("k", fresh_model) == 5
 
-    def test_restore_missing_raises(self, fresh_model):
+    def test_restore_missing_raises(self, make_manager, fresh_model):
         with pytest.raises(CheckpointError):
-            CheckpointManager().restore("nope", fresh_model)
+            make_manager().restore("nope", fresh_model)
 
-    def test_discard(self, fresh_model):
-        manager = CheckpointManager()
+    def test_discard(self, make_manager, fresh_model):
+        manager = make_manager()
         manager.write("k", fresh_model, now=0.0, epoch=0)
         manager.discard("k")
         assert not manager.has_checkpoint("k")
         manager.discard("k")  # idempotent
 
-    def test_checkpoint_age(self, fresh_model):
-        manager = CheckpointManager()
+    def test_checkpoint_age(self, make_manager, fresh_model):
+        manager = make_manager()
         assert manager.checkpoint_age("k", now=50.0) is None
         manager.write("k", fresh_model, now=10.0, epoch=0)
         assert manager.checkpoint_age("k", now=50.0) == pytest.approx(40.0)
 
-    def test_keys_independent(self, fresh_model):
-        manager = CheckpointManager(interval_seconds=100.0)
+    def test_keys_independent(self, make_manager, fresh_model):
+        manager = make_manager(interval_seconds=100.0)
         assert manager.maybe_checkpoint("a", fresh_model, now=0.0, epoch=0)
         assert manager.maybe_checkpoint("b", fresh_model, now=1.0, epoch=0)
         assert manager.stored_count == 2
 
-    def test_invalid_interval(self):
+    def test_invalid_interval(self, make_manager):
         with pytest.raises(CheckpointError):
-            CheckpointManager(interval_seconds=0.0)
+            make_manager(interval_seconds=0.0)
 
-    def test_first_maybe_checkpoint_always_writes(self, fresh_model):
+    def test_first_maybe_checkpoint_always_writes(
+        self, make_manager, fresh_model
+    ):
         """The interval clock starts ticking only once a checkpoint exists:
         the first call protects the task immediately."""
-        manager = CheckpointManager(interval_seconds=1e9)
+        manager = make_manager(interval_seconds=1e9)
         assert manager.maybe_checkpoint("k", fresh_model, now=5.0, epoch=0)
         assert manager.stats.writes == 1
         assert not manager.maybe_checkpoint("k", fresh_model, now=6.0, epoch=1)
 
-    def test_discard_resets_interval_clock(self, fresh_model):
+    def test_discard_resets_interval_clock(self, make_manager, fresh_model):
         """A re-issued key checkpoints promptly instead of inheriting the
         previous task's 'recently written' timestamp."""
-        manager = CheckpointManager(interval_seconds=100.0)
+        manager = make_manager(interval_seconds=100.0)
         manager.write("k", fresh_model, now=50.0, epoch=3)
         manager.discard("k")
         # Well inside the old interval, yet the write happens immediately.
         assert manager.maybe_checkpoint("k", fresh_model, now=60.0, epoch=0)
 
-    def test_try_restore_resets_interval_clock(self, fresh_model):
+    def test_try_restore_resets_interval_clock(self, make_manager, fresh_model):
         """A resumed task re-checkpoints promptly: the pre-crash timestamp
         may be far in the resumed run's simulated future."""
-        manager = CheckpointManager(interval_seconds=100.0)
+        manager = make_manager(interval_seconds=100.0)
         manager.write("k", fresh_model, now=500.0, epoch=2)
         assert manager.try_restore("k", fresh_model) == 2
         assert manager.maybe_checkpoint("k", fresh_model, now=0.0, epoch=3)
 
 
 class TestRestoreAliasing:
-    def test_training_past_restore_does_not_mutate_checkpoint(self, fresh_model):
+    def test_training_past_restore_does_not_mutate_checkpoint(
+        self, make_manager, fresh_model
+    ):
         """The stored artifact is a byte string: a restored model can never
         alias it, so training past a restore re-restores byte-identically."""
-        manager = CheckpointManager()
+        manager = make_manager()
         fresh_model.item_bias[:] = 1.5
         snapshot = {k: v.copy() for k, v in fresh_model.get_state().items()}
         manager.write("k", fresh_model, now=0.0, epoch=4)
@@ -120,14 +139,32 @@ class TestRestoreAliasing:
         for name, array in fresh_model.get_state().items():
             np.testing.assert_array_equal(array, snapshot[name])
 
-    def test_stored_blob_is_stable_across_restores(self, fresh_model):
-        manager = CheckpointManager()
+    def test_stored_blob_is_stable_across_restores(
+        self, make_manager, fresh_model
+    ):
+        manager = make_manager()
         manager.write("k", fresh_model, now=0.0, epoch=0)
         before = manager.storage.get("k")
         manager.restore("k", fresh_model)
         fresh_model.item_bias += 9.0
         manager.restore("k", fresh_model)
         assert manager.storage.get("k") == before
+
+
+class TestCheckpointManagerOnDisk(TestCheckpointManager):
+    """Every manager semantic above, with the blobs in files."""
+
+    @pytest.fixture()
+    def make_manager(self, tmp_path):
+        return on_disk(tmp_path)
+
+
+class TestRestoreAliasingOnDisk(TestRestoreAliasing):
+    """A file-backed blob is as unaliased as an in-memory one."""
+
+    @pytest.fixture()
+    def make_manager(self, tmp_path):
+        return on_disk(tmp_path)
 
 
 class TestStorageBackends:

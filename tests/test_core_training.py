@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import build_cluster
+from repro.cluster.machine import MachineSpec
 from repro.core.checkpoint import CheckpointManager
 from repro.core.config import ConfigRecord
 from repro.core.grid import GridSpec
@@ -23,6 +24,7 @@ from repro.core.training import (
 )
 from repro.exceptions import ConfigError, DataError
 from repro.models.bpr import BPRHyperParams
+from tests.conftest import assert_states_equal
 
 FAST = TrainerSettings(
     max_epochs_full=3, max_epochs_incremental=2, sampler="uniform"
@@ -185,3 +187,42 @@ class TestTrainingPipeline:
         registry, outputs, stats = self.run_pipeline([tiny_dataset], configs=[])
         assert outputs == []
         assert stats.configs_trained == 0
+
+
+class TestSimulatedTrainFanOut:
+    """Train()'s workers are slots on the simulated clock: a cell's job
+    gets one per free ``n_threads`` CPUs, and the models it trains are
+    the same however many there are."""
+
+    def run_on_machines(self, dataset, n_machines):
+        cluster = build_cluster(
+            n_cells=1,
+            machines_per_cell=n_machines,
+            machine_spec=MachineSpec(cpus=FAST.n_threads, memory_gb=64.0),
+        )
+        registry = ModelRegistry()
+        configs = [config_for(dataset, number) for number in range(5)]
+        outputs, stats = TrainingPipeline(cluster, registry, settings=FAST).run(
+            configs, {dataset.retailer_id: dataset}
+        )
+        return registry, outputs, stats
+
+    @pytest.mark.parametrize("n_machines", [2, 3, 8])
+    def test_trained_models_do_not_depend_on_the_worker_count(
+        self, tiny_dataset, n_machines
+    ):
+        one_registry, one_outputs, one_stats = self.run_on_machines(
+            tiny_dataset, 1
+        )
+        registry, outputs, stats = self.run_on_machines(tiny_dataset, n_machines)
+        (one_job,) = one_stats.per_cell.values()
+        (job,) = stats.per_cell.values()
+        assert len(one_job.worker_busy_seconds) == 1
+        assert len(job.worker_busy_seconds) == min(n_machines, len(outputs))
+        assert outputs == one_outputs
+        for output in outputs:
+            rid, number = output.retailer_id, output.config.model_number
+            assert_states_equal(
+                registry.get(rid, number).model.get_state(),
+                one_registry.get(rid, number).model.get_state(),
+            )

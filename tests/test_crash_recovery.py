@@ -12,13 +12,18 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import build_cluster
-from repro.core.checkpoint import CheckpointFaultPlan, InMemoryCheckpointStorage
+from repro.core.checkpoint import (
+    CheckpointFaultPlan,
+    FilesystemCheckpointStorage,
+    InMemoryCheckpointStorage,
+)
 from repro.core.grid import GridSpec
 from repro.core.journal import JournalError, RunJournal
 from repro.core.recovery import KILL_STAGES, CrashPlan
@@ -656,6 +661,116 @@ class TestMetricsParityUnderRecovery:
         seal = service.journal.day_seal(0)
         assert seal["metrics"]["counters"] == {}
         assert service.monitor.day_snapshot(0) == seal
+
+
+# ----------------------------------------------------------------------
+# Recovery with checkpoints on disk
+# ----------------------------------------------------------------------
+#: The instrumented day's checkpointing: a blob every simulated second,
+#: so every config leaves several behind mid-training.
+ON_DISK_SETTINGS = replace(FAST_SETTINGS, checkpoint_interval_seconds=1.0)
+
+
+def on_disk_service(root, **kwargs) -> SigmundService:
+    return make_service(
+        settings=ON_DISK_SETTINGS,
+        metrics=MetricsRegistry(),
+        checkpoint_storage=FilesystemCheckpointStorage(str(root)),
+        **kwargs,
+    )
+
+
+@pytest.fixture(scope="module")
+def in_memory_day0():
+    """The same day uninterrupted, its checkpoints kept in memory."""
+    service = make_service(settings=ON_DISK_SETTINGS, metrics=MetricsRegistry())
+    report = service.run_day()
+    return {
+        "seal": json.dumps(service.journal.day_seal(0), sort_keys=True),
+        "summary": summarize(service),
+        "report": report_key(report),
+    }
+
+
+class TestRecoveryWithCheckpointsOnDisk:
+    """The kill-point contract with the blobs in files: a recovered day
+    seals byte-equal to an uninterrupted in-memory one, and a committed
+    day leaves no file behind."""
+
+    @pytest.mark.parametrize("stage", KILL_STAGES)
+    def test_recovered_day_equals_the_in_memory_day(
+        self, stage, tmp_path, in_memory_day0
+    ):
+        crash_plan = CrashPlan().crash_at(stage)
+        service = on_disk_service(tmp_path, crash_plan=crash_plan)
+        with pytest.raises(SimulatedCrash):
+            service.run_day()
+        report = service.recover()
+        assert crash_plan.crash_count == 1
+        sealed = json.dumps(service.journal.day_seal(0), sort_keys=True)
+        assert sealed == in_memory_day0["seal"]
+        assert report_key(report) == in_memory_day0["report"]
+        assert summarize(service) == in_memory_day0["summary"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_mid_epoch_kill_resumes_from_the_file_it_left(
+        self, tmp_path, in_memory_day0
+    ):
+        service = on_disk_service(
+            tmp_path, crash_plan=CrashPlan().crash_at("train_epoch")
+        )
+        with pytest.raises(SimulatedCrash):
+            service.run_day()
+        checkpoints = service.training.checkpoints
+        assert [path.suffix for path in tmp_path.iterdir()] == [".ckpt"]
+        assert checkpoints.stats.restores == 0
+        report = service.recover()
+        assert report_key(report) == in_memory_day0["report"]
+        assert checkpoints.stats.restores == 1
+        assert checkpoints.stats.corruptions_detected == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_warm_started_day_recovers_from_its_files(self, tmp_path):
+        """Day 1 warm-starts from day 0's models; a kill in its first
+        epoch resumes from the file and lands on the uncrashed run."""
+        baseline = make_service(settings=ON_DISK_SETTINGS)
+        baseline.run_day()
+        baseline.run_day()
+
+        crash_plan = CrashPlan()
+        service = on_disk_service(tmp_path, crash_plan=crash_plan)
+        service.run_day()
+        crash_plan.crash_at("train_epoch")
+        with pytest.raises(SimulatedCrash):
+            service.run_day()
+        assert [path.suffix for path in tmp_path.iterdir()] == [".ckpt"]
+        report = service.recover()
+        assert report.sweep_kind == "incremental"
+        assert report_key(report) == report_key(baseline.reports[1])
+        assert summarize(service) == summarize(baseline)
+        assert service.training.checkpoints.stats.restores == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_truncated_file_cold_starts_and_the_day_completes(
+        self, tmp_path, in_memory_day0
+    ):
+        """A file cut short behind the storage's back (a lost disk write)
+        fails its checksum: the config retrains from scratch, to the same
+        models, and the corrupt file is gone."""
+        service = on_disk_service(
+            tmp_path, crash_plan=CrashPlan().crash_at("train_epoch")
+        )
+        with pytest.raises(SimulatedCrash):
+            service.run_day()
+        (path,) = tmp_path.iterdir()
+        path.write_bytes(path.read_bytes()[:-7])
+        report = service.recover()
+        checkpoints = service.training.checkpoints
+        assert checkpoints.stats.corruptions_detected == 1
+        assert checkpoints.stats.restores == 0
+        assert report_key(report) == in_memory_day0["report"]
+        assert summarize(service) == in_memory_day0["summary"]
+        assert list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------------------

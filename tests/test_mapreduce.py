@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.preemption import PreemptionModel
 from repro.exceptions import MapReduceError
-from repro.mapreduce.runtime import MapReduceJob, MapReduceRuntime, _TaskRun
+from repro.mapreduce.runtime import (
+    SKIP_RECORD,
+    FaultPlan,
+    MapReduceJob,
+    MapReduceRuntime,
+    _TaskRun,
+)
 from repro.mapreduce.splits import (
     contiguous_splits_by_key,
     random_permutation_splits,
     uniform_splits,
 )
+from repro.obs.tracing import Tracer
 
 
 class TestSplits:
@@ -240,3 +249,85 @@ class TestSpeculativeExecution:
         # Winner defines wall time; bills: min(40, 30) + min(12, 30).
         assert stats.makespan_seconds == pytest.approx(30.0)
         assert stats.billed_vm_seconds == pytest.approx(42.0)
+
+
+class TestSimulatedWorkers:
+    """The job's ``n_workers`` slots exist only on the simulated clock:
+    they shape makespan and placement, never what the mappers compute."""
+
+    #: Uptimes so long no task is ever pre-empted: durations are exact.
+    CALM = PreemptionModel(preemptible_mean_uptime_hours=1e9)
+
+    def job(self, n_workers: int, seen=None) -> MapReduceJob:
+        def mapper(record):
+            if seen is not None:
+                seen.append(record)
+            return [(record % 3, record)]
+
+        return MapReduceJob(
+            name="slots",
+            mapper=mapper,
+            reducer=lambda key, values: [(key, sorted(values))],
+            n_workers=n_workers,
+            record_cost_fn=lambda record: float(record),
+            task_startup_seconds=2.0,
+        )
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3, 8])
+    def test_outputs_independent_of_worker_count(self, n_workers):
+        splits = uniform_splits(list(range(20)), 6)
+        expected, _ = MapReduceRuntime(seed=5).run(self.job(1), splits)
+        outputs, stats = MapReduceRuntime(seed=5).run(self.job(n_workers), splits)
+        assert outputs == expected
+        assert len(stats.worker_busy_seconds) == n_workers
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3, 8])
+    def test_busy_time_is_the_tasks_time_however_it_is_spread(self, n_workers):
+        """Without pre-emption each task costs its startup plus its
+        records; spreading tasks over more slots divides the makespan,
+        never the work."""
+        records = list(range(20))
+        splits = uniform_splits(records, 6)
+        runtime = MapReduceRuntime(preemption_model=self.CALM, seed=0)
+        _, stats = runtime.run(self.job(n_workers), splits)
+        work = 2.0 * len(splits) + float(sum(records))
+        assert stats.preemptions == 0
+        assert sum(stats.worker_busy_seconds) == pytest.approx(work)
+        map_makespan = stats.makespan_seconds - stats.reduce_seconds
+        assert map_makespan == pytest.approx(max(stats.worker_busy_seconds))
+        assert map_makespan >= work / n_workers - 1e-9
+        assert stats.billed_vm_seconds == pytest.approx(work + stats.reduce_seconds)
+
+    @pytest.mark.parametrize("n_workers", [1, 4])
+    def test_mapper_sees_each_record_once_in_split_order(self, n_workers):
+        records = [7, 3, 11, 0, 5, 9, 2]
+        seen: list = []
+        splits = random_permutation_splits(records, 3, seed=4)
+        MapReduceRuntime(seed=0).run(self.job(n_workers, seen), splits)
+        assert seen == [record for split in splits for record in split.records]
+
+    @pytest.mark.parametrize("n_workers", [1, 4])
+    def test_dead_letters_do_not_depend_on_the_worker_count(self, n_workers):
+        """A mapper fault is met while the records run, before any task
+        is placed on a slot: the same records are skipped either way."""
+        job = replace(self.job(n_workers), failure_policy=SKIP_RECORD)
+        splits = uniform_splits(list(range(12)), 4)
+        plan = FaultPlan().fail_mapper(lambda record: record in (4, 9))
+        outputs, stats = MapReduceRuntime(seed=0, fault_plan=plan).run(job, splits)
+        assert [letter.record for letter in stats.dead_letters] == [4, 9]
+        assert stats.records_skipped == 2
+        assert outputs == [
+            (0, [0, 3, 6]),
+            (1, [1, 7, 10]),
+            (2, [2, 5, 8, 11]),
+        ]
+
+    def test_each_task_goes_to_the_earliest_free_slot(self):
+        """List scheduling: equal tasks alternate over two slots, and a
+        long task keeps its slot busy while the other takes the rest."""
+        tracer = Tracer()
+        runtime = MapReduceRuntime(preemption_model=self.CALM, seed=0)
+        runtime.run(self.job(2), uniform_splits([40, 1, 1, 1, 1], 5), tracer=tracer)
+        spans = sorted(tracer.find("map_task"), key=lambda span: span.attrs["task"])
+        assert [span.attrs["worker"] for span in spans] == [0, 1, 1, 1, 1]
+        assert [span.start for span in spans] == [0.0, 0.0, 3.0, 6.0, 9.0]
