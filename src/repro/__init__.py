@@ -71,11 +71,9 @@ from repro.retrieval import (
     IVFConfig,
     IVFIndex,
     ModelRetrieval,
-    RetrievalIndexStore,
     ann_for_model,
     exact_for_model,
     recall_at_k,
-    retrieval_for_model,
 )
 from repro.serving import (
     PopularityFallback,
@@ -124,11 +122,9 @@ __all__ = [
     "IVFIndex",
     "ExactRetrieval",
     "ModelRetrieval",
-    "RetrievalIndexStore",
     "ann_for_model",
     "exact_for_model",
     "recall_at_k",
-    "retrieval_for_model",
     "RecommendationStore",
     "RecommendationServer",
     "ServingCluster",
@@ -155,13 +151,11 @@ def build_cluster(
     n_cells: int = 2,
     machines_per_cell: int = 16,
     machine_spec: Optional[MachineSpec] = None,
-    clock: Optional[SimClock] = None,
 ) -> Cluster:
     """A ready-to-use simulated cluster (convenience for examples/tests)."""
     spec = machine_spec or MachineSpec(cpus=16, memory_gb=128.0)
-    shared_clock = clock or SimClock()
     cells = [
-        Cell(f"cell-{index}", machines_per_cell, spec, shared_clock)
+        Cell(f"cell-{index}", machines_per_cell, spec)
         for index in range(n_cells)
     ]
     return Cluster(cells)

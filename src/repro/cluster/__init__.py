@@ -4,21 +4,18 @@ The paper's systems choices — pre-emptible VMs at ~70% discount, time-based
 checkpointing, one-retailer-per-machine scheduling, per-data-center job
 splitting — all trade cost against fault-tolerance overhead.  This package
 simulates exactly enough of Borg [11] to reproduce those trade-offs:
-machines with CPU/memory, regular and pre-emptible VM priorities, Poisson
-pre-emptions, multi-cell clusters with heterogeneous free capacity, and a
-cost ledger that prices CPU-hours at regular and discounted rates.
+machine shapes with CPU/memory, regular and pre-emptible VM priorities,
+Poisson pre-emptions, multi-cell clusters sized per cell, and a cost
+ledger that prices CPU-hours at regular and discounted rates.  Nothing
+places VMs on machines: a job's VM time is billed, not scheduled onto a
+machine.
 """
 
 from repro.cluster.cell import Cell, Cluster
 from repro.cluster.clock import SimClock
 from repro.cluster.cost import CostLedger, ResourcePricing
 from repro.cluster.execution import ExecutionTrace, run_with_preemptions
-from repro.cluster.machine import (
-    MachineSpec,
-    Priority,
-    VirtualMachine,
-    VMRequest,
-)
+from repro.cluster.machine import MachineSpec, Priority, VMRequest
 from repro.cluster.preemption import PreemptionModel
 
 __all__ = [
@@ -26,7 +23,6 @@ __all__ = [
     "MachineSpec",
     "Priority",
     "VMRequest",
-    "VirtualMachine",
     "Cell",
     "Cluster",
     "PreemptionModel",

@@ -1,4 +1,4 @@
-"""Machines, VM requests, and running VMs.
+"""Machine shapes, VM priorities, and VM requests.
 
 Machines mirror the paper's observation that "high-memory instances tend
 to be correlated with high CPU" — the stock machine shapes couple the two,
@@ -9,9 +9,7 @@ one CPU with 32GB" (section IV-B2).
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
-from typing import List, Optional
 
 from repro.exceptions import ClusterError
 
@@ -46,85 +44,3 @@ class VMRequest:
     def __post_init__(self) -> None:
         if self.cpus < 1 or self.memory_gb <= 0:
             raise ClusterError("VM request must ask for positive resources")
-
-
-_vm_ids = itertools.count()
-
-
-@dataclass
-class VirtualMachine:
-    """A VM placed on a machine; freed via the owning cell."""
-
-    vm_id: int
-    request: VMRequest
-    machine_id: int
-    cell_name: str
-    started_at: float
-    released_at: Optional[float] = None
-
-    @property
-    def alive(self) -> bool:
-        return self.released_at is None
-
-    @property
-    def priority(self) -> Priority:
-        return self.request.priority
-
-
-class Machine:
-    """One physical machine tracking its resident VMs."""
-
-    def __init__(self, machine_id: int, spec: MachineSpec):
-        self.machine_id = machine_id
-        self.spec = spec
-        self.vms: List[VirtualMachine] = []
-
-    @property
-    def used_cpus(self) -> int:
-        return sum(vm.request.cpus for vm in self.vms)
-
-    @property
-    def used_memory_gb(self) -> float:
-        return sum(vm.request.memory_gb for vm in self.vms)
-
-    @property
-    def free_cpus(self) -> int:
-        return self.spec.cpus - self.used_cpus
-
-    @property
-    def free_memory_gb(self) -> float:
-        return self.spec.memory_gb - self.used_memory_gb
-
-    def fits(self, request: VMRequest) -> bool:
-        return request.cpus <= self.free_cpus and request.memory_gb <= self.free_memory_gb
-
-    def place(self, request: VMRequest, cell_name: str, now: float) -> VirtualMachine:
-        if not self.fits(request):
-            raise ClusterError(
-                f"machine {self.machine_id} cannot fit request {request}"
-            )
-        vm = VirtualMachine(
-            vm_id=next(_vm_ids),
-            request=request,
-            machine_id=self.machine_id,
-            cell_name=cell_name,
-            started_at=now,
-        )
-        self.vms.append(vm)
-        return vm
-
-    def evictable_preemptibles(self) -> List[VirtualMachine]:
-        """Pre-emptible VMs on this machine, oldest first."""
-        return sorted(
-            (vm for vm in self.vms if vm.priority is Priority.PREEMPTIBLE),
-            key=lambda vm: vm.started_at,
-        )
-
-    def remove(self, vm: VirtualMachine, now: float) -> None:
-        try:
-            self.vms.remove(vm)
-        except ValueError:
-            raise ClusterError(
-                f"vm {vm.vm_id} is not on machine {self.machine_id}"
-            ) from None
-        vm.released_at = now

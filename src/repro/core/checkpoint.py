@@ -357,6 +357,10 @@ class CheckpointManager:
         blob = self.storage.get(key)
         if blob is None:
             raise CheckpointError(f"no checkpoint for {key!r}")
+        return self._restore_blob(key, blob, model)
+
+    def _restore_blob(self, key: str, blob: bytes, model: BPRModel) -> int:
+        """Decode ``key``'s ``blob`` into ``model``; returns its epoch."""
         try:
             decoded = _decode(key, blob)
             try:
@@ -386,12 +390,12 @@ class CheckpointManager:
         writes a fresh checkpoint promptly rather than inheriting the
         pre-crash timestamp, which may be far in the resumed run's future.
         """
-        if self.storage.get(key) is None:
-            self.stats.cold_starts += 1
-            return None
+        blob = self.storage.get(key)
         try:
-            epoch = self.restore(key, model)
-        except CheckpointError:
+            epoch = None if blob is None else self._restore_blob(key, blob, model)
+        except CheckpointCorruptionError:
+            epoch = None
+        if epoch is None:
             self.stats.cold_starts += 1
             return None
         self._last_written.pop(key, None)

@@ -41,7 +41,6 @@ from repro.data.datasets import RetailerDataset
 from repro.data.events import EventType
 from repro.exceptions import ModelNotTrainedError, SigmundError
 from repro.mapreduce.runtime import (
-    SKIP_RECORD,
     FaultPlan,
     JobStats,
     MapReduceJob,
@@ -127,7 +126,6 @@ class InferencePipeline:
         workers_per_cell: int = 8,
         seed: int = 0,
         fault_plan: Optional[FaultPlan] = None,
-        failure_policy: str = SKIP_RECORD,
         block_size: int = DEFAULT_BLOCK_SIZE,
         crash_plan: Optional["CrashPlan"] = None,
     ):
@@ -135,7 +133,6 @@ class InferencePipeline:
         self.registry = registry
         self.top_n = top_n
         self.ledger = ledger or CostLedger(pricing)
-        self.failure_policy = failure_policy
         self.runtime = MapReduceRuntime(
             pricing=pricing,
             preemption_model=preemption_model,
@@ -277,8 +274,8 @@ class InferencePipeline:
                 # (the selector object itself is cached across days).
                 selectors[rid].metrics = metrics
                 models[rid] = (best.model_number, best.model)
-                # ANN candidate source: the index the service published
-                # for this retailer, if any.  Re-bound every run, like
+                # ANN candidate source: the day's accepted index for this
+                # retailer, if any.  Re-bound every run, like
                 # ``metrics`` — selectors are cached across days.
                 adapter = retrieval.get(rid) if retrieval is not None else None
                 selectors[rid].retrieval = adapter
@@ -381,7 +378,6 @@ class InferencePipeline:
             vm_request=VMRequest(cpus=4, memory_gb=16.0, priority=Priority.PREEMPTIBLE),
             record_cost_fn=record_cost,
             task_startup_seconds=self.model_load_seconds,
-            failure_policy=self.failure_policy,
         )
         outputs, job_stats = self.runtime.run(
             job, splits, metrics=metrics, tracer=tracer

@@ -60,7 +60,6 @@ from repro.obs.tracing import NULL_TRACER
 from repro.retrieval.backend import ann_for_model
 from repro.retrieval.harness import DEFAULT_ANN_THRESHOLD, measure_model_recall
 from repro.retrieval.ivf import IVFConfig
-from repro.retrieval.store import RetrievalIndexStore
 from repro.serving.gate import PublishGate
 from repro.serving.store import RecommendationStore
 
@@ -93,8 +92,8 @@ class DailyRunReport:
     publishes_rejected: int = 0
     #: ANN retrieval indexes built (catalogs over the size threshold).
     indexes_built: int = 0
-    #: Indexes whose measured recall missed the target and were not
-    #: published (inference falls back to the taxonomy walk).
+    #: Indexes whose measured recall missed the target (inference falls
+    #: back to the taxonomy walk).
     indexes_rejected: int = 0
     #: Retailers whose training, inference, or publish failed today.
     failed_retailers: List[str] = field(default_factory=list)
@@ -193,8 +192,8 @@ class SigmundService:
             else retrieval_threshold
         )
         self.retrieval_config = retrieval_config or IVFConfig()
-        #: An index whose measured recall@k misses this is not published;
-        #: its retailer keeps the exact taxonomy candidate path.
+        #: An index whose measured recall@k misses this is not used; its
+        #: retailer keeps the exact taxonomy candidate path.
         self.retrieval_recall_target = retrieval_recall_target
         self.inference = InferencePipeline(
             cluster,
@@ -207,7 +206,6 @@ class SigmundService:
             crash_plan=crash_plan,
         )
         self.inference.process_metrics = self.metrics
-        self.retrieval_store = RetrievalIndexStore(metrics=self.metrics)
         self.substitutes_store = RecommendationStore(
             metrics=self.metrics, name="substitutes"
         )
@@ -252,7 +250,6 @@ class SigmundService:
         self.registry.drop_retailer(retailer_id)
         self.substitutes_store.drop_retailer(retailer_id)
         self.accessories_store.drop_retailer(retailer_id)
-        self.retrieval_store.drop_retailer(retailer_id)
         self.inference.drop_retailer(retailer_id)
         self._purge_journal(retailer_id)
         self.training.checkpoints.discard_matching(
@@ -621,7 +618,6 @@ class SigmundService:
                 "model_number": best.model_number,
                 "metrics": task_metrics.snapshot(),
             }
-        adapter.model_number = best.model_number
         recall = measure_model_recall(
             best.model,
             adapter,
@@ -655,13 +651,8 @@ class SigmundService:
         retailer_id: str,
         result: InferenceResult,
         version: int,
-        index=None,
     ) -> Tuple[bool, str]:
         """Gate both surfaces, then load them; returns (accepted, reason).
-
-        ``index`` is the day's accepted ANN adapter, if any; it rides the
-        tables' version and loads last (skipped, idempotent on recovery,
-        once the retrieval store is at ``version``).
 
         A crash between the two loads leaves the substitutes store ahead
         of the accessories store; recovery detects that (the substitutes
@@ -718,30 +709,15 @@ class SigmundService:
             self.accessories_store.load_batch(
                 retailer_id, result.purchase_recs, version=version
             )
-        if index is not None and (
-            self.retrieval_store.version_of(retailer_id) or -1
-        ) < version:
-            self.retrieval_store.load(retailer_id, index, version)
         return True, ""
 
     def rollback_retailer(self, retailer_id: str) -> int:
-        """Roll every serving artifact back to its last-good version.
+        """Roll both recommendation tables back to their last-good version.
 
-        Both recommendation tables and, when one was published alongside
-        them, the retrieval index — a rolled-back table served with the
-        newer model's index would recommend from mismatched embeddings.
         Returns the version now being served.
         """
         version = self.substitutes_store.rollback(retailer_id)
         self.accessories_store.rollback(retailer_id)
-        if self.retrieval_store.has_retailer(retailer_id):
-            try:
-                self.retrieval_store.rollback(retailer_id)
-            except SigmundError:
-                # The index predates today's tables (e.g. the catalog only
-                # crossed the threshold today): drop it rather than serve
-                # an index for a table version that no longer exists.
-                self.retrieval_store.drop_retailer(retailer_id)
         return version
 
     # -- the wrapup block: monitoring, detectors, commit ---------------

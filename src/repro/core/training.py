@@ -46,7 +46,6 @@ from repro.data.datasets import RetailerDataset
 from repro.evaluation.evaluator import HoldoutEvaluator
 from repro.exceptions import ConfigError, DataError, SigmundError
 from repro.mapreduce.runtime import (
-    SKIP_RECORD,
     FaultPlan,
     JobStats,
     MapReduceJob,
@@ -403,9 +402,9 @@ class TrainingPipeline:
     model to the registry, and (4) charges all simulated compute to the
     ledger.
 
-    Failure isolation: jobs run under the ``skip_record`` policy by
-    default, so one config's crash (bad data, injected fault, task out of
-    attempts) dead-letters that config instead of aborting the sweep —
+    Failure isolation: a MapReduce job dead-letters, so one config's
+    crash (bad data, injected fault, task out of attempts) dead-letters
+    that config instead of aborting the sweep —
     the failure lands in :attr:`PipelineStats.failures`, and retailers
     with no surviving config in :attr:`PipelineStats.failed_retailers`.
     """
@@ -420,7 +419,6 @@ class TrainingPipeline:
         ledger: Optional[CostLedger] = None,
         seed: int = 0,
         fault_plan: Optional[FaultPlan] = None,
-        failure_policy: str = SKIP_RECORD,
         checkpoint_storage: Optional["CheckpointStorage"] = None,
         checkpoint_fault_plan: Optional["CheckpointFaultPlan"] = None,
         crash_plan: Optional["CrashPlan"] = None,
@@ -429,7 +427,6 @@ class TrainingPipeline:
         self.registry = registry
         self.settings = settings
         self.ledger = ledger or CostLedger(pricing)
-        self.failure_policy = failure_policy
         self.runtime = MapReduceRuntime(
             pricing=pricing,
             preemption_model=preemption_model,
@@ -491,8 +488,8 @@ class TrainingPipeline:
                     cell_name, chunk, datasets, day, example_sets, metrics, tracer
                 )
             except SigmundError as exc:
-                # The whole cell job died (capacity, isolation, a crash
-                # under fail_job policy): every config it held fails, but
+                # The whole cell job died outside its map tasks (which
+                # dead-letter instead): every config it held fails, but
                 # the other cells' sweeps continue.
                 stats.failures.extend(
                     ConfigFailure(config, f"cell {cell_name!r}: {exc}")
@@ -599,7 +596,6 @@ class TrainingPipeline:
                 priority=Priority.PREEMPTIBLE,
             ),
             record_cost_fn=record_cost,
-            failure_policy=self.failure_policy,
         )
         # One config record per split: a map task trains exactly one model,
         # so no machine ever holds two retailers' models at once.

@@ -283,7 +283,7 @@ def build_day_graph(
     def make_publish(rid: str) -> Block:
         def run():
             accepted, reason = service._publish_retailer(
-                day, rid, state.results[rid], day + 1, state.retrieval.get(rid)
+                day, rid, state.results[rid], day + 1
             )
             return {"accepted": accepted, "reason": reason}
 

@@ -54,18 +54,13 @@ class CheckpointCorruptionError(CheckpointError):
 class RetrievalError(SigmundError):
     """An ANN retrieval index could not be built or queried.
 
-    Raised when a model has no embedding surface to index, when an index
-    is asked about items it was not built over, or when a retrieval store
-    operation violates version monotonicity.
+    Raised when a model has no embedding surface to index, or when an
+    index is asked about items it was not built over.
     """
 
 
 class ClusterError(SigmundError):
     """The cluster simulator was asked to do something impossible."""
-
-
-class CapacityError(ClusterError):
-    """No machine in the cell can satisfy a resource request."""
 
 
 class PreemptedError(ClusterError):
@@ -107,7 +102,7 @@ class SimulatedCrash(BaseException):
 
     Deliberately derives from :class:`BaseException`, not
     :class:`SigmundError`: a machine kill is not a task fault, so none of
-    the fault-isolation layers (``skip_record`` dead-lettering, per-cell
+    the fault-isolation layers (MapReduce dead-lettering, per-cell
     degradation, the service's per-retailer try/except) may catch and
     absorb it.  It must unwind the whole daily run — exactly like
     ``KeyboardInterrupt`` — leaving the run journal open so

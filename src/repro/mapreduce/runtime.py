@@ -15,15 +15,14 @@ a MapReduce master assigns splits to a fixed worker pool.  The workers
 exist only on the simulated clock: every map task's real compute runs in
 this one process, in split order.
 
-Failure semantics: a job declares a :data:`failure policy
-<MapReduceJob.failure_policy>`.  Under ``"fail_job"`` (classic MapReduce)
-any mapper exception or task that exhausts :data:`MAX_TASK_ATTEMPTS`
-aborts the whole job.  Under ``"skip_record"`` the offending records are
-diverted to a dead-letter list on :class:`JobStats` and the rest of the
-job completes — the mode Sigmund's multi-tenant daily loop runs in, so
-one retailer's bad day cannot take down the fleet.  :class:`FaultPlan`
-injects deterministic failures (mapper exceptions or doomed task
-attempts) so both policies are testable without relying on luck.
+Failure semantics: every job dead-letters.  A record whose mapper
+raises, and every record of a task that exhausts
+:data:`MAX_TASK_ATTEMPTS`, is diverted to a dead-letter list on
+:class:`JobStats` and the rest of the job completes — so one retailer's
+bad day cannot take down Sigmund's multi-tenant daily loop.
+:class:`FaultPlan` injects deterministic failures (mapper exceptions or
+doomed task attempts) so the dead-letter path is testable without
+relying on luck.
 """
 
 from __future__ import annotations
@@ -50,12 +49,6 @@ RecordCostFn = Callable[[object], float]
 
 #: Attempts per task before it fails permanently (MapReduce semantics).
 MAX_TASK_ATTEMPTS = 50
-
-#: Failure policies a job can declare.
-FAIL_JOB = "fail_job"
-SKIP_RECORD = "skip_record"
-FAILURE_POLICIES = (FAIL_JOB, SKIP_RECORD)
-
 
 def _identity_reducer(key: object, values: List[object]) -> Iterable[object]:
     """Default reducer: pass every value through."""
@@ -165,18 +158,10 @@ class MapReduceJob:
     #: A task whose wall time exceeds this multiple of its ideal duration
     #: (because of pre-emption retries) gets a backup copy.
     speculation_factor: float = 2.0
-    #: ``"fail_job"`` aborts on the first bad record or doomed task;
-    #: ``"skip_record"`` dead-letters them and completes the rest.
-    failure_policy: str = FAIL_JOB
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise MapReduceError("a job needs at least one worker")
-        if self.failure_policy not in FAILURE_POLICIES:
-            raise MapReduceError(
-                f"unknown failure policy {self.failure_policy!r}; "
-                f"expected one of {FAILURE_POLICIES}"
-            )
 
 
 @dataclass
@@ -192,10 +177,10 @@ class JobStats:
     preemptions: int = 0
     reduce_seconds: float = 0.0
     speculative_copies: int = 0
-    #: Map tasks that exhausted their attempts (skip_record policy only).
+    #: Map tasks that exhausted their attempts.
     tasks_failed: int = 0
-    #: Records skipped under the skip_record policy (mapper faults plus
-    #: records on permanently failed tasks); mirrors ``dead_letters``.
+    #: Records dead-lettered (mapper faults plus records on permanently
+    #: failed tasks); mirrors ``dead_letters``.
     records_skipped: int = 0
     #: The records the job gave up on, with exceptions and attempt counts.
     dead_letters: List[DeadLetter] = field(default_factory=list)
@@ -289,7 +274,6 @@ class MapReduceRuntime:
 
         # Simulated scheduling: list-schedule task durations over workers,
         # sampling VM uptime per attempt.
-        skip = job.failure_policy == SKIP_RECORD
         intermediate: Dict[object, List[object]] = defaultdict(list)
         workers = [0.0] * job.n_workers
         for task_index, (split, duration, pairs) in enumerate(tasks):
@@ -346,12 +330,9 @@ class MapReduceRuntime:
                 for key, value in pairs:
                     intermediate[key].append(value)
             else:
-                # The task died for good: classic MapReduce aborts the
-                # job; skip_record dead-letters the task's records (the
-                # attempts' wall and billed time stay on the books — the
-                # cluster really burned them).
-                if not skip:
-                    raise run.failure
+                # The task died for good: its records are dead-lettered
+                # (the attempts' wall and billed time stay on the books —
+                # the cluster really burned them).
                 stats.tasks_failed += 1
                 already_dead = {
                     id(letter.record) for letter in stats.dead_letters
@@ -379,7 +360,6 @@ class MapReduceRuntime:
         scheduling permanently can be dropped without side effects leaking
         into the shuffle.
         """
-        skip = job.failure_policy == SKIP_RECORD
         tasks: List[Tuple[InputSplit, float, List[Tuple[object, object]]]] = []
         for split in splits:
             seconds = job.task_startup_seconds
@@ -396,11 +376,6 @@ class MapReduceRuntime:
                         raise fault
                     pairs.extend(job.mapper(record))
                 except Exception as exc:
-                    if not skip:
-                        raise MapReduceError(
-                            f"mapper failed on record {record!r} in job "
-                            f"{job.name!r}: {exc}"
-                        ) from exc
                     stats.dead_letters.append(DeadLetter(record, exc, attempts=1))
                     stats.records_skipped += 1
             tasks.append((split, seconds, pairs))

@@ -14,9 +14,12 @@ catalog-size threshold:
 * :class:`~repro.retrieval.backend.ModelRetrieval` — couples a trained
   model's query embeddings to a backend for item-to-item search,
 * :mod:`~repro.retrieval.harness` — measured ``recall@k`` against the
-  exact baseline, plus the ANN threshold constant,
-* :class:`~repro.retrieval.store.RetrievalIndexStore` — versioned,
-  rollback-able index publication alongside the serving tables.
+  exact baseline, plus the ANN threshold constant.
+
+An index is an offline artifact of the day: inference reads the
+accepted one for the day's candidate pools (``DayState.retrieval``),
+and nothing publishes it to the serving tier, which answers from the
+precomputed tables alone.
 
 Scoring is exact within the probed candidate set (inner product against
 the bias-augmented item vectors), and every backend ranks through the
@@ -30,7 +33,6 @@ from repro.retrieval.backend import (
     RetrievalBackend,
     ann_for_model,
     exact_for_model,
-    retrieval_for_model,
 )
 from repro.retrieval.harness import (
     DEFAULT_ANN_THRESHOLD,
@@ -40,7 +42,6 @@ from repro.retrieval.harness import (
     synthetic_queries,
 )
 from repro.retrieval.ivf import IVFConfig, IVFIndex
-from repro.retrieval.store import RetrievalIndexStore
 
 __all__ = [
     "DEFAULT_ANN_THRESHOLD",
@@ -49,12 +50,10 @@ __all__ = [
     "IVFIndex",
     "ModelRetrieval",
     "RetrievalBackend",
-    "RetrievalIndexStore",
     "ann_for_model",
     "exact_for_model",
     "measure_model_recall",
     "recall_at_k",
-    "retrieval_for_model",
     "synthetic_embeddings",
     "synthetic_queries",
 ]

@@ -116,21 +116,13 @@ class ModelRetrieval:
     Item-to-item search uses the model's *context* embeddings as queries
     (a single-item context's user embedding is exactly its context row,
     see :meth:`~repro.models.bpr.BPRModel.context_weights`), so
-    ``search_items`` reproduces what exact single-item-context scoring
+    ``neighbours_items`` returns the ids exact single-item-context scoring
     would rank — restricted to the probed lists.
     """
 
-    def __init__(
-        self,
-        backend: RetrievalBackend,
-        query_vectors: np.ndarray,
-        model_number: int = -1,
-    ):
+    def __init__(self, backend: RetrievalBackend, query_vectors: np.ndarray):
         self.backend = backend
         self._query_vectors = query_vectors
-        #: Registry model number the index was built from (for cache
-        #: invalidation when a newer model wins the day's sweep).
-        self.model_number = model_number
 
     @property
     def n_items(self) -> int:
@@ -152,23 +144,15 @@ class ModelRetrieval:
     def metrics(self, registry) -> None:
         self.backend.metrics = registry
 
-    def search_items(
-        self,
-        item_ids: np.ndarray,
-        k: int,
-        nprobe: Optional[int] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Neighbours of each seed item, ``(len(item_ids), k)`` padded."""
-        return self.backend.search(self._seed_queries(item_ids), k, nprobe)
-
     def neighbours_items(
         self,
         item_ids: np.ndarray,
         k: int,
         nprobe: Optional[int] = None,
     ) -> np.ndarray:
-        """:meth:`search_items`'s ids as sets: each row ascending, its
-        ``-1`` padding at the end."""
+        """The top-``k`` neighbours of each seed item as sets,
+        ``(len(item_ids), k)``: each row ascending, its ``-1`` padding at
+        the end."""
         return self.backend.neighbours(self._seed_queries(item_ids), k, nprobe)
 
     def _seed_queries(self, item_ids: np.ndarray) -> np.ndarray:
@@ -198,7 +182,7 @@ def exact_for_model(model, metrics=NULL_METRICS) -> ModelRetrieval:
     """Exact backend over a trained model's effective item vectors."""
     vectors, bias, queries = _embedding_surface(model)
     backend = ExactRetrieval(vectors, bias, metrics=metrics)
-    return ModelRetrieval(backend, queries, _model_number(model))
+    return ModelRetrieval(backend, queries)
 
 
 def ann_for_model(
@@ -209,20 +193,4 @@ def ann_for_model(
     """IVF index over a trained model's effective item vectors."""
     vectors, bias, queries = _embedding_surface(model)
     backend = IVFIndex.build(vectors, bias, config=config, metrics=metrics)
-    return ModelRetrieval(backend, queries, _model_number(model))
-
-
-def retrieval_for_model(
-    model,
-    threshold: int,
-    config: IVFConfig = IVFConfig(),
-    metrics=NULL_METRICS,
-) -> ModelRetrieval:
-    """ANN above ``threshold`` items, exact GEMM below (the size switch)."""
-    if getattr(model, "n_items", 0) >= threshold:
-        return ann_for_model(model, config=config, metrics=metrics)
-    return exact_for_model(model, metrics=metrics)
-
-
-def _model_number(model) -> int:
-    return int(getattr(model, "model_number", -1))
+    return ModelRetrieval(backend, queries)

@@ -11,7 +11,8 @@ store — so the frontend's job is plumbing, not math:
   in-process server uses),
 * apply the head/tail hybrid policy at request time: head contexts are
   fully covered by precomputed tables; thin tail results are topped up
-  from the co-occurrence/popularity fallback,
+  from the co-occurrence/popularity fallback (no request reads an ANN
+  index or evaluates a model),
 * degrade instead of failing — the **fallback chain** is
   fresh table -> stale table (counted, still served) -> popularity
   fallback -> empty list.  The request path never raises
@@ -55,8 +56,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro.data.sessions import UserContext
 from repro.exceptions import ServingError
 from repro.models.base import ScoredItem
@@ -87,9 +86,6 @@ CACHE_HIT_LATENCY_MS = 0.05
 COALESCED_LATENCY_MS = 0.05
 BLEND_LATENCY_MS = 0.1
 FALLBACK_LATENCY_MS = 0.5
-#: One ANN index probe (in-memory inverted lists; cheaper than the
-#: popularity scan but pricier than a cache hit).
-RETRIEVAL_LATENCY_MS = 0.3
 
 #: Bucket bounds for the request latency histogram; the implicit +inf
 #: bucket catches queueing-collapse outliers.
@@ -158,8 +154,6 @@ class FrontendStats:
     #: Coalesced joins refused because an invalidation landed between the
     #: leader's computation and the follower's arrival.
     coalesce_fenced: int = 0
-    #: Tail slots filled from the retrieval index (before popularity).
-    retrieval_topups: int = 0
 
     @property
     def cache_hit_rate(self) -> float:
@@ -307,9 +301,6 @@ class ServingFrontend:
         self.protection.validate_for(cluster, self._deadline_floor_ms)
         if self.protection.breakers is not None:
             self.protection.breakers.on_transition = self._on_breaker_transition
-        #: Published ANN adapters for request-time tail top-up, keyed by
-        #: retailer (see :meth:`load_retrieval_index`).
-        self._retrieval: Dict[str, object] = {}
         #: Per-retailer invalidation epochs: bumped by every
         #: :meth:`invalidate_retailer`, checked before a coalesced
         #: follower may join an in-flight leader (the fence that keeps a
@@ -339,8 +330,8 @@ class ServingFrontend:
 
         Its tables leave the cluster — whose drop notice reaches
         :meth:`invalidate_retailer`, so no cached page outlives them —
-        and with them go the popularity list, the expected version and
-        the ANN adapter: the next request answers ``unserved`` and empty.
+        and with them go the popularity list and the expected version:
+        the next request answers ``unserved`` and empty.
         The invalidation epoch stays; it is the fence that keeps a
         request in flight from handing the departed tables to a follower.
         Idempotent.
@@ -349,7 +340,6 @@ class ServingFrontend:
         if self.fallback is not None:
             self.fallback.drop(retailer_id)
         self._expected_versions.pop(retailer_id, None)
-        self._retrieval.pop(retailer_id, None)
 
     # ------------------------------------------------------------------
     # Cache
@@ -457,24 +447,6 @@ class ServingFrontend:
                 len(doomed)
             )
         return len(doomed)
-
-    # ------------------------------------------------------------------
-    # Retrieval top-up
-    # ------------------------------------------------------------------
-    def load_retrieval_index(self, retailer_id: str, adapter) -> None:
-        """Install a retailer's published ANN index for tail top-up.
-
-        Thin tail responses are topped up from the index (personalized
-        neighbours of the query item) before falling back to popularity.
-        Cached responses are dropped: their tails were computed without
-        the index.
-        """
-        self._retrieval[retailer_id] = adapter
-        self.invalidate_retailer(retailer_id)
-
-    def drop_retrieval_index(self, retailer_id: str) -> None:
-        self._retrieval.pop(retailer_id, None)
-        self.invalidate_retailer(retailer_id)
 
     def cache_size(self) -> int:
         return len(self._cache)
@@ -716,42 +688,22 @@ class ServingFrontend:
 
         tail_augmented = 0
         need = k - len(recommendations)
-        index = self._retrieval.get(retailer_id)
-        if need > 0 and (self.fallback is not None or index is not None):
+        if (
+            need > 0
+            and self.fallback is not None
+            and latency + FALLBACK_LATENCY_MS <= budget_ms
+        ):
             # Request-time hybrid head/tail policy: head contexts fill k
             # from precomputed tables alone; thin tail results are topped
-            # up so every page is full — personalized neighbours from the
-            # retrieval index first, popularity for whatever remains.
-            # Under deadline pressure the top-ups are the first work to
-            # be skipped: a slightly short page beats a blown deadline.
+            # up from popularity so every page is full.  Under deadline
+            # pressure the top-up is the first work to be skipped: a
+            # slightly short page beats a blown deadline.
             exclude = set(context.item_indices)
             exclude.update(rec.item_index for rec in recommendations)
             floor = recommendations[-1].score
-            extras: List[ScoredItem] = []
-            if index is not None and (
-                latency + RETRIEVAL_LATENCY_MS + FALLBACK_LATENCY_MS
-                <= budget_ms
-            ):
-                extras = self._retrieval_extras(context, exclude, need, index)
-                if extras:
-                    latency += RETRIEVAL_LATENCY_MS
-                    exclude.update(s.item_index for s in extras)
-                    self.stats.retrieval_topups += len(extras)
-                    self.metrics.counter(
-                        "frontend_retrieval_topup_total", retailer=retailer_id
-                    ).inc(len(extras))
-            if (
-                len(extras) < need
-                and self.fallback is not None
-                and latency + FALLBACK_LATENCY_MS <= budget_ms
-            ):
-                popular = self.fallback.recommend(
-                    retailer_id, exclude, need - len(extras)
-                )
-                if popular:
-                    latency += FALLBACK_LATENCY_MS
-                    extras.extend(popular)
+            extras = self.fallback.recommend(retailer_id, exclude, need)
             if extras:
+                latency += FALLBACK_LATENCY_MS
                 for position, scored in enumerate(extras):
                     # Slot below the personalized floor so topped-up items
                     # never outrank a real recommendation.
@@ -791,34 +743,6 @@ class ServingFrontend:
             deadline_truncated=truncated,
         )
         return page, not (degraded or truncated)
-
-    def _retrieval_extras(
-        self,
-        context: UserContext,
-        exclude: set,
-        need: int,
-        index,
-    ) -> List[ScoredItem]:
-        """Neighbours of the most recent context item, minus exclusions.
-
-        Over-fetches by the exclusion size so filtering still leaves
-        ``need`` items; any index trouble (item outside the indexed
-        catalog) degrades to an empty list — the chain continues.
-        """
-        query = context.most_recent_item
-        if query is None or query >= index.n_items or query < 0:
-            return []
-        ids, scores = index.search_items(
-            np.array([query], dtype=np.int64), need + len(exclude) + 1
-        )
-        extras: List[ScoredItem] = []
-        for item, score in zip(ids[0].tolist(), scores[0].tolist()):
-            if item < 0 or item in exclude:
-                continue
-            extras.append(ScoredItem(int(item), float(score)))
-            if len(extras) >= need:
-                break
-        return extras
 
     def _terminal_page(
         self,

@@ -16,24 +16,13 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import (
-    Dict,
-    Generic,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    TypeVar,
-)
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import ServingError
 from repro.models.base import RankedRows, ScoredItem
 from repro.obs.metrics import NULL_METRICS
-
-T = TypeVar("T")
 
 
 class RecommendationTable(Mapping[int, List[ScoredItem]]):
@@ -140,43 +129,40 @@ class StoreStats:
 
 
 @dataclass
-class _Slot(Generic[T]):
-    """One retailer's published value plus the version it was published at."""
+class _Slot:
+    """One retailer's published table plus the version it was published at."""
 
     version: int
-    value: T
+    table: RecommendationTable
 
 
-class VersionedSlots(Generic[T]):
-    """Retailer -> the one published ``T`` it serves, versioned.
+class RecommendationStore:
+    """In-memory item -> top-N recommendations, per retailer, versioned.
 
-    The tenant-slot policy of the serving half, written once: a load must
-    carry a higher version than the slot holds (a stale one is counted
-    and raised, never applied), the value a load replaces is kept as the
+    The tenant-slot policy of the serving half: a load must carry a
+    higher version than the slot holds (a stale one is counted and
+    raised, never applied), the table a load replaces is kept as the
     single last-good for :meth:`rollback`, and :meth:`drop_retailer`
-    forgets both.  :class:`RecommendationStore` holds tables in it,
-    :class:`~repro.retrieval.store.RetrievalIndexStore` ANN adapters.
+    forgets both.
     """
 
-    #: How the error texts name what a load brings and what a slot holds.
-    _loaded = "batch"
-    _held = "table"
-
     def __init__(self, metrics=NULL_METRICS, name: str = "store") -> None:
-        self._slots: Dict[str, _Slot[T]] = {}
-        #: Last-good predecessor of each current slot, kept so a value
+        self._slots: Dict[str, _Slot] = {}
+        #: Last-good predecessor of each current slot, kept so a table
         #: that passed the publish gate but turns out bad in production
         #: can be rolled back without a republish.
-        self._previous: Dict[str, _Slot[T]] = {}
+        self._previous: Dict[str, _Slot] = {}
         self.stats = StoreStats()
         #: Process-level registry mirroring :attr:`stats`; store state
         #: accumulates across days so these counters are not part of the
         #: crash-parity contract.  ``name`` distinguishes the stores
-        #: (substitutes vs accessories vs retrieval indexes).
+        #: (substitutes vs accessories).
         self.metrics = metrics
         self.name = name
 
-    def load(self, retailer_id: str, value: T, version: int) -> None:
+    def load(
+        self, retailer_id: str, table: RecommendationTable, version: int
+    ) -> None:
         """Atomically replace a retailer's slot (the only write path).
 
         Versions must be monotonically increasing per retailer — a stale
@@ -191,18 +177,18 @@ class VersionedSlots(Generic[T]):
                     "store_stale_rejected_total", store=self.name
                 ).inc()
                 raise ServingError(
-                    f"stale {self._loaded} for {retailer_id!r}: version "
+                    f"stale batch for {retailer_id!r}: version "
                     f"{version} <= current {current.version}"
                 )
             self._previous[retailer_id] = current
-        self._slots[retailer_id] = _Slot(version, value)
+        self._slots[retailer_id] = _Slot(version, table)
         self.stats.batches_loaded += 1
         self.metrics.counter(
             "store_batches_loaded_total", store=self.name
         ).inc()
 
     def rollback(self, retailer_id: str) -> int:
-        """Re-serve the last-good value (the one the current load replaced).
+        """Re-serve the last-good table (the one the current load replaced).
 
         The escape hatch behind the publish gate: if a table that passed
         validation regresses in production, the previous complete table
@@ -214,7 +200,7 @@ class VersionedSlots(Generic[T]):
         previous = self._previous.pop(retailer_id, None)
         if previous is None:
             raise ServingError(
-                f"no last-good {self._held} to roll back to for {retailer_id!r}"
+                f"no last-good table to roll back to for {retailer_id!r}"
             )
         self._slots[retailer_id] = previous
         self.stats.rollbacks += 1
@@ -233,10 +219,10 @@ class VersionedSlots(Generic[T]):
         self._slots.pop(retailer_id, None)
         self._previous.pop(retailer_id, None)
 
-    def get(self, retailer_id: str) -> Optional[T]:
-        """What the retailer serves now (``None`` when not loaded)."""
+    def get(self, retailer_id: str) -> Optional[RecommendationTable]:
+        """The table the retailer serves now (``None`` when not loaded)."""
         slot = self._slots.get(retailer_id)
-        return slot.value if slot is not None else None
+        return slot.table if slot is not None else None
 
     def has_retailer(self, retailer_id: str) -> bool:
         return retailer_id in self._slots
@@ -251,10 +237,6 @@ class VersionedSlots(Generic[T]):
     def versions(self) -> Dict[str, int]:
         """Current version per loaded retailer."""
         return {rid: slot.version for rid, slot in self._slots.items()}
-
-
-class RecommendationStore(VersionedSlots[RecommendationTable]):
-    """In-memory item -> top-N recommendations, per retailer, versioned."""
 
     def load_batch(
         self,

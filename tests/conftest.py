@@ -17,7 +17,6 @@ from repro.data.sessions import UserContext
 from repro.models.base import ScoredItem
 from repro.models.bpr import BPRHyperParams, BPRModel, NegativePlan, PositivePlan
 from repro.models.trainer import BPRTrainer, CompiledExamples, ExampleSet
-from repro.retrieval import ExactRetrieval, ModelRetrieval, RetrievalIndexStore
 from repro.serving.store import RecommendationStore, as_table
 
 
@@ -176,14 +175,8 @@ def fresh_model(small_dataset, default_params) -> BPRModel:
     return BPRModel(small_dataset.catalog, small_dataset.taxonomy, default_params)
 
 
-@pytest.fixture(params=["tables", "indexes"])
-def slot_store(request):
-    """``store, make``: a fresh store of each kind that holds its slots
-    under ``VersionedSlots``, and a maker of distinct values it can hold
-    (``store.load(rid, make(n), version)`` works on both)."""
-    if request.param == "tables":
-        return RecommendationStore(), lambda n: as_table({0: [ScoredItem(n, 1.0)]})
-    vectors = np.eye(2)
-    return RetrievalIndexStore(), lambda n: ModelRetrieval(
-        ExactRetrieval(vectors), vectors, model_number=n
-    )
+@pytest.fixture()
+def slot_store():
+    """``store, make``: a fresh :class:`RecommendationStore` and a maker
+    of distinct tables it can hold (``store.load(rid, make(n), version)``)."""
+    return RecommendationStore(), lambda n: as_table({0: [ScoredItem(n, 1.0)]})

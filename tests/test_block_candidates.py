@@ -262,7 +262,7 @@ def test_retrieval_pools_are_the_masked_sorted_stripped_neighbour_rows(
             max_candidates=max_candidates,
         )
         items = list(range(0, small_dataset.n_items, 5))
-        ids, _ = selector.retrieval.search_items(np.array(items), 20)
+        ids = selector.retrieval.neighbours_items(np.array(items), 20)
         views, buys = selector.batch_view_based(items), selector.batch_purchase_based(items)
         stripped = 0
         for item, row, view, buy in zip(items, ids.tolist(), views, buys):
@@ -282,7 +282,7 @@ def test_an_indexed_inference_run_draws_one_neighbour_pass_per_block(monkeypatch
     block's pools equal what either reader builds called alone."""
     service = make_service(n_retailers=1, retrieval_threshold=1)
     service.run_day()
-    adapter = service.retrieval_store.get("r0")
+    adapter = service.journal.task_payload(0, "retrieval", "r0")["index"]
     assert adapter.backend_name == "ivf"
     service.inference.block_size = 8
     log = {name: [] for name in ("neighbours", "search", "view", "purchase")}

@@ -1,4 +1,4 @@
-"""Tests for the cluster simulator: clock, machines, cells, pre-emption, cost."""
+"""Tests for the cluster simulator: clock, cells, pre-emption, cost."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from repro.cluster.cost import CostLedger, ResourcePricing
 from repro.cluster.execution import run_with_preemptions
 from repro.cluster.machine import MachineSpec, Priority, VMRequest
 from repro.cluster.preemption import PreemptionModel
-from repro.exceptions import CapacityError, ClusterError
+from repro.exceptions import ClusterError
 
 
 class TestClock:
@@ -35,69 +35,17 @@ class TestClock:
             clock.advance_to(5.0)
 
 
-class TestMachineAndCell:
-    def make_cell(self, machines=4, cpus=8, memory=64.0):
-        return Cell("c", machines, MachineSpec(cpus=cpus, memory_gb=memory))
-
-    def test_allocate_and_release(self):
-        cell = self.make_cell()
-        vm = cell.allocate(VMRequest(4, 16))
-        assert cell.free_cpus == 4 * 8 - 4
-        cell.release(vm)
+class TestCell:
+    def test_all_capacity_is_free(self):
+        """Nothing places VMs: a cell's free CPUs are its machines'."""
+        cell = Cell("c", 4, MachineSpec(cpus=8, memory_gb=64.0))
         assert cell.free_cpus == 32
-        assert not vm.alive
+        assert (cell.name, cell.n_machines) == ("c", 4)
+        assert cell.machine_spec == MachineSpec(cpus=8, memory_gb=64.0)
 
-    def test_capacity_error_when_full(self):
-        cell = self.make_cell(machines=1, cpus=4)
-        cell.allocate(VMRequest(4, 16))
-        with pytest.raises(CapacityError):
-            cell.allocate(VMRequest(1, 1))
-
-    def test_memory_constrains_too(self):
-        cell = self.make_cell(machines=1, cpus=16, memory=32.0)
-        cell.allocate(VMRequest(1, 32.0))
-        with pytest.raises(CapacityError):
-            cell.allocate(VMRequest(1, 1.0))
-
-    def test_regular_evicts_preemptible(self):
-        cell = self.make_cell(machines=1, cpus=8)
-        evicted = []
-        cell.eviction_listeners.append(evicted.append)
-        low = cell.allocate(VMRequest(8, 32, Priority.PREEMPTIBLE))
-        regular = cell.allocate(VMRequest(8, 32, Priority.REGULAR))
-        assert cell.evictions == 1
-        assert evicted == [low]
-        assert not low.alive
-        assert regular.alive
-
-    def test_regular_cannot_evict_regular(self):
-        cell = self.make_cell(machines=1, cpus=8)
-        cell.allocate(VMRequest(8, 32, Priority.REGULAR))
-        with pytest.raises(CapacityError):
-            cell.allocate(VMRequest(8, 32, Priority.REGULAR))
-
-    def test_minimal_evictions_chosen(self):
-        """The scheduler evicts from the machine needing fewest evictions."""
-        cell = self.make_cell(machines=2, cpus=8)
-        # machine with two 4-cpu preemptibles and machine with one 8-cpu
-        cell.machines[0].place(VMRequest(4, 8), "c", 0.0)
-        cell.machines[0].place(VMRequest(4, 8), "c", 0.0)
-        cell.machines[1].place(VMRequest(8, 8), "c", 0.0)
-        cell.allocate(VMRequest(8, 8, Priority.REGULAR))
-        assert cell.evictions == 1  # the single big VM, not the two small
-
-    def test_utilization(self):
-        cell = self.make_cell(machines=2, cpus=8)
-        assert cell.utilization == 0.0
-        cell.allocate(VMRequest(8, 8))
-        assert cell.utilization == pytest.approx(0.5)
-
-    def test_release_unknown_vm_rejected(self):
-        cell_a = self.make_cell()
-        cell_b = self.make_cell()
-        vm = cell_a.allocate(VMRequest(1, 1))
+    def test_needs_a_machine(self):
         with pytest.raises(ClusterError):
-            cell_b.release(vm)
+            Cell("c", 0)
 
 
 class TestCluster:
@@ -113,21 +61,11 @@ class TestCluster:
         with pytest.raises(ClusterError):
             Cluster([Cell("x", 1), Cell("x", 1)])
 
-    def test_cells_by_free_capacity(self):
-        cluster = self.build()
-        assert [c.name for c in cluster.cells_by_free_capacity()] == ["big", "small"]
-
     def test_split_by_capacity_proportional(self):
         cluster = self.build()
         shares = cluster.split_by_capacity(10)
         assert sum(shares.values()) == 10
         assert shares["big"] > shares["small"] >= 1
-
-    def test_split_with_no_capacity_rejected(self):
-        cluster = Cluster([Cell("c", 1, MachineSpec(cpus=2, memory_gb=8))])
-        cluster.cell("c").allocate(VMRequest(2, 8))
-        with pytest.raises(CapacityError):
-            cluster.split_by_capacity(4)
 
     def test_unknown_cell(self):
         with pytest.raises(ClusterError):

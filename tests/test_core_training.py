@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pathlib
 import runpy
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -12,17 +13,19 @@ from hypothesis import strategies as st
 
 from repro import build_cluster
 from repro.cluster.machine import MachineSpec
-from repro.core.checkpoint import CheckpointManager
+from repro.core.checkpoint import CheckpointManager, InMemoryCheckpointStorage
 from repro.core.config import ConfigRecord
 from repro.core.grid import GridSpec
+from repro.core.recovery import CrashPlan
 from repro.core.registry import ModelRegistry
 from repro.core.sweep import SweepPlanner
 from repro.core.training import (
     TrainerSettings,
     TrainingPipeline,
+    checkpoint_key,
     train_config,
 )
-from repro.exceptions import ConfigError, DataError
+from repro.exceptions import ConfigError, DataError, SimulatedCrash
 from repro.models.bpr import BPRHyperParams
 from tests.conftest import assert_states_equal
 
@@ -77,6 +80,42 @@ class TestTrainConfig:
         assert manager.stats.writes >= 2
         # Finished tasks discard their checkpoint.
         assert not manager.has_checkpoint(config.key)
+
+    def test_a_resumed_train_config_reads_its_checkpoint_once(
+        self, small_dataset
+    ):
+        """The resume decodes the blob its existence check read."""
+
+        class CountingStorage(InMemoryCheckpointStorage):
+            def __init__(self):
+                super().__init__()
+                self.reads = Counter()
+
+            def get(self, key):
+                self.reads[key] += 1
+                return super().get(key)
+
+        settings = TrainerSettings(
+            max_epochs_full=4,
+            sampler="uniform",
+            seconds_per_sgd_step=1.0,  # huge: every epoch crosses the interval
+            checkpoint_interval_seconds=10.0,
+        )
+        storage = CountingStorage()
+        manager = CheckpointManager(
+            settings.checkpoint_interval_seconds, storage=storage
+        )
+        config = config_for(small_dataset)
+        crash = CrashPlan().crash_at("train_epoch", label=f"{config.key}@e1")
+        with pytest.raises(SimulatedCrash):
+            train_config(
+                config, small_dataset, settings,
+                checkpoints=manager, crash_plan=crash,
+            )
+        storage.reads.clear()
+        train_config(config, small_dataset, settings, checkpoints=manager)
+        assert manager.stats.restores == 1
+        assert storage.reads == {checkpoint_key(config): 1}
 
     def test_deterministic(self, small_dataset):
         _, a = train_config(config_for(small_dataset), small_dataset, FAST)

@@ -376,18 +376,23 @@ def test_backfill_publishes_the_unfaulted_days_tables_and_cost(
 
 def test_backfill_serves_the_index_it_built(unfaulted_day):
     """The day's retrieval block never ran for a retailer whose training
-    failed; the backfill's own accepted index rides the table's version."""
+    failed; the backfill journals its own accepted index — the one an
+    unfaulted day built — and infers from it."""
     service = make_service(
         metrics=MetricsRegistry(), fault_plan=fail_training_of("r1", times=1),
         **INDEXED,
     )
     service.run_day()
-    assert not service.retrieval_store.has_retailer("r1")
+    assert "r1" not in service.journal.completed(0, "retrieval")
     service.backfill_retailer("r1")
-    assert service.retrieval_store.version_of("r1") == 1
+    built = service.journal.task_payload(0, "backfill_retrieval", "r1")
+    assert built["accepted"]
+    assert service.inference.selector_of("r1").retrieval is built["index"]
     assert (
-        service.retrieval_store.get("r1").query_vectors.tobytes()
-        == unfaulted_day.retrieval_store.get("r1").query_vectors.tobytes()
+        built["index"].query_vectors.tobytes()
+        == unfaulted_day.journal.task_payload(0, "retrieval", "r1")[
+            "index"
+        ].query_vectors.tobytes()
     )
 
 

@@ -13,7 +13,7 @@ import pytest
 from repro.cluster.preemption import PreemptionModel
 from repro.core.checkpoint import CheckpointManager
 from repro.exceptions import MapReduceError, ServingError
-from repro.mapreduce.runtime import MapReduceJob, MapReduceRuntime
+from repro.mapreduce.runtime import MAX_TASK_ATTEMPTS, MapReduceJob, MapReduceRuntime
 from repro.mapreduce.splits import uniform_splits
 from repro.models.bpr import BPRHyperParams, BPRModel
 from repro.models.trainer import BPRTrainer
@@ -85,8 +85,9 @@ class TestMapReduceRetries:
         assert outputs == [10]
         assert stats.preemptions > 0
 
-    def test_impossible_task_fails_loudly(self):
-        """A task longer than any plausible uptime exhausts retries."""
+    def test_impossible_task_is_dead_lettered(self):
+        """A task longer than any plausible uptime exhausts its retries,
+        and its records are dead-lettered with the reason."""
         impossible = PreemptionModel(preemptible_mean_uptime_hours=1e-4)
         runtime = MapReduceRuntime(preemption_model=impossible, seed=7)
         job = MapReduceJob(
@@ -94,8 +95,14 @@ class TestMapReduceRetries:
             mapper=lambda r: [(0, r)],
             record_cost_fn=lambda r: 3600.0,
         )
-        with pytest.raises(MapReduceError):
-            runtime.run(job, uniform_splits([1], 1))
+        outputs, stats = runtime.run(job, uniform_splits([1], 1))
+        assert outputs == []
+        assert stats.tasks_failed == 1
+        [letter] = stats.dead_letters
+        assert letter.record == 1
+        assert letter.attempts == MAX_TASK_ATTEMPTS
+        assert isinstance(letter.exception, MapReduceError)
+        assert "attempts" in str(letter.exception)
 
 
 class TestServingResilience:

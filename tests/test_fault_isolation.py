@@ -1,7 +1,7 @@
-"""Fault isolation: failure policies, dead letters, graceful degradation.
+"""Fault isolation: dead letters and graceful degradation.
 
-Covers the failure semantics end to end: the runtime's ``skip_record``
-policy and :class:`FaultPlan` injection, per-retailer isolation in the
+Covers the failure semantics end to end: the runtime's dead letters and
+:class:`FaultPlan` injection, per-retailer isolation in the
 training and inference pipelines, and the service-level guarantee that
 one retailer's bad day degrades that retailer to yesterday's tables
 without taking down the fleet.
@@ -27,11 +27,9 @@ from repro.core.training import TrainerSettings, TrainingPipeline
 from repro.data.datasets import dataset_from_synthetic
 from repro.data.generator import RetailerSpec, generate_retailer
 from repro.data.taxonomy import Taxonomy
-from repro.exceptions import FaultInjectedError, MapReduceError
+from repro.exceptions import FaultInjectedError, IsolationError, MapReduceError
 from repro.mapreduce.runtime import (
-    FAIL_JOB,
     MAX_TASK_ATTEMPTS,
-    SKIP_RECORD,
     FaultPlan,
     MapReduceJob,
     MapReduceRuntime,
@@ -85,23 +83,19 @@ def make_dataset(retailer_id: str, seed: int):
     )
 
 
-class TestRuntimeFailurePolicies:
-    def run_poison(self, policy):
+class TestRuntimeDeadLetters:
+    def run_poison(self):
         def mapper(record):
             if record == 3:
                 raise ValueError("poison record")
             yield record, record
 
-        job = passthrough_job(mapper=mapper, failure_policy=policy)
+        job = passthrough_job(mapper=mapper)
         runtime = MapReduceRuntime(preemption_model=STABLE_VMS)
         return runtime.run(job, uniform_splits(list(range(6)), 3))
 
-    def test_fail_job_aborts_on_poison_record(self):
-        with pytest.raises(MapReduceError, match="poison"):
-            self.run_poison(FAIL_JOB)
-
     def test_skip_record_dead_letters_poison_record(self):
-        outputs, stats = self.run_poison(SKIP_RECORD)
+        outputs, stats = self.run_poison()
         assert sorted(outputs) == [0, 1, 2, 4, 5]
         assert stats.records_skipped == 1
         assert len(stats.dead_letters) == 1
@@ -112,13 +106,9 @@ class TestRuntimeFailurePolicies:
         # The rest of the task's records still made it through.
         assert stats.tasks_failed == 0
 
-    def test_unknown_failure_policy_rejected(self):
-        with pytest.raises(MapReduceError, match="failure policy"):
-            passthrough_job(failure_policy="retry_forever")
-
     def test_fault_plan_mapper_times_limits_faults(self):
         plan = FaultPlan().fail_mapper(lambda r: r % 2 == 0, times=1)
-        job = passthrough_job(failure_policy=SKIP_RECORD)
+        job = passthrough_job()
         runtime = MapReduceRuntime(preemption_model=STABLE_VMS, fault_plan=plan)
         outputs, stats = runtime.run(job, uniform_splits(list(range(6)), 2))
         # Only the first even record (0) faults; 2 and 4 pass.
@@ -139,7 +129,7 @@ class TestRuntimeFailurePolicies:
 
     def test_permanent_attempt_fault_dead_letters_whole_task(self):
         plan = FaultPlan().fail_attempts(lambda r: r == 4)
-        job = passthrough_job(failure_policy=SKIP_RECORD)
+        job = passthrough_job()
         runtime = MapReduceRuntime(preemption_model=STABLE_VMS, fault_plan=plan)
         outputs, stats = runtime.run(job, uniform_splits(list(range(6)), 3))
         # Records 4 and 5 share the doomed split; neither reaches output.
@@ -151,16 +141,9 @@ class TestRuntimeFailurePolicies:
         )
         assert stats.records_skipped == 2
 
-    def test_permanent_attempt_fault_aborts_under_fail_job(self):
-        plan = FaultPlan().fail_attempts(lambda r: r == 0)
-        job = passthrough_job(failure_policy=FAIL_JOB)
-        runtime = MapReduceRuntime(preemption_model=STABLE_VMS, fault_plan=plan)
-        with pytest.raises(MapReduceError, match="attempts"):
-            runtime.run(job, uniform_splits([0, 1], 2))
-
 
 class TestTrainingPipelineIsolation:
-    def build(self, fault_plan=None, failure_policy=SKIP_RECORD):
+    def build(self, fault_plan=None):
         cluster = build_cluster(n_cells=2, machines_per_cell=4)
         registry = ModelRegistry()
         pipeline = TrainingPipeline(
@@ -168,7 +151,6 @@ class TestTrainingPipelineIsolation:
             registry,
             settings=FAST_SETTINGS,
             fault_plan=fault_plan,
-            failure_policy=failure_policy,
         )
         datasets = {
             "iso_a": make_dataset("iso_a", seed=11),
@@ -197,13 +179,18 @@ class TestTrainingPipelineIsolation:
         assert not registry.has_models("iso_a")
         assert registry.has_models("iso_b")
 
-    def test_fail_job_policy_sinks_the_cell_not_the_sweep(self):
-        plan = FaultPlan().fail_mapper(
-            lambda r: getattr(r, "retailer_id", None) == "iso_a"
-        )
-        pipeline, registry, datasets, configs = self.build(
-            fault_plan=plan, failure_policy=FAIL_JOB
-        )
+    def test_a_cell_job_error_sinks_the_cell_not_the_sweep(self):
+        """An error outside the map tasks (which dead-letter) fails every
+        config of its cell; the other cell's sweep continues."""
+        pipeline, registry, datasets, configs = self.build()
+        publish = registry.publish
+
+        def refuse_iso_a(entry):
+            if entry.output.retailer_id == "iso_a":
+                raise IsolationError("refused")
+            publish(entry)
+
+        registry.publish = refuse_iso_a
         # Order configs so the retailers land in different cell chunks.
         configs.sort(key=lambda c: c.retailer_id)
         outputs, stats = pipeline.run(configs, datasets)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +9,6 @@ from hypothesis import strategies as st
 from repro.cluster.preemption import PreemptionModel
 from repro.exceptions import MapReduceError
 from repro.mapreduce.runtime import (
-    SKIP_RECORD,
     FaultPlan,
     MapReduceJob,
     MapReduceRuntime,
@@ -310,7 +307,7 @@ class TestSimulatedWorkers:
     def test_dead_letters_do_not_depend_on_the_worker_count(self, n_workers):
         """A mapper fault is met while the records run, before any task
         is placed on a slot: the same records are skipped either way."""
-        job = replace(self.job(n_workers), failure_policy=SKIP_RECORD)
+        job = self.job(n_workers)
         splits = uniform_splits(list(range(12)), 4)
         plan = FaultPlan().fail_mapper(lambda record: record in (4, 9))
         outputs, stats = MapReduceRuntime(seed=0, fault_plan=plan).run(job, splits)

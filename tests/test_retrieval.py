@@ -1,10 +1,10 @@
-"""ANN retrieval: IVF index invariants, recall harness, store, wiring.
+"""ANN retrieval: IVF index invariants, recall harness, wiring.
 
 The properties that make an *approximate* index admissible in a system
 whose contract is determinism: rebuilds are byte-identical, full-probe
 search degenerates to the exact baseline exactly (same ids, same order,
 same tie-breaks), recall is monotone in ``nprobe``, and the recall gate
-in the daily run keeps under-target indexes away from serving.
+in the daily run keeps under-target indexes away from inference.
 """
 
 from __future__ import annotations
@@ -25,19 +25,15 @@ from repro.core.service import SigmundService
 from repro.core.training import TrainerSettings
 from repro.data.datasets import dataset_from_synthetic
 from repro.data.generator import RetailerSpec, generate_retailer
-from repro.exceptions import RetrievalError, ServingError, SimulatedCrash
+from repro.exceptions import RetrievalError, SimulatedCrash
 from repro.models.base import top_k_select
-from repro.obs import MetricsRegistry
 from repro.retrieval import (
     ExactRetrieval,
     IVFConfig,
     IVFIndex,
-    ModelRetrieval,
-    RetrievalIndexStore,
     ann_for_model,
     exact_for_model,
     recall_at_k,
-    retrieval_for_model,
 )
 from repro.retrieval.harness import (
     DEFAULT_ANN_THRESHOLD,
@@ -247,18 +243,18 @@ class TestModelAdapters:
     def test_exact_adapter_reproduces_score_items_ranking(
         self, trained_model
     ):
-        """search_items == exact single-item-context scoring, tie-exact."""
+        """neighbours_items == exact single-item-context scoring's top
+        ``k`` as a set, tie-exact."""
         from repro.data.events import EventType
         from repro.data.sessions import UserContext
 
         seed_item = 7
         adapter = exact_for_model(trained_model)
-        ids, scores = adapter.search_items(np.array([seed_item]), k=15)
+        ids = adapter.neighbours_items(np.array([seed_item]), k=15)
         context = UserContext((seed_item,), (EventType.VIEW,))
         all_scores = trained_model.score_all(context)
         expected = top_k_select(all_scores, 15)
-        assert ids[0].tolist() == expected.tolist()
-        np.testing.assert_allclose(scores[0], all_scores[expected])
+        assert ids[0].tolist() == sorted(expected.tolist())
 
     def test_full_probe_ann_recall_is_perfect(self, trained_model):
         adapter = ann_for_model(trained_model, config=IVFConfig(seed=2))
@@ -274,22 +270,14 @@ class TestModelAdapters:
         adapter = ann_for_model(trained_model, config=IVFConfig(seed=2))
         assert measure_model_recall(trained_model, adapter, k=10) >= 0.9
 
-    def test_threshold_switch_picks_backend(self, trained_model):
-        exact = retrieval_for_model(
-            trained_model, threshold=trained_model.n_items + 1
-        )
-        ann = retrieval_for_model(trained_model, threshold=1)
-        assert exact.backend_name == "exact"
-        assert ann.backend_name == "ivf"
-
     def test_out_of_range_seed_item_raises(self, trained_model):
         adapter = exact_for_model(trained_model)
         with pytest.raises(RetrievalError):
-            adapter.search_items(
+            adapter.neighbours_items(
                 np.array([trained_model.n_items]), k=5
             )
         with pytest.raises(RetrievalError):
-            adapter.search_items(np.array([-1]), k=5)
+            adapter.neighbours_items(np.array([-1]), k=5)
 
     def test_model_without_embedding_surface_raises(self):
         with pytest.raises(RetrievalError):
@@ -323,68 +311,6 @@ class TestModelAdapters:
             trained_model.score_contexts([context], floats)
         with pytest.raises(TypeError):
             trained_model.rank_of(context, 5, candidates=floats)
-
-
-# ----------------------------------------------------------------------
-# Versioned index store
-# ----------------------------------------------------------------------
-def make_adapter(seed=0):
-    vectors, bias = make_catalog(n_items=32, seed=seed)
-    return ModelRetrieval(ExactRetrieval(vectors, bias), vectors)
-
-
-class TestIndexStore:
-    """The slot policy, once for both stores that hold slots under it
-    (``slot_store``: tables and indexes); the index store's own part is
-    its wording and its metrics label."""
-
-    def test_load_get_version(self, slot_store):
-        store, make = slot_store
-        value = make(0)
-        store.load("shop", value, version=3)
-        assert store.get("shop") is value
-        assert store.version_of("shop") == 3
-        assert store.get("ghost") is None and store.version_of("ghost") is None
-
-    def test_stale_version_rejected(self):
-        registry = MetricsRegistry()
-        store = RetrievalIndexStore(metrics=registry)
-        store.load("shop", make_adapter(), version=2)
-        with pytest.raises(ServingError, match="stale index for 'shop'"):
-            store.load("shop", make_adapter(), version=2)
-        with pytest.raises(ServingError, match="no last-good index"):
-            store.rollback("shop")
-        assert registry.snapshot().counters[
-            "store_stale_rejected_total{store=retrieval}"
-        ] == 1
-
-    def test_rollback_restores_predecessor(self, slot_store):
-        store, make = slot_store
-        oldest, old, new = make(0), make(1), make(2)
-        store.load("shop", oldest, version=1)
-        store.load("shop", old, version=2)
-        store.load("shop", new, version=3)
-        assert store.rollback("shop") == 2
-        assert store.get("shop") is old and store.version_of("shop") == 2
-        with pytest.raises(ServingError, match="no last-good"):
-            store.rollback("shop")  # exactly one last-good predecessor
-        assert store.stats.rollbacks == 1
-        store.load("shop", new, version=3)  # forward again from where it is
-
-    def test_drop_is_idempotent(self, slot_store):
-        store, make = slot_store
-        store.load("shop", make(0), version=1)
-        store.load("shop", make(1), version=2)
-        store.load("other", make(2), version=5)
-        store.drop_retailer("shop")
-        store.drop_retailer("shop")
-        assert not store.has_retailer("shop")
-        assert store.get("shop") is None
-        with pytest.raises(ServingError, match="no last-good"):
-            store.rollback("shop")  # the last-good went with it
-        assert store.versions() == {"other": 5}
-        store.load("shop", make(3), version=1)  # re-onboarded: version 1 again
-        assert store.version_of("shop") == 1
 
 
 # ----------------------------------------------------------------------
@@ -492,7 +418,6 @@ class TestServiceRetrievalLifecycle:
         report = service.run_day()
         assert report.indexes_built == 0
         assert report.indexes_rejected == 0
-        assert service.retrieval_store.retailers() == []
         # The skip is still journaled, so recovery can replay it.
         for rid in ("r0", "r1"):
             payload = service.journal.task_payload(0, "retrieval", rid)
@@ -508,18 +433,15 @@ class TestServiceRetrievalLifecycle:
         payload = service.journal.task_payload(0, "retrieval", "r0")
         assert payload["built"] is bool(built)
 
-    def test_indexes_publish_at_table_version(self):
+    def test_accepted_indexes_are_journaled(self):
         service = make_service(retrieval_threshold=1)
         report = service.run_day()
         assert report.indexes_built == 2
         assert report.indexes_rejected == 0
-        assert (
-            service.retrieval_store.versions()
-            == service.substitutes_store.versions()
-        )
-        adapter = service.retrieval_store.get("r0")
-        assert adapter.backend_name == "ivf"
-        assert adapter.model_number >= 0
+        payload = service.journal.task_payload(0, "retrieval", "r0")
+        assert payload["accepted"] is True
+        assert payload["index"].backend_name == "ivf"
+        assert payload["model_number"] == service.registry.best("r0").model_number
 
     def test_recall_gate_rejects_under_target_indexes(self):
         service = make_service(
@@ -528,27 +450,9 @@ class TestServiceRetrievalLifecycle:
         report = service.run_day()
         assert report.indexes_built == 2
         assert report.indexes_rejected == 2
-        assert service.retrieval_store.retailers() == []
         payload = service.journal.task_payload(0, "retrieval", "r0")
         assert payload["accepted"] is False
         assert "recall" in payload["reason"]
-
-    def test_rollback_restores_previous_index(self):
-        service = make_service(n_retailers=1, retrieval_threshold=1)
-        service.run_day()
-        first = service.retrieval_store.get("r0")
-        service.run_day()
-        second = service.retrieval_store.get("r0")
-        assert second is not first
-        version = service.rollback_retailer("r0")
-        assert service.retrieval_store.get("r0") is first
-        assert service.retrieval_store.version_of("r0") == version
-
-    def test_offboard_purges_index(self):
-        service = make_service(n_retailers=1, retrieval_threshold=1)
-        service.run_day()
-        service.offboard("r0")
-        assert not service.retrieval_store.has_retailer("r0")
 
     @pytest.mark.parametrize(
         "stage", ["retrieval_build", "retrieval_logged"]
@@ -566,13 +470,14 @@ class TestServiceRetrievalLifecycle:
             crashed.run_day()
         crashed.recover()
 
-        assert (
-            crashed.retrieval_store.versions()
-            == baseline.retrieval_store.versions()
+        crashed_payload, baseline_payload = (
+            service.journal.task_payload(0, "retrieval", "r0")
+            for service in (crashed, baseline)
         )
+        assert crashed_payload["accepted"] and baseline_payload["accepted"]
         assert (
-            crashed.retrieval_store.get("r0").backend.state_digest()
-            == baseline.retrieval_store.get("r0").backend.state_digest()
+            crashed_payload["index"].backend.state_digest()
+            == baseline_payload["index"].backend.state_digest()
         )
         assert json.dumps(
             crashed.journal.day_seal(0), sort_keys=True

@@ -8,6 +8,7 @@ from repro.data.events import EventType
 from repro.data.sessions import UserContext
 from repro.exceptions import ServingError
 from repro.models.base import ScoredItem
+from repro.obs import MetricsRegistry
 from repro.serving.server import RecommendationServer
 from repro.serving.store import RecommendationStore
 
@@ -52,7 +53,7 @@ class TestStore:
         assert store.version_of("r1") == 2
 
     def test_stale_batch_rejected(self, slot_store):
-        """Rejected, counted, and nothing moved — for tables and indexes."""
+        """Rejected, counted, and nothing moved."""
         store, make = slot_store
         held = make(0)
         store.load("r1", held, version=2)
@@ -73,6 +74,54 @@ class TestStore:
         store.lookup("r1", 0)
         store.lookup("r1", 99)
         assert store.stats.hit_rate == pytest.approx(0.5)
+
+    def test_stale_load_is_counted_under_the_store_name(self):
+        registry = MetricsRegistry()
+        store = RecommendationStore(metrics=registry, name="substitutes")
+        store.load_batch("shop", {0: recs((1, 1.0))}, version=2)
+        with pytest.raises(ServingError, match="stale batch for 'shop'"):
+            store.load_batch("shop", {0: recs((1, 1.0))}, version=2)
+        with pytest.raises(ServingError, match="no last-good table"):
+            store.rollback("shop")
+        assert registry.snapshot().counters[
+            "store_stale_rejected_total{store=substitutes}"
+        ] == 1
+
+    def test_load_get_version(self, slot_store):
+        store, make = slot_store
+        value = make(0)
+        store.load("shop", value, version=3)
+        assert store.get("shop") is value
+        assert store.version_of("shop") == 3
+        assert store.get("ghost") is None and store.version_of("ghost") is None
+
+    def test_rollback_restores_predecessor(self, slot_store):
+        store, make = slot_store
+        oldest, old, new = make(0), make(1), make(2)
+        store.load("shop", oldest, version=1)
+        store.load("shop", old, version=2)
+        store.load("shop", new, version=3)
+        assert store.rollback("shop") == 2
+        assert store.get("shop") is old and store.version_of("shop") == 2
+        with pytest.raises(ServingError, match="no last-good"):
+            store.rollback("shop")  # exactly one last-good predecessor
+        assert store.stats.rollbacks == 1
+        store.load("shop", new, version=3)  # forward again from where it is
+
+    def test_drop_is_idempotent(self, slot_store):
+        store, make = slot_store
+        store.load("shop", make(0), version=1)
+        store.load("shop", make(1), version=2)
+        store.load("other", make(2), version=5)
+        store.drop_retailer("shop")
+        store.drop_retailer("shop")
+        assert not store.has_retailer("shop")
+        assert store.get("shop") is None
+        with pytest.raises(ServingError, match="no last-good"):
+            store.rollback("shop")  # the last-good went with it
+        assert store.versions() == {"other": 5}
+        store.load("shop", make(3), version=1)  # re-onboarded: version 1 again
+        assert store.version_of("shop") == 1
 
     def test_retailers(self, slot_store):
         store, make = slot_store

@@ -480,56 +480,6 @@ class TestCacheInvalidationOnPublish:
         assert frontend.request("other", ctx(3), k=5).cache_hit
 
 
-class TestRetrievalTopup:
-    def make_index(self):
-        import numpy as np
-
-        from repro.retrieval import ExactRetrieval, ModelRetrieval
-        from repro.retrieval.harness import synthetic_embeddings
-
-        vectors, bias = synthetic_embeddings(N_ITEMS, 8, seed=5)
-        return ModelRetrieval(ExactRetrieval(vectors, bias), vectors)
-
-    def test_thin_results_topped_up_from_index_before_popularity(self):
-        from repro.serving.frontend import RETRIEVAL_LATENCY_MS
-
-        cluster = make_cluster()
-        cluster.load_batch(
-            "shop",
-            {0: [ScoredItem(1, 2.0), ScoredItem(2, 1.0)]},
-            version=1,
-        )
-        frontend = ServingFrontend(cluster, fallback=make_fallback())
-        frontend.load_retrieval_index("shop", self.make_index())
-        response = frontend.request("shop", ctx(0), k=6)
-        assert len(response.recommendations) == 6
-        assert frontend.stats.retrieval_topups == 4  # slots filled
-        # Personalized results keep their rank above every extra.
-        assert [r.item_index for r in response.recommendations[:2]] == [1, 2]
-        items = [r.item_index for r in response.recommendations]
-        assert len(set(items)) == 6 and 0 not in items
-        baseline = frontend.request("shop", ctx(1), k=2)  # no top-up
-        assert response.latency_ms >= baseline.latency_ms + RETRIEVAL_LATENCY_MS
-
-    def test_no_index_is_byte_identical_to_fallback_only(self):
-        cluster = make_cluster()
-        cluster.load_batch(
-            "shop",
-            {0: [ScoredItem(1, 2.0), ScoredItem(2, 1.0)]},
-            version=1,
-        )
-        plain = ServingFrontend(cluster, fallback=make_fallback())
-        wired = ServingFrontend(cluster, fallback=make_fallback())
-        wired.load_retrieval_index("shop", self.make_index())
-        wired.drop_retrieval_index("shop")
-        a = plain.request("shop", ctx(0), k=6)
-        b = wired.request("shop", ctx(0), k=6)
-        assert [
-            (r.item_index, r.score) for r in a.recommendations
-        ] == [(r.item_index, r.score) for r in b.recommendations]
-        assert a.latency_ms == b.latency_ms
-
-
 class _PublishDuringLookupCluster(ServingCluster):
     """Fires a queued publish from inside a lookup (mid-flight publish)."""
 
@@ -627,9 +577,6 @@ class TestDropRetailer:
             cluster, fallback=make_fallback(("shop", "other"))
         )
         frontend.expect_version("shop", 3)
-        frontend.load_retrieval_index(
-            "shop", TestRetrievalTopup().make_index()
-        )
         return cluster, frontend
 
     def test_departed_retailer_gets_an_empty_unserved_page(self):
@@ -653,7 +600,6 @@ class TestDropRetailer:
         assert cluster.version_of("shop") is None
         assert not frontend.fallback.has_retailer("shop")
         assert "shop" not in frontend._expected_versions
-        assert "shop" not in frontend._retrieval
         assert all(key[0] != "shop" for key in frontend._cache)
 
     def test_co_tenant_keeps_its_pages_and_its_cache(self):
