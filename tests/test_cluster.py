@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import build_cluster
 from repro.cluster.cell import Cell, Cluster
 from repro.cluster.clock import SimClock
 from repro.cluster.cost import CostLedger, ResourcePricing
@@ -35,6 +36,18 @@ class TestClock:
             clock.advance_to(5.0)
 
 
+class TestMachineShapes:
+    @pytest.mark.parametrize("cpus, memory_gb", [(0, 64.0), (8, 0.0)])
+    def test_machine_needs_positive_resources(self, cpus, memory_gb):
+        with pytest.raises(ClusterError):
+            MachineSpec(cpus=cpus, memory_gb=memory_gb)
+
+    @pytest.mark.parametrize("cpus, memory_gb", [(0, 8.0), (4, 0.0)])
+    def test_vm_request_needs_positive_resources(self, cpus, memory_gb):
+        with pytest.raises(ClusterError):
+            VMRequest(cpus, memory_gb)
+
+
 class TestCell:
     def test_all_capacity_is_free(self):
         """Nothing places VMs: a cell's free CPUs are its machines'."""
@@ -61,6 +74,17 @@ class TestCluster:
         with pytest.raises(ClusterError):
             Cluster([Cell("x", 1), Cell("x", 1)])
 
+    def test_empty_cluster_rejected(self):
+        with pytest.raises(ClusterError):
+            Cluster([])
+
+    def test_build_cluster_cells(self):
+        cluster = build_cluster(n_cells=3, machines_per_cell=2)
+        assert list(cluster.cells) == ["cell-0", "cell-1", "cell-2"]
+        assert all(
+            cell.free_cpus == 2 * 16 for cell in cluster.cells.values()
+        )
+
     def test_split_by_capacity_proportional(self):
         cluster = self.build()
         shares = cluster.split_by_capacity(10)
@@ -79,6 +103,30 @@ class TestCluster:
         shares = cluster.split_by_capacity(2)
         assert sum(shares.values()) == 2
         assert all(share >= 0 for share in shares.values())
+
+    def test_split_exact_when_shards_divide_evenly(self):
+        assert self.build().split_by_capacity(5) == {"big": 4, "small": 1}
+
+    def test_split_follows_machine_shape_not_count(self):
+        """Free capacity is CPUs, not machines: two 32-CPU machines
+        outweigh four 8-CPU ones."""
+        cluster = Cluster(
+            [
+                Cell("many", 4, MachineSpec(cpus=8, memory_gb=64)),
+                Cell("wide", 2, MachineSpec(cpus=32, memory_gb=256)),
+            ]
+        )
+        assert cluster.split_by_capacity(3) == {"wide": 2, "many": 1}
+
+    def test_equal_cells_share_by_name(self):
+        """Ties between equally free cells go to the lower name, so a
+        split (and every day built on it) is reproducible."""
+        cluster = Cluster(
+            [Cell(name, 2, MachineSpec(cpus=8, memory_gb=64))
+             for name in ("d", "b", "c", "a")]
+        )
+        assert cluster.split_by_capacity(2) == {"a": 1, "b": 1, "c": 0, "d": 0}
+        assert cluster.split_by_capacity(6) == {"a": 2, "b": 2, "c": 1, "d": 1}
 
     def test_single_shard_goes_to_most_free_cell(self):
         shares = self.build().split_by_capacity(1)

@@ -252,6 +252,30 @@ class TestFaultInjection:
         assert manager.try_restore("absent", fresh_model) is None
         assert manager.stats.cold_starts == 1
 
+    def test_try_restore_reads_storage_once(self, fresh_model):
+        """Whole, torn or absent, a resume reads its key once."""
+        reads = []
+
+        class CountingStorage(InMemoryCheckpointStorage):
+            def get(self, key):
+                reads.append(key)
+                return super().get(key)
+
+        manager = CheckpointManager(
+            storage=CountingStorage(),
+            fault_plan=CheckpointFaultPlan().torn_write(
+                match=lambda key: key == "torn"
+            ),
+        )
+        manager.write("whole", fresh_model, now=0.0, epoch=3)
+        manager.write("torn", fresh_model, now=0.0, epoch=3)
+        reads.clear()
+        assert manager.try_restore("whole", fresh_model) == 3
+        assert manager.try_restore("torn", fresh_model) is None
+        assert manager.try_restore("absent", fresh_model) is None
+        assert reads == ["whole", "torn", "absent"]
+        assert (manager.stats.restores, manager.stats.cold_starts) == (1, 2)
+
     def test_fault_rules_match_and_disarm(self, fresh_model):
         plan = CheckpointFaultPlan().bit_flip(
             match=lambda key: key.startswith("bad/"), times=1

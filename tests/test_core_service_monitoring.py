@@ -203,6 +203,48 @@ class TestService:
         # The surviving tenant is untouched.
         assert service.substitutes_store.has_retailer(survivor)
 
+    def test_rollback_retailer_serves_the_previous_days_tables(self):
+        service = tiny_service()
+        service.run_day()
+        rid, other = service.retailers
+        day0 = (
+            service.substitutes_store.get(rid),
+            service.accessories_store.get(rid),
+        )
+        service.run_day()
+        assert service.rollback_retailer(rid) == 1
+        assert service.substitutes_store.get(rid) is day0[0]
+        assert service.accessories_store.get(rid) is day0[1]
+        assert service.accessories_store.version_of(rid) == 1
+        # The co-tenant keeps serving today's tables.
+        assert service.substitutes_store.version_of(other) == 2
+        assert service.accessories_store.version_of(other) == 2
+
+    def test_rollback_retailer_needs_a_previous_day(self):
+        from repro.exceptions import ServingError
+
+        service = tiny_service(n_retailers=1)
+        service.run_day()
+        rid = service.retailers[0]
+        with pytest.raises(ServingError, match="no last-good"):
+            service.rollback_retailer(rid)
+        assert service.substitutes_store.version_of(rid) == 1
+        assert service.accessories_store.version_of(rid) == 1
+
+    def test_rollback_retailer_is_one_day_deep(self):
+        from repro.exceptions import ServingError
+
+        service = tiny_service(n_retailers=1)
+        for _ in range(3):
+            service.run_day()
+        rid = service.retailers[0]
+        assert service.rollback_retailer(rid) == 2
+        with pytest.raises(ServingError, match="no last-good"):
+            service.rollback_retailer(rid)
+        # The next day publishes forward again from the rolled-back table.
+        service.run_day()
+        assert service.substitutes_store.version_of(rid) == 4
+
     def test_offboard_unknown_retailer_is_noop(self):
         service = tiny_service(n_retailers=1)
         service.offboard("never_onboarded")  # must not raise

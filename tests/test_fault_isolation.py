@@ -141,6 +141,53 @@ class TestRuntimeDeadLetters:
         )
         assert stats.records_skipped == 2
 
+    def test_a_job_whose_every_task_fails_still_completes(self):
+        """No task finishing is not a job error: every record is
+        dead-lettered and the job returns empty output."""
+        plan = FaultPlan().fail_attempts(lambda r: True)
+        job = passthrough_job()
+        runtime = MapReduceRuntime(preemption_model=STABLE_VMS, fault_plan=plan)
+        outputs, stats = runtime.run(job, uniform_splits(list(range(6)), 3))
+        assert outputs == []
+        assert stats.tasks_failed == 3
+        assert sorted(letter.record for letter in stats.dead_letters) == list(
+            range(6)
+        )
+        assert stats.records_skipped == 6
+
+    def test_a_record_is_dead_lettered_once(self):
+        """A record whose mapper failed, on a task that then failed for
+        good, is one dead letter (its mapper error), not two."""
+        plan = (
+            FaultPlan()
+            .fail_mapper(lambda r: r == 4)
+            .fail_attempts(lambda r: r == 5)
+        )
+        job = passthrough_job()
+        runtime = MapReduceRuntime(preemption_model=STABLE_VMS, fault_plan=plan)
+        outputs, stats = runtime.run(job, uniform_splits(list(range(6)), 3))
+        assert sorted(outputs) == [0, 1, 2, 3]
+        assert [letter.record for letter in stats.dead_letters] == [4, 5]
+        assert isinstance(stats.dead_letters[0].exception, FaultInjectedError)
+        assert stats.dead_letters[0].attempts == 1
+        assert stats.dead_letters[1].attempts == MAX_TASK_ATTEMPTS
+        assert stats.records_skipped == 2
+
+    def test_dead_letters_are_counted_in_the_job_metrics(self):
+        from repro.obs import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        plan = FaultPlan().fail_mapper(lambda r: r in (1, 4))
+        job = passthrough_job()
+        runtime = MapReduceRuntime(preemption_model=STABLE_VMS, fault_plan=plan)
+        _, stats = runtime.run(
+            job, uniform_splits(list(range(6)), 2), metrics=metrics
+        )
+        assert stats.records_skipped == 2
+        assert metrics.snapshot().counter(
+            "mapreduce_records_skipped_total", job="pass"
+        ) == 2
+
 
 class TestTrainingPipelineIsolation:
     def build(self, fault_plan=None):

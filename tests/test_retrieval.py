@@ -266,6 +266,29 @@ class TestModelAdapters:
         )
         assert recall == pytest.approx(1.0)
 
+    def test_full_probe_ann_neighbours_equal_exact_neighbours(
+        self, trained_model
+    ):
+        """The two backends the day builds answer ``neighbours_items``
+        identically once IVF probes every list, ties included."""
+        ann = ann_for_model(trained_model, config=IVFConfig(seed=2))
+        exact = exact_for_model(trained_model)
+        seeds = np.arange(trained_model.n_items)
+        assert np.array_equal(
+            ann.neighbours_items(seeds, k=10, nprobe=ann.backend.n_clusters),
+            exact.neighbours_items(seeds, k=10),
+        )
+
+    def test_neighbours_past_the_catalog_pad_at_the_end(self, trained_model):
+        n_items = trained_model.n_items
+        rows = exact_for_model(trained_model).neighbours_items(
+            np.array([0, 3]), k=n_items + 2
+        )
+        assert rows.shape == (2, n_items + 2)
+        for row in rows:
+            assert row[:n_items].tolist() == list(range(n_items))
+            assert row[n_items:].tolist() == [-1, -1]
+
     def test_default_nprobe_recall_reasonable(self, trained_model):
         adapter = ann_for_model(trained_model, config=IVFConfig(seed=2))
         assert measure_model_recall(trained_model, adapter, k=10) >= 0.9

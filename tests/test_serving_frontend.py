@@ -312,6 +312,53 @@ class TestHybridTailAugmentation:
         scores = [r.score for r in response.recommendations]
         assert scores == sorted(scores, reverse=True)
 
+    def thin_cluster(self):
+        cluster = make_cluster()
+        cluster.load_batch(
+            "shop",
+            {0: [ScoredItem(1, 2.0), ScoredItem(2, 1.0)]},
+            version=1,
+        )
+        return cluster
+
+    def test_top_up_skips_context_and_page_items(self):
+        """The most popular items not already in the context or on the
+        page fill it, most popular first."""
+        frontend = ServingFrontend(self.thin_cluster(), fallback=make_fallback())
+        response = frontend.request("shop", ctx(0), k=6)
+        assert [r.item_index for r in response.recommendations] == [
+            1, 2, 3, 4, 5, 6,
+        ]
+
+    def test_top_up_is_counted(self):
+        metrics = MetricsRegistry()
+        frontend = ServingFrontend(
+            self.thin_cluster(), fallback=make_fallback(), metrics=metrics
+        )
+        frontend.request("shop", ctx(0), k=6)
+        frontend.request("shop", ctx(0), k=3)
+        assert frontend.stats.tail_augmented == 4 + 1
+        assert metrics.snapshot().counter(
+            "frontend_tail_augmented_total", retailer="shop"
+        ) == 5
+
+    def test_top_up_charges_one_fallback_lookup(self):
+        plain = ServingFrontend(self.thin_cluster(), fallback=make_fallback())
+        topped = ServingFrontend(self.thin_cluster(), fallback=make_fallback())
+        short = plain.request("shop", ctx(0), k=2)
+        full = topped.request("shop", ctx(0), k=6)
+        assert short.tail_augmented == 0 and full.tail_augmented == 4
+        assert full.latency_ms == pytest.approx(
+            short.latency_ms + FALLBACK_LATENCY_MS
+        )
+
+    def test_no_popularity_source_serves_the_short_page(self):
+        frontend = ServingFrontend(self.thin_cluster())
+        response = frontend.request("shop", ctx(0), k=6)
+        assert response.served_from == "fresh"
+        assert [r.item_index for r in response.recommendations] == [1, 2]
+        assert response.tail_augmented == 0
+
     def test_head_context_not_augmented(self, frontend):
         response = frontend.request("shop", ctx(1, 2), k=5)
         assert response.tail_augmented == 0
