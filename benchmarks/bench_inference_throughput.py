@@ -32,8 +32,9 @@ Measured here, per synthetic retailer scale:
    rank -> reduce -> gate -> load (``InferencePipeline.run_cell``,
    ``PublishGate.validate`` and ``RecommendationStore.load_batch`` on
    both surfaces): recommendations published, what the garbage collector
-   cost over that stretch (``gc.callbacks``), and how many tracked
-   objects per recommendation are still alive once both stores serve.
+   cost over that stretch (``gc.callbacks``), how many tracked objects
+   per recommendation are still alive once both stores serve, and that
+   the cell left the model no cached effective-item matrix.
    A published table is arrays, so that is a handful of objects per
    *table*; as lists of ``ScoredItem`` it was 1.23 per recommendation,
    re-walked by every later full collection,
@@ -339,6 +340,7 @@ def _publish_row():
         start = time.perf_counter()
         results, _, _, failed = pipeline.run_cell("cell", {rid: dataset}, 0)
         assert not failed, failed
+        matrix_left = model._phi_cache is not None
         result = results[rid]
         tables = (result.view_recs, result.purchase_recs)
         for table, store, allow_empty in zip(tables, stores, (False, True)):
@@ -379,6 +381,8 @@ def _publish_row():
         "recommend_batch_calls": calls["recommend_batch"],
         "user_matrices": calls["query_users"],
         "contexts_built": calls["__init__"],
+        # The cell drops the effective-item matrix it ranked with.
+        "matrix_left_cached": matrix_left or model._phi_cache is not None,
     }
 
 
@@ -552,6 +556,8 @@ def test_inference_throughput(capsys):
     assert publish["contexts_built"] == 0, publish
     assert publish["recommend_batch_calls"] == 2 * publish["blocks"], publish
     assert publish["user_matrices"] == 2 * publish["blocks"], publish
+    # The registry model keeps its parameters only once the cell is done.
+    assert not publish["matrix_left_cached"], publish
 
     if fast:
         # CI smoke: batched must never be slower than per-item, even on a

@@ -34,6 +34,7 @@ from repro.cooccurrence.counts import CoOccurrenceCounts
 from repro.core.candidates import CandidateSelector
 from repro.data.events import EventType
 from repro.data.sessions import UserContext
+from repro.data.taxonomy import path_distance
 
 
 def train(dataset, use_taxonomy: bool):
@@ -91,9 +92,10 @@ def main() -> None:
         fresh_context = fresh_context.extended(item, EventType.VIEW, 25)
     print(f"\nBrand-new user views {len(peers)} items in {category!r}; top 5 recs:")
     in_category = 0
+    paths = dataset.taxonomy.index().item_path  # root-first category path per item
     for scored in model.recommend(fresh_context, k=5):
         rec_category = dataset.taxonomy.category_of(scored.item_index)
-        nearby = dataset.taxonomy.lca_distance(scored.item_index, peers[0]) <= 2
+        nearby = path_distance(paths[scored.item_index], paths[peers[0]]) <= 2
         in_category += nearby
         print(
             f"  {dataset.catalog[scored.item_index].item_id:<26} "

@@ -284,7 +284,7 @@ class InferencePipeline:
                 # Prime the effective-item matrix once per loaded model: no
                 # updates happen during inference, so every candidate scoring
                 # call below gathers from the cache instead of re-stacking
-                # per-item feature vectors.
+                # per-item feature vectors.  It is dropped when the job ends.
                 prime = getattr(best.model, "effective_item_matrix", None)
                 if prime is not None:
                     prime()
@@ -379,9 +379,16 @@ class InferencePipeline:
             record_cost_fn=record_cost,
             task_startup_seconds=self.model_load_seconds,
         )
-        outputs, job_stats = self.runtime.run(
-            job, splits, metrics=metrics, tracer=tracer
-        )
+        try:
+            outputs, job_stats = self.runtime.run(
+                job, splits, metrics=metrics, tracer=tracer
+            )
+        finally:
+            # The matrices primed above live as long as this job.
+            for _, model in models.values():
+                drop = getattr(model, "invalidate_cache", None)
+                if drop is not None:
+                    drop()
         metrics.counter(
             "inference_billed_vm_seconds_total", cell=cell_name
         ).inc(job_stats.billed_vm_seconds)

@@ -115,11 +115,13 @@ class TrainerSettings:
 def estimate_model_memory_gb(config: ConfigRecord, dataset: RetailerDataset) -> float:
     """Approximate resident size of one training task, in GB.
 
-    Two float64 embedding tables (item + context) of ``n_items x F``, the
-    feature tables (bounded by the item tables), Adagrad state of equal
-    size, plus the in-memory training examples.  The paper's "dynamically
-    sized virtual machine" uses exactly this kind of estimate: small
-    retailers get small VMs, the largest get most of a machine.
+    The *training* footprint: two float64 embedding tables (item +
+    context) of ``n_items x F``, the feature tables (bounded by the item
+    tables), Adagrad state of equal size, plus the in-memory training
+    examples.  A published model keeps its parameters only (DESIGN.md,
+    "What a model holds, when").  The paper's "dynamically sized virtual
+    machine" uses exactly this kind of estimate: small retailers get
+    small VMs, the largest get most of a machine.
     """
     factors = config.params.n_factors
     embedding_bytes = 2 * dataset.n_items * factors * 8
@@ -210,6 +212,12 @@ def train_config(
     ``examples`` is the retailer's :class:`ExampleSet` when the caller
     trains several configs on one dataset; without it the trainer builds
     its own.
+
+    The returned model holds its parameters and nothing else: the Adagrad
+    norms are released once the epochs are done (nothing reads them
+    again — a later warm start or resume resets them), and the
+    effective-item matrix the holdout evaluation assembled is dropped
+    with it.
     """
     if dataset.retailer_id != config.retailer_id:
         raise DataError(
@@ -273,9 +281,11 @@ def train_config(
     report.converged = trainer.converged
     if checkpoints is not None:
         checkpoints.discard(ckpt_key)
+    model.optimizer.release_norms()
 
     evaluator = HoldoutEvaluator(dataset, seed=derive_seed(config.params.seed, "eval"))
     result = evaluator.evaluate(model)
+    model.invalidate_cache()
     output = OutputConfigRecord(
         config=config,
         metrics=dict(result.metrics),

@@ -68,11 +68,12 @@ class Catalog:
                 raise DataError(f"duplicate item id {item.item_id!r}")
             self._by_id[item.item_id] = item
         self._columns: Optional[CatalogColumns] = None
+        self._price_edges: Dict[int, np.ndarray] = {}
 
     def __getstate__(self) -> Dict[str, object]:
         # Rebuilt on first use after a copy: unpickled arrays come back
         # writeable.
-        return {**self.__dict__, "_columns": None}
+        return {**self.__dict__, "_columns": None, "_price_edges": {}}
 
     @property
     def columns(self) -> CatalogColumns:
@@ -97,6 +98,26 @@ class Catalog:
             n_priced = sum(1 for item in self._items if item.price is not None)
             self._columns = CatalogColumns(vocabulary, brand_codes, prices, n_priced)
         return self._columns
+
+    def price_edges(self, n_buckets: int) -> np.ndarray:
+        """Quantile edges of ``n_buckets`` price buckets over log-price,
+        duplicates merged; empty when fewer than two items have a price.
+
+        Built once per bucket count and shared read-only: every model of
+        the catalog with that count buckets its prices by the same edges.
+        """
+        edges = self._price_edges.get(n_buckets)
+        if edges is None:
+            prices = self.columns.prices
+            known = prices[~np.isnan(prices)]
+            if known.size < 2 or n_buckets < 1:
+                edges = np.zeros(0)
+            else:
+                quantiles = np.linspace(0.0, 1.0, n_buckets + 1)
+                edges = np.unique(np.quantile(np.log1p(known), quantiles))
+            edges.setflags(write=False)
+            self._price_edges[n_buckets] = edges
+        return edges
 
     def __len__(self) -> int:
         return len(self._items)

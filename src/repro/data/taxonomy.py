@@ -39,9 +39,17 @@ class CategoryNode:
 
 
 def path_distance(path_a: Tuple[int, ...], path_b: Tuple[int, ...]) -> int:
-    """LCA distance of two items (:meth:`Taxonomy.lca_distance`) from their
-    categories' root-first paths: the LCA's depth is the length of the
-    common prefix.  The samplers' inner loop: no ``zip``, no ``max``.
+    """The paper's LCA distance (Fig. 3) of two distinct items, from their
+    categories' root-first paths (``TaxonomyIndex.item_path``).
+
+    An item hangs one level below its category, and the distance is the
+    number of levels from the item up to the least common ancestor: two
+    items in the same category are at distance 1 (their LCA is the
+    category), Nexus 5X and iPhone 6 at distance 2 (LCA "smart phones"),
+    Nexus 5X and "other" at distance 3 (LCA "cell phones").  When the
+    items sit at different depths the deeper climb counts.  The LCA's
+    depth is the length of the common prefix.  The samplers' inner loop:
+    no ``zip``, no ``max``.
     """
     len_a, len_b = len(path_a), len(path_b)
     shorter = len_a if len_a < len_b else len_b
@@ -424,22 +432,6 @@ class Taxonomy:
         path_b = index.paths[index.number[category_b]]
         # Root-first paths agree on their common prefix and nowhere after it.
         return index.categories[[a for a, b in zip(path_a, path_b) if a == b][-1]]
-
-    def lca_distance(self, item_a: int, item_b: int) -> int:
-        """Paper's item distance (Fig. 3): items are leaf nodes of the tree.
-
-        An item hangs one level below its category, and the distance is
-        the number of levels from the item up to the least common
-        ancestor: two items in the same category are at distance 1
-        (their LCA is the category), Nexus 5X and iPhone 6 at distance 2
-        (LCA "smart phones"), Nexus 5X and "other" at distance 3 (LCA
-        "cell phones").  When the items sit at different depths we use
-        the deeper climb.  ``distance(i, i) == 0``.
-        """
-        if item_a == item_b:
-            return 0
-        paths = self.index().item_path
-        return path_distance(paths[item_a], paths[item_b])
 
     def ancestor_at_distance(self, category_id: str, k: int) -> str:
         """The ancestor ``k`` levels above ``category_id`` (clamped at root)."""

@@ -201,8 +201,9 @@ class BPRModel(Recommender):
             item_brand = np.full(self.n_items, -1, dtype=np.int64)
 
         # Price: quantile buckets over log-price, -1 where missing/disabled.
+        # The edges, like the columns, are the catalog's, shared read-only.
         prices = attributes.prices
-        self._price_edges = _price_bucket_edges(prices, params.n_price_buckets)
+        self._price_edges = catalog.price_edges(params.n_price_buckets)
         if params.use_price and self._price_edges.size > 0:
             item_price = _bucketize(prices, self._price_edges)
         else:
@@ -692,13 +693,6 @@ class BPRModel(Recommender):
         self.invalidate_cache()
         return copied
 
-    def memory_bytes(self) -> int:
-        """Approximate resident size of the model (cluster-sim scheduling)."""
-        return (
-            sum(param.nbytes for param in self._parameters().values())
-            + self.optimizer.state_size_bytes()
-        )
-
 
 def _batches(size: int, batch_size: int) -> Tuple[List[int], np.ndarray, np.ndarray]:
     """``(bounds, batch, slot)`` for ``size`` examples cut into batches of
@@ -816,16 +810,6 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     # Range r covers output slots [ends[r] - counts[r], ends[r]).
     shifts = np.asarray(starts, dtype=np.int64) - (ends - counts)
     return np.arange(ends[-1], dtype=np.int64) + np.repeat(shifts, counts)
-
-
-def _price_bucket_edges(prices: np.ndarray, n_buckets: int) -> np.ndarray:
-    """Quantile bucket edges over log-price; empty when no prices exist."""
-    known = prices[~np.isnan(prices)]
-    if known.size < 2 or n_buckets < 1:
-        return np.zeros(0)
-    log_prices = np.log1p(known)
-    edges = np.quantile(log_prices, np.linspace(0.0, 1.0, n_buckets + 1))
-    return np.unique(edges)
 
 
 def _bucketize(prices: np.ndarray, edges: np.ndarray) -> np.ndarray:

@@ -84,9 +84,9 @@ class Optimizer(abc.ABC):
     def reset_norms(self) -> None:
         """Forget any accumulated state (no-op unless the optimizer has some)."""
 
-    def state_size_bytes(self) -> int:
-        """Approximate memory held by optimizer state."""
-        return 0
+    def release_norms(self) -> None:
+        """Free any accumulated state; a later step starts from zeros
+        (no-op unless the optimizer has some)."""
 
 
 class Sgd(Optimizer):
@@ -109,6 +109,9 @@ class Adagrad(Optimizer):
     After :meth:`register_flat` the sums live in one flat buffer laid out
     like the model's parameters, and ``_accumulators`` holds a view of it
     per table, so one :meth:`step_flat` serves every table a batch touches.
+    :meth:`release_norms` frees that buffer once training is over; a
+    released optimizer's norms are all zero, and the next step allocates
+    them again as zeros.
     """
 
     def __init__(self, learning_rate: float, epsilon: float = 1e-8):
@@ -116,18 +119,27 @@ class Adagrad(Optimizer):
         self.epsilon = epsilon
         self._accumulators: Dict[str, np.ndarray] = {}
         #: The buffer ``_accumulators`` views, and its layout, once
-        #: :meth:`register_flat` has run.
+        #: :meth:`register_flat` has run; ``None`` again once released.
         self._flat: Optional[np.ndarray] = None
         self._layout: Layout = {}
 
     def register_flat(self, layout: Layout) -> None:
         self._layout = dict(layout)
-        size = max((offset + math.prod(shape) for offset, shape in layout.values()), default=0)
+        self._allocate()
+
+    def _allocate(self) -> np.ndarray:
+        """Zeroed sums for every table of the registered layout."""
+        size = max(
+            (offset + math.prod(shape) for offset, shape in self._layout.values()), default=0
+        )
         self._flat = np.zeros(size, dtype=np.float64)
         self._accumulators = carve(self._flat, self._layout)
+        return self._flat
 
     def step_flat(self, params: np.ndarray, index: np.ndarray, grads: np.ndarray) -> None:
         acc = self._flat
+        if acc is None:  # released: every norm is zero
+            acc = self._allocate()
         np.add.at(acc, index, np.square(grads))
         # The adaptive rate reads the accumulator *after* the whole batch's
         # squared mass lands, so an element hit twice in one batch is damped
@@ -144,12 +156,21 @@ class Adagrad(Optimizer):
         for acc in self._accumulators.values():
             acc.fill(0.0)
 
+    def release_norms(self) -> None:
+        """Free the sums: nothing reads a trained model's norms again.
+
+        The paper resets them before any further training (section
+        III-C3), so a released optimizer stands for all-zero norms and
+        :meth:`step_flat` allocates them afresh.
+        """
+        self._flat = None
+        self._accumulators = {}
+
     def accumulated_norm(self, name: str) -> float:
         """Total accumulated squared-gradient mass for a parameter (testing)."""
+        if self._flat is None:
+            return 0.0
         return float(self._accumulators[name].sum())
-
-    def state_size_bytes(self) -> int:
-        return sum(acc.nbytes for acc in self._accumulators.values())
 
     # Copies (pickle, ``copy.deepcopy``) carry the flat buffer alone and
     # re-carve the views, which would otherwise each become an array of

@@ -83,12 +83,6 @@ class WALSModel(Recommender):
         self.item_factors[:rows] = source[:rows]
         return rows
 
-    def memory_bytes(self) -> int:
-        total = self.item_factors.nbytes
-        if self.user_factors is not None:
-            total += self.user_factors.nbytes
-        return total
-
     # ------------------------------------------------------------------
     # Fitting
     # ------------------------------------------------------------------

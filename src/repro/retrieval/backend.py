@@ -167,7 +167,13 @@ class ModelRetrieval:
 
 
 def _embedding_surface(model) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(phi_eff, bias, query table) for a model, or RetrievalError."""
+    """(phi_eff, bias, query table) for a model, or RetrievalError.
+
+    A BPR model keeps the matrix it assembles here cached, so the recall
+    check and the day's inference cell read it without assembling again;
+    that cell drops it when its job ends
+    (:meth:`~repro.core.inference.InferencePipeline.run_cell`).
+    """
     matrix_fn = getattr(model, "effective_item_matrix", None)
     queries = getattr(model, "context_embeddings", None)
     if matrix_fn is None or queries is None:

@@ -7,7 +7,10 @@ Pinned here: over drawn catalogs (missing and NaN prices, missing and
 empty brands, one item) and every feature switch, the model's
 ``_item_features``, ``_price_edges`` and ``_brand_vocab`` are byte-equal to
 the per-item walk it replaced (frozen below), the public views and
-coverages equal that walk's, and a cached column cannot be written.
+coverages equal that walk's, and a cached column cannot be written.  The
+price-bucket edges are the catalog's too (``Catalog.price_edges``): every
+model with one bucket count reads the same read-only array, byte-equal to
+the per-model quantile it replaced (frozen below).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.data.catalog import Catalog, Item
 from repro.data.taxonomy import Taxonomy
-from repro.models.bpr import BPRHyperParams, BPRModel, _bucketize, _price_bucket_edges
+from repro.models.bpr import BPRHyperParams, BPRModel, _bucketize
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -62,6 +65,17 @@ def walked_feature_maps(model: BPRModel, catalog: Catalog):
         axis=1,
     )
     return features, edges, brands
+
+
+def _price_bucket_edges(prices: np.ndarray, n_buckets: int) -> np.ndarray:
+    """The price-bucket edges each ``BPRModel`` computed for itself before
+    the catalog kept them (test-only oracle)."""
+    known = prices[~np.isnan(prices)]
+    if known.size < 2 or n_buckets < 1:
+        return np.zeros(0)
+    log_prices = np.log1p(known)
+    edges = np.quantile(log_prices, np.linspace(0.0, 1.0, n_buckets + 1))
+    return np.unique(edges)
 
 
 def catalog_brand_vocabulary(catalog: Catalog):
@@ -138,11 +152,37 @@ def test_cached_columns_are_read_only_and_built_once():
     assert columns.brand_vocabulary == ("acme", "bolt")
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rows=catalogs, buckets=st.integers(0, 9))
+def test_models_of_one_catalog_share_its_price_edges(rows, buckets):
+    """Two models with one bucket count read one read-only array, byte-equal
+    to the edges each model computed for itself."""
+    catalog, taxonomy = build(rows)
+    one, two = (
+        BPRModel(catalog, taxonomy, BPRHyperParams(n_factors=2, n_price_buckets=buckets, seed=seed))
+        for seed in (1, 2)
+    )
+    assert one._price_edges is two._price_edges is catalog.price_edges(buckets)
+    expected = _price_bucket_edges(catalog.prices(), buckets)
+    assert one._price_edges.dtype == expected.dtype
+    assert one._price_edges.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError):
+        one._price_edges[...] = 0.0
+    other = catalog.price_edges(buckets + 1)
+    assert other is not one._price_edges
+    assert other.tobytes() == _price_bucket_edges(catalog.prices(), buckets + 1).tobytes()
+
+
 @pytest.mark.parametrize("route", ["pickle", "deepcopy"])
 def test_a_copied_catalog_rebuilds_read_only_columns(route):
     catalog, _ = build([("acme", 2.0, True), (None, None, False)])
     catalog.columns
+    edges = catalog.price_edges(4)
     copied = pickle.loads(pickle.dumps(catalog)) if route == "pickle" else copy.deepcopy(catalog)
     assert copied.columns.brand_codes.tolist() == [0, -1]
     with pytest.raises(ValueError):
         copied.columns.prices[0] = 1.0
+    assert copied.price_edges(4) is not edges
+    assert copied.price_edges(4).tobytes() == edges.tobytes()
+    with pytest.raises(ValueError):
+        copied.price_edges(4)[...] = 1.0

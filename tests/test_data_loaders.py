@@ -12,6 +12,7 @@ from repro.data.loaders import (
     ratings_to_events,
 )
 from repro.exceptions import DataError
+from tests.reference_taxonomy_walk import lca_distance
 
 CATALOG_CSV = """item_id,category,brand,price
 sku1,electronics/phones/android,googel,499.00
@@ -52,7 +53,7 @@ class TestCatalogCsv:
         assert taxonomy.category_of(0) == "electronics/phones/android"
         # Prefixes become internal categories.
         assert taxonomy.parent_of("electronics/phones") == "electronics"
-        assert taxonomy.lca_distance(0, 2) == 2  # android vs apple phones
+        assert lca_distance(taxonomy, 0, 2) == 2  # android vs apple phones
 
     def test_item_ids_namespaced(self, csv_files):
         catalog_path, _ = csv_files

