@@ -17,6 +17,10 @@ journal closes that gap with classic WAL discipline:
 3. ``commit_day`` marks the day durable; an uncommitted day is exactly
    what :meth:`~repro.core.service.SigmundService.recover` resumes.
 
+Each day is one :class:`DayRecord` — intent, tasks by phase, seal — and
+the journal is its one holder; :meth:`RunJournal.purge_tasks` is how a
+departing retailer's records leave any day.
+
 Like the checkpoint store, the journal is an in-memory stand-in for the
 shared filesystem (payloads hold live objects where a real system would
 reference files); what it models faithfully is the *ordering*: intent
@@ -26,7 +30,7 @@ before work, completion after effects, commit last.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.exceptions import SigmundError
 
@@ -36,27 +40,29 @@ class JournalError(SigmundError):
 
 
 @dataclass
-class JournalEntry:
-    """One journal record: begin / task-completion / commit."""
+class DayRecord:
+    """Everything the journal holds of one day, in one place."""
 
-    day: int
-    kind: str  # "begin" | "task" | "commit" | "purge"
-    phase: str = ""  # for tasks: "train" | "inference_plan" | "infer_cell" | "publish"
-    task_id: str = ""
-    payload: Dict[str, object] = field(default_factory=dict)
+    #: The ``begin_day`` payload: sweep kind and the pinned configs.
+    intent: Dict[str, object]
+    #: phase -> task_id -> payload of every completed unit of work.
+    tasks: Dict[str, Dict[str, Dict[str, object]]] = field(default_factory=dict)
+    #: The observability snapshot committed with the day.
+    seal: Optional[Dict[str, object]] = None
+    committed: bool = False
 
 
 class RunJournal:
-    """Append-only log of daily-run intents and completions."""
+    """The daily-run write-ahead log: one :class:`DayRecord` per day."""
 
     def __init__(self) -> None:
-        self.entries: List[JournalEntry] = []
-        # day -> phase -> task_id -> payload (completion index).
-        self._done: Dict[int, Dict[str, Dict[str, Dict[str, object]]]] = {}
-        self._begun: Dict[int, Dict[str, object]] = {}
-        self._committed: Dict[int, bool] = {}
-        # day -> the seal (observability snapshot) committed with it.
-        self._seals: Dict[int, Dict[str, object]] = {}
+        self._days: Dict[int, DayRecord] = {}
+
+    def _record(self, day: int) -> DayRecord:
+        record = self._days.get(day)
+        if record is None:
+            raise JournalError(f"day {day} was never begun")
+        return record
 
     # ------------------------------------------------------------------
     # Writing
@@ -67,12 +73,11 @@ class RunJournal:
         (Recovery re-executes the day through the same code path as the
         original run; the original ``begin`` record must win.)
         """
-        if day in self._begun:
-            if self._committed.get(day):
-                raise JournalError(f"day {day} is already committed")
-            return
-        self._begun[day] = payload
-        self.entries.append(JournalEntry(day=day, kind="begin", payload=payload))
+        record = self._days.get(day)
+        if record is None:
+            self._days[day] = DayRecord(intent=payload)
+        elif record.committed:
+            raise JournalError(f"day {day} is already committed")
 
     def log_task(
         self,
@@ -82,21 +87,13 @@ class RunJournal:
         payload: Optional[Dict[str, object]] = None,
     ) -> None:
         """Record one completed unit of work; duplicates raise loudly."""
-        if day not in self._begun:
-            raise JournalError(f"day {day} was never begun")
-        tasks = self._done.setdefault(day, {}).setdefault(phase, {})
+        tasks = self._record(day).tasks.setdefault(phase, {})
         if task_id in tasks:
             raise JournalError(
                 f"task {phase}/{task_id!r} already logged for day {day}: "
                 "completed work must never be replayed"
             )
         tasks[task_id] = payload or {}
-        self.entries.append(
-            JournalEntry(
-                day=day, kind="task", phase=phase, task_id=task_id,
-                payload=payload or {},
-            )
-        )
 
     def commit_day(
         self, day: int, seal: Optional[Dict[str, object]] = None
@@ -108,65 +105,54 @@ class RunJournal:
         parity contract of crash recovery is that a recovered day commits
         a byte-identical seal to the uninterrupted run's.
         """
-        if day not in self._begun:
-            raise JournalError(f"day {day} was never begun")
-        if self._committed.get(day):
+        record = self._record(day)
+        if record.committed:
             raise JournalError(f"day {day} is already committed")
-        self._committed[day] = True
-        if seal is not None:
-            self._seals[day] = seal
-        self.entries.append(
-            JournalEntry(day=day, kind="commit", payload=seal or {})
-        )
+        record.committed = True
+        record.seal = seal
 
-    def purge_tasks(self, day, match) -> int:
-        """Drop completed tasks of an *open* day matching a predicate.
+    def purge_tasks(self, day: int, match: Callable[[str, str], bool]) -> None:
+        """Drop completed tasks of a journaled day matching a predicate.
 
-        ``match(phase, task_id)`` picks the records to forget; returns
-        how many were dropped.  This exists for offboarding: a retailer
-        leaving mid-crash must not be resurrected when :meth:`recover`
-        replays the open day, and the privacy framing forbids keeping its
-        journaled payloads (they carry model state and result tables)
-        alive at all.  Purging a committed day raises — its seal is the
-        immutable record of what happened.
+        ``match(phase, task_id)`` picks the records to forget.  This
+        exists for offboarding: the privacy framing forbids keeping a
+        departing retailer's journaled payloads (they carry model state
+        and result tables) alive at all — on an open day, where
+        :meth:`recover` would otherwise replay them, and on every
+        committed one.  A committed day's seal and intent are the
+        immutable record of what happened; a purge leaves them.
         """
-        if day not in self._begun:
-            return 0
-        if self._committed.get(day):
-            raise JournalError(
-                f"day {day} is committed; its record is immutable"
-            )
-        purged = 0
-        for phase, tasks in self._done.get(day, {}).items():
+        for phase, tasks in self._record(day).tasks.items():
             for task_id in [t for t in tasks if match(phase, t)]:
                 del tasks[task_id]
-                self.entries.append(
-                    JournalEntry(day=day, kind="purge", phase=phase, task_id=task_id)
-                )
-                purged += 1
-        return purged
 
     # ------------------------------------------------------------------
     # Reading (the recovery path)
     # ------------------------------------------------------------------
+    def days(self) -> List[int]:
+        """Every journaled day, open or committed, ascending."""
+        return sorted(self._days)
+
     def open_day(self) -> Optional[int]:
         """The begun-but-uncommitted day, if any (at most one exists)."""
-        for day in sorted(self._begun, reverse=True):
-            if not self._committed.get(day):
+        for day in sorted(self._days, reverse=True):
+            if not self._days[day].committed:
                 return day
         return None
 
     def day_intent(self, day: int) -> Dict[str, object]:
-        if day not in self._begun:
-            raise JournalError(f"day {day} was never begun")
-        return self._begun[day]
+        return self._record(day).intent
+
+    def _tasks(self, day: int, phase: str) -> Dict[str, Dict[str, object]]:
+        record = self._days.get(day)
+        return record.tasks.get(phase, {}) if record is not None else {}
 
     def is_done(self, day: int, phase: str, task_id: str) -> bool:
-        return task_id in self._done.get(day, {}).get(phase, {})
+        return task_id in self._tasks(day, phase)
 
     def task_payload(self, day: int, phase: str, task_id: str) -> Dict[str, object]:
         try:
-            return self._done[day][phase][task_id]
+            return self._tasks(day, phase)[task_id]
         except KeyError:
             raise JournalError(
                 f"no completed task {phase}/{task_id!r} for day {day}"
@@ -174,24 +160,30 @@ class RunJournal:
 
     def completed(self, day: int, phase: str) -> Dict[str, Dict[str, object]]:
         """task_id -> payload of every completed task in one phase."""
-        return dict(self._done.get(day, {}).get(phase, {}))
+        return dict(self._tasks(day, phase))
 
     def is_committed(self, day: int) -> bool:
-        return bool(self._committed.get(day))
+        record = self._days.get(day)
+        return record is not None and record.committed
 
     def committed_days(self) -> List[int]:
         """Every committed day, ascending (backfills target the latest)."""
-        return sorted(day for day in self._begun if self._committed.get(day))
+        return [day for day in self.days() if self._days[day].committed]
 
     def day_seal(self, day: int) -> Dict[str, object]:
         """The seal committed with ``day`` (raises when none exists)."""
-        if day not in self._seals:
+        record = self._days.get(day)
+        if record is None or record.seal is None:
             raise JournalError(f"no seal committed for day {day}")
-        return self._seals[day]
+        return record.seal
 
     def seals(self) -> Dict[int, Dict[str, object]]:
         """All committed day seals, keyed by day."""
-        return dict(self._seals)
+        return {
+            day: record.seal
+            for day, record in sorted(self._days.items())
+            if record.seal is not None
+        }
 
     def task_count(self, day: int, phase: str) -> int:
-        return len(self._done.get(day, {}).get(phase, {}))
+        return len(self._tasks(day, phase))

@@ -91,8 +91,6 @@ class QualityMonitor:
         self.regression_threshold = regression_threshold
         self._history: Dict[str, Dict[int, float]] = {}
         self.alerts: List[Alert] = []
-        # day -> the sealed observability snapshot the service recorded.
-        self._day_snapshots: Dict[int, Dict[str, object]] = {}
         # day -> conservation-checked serving-outcome accounting.
         self._serving_windows: Dict[int, ServingWindow] = {}
 
@@ -200,6 +198,15 @@ class QualityMonitor:
             )
         return window
 
+    def drop_retailer(self, retailer_id: str) -> None:
+        """Forget a departed retailer's MAP history (offboarding).
+
+        The history is the gate's and the regression check's baseline, so
+        a tenant later onboarded under the same id starts without one.
+        The alert log stays: it is the operator's record of what happened.
+        """
+        self._history.pop(retailer_id, None)
+
     def serving_window(self, day: int) -> Optional[ServingWindow]:
         return self._serving_windows.get(day)
 
@@ -235,18 +242,6 @@ class QualityMonitor:
             "p10_map": float(np.percentile(arr, 10)),
             "p90_map": float(np.percentile(arr, 90)),
         }
-
-    def record_day_snapshot(self, day: int, seal: Dict[str, object]) -> None:
-        """Attach the day's sealed observability snapshot to the monitor.
-
-        Dashboards read fleet health and alert context from one place;
-        the seal is the same object the journal commits, so the monitor
-        view can never drift from the durable record.
-        """
-        self._day_snapshots[day] = seal
-
-    def day_snapshot(self, day: int) -> Optional[Dict[str, object]]:
-        return self._day_snapshots.get(day)
 
     def alerts_for_day(self, day: int) -> List[Alert]:
         return [alert for alert in self.alerts if alert.day == day]

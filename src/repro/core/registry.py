@@ -6,9 +6,10 @@ is enforced: every read requires the caller to name the retailer it is
 acting for, and any mismatch between the requested retailer and the
 artifact raises :class:`IsolationError` instead of returning data.
 
-The registry also keeps yesterday's results so the incremental sweep can
-pick the top-K configurations and warm-start from their parameters
-(section III-C3).
+The registry also keeps each retailer's latest training day so the
+incremental sweep can pick the top-K configurations and warm-start from
+their parameters (section III-C3); older days leave it once a run has
+trained the retailer again (:meth:`ModelRegistry.keep_latest_day`).
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ class ModelRegistry:
 
     def __init__(self) -> None:
         self._models: Dict[str, Dict[int, TrainedModel]] = {}
-        self._latest_day: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Writes
@@ -65,15 +65,26 @@ class ModelRegistry:
             )
         retailer_models = self._models.setdefault(entry.retailer_id, {})
         retailer_models[entry.model_number] = entry
-        day = entry.output.config.day
-        self._latest_day[entry.retailer_id] = max(
-            self._latest_day.get(entry.retailer_id, 0), day
-        )
+
+    def keep_latest_day(self, retailer_id: str) -> None:
+        """Drop the retailer's models trained before its latest day.
+
+        An older entry was trained on an older snapshot of the catalog
+        (and evaluated on an older holdout), so its metric does not
+        compete with today's and nothing reads it again.  Called once a
+        training run is over, never between its jobs: a later job of the
+        same run still warm-starts from yesterday's model of its number.
+        """
+        models = self._models.get(retailer_id)
+        if not models:
+            return
+        latest = max(m.output.config.day for m in models.values())
+        for number in [n for n, m in models.items() if m.output.config.day < latest]:
+            del models[number]
 
     def drop_retailer(self, retailer_id: str) -> None:
         """Remove every artifact of one retailer (off-boarding / ToS resets)."""
         self._models.pop(retailer_id, None)
-        self._latest_day.pop(retailer_id, None)
 
     # ------------------------------------------------------------------
     # Reads (isolation-checked)
@@ -104,31 +115,18 @@ class ModelRegistry:
         return ranked[0]
 
     def top_k(self, retailer_id: str, k: int = 3) -> List[TrainedModel]:
-        """Top-K models by MAP@10 — what the incremental sweep retrains.
-
-        Only models from the retailer's *latest* training day compete:
-        older entries were trained on an older snapshot of the catalog
-        (and evaluated on an older holdout), so their metrics are not
-        comparable and their shapes may be stale.
-        """
+        """Top-K models by MAP@10 — what the incremental sweep retrains."""
         models = list(self._retailer_models(retailer_id).values())
         if not models:
             raise ModelNotTrainedError(f"no models for retailer {retailer_id!r}")
-        latest = max(m.output.config.day for m in models)
-        fresh = [m for m in models if m.output.config.day == latest]
-        fresh.sort(key=lambda m: (-m.map_at_10, m.model_number))
-        return fresh[: max(1, k)]
+        models.sort(key=lambda m: (-m.map_at_10, m.model_number))
+        return models[: max(1, k)]
 
     def has_models(self, retailer_id: str) -> bool:
         return bool(self._models.get(retailer_id))
 
     def retailers(self) -> List[str]:
         return sorted(self._models)
-
-    def latest_day(self, retailer_id: str) -> int:
-        if retailer_id not in self._latest_day:
-            raise ModelNotTrainedError(f"no models for retailer {retailer_id!r}")
-        return self._latest_day[retailer_id]
 
     def model_count(self, retailer_id: Optional[str] = None) -> int:
         if retailer_id is not None:

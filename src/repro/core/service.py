@@ -235,60 +235,55 @@ class SigmundService:
     def offboard(self, retailer_id: str) -> None:
         """Remove a retailer and every artifact derived from its data.
 
-        Besides the dataset and registry entries, this purges the serving
-        tables and the inference pipeline's selector (co-occurrence counts,
-        re-purchase detector, the dataset itself) — all of them are derived
-        from the tenant's interaction data, and the store's privacy framing
-        forbids keeping any of it alive after departure.  The open day's
-        journal records and the retailer's checkpoints are purged too:
-        without that, a retailer offboarded mid-crash was resurrected by
-        :meth:`recover` (its journaled train/publish payloads replayed
-        into the report, and its model state lingered in the checkpoint
-        store).
+        Every holder of a day's record lets the retailer go: the dataset,
+        the registry's models, the serving tables (current and last-good),
+        the inference pipeline's selector (co-occurrence counts,
+        re-purchase detector, the dataset itself), the quality monitor's
+        MAP history, the retailer's records in every journaled day, and
+        its checkpoints.  All of them are derived from the tenant's
+        interaction data, and the store's privacy framing forbids keeping
+        any of it alive after departure.  Purging the open day also keeps
+        :meth:`recover` from resurrecting a retailer offboarded mid-crash.
         """
         self._datasets.pop(retailer_id, None)
         self.registry.drop_retailer(retailer_id)
         self.substitutes_store.drop_retailer(retailer_id)
         self.accessories_store.drop_retailer(retailer_id)
         self.inference.drop_retailer(retailer_id)
+        self.monitor.drop_retailer(retailer_id)
         self._purge_journal(retailer_id)
         self.training.checkpoints.discard_matching(
             lambda key: retailer_id in key.split("/")[1:2]
         )
 
     def _purge_journal(self, retailer_id: str) -> None:
-        """Scrub a departing retailer from the open day's journal.
+        """Scrub a departing retailer from every journaled day.
 
-        Four places reference it: the pinned sweep intent, the
-        per-retailer task records (train/retrieval/publish), the
-        journaled inference cell assignment, and completed cell payloads
-        (whose result tables are derived from the tenant's data).  All
-        are mutated in place so a later :meth:`recover` of the open day
-        neither retrains, re-infers, nor reports the departed tenant.
+        Per day it drops the retailer's own records (``train`` /
+        ``retrieval`` / ``publish`` and every ``backfill_*`` one, all
+        keyed by its id), its rows in each ``infer`` cell payload (result
+        tables derived from the tenant's data) and its place in the
+        ``infer_plan`` assignment.  The open day's pinned sweep intent
+        loses its configs too, so a later :meth:`recover` neither
+        retrains, re-infers nor reports the departed tenant; a committed
+        day's intent and seal stay as they were sealed.
         """
-        day = self.journal.open_day()
-        if day is None:
-            return
-        intent = self.journal.day_intent(day)
-        configs = intent.get("configs")
-        if configs is not None:
-            intent["configs"] = [
-                c for c in configs if c.retailer_id != retailer_id  # type: ignore[union-attr]
-            ]
-        self.journal.purge_tasks(
-            day, lambda phase, task_id: task_id == retailer_id
-        )
-        if self.journal.is_done(day, "infer_plan", "assignment"):
-            payload = self.journal.task_payload(day, "infer_plan", "assignment")
-            payload["assignment"] = [
-                (cell, [rid for rid in group if rid != retailer_id])
-                for cell, group in payload["assignment"]  # type: ignore[union-attr]
-            ]
-        for cell_payload in self.journal.completed(day, "infer").values():
-            for field_name in ("results", "failed"):
-                table = cell_payload.get(field_name)
-                if isinstance(table, dict):
-                    table.pop(retailer_id, None)
+        journal = self.journal
+        for day in journal.days():
+            if not journal.is_committed(day):
+                intent = journal.day_intent(day)
+                intent["configs"] = [
+                    c for c in intent["configs"] if c.retailer_id != retailer_id  # type: ignore[union-attr]
+                ]
+            journal.purge_tasks(day, lambda phase, task_id: task_id == retailer_id)
+            for plan in journal.completed(day, "infer_plan").values():
+                plan["assignment"] = [
+                    (cell, [rid for rid in group if rid != retailer_id])
+                    for cell, group in plan["assignment"]  # type: ignore[union-attr]
+                ]
+            for cell_payload in journal.completed(day, "infer").values():
+                cell_payload["results"].pop(retailer_id, None)  # type: ignore[union-attr]
+                cell_payload["failed"].pop(retailer_id, None)  # type: ignore[union-attr]
 
     @property
     def retailers(self) -> List[str]:
@@ -448,17 +443,17 @@ class SigmundService:
                 longest = 0.0
                 for family in families:
                     for block in [b for b in graph if b.family == family]:
-                        block_run = run_block(
+                        block_run, payload = run_block(
                             block, self.journal, day, self._check
                         )
                         if block_run.status not in EXECUTED_STATUSES:
                             continue
                         if block.expand is not None:
-                            for spawned in block.expand(block_run.payload):
+                            for spawned in block.expand(payload):
                                 graph.add(spawned)
                         span = BLOCK_SPANS.get(family)
                         if tracer.enabled and span is not None:
-                            duration = block.duration_of(block_run.payload)
+                            duration = block.duration_of(payload)
                             tracer.record_span(
                                 span, start, start + duration, **block.labels
                             )
@@ -789,7 +784,6 @@ class SigmundService:
             self.retailers,
         )
         self.journal.commit_day(day, seal=seal)
-        self.monitor.record_day_snapshot(day, seal)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -475,7 +475,9 @@ class TrainingPipeline:
         Each retailer's training examples are built once per run, by its
         first BPR config, and shared by the rest (:class:`ExampleSet`); a
         set is dropped once its retailer's last BPR config has trained,
-        and nothing is kept for the next run.
+        and nothing is kept for the next run.  Once every job is over, a
+        retailer that trained keeps only its newest day's models in the
+        registry (:meth:`ModelRegistry.keep_latest_day`).
         """
         stats = PipelineStats()
         if not configs:
@@ -523,6 +525,8 @@ class TrainingPipeline:
         stats.configs_trained = len(outputs)
         stats.configs_failed = len(stats.failures)
         succeeded = {output.retailer_id for output in outputs}
+        for retailer_id in sorted(succeeded):
+            self.registry.keep_latest_day(retailer_id)
         stats.failed_retailers = sorted(
             {failure.retailer_id for failure in stats.failures} - succeeded
         )

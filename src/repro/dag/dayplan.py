@@ -349,7 +349,7 @@ def build_day_graph(
 
     def wrapup_run():
         # _wrapup_phase carries its own "wrapup" kill point, the seal
-        # build, the commit, and the monitor snapshot.
+        # build and the commit.
         service._wrapup_phase(
             day, state.served, state.failure_reasons, report, day_metrics
         )

@@ -58,7 +58,6 @@ class BlockRun:
     start: float = 0.0
     finish: float = 0.0
     lane: Optional[int] = None
-    payload: Optional[Payload] = None
     error: Optional[str] = None
 
 
@@ -94,19 +93,23 @@ def run_block(
     crash_check: Optional[Callable[[str, str], None]] = None,
     select: Optional[Callable[[str], bool]] = None,
     now: float = 0.0,
-) -> BlockRun:
+) -> Tuple[BlockRun, Optional[Payload]]:
     """Execute one block: the step both orchestrators share.
 
     ``enabled`` guard -> journal replay, or ``pre_kill`` -> run ->
     ``log_task`` -> ``post_kill``; then ``fold``.  A fresh run finishes
     at ``now`` plus the block's duration, a replay at ``now``.
+
+    Returns the run and the block's payload (``None`` unless it ran or
+    replayed).  The payload is handed over, not kept on the run: a
+    journaled block's payload has the journal as its one holder.
     """
     block_run = BlockRun(name=block.name, status=RAN, start=now, finish=now)
     # The guard runs first, so a retailer knocked out upstream never
     # reaches the journal check.
     if block.enabled is not None and not block.enabled():
         block_run.status = DISABLED
-        return block_run
+        return block_run, None
     journaled = (
         journal is not None
         and block.journal is not None
@@ -120,7 +123,7 @@ def run_block(
     else:
         if select is not None and not select(block.name):
             block_run.status = UNSELECTED
-            return block_run
+            return block_run, None
         if block.pre_kill is not None and crash_check is not None:
             crash_check(*block.pre_kill)
         payload = block.run() if block.run is not None else None
@@ -131,10 +134,9 @@ def run_block(
         if block.post_kill is not None and crash_check is not None:
             crash_check(*block.post_kill)
         block_run.finish = now + block.duration_of(payload)
-    block_run.payload = payload
     if block.fold is not None:
         block.fold(payload)
-    return block_run
+    return block_run, payload
 
 
 class GraphRunner:
@@ -199,14 +201,14 @@ class GraphRunner:
                     break
                 name = min(ready, key=pick_key)
                 pending.discard(name)
-                block_run = run_block(
+                block_run, payload = run_block(
                     graph.block(name), self.journal, self.day,
                     self.crash_check, select, now,
                 )
                 runs[name] = block_run
                 if block_run.status in EXECUTED_STATUSES:
                     order.append(name)
-                    self._expand(graph, name, block_run, pri, pending, rng)
+                    self._expand(graph, name, payload, pri, pending, rng)
                 if block_run.status == DISABLED:
                     finished.add(name)
                     continue
@@ -256,11 +258,11 @@ class GraphRunner:
                 dead.add(name)
                 changed = True
 
-    def _expand(self, graph, name, block_run, pri, pending, rng) -> None:
+    def _expand(self, graph, name, payload, pri, pending, rng) -> None:
         block = graph.block(name)
         if block.expand is None:
             return
-        new_blocks = list(block.expand(block_run.payload or {}))
+        new_blocks = list(block.expand(payload))
         if not new_blocks:
             return
         # Blocks that already depend on the expander must also wait for

@@ -584,7 +584,6 @@ def run_scenario(
 
         seal = registry.snapshot().to_dict()
         seals.append(seal)
-        world.monitor.record_day_snapshot(day, seal)
         day_stats.append(_day_from_seal(day, seal))
 
     result = ScenarioResult(

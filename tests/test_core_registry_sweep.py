@@ -80,11 +80,18 @@ class TestRegistry:
         registry.drop_retailer(small_dataset.retailer_id)
         assert not registry.has_models(small_dataset.retailer_id)
 
-    def test_latest_day(self, small_dataset):
+    def test_keep_latest_day_drops_older_days(self, small_dataset, tiny_dataset):
         registry = ModelRegistry()
-        registry.publish(entry(small_dataset, 0, day=0))
-        registry.publish(entry(small_dataset, 1, day=3))
-        assert registry.latest_day(small_dataset.retailer_id) == 3
+        registry.publish(entry(small_dataset, 0, map10=0.9, day=0))
+        registry.publish(entry(small_dataset, 2, map10=0.1, day=0))
+        registry.publish(entry(small_dataset, 1, map10=0.2, day=3))
+        registry.publish(entry(tiny_dataset, 0, day=0))
+        rid = small_dataset.retailer_id
+        registry.keep_latest_day(rid)
+        assert [m.model_number for m in registry.top_k(rid, 3)] == [1]
+        # Another retailer's models, and an unknown retailer, are left be.
+        assert registry.model_count(tiny_dataset.retailer_id) == 1
+        registry.keep_latest_day("ghost")
 
     def test_model_count_global(self, small_dataset, tiny_dataset):
         registry = ModelRegistry()

@@ -245,6 +245,32 @@ class TestService:
         service.run_day()
         assert service.substitutes_store.version_of(rid) == 4
 
+    def test_registry_keeps_only_the_latest_training_day(self):
+        service = tiny_service()
+        for _ in range(3):
+            service.run_day()
+        configs = service.journal.day_intent(2)["configs"]
+        for rid in service.retailers:
+            latest = {c.model_number for c in configs if c.retailer_id == rid}
+            models = service.registry._models[rid]
+            assert set(models) == latest
+            assert {m.output.config.day for m in models.values()} == {2}
+
+    def test_offboard_forgets_the_map_history(self):
+        """Regression: a tenant re-onboarded under a departed one's id was
+        gated and alerted against its predecessor's MAP."""
+        service = tiny_service()
+        service.run_day()
+        victim = service.retailers[0]
+        dataset = service._datasets[victim]
+        assert service.monitor.last_map(victim, 1) is not None
+        alerts = list(service.monitor.alerts)
+        service.offboard(victim)
+        service.onboard(dataset)
+        assert service.monitor.last_map(victim, 1) is None
+        assert service.monitor.metric_history(victim) == {}
+        assert service.monitor.alerts == alerts
+
     def test_offboard_unknown_retailer_is_noop(self):
         service = tiny_service(n_retailers=1)
         service.offboard("never_onboarded")  # must not raise

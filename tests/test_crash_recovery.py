@@ -171,6 +171,24 @@ class TestRunJournal:
         with pytest.raises(JournalError):
             RunJournal().log_task(0, "train", "r0")
 
+    def test_purge_reaches_committed_days_and_keeps_seal_and_intent(self):
+        journal = RunJournal()
+        journal.begin_day(0, {"configs": ["a"]})
+        journal.log_task(0, "train", "r0", {"cost": 1.0})
+        journal.log_task(0, "train", "r1", {"cost": 2.0})
+        journal.commit_day(0, seal={"day": 0})
+        journal.begin_day(1, {})
+        journal.log_task(1, "backfill_train", "r1")
+        assert journal.days() == [0, 1]
+        for day in journal.days():
+            journal.purge_tasks(day, lambda phase, task_id: task_id == "r1")
+        assert journal.completed(0, "train") == {"r0": {"cost": 1.0}}
+        assert not journal.is_done(1, "backfill_train", "r1")
+        assert journal.day_seal(0) == {"day": 0}
+        assert journal.day_intent(0) == {"configs": ["a"]}
+        with pytest.raises(JournalError):
+            journal.purge_tasks(2, lambda phase, task_id: True)
+
     def test_completed_and_counts(self):
         journal = RunJournal()
         journal.begin_day(2, {})
@@ -660,7 +678,7 @@ class TestMetricsParityUnderRecovery:
         service.run_day()
         seal = service.journal.day_seal(0)
         assert seal["metrics"]["counters"] == {}
-        assert service.monitor.day_snapshot(0) == seal
+        assert service.journal.seals() == {0: seal}
 
 
 # ----------------------------------------------------------------------
@@ -891,7 +909,10 @@ class TestOffboardPurgesOpenDayState:
     def test_offboard_with_no_open_day_still_works(self):
         service = make_service(metrics=MetricsRegistry())
         service.run_day()
-        service.offboard("r1")  # committed day: journal left untouched
-        assert service.journal.is_done(0, "train", "r1")
+        seal = json.dumps(service.journal.day_seal(0), sort_keys=True)
+        service.offboard("r1")  # committed day: records go, the seal stays
+        assert not service.journal.is_done(0, "train", "r1")
+        assert service.journal.is_done(0, "train", "r0")
+        assert json.dumps(service.journal.day_seal(0), sort_keys=True) == seal
         report = service.run_day()
         assert report.retailers_served == 1

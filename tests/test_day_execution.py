@@ -32,10 +32,10 @@ def serial_walk(monkeypatch, **kwargs):
     step = service_module.run_block
 
     def spy(block, *args, **kw):
-        block_run = step(block, *args, **kw)
+        block_run, payload = step(block, *args, **kw)
         if block_run.status in ("ran", "replayed"):
             executed.append(block.name)
-        return block_run
+        return block_run, payload
 
     monkeypatch.setattr(service_module, "run_block", spy)
     plan = CrashPlan()

@@ -22,7 +22,13 @@ from repro.scenarios import (
     scenario_names,
     strip_adversarial,
 )
-from repro.scenarios.engine import DayStats, Scenario, ScenarioResult, _World
+from repro.scenarios.engine import (
+    DayStats,
+    Scenario,
+    ScenarioResult,
+    _day_from_seal,
+    _World,
+)
 from tests.test_serving_cluster import holders
 
 
@@ -197,9 +203,12 @@ class TestSealedVerdicts:
                     if k.startswith("frontend_requests_total")
                 )
             )
-        # The monitor pinned each seal as the day snapshot.
-        for stats in result.day_stats:
-            assert result.monitor.day_snapshot(stats.day) is not None
+        # The result's seals are the days' one record: each day's stats
+        # are read back from its seal alone.
+        for day, (seal, stats) in enumerate(
+            zip(result.seals, result.day_stats), start=1
+        ):
+            assert stats == _day_from_seal(day, seal)
 
     def test_skipped_publish_surfaces_as_stale_then_clears(self):
         result = protected_result("seasonal_drift")
