@@ -40,7 +40,15 @@ Measured here, per synthetic retailer scale:
    re-walked by every later full collection,
 6. parity — batched results must equal the per-item reference
    item-for-item, and the two selections position-for-position, before
-   any timing counts.
+   any timing counts,
+7. shared pools — a cold ``SHARED_SCALE`` catalog (most items have no
+   interaction, so a block's view rows share their category's ``lca_2``
+   run) in taxonomy-ordered blocks, both surfaces ranked two ways: as
+   selection hands the pools over (a shared run ranked as one score
+   matrix) and materialised (pair by pair).  The two tables must be byte
+   for byte equal, and the matrix path must gather at most the distinct
+   pool items of each block (one ``phi`` row per run item, not per pair);
+   the row reports both paths' blocks/s and the share of rows shared.
 
 Results land in ``benchmarks/results/e22.txt`` and ``BENCH_inference.json``
 (committed, so the perf trajectory has data points).  ``E22_FAST=1`` is
@@ -56,6 +64,7 @@ catches a table that went back to being objects.  It also counts calls
 over a second inference run of that retailer, in both modes: no
 ``UserContext`` built, and per 128-item block two ``recommend_batch``
 calls and two ``BPRModel.query_users`` user matrices (one per surface).
+The shared-pool row's equality and gather count are asserted in both modes.
 """
 
 from __future__ import annotations
@@ -65,6 +74,7 @@ import json
 import os
 import pathlib
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -73,7 +83,7 @@ from repro import build_cluster
 from repro.cooccurrence.counts import CoOccurrenceCounts
 from repro.core.candidates import CandidateSelector, RepurchaseDetector
 from repro.core.config import ConfigRecord, OutputConfigRecord
-from repro.core.inference import DEFAULT_BLOCK_SIZE, InferencePipeline
+from repro.core.inference import DEFAULT_BLOCK_SIZE, InferencePipeline, _item_blocks
 from repro.core.registry import ModelRegistry, TrainedModel
 from repro.data.datasets import dataset_from_synthetic
 from repro.data.events import EventType
@@ -81,11 +91,18 @@ from repro.data.generator import RetailerSpec, generate_retailer
 from repro.data.sessions import UserContext
 from repro.evaluation.evaluator import HoldoutEvaluator
 from repro.evaluation.sampled import SampledRankEstimator
-from repro.models.base import Recommender, ScoredItem, segmented_top_k, top_k_select
+from repro.models.base import (
+    ItemRows,
+    RankedRows,
+    Recommender,
+    ScoredItem,
+    segmented_top_k,
+    top_k_select,
+)
 from repro.models.bpr import BPRHyperParams, BPRModel
 from repro.models.trainer import BPRTrainer
 from repro.serving.gate import PublishGate
-from repro.serving.store import RecommendationStore
+from repro.serving.store import RecommendationStore, RecommendationTable
 
 #: (n_items, n_users, n_events) per scale.  "medium" carries the
 #: acceptance bar: the paper's mid-sized merchants have catalogs in the
@@ -107,6 +124,9 @@ FAST_BARS = {"fast": 1.0, "fast2k": 1.2}
 FAST_SELECT_BAR = 3.0
 #: The publish section's retailer, in the smoke and in the full run.
 PUBLISH_SCALE = FAST_SCALES["fast2k"]
+#: The shared-pool row's retailer, in the smoke and in the full run: 2 000
+#: items and 400 events, so most items are cold.
+SHARED_SCALE = (2000, 40, 400)
 #: Smoke bar on tracked objects left alive per published recommendation.
 #: Measured 0.0016 (56 objects: two tables, two stores, the gate); the
 #: parent commit's tables of ``ScoredItem`` lists measured 1.23 with all
@@ -386,6 +406,77 @@ def _publish_row():
     }
 
 
+def _shared_pool_row():
+    """Both paths over one cold catalog, block by block in taxonomy order."""
+    dataset, model, selector = _build(*SHARED_SCALE)
+    blocks = [np.array(block) for block in _item_blocks(dataset.taxonomy, dataset.n_items, BLOCK)]
+    surfaces = [
+        [(query, selector.batch_view_based(query)) for query in blocks],
+        [(query, selector.batch_purchase_based(query)) for query in blocks],
+    ]
+    gathered = [0]
+    scorers = BPRModel._scorers
+
+    def gathering(self, query, event):
+        pairs, matrix = scorers(self, query, event)
+
+        def counted(rows, pool, out):
+            gathered[0] += pool.size
+            return matrix(rows, pool, out)
+
+        return pairs, counted
+
+    def rank(pools_of):
+        return [
+            [model.recommend_batch(query, pools_of(pools), TOP_K) for query, pools in surface]
+            for surface in surfaces
+        ]
+
+    def as_pairs(pools):
+        return ItemRows(pools.items, pools.bounds)
+
+    rows = shared = over = 0
+    with mock.patch.object(BPRModel, "_scorers", gathering):
+        for surface in surfaces:
+            for query, pools in surface:
+                gathered[0] = 0
+                model.recommend_batch(query, pools, TOP_K)
+                rows += len(pools)
+                shared += 0 if pools.shared is None else pools.shared.rows.size
+                # One phi row per run item: never more than the block's
+                # distinct pool items, however many rows share a run.
+                over += gathered[0] > np.unique(pools.items).size
+    ids = np.concatenate(blocks)
+    tables = [
+        [
+            RecommendationTable(ids, RankedRows.concat(ranked))
+            for ranked in rank(pools_of)
+        ]
+        for pools_of in (lambda pools: pools, as_pairs)
+    ]
+    equal = all(
+        mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+        for matrix, pair in zip(*tables)
+        for mine, theirs in (
+            (matrix.item_ids, pair.item_ids),
+            (matrix.rows.items, pair.rows.items),
+            (matrix.rows.scores, pair.rows.scores),
+            (matrix.rows.bounds, pair.rows.bounds),
+        )
+    )
+    matrix_s, pair_s = _best_laps(lambda: rank(lambda pools: pools), lambda: rank(as_pairs))
+    return {
+        "n_items": dataset.n_items,
+        "rows": rows,
+        "shared_share": round(shared / rows, 3),
+        "tables_byte_equal": equal,
+        "blocks_over_distinct": over,
+        "matrix_blocks_per_s": round(2 * len(blocks) / matrix_s, 1),
+        "pair_blocks_per_s": round(2 * len(blocks) / pair_s, 1),
+        "matrix_speedup": round(pair_s / matrix_s, 2),
+    }
+
+
 def _loop_ranks(evaluator, model, sampled):
     """The per-example baseline: one public single-example call per holdout row."""
     holdout = evaluator.dataset.holdout
@@ -459,6 +550,7 @@ def test_inference_throughput(capsys):
     # every tracked object alive, whoever made it.
     publish = _publish_row()
     rows = [_measure(name, spec) for name, spec in scales.items()]
+    shared = _shared_pool_row()
 
     widths = [8, 7, 11, 11, 9, 8, 10, 10, 9]
     lines = [
@@ -546,7 +638,34 @@ def test_inference_throughput(capsys):
         f"recommend_batch calls, {publish['user_matrices']} user matrices, "
         f"{publish['contexts_built']} UserContext built"
     )
+    shared_widths = [7, 7, 8, 11, 10, 10, 9]
+    lines += [
+        "",
+        f"shared pools: a cold catalog in taxonomy-ordered blocks of {BLOCK}, both "
+        "surfaces, k=10, as handed over (matrix) vs materialised (pairs)",
+        "",
+        fmt_row(
+            "items", "rows", "shared", "tables", "matrix/s", "pairs/s", "speedup",
+            widths=shared_widths,
+        ),
+        fmt_row(
+            shared["n_items"],
+            shared["rows"],
+            f"{shared['shared_share']:.1%}",
+            "equal" if shared["tables_byte_equal"] else "DIFFER",
+            f"{shared['matrix_blocks_per_s']:,.0f}",
+            f"{shared['pair_blocks_per_s']:,.0f}",
+            f"{shared['matrix_speedup']:.2f}x",
+            widths=shared_widths,
+        ),
+    ]
     emit("E22", "batched inference & evaluation throughput", lines, capsys)
+
+    # A shared pool ranked once is the same table, gathered once per block.
+    assert shared["tables_byte_equal"], shared
+    assert shared["blocks_over_distinct"] == 0, shared
+    # Both surfaces' rows: most view rows share a run, few purchase rows do.
+    assert shared["shared_share"] > 0.25, shared
 
     # A published table is arrays: nothing it holds is a tracked object.
     assert publish["live_scored_items"] == 0, publish
@@ -585,6 +704,7 @@ def test_inference_throughput(capsys):
                 "note": NOTE,
                 "scales": rows,
                 "publish": publish,
+                "shared_pool": shared,
             },
             indent=2,
         )

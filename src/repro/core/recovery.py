@@ -19,7 +19,10 @@ stage                     label / meaning
 ``retrieval_logged``      ``<retailer_id>`` — after its index is journaled
 ``inference_plan``        before the cell assignment is journaled
 ``infer_cell``            ``<cell_name>`` — before that cell's job launches
-``infer_block``           ``<retailer_id>@<first_item>`` — inside the mapper
+``infer_block``           ``<retailer_id>@<first_item>`` — inside the mapper;
+                          blocks are cut in taxonomy order, so the first
+                          item is the block's first in that order, not its
+                          lowest id
 ``infer_logged``          ``<cell_name>`` — after its completion is journaled
 ``publish``               ``<retailer_id>`` — before its tables are validated
 ``publish_mid``           ``<retailer_id>`` — between the two store loads

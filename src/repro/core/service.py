@@ -214,6 +214,9 @@ class SigmundService:
         )
         self.full_restart_every = full_restart_every
         self._datasets: Dict[str, RetailerDataset] = {}
+        #: The first day each onboarded retailer runs in: a backfill of an
+        #: earlier day would train it on a predecessor's pinned configs.
+        self._first_day: Dict[str, int] = {}
         self._next_day = 0
         self.reports: List[DailyRunReport] = []
 
@@ -225,6 +228,7 @@ class SigmundService:
         if dataset.retailer_id in self._datasets:
             raise DataError(f"retailer {dataset.retailer_id!r} already onboarded")
         self._datasets[dataset.retailer_id] = dataset
+        self._first_day[dataset.retailer_id] = self._next_day
 
     def update_dataset(self, dataset: RetailerDataset) -> None:
         """Replace a retailer's data (new day's interactions arrived)."""
@@ -246,6 +250,7 @@ class SigmundService:
         :meth:`recover` from resurrecting a retailer offboarded mid-crash.
         """
         self._datasets.pop(retailer_id, None)
+        self._first_day.pop(retailer_id, None)
         self.registry.drop_retailer(retailer_id)
         self.substitutes_store.drop_retailer(retailer_id)
         self.accessories_store.drop_retailer(retailer_id)
@@ -475,7 +480,9 @@ class SigmundService:
         touching any other retailer's tables, versions, or billed costs,
         and without reopening the day's sealed record.  Journaled under
         ``backfill_*`` phases keyed by the retailer, so repeating a
-        backfill replays instead of re-billing.
+        backfill replays instead of re-billing.  A day before the one the
+        retailer was onboarded for is refused: its pinned configs, if it
+        has any, are a departed predecessor's of the same id.
         """
         if retailer_id not in self._datasets:
             raise DataError(f"retailer {retailer_id!r} not onboarded")
@@ -488,6 +495,11 @@ class SigmundService:
             raise SigmundError(
                 f"day {day} is not committed; recover() resumes open days, "
                 "backfill_retailer() repairs committed ones"
+            )
+        if day < self._first_day[retailer_id]:
+            raise SigmundError(
+                f"{retailer_id!r} was onboarded for day "
+                f"{self._first_day[retailer_id]}; it has no day {day} to backfill"
             )
         version = day + 1
         if (self.substitutes_store.version_of(retailer_id) or -1) >= version:

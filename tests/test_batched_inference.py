@@ -384,9 +384,25 @@ def _run_pipeline(datasets, registry, **kwargs):
 
 
 def test_item_blocks_cover_catalog_contiguously():
-    blocks = _item_blocks(10, 4)
-    assert blocks == [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9)]
-    assert _item_blocks(0, 4) == []
+    """Blocks are cut in taxonomy order: every item exactly once, blocks
+    of ``block_size`` but the last, and every subtree's items (the rows
+    one ``lca_k`` run serves) one stretch of the order, uncategorised
+    items (here the five ids past the taxonomy) last."""
+    taxonomy = _env()[0].taxonomy
+    index = taxonomy.index()
+    n_items = index.item_cat.size + 5
+    blocks = _item_blocks(taxonomy, n_items, 16)
+    order = [item for block in blocks for item in block]
+    assert sorted(order) == list(range(n_items))
+    assert [len(block) for block in blocks[:-1]] == [16] * (len(blocks) - 1)
+    assert 0 < len(blocks[-1]) <= 16
+    position = np.empty(n_items, dtype=np.int64)
+    position[order] = np.arange(n_items)
+    for category in range(len(index.categories)):
+        at = position[index.subtree(category)]
+        assert at.size == 0 or at.max() - at.min() + 1 == at.size, category
+    assert order[-5:] == list(range(n_items - 5, n_items))
+    assert _item_blocks(taxonomy, 0, 4) == []
 
 
 def test_block_size_does_not_change_recommendations(pipeline_fleet):

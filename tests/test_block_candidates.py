@@ -307,7 +307,7 @@ def test_an_indexed_inference_run_draws_one_neighbour_pass_per_block(monkeypatch
     )
     monkeypatch.undo()
     assert not failed and set(results) == {"r0"}
-    blocks = _item_blocks(datasets["r0"].n_items, 8)
+    blocks = _item_blocks(datasets["r0"].taxonomy, datasets["r0"].n_items, 8)
     assert len(blocks) > 1
     assert len(log["neighbours"]) == len(blocks) and not log["search"]
     selector = service.inference.selector_of("r0")

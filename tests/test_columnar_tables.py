@@ -142,6 +142,12 @@ class TestRankedRows:
         assert doubled == ROWS_AS_LISTS + ROWS_AS_LISTS
         order = [3, 3, 0, 1]
         assert rows.take(np.array(order)) == [ROWS_AS_LISTS[r] for r in order]
+        # A permutation of the blocks' rows, laid straight into place.
+        both = ROWS_AS_LISTS + ROWS_AS_LISTS
+        shuffled = np.random.default_rng(0).permutation(len(both))
+        placed = RankedRows.concat([rows, empty, rows], shuffled)
+        assert placed == [both[r] for r in shuffled]
+        assert not placed.items.flags.writeable
         assert len(rows.take(np.array([], dtype=np.int64))) == 0
 
     def test_rejects_bounds_that_do_not_partition_the_entries(self):

@@ -21,7 +21,7 @@ from repro.mapreduce.runtime import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.retrieval.ivf import IVFConfig
 from repro.serving.gate import GateDecision, PublishGate
-from tests.test_crash_recovery import make_service, report_key, summarize
+from tests.test_crash_recovery import make_dataset, make_service, report_key, summarize
 
 
 def seal_bytes(service, day: int) -> str:
@@ -274,6 +274,25 @@ def test_backfill_requires_a_committed_day_and_known_retailer():
         service.backfill_retailer("ghost")
     with pytest.raises(SigmundError, match="already serves"):
         service.backfill_retailer("r0")  # nothing failed; nothing to do
+
+
+def test_backfill_refuses_a_day_before_the_retailer_was_onboarded():
+    """A newcomer re-using a departed retailer's id was not onboarded for
+    the predecessor's days: backfilling one would train it on the
+    predecessor's pinned configs and publish it as that day's version."""
+    service = make_service()
+    service.run_day()
+    service.offboard("r1")
+    service.onboard(make_dataset("r1", seed=999))
+    with pytest.raises(SigmundError, match="onboarded for day 1"):
+        service.backfill_retailer("r1")
+    with pytest.raises(SigmundError, match="onboarded for day 1"):
+        service.backfill_retailer("r1", day=0)
+    assert service.substitutes_store.version_of("r1") is None
+    assert service.journal.task_count(0, "backfill_train") == 0
+    # From its first day on it runs as any other.
+    assert service.run_day().retailers_served == 2
+    assert service.substitutes_store.version_of("r1") == 2
 
 
 def test_backfill_next_day_continues_normally(serial_day0):
