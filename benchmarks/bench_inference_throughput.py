@@ -358,7 +358,7 @@ def _publish_row():
     gc.callbacks.append(on_collection)
     try:
         start = time.perf_counter()
-        results, _, _, failed = pipeline.run_cell("cell", {rid: dataset}, 0)
+        results, _, failed = pipeline.run_cell("cell", {rid: dataset}, 0)
         assert not failed, failed
         matrix_left = model._phi_cache is not None
         result = results[rid]

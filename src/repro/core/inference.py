@@ -23,7 +23,7 @@ Systems properties reproduced:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -46,6 +46,7 @@ from repro.mapreduce.runtime import (
     JobStats,
     MapReduceJob,
     MapReduceRuntime,
+    record_job_metrics,
 )
 from repro.mapreduce.splits import InputSplit
 from repro.models.base import ItemRows, RankedRows, Recommender
@@ -104,24 +105,6 @@ class InferenceResult:
 
     def coverage(self, n_items: int) -> float:
         return self.items_covered / n_items if n_items else 0.0
-
-
-@dataclass
-class InferenceStats:
-    """Execution statistics across all cells for one inference run."""
-
-    items_processed: int = 0
-    model_loads: int = 0
-    total_cost: float = 0.0
-    makespan_seconds: float = 0.0
-    preemptions: int = 0
-    records_skipped: int = 0
-    per_cell: Dict[str, JobStats] = field(default_factory=dict)
-    #: Retailers whose inference failed (stale model, crashed mapper, or
-    #: a dead cell job); the service serves them yesterday's tables.
-    failed_retailers: List[str] = field(default_factory=list)
-    #: Human-readable reason per failed retailer.
-    failure_reasons: Dict[str, str] = field(default_factory=dict)
 
 
 class InferencePipeline:
@@ -218,33 +201,6 @@ class InferencePipeline:
             if group
         ]
 
-    @staticmethod
-    def fold_cell(
-        stats: InferenceStats, cell_name: str, job_stats: JobStats, loads: int
-    ) -> None:
-        """Fold one completed cell job into the run-wide stats."""
-        stats.per_cell[cell_name] = job_stats
-        stats.total_cost += job_stats.cost
-        stats.preemptions += job_stats.preemptions
-        stats.model_loads += loads
-        stats.records_skipped += job_stats.records_skipped
-        stats.makespan_seconds = max(
-            stats.makespan_seconds, job_stats.makespan_seconds
-        )
-
-    @staticmethod
-    def finalize_stats(
-        stats: InferenceStats,
-        results: Dict[str, InferenceResult],
-        failed: Dict[str, str],
-    ) -> None:
-        """Derive the run-wide aggregates once every cell has been folded."""
-        stats.items_processed = sum(
-            len(result.view_recs) for result in results.values()
-        )
-        stats.failed_retailers = sorted(failed)
-        stats.failure_reasons = failed
-
     # ------------------------------------------------------------------
     # Per-cell job
     # ------------------------------------------------------------------
@@ -256,10 +212,10 @@ class InferencePipeline:
         metrics=NULL_METRICS,
         tracer=NULL_TRACER,
         retrieval: Optional[Dict[str, ModelRetrieval]] = None,
-    ) -> Tuple[Dict[str, InferenceResult], JobStats, int, Dict[str, str]]:
+    ) -> Tuple[Dict[str, InferenceResult], JobStats, Dict[str, str]]:
         """Run one cell's inference job; the journaled-recovery unit.
 
-        Returns ``(results, job_stats, model_loads, failed)``.  Raising
+        Returns ``(results, job_stats, failed)``.  Raising
         :class:`SigmundError` means the whole cell job died.
 
         Everything recorded on ``metrics`` here is a deterministic
@@ -310,7 +266,7 @@ class InferencePipeline:
             if rid not in failed
         }
         if not datasets:
-            return {}, JobStats(job_name=f"inference/day{day}/{cell_name}"), 0, failed
+            return {}, JobStats(job_name=f"inference/day{day}/{cell_name}"), failed
 
         # The mapper keeps "the model for the current retailer in memory";
         # a load is counted whenever consecutive records change retailer.
@@ -409,27 +365,13 @@ class InferencePipeline:
                 drop = getattr(model, "invalidate_cache", None)
                 if drop is not None:
                     drop()
-        metrics.counter(
-            "inference_billed_vm_seconds_total", cell=cell_name
-        ).inc(job_stats.billed_vm_seconds)
+        record_job_metrics(metrics, "inference", cell_name, job_stats)
         metrics.counter("inference_cost_total", cell=cell_name).inc(
             job_stats.cost
         )
         metrics.counter(
             "inference_model_loads_total", cell=cell_name
         ).inc(loader_state["loads"])
-        metrics.counter(
-            "preemptions_total", phase="inference", cell=cell_name
-        ).inc(job_stats.preemptions)
-        metrics.counter(
-            "dead_letters_total", phase="inference", cell=cell_name
-        ).inc(len(job_stats.dead_letters))
-        metrics.counter(
-            "speculative_copies_total", phase="inference", cell=cell_name
-        ).inc(job_stats.speculative_copies)
-        metrics.gauge("inference_makespan_seconds", cell=cell_name).set(
-            job_stats.makespan_seconds
-        )
         results = {
             result.retailer_id: result
             for result in outputs
@@ -461,7 +403,7 @@ class InferencePipeline:
                 metrics.counter(
                     "inference_cost_attributed_total", retailer=rid
                 ).inc(share)
-        return results, job_stats, loader_state["loads"], failed
+        return results, job_stats, failed
 
     def _binpacked_splits(
         self,

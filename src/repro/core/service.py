@@ -27,21 +27,24 @@ last-good one serving and surfaces through the quality monitor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.cluster.cell import Cluster
 from repro.cluster.cost import CostLedger, ResourcePricing
 from repro.cluster.preemption import PreemptionModel
 from repro.core.checkpoint import CheckpointFaultPlan, CheckpointStorage
-from repro.core.config import ConfigRecord
 from repro.core.grid import GridSpec
-from repro.core.inference import InferencePipeline, InferenceResult
+from repro.core.inference import InferencePipeline
 from repro.core.journal import RunJournal
 from repro.core.monitoring import QualityMonitor
 from repro.core.recovery import CrashPlan
 from repro.core.registry import ModelRegistry
 from repro.core.sweep import SweepPlanner
-from repro.core.training import PipelineStats, TrainerSettings, TrainingPipeline
+from repro.core.training import (
+    TrainerSettings,
+    TrainingPipeline,
+    checkpoint_belongs_to,
+)
 from repro.dag.dayplan import (
     BLOCK_SPANS,
     SERIAL_PHASES,
@@ -55,10 +58,8 @@ from repro.data.datasets import RetailerDataset
 from repro.exceptions import DataError, SigmundError
 from repro.mapreduce.runtime import FaultPlan
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
-from repro.obs.snapshot import build_day_seal
 from repro.obs.tracing import NULL_TRACER
-from repro.retrieval.backend import ann_for_model
-from repro.retrieval.harness import DEFAULT_ANN_THRESHOLD, measure_model_recall
+from repro.retrieval.harness import DEFAULT_ANN_THRESHOLD
 from repro.retrieval.ivf import IVFConfig
 from repro.serving.gate import PublishGate
 from repro.serving.store import RecommendationStore
@@ -258,7 +259,7 @@ class SigmundService:
         self.monitor.drop_retailer(retailer_id)
         self._purge_journal(retailer_id)
         self.training.checkpoints.discard_matching(
-            lambda key: retailer_id in key.split("/")[1:2]
+            lambda key: checkpoint_belongs_to(key, retailer_id)
         )
 
     def _purge_journal(self, retailer_id: str) -> None:
@@ -534,190 +535,6 @@ class SigmundService:
             "failure": state.failure_reasons.get(retailer_id),
         }
 
-    def _train_retailer(
-        self, day: int, retailer_id: str, configs: List[ConfigRecord]
-    ) -> Dict[str, object]:
-        """Train one retailer's configs; the journaled unit of work."""
-        failure: Optional[str] = None
-        # Per-task registry: its snapshot travels in the journal payload,
-        # so a recovered day folds the exact snapshot the crashed run
-        # recorded instead of re-deriving (and double-counting) it.
-        task_metrics = (
-            MetricsRegistry() if self.metrics.enabled else NULL_METRICS
-        )
-        try:
-            _, train_stats = self.training.run(
-                configs,
-                self._datasets,
-                day=day,
-                metrics=task_metrics,
-                tracer=self.tracer,
-            )
-        except SigmundError as exc:
-            # This retailer's sweep died outright (e.g. no free capacity
-            # for its job); it degrades to yesterday's models while the
-            # rest of the fleet trains on.
-            train_stats = PipelineStats()
-            train_stats.configs_failed = len(configs)
-            failure = f"training: {exc}"
-        else:
-            if retailer_id in train_stats.failed_retailers:
-                reason = next(
-                    (
-                        str(f.error)
-                        for f in train_stats.failures
-                        if f.retailer_id == retailer_id
-                    ),
-                    "failed",
-                )
-                failure = f"training: {reason}"
-        return {
-            "trained": train_stats.configs_trained,
-            "failed": train_stats.configs_failed,
-            "cost": train_stats.total_cost,
-            "makespan": train_stats.makespan_seconds,
-            "preemptions": train_stats.preemptions,
-            "failure": failure,
-            "metrics": task_metrics.snapshot(),
-        }
-
-    def _build_retrieval_index(
-        self, day: int, retailer_id: str
-    ) -> Dict[str, object]:
-        """Build + recall-gate one retailer's index; the journaled unit.
-
-        Below the size threshold no index is built, but the task is still
-        journaled — the decision is part of the day's record, and the
-        kill points above must exist for every retailer regardless of
-        catalog size.
-        """
-        task_metrics = (
-            MetricsRegistry() if self.metrics.enabled else NULL_METRICS
-        )
-        dataset = self._datasets[retailer_id]
-        if dataset.n_items < self.retrieval_threshold:
-            return {
-                "built": False,
-                "accepted": False,
-                "reason": f"catalog below threshold {self.retrieval_threshold}",
-                "index": None,
-                "recall": None,
-                "model_number": None,
-                "metrics": task_metrics.snapshot(),
-            }
-        best = self.registry.best(retailer_id)
-        try:
-            adapter = ann_for_model(
-                best.model,
-                config=self.retrieval_config,
-                metrics=task_metrics,
-            )
-        except SigmundError as exc:
-            task_metrics.counter(
-                "retrieval_indexes_built_total", outcome="failed"
-            ).inc()
-            return {
-                "built": False,
-                "accepted": False,
-                "reason": f"retrieval: {exc}",
-                "index": None,
-                "recall": None,
-                "model_number": best.model_number,
-                "metrics": task_metrics.snapshot(),
-            }
-        recall = measure_model_recall(
-            best.model,
-            adapter,
-            k=min(100, adapter.n_items),
-            seed=self.retrieval_config.seed + day,
-        )
-        task_metrics.gauge(
-            "retrieval_recall", retailer=retailer_id
-        ).set(recall)
-        ok = recall >= self.retrieval_recall_target
-        task_metrics.counter(
-            "retrieval_indexes_built_total",
-            outcome="accepted" if ok else "rejected",
-        ).inc()
-        return {
-            "built": True,
-            "accepted": ok,
-            "reason": "" if ok else (
-                f"recall {recall:.4f} below target "
-                f"{self.retrieval_recall_target}"
-            ),
-            "index": adapter,
-            "recall": recall,
-            "model_number": best.model_number,
-            "metrics": task_metrics.snapshot(),
-        }
-
-    def _publish_retailer(
-        self,
-        day: int,
-        retailer_id: str,
-        result: InferenceResult,
-        version: int,
-    ) -> Tuple[bool, str]:
-        """Gate both surfaces, then load them; returns (accepted, reason).
-
-        A crash between the two loads leaves the substitutes store ahead
-        of the accessories store; recovery detects that (the substitutes
-        table is already at today's version, which can only mean both
-        surfaces passed validation before the first load) and completes
-        the pair without re-validating — re-validation would wrongly
-        reject today's version as "not newer" than itself.
-        """
-        view_done = (self.substitutes_store.version_of(retailer_id) or -1) >= version
-        if not view_done:
-            n_items = (
-                self._datasets[retailer_id].n_items
-                if retailer_id in self._datasets
-                else 0
-            )
-            current_map = (
-                self.registry.best(retailer_id).map_at_10
-                if self.registry.has_models(retailer_id)
-                else None
-            )
-            previous_map = self.monitor.last_map(retailer_id, day)
-            view_decision = self.gate.validate(
-                retailer_id,
-                result.view_recs,
-                version,
-                self.substitutes_store,
-                n_items,
-                current_map=current_map,
-                previous_map=previous_map,
-            )
-            # An empty complements table is a legitimate state for a
-            # retailer with no conversion co-occurrence yet; the gate
-            # still vets scores and version.
-            purchase_decision = self.gate.validate(
-                retailer_id,
-                result.purchase_recs,
-                version,
-                self.accessories_store,
-                n_items,
-                current_map=current_map,
-                previous_map=previous_map,
-                allow_empty=True,
-            )
-            if not (view_decision.accepted and purchase_decision.accepted):
-                # Neither surface loads: the retailer keeps serving its
-                # complete last-good tables on both, never a mixed pair.
-                reasons = view_decision.reasons + purchase_decision.reasons
-                return False, "publish: " + "; ".join(reasons)
-            self.substitutes_store.load_batch(
-                retailer_id, result.view_recs, version=version
-            )
-        self._check("publish_mid", retailer_id)
-        if (self.accessories_store.version_of(retailer_id) or -1) < version:
-            self.accessories_store.load_batch(
-                retailer_id, result.purchase_recs, version=version
-            )
-        return True, ""
-
     def rollback_retailer(self, retailer_id: str) -> int:
         """Roll both recommendation tables back to their last-good version.
 
@@ -726,76 +543,6 @@ class SigmundService:
         version = self.substitutes_store.rollback(retailer_id)
         self.accessories_store.rollback(retailer_id)
         return version
-
-    # -- the wrapup block: monitoring, detectors, commit ---------------
-    def _wrapup_phase(
-        self,
-        day: int,
-        served: List[str],
-        failure_reasons: Dict[str, str],
-        report: DailyRunReport,
-        day_metrics=NULL_METRICS,
-    ) -> None:
-        # The kill point sits *before* any monitor mutation: recording is
-        # not idempotent, so a wrap-up crash must happen before all of it
-        # and recovery then performs the whole pass exactly once.
-        self._check("wrapup")
-        report.failed_retailers = sorted(failure_reasons)
-        report.failure_reasons = dict(failure_reasons)
-        for retailer_id in report.failed_retailers:
-            # Graceful degradation: the store still holds the last good
-            # table (versioned batch loads never partially apply), so the
-            # retailer keeps serving — just stale.  Only a retailer that
-            # never had a table (day-0 failure) goes unserved.
-            if self.substitutes_store.has_retailer(retailer_id):
-                report.retailers_stale += 1
-            else:
-                report.retailers_unserved += 1
-            self.monitor.record_failure(
-                retailer_id,
-                day,
-                stage=failure_reasons[retailer_id].split(":", 1)[0],
-                detail=failure_reasons[retailer_id],
-            )
-            report.alerts += 1
-            day_metrics.counter("alerts_total", kind="failure").inc()
-
-        for retailer_id in self._datasets:
-            # Failed retailers already got an availability alert; their
-            # registry entry is yesterday's, so recording it as today's
-            # metric would just mask the failure.
-            if retailer_id in failure_reasons:
-                continue
-            if self.registry.has_models(retailer_id):
-                best = self.registry.best(retailer_id)
-                alert = self.monitor.record(retailer_id, day, best.map_at_10)
-                if alert is not None:
-                    report.alerts += 1
-                    day_metrics.counter(
-                        "alerts_total", kind="regression"
-                    ).inc()
-
-        day_metrics.counter("retailers_total", status="served").inc(
-            report.retailers_served
-        )
-        day_metrics.counter("retailers_total", status="stale").inc(
-            report.retailers_stale
-        )
-        day_metrics.counter("retailers_total", status="unserved").inc(
-            report.retailers_unserved
-        )
-
-        # The seal is written atomically with the commit record; it is
-        # the artifact the crash-recovery parity suite compares byte for
-        # byte between recovered and uninterrupted runs.
-        seal = build_day_seal(
-            day,
-            report.sweep_kind,
-            report,
-            day_metrics.snapshot(),
-            self.retailers,
-        )
-        self.journal.commit_day(day, seal=seal)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -24,6 +24,7 @@ and every Train() call runs in this process, one config after another
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -50,6 +51,7 @@ from repro.mapreduce.runtime import (
     JobStats,
     MapReduceJob,
     MapReduceRuntime,
+    record_job_metrics,
 )
 from repro.mapreduce.splits import uniform_splits
 from repro.models.bpr import BPRModel
@@ -134,13 +136,25 @@ def estimate_model_memory_gb(config: ConfigRecord, dataset: RetailerDataset) -> 
 
 
 def checkpoint_key(config: ConfigRecord) -> str:
-    """Checkpoint namespace for one Train() invocation.
+    """Checkpoint namespace for one Train() invocation:
+    ``day<d>/<retailer id>/m<model number>``.
 
     Includes the day: config keys are re-issued daily, and a leftover
     checkpoint from an earlier day (e.g. a config that dead-lettered
     mid-training) must never be mistaken for this run's resume point.
     """
     return f"day{config.day}/{config.key}"
+
+
+#: :func:`checkpoint_key`'s format; the retailer id is everything between
+#: the day and the model number, ``/`` included.
+_CHECKPOINT_KEY = re.compile(r"day\d+/(?P<retailer>.+)/m\d+")
+
+
+def checkpoint_belongs_to(key: str, retailer_id: str) -> bool:
+    """Whether ``key`` is a :func:`checkpoint_key` of ``retailer_id``'s."""
+    match = _CHECKPOINT_KEY.fullmatch(key)
+    return match is not None and match["retailer"] == retailer_id
 
 
 def _make_sampler(
@@ -617,21 +631,7 @@ class TrainingPipeline:
         raw_outputs, job_stats = self.runtime.run(
             job, splits, metrics=metrics, tracer=tracer
         )
-        metrics.counter(
-            "train_billed_vm_seconds_total", cell=cell_name
-        ).inc(job_stats.billed_vm_seconds)
-        metrics.counter(
-            "preemptions_total", phase="train", cell=cell_name
-        ).inc(job_stats.preemptions)
-        metrics.counter(
-            "dead_letters_total", phase="train", cell=cell_name
-        ).inc(len(job_stats.dead_letters))
-        metrics.counter(
-            "speculative_copies_total", phase="train", cell=cell_name
-        ).inc(job_stats.speculative_copies)
-        metrics.gauge("train_makespan_seconds", cell=cell_name).set(
-            job_stats.makespan_seconds
-        )
+        record_job_metrics(metrics, "train", cell_name, job_stats)
         self._attribute_chargebacks(
             configs, record_cost, job_stats.cost, metrics
         )

@@ -1,8 +1,8 @@
 """Declarative DAG orchestration for the daily run.
 
 ``repro.dag`` is where a Sigmund day is declared and executed:
-:class:`~repro.dag.block.Block` declares one unit of work (journal key,
-kill points, metrics fold),
+:class:`~repro.dag.block.Block` declares one unit of work (run body,
+journal key, kill points, fold),
 :class:`~repro.dag.graph.DayGraph` holds the wiring (cycle detection,
 deterministic topological order), :func:`~repro.dag.runner.run_block`
 is the one step that executes a block, and

@@ -8,8 +8,8 @@
 * ``infer_plan`` — depends on every train block (the healthy set needs
   all training verdicts); its journaled assignment payload **expands**
   into one ``infer/<cell>`` block per cell,
-* ``infer_finalize`` — fan-in of every cell; derives the run-wide
-  inference stats and expands into one ``publish/<rid>`` block per
+* ``infer_finalize`` — fan-in of every cell; marks the retailers whose
+  inference failed and expands into one ``publish/<rid>`` block per
   retailer with results,
 * ``wrapup`` — the fan-in of everything: monitoring, detectors, seal,
   commit.
@@ -19,8 +19,13 @@ retailer of a committed day — its backfill: no ``wrapup``, and every
 journal key moved to a ``backfill_<phase>``/``rid`` record of its own.
 
 Every block's ``run`` body, ``journal`` key, kill points, and ``fold``
-are written here and nowhere else.  Both orchestrators execute these
-blocks through :func:`repro.dag.runner.run_block`:
+are written here and nowhere else: a body calls the subsystem that does
+the work (``TrainingPipeline.run``, ``ann_for_model``,
+``InferencePipeline.run_cell``, ``PublishGate``, ``build_day_seal``) and
+returns its journaled payload; the fold adds the payload's numbers to
+the day's :class:`~repro.core.service.DailyRunReport` and its metrics
+snapshot to the day registry.  Both orchestrators execute these blocks
+through :func:`repro.dag.runner.run_block`:
 :class:`~repro.dag.runner.GraphRunner` schedules them on lanes, and the
 serial orchestrator walks them family by family in the order
 :data:`SERIAL_PHASES` gives — the order ``GraphRunner`` produces at
@@ -37,11 +42,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.config import ConfigRecord
-from repro.core.inference import InferenceResult, InferenceStats
+from repro.core.inference import InferenceResult
+from repro.core.training import PipelineStats
 from repro.dag.block import Block, DagError
 from repro.dag.graph import DayGraph
 from repro.exceptions import SigmundError
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.obs.snapshot import build_day_seal
+from repro.retrieval.backend import ann_for_model
+from repro.retrieval.harness import measure_model_recall
 
 
 @dataclass
@@ -59,7 +68,6 @@ class DayState:
     failure_reasons: Dict[str, str] = field(default_factory=dict)
     #: rid -> accepted ANN adapter (feeds inference candidate pools).
     retrieval: Dict[str, object] = field(default_factory=dict)
-    stats: InferenceStats = field(default_factory=InferenceStats)
     results: Dict[str, InferenceResult] = field(default_factory=dict)
     infer_failed: Dict[str, str] = field(default_factory=dict)
     served: List[str] = field(default_factory=list)
@@ -90,12 +98,19 @@ def build_day_graph(
     report = state.report
     day_metrics = state.day_metrics
     graph = DayGraph()
-    fleet = sorted(service._datasets) if retailer is None else [retailer]
+    datasets = service._datasets
+    fleet = sorted(datasets) if retailer is None else [retailer]
 
     def key(phase: str, task_id: str) -> Tuple[str, str]:
         if retailer is None:
             return (phase, task_id)
         return (f"backfill_{phase}", retailer)
+
+    def task_registry():
+        # One registry per task: its snapshot travels in the journal
+        # payload, so a recovered day folds the exact snapshot the crashed
+        # run recorded instead of re-deriving (and double-counting) it.
+        return MetricsRegistry() if service.metrics.enabled else NULL_METRICS
 
     configs: List[ConfigRecord] = list(intent["configs"])  # type: ignore[arg-type]
     by_retailer: Dict[str, List[ConfigRecord]] = {}
@@ -105,7 +120,35 @@ def build_day_graph(
     # -- train/<rid> ----------------------------------------------------
     def make_train(rid: str) -> Block:
         def run():
-            return service._train_retailer(day, rid, by_retailer[rid])
+            own = by_retailer[rid]
+            task_metrics = task_registry()
+            failure: Optional[str] = None
+            try:
+                _, train_stats = service.training.run(
+                    own, datasets, day=day, metrics=task_metrics, tracer=service.tracer
+                )
+            except SigmundError as exc:
+                # This retailer's sweep died outright (e.g. no free capacity
+                # for its job); it degrades to yesterday's models while the
+                # rest of the fleet trains on.
+                train_stats = PipelineStats(configs_failed=len(own))
+                failure = f"training: {exc}"
+            else:
+                if rid in train_stats.failed_retailers:
+                    reason = next(
+                        (str(f.error) for f in train_stats.failures if f.retailer_id == rid),
+                        "failed",
+                    )
+                    failure = f"training: {reason}"
+            return {
+                "trained": train_stats.configs_trained,
+                "failed": train_stats.configs_failed,
+                "cost": train_stats.total_cost,
+                "makespan": train_stats.makespan_seconds,
+                "preemptions": train_stats.preemptions,
+                "failure": failure,
+                "metrics": task_metrics.snapshot(),
+            }
 
         def fold(payload):
             report.configs_trained += int(payload["trained"])
@@ -143,7 +186,52 @@ def build_day_graph(
             return rid not in state.failure_reasons and service.registry.has_models(rid)
 
         def run():
-            return service._build_retrieval_index(day, rid)
+            # Below the size threshold no index is built, but the task is
+            # still journaled: the decision is part of the day's record, and
+            # the kill points must exist for every retailer.
+            task_metrics = task_registry()
+            payload = {"built": False, "accepted": False, "index": None, "recall": None}
+            if datasets[rid].n_items < service.retrieval_threshold:
+                return {
+                    **payload,
+                    "reason": f"catalog below threshold {service.retrieval_threshold}",
+                    "model_number": None,
+                    "metrics": task_metrics.snapshot(),
+                }
+            best = service.registry.best(rid)
+            payload["model_number"] = best.model_number
+            try:
+                adapter = ann_for_model(
+                    best.model, config=service.retrieval_config, metrics=task_metrics
+                )
+            except SigmundError as exc:
+                task_metrics.counter("retrieval_indexes_built_total", outcome="failed").inc()
+                return {
+                    **payload,
+                    "reason": f"retrieval: {exc}",
+                    "metrics": task_metrics.snapshot(),
+                }
+            recall = measure_model_recall(
+                best.model,
+                adapter,
+                k=min(100, adapter.n_items),
+                seed=service.retrieval_config.seed + day,
+            )
+            task_metrics.gauge("retrieval_recall", retailer=rid).set(recall)
+            target = service.retrieval_recall_target
+            ok = recall >= target
+            task_metrics.counter(
+                "retrieval_indexes_built_total", outcome="accepted" if ok else "rejected"
+            ).inc()
+            return {
+                **payload,
+                "built": True,
+                "accepted": ok,
+                "reason": "" if ok else f"recall {recall:.4f} below target {target}",
+                "index": adapter,
+                "recall": recall,
+                "metrics": task_metrics.snapshot(),
+            }
 
         def fold(payload):
             snapshot = payload.get("metrics")
@@ -181,7 +269,7 @@ def build_day_graph(
         # yesterday's tables; inference on its stale registry entry
         # would hide the failure behind quietly old models.
         healthy = {
-            rid: service._datasets[rid]
+            rid: datasets[rid]
             for rid in fleet
             if rid not in state.failure_reasons
         }
@@ -192,59 +280,48 @@ def build_day_graph(
 
     def make_cell(cell_name: str, retailer_group: List[str]) -> Block:
         def run():
-            group = {
-                rid: service._datasets[rid]
-                for rid in retailer_group
-                if rid in service._datasets
-            }
-            cell_metrics = (
-                MetricsRegistry() if service.metrics.enabled else NULL_METRICS
-            )
+            group = {rid: datasets[rid] for rid in retailer_group if rid in datasets}
+            cell_metrics = task_registry()
             try:
-                cell_results, job_stats, loads, cell_failed = (
-                    service.inference.run_cell(
-                        cell_name,
-                        group,
-                        day,
-                        metrics=cell_metrics,
-                        tracer=service.tracer,
-                        retrieval=state.retrieval,
-                    )
+                cell_results, job_stats, cell_failed = service.inference.run_cell(
+                    cell_name,
+                    group,
+                    day,
+                    metrics=cell_metrics,
+                    tracer=service.tracer,
+                    retrieval=state.retrieval,
                 )
             except SigmundError as exc:
-                cell_failed = {rid: f"cell {cell_name!r}: {exc}" for rid in group}
                 return {
                     "results": {},
-                    "failed": cell_failed,
-                    "job_stats": None,
-                    "loads": 0,
+                    "failed": {rid: f"cell {cell_name!r}: {exc}" for rid in group},
+                    "cost": 0.0,
+                    "preemptions": 0,
+                    "makespan": 0.0,
                     "metrics": cell_metrics.snapshot(),
                 }
+            # The job's numbers, not the job's stats: its dead letters hold
+            # the records (and exceptions) of retailers that may leave.
             return {
                 "results": cell_results,
                 "failed": cell_failed,
-                "job_stats": job_stats,
-                "loads": loads,
+                "cost": job_stats.cost,
+                "preemptions": job_stats.preemptions,
+                "makespan": job_stats.makespan_seconds,
                 "metrics": cell_metrics.snapshot(),
             }
 
         def fold(payload):
             state.results.update(payload["results"])  # type: ignore[arg-type]
             state.infer_failed.update(payload["failed"])  # type: ignore[arg-type]
-            if payload["job_stats"] is not None:
-                service.inference.fold_cell(
-                    state.stats,
-                    cell_name,
-                    payload["job_stats"],  # type: ignore[arg-type]
-                    int(payload["loads"]),  # type: ignore[arg-type]
-                )
+            report.inference_cost += float(payload["cost"])
+            report.inference_makespan = max(
+                report.inference_makespan, float(payload["makespan"])
+            )
+            report.preemptions += int(payload["preemptions"])
             snapshot = payload.get("metrics")
             if snapshot is not None:
                 day_metrics.fold(snapshot)
-
-        def duration(payload):
-            job_stats = payload.get("job_stats")
-            return job_stats.makespan_seconds if job_stats is not None else 0.0
 
         # The cell reads the accepted ANN indexes of its own retailers
         # only, so it waits on exactly their retrieval blocks.
@@ -260,7 +337,7 @@ def build_day_graph(
             pre_kill=("infer_cell", cell_name),
             post_kill=("infer_logged", cell_name),
             expand=None,
-            duration=duration,
+            duration=lambda payload: float(payload["makespan"]),
             labels={"cell": cell_name},
         )
 
@@ -282,10 +359,51 @@ def build_day_graph(
     # -- infer_finalize (expands into one publish block per retailer) ---
     def make_publish(rid: str) -> Block:
         def run():
-            accepted, reason = service._publish_retailer(
-                day, rid, state.results[rid], day + 1
-            )
-            return {"accepted": accepted, "reason": reason}
+            # Gate both surfaces, then load them.  A crash between the two
+            # loads leaves the substitutes store ahead of the accessories
+            # store; recovery sees the substitutes table already at today's
+            # version (both surfaces passed the gate before the first load)
+            # and completes the pair without re-validating, which would
+            # reject today's version as "not newer" than itself.
+            result = state.results[rid]
+            version = day + 1
+            substitutes, accessories = service.substitutes_store, service.accessories_store
+            if (substitutes.version_of(rid) or -1) < version:
+                n_items = datasets[rid].n_items if rid in datasets else 0
+                current_map = (
+                    service.registry.best(rid).map_at_10
+                    if service.registry.has_models(rid)
+                    else None
+                )
+                previous_map = service.monitor.last_map(rid, day)
+
+                def vet(table, store, allow_empty=False):
+                    return service.gate.validate(
+                        rid,
+                        table,
+                        version,
+                        store,
+                        n_items,
+                        current_map=current_map,
+                        previous_map=previous_map,
+                        allow_empty=allow_empty,
+                    )
+
+                view = vet(result.view_recs, substitutes)
+                # An empty complements table is a legitimate state for a
+                # retailer with no conversion co-occurrence yet; the gate
+                # still vets scores and version.
+                purchase = vet(result.purchase_recs, accessories, allow_empty=True)
+                if not (view.accepted and purchase.accepted):
+                    # Neither surface loads: the retailer keeps serving its
+                    # complete last-good tables on both, never a mixed pair.
+                    reasons = view.reasons + purchase.reasons
+                    return {"accepted": False, "reason": "publish: " + "; ".join(reasons)}
+                substitutes.load_batch(rid, result.view_recs, version=version)
+            service._check("publish_mid", rid)
+            if (accessories.version_of(rid) or -1) < version:
+                accessories.load_batch(rid, result.purchase_recs, version=version)
+            return {"accepted": True, "reason": ""}
 
         def fold(payload):
             accepted = bool(payload["accepted"])
@@ -314,17 +432,8 @@ def build_day_graph(
         )
 
     def finalize_run():
-        service.inference.finalize_stats(
-            state.stats, state.results, state.infer_failed
-        )
-        for rid in state.stats.failed_retailers:
-            state.failure_reasons.setdefault(
-                rid,
-                "inference: " + state.stats.failure_reasons.get(rid, "failed"),
-            )
-        report.inference_cost = state.stats.total_cost
-        report.inference_makespan = state.stats.makespan_seconds
-        report.preemptions += state.stats.preemptions
+        for rid in sorted(state.infer_failed):
+            state.failure_reasons.setdefault(rid, "inference: " + state.infer_failed[rid])
         return {"retailers": sorted(state.results)}
 
     def finalize_expand(payload):
@@ -348,11 +457,51 @@ def build_day_graph(
         return graph
 
     def wrapup_run():
-        # _wrapup_phase carries its own "wrapup" kill point, the seal
-        # build and the commit.
-        service._wrapup_phase(
-            day, state.served, state.failure_reasons, report, day_metrics
+        # The kill point sits *before* any monitor mutation: recording is
+        # not idempotent, so a wrap-up crash must happen before all of it
+        # and recovery then performs the whole pass exactly once.
+        service._check("wrapup")
+        monitor = service.monitor
+        failure_reasons = state.failure_reasons
+        report.failed_retailers = sorted(failure_reasons)
+        report.failure_reasons = dict(failure_reasons)
+        for rid in report.failed_retailers:
+            # Graceful degradation: the store still holds the last good
+            # table (versioned batch loads never partially apply), so the
+            # retailer keeps serving — just stale.  Only a retailer that
+            # never had a table (day-0 failure) goes unserved.
+            if service.substitutes_store.has_retailer(rid):
+                report.retailers_stale += 1
+            else:
+                report.retailers_unserved += 1
+            reason = failure_reasons[rid]
+            monitor.record_failure(rid, day, stage=reason.split(":", 1)[0], detail=reason)
+            report.alerts += 1
+            day_metrics.counter("alerts_total", kind="failure").inc()
+
+        for rid in datasets:
+            # Failed retailers already got an availability alert; their
+            # registry entry is yesterday's, so recording it as today's
+            # metric would just mask the failure.
+            if rid in failure_reasons or not service.registry.has_models(rid):
+                continue
+            if monitor.record(rid, day, service.registry.best(rid).map_at_10) is not None:
+                report.alerts += 1
+                day_metrics.counter("alerts_total", kind="regression").inc()
+
+        for status, count in (
+            ("served", report.retailers_served),
+            ("stale", report.retailers_stale),
+            ("unserved", report.retailers_unserved),
+        ):
+            day_metrics.counter("retailers_total", status=status).inc(count)
+        # The seal is written atomically with the commit record; it is the
+        # artifact the crash-recovery parity suite compares byte for byte
+        # between recovered and uninterrupted runs.
+        seal = build_day_seal(
+            day, report.sweep_kind, report, day_metrics.snapshot(), fleet
         )
+        service.journal.commit_day(day, seal=seal)
         return {}
 
     graph.add(

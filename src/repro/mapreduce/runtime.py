@@ -79,8 +79,7 @@ class FaultPlan:
       memory ask no machine survives).
 
     Rules are consulted in registration order; plans are reusable across
-    jobs (mapper-fault counters persist, attempt counters are per task
-    copy).
+    jobs (mapper-fault counters persist, attempt counters are per task).
     """
 
     def __init__(self) -> None:
@@ -152,12 +151,6 @@ class MapReduceJob:
     task_startup_seconds: float = 5.0
     #: Simulated seconds per reduce output record (writes are cheap).
     reduce_record_seconds: float = 0.01
-    #: Launch a backup copy of straggling tasks (Dean & Ghemawat's
-    #: speculative execution) — whichever copy finishes first wins.
-    speculative_execution: bool = False
-    #: A task whose wall time exceeds this multiple of its ideal duration
-    #: (because of pre-emption retries) gets a backup copy.
-    speculation_factor: float = 2.0
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -176,7 +169,6 @@ class JobStats:
     map_attempts: int = 0
     preemptions: int = 0
     reduce_seconds: float = 0.0
-    speculative_copies: int = 0
     #: Map tasks that exhausted their attempts.
     tasks_failed: int = 0
     #: Records dead-lettered (mapper faults plus records on permanently
@@ -197,9 +189,23 @@ class JobStats:
         return max(busy) / mean if mean > 0 else 1.0
 
 
+def record_job_metrics(metrics, phase: str, cell: str, stats: JobStats) -> None:
+    """One cell job's epilogue, shared by Train() and Infer(): its billed
+    VM seconds, preemptions, dead letters and makespan, labelled by
+    ``phase`` (``train`` / ``inference``) and ``cell``."""
+    metrics.counter(f"{phase}_billed_vm_seconds_total", cell=cell).inc(
+        stats.billed_vm_seconds
+    )
+    metrics.counter("preemptions_total", phase=phase, cell=cell).inc(stats.preemptions)
+    metrics.counter("dead_letters_total", phase=phase, cell=cell).inc(
+        len(stats.dead_letters)
+    )
+    metrics.gauge(f"{phase}_makespan_seconds", cell=cell).set(stats.makespan_seconds)
+
+
 @dataclass
 class _TaskRun:
-    """Outcome of simulating one task copy's scheduling attempts."""
+    """Outcome of simulating one map task's scheduling attempts."""
 
     wall: float
     billed: float
@@ -239,7 +245,7 @@ class MapReduceRuntime:
         """Execute ``job`` over ``splits``; returns (outputs, stats).
 
         ``metrics`` receives job-level counters; ``tracer`` receives one
-        span per map-task copy (including speculative backups) on the
+        span per map task (and one for the reduce phase) on the
         job-relative simulated timeline.  Both default to the shared
         no-op singletons, so uninstrumented callers pay nothing.
         """
@@ -282,50 +288,21 @@ class MapReduceRuntime:
             run = self._simulate_attempts(
                 duration, job.vm_request.priority, split.records
             )
-            elapsed, billed = run.wall, run.billed
-            attempts, preemptions = run.attempts, run.preemptions
-            if run.completed and (
-                job.speculative_execution
-                and elapsed > job.speculation_factor * duration
-            ):
-                # Straggler: a backup copy races the original; the winner
-                # defines wall time, and each copy is billed its own time
-                # truncated at the winner's wall-clock (the loser is
-                # killed the moment the winner reports in).
-                backup = self._simulate_attempts(
-                    duration, job.vm_request.priority, split.records
-                )
-                winner = min(elapsed, backup.wall) if backup.completed else elapsed
-                billed = min(billed, winner) + min(backup.billed, winner)
-                elapsed = winner
-                attempts += backup.attempts
-                preemptions += backup.preemptions
-                stats.speculative_copies += 1
-                tracer.record_span(
-                    "speculative_copy",
-                    task_start,
-                    task_start + min(backup.wall, winner),
-                    job=job.name,
-                    task=task_index,
-                    attempts=backup.attempts,
-                    preemptions=backup.preemptions,
-                    won=backup.completed and backup.wall < run.wall,
-                )
             tracer.record_span(
                 "map_task",
                 task_start,
-                task_start + elapsed,
+                task_start + run.wall,
                 job=job.name,
                 task=task_index,
                 worker=worker,
-                attempts=attempts,
-                preemptions=preemptions,
+                attempts=run.attempts,
+                preemptions=run.preemptions,
                 completed=run.completed,
             )
-            workers[worker] += elapsed
-            stats.billed_vm_seconds += billed
-            stats.map_attempts += attempts
-            stats.preemptions += preemptions
+            workers[worker] += run.wall
+            stats.billed_vm_seconds += run.billed
+            stats.map_attempts += run.attempts
+            stats.preemptions += run.preemptions
             if run.completed:
                 for key, value in pairs:
                     intermediate[key].append(value)
@@ -387,7 +364,7 @@ class MapReduceRuntime:
         priority: Priority,
         records: Sequence[object] = (),
     ) -> _TaskRun:
-        """Simulate scheduling attempts for one map task copy.
+        """Simulate scheduling attempts for one map task.
 
         Map tasks are idempotent and restart from scratch on pre-emption
         (training-internal checkpointing is layered above, in the record

@@ -107,7 +107,6 @@ def fleet_rollup(metrics: MetricsSnapshot) -> Dict[str, float]:
         "model_loads": metrics.counter_total("inference_model_loads_total"),
         "preemptions": metrics.counter_total("preemptions_total"),
         "dead_letters": metrics.counter_total("dead_letters_total"),
-        "speculative_copies": metrics.counter_total("speculative_copies_total"),
         "publishes_accepted": outcome_total("publish_total", "accepted"),
         "publishes_rejected": outcome_total("publish_total", "rejected"),
         "alerts": metrics.counter_total("alerts_total"),

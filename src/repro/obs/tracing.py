@@ -12,8 +12,9 @@ Two ways to emit spans:
 * :meth:`Tracer.span` — a context manager for coordinator-side phases;
   start/end are read from the simulated clock, nesting gives parentage.
 * :meth:`Tracer.record_span` — explicit start/end for work whose timing
-  was *simulated elsewhere* (a MapReduce task's scheduling attempts, a
-  speculative backup copy); the caller supplies the job-relative times.
+  was *simulated elsewhere* (a MapReduce map task's scheduling attempts,
+  a job's reduce phase, a day block's lane times); the caller supplies
+  the times.
 
 :data:`NULL_TRACER` is the disabled mode, mirroring the null metrics
 registry: entering a span costs one constant context-manager round trip.

@@ -10,13 +10,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.inference import InferenceStats
 from repro.data.datasets import RetailerDataset, dataset_from_synthetic
 from repro.data.generator import RetailerSpec, SyntheticRetailer, generate_retailer
 from repro.data.sessions import UserContext
 from repro.models.base import ScoredItem
 from repro.models.bpr import BPRHyperParams, BPRModel, NegativePlan, PositivePlan
 from repro.models.trainer import BPRTrainer, CompiledExamples, ExampleSet
+from repro.obs.metrics import NULL_METRICS
 from repro.serving.store import RecommendationStore, as_table
 
 
@@ -92,24 +92,23 @@ def recompile(trainer: BPRTrainer) -> CompiledExamples:
     return trainer._compile(flat, negatives)
 
 
-def run_inference(pipeline, datasets, day: int = 0):
+def run_inference(pipeline, datasets, day: int = 0, metrics=NULL_METRICS):
     """Inference for every retailer of ``datasets`` with a trained model,
-    the way a day's ``infer_plan`` / ``infer/<cell>`` / ``infer_finalize``
-    blocks drive it: plan the cells, run each, fold its stats, finalize.
-    Returns ``(results, stats)``.  A cell job that raises propagates; the
-    day's ``infer/<cell>`` block is what degrades its retailers instead.
+    the way a day's ``infer_plan`` / ``infer/<cell>`` blocks drive it:
+    plan the cells and run each, its series recorded on ``metrics``.
+    Returns ``(results, failed)``: the retailers' tables and the reasons
+    of those whose inference failed.  A cell job that raises propagates;
+    the day's ``infer/<cell>`` block is what degrades its retailers
+    instead.
     """
-    stats = InferenceStats()
     results, failed = {}, {}
     for cell_name, group in pipeline.plan(datasets):
-        cell_results, job_stats, loads, cell_failed = pipeline.run_cell(
-            cell_name, {rid: datasets[rid] for rid in group}, day
+        cell_results, _, cell_failed = pipeline.run_cell(
+            cell_name, {rid: datasets[rid] for rid in group}, day, metrics=metrics
         )
         results.update(cell_results)
         failed.update(cell_failed)
-        pipeline.fold_cell(stats, cell_name, job_stats, loads)
-    pipeline.finalize_stats(stats, results, failed)
-    return results, stats
+    return results, failed
 
 
 SMALL_SPEC = RetailerSpec(

@@ -426,12 +426,11 @@ def test_dead_lettered_block_degrades_only_its_retailer(pipeline_fleet):
     plan = FaultPlan().fail_mapper(
         lambda r: isinstance(r, tuple) and r[0] == "blk_a"
     )
-    _, results, stats = _run_pipeline(
+    _, results, failed = _run_pipeline(
         datasets, registry, block_size=16, fault_plan=plan
     )
-    assert stats.failed_retailers == ["blk_a"]
+    assert list(failed) == ["blk_a"]
     assert "blk_a" not in results
-    assert "blk_a" in stats.failure_reasons
     # The healthy retailer still publishes a complete table.
     assert len(results["blk_b"].view_recs) == datasets["blk_b"].n_items
 
@@ -442,10 +441,10 @@ def test_one_poisoned_block_degrades_whole_retailer(pipeline_fleet):
     plan = FaultPlan().fail_mapper(
         lambda r: isinstance(r, tuple) and r[0] == "blk_a" and 0 in r[1]
     )
-    _, results, stats = _run_pipeline(
+    _, results, failed = _run_pipeline(
         datasets, registry, block_size=16, fault_plan=plan
     )
-    assert stats.failed_retailers == ["blk_a"]
+    assert list(failed) == ["blk_a"]
     assert "blk_a" not in results
     assert "blk_b" in results
 
@@ -456,10 +455,10 @@ def test_transient_attempt_fault_is_retried_not_degraded(pipeline_fleet):
     plan = FaultPlan().fail_attempts(
         lambda r: isinstance(r, tuple) and r[0] == "blk_a", failures=1
     )
-    _, results, stats = _run_pipeline(
+    _, results, failed = _run_pipeline(
         datasets, registry, block_size=16, fault_plan=plan
     )
-    assert stats.failed_retailers == []
+    assert failed == {}
     assert len(results["blk_a"].view_recs) == datasets["blk_a"].n_items
 
 

@@ -302,7 +302,7 @@ def test_an_indexed_inference_run_draws_one_neighbour_pass_per_block(monkeypatch
     spy(CandidateSelector, "batch_view_based", log["view"])
     spy(CandidateSelector, "batch_purchase_based", log["purchase"])
     datasets = dict(service._datasets)
-    results, _, _, failed = service.inference.run_cell(
+    results, _, failed = service.inference.run_cell(
         "cell", datasets, day=1, retrieval={"r0": adapter}
     )
     monkeypatch.undo()

@@ -14,6 +14,7 @@ from repro.core.inference import InferencePipeline
 from repro.core.registry import ModelRegistry, TrainedModel
 from repro.data.events import EventType
 from repro.data.sessions import UserContext
+from repro.obs.metrics import MetricsRegistry
 from tests.conftest import run_inference
 
 
@@ -45,13 +46,13 @@ class TestInferencePipeline:
             registry_with_model,
             top_n=5,
         )
-        results, stats = run_inference(
-            pipeline, {small_dataset.retailer_id: small_dataset}
+        metrics = MetricsRegistry()
+        results, _ = run_inference(
+            pipeline, {small_dataset.retailer_id: small_dataset}, metrics=metrics
         )
         result = results[small_dataset.retailer_id]
         assert len(result.view_recs) == small_dataset.n_items
-        assert stats.items_processed == small_dataset.n_items
-        assert stats.total_cost > 0
+        assert metrics.snapshot().counter_total("inference_cost_total") > 0
         # Every item's recs are at most top_n, never include itself.
         for item, recs in result.view_recs.items():
             assert len(recs) <= 5
@@ -94,10 +95,12 @@ class TestInferencePipeline:
             registry_with_model,
             workers_per_cell=4,
         )
-        _, stats = run_inference(
-            pipeline, {small_dataset.retailer_id: small_dataset}
+        metrics = MetricsRegistry()
+        run_inference(
+            pipeline, {small_dataset.retailer_id: small_dataset}, metrics=metrics
         )
-        assert stats.model_loads <= 4  # never per-item
+        loads = metrics.snapshot().counter_total("inference_model_loads_total")
+        assert 1 <= loads <= 4  # never per-item
 
     def test_purchase_recs_distinct_surface(self, small_dataset,
                                             registry_with_model):

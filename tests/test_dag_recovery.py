@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.recovery import KILL_STAGES, CrashPlan, SimulatedCrash
 from repro.dag import DISABLED, RAN, REPLAYED, UNSELECTED, DagError
-from repro.exceptions import SigmundError
+from repro.exceptions import RetrievalError, SigmundError
 from repro.mapreduce.runtime import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.retrieval.ivf import IVFConfig
@@ -148,6 +148,107 @@ def test_recovery_crosses_orchestration_modes(
     assert seal_bytes(service, 0) == serial_day0["seal"]
     assert summarize(service) == serial_day0["summary"]
     assert report_key(report) == serial_day0["report_key"]
+
+
+# ----------------------------------------------------------------------
+# the day's accounting: payload numbers folded straight into the report
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "orchestration,crash", [("serial", None), ("dag", None), ("dag", "infer_logged")]
+)
+def test_the_report_folds_the_cell_payloads_numbers(orchestration, crash):
+    """Each ``infer/<cell>`` fold adds its job's cost, preemptions and
+    makespan to the report, in fold order — also when the day is
+    recovered after a kill between a cell's journal record and its fold."""
+    service = make_service(
+        metrics=MetricsRegistry(),
+        orchestration=orchestration,
+        crash_plan=CrashPlan().crash_at(crash) if crash else None,
+    )
+    if crash:
+        with pytest.raises(SimulatedCrash):
+            service.run_day()
+        report = service.recover()
+    else:
+        report = service.run_day()
+    cells = list(service.journal.completed(0, "infer").values())
+    trains = list(service.journal.completed(0, "train").values())
+    assert len(cells) == 2
+    assert report.inference_cost == sum(cell["cost"] for cell in cells) > 0
+    assert report.inference_makespan == max(cell["makespan"] for cell in cells) > 0
+    assert report.preemptions == sum(
+        int(payload["preemptions"]) for payload in trains + cells
+    )
+    sealed = service.journal.day_seal(0)["report"]
+    assert sealed["inference_cost"] == report.inference_cost
+    assert sealed["inference_makespan"] == report.inference_makespan
+
+
+def test_a_dead_cell_folds_zeros_and_fails_its_retailers(monkeypatch):
+    """A cell job that raises journals zero cost and makespan; its
+    retailers fail with the cell's reason and the other cell's numbers
+    are the day's."""
+    service = make_service(metrics=MetricsRegistry(), orchestration="dag")
+    run_cell = service.inference.run_cell
+
+    def dying(cell_name, datasets, *args, **kwargs):
+        if "r0" in datasets:
+            raise SigmundError("cell lost")
+        return run_cell(cell_name, datasets, *args, **kwargs)
+
+    monkeypatch.setattr(service.inference, "run_cell", dying)
+    report = service.run_day()
+    cells = list(service.journal.completed(0, "infer").values())
+    dead = [cell for cell in cells if "r0" in cell["failed"]]
+    (live,) = [cell for cell in cells if "r1" in cell["results"]]
+    assert [(cell["cost"], cell["preemptions"], cell["makespan"]) for cell in dead] == [
+        (0.0, 0, 0.0)
+    ]
+    assert report.inference_cost == live["cost"] > 0
+    assert report.inference_makespan == live["makespan"]
+    assert report.failed_retailers == ["r0"]
+    assert report.failure_reasons["r0"] == "inference: cell 'cell-0': cell lost"
+
+
+def test_a_training_job_that_raises_fails_only_its_retailer(monkeypatch):
+    """``train/<rid>`` turns a sweep that died outright into a failed
+    payload: every config of the retailer failed, the others train."""
+    service = make_service(metrics=MetricsRegistry(), orchestration="dag")
+    run = service.training.run
+
+    def dying(configs, *args, **kwargs):
+        if configs[0].retailer_id == "r0":
+            raise SigmundError("no free capacity")
+        return run(configs, *args, **kwargs)
+
+    monkeypatch.setattr(service.training, "run", dying)
+    report = service.run_day()
+    planned = [c for c in service.journal.day_intent(0)["configs"] if c.retailer_id == "r0"]
+    payload = service.journal.task_payload(0, "train", "r0")
+    assert (payload["trained"], payload["failed"], payload["cost"]) == (0, len(planned), 0.0)
+    assert report.failure_reasons == {"r0": "training: no free capacity"}
+    assert report.retailers_served == 1
+
+
+def test_an_index_that_fails_to_build_is_journaled_unbuilt(monkeypatch):
+    """An ANN build that raises leaves the retailer on the taxonomy walk:
+    the payload records the reason and the day serves both retailers."""
+    service = make_service(metrics=MetricsRegistry(), orchestration="dag", **INDEXED)
+
+    def failing(model, **kwargs):
+        raise RetrievalError("no embedding surface")
+
+    monkeypatch.setattr("repro.dag.dayplan.ann_for_model", failing)
+    report = service.run_day()
+    for rid in ("r0", "r1"):
+        payload = service.journal.task_payload(0, "retrieval", rid)
+        assert not payload["built"] and payload["index"] is None
+        assert payload["reason"] == "retrieval: no embedding surface"
+    assert report.indexes_built == 0 and report.retailers_served == 2
+    counters = service.journal.day_seal(0)["metrics"]["counters"]
+    assert counters["retrieval_indexes_built_total{outcome=failed}"] == 2
 
 
 # ----------------------------------------------------------------------

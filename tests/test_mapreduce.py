@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.preemption import PreemptionModel
 from repro.exceptions import MapReduceError
-from repro.mapreduce.runtime import (
-    FaultPlan,
-    MapReduceJob,
-    MapReduceRuntime,
-    _TaskRun,
-)
+from repro.mapreduce.runtime import FaultPlan, MapReduceJob, MapReduceRuntime
 from repro.mapreduce.splits import (
     contiguous_splits_by_key,
     random_permutation_splits,
@@ -155,97 +150,6 @@ def test_property_runtime_output_is_split_invariant(n_records, n_splits, seed):
     as_dict = dict(outputs)
     assert as_dict.get(0, 0) == expected_even
     assert as_dict.get(1, 0) == expected_odd
-
-
-class TestSpeculativeExecution:
-    def stats_for(self, speculative: bool, seed: int = 8):
-        hostile = PreemptionModel(preemptible_mean_uptime_hours=0.05)
-        runtime = MapReduceRuntime(preemption_model=hostile, seed=seed)
-        job = MapReduceJob(
-            name="spec",
-            mapper=lambda r: [(0, r)],
-            n_workers=4,
-            record_cost_fn=lambda r: 60.0,
-            speculative_execution=speculative,
-        )
-        _, stats = runtime.run(job, uniform_splits([1] * 8, 8))
-        return stats
-
-    def test_backups_fire_under_heavy_preemption(self):
-        stats = self.stats_for(speculative=True)
-        assert stats.speculative_copies > 0
-
-    def test_no_backups_when_disabled(self):
-        stats = self.stats_for(speculative=False)
-        assert stats.speculative_copies == 0
-
-    def test_speculation_cuts_straggler_makespan_on_average(self):
-        """Averaged over seeds, racing a backup copy against a straggler
-        shortens the job (at some extra billed cost)."""
-        base_makespans, spec_makespans = [], []
-        for seed in range(10):
-            base_makespans.append(self.stats_for(False, seed).makespan_seconds)
-            spec_makespans.append(self.stats_for(True, seed).makespan_seconds)
-        assert sum(spec_makespans) < sum(base_makespans)
-
-    def test_outputs_unaffected(self):
-        hostile = PreemptionModel(preemptible_mean_uptime_hours=0.05)
-        runtime = MapReduceRuntime(preemption_model=hostile, seed=3)
-        job = MapReduceJob(
-            name="spec-out",
-            mapper=lambda r: [(0, 1)],
-            reducer=lambda key, values: [sum(values)],
-            record_cost_fn=lambda r: 30.0,
-            speculative_execution=True,
-        )
-        outputs, _ = runtime.run(job, uniform_splits([0] * 6, 3))
-        assert outputs == [6]
-
-    def test_backup_copies_not_double_billed(self):
-        """Regression: each racing copy is billed its own time truncated
-        at the winner's wall-clock.  The old formula added the winner's
-        full wall time on top of the original's bill, double-charging
-        whenever billed time diverges from wall time."""
-
-        class ScriptedRuntime(MapReduceRuntime):
-            def __init__(self, runs):
-                super().__init__()
-                self._script = list(runs)
-
-            def _simulate_attempts(self, duration, priority, records=()):
-                return self._script.pop(0)
-
-        runtime = ScriptedRuntime(
-            [
-                # Straggling original: 100s wall but only 40s billed
-                # (most attempts died at launch without accruing bill).
-                _TaskRun(
-                    wall=100.0, billed=40.0, attempts=3, preemptions=2,
-                    completed=True,
-                ),
-                # The backup wins the race at 30s wall, 12s billed.
-                _TaskRun(
-                    wall=30.0, billed=12.0, attempts=1, preemptions=0,
-                    completed=True,
-                ),
-            ]
-        )
-        job = MapReduceJob(
-            name="spec-bill",
-            mapper=lambda r: [(r, r)],
-            n_workers=1,
-            record_cost_fn=lambda r: 10.0,
-            task_startup_seconds=0.0,
-            reduce_record_seconds=0.0,
-            speculative_execution=True,
-            speculation_factor=2.0,
-        )
-        outputs, stats = runtime.run(job, uniform_splits([1], 1))
-        assert outputs == [1]
-        assert stats.speculative_copies == 1
-        # Winner defines wall time; bills: min(40, 30) + min(12, 30).
-        assert stats.makespan_seconds == pytest.approx(30.0)
-        assert stats.billed_vm_seconds == pytest.approx(42.0)
 
 
 class TestSimulatedWorkers:

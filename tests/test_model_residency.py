@@ -102,8 +102,8 @@ def test_an_inference_cell_assembles_once_and_drops_what_it_primed(datasets, ass
     )
     ranked = [registry.best(rid).model for rid in datasets]
     assemblies.clear()
-    results, stats = run_inference(InferencePipeline(cluster, registry, top_n=5), datasets)
-    assert sorted(results) == sorted(datasets) and not stats.failed_retailers
+    results, failed = run_inference(InferencePipeline(cluster, registry, top_n=5), datasets)
+    assert sorted(results) == sorted(datasets) and not failed
     assert assemblies == {id(model): 1 for model in ranked}
     for model in ranked:
         assert model._phi_cache is None

@@ -12,10 +12,15 @@ is then recovered, and after a backfill, under both orchestrations.
 import gc
 import json
 import weakref
+from types import FunctionType, ModuleType
 
 import pytest
 
+from repro.core.config import ConfigRecord
 from repro.core.recovery import CrashPlan, SimulatedCrash
+from repro.core.training import checkpoint_key
+from repro.mapreduce.runtime import FaultPlan
+from repro.models.bpr import BPRHyperParams
 from repro.obs.metrics import MetricsRegistry
 from tests.test_crash_recovery import make_service
 from tests.test_dag_recovery import INDEXED, fail_training_of
@@ -111,3 +116,56 @@ def test_a_backfilled_retailer_is_released(orchestration):
     for phase in ("train", "retrieval", "infer_plan", "infer", "publish"):
         assert service.journal.completed(0, f"backfill_{phase}") == {}
     assert service.journal.is_done(0, "train", "r0")
+
+
+def held_by(root) -> list:
+    """Every object reachable from ``root`` through containers and
+    instance state; an exception is listed but not followed (its traceback
+    reaches whole frames)."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, ModuleType, FunctionType)):
+            continue
+        seen[id(obj)] = obj
+        if not isinstance(obj, BaseException):
+            stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("orchestration", ORCHESTRATIONS)
+def test_a_dead_lettered_retailer_leaves_nothing_in_the_cell_payloads(orchestration):
+    """A cell's payload carries its job's numbers, not the job's stats:
+    once the retailer whose blocks dead-lettered is offboarded, no cell
+    payload holds its records or the exception they raised."""
+    service = make_service(
+        orchestration=orchestration,
+        fault_plan=FaultPlan().fail_mapper(
+            lambda record: isinstance(record, tuple) and record[0] == "r1"
+        ),
+    )
+    assert service.run_day().failed_retailers == ["r1"]
+
+    service.offboard("r1")
+    for payload in service.journal.completed(0, "infer").values():
+        held = held_by(payload)
+        assert not [obj for obj in held if isinstance(obj, BaseException)]
+        assert "r1" not in [obj for obj in held if isinstance(obj, str)]
+
+
+def test_offboard_removes_exactly_the_retailers_checkpoints():
+    """Retailer ids may hold ``/``: ``a``'s checkpoints are not ``a/b``'s,
+    and ``a/b``'s are its own."""
+    service = make_service(n_retailers=0)
+    checkpoints = service.training.checkpoints
+    keys = {
+        rid: checkpoint_key(ConfigRecord(rid, 1, BPRHyperParams()))
+        for rid in ("a", "a/b", "ab")
+    }
+    for key in keys.values():
+        checkpoints.storage.put(key, b"state")
+
+    service.offboard("a")
+    assert sorted(checkpoints.storage.keys()) == sorted([keys["a/b"], keys["ab"]])
+    service.offboard("a/b")
+    assert checkpoints.storage.keys() == [keys["ab"]]

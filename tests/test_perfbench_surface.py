@@ -82,7 +82,7 @@ def test_a_traced_cell_counts_every_candidate_once():
     with Patcher() as patcher:
         install(patcher, tracer)
         with tracer.span("day"):
-            results, _, _, failed = service.inference.run_cell("cell", datasets, day=1)
+            results, _, failed = service.inference.run_cell("cell", datasets, day=1)
     assert not failed and set(results) == set(datasets)
     total = 0
     for rid, dataset in datasets.items():

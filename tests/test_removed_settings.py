@@ -1,7 +1,8 @@
 """Settings that selected paths no day, request or command ran are gone.
 
-Every MapReduce job dead-letters (there is no per-job failure policy),
-nothing places VMs on a cell (so no cell or cluster takes a clock), and
+Every MapReduce job dead-letters (there is no per-job failure policy)
+and races no backup copy against a straggling task, nothing places VMs
+on a cell (so no cell or cluster takes a clock), and
 the serving frontend answers from published tables and the popularity
 fallback alone (it loads no ANN index).  Passing a removed setting is a
 ``TypeError``, not a value silently ignored.
@@ -27,6 +28,12 @@ def test_removed_settings_are_refused():
     refused = (
         lambda: MapReduceJob(
             name="job", mapper=lambda record: [], failure_policy="fail_job"
+        ),
+        lambda: MapReduceJob(
+            name="job", mapper=lambda record: [], speculative_execution=True
+        ),
+        lambda: MapReduceJob(
+            name="job", mapper=lambda record: [], speculation_factor=2.0
         ),
         lambda: TrainingPipeline(cluster, registry, failure_policy="fail_job"),
         lambda: InferencePipeline(cluster, registry, failure_policy="fail_job"),
