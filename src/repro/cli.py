@@ -3,17 +3,11 @@
 Commands:
 
 * ``demo``    — one-retailer train/evaluate/recommend walk-through.
-* ``service`` — run the multi-tenant service for N days on a synthetic
-  marketplace and print the daily reports.
 * ``train``   — train a model on CSV data (catalog + events files) and
   print holdout metrics.
 * ``inspect`` — summarize a CSV dataset (sizes, coverage, event mix).
 * ``metrics`` — run a synthetic fleet with observability enabled and
   print the fleet snapshot as JSON.
-* ``serve-bench`` — replay power-law traffic through the online serving
-  frontend and print p50/p99 latency, QPS per shard, and cache hit rate.
-* ``retrieval-bench`` — build an IVF ANN index over a synthetic catalog
-  and print recall@k and exact-vs-ANN query timings per nprobe.
 * ``chaos`` — run a scripted chaos drill (flash sale, bot flood, cell
   outage, ...) against the overload-protected serving stack and print
   the machine-checkable verdict.
@@ -66,12 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--epochs", type=int, default=8)
     demo.add_argument("--seed", type=int, default=7)
 
-    service = commands.add_parser("service", help="multi-tenant daily loop")
-    service.add_argument("--retailers", type=int, default=4)
-    service.add_argument("--days", type=int, default=3)
-    service.add_argument("--median-items", type=int, default=80)
-    service.add_argument("--seed", type=int, default=0)
-
     train = commands.add_parser("train", help="train on CSV data")
     train.add_argument("catalog", help="catalog CSV path")
     train.add_argument("events", help="interactions CSV path")
@@ -92,34 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--median-items", type=int, default=80)
     metrics.add_argument("--seed", type=int, default=0)
     metrics.add_argument("--indent", type=int, default=2)
-
-    serve = commands.add_parser(
-        "serve-bench",
-        help="replay power-law traffic through the serving frontend",
-    )
-    serve.add_argument("--retailers", type=int, default=4)
-    serve.add_argument("--items", type=int, default=800,
-                       help="largest retailer's catalog size")
-    serve.add_argument("--requests", type=int, default=2000)
-    serve.add_argument("--users", type=int, default=100_000)
-    serve.add_argument("--qps", type=float, default=1000.0)
-    serve.add_argument("--nodes", type=int, default=4)
-    serve.add_argument("--shards", type=int, default=16)
-    serve.add_argument("--cache-ttl-ms", type=float, default=60_000.0)
-    serve.add_argument("--seed", type=int, default=0)
-
-    retrieval = commands.add_parser(
-        "retrieval-bench",
-        help="IVF ANN recall and exact-vs-ANN timing on a synthetic catalog",
-    )
-    retrieval.add_argument("--items", type=int, default=50_000)
-    retrieval.add_argument("--factors", type=int, default=16)
-    retrieval.add_argument("--queries", type=int, default=256)
-    retrieval.add_argument(
-        "--nprobes", type=int, nargs="+", default=[1, 2, 4, 8, 16, 32]
-    )
-    retrieval.add_argument("--k", type=int, default=100)
-    retrieval.add_argument("--seed", type=int, default=0)
 
     chaos = commands.add_parser(
         "chaos",
@@ -212,37 +172,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_service(args: argparse.Namespace) -> int:
-    service = SigmundService(
-        build_cluster(n_cells=2, machines_per_cell=6),
-        grid=GridSpec.small(),
-        settings=TrainerSettings(
-            max_epochs_full=3, max_epochs_incremental=2, sampler="uniform"
-        ),
-    )
-    fleet = generate_marketplace(
-        MarketplaceSpec(
-            n_retailers=args.retailers,
-            median_items=args.median_items,
-            seed=args.seed,
-        )
-    )
-    for retailer in fleet:
-        service.onboard(dataset_from_synthetic(retailer))
-        print(f"onboarded {retailer.retailer_id} ({retailer.n_items} items)")
-    for _ in range(args.days):
-        report = service.run_day()
-        print(
-            f"day {report.day}: sweep={report.sweep_kind} "
-            f"models={report.configs_trained} served={report.retailers_served} "
-            f"cost={report.total_cost:.4f}"
-        )
-    print(f"total cost: {service.total_cost():.4f}")
-    for retailer_id, cost in sorted(service.retailer_costs().items()):
-        print(f"  chargeback {retailer_id}: {cost:.4f}")
-    return 0
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     dataset = dataset_from_files(args.catalog, args.events, args.retailer_id)
     print(f"loaded: {dataset.n_items} items, "
@@ -267,7 +196,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.obs import MetricsRegistry, Tracer, fleet_snapshot_json
+    from repro.obs import MetricsRegistry, fleet_snapshot_json
 
     service = SigmundService(
         build_cluster(n_cells=2, machines_per_cell=6),
@@ -277,7 +206,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         ),
         seed=args.seed,
         metrics=MetricsRegistry(),
-        tracer=Tracer(),
     )
     fleet = generate_marketplace(
         MarketplaceSpec(
@@ -291,123 +219,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     for _ in range(args.days):
         service.run_day()
     print(fleet_snapshot_json(service, indent=args.indent))
-    return 0
-
-
-def cmd_serve_bench(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from repro.serving.cluster import ServingCluster
-    from repro.serving.frontend import PopularityFallback, ServingFrontend
-    from repro.serving.traffic import (
-        TrafficGenerator,
-        synthetic_recommendation_table,
-        unique_users,
-    )
-
-    catalogs = {
-        f"r{i}": max(20, int(args.items / (i + 1)))
-        for i in range(args.retailers)
-    }
-    cluster = ServingCluster(
-        n_nodes=args.nodes, n_shards=args.shards, replication=2,
-        hot_fraction=0.1,
-    )
-    fallback = PopularityFallback()
-    for retailer_id, n_items in catalogs.items():
-        fallback.load_view_counts(
-            retailer_id, {item: float(n_items - item) for item in range(n_items)}
-        )
-        cluster.load_batch(
-            retailer_id,
-            synthetic_recommendation_table(n_items, seed=args.seed),
-            version=1,
-        )
-    frontend = ServingFrontend(
-        cluster, fallback=fallback, cache_ttl_ms=args.cache_ttl_ms
-    )
-    generator = TrafficGenerator(
-        catalogs, n_users=args.users, qps=args.qps, seed=args.seed
-    )
-    requests = generator.generate(args.requests)
-    print(
-        f"{len(catalogs)} retailers, {args.users:,} simulated users, "
-        f"{args.requests} requests at {args.qps:.0f} qps "
-        f"({unique_users(requests)} distinct visitors)"
-    )
-    for phase in ("cold", "warm"):
-        hits_before = frontend.stats.cache_hits
-        latencies = [
-            frontend.request(
-                r.retailer_id, r.context, k=10, now_ms=r.timestamp_ms
-            ).latency_ms
-            for r in requests
-        ]
-        duration_s = max(
-            (requests[-1].timestamp_ms - requests[0].timestamp_ms) / 1000.0,
-            1e-9,
-        )
-        hit_rate = (frontend.stats.cache_hits - hits_before) / len(requests)
-        print(
-            f"{phase:>5}: p50={np.percentile(latencies, 50):.3f}ms "
-            f"p99={np.percentile(latencies, 99):.3f}ms "
-            f"qps/shard={len(requests) / duration_s / args.shards:.1f} "
-            f"cache_hit_rate={hit_rate:.3f}"
-        )
-    stats = frontend.stats
-    print(
-        f"stale_serves={stats.stale_serves} fallbacks={stats.fallbacks} "
-        f"coalesced={stats.coalesced} evictions={stats.cache_evictions}"
-    )
-    return 0
-
-
-def cmd_retrieval_bench(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.retrieval import (
-        ExactRetrieval,
-        IVFConfig,
-        IVFIndex,
-        recall_at_k,
-        synthetic_embeddings,
-        synthetic_queries,
-    )
-
-    vectors, bias = synthetic_embeddings(
-        args.items, args.factors, seed=args.seed
-    )
-    queries = synthetic_queries(vectors, args.queries, seed=args.seed + 1)
-    exact = ExactRetrieval(vectors, bias)
-    build_start = time.perf_counter()
-    index = IVFIndex.build(vectors, bias, IVFConfig(seed=args.seed))
-    build_seconds = time.perf_counter() - build_start
-    print(
-        f"{args.items:,} items, {args.factors} factors: "
-        f"{index.n_clusters} clusters built in {build_seconds:.2f}s"
-    )
-
-    def best_ms_per_query(search: Callable[[], object]) -> float:
-        # The first call pays page faults and BLAS warm-up, not search.
-        search()
-        best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            search()
-            best = min(best, time.perf_counter() - start)
-        return best * 1000.0 / args.queries
-
-    exact_ms = best_ms_per_query(lambda: exact.search(queries, args.k))
-    print(f"exact: {exact_ms:.3f} ms/query")
-    for nprobe in args.nprobes:
-        ann_ms = best_ms_per_query(
-            lambda: index.search(queries, args.k, nprobe=nprobe)
-        )
-        recall = recall_at_k(index, exact, queries, args.k, nprobe)
-        print(
-            f"nprobe={nprobe:>3}: recall@{args.k}={recall:.4f} "
-            f"{ann_ms:.3f} ms/query ({exact_ms / max(ann_ms, 1e-9):.1f}x)"
-        )
     return 0
 
 
@@ -515,12 +326,9 @@ def cmd_run_day(args: argparse.Namespace) -> int:
 
 COMMANDS = {
     "demo": cmd_demo,
-    "service": cmd_service,
     "train": cmd_train,
     "inspect": cmd_inspect,
     "metrics": cmd_metrics,
-    "serve-bench": cmd_serve_bench,
-    "retrieval-bench": cmd_retrieval_bench,
     "chaos": cmd_chaos,
     "run-day": cmd_run_day,
 }

@@ -162,6 +162,14 @@ class RunJournal:
         """task_id -> payload of every completed task in one phase."""
         return dict(self._tasks(day, phase))
 
+    def task_payloads(self, day: int) -> List[Dict[str, object]]:
+        """The payload of every completed task of ``day``, in any phase."""
+        return [
+            payload
+            for tasks in self._record(day).tasks.values()
+            for payload in tasks.values()
+        ]
+
     def is_committed(self, day: int) -> bool:
         record = self._days.get(day)
         return record is not None and record.committed

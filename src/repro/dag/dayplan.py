@@ -502,6 +502,12 @@ def build_day_graph(
             day, report.sweep_kind, report, day_metrics.snapshot(), fleet
         )
         service.journal.commit_day(day, seal=seal)
+        # The folds ran before the commit and the seal holds what they
+        # took, so nothing reads a committed day's task snapshots; left in
+        # place, their series would name a retailer after it leaves.  Never
+        # before the commit: a crash inside wrapup replays them.
+        for payload in service.journal.task_payloads(day):
+            payload.pop("metrics", None)
         return {}
 
     graph.add(

@@ -11,11 +11,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-import numpy as np
-
 from repro.data.datasets import RetailerDataset
 from repro.evaluation.metrics import mean_rank_metrics
-from repro.evaluation.sampled import SampledRankEstimator
+from repro.evaluation.sampled import SampledRankEstimator, exact_ranks
 from repro.models.base import Recommender
 from repro.rng import SeedLike
 
@@ -77,7 +75,12 @@ class HoldoutEvaluator:
         if use_sampled:
             ranks = self._sampled_ranks(model)
         else:
-            ranks = self._exact_ranks(model)
+            holdout = self.dataset.holdout
+            ranks = exact_ranks(
+                model,
+                [example.context for example in holdout],
+                [example.held_out_item for example in holdout],
+            )
         metrics = self._aggregate(ranks)
         return EvaluationResult(
             retailer_id=self.dataset.retailer_id,
@@ -85,40 +88,6 @@ class HoldoutEvaluator:
             ranks=ranks,
             sampled=use_sampled,
         )
-
-    def _exact_ranks(self, model: Recommender) -> List[float]:
-        """Full-catalog holdout ranks, one score matrix for all examples.
-
-        Semantically identical to ``rank_of(context, held_out_item)`` over
-        the whole catalog (worst-case rank among ties, diverged scores
-        rank last), computed as a vectorized ``>=`` reduction over a
-        single ``(examples, items)`` :meth:`Recommender.score_contexts`
-        matrix — the hot loop of every grid-search trial.
-        """
-        holdout = self.dataset.holdout
-        if not holdout:
-            return []
-        contexts = [example.context for example in holdout]
-        targets = np.asarray(
-            [example.held_out_item for example in holdout], dtype=np.int64
-        )
-        # Chunk over examples so the score matrix stays bounded at
-        # (chunk, n_items) regardless of holdout size.
-        chunk = 1024
-        ranks: List[float] = []
-        for start in range(0, targets.size, chunk):
-            stop = min(start + chunk, targets.size)
-            matrix = np.asarray(
-                model.score_contexts(contexts[start:stop]), dtype=np.float64
-            )
-            target_scores = matrix[np.arange(stop - start), targets[start:stop]]
-            chunk_ranks = np.sum(matrix >= target_scores[:, None], axis=1)
-            ranks.extend(
-                np.where(
-                    np.isfinite(target_scores), chunk_ranks, matrix.shape[1]
-                ).astype(np.float64)
-            )
-        return [float(rank) for rank in ranks]
 
     def _sampled_ranks(self, model: Recommender) -> List[float]:
         estimator = SampledRankEstimator(

@@ -29,6 +29,42 @@ from repro.rng import SeedLike, make_rng
 _CHUNK_EXAMPLES = 256
 
 
+#: Examples per score matrix in :func:`exact_ranks`: the matrix stays
+#: ``(chunk, n_items)`` regardless of holdout size.
+_EXACT_CHUNK_EXAMPLES = 1024
+
+
+def exact_ranks(
+    model: Recommender,
+    contexts: Sequence[UserContext],
+    target_items: Sequence[int],
+) -> List[float]:
+    """Full-catalog ranks of ``target_items[i]`` under ``contexts[i]``.
+
+    Semantically identical to ``rank_of(context, target)`` over the whole
+    catalog (worst-case rank among ties, diverged scores rank last),
+    computed as a vectorized ``>=`` reduction over one
+    :meth:`Recommender.score_contexts` matrix per chunk of examples — the
+    hot loop of every grid-search trial.  The one exact-rank kernel: the
+    evaluator's exact path and the estimator's small-catalog path.
+    """
+    targets = np.asarray(target_items, dtype=np.int64)
+    ranks: List[float] = []
+    for start in range(0, targets.size, _EXACT_CHUNK_EXAMPLES):
+        stop = min(start + _EXACT_CHUNK_EXAMPLES, targets.size)
+        matrix = np.asarray(
+            model.score_contexts(contexts[start:stop]), dtype=np.float64
+        )
+        target_scores = matrix[np.arange(stop - start), targets[start:stop]]
+        chunk_ranks = np.sum(matrix >= target_scores[:, None], axis=1)
+        ranks.extend(
+            np.where(
+                np.isfinite(target_scores), chunk_ranks, matrix.shape[1]
+            ).astype(np.float64)
+        )
+    return [float(rank) for rank in ranks]
+
+
 class SampledRankEstimator:
     """Estimates full-catalog holdout ranks from an item sample."""
 
@@ -118,22 +154,7 @@ class SampledRankEstimator:
             return []
         if self.sample_size >= self.n_items:
             # Small catalog: exact ranks over everything (rank_of semantics).
-            ranks: List[float] = []
-            for start in range(0, batch, _CHUNK_EXAMPLES):
-                stop = min(start + _CHUNK_EXAMPLES, batch)
-                matrix = np.asarray(
-                    model.score_contexts(contexts[start:stop]), dtype=np.float64
-                )
-                target_scores = matrix[
-                    np.arange(stop - start), targets[start:stop]
-                ]
-                chunk_ranks = np.sum(matrix >= target_scores[:, None], axis=1)
-                ranks.extend(
-                    np.where(
-                        np.isfinite(target_scores), chunk_ranks, matrix.shape[1]
-                    ).astype(np.float64)
-                )
-            return [float(rank) for rank in ranks]
+            return exact_ranks(model, contexts, targets)
         pool = (
             self.draw_sample()
             if sample is None
@@ -143,7 +164,7 @@ class SampledRankEstimator:
         # every example's own target is masked out of its pool afterwards.
         # Chunking keeps the scored column set near the loop path's
         # (sample + one target), instead of sample + every target at once.
-        ranks = []
+        ranks: List[float] = []
         for start in range(0, batch, _CHUNK_EXAMPLES):
             stop = min(start + _CHUNK_EXAMPLES, batch)
             ranks.extend(

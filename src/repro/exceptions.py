@@ -63,15 +63,6 @@ class ClusterError(SigmundError):
     """The cluster simulator was asked to do something impossible."""
 
 
-class PreemptedError(ClusterError):
-    """Raised inside a simulated task when its VM is pre-empted."""
-
-    def __init__(self, message: str = "VM pre-empted", *, at_time: float = 0.0):
-        super().__init__(message)
-        #: Simulated time at which the pre-emption occurred.
-        self.at_time = at_time
-
-
 class MapReduceError(SigmundError):
     """A MapReduce job failed permanently (retries exhausted)."""
 
@@ -87,14 +78,6 @@ class FaultInjectedError(SigmundError):
 
 class ServingError(SigmundError):
     """The serving store could not satisfy a request."""
-
-
-class PublishRejectedError(ServingError):
-    """A recommendation table failed publish-gate validation.
-
-    The store keeps serving the last-good version; the rejection is
-    surfaced through the quality monitor instead of silently serving a
-    broken table."""
 
 
 class SimulatedCrash(BaseException):

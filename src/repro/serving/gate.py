@@ -33,7 +33,6 @@ from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import PublishRejectedError
 from repro.models.base import ScoredItem
 from repro.obs.metrics import NULL_METRICS
 from repro.serving.store import RecommendationStore, as_table
@@ -158,14 +157,4 @@ class PublishGate:
             "gate_validations_total",
             outcome="accepted" if decision.accepted else "rejected",
         ).inc()
-        return decision
-
-    def validate_or_raise(self, *args, **kwargs) -> GateDecision:
-        """Like :meth:`validate` but raises on rejection (library callers)."""
-        decision = self.validate(*args, **kwargs)
-        if not decision.accepted:
-            raise PublishRejectedError(
-                f"publish rejected for {decision.retailer_id!r}: "
-                f"{decision.reason}"
-            )
         return decision

@@ -133,22 +133,3 @@ class RecommendationServer:
             set(context.item_indices),
             k,
         )
-
-    def recommend_for_item(
-        self, retailer_id: str, item_index: int, k: int = 10
-    ) -> List[ServedRecommendation]:
-        """Item-page recommendations (single-item context).
-
-        Self-recommendations are filtered *before* taking the top ``k``,
-        so an item appearing in its own list never shortens the page.
-        """
-        if k <= 0:
-            return []
-        recs = [
-            r for r in self.store.lookup(retailer_id, item_index)
-            if r.item_index != item_index
-        ]
-        return [
-            ServedRecommendation(r.item_index, r.score, item_index)
-            for r in recs[:k]
-        ]

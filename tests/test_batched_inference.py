@@ -295,6 +295,16 @@ def test_sampled_evaluator_chunking_is_invisible(monkeypatch):
     assert chunked.ranks == baseline.ranks
 
 
+def test_exact_evaluator_chunking_is_invisible(monkeypatch):
+    """Chunk-boundary placement must not change a single exact rank."""
+    dataset, model, _ = _env()
+    baseline = HoldoutEvaluator(dataset).evaluate(model, force_exact=True)
+    monkeypatch.setattr("repro.evaluation.sampled._EXACT_CHUNK_EXAMPLES", 3)
+    chunked = HoldoutEvaluator(dataset).evaluate(model, force_exact=True)
+    assert len(dataset.holdout) > 3
+    assert chunked.ranks == baseline.ranks
+
+
 def test_evaluator_diverged_model_ranks_worst_exact_and_sampled():
     dataset, model, _ = _env()
     diverged = copy.deepcopy(model)
@@ -324,6 +334,26 @@ def test_estimate_ranks_matches_estimate_rank_with_shared_sample():
         for context, target in zip(contexts, targets)
     ]
     assert batched == scalar
+
+
+def test_small_catalog_estimate_ranks_are_the_evaluators_exact_ranks():
+    """A catalog no larger than ``min_sample`` is ranked exactly, through
+    the evaluator's own kernel: the ranks are equal float for float."""
+    dataset = _pipeline_dataset("small", seed=4)
+    assert dataset.n_items <= 50
+    model = BPRModel(
+        dataset.catalog, dataset.taxonomy, BPRHyperParams(n_factors=4, seed=1)
+    )
+    BPRTrainer(model, dataset, max_epochs=1, seed=2).train()
+    estimator = SampledRankEstimator(dataset.n_items, seed=9)
+    assert estimator.sample_size >= dataset.n_items
+    ranks = estimator.estimate_ranks(
+        model,
+        [example.context for example in dataset.holdout],
+        [example.held_out_item for example in dataset.holdout],
+    )
+    exact = HoldoutEvaluator(dataset).evaluate(model, force_exact=True)
+    assert ranks and ranks == exact.ranks
 
 
 # ----------------------------------------------------------------------

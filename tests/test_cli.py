@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import subprocess
 import sys
 
@@ -48,13 +47,6 @@ class TestParser:
         assert args.items == 300
         assert args.command == "demo"
 
-    def test_service_overrides(self):
-        args = build_parser().parse_args(
-            ["service", "--retailers", "2", "--days", "1"]
-        )
-        assert args.retailers == 2
-        assert args.days == 1
-
     def test_metrics_defaults(self):
         args = build_parser().parse_args(["metrics"])
         assert args.command == "metrics"
@@ -62,13 +54,13 @@ class TestParser:
         assert args.days == 1
         assert args.indent == 2
 
-    def test_serve_bench_defaults(self):
-        args = build_parser().parse_args(["serve-bench"])
-        assert args.command == "serve-bench"
-        assert args.retailers == 4
-        assert args.requests == 2000
-        assert args.qps == 1000.0
-        assert args.cache_ttl_ms == 60_000.0
+    def test_metrics_overrides(self):
+        args = build_parser().parse_args(
+            ["metrics", "--retailers", "2", "--days", "3",
+             "--median-items", "40", "--seed", "5", "--indent", "0"]
+        )
+        assert (args.retailers, args.days, args.median_items) == (2, 3, 40)
+        assert (args.seed, args.indent) == (5, 0)
 
     def test_run_day_defaults(self):
         args = build_parser().parse_args(["run-day"])
@@ -100,11 +92,20 @@ class TestParser:
         assert exit.value.code == 2
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
-    def test_service_has_no_workers_option(self, capsys):
+    def test_commands_are_exactly_one_per_job(self):
+        """The daily loop runs through ``run-day`` (``metrics`` for its
+        snapshot); serving and retrieval speed are the E24 / E26 benches."""
+        parser = build_parser()
+        assert "{demo,train,inspect,metrics,chaos,run-day}" in parser.format_usage()
+        for gone in ("service", "serve-bench", "retrieval-bench"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([gone])
+
+    def test_run_day_has_no_workers_option(self, capsys):
         """Train()'s fan-out is modelled, not run: every map task trains in
         the one process, and the service takes no worker pool."""
         with pytest.raises(SystemExit) as exit:
-            build_parser().parse_args(["service", "--workers", "2"])
+            build_parser().parse_args(["run-day", "--workers", "2"])
         assert exit.value.code == 2
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
         for option in ("n_workers", "executor"):
@@ -120,15 +121,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "MAP@10" in out
         assert "top-5" in out
-
-    def test_service_runs(self, capsys):
-        code = main(["service", "--retailers", "2", "--days", "2",
-                     "--median-items", "40"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "sweep=full" in out
-        assert "sweep=incremental" in out
-        assert "chargeback" in out
 
     def test_inspect_csv(self, csv_paths, capsys):
         catalog, events = csv_paths
@@ -162,6 +154,10 @@ class TestCommands:
         assert snapshot["fleet"]["publishes_accepted"] == 2
         assert snapshot["metrics"]["counters"]
         assert snapshot["process"]["checkpoints"]["writes"] >= 0
+        ledger = snapshot["process"]["ledger"]
+        assert ledger["total_cost"] > 0
+        assert set(ledger["chargebacks"]) == set(snapshot["retailers"])
+        assert all(cost > 0 for cost in ledger["chargebacks"].values())
 
     def test_run_day_dag_matches_serial_output(self, capsys):
         dag_args = ["run-day", "--retailers", "2", "--days", "2",
@@ -196,32 +192,6 @@ class TestCommands:
         seal = json.loads(seal_path.read_text())
         assert seal["day"] == 0
         assert seal["fleet"]["publishes_accepted"] == 2
-
-    def test_retrieval_bench_prints_a_finite_speedup_per_nprobe(self, capsys):
-        rc = main(["retrieval-bench", "--items", "1500", "--queries", "16",
-                   "--nprobes", "1", "4", "--k", "10"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "exact:" in out
-        rows = re.findall(
-            r"nprobe=\s*(\d+): recall@10=([\d.]+) ([\d.]+) ms/query "
-            r"\(([\d.]+)x\)", out
-        )
-        assert [int(row[0]) for row in rows] == [1, 4]
-        for _, recall, ann_ms, speedup in rows:
-            assert 0.0 <= float(recall) <= 1.0
-            assert float(ann_ms) > 0.0
-            assert 0.0 <= float(speedup) < float("inf")
-
-    def test_serve_bench_runs(self, capsys):
-        code = main(["serve-bench", "--retailers", "2", "--items", "120",
-                     "--requests", "300", "--users", "5000"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "cold: p50=" in out
-        assert "warm: p50=" in out
-        assert "cache_hit_rate=" in out
-        assert "stale_serves=" in out
 
 
 class TestBlasThreadCap:

@@ -32,7 +32,6 @@ from repro.core.training import TrainerSettings
 from repro.data.datasets import dataset_from_synthetic
 from repro.data.generator import RetailerSpec, generate_retailer
 from repro.exceptions import (
-    PublishRejectedError,
     ServingError,
     SimulatedCrash,
 )
@@ -197,6 +196,18 @@ class TestRunJournal:
         assert journal.task_count(2, "infer") == 2
         assert set(journal.completed(2, "infer")) == {"cell_a", "cell_b"}
 
+    def test_task_payloads_span_every_phase_of_one_day(self):
+        journal = RunJournal()
+        journal.begin_day(0, {})
+        journal.log_task(0, "train", "r0", {"cost": 1.0})
+        journal.log_task(0, "infer", "cell_a", {"loads": 1})
+        journal.begin_day(1, {})
+        journal.log_task(1, "train", "r0", {"cost": 2.0})
+        assert journal.task_payloads(0) == [{"cost": 1.0}, {"loads": 1}]
+        assert journal.task_payloads(1) == [{"cost": 2.0}]
+        journal.task_payloads(0)[1].pop("loads")
+        assert journal.task_payload(0, "infer", "cell_a") == {}
+
 
 # ----------------------------------------------------------------------
 # CrashPlan
@@ -337,11 +348,6 @@ class TestPublishGate:
             previous_map=0.40,
         )
         assert decision.accepted
-
-    def test_validate_or_raise(self):
-        gate = PublishGate()
-        with pytest.raises(PublishRejectedError):
-            gate.validate_or_raise("r0", {}, 1, RecommendationStore(), n_items=5)
 
 
 # ----------------------------------------------------------------------
@@ -664,6 +670,25 @@ class TestMetricsParityUnderRecovery:
         run_with_recovery(service)
         recovered = json.dumps(service.journal.day_seal(0), sort_keys=True)
         assert recovered == metrics_baseline_seal
+
+    def test_a_wrapup_crash_replays_the_task_snapshots_then_drops_them(
+        self, metrics_baseline_seal
+    ):
+        """The open day keeps every task's metrics snapshot until the
+        commit, so a crash inside wrapup refolds them; the committed day
+        keeps none."""
+        service = make_service(
+            crash_plan=CrashPlan().crash_at("wrapup"), metrics=MetricsRegistry()
+        )
+        with pytest.raises(SimulatedCrash):
+            service.run_day()
+        assert not service.journal.is_committed(0)
+        held = [p for p in service.journal.task_payloads(0) if "metrics" in p]
+        assert held
+        service.recover()
+        recovered = json.dumps(service.journal.day_seal(0), sort_keys=True)
+        assert recovered == metrics_baseline_seal
+        assert not [p for p in service.journal.task_payloads(0) if "metrics" in p]
 
     def test_seal_carries_day_snapshot(self, metrics_baseline_seal):
         seal = json.loads(metrics_baseline_seal)

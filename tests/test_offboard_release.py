@@ -11,6 +11,7 @@ is then recovered, and after a backfill, under both orchestrations.
 
 import gc
 import json
+import re
 import weakref
 from types import FunctionType, ModuleType
 
@@ -120,14 +121,17 @@ def test_a_backfilled_retailer_is_released(orchestration):
 
 def held_by(root) -> list:
     """Every object reachable from ``root`` through containers and
-    instance state; an exception is listed but not followed (its traceback
-    reaches whole frames)."""
+    instance state, dict keys included (the collector does not visit a
+    str-keyed dict's keys); an exception is listed but not followed (its
+    traceback reaches whole frames)."""
     seen, stack = {}, [root]
     while stack:
         obj = stack.pop()
         if id(obj) in seen or isinstance(obj, (type, ModuleType, FunctionType)):
             continue
         seen[id(obj)] = obj
+        if isinstance(obj, dict):
+            stack.extend(obj)
         if not isinstance(obj, BaseException):
             stack.extend(gc.get_referents(obj))
     return list(seen.values())
@@ -151,6 +155,24 @@ def test_a_dead_lettered_retailer_leaves_nothing_in_the_cell_payloads(orchestrat
         held = held_by(payload)
         assert not [obj for obj in held if isinstance(obj, BaseException)]
         assert "r1" not in [obj for obj in held if isinstance(obj, str)]
+
+
+@pytest.mark.parametrize("orchestration", ORCHESTRATIONS)
+def test_no_task_payload_of_a_committed_day_names_the_retailer(orchestration):
+    """A cell's payload carried its job's metrics snapshot, whose series
+    are labelled ``retailer=r1``; the seal holds what the day folded from
+    it, and the committed day keeps no snapshot of its own."""
+    service = indexed_service(orchestration)
+    service.run_day()
+    seal = sealed(service)
+    assert "retailer=r1" in seal
+
+    service.offboard("r1")
+    assert sealed(service) == seal
+    for phase in ("train", "retrieval", "infer_plan", "infer", "publish"):
+        for payload in service.journal.completed(0, phase).values():
+            names = [obj for obj in held_by(payload) if isinstance(obj, str)]
+            assert not [name for name in names if re.search(r"\br1\b", name)]
 
 
 def test_offboard_removes_exactly_the_retailers_checkpoints():

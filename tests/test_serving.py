@@ -151,6 +151,19 @@ class TestServer:
         items = {r.item_index for r in server.recommend("r1", context)}
         assert 0 not in items and 1 not in items
 
+    def test_a_context_item_in_a_list_does_not_shorten_the_page(self):
+        """Seen items are dropped before the top-``k`` cut, not after: a
+        list holding its own source item still fills a ``k``-item page."""
+        store = RecommendationStore()
+        store.load_batch(
+            "r",
+            {0: recs((0, 9.0), (1, 3.0), (2, 2.0), (3, 1.0))},
+            version=1,
+        )
+        server = RecommendationServer(store)
+        served = server.recommend("r", UserContext((0,), (EventType.VIEW,)), k=3)
+        assert [r.item_index for r in served] == [1, 2, 3]
+
     def test_recency_prefers_recent_source(self):
         """With equal stored scores, the most recent context item's rec wins."""
         store = RecommendationStore()
@@ -181,12 +194,11 @@ class TestServer:
 
     @pytest.mark.parametrize("k", [-3, -1, 0])
     def test_non_positive_k_is_an_empty_page(self, k):
-        """Regression: ``ranked[:k]`` / ``recs[:k]`` with a negative ``k``
-        returned every item but the last ``-k``."""
+        """Regression: ``ranked[:k]`` with a negative ``k`` returned every
+        item but the last ``-k``."""
         server = RecommendationServer(loaded_store())
         context = UserContext((0, 1), (EventType.VIEW, EventType.VIEW))
         assert server.recommend("r1", context, k=k) == []
-        assert server.recommend_for_item("r1", 0, k=k) == []
 
     @pytest.mark.parametrize("event", [9, -1, 4])
     def test_an_unknown_event_makes_no_lookup(self, event):
@@ -215,23 +227,3 @@ class TestServer:
         assert mixed == known
         # Item 0 is two actions old (decay 0.5 ** 2), not one.
         assert [tuple(r) for r in mixed] == [(4, 1.5 * 5.0, 1), (3, 0.25, 0)]
-
-    def test_recommend_for_item(self):
-        server = RecommendationServer(loaded_store())
-        served = server.recommend_for_item("r1", 0, k=2)
-        assert [r.item_index for r in served] == [1, 2]
-        assert all(r.source_item == 0 for r in served)
-
-    def test_recommend_for_item_self_rec_does_not_shorten_page(self):
-        """Regression: filtering self-recs *after* the top-k slice used to
-        return k-1 results whenever an item appeared in its own list."""
-        store = RecommendationStore()
-        store.load_batch(
-            "r",
-            {0: recs((0, 9.0), (1, 3.0), (2, 2.0), (3, 1.0))},
-            version=1,
-        )
-        server = RecommendationServer(store)
-        served = server.recommend_for_item("r", 0, k=3)
-        assert [r.item_index for r in served] == [1, 2, 3]
-        assert len(served) == 3
