@@ -58,6 +58,12 @@ from repro.serving.store import RecommendationTable
 #: Top-N recommendations materialized per item per surface.
 DEFAULT_TOP_N = 10
 
+#: Simulated seconds to score one candidate for one item.
+PER_CANDIDATE_SECONDS = 2e-5
+
+#: Simulated start-up seconds of an inference map task (loading its models).
+MODEL_LOAD_SECONDS = 5.0
+
 #: Items per inference block (one MapReduce record): large enough to
 #: amortize one batched scoring call, small enough that a poisoned block
 #: dead-letters without dragging the whole retailer through the mapper.
@@ -118,8 +124,6 @@ class InferencePipeline:
         pricing: ResourcePricing = ResourcePricing(),
         preemption_model: PreemptionModel = PreemptionModel(),
         ledger: Optional[CostLedger] = None,
-        per_candidate_seconds: float = 2e-5,
-        model_load_seconds: float = 5.0,
         workers_per_cell: int = 8,
         seed: int = 0,
         fault_plan: Optional[FaultPlan] = None,
@@ -137,8 +141,6 @@ class InferencePipeline:
             seed=seed,
             fault_plan=fault_plan,
         )
-        self.per_candidate_seconds = per_candidate_seconds
-        self.model_load_seconds = model_load_seconds
         self.workers_per_cell = workers_per_cell
         if block_size < 1:
             raise SigmundError("inference block_size must be >= 1")
@@ -335,7 +337,7 @@ class InferencePipeline:
             retailer_id, items = record  # type: ignore[misc]
             dataset = datasets[retailer_id]
             candidates = min(dataset.n_items, selectors[retailer_id].max_candidates)
-            return len(items) * candidates * self.per_candidate_seconds
+            return len(items) * candidates * PER_CANDIDATE_SECONDS
 
         records = [
             (rid, block)
@@ -353,7 +355,7 @@ class InferencePipeline:
             n_workers=n_workers,
             vm_request=VMRequest(cpus=4, memory_gb=16.0, priority=Priority.PREEMPTIBLE),
             record_cost_fn=record_cost,
-            task_startup_seconds=self.model_load_seconds,
+            task_startup_seconds=MODEL_LOAD_SECONDS,
         )
         try:
             outputs, job_stats = self.runtime.run(

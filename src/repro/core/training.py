@@ -25,9 +25,8 @@ and every Train() call runs in this process, one config after another
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from repro.core.recovery import CrashPlan
 from repro.core.registry import ModelRegistry, TrainedModel
 from repro.data.datasets import RetailerDataset
 from repro.evaluation.evaluator import HoldoutEvaluator
-from repro.exceptions import ConfigError, DataError, SigmundError
+from repro.exceptions import ConfigError, DataError, ModelNotTrainedError, SigmundError
 from repro.mapreduce.runtime import (
     FaultPlan,
     JobStats,
@@ -199,7 +198,6 @@ def train_config(
     settings: TrainerSettings = TrainerSettings(),
     warm_model: Optional[BPRModel] = None,
     checkpoints: Optional[CheckpointManager] = None,
-    start_time: float = 0.0,
     crash_plan: Optional["CrashPlan"] = None,
     metrics=NULL_METRICS,
     examples: Optional[ExampleSet] = None,
@@ -238,9 +236,7 @@ def train_config(
             f"config {config.key} cannot train on {dataset.retailer_id!r} data"
         )
     if config.model_kind == "wals":
-        return _train_wals_config(
-            config, dataset, settings, warm_model, start_time, metrics
-        )
+        return _train_wals_config(config, dataset, settings, warm_model, metrics)
     model = BPRModel(dataset.catalog, dataset.taxonomy, config.params)
     warmed = isinstance(warm_model, BPRModel)
     if warmed:
@@ -279,7 +275,7 @@ def train_config(
     # same epochs/steps/seconds as the uninterrupted run it replaces.
     report.epochs_run = start_epoch
     report.sgd_steps = start_epoch * trainer.n_examples
-    simulated_now = start_time + start_epoch * epoch_seconds
+    simulated_now = start_epoch * epoch_seconds
     for epoch, loss in trainer.iter_epochs():
         absolute_epoch = start_epoch + epoch
         report.epochs_run = absolute_epoch + 1
@@ -305,7 +301,7 @@ def train_config(
         metrics=dict(result.metrics),
         epochs_run=report.epochs_run,
         sgd_steps=report.sgd_steps,
-        train_seconds=simulated_now - start_time,
+        train_seconds=simulated_now,
     )
     _record_train_metrics(metrics, output)
     return model, output
@@ -316,7 +312,6 @@ def _train_wals_config(
     dataset: RetailerDataset,
     settings: TrainerSettings,
     warm_model,
-    start_time: float,
     metrics=NULL_METRICS,
 ):
     """Train() for the least-squares substitute (paper section VI).
@@ -364,22 +359,9 @@ def _train_wals_config(
     return model, output
 
 
-@dataclass(frozen=True)
-class ConfigFailure:
-    """One config record the sweep gave up on (dead-lettered or crashed)."""
-
-    config: ConfigRecord
-    error: str
-    attempts: int = 1
-
-    @property
-    def retailer_id(self) -> str:
-        return self.config.retailer_id
-
-
 @dataclass
 class PipelineStats:
-    """Aggregated execution statistics of one training pipeline run."""
+    """Execution statistics of one retailer's training run."""
 
     configs_trained: int = 0
     configs_failed: int = 0
@@ -387,50 +369,25 @@ class PipelineStats:
     makespan_seconds: float = 0.0
     preemptions: int = 0
     per_cell: Dict[str, JobStats] = field(default_factory=dict)
-    #: Every config that failed, with the error that killed it.
-    failures: List[ConfigFailure] = field(default_factory=list)
-    #: Retailers for which *no* config trained successfully this run —
-    #: the ones the service must degrade to yesterday's models for.
-    failed_retailers: List[str] = field(default_factory=list)
-
-
-class _ExampleSets:
-    """One training run's :class:`ExampleSet` per retailer: built by the
-    retailer's first BPR config, shared by the rest, and let go when the
-    last of them takes it.  A retried config past that count builds a set
-    of its own."""
-
-    def __init__(self, configs: Sequence[ConfigRecord]) -> None:
-        self._left = Counter(
-            config.retailer_id for config in configs if config.model_kind != "wals"
-        )
-        self._sets: Dict[str, ExampleSet] = {}
-
-    def take(self, dataset: RetailerDataset) -> ExampleSet:
-        retailer_id = dataset.retailer_id
-        examples = self._sets.pop(retailer_id, None)
-        if examples is None:
-            examples = ExampleSet.build(dataset)
-        self._left[retailer_id] -= 1
-        if self._left[retailer_id] > 0:
-            self._sets[retailer_id] = examples
-        return examples
+    #: ``"training: <error>"`` when no config trained — the first failed
+    #: config's error, or why the run could not be split across cells —
+    #: so the service degrades the retailer to yesterday's models.
+    failure: Optional[str] = None
 
 
 class TrainingPipeline:
-    """Runs a sweep's config records as per-cell MapReduce jobs.
+    """Runs one retailer's config records as per-cell MapReduce jobs.
 
-    The pipeline (1) splits records across cells proportionally to free
-    capacity, (2) runs one MapReduce per cell whose mapper is
+    A run (1) splits the retailer's records across cells proportionally
+    to free capacity, (2) runs one MapReduce per cell whose mapper is
     :func:`train_config`, (3) publishes every *successfully* trained
     model to the registry, and (4) charges all simulated compute to the
     ledger.
 
     Failure isolation: a MapReduce job dead-letters, so one config's
     crash (bad data, injected fault, task out of attempts) dead-letters
-    that config instead of aborting the sweep —
-    the failure lands in :attr:`PipelineStats.failures`, and retailers
-    with no surviving config in :attr:`PipelineStats.failed_retailers`.
+    that config instead of aborting the run; a run in which no config
+    trained reports why on :attr:`PipelineStats.failure`.
     """
 
     def __init__(
@@ -468,37 +425,63 @@ class TrainingPipeline:
 
     def run(
         self,
+        dataset: RetailerDataset,
         configs: Sequence[ConfigRecord],
-        datasets: Dict[str, RetailerDataset],
         day: int = 0,
         metrics=NULL_METRICS,
         tracer=NULL_TRACER,
     ) -> Tuple[List[OutputConfigRecord], PipelineStats]:
-        """Train every config record; returns outputs + execution stats.
+        """Train one retailer's config records; returns outputs + stats.
 
-        A failed config (or a whole failed cell job) is reported on the
-        stats instead of aborting the sweep: the remaining cells and
-        configs still train and publish.
+        Every config must be ``dataset``'s retailer's (another retailer's
+        raises :class:`DataError`).  A failed config (or a whole failed
+        cell job) is counted on the stats instead of aborting the run:
+        the remaining cells and configs still train and publish.
 
-        ``metrics`` collects this run's throughput/cost series (per
-        retailer via Train(), per cell via the job stats); everything
-        recorded here derives deterministically from the run's inputs,
-        which is what lets the service seal a crashed-and-recovered
-        day's metrics bit-identical to an uninterrupted one.
+        ``metrics`` collects this run's throughput/cost series (via
+        Train() and the per-cell job stats); everything recorded here
+        derives deterministically from the run's inputs, which is what
+        lets the service seal a crashed-and-recovered day's metrics
+        bit-identical to an uninterrupted one.
 
-        Each retailer's training examples are built once per run, by its
-        first BPR config, and shared by the rest (:class:`ExampleSet`); a
-        set is dropped once its retailer's last BPR config has trained,
-        and nothing is kept for the next run.  Once every job is over, a
-        retailer that trained keeps only its newest day's models in the
-        registry (:meth:`ModelRegistry.keep_latest_day`).
+        The retailer's training examples are built once per run, by the
+        first BPR config to reach a mapper, and shared by the rest
+        (:class:`ExampleSet`); the set is let go once the last BPR config
+        has taken it, and nothing is kept for the next run.  Once every
+        job is over, a retailer that trained keeps only its newest day's
+        models in the registry (:meth:`ModelRegistry.keep_latest_day`).
         """
+        retailer_id = dataset.retailer_id
+        for config in configs:
+            if config.retailer_id != retailer_id:
+                raise DataError(
+                    f"a training run for {retailer_id!r} cannot train {config.key}"
+                )
         stats = PipelineStats()
         if not configs:
             return [], stats
-        example_sets = _ExampleSets(configs)
-        shares = self.cluster.split_by_capacity(len(configs))
+        try:
+            shares = self.cluster.split_by_capacity(len(configs))
+        except SigmundError as exc:
+            # No job could start (e.g. no free capacity): every config
+            # fails and the retailer keeps yesterday's models.
+            stats.configs_failed = len(configs)
+            stats.failure = f"training: {exc}"
+            return [], stats
+
+        bpr_left = sum(config.model_kind != "wals" for config in configs)
+        held: Optional[ExampleSet] = None
+
+        def take_examples() -> ExampleSet:
+            # A config retried past the count builds a set of its own.
+            nonlocal bpr_left, held
+            examples = held if held is not None else ExampleSet.build(dataset)
+            bpr_left -= 1
+            held = examples if bpr_left > 0 else None
+            return examples
+
         outputs: List[OutputConfigRecord] = []
+        errors: List[str] = []
         cursor = 0
         ordered_cells = sorted(shares, key=lambda name: -shares[name])
         for cell_name in ordered_cells:
@@ -511,25 +494,16 @@ class TrainingPipeline:
                 continue
             try:
                 job_outputs, job_stats = self._run_cell_job(
-                    cell_name, chunk, datasets, day, example_sets, metrics, tracer
+                    cell_name, chunk, dataset, day, take_examples, metrics, tracer
                 )
             except SigmundError as exc:
                 # The whole cell job died outside its map tasks (which
                 # dead-letter instead): every config it held fails, but
-                # the other cells' sweeps continue.
-                stats.failures.extend(
-                    ConfigFailure(config, f"cell {cell_name!r}: {exc}")
-                    for config in chunk
-                )
+                # the other cells' jobs continue.
+                errors.extend(f"cell {cell_name!r}: {exc}" for _ in chunk)
                 continue
             outputs.extend(job_outputs)
-            stats.failures.extend(
-                ConfigFailure(
-                    letter.record, str(letter.exception), letter.attempts
-                )
-                for letter in job_stats.dead_letters
-                if isinstance(letter.record, ConfigRecord)
-            )
+            errors.extend(str(letter.exception) for letter in job_stats.dead_letters)
             stats.per_cell[cell_name] = job_stats
             stats.total_cost += job_stats.cost
             stats.preemptions += job_stats.preemptions
@@ -537,18 +511,14 @@ class TrainingPipeline:
                 stats.makespan_seconds, job_stats.makespan_seconds
             )
         stats.configs_trained = len(outputs)
-        stats.configs_failed = len(stats.failures)
-        succeeded = {output.retailer_id for output in outputs}
-        for retailer_id in sorted(succeeded):
+        stats.configs_failed = len(errors)
+        if outputs:
             self.registry.keep_latest_day(retailer_id)
-        stats.failed_retailers = sorted(
-            {failure.retailer_id for failure in stats.failures} - succeeded
-        )
-        for failure in stats.failures:
+        elif errors:
+            stats.failure = f"training: {errors[0]}"
+        for _ in errors:
             metrics.counter(
-                "train_configs_total",
-                retailer=failure.retailer_id,
-                outcome="failed",
+                "train_configs_total", retailer=retailer_id, outcome="failed"
             ).inc()
         return outputs, stats
 
@@ -556,25 +526,21 @@ class TrainingPipeline:
         self,
         cell_name: str,
         configs: List[ConfigRecord],
-        datasets: Dict[str, RetailerDataset],
+        dataset: RetailerDataset,
         day: int,
-        example_sets: _ExampleSets,
+        take_examples: Callable[[], ExampleSet],
         metrics=NULL_METRICS,
         tracer=NULL_TRACER,
     ) -> Tuple[List[OutputConfigRecord], JobStats]:
-        """One cell's Train() job; ``example_sets`` hands out the run's
-        retailer example sets."""
+        """One cell's Train() job; ``take_examples`` hands out the run's
+        example set."""
         settings = self.settings
         registry = self.registry
 
         def mapper(record: object):
             config: ConfigRecord = record  # type: ignore[assignment]
-            dataset = datasets[config.retailer_id]
-            registry.assert_isolated(config.retailer_id, dataset.retailer_id)
             warm_model = self._warm_model(config)
-            examples = None
-            if config.model_kind != "wals":
-                examples = example_sets.take(dataset)
+            examples = take_examples() if config.model_kind != "wals" else None
             model, output = train_config(
                 config,
                 dataset,
@@ -592,7 +558,6 @@ class TrainingPipeline:
 
         def record_cost(record: object) -> float:
             config: ConfigRecord = record  # type: ignore[assignment]
-            dataset = datasets[config.retailer_id]
             epochs = (
                 settings.max_epochs_incremental
                 if config.warm_start
@@ -607,10 +572,7 @@ class TrainingPipeline:
         # Dynamically sized VMs (section IV-B2): the job's memory ask is
         # driven by the largest model it will train, rounded up to the
         # next power-of-two tier like real machine shapes.
-        peak_gb = max(
-            estimate_model_memory_gb(config, datasets[config.retailer_id])
-            for config in configs
-        )
+        peak_gb = max(estimate_model_memory_gb(config, dataset) for config in configs)
         memory_gb = float(
             max(2.0, 2.0 ** float(np.ceil(np.log2(max(peak_gb, 1e-9)))))
         )
@@ -626,7 +588,7 @@ class TrainingPipeline:
             record_cost_fn=record_cost,
         )
         # One config record per split: a map task trains exactly one model,
-        # so no machine ever holds two retailers' models at once.
+        # so no machine ever holds two models at once.
         splits = uniform_splits(configs, len(configs))
         raw_outputs, job_stats = self.runtime.run(
             job, splits, metrics=metrics, tracer=tracer
@@ -636,7 +598,7 @@ class TrainingPipeline:
             configs, record_cost, job_stats.cost, metrics
         )
         outputs: List[OutputConfigRecord] = []
-        for entry in _trained_models(raw_outputs):
+        for entry in raw_outputs:
             registry.publish(entry)
             outputs.append(entry.output)
         return outputs, job_stats
@@ -648,7 +610,7 @@ class TrainingPipeline:
         job_cost: float,
         metrics=NULL_METRICS,
     ) -> None:
-        """Split one job's bill across retailers ∝ estimated work (§V).
+        """Split one job's bill across its configs ∝ estimated work (§V).
 
         Sigmund chose not to *bill* retailers, but the attribution view is
         cheap to keep and answers "who consumes the fleet" questions.
@@ -673,15 +635,5 @@ class TrainingPipeline:
             return None
         try:
             return self.registry.get(config.retailer_id, config.model_number).model
-        except Exception:
+        except ModelNotTrainedError:
             return None
-
-
-def _trained_models(outputs: List[object]) -> List[TrainedModel]:
-    entries = []
-    for item in outputs:
-        if isinstance(item, TrainedModel):
-            entries.append(item)
-        else:  # (retailer_id, entry) pairs from a non-identity reducer
-            entries.append(item[1])
-    return entries

@@ -43,7 +43,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.config import ConfigRecord
 from repro.core.inference import InferenceResult
-from repro.core.training import PipelineStats
 from repro.dag.block import Block, DagError
 from repro.dag.graph import DayGraph
 from repro.exceptions import SigmundError
@@ -120,33 +119,21 @@ def build_day_graph(
     # -- train/<rid> ----------------------------------------------------
     def make_train(rid: str) -> Block:
         def run():
-            own = by_retailer[rid]
             task_metrics = task_registry()
-            failure: Optional[str] = None
-            try:
-                _, train_stats = service.training.run(
-                    own, datasets, day=day, metrics=task_metrics, tracer=service.tracer
-                )
-            except SigmundError as exc:
-                # This retailer's sweep died outright (e.g. no free capacity
-                # for its job); it degrades to yesterday's models while the
-                # rest of the fleet trains on.
-                train_stats = PipelineStats(configs_failed=len(own))
-                failure = f"training: {exc}"
-            else:
-                if rid in train_stats.failed_retailers:
-                    reason = next(
-                        (str(f.error) for f in train_stats.failures if f.retailer_id == rid),
-                        "failed",
-                    )
-                    failure = f"training: {reason}"
+            _, train_stats = service.training.run(
+                datasets[rid],
+                by_retailer[rid],
+                day=day,
+                metrics=task_metrics,
+                tracer=service.tracer,
+            )
             return {
                 "trained": train_stats.configs_trained,
                 "failed": train_stats.configs_failed,
                 "cost": train_stats.total_cost,
                 "makespan": train_stats.makespan_seconds,
                 "preemptions": train_stats.preemptions,
-                "failure": failure,
+                "failure": train_stats.failure,
                 "metrics": task_metrics.snapshot(),
             }
 

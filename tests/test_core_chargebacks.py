@@ -82,13 +82,16 @@ class TestPipelineChargebacks:
         registry = ModelRegistry()
         pipeline = TrainingPipeline(cluster, registry, settings=FAST, seed=0)
         plan = SweepPlanner(GridSpec.small()).full_sweep([big, small])
-        datasets = {d.retailer_id: d for d in (big, small)}
-        _, stats = pipeline.run(plan.configs, datasets)
+        billed = 0.0
+        for dataset in (big, small):
+            own = [c for c in plan.configs if c.retailer_id == dataset.retailer_id]
+            _, stats = pipeline.run(dataset, own)
+            billed += stats.total_cost
 
         charges = pipeline.ledger.accounts_with_prefix("chargeback/")
         assert set(charges) == {"chargeback/cb_big", "chargeback/cb_small"}
         # Attribution sums to the billed job cost and follows data volume.
-        assert sum(charges.values()) == pytest.approx(stats.total_cost, rel=1e-6)
+        assert sum(charges.values()) == pytest.approx(billed, rel=1e-6)
         assert charges["chargeback/cb_big"] > charges["chargeback/cb_small"]
 
 

@@ -105,7 +105,7 @@ class TestMixedPipeline:
         pipeline = TrainingPipeline(cluster, registry, settings=FAST, seed=0)
         plan = SweepPlanner(MIXED_GRID).full_sweep([tiny_dataset])
         datasets = {tiny_dataset.retailer_id: tiny_dataset}
-        outputs, stats = pipeline.run(plan.configs, datasets)
+        outputs, stats = pipeline.run(tiny_dataset, plan.configs)
         kinds_trained = {o.config.model_kind for o in outputs}
         assert kinds_trained == {"bpr", "wals"}
         # Whatever won, inference must serve it through the common

@@ -25,7 +25,7 @@ from repro.core.training import (
     checkpoint_key,
     train_config,
 )
-from repro.exceptions import ConfigError, DataError, SimulatedCrash
+from repro.exceptions import ClusterError, ConfigError, DataError, SimulatedCrash
 from repro.models.bpr import BPRHyperParams
 from tests.conftest import assert_states_equal
 
@@ -193,39 +193,63 @@ class TestThreadCostModel:
 
 
 class TestTrainingPipeline:
-    def run_pipeline(self, datasets, configs=None, settings=FAST, seed=0):
+    def run_pipeline(self, dataset, configs=None, settings=FAST, seed=0):
         cluster = build_cluster(n_cells=2, machines_per_cell=4)
         registry = ModelRegistry()
         pipeline = TrainingPipeline(cluster, registry, settings=settings, seed=seed)
-        by_id = {d.retailer_id: d for d in datasets}
         if configs is None:
-            plan = SweepPlanner(GridSpec.small()).full_sweep(datasets)
-            configs = plan.configs
-        outputs, stats = pipeline.run(configs, by_id)
+            configs = SweepPlanner(GridSpec.small()).full_sweep([dataset]).configs
+        outputs, stats = pipeline.run(dataset, configs)
         return registry, outputs, stats
 
     def test_trains_all_configs_and_publishes(self, tiny_dataset):
-        registry, outputs, stats = self.run_pipeline([tiny_dataset])
+        registry, outputs, stats = self.run_pipeline(tiny_dataset)
         assert stats.configs_trained == len(outputs) > 0
         assert registry.model_count(tiny_dataset.retailer_id) == len(outputs)
         assert stats.total_cost > 0
         assert stats.makespan_seconds > 0
+        assert stats.failure is None
 
-    def test_splits_across_cells(self, tiny_dataset, small_dataset):
-        registry, outputs, stats = self.run_pipeline([tiny_dataset, small_dataset])
-        assert len(stats.per_cell) >= 1
+    def test_splits_across_cells(self, small_dataset):
+        registry, outputs, stats = self.run_pipeline(small_dataset)
+        assert len(stats.per_cell) == 2
         assert sum(s.map_tasks for s in stats.per_cell.values()) == len(outputs)
 
     def test_best_model_beats_worst(self, small_dataset):
-        registry, outputs, _ = self.run_pipeline([small_dataset])
+        registry, outputs, _ = self.run_pipeline(small_dataset)
         maps = sorted(o.map_at_10 for o in outputs)
         best = registry.best(small_dataset.retailer_id)
         assert best.map_at_10 == maps[-1]
 
     def test_empty_config_list(self, tiny_dataset):
-        registry, outputs, stats = self.run_pipeline([tiny_dataset], configs=[])
+        registry, outputs, stats = self.run_pipeline(tiny_dataset, configs=[])
         assert outputs == []
         assert stats.configs_trained == 0
+
+    def test_a_run_trains_one_retailer(self, tiny_dataset, small_dataset):
+        """A config of another retailer is refused before any job runs."""
+        configs = SweepPlanner(GridSpec.small()).full_sweep([tiny_dataset, small_dataset]).configs
+        registry = ModelRegistry()
+        pipeline = TrainingPipeline(build_cluster(n_cells=1, machines_per_cell=4), registry)
+        with pytest.raises(DataError, match=small_dataset.retailer_id):
+            pipeline.run(tiny_dataset, configs)
+        assert registry.retailers() == [] and pipeline.ledger.total() == 0
+
+    def test_a_run_that_cannot_be_split_fails_every_config(self, tiny_dataset, monkeypatch):
+        registry = ModelRegistry()
+        cluster = build_cluster(n_cells=2, machines_per_cell=4)
+        configs = SweepPlanner(GridSpec.small()).full_sweep([tiny_dataset]).configs
+
+        def no_capacity(total_shards):
+            raise ClusterError("no free capacity")
+
+        monkeypatch.setattr(cluster, "split_by_capacity", no_capacity)
+        outputs, stats = TrainingPipeline(cluster, registry, settings=FAST).run(
+            tiny_dataset, configs
+        )
+        assert outputs == [] and not registry.has_models(tiny_dataset.retailer_id)
+        assert (stats.configs_trained, stats.configs_failed) == (0, len(configs))
+        assert stats.failure == "training: no free capacity"
 
 
 class TestSimulatedTrainFanOut:
@@ -242,7 +266,7 @@ class TestSimulatedTrainFanOut:
         registry = ModelRegistry()
         configs = [config_for(dataset, number) for number in range(5)]
         outputs, stats = TrainingPipeline(cluster, registry, settings=FAST).run(
-            configs, {dataset.retailer_id: dataset}
+            dataset, configs
         )
         return registry, outputs, stats
 

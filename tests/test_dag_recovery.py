@@ -213,15 +213,21 @@ def test_a_dead_cell_folds_zeros_and_fails_its_retailers(monkeypatch):
 
 
 def test_a_training_job_that_raises_fails_only_its_retailer(monkeypatch):
-    """``train/<rid>`` turns a sweep that died outright into a failed
-    payload: every config of the retailer failed, the others train."""
+    """A training run whose configs no cell can take journals a failed
+    ``train/<rid>`` payload: every config of the retailer failed, the
+    others train."""
     service = make_service(metrics=MetricsRegistry(), orchestration="dag")
     run = service.training.run
 
-    def dying(configs, *args, **kwargs):
-        if configs[0].retailer_id == "r0":
-            raise SigmundError("no free capacity")
-        return run(configs, *args, **kwargs)
+    def no_capacity(total_shards):
+        raise SigmundError("no free capacity")
+
+    def dying(dataset, configs, **kwargs):
+        if dataset.retailer_id != "r0":
+            return run(dataset, configs, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(service.training.cluster, "split_by_capacity", no_capacity)
+            return run(dataset, configs, **kwargs)
 
     monkeypatch.setattr(service.training, "run", dying)
     report = service.run_day()

@@ -203,11 +203,10 @@ class TestTrainingPipelineIsolation:
             "iso_a": make_dataset("iso_a", seed=11),
             "iso_b": make_dataset("iso_b", seed=12),
         }
-        configs = [
-            config
-            for dataset in datasets.values()
-            for config in generate_configs(dataset, TINY_GRID)
-        ]
+        configs = {
+            rid: generate_configs(dataset, dataclasses.replace(TINY_GRID, n_factors=(4, 6)))
+            for rid, dataset in datasets.items()
+        }
         return pipeline, registry, datasets, configs
 
     def test_failed_retailer_is_isolated(self):
@@ -215,42 +214,66 @@ class TestTrainingPipelineIsolation:
             lambda r: getattr(r, "retailer_id", None) == "iso_a"
         )
         pipeline, registry, datasets, configs = self.build(fault_plan=plan)
-        outputs, stats = pipeline.run(configs, datasets)
-        assert {output.retailer_id for output in outputs} == {"iso_b"}
-        assert stats.failed_retailers == ["iso_a"]
-        assert stats.configs_failed == sum(
-            1 for c in configs if c.retailer_id == "iso_a"
+        failed, failed_stats = pipeline.run(datasets["iso_a"], configs["iso_a"])
+        trained, stats = pipeline.run(datasets["iso_b"], configs["iso_b"])
+        assert failed == [] and failed_stats.configs_failed == len(configs["iso_a"])
+        assert failed_stats.failure == (
+            f"training: injected mapper fault for {configs['iso_a'][0]!r}"
         )
-        assert all(f.retailer_id == "iso_a" for f in stats.failures)
+        assert {output.retailer_id for output in trained} == {"iso_b"}
+        assert stats.configs_failed == 0 and stats.failure is None
         # A failed config must never leave a half-published model behind.
         assert not registry.has_models("iso_a")
         assert registry.has_models("iso_b")
 
     def test_a_cell_job_error_sinks_the_cell_not_the_sweep(self):
         """An error outside the map tasks (which dead-letter) fails every
-        config of its cell; the other cell's sweep continues."""
+        config of its cell; the other cell's job still trains."""
         pipeline, registry, datasets, configs = self.build()
+        own = configs["iso_a"]
         publish = registry.publish
+        refused = []
 
-        def refuse_iso_a(entry):
-            if entry.output.retailer_id == "iso_a":
+        def refuse_the_first(entry):
+            if not refused:
+                refused.append(entry)
                 raise IsolationError("refused")
             publish(entry)
 
-        registry.publish = refuse_iso_a
-        # Order configs so the retailers land in different cell chunks.
-        configs.sort(key=lambda c: c.retailer_id)
-        outputs, stats = pipeline.run(configs, datasets)
-        assert {output.retailer_id for output in outputs} == {"iso_b"}
-        assert stats.failed_retailers == ["iso_a"]
-        assert any("cell" in failure.error for failure in stats.failures)
+        registry.publish = refuse_the_first
+        outputs, stats = pipeline.run(datasets["iso_a"], own)
+        (first_share, *_) = sorted(
+            pipeline.cluster.split_by_capacity(len(own)).values(), reverse=True
+        )
+        assert stats.configs_failed == first_share > 0
+        assert stats.configs_trained == len(outputs) == len(own) - first_share > 0
+        assert len(stats.per_cell) == 1
+        # Something trained, so the retailer is not failed.
+        assert stats.failure is None
+        assert registry.model_count("iso_a") == len(outputs)
 
     def test_no_faults_means_no_failures(self):
         pipeline, registry, datasets, configs = self.build()
-        outputs, stats = pipeline.run(configs, datasets)
-        assert stats.configs_failed == 0
-        assert stats.failed_retailers == []
-        assert len(outputs) == len(configs)
+        for rid, dataset in datasets.items():
+            outputs, stats = pipeline.run(dataset, configs[rid])
+            assert stats.configs_failed == 0 and stats.failure is None
+            assert len(outputs) == len(configs[rid])
+
+    def test_a_warm_model_the_registry_refuses_dead_letters_its_config(self):
+        """An :class:`IsolationError` reading yesterday's model is not a
+        missing model: the config dead-letters instead of training cold."""
+        pipeline, registry, datasets, configs = self.build()
+        dataset = datasets["iso_a"]
+        pipeline.run(dataset, configs["iso_a"])
+        warm = [config.for_day(1, warm_start=True) for config in configs["iso_a"]]
+
+        def refuse(retailer_id, model_number):
+            raise IsolationError(f"model {model_number} is not {retailer_id!r}'s")
+
+        registry.get = refuse
+        outputs, stats = pipeline.run(dataset, warm, day=1)
+        assert outputs == [] and stats.configs_failed == len(warm)
+        assert stats.failure == "training: model 0 is not 'iso_a''s"
 
 
 class TestInferenceCellPairing:

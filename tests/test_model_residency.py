@@ -76,20 +76,33 @@ def assemblies(monkeypatch):
     return built
 
 
+def train_each(pipeline, configs, datasets, day=0):
+    """One run per retailer, as the day's ``train/<rid>`` blocks do."""
+    outputs, failed = [], 0
+    for rid, dataset in datasets.items():
+        own = [config for config in configs if config.retailer_id == rid]
+        trained, stats = pipeline.run(dataset, own, day=day)
+        outputs.extend(trained)
+        failed += stats.configs_failed
+    return outputs, failed
+
+
 def test_a_training_run_publishes_parameters_only(datasets):
     registry = ModelRegistry()
     pipeline = TrainingPipeline(
         build_cluster(n_cells=2, machines_per_cell=4), registry, settings=SETTINGS
     )
     planner = SweepPlanner(GridSpec.small())
-    outputs, stats = pipeline.run(planner.full_sweep(list(datasets.values())).configs, datasets)
-    assert outputs and stats.configs_failed == 0
+    outputs, failed = train_each(
+        pipeline, planner.full_sweep(list(datasets.values())).configs, datasets
+    )
+    assert outputs and failed == 0
     for model in bpr_models(registry, datasets):
         assert_parameters_only(model)
     # A warm-started day reads released models and publishes released ones.
     plan = planner.incremental_sweep(list(datasets.values()), registry, day=1)
     assert any(config.warm_start for config in plan.configs)
-    pipeline.run(plan.configs, datasets, day=1)
+    train_each(pipeline, plan.configs, datasets, day=1)
     for model in bpr_models(registry, datasets):
         assert_parameters_only(model)
 
@@ -97,8 +110,10 @@ def test_a_training_run_publishes_parameters_only(datasets):
 def test_an_inference_cell_assembles_once_and_drops_what_it_primed(datasets, assemblies):
     cluster = build_cluster(n_cells=1, machines_per_cell=4)
     registry = ModelRegistry()
-    TrainingPipeline(cluster, registry, settings=SETTINGS).run(
-        SweepPlanner(GridSpec.small()).full_sweep(list(datasets.values())).configs, datasets
+    train_each(
+        TrainingPipeline(cluster, registry, settings=SETTINGS),
+        SweepPlanner(GridSpec.small()).full_sweep(list(datasets.values())).configs,
+        datasets,
     )
     ranked = [registry.best(rid).model for rid in datasets]
     assemblies.clear()

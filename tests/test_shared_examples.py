@@ -6,15 +6,21 @@ arrays, each strength-constraint example's pool — and a trainer draws only
 its constraint negatives from it, on its own stream.  Pinned here: the
 ``GridSpec.small()`` configs trained through one shared set end byte-equal
 (parameters, Adagrad sums, epoch losses, compiled arrays) to trainers that
-each build their own, and ``TrainingPipeline.run`` builds each retailer's
-set once per run, lets it go when the retailer's last config has taken
-it, and keeps none for the next.  A published model's Adagrad sums are
-compared as Train() releases them.
+each build their own, and ``TrainingPipeline.run`` builds its retailer's
+set once per run (none when every config dead-letters first), lets it go
+when the last BPR config has taken it, and keeps none for the next.  A
+published model's Adagrad sums are compared as Train() releases them.
 """
 
 from __future__ import annotations
 
+import gc
+import weakref
+from dataclasses import replace
+
 import pytest
+
+import repro.core.training as training
 
 from repro import build_cluster
 from repro.core.grid import GridSpec
@@ -23,11 +29,11 @@ from repro.core.sweep import SweepPlanner
 from repro.core.training import (
     TrainerSettings,
     TrainingPipeline,
-    _ExampleSets,
     _make_sampler,
     train_config,
 )
 from repro.exceptions import DataError
+from repro.mapreduce.runtime import FaultPlan
 from repro.models.bpr import BPRModel
 from repro.models.optim import Adagrad
 from repro.models.trainer import BPRTrainer, ExampleSet
@@ -97,15 +103,22 @@ def test_a_set_trains_only_its_own_retailer(small_dataset, tiny_dataset):
         )
 
 
-def test_a_run_builds_each_retailers_set_once(small_dataset, tiny_dataset, monkeypatch):
+@pytest.fixture()
+def builds(monkeypatch):
+    """Every :meth:`ExampleSet.build`, as a weak reference to its set."""
     built = []
     build = ExampleSet.build.__func__
 
     def counted(cls, dataset, *args, **kwargs):
-        built.append(dataset.retailer_id)
-        return build(cls, dataset, *args, **kwargs)
+        examples = build(cls, dataset, *args, **kwargs)
+        built.append(weakref.ref(examples))
+        return examples
 
     monkeypatch.setattr(ExampleSet, "build", classmethod(counted))
+    return built
+
+
+def test_a_run_builds_its_retailers_set_once(small_dataset, builds, monkeypatch):
     # Train() releases the Adagrad sums before it returns the model: read
     # them as they are released, keyed by the optimizer that held them.
     sums = {}
@@ -116,24 +129,23 @@ def test_a_run_builds_each_retailers_set_once(small_dataset, tiny_dataset, monke
         release(optimizer)
 
     monkeypatch.setattr(Adagrad, "release_norms", read_then_release)
-    datasets = {d.retailer_id: d for d in (small_dataset, tiny_dataset)}
-    configs = SweepPlanner(GridSpec.small()).full_sweep(list(datasets.values())).configs
+    configs = small_configs(small_dataset)
     registry = ModelRegistry()
     pipeline = TrainingPipeline(
         build_cluster(n_cells=2, machines_per_cell=4), registry, settings=SETTINGS
     )
-    outputs, stats = pipeline.run(configs, datasets)
-    assert stats.configs_failed == 0 and len(outputs) == len(configs) > len(datasets)
-    assert sorted(built) == sorted(datasets)
-    # Nothing is kept for the next run: it builds them again.
-    pipeline.run(configs, datasets)
-    assert sorted(built) == sorted(list(datasets) * 2)
+    outputs, stats = pipeline.run(small_dataset, configs)
+    assert stats.configs_failed == 0 and len(outputs) == len(configs) > 1
+    assert len(builds) == 1
+    # Nothing is kept for the next run: it builds the set again.
+    pipeline.run(small_dataset, configs)
+    assert len(builds) == 2
 
     # What the run published is what a config trains alone.
     for config in configs[:3]:
-        built.clear()
-        alone, _ = train_config(config, datasets[config.retailer_id], SETTINGS)
-        assert built == [config.retailer_id]
+        builds.clear()
+        alone, _ = train_config(config, small_dataset, SETTINGS)
+        assert len(builds) == 1
         published = registry.get(config.retailer_id, config.model_number).model
         assert published._buffer.tobytes() == alone._buffer.tobytes()
         assert published.optimizer._flat is None and alone.optimizer._flat is None
@@ -142,22 +154,46 @@ def test_a_run_builds_each_retailers_set_once(small_dataset, tiny_dataset, monke
         )
 
 
-def test_a_set_is_let_go_when_its_last_config_takes_it(small_dataset, tiny_dataset):
-    """The run holds a retailer's set only while a config of it is still
-    to train; a retry past the count builds its own."""
-    datasets = (small_dataset, tiny_dataset)
-    configs = SweepPlanner(GridSpec.small()).full_sweep(list(datasets)).configs
-    sets = _ExampleSets(configs)
-    left = {
-        d.retailer_id: sum(c.retailer_id == d.retailer_id and c.model_kind != "wals" for c in configs)
-        for d in datasets
-    }
-    assert min(left.values()) > 1
-    first = {d.retailer_id: sets.take(d) for d in datasets}
-    for dataset in datasets:
-        for _ in range(left[dataset.retailer_id] - 1):
-            assert dataset.retailer_id in sets._sets
-            assert sets.take(dataset) is first[dataset.retailer_id]
-    assert sets._sets == {}
-    again = sets.take(small_dataset)
-    assert again is not first[small_dataset.retailer_id] and sets._sets == {}
+def test_the_set_is_let_go_when_the_last_bpr_config_takes_it(
+    small_dataset, builds, monkeypatch
+):
+    """The run holds its set only while a BPR config is still to train:
+    a WALS config between two BPR ones finds it alive, one after the
+    last finds it gone, and the run keeps none once it returns."""
+    bpr = small_configs(small_dataset)
+    wals = [replace(bpr[0], model_number=90 + n, model_kind="wals") for n in range(2)]
+    configs = [bpr[0], wals[0], *bpr[1:], wals[1]]
+    seen = []
+    train = training.train_config
+
+    def observed(config, dataset, **kwargs):
+        gc.collect()
+        seen.append((config.model_kind, [ref() is not None for ref in builds]))
+        return train(config, dataset, **kwargs)
+
+    monkeypatch.setattr(training, "train_config", observed)
+    # One cell: its job trains the configs in list order.
+    pipeline = TrainingPipeline(
+        build_cluster(n_cells=1, machines_per_cell=4), ModelRegistry(), settings=SETTINGS
+    )
+    outputs, stats = pipeline.run(small_dataset, configs)
+    assert stats.configs_failed == 0 and len(outputs) == len(configs)
+    assert seen == [("bpr", [True]), ("wals", [True])] + [("bpr", [True])] * 3 + [
+        ("wals", [False])
+    ]
+    gc.collect()
+    assert [ref() for ref in builds] == [None]
+
+
+def test_a_run_whose_every_config_dead_letters_builds_no_set(small_dataset, builds):
+    configs = small_configs(small_dataset)
+    pipeline = TrainingPipeline(
+        build_cluster(n_cells=2, machines_per_cell=4),
+        ModelRegistry(),
+        settings=SETTINGS,
+        fault_plan=FaultPlan().fail_mapper(lambda record: True),
+    )
+    outputs, stats = pipeline.run(small_dataset, configs)
+    assert outputs == [] and builds == []
+    assert (stats.configs_trained, stats.configs_failed) == (0, len(configs))
+    assert stats.failure == f"training: injected mapper fault for {configs[0]!r}"
